@@ -127,11 +127,8 @@ def _cmd_train_extractor(args: argparse.Namespace) -> None:
     kb = load_triples(_require(cfg.triples, "--triples"))
     instances = []
     for doc in corpus:
-        content = doc.content()
-        tokens = tokenize(content)
-        sentences = split_sentences(content, tokens)
-        mentions = link(content, lexicon, tokens=tokens)
-        for pair in generate_candidates(doc.id, mentions, sentences, tokens, cfg.window):
+        tokens, _, pairs = engine.analyze(doc, lexicon, cfg.window)
+        for pair in pairs:
             instances.append(RelationInstance(pair, distant_label(pair, kb), featurize(pair, tokens, lexicon)))
     hyper = ExtractorHyperparams(cfg.extractor_lr, cfg.extractor_epochs, cfg.l2, cfg.seed)
     model = train_extractor(instances, hyper)

@@ -3,14 +3,16 @@
 The index bundles everything needed to answer queries with the exact
 pipeline the documents went through: the lexicon, the triple store, any
 trained models, the shared label compressor, and the per-document
-networks, kernel features, and embeddings. It persists as a single
-versioned JSON container whose bytes are reproducible for a fixed corpus,
-configuration, and seed.
+networks and kernel features. It persists as a single versioned JSON
+container whose bytes are reproducible for a fixed corpus, configuration,
+and seed. Document embeddings and concept postings are pure functions of
+the networks and the embedding model, so they are rebuilt on load rather
+than stored; kernel features and the compressor table are stored, because
+recomputing them makes loading markedly slower.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,10 +27,12 @@ from .kb import (
     TripleStore,
     lexicon_from_dict,
     lexicon_to_dict,
+    load_container,
+    save_container,
     triples_from_dict,
     triples_to_dict,
 )
-from .linking import link, split_sentences, tokenize
+from .linking import Mention, Token, link, split_sentences, tokenize
 from .network import (
     SemanticNetwork,
     build_network,
@@ -38,6 +42,7 @@ from .network import (
     network_to_dict,
 )
 from .relations import (
+    CandidatePair,
     ExtractorModel,
     extract_relations,
     extractor_from_dict,
@@ -49,6 +54,7 @@ from .similarity import (
     DocEmbedding,
     LabelCompressor,
     WlFeatureVector,
+    combine,
     cosine,
     doc_embedding,
     wl_features,
@@ -59,7 +65,7 @@ from .transe import EmbeddingModel, model_from_dict, model_to_dict
 log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "casegraph-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,6 @@ class CollectionGraph:
 
 @dataclass
 class Index:
-    version: int
-    h: int
     config: PipelineConfig
     lexicon: Lexicon
     kb: TripleStore | None
@@ -86,8 +90,22 @@ class Index:
     compressor: LabelCompressor
     networks: dict[str, SemanticNetwork] = field(default_factory=dict)
     wl_vectors: dict[str, WlFeatureVector] = field(default_factory=dict)
+    # Rebuilt from networks and transe by _derive_maps, never persisted.
     embeddings: dict[str, DocEmbedding] = field(default_factory=dict)
     cui_postings: dict[str, list[str]] = field(default_factory=dict)
+
+    @property
+    def h(self) -> int:
+        return self.config.h
+
+
+def analyze(doc: Document, lexicon: Lexicon, window: int) -> tuple[list[Token], list[Mention], list[CandidatePair]]:
+    """Tokenize, split, link and pair one document: its tokens, mentions and candidate pairs."""
+    content = doc.content()
+    tokens = tokenize(content)
+    sentences = split_sentences(content, tokens)
+    mentions = link(content, lexicon, tokens=tokens)
+    return tokens, mentions, generate_candidates(doc.id, mentions, sentences, tokens, window)
 
 
 def document_network(
@@ -99,11 +117,7 @@ def document_network(
     transe: EmbeddingModel | None = None,
 ) -> SemanticNetwork:
     """Run the full per-document pipeline: link, extract, build, enrich, fuse."""
-    content = doc.content()
-    tokens = tokenize(content)
-    sentences = split_sentences(content, tokens)
-    mentions = link(content, lexicon, tokens=tokens)
-    pairs = generate_candidates(doc.id, mentions, sentences, tokens, config.window)
+    tokens, mentions, pairs = analyze(doc, lexicon, config.window)
     if config.mode == "model":
         if extractor is None:
             raise ConfigError("mode 'model' requires a trained relation extractor")
@@ -139,35 +153,33 @@ def index_corpus(
         if doc.id in seen:
             raise ValidationError(f"duplicate document id {doc.id}")
         seen.add(doc.id)
-    compressor = LabelCompressor()
-    index = Index(INDEX_VERSION, config.h, config, lexicon, kb, extractor, transe, compressor)
+    index = Index(config, lexicon, kb, extractor, transe, LabelCompressor())
     for doc in corpus:
         net = document_network(doc, lexicon, config, kb, extractor, transe)
         index.networks[doc.id] = net
-        index.wl_vectors[doc.id] = wl_features(net, config.h, compressor)
-        if transe is not None:
-            index.embeddings[doc.id] = doc_embedding(net, transe)
-        else:
-            index.embeddings[doc.id] = DocEmbedding(np.zeros(0), 0)
-    postings: dict[str, list[str]] = {}
-    for doc_id in sorted(index.networks):
-        for cui in index.networks[doc_id].nodes:
-            postings.setdefault(cui, []).append(doc_id)
-    index.cui_postings = postings
-    log.info("indexed %d documents (%d distinct concepts)", len(corpus), len(postings))
+        index.wl_vectors[doc.id] = wl_features(net, config.h, index.compressor)
+    _derive_maps(index)
+    log.info("indexed %d documents (%d distinct concepts)", len(corpus), len(index.cui_postings))
     return index
 
 
-def _score_against(
-    index: Index,
-    query_vector: WlFeatureVector,
-    query_embedding: DocEmbedding,
-    doc_id: str,
-    lam: float,
-) -> float:
-    explicit = wl_kernel_normalized(query_vector, index.wl_vectors[doc_id])
-    latent = max(0.0, cosine(query_embedding.vector, index.embeddings[doc_id].vector))
-    return lam * explicit + (1.0 - lam) * latent
+def _embedding(net: SemanticNetwork, transe: EmbeddingModel | None) -> DocEmbedding:
+    return doc_embedding(net, transe) if transe is not None else DocEmbedding(np.zeros(0), 0)
+
+
+def _derive_maps(index: Index) -> None:
+    """Rebuild the per-document embeddings and the concept -> sorted doc ids postings."""
+    index.embeddings = {}
+    index.cui_postings = {}
+    for doc_id in sorted(index.networks):
+        net = index.networks[doc_id]
+        index.embeddings[doc_id] = _embedding(net, index.transe)
+        for cui in net.nodes:
+            index.cui_postings.setdefault(cui, []).append(doc_id)
+
+
+def _score(f: WlFeatureVector, emb_f: DocEmbedding, g: WlFeatureVector, emb_g: DocEmbedding, lam: float) -> float:
+    return combine(wl_kernel_normalized(f, g), cosine(emb_f.vector, emb_g.vector), lam)
 
 
 def search(
@@ -191,17 +203,16 @@ def search(
         raise UsageError(f"lambda must be within [0, 1], got {lam}")
     query_doc = Document("query", "", query_text)
     net = document_network(query_doc, index.lexicon, index.config, index.kb, index.extractor, index.transe)
-    overlay = index.compressor.overlay()
-    query_vector = wl_features(net, index.h, overlay)
-    if index.transe is not None:
-        query_embedding = doc_embedding(net, index.transe)
-    else:
-        query_embedding = DocEmbedding(np.zeros(0), 0)
+    query_vector = wl_features(net, index.h, index.compressor.overlay())
+    query_embedding = _embedding(net, index.transe)
     if prune:
         candidates = sorted({doc for cui in net.nodes for doc in index.cui_postings.get(cui, ())})
     else:
         candidates = sorted(index.networks)
-    scored = [(doc_id, _score_against(index, query_vector, query_embedding, doc_id, lam)) for doc_id in candidates]
+    wl, embeddings = index.wl_vectors, index.embeddings
+    scored = [
+        (doc_id, _score(query_vector, query_embedding, wl[doc_id], embeddings[doc_id], lam)) for doc_id in candidates
+    ]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return [SearchResult(doc_id, score, rank) for rank, (doc_id, score) in enumerate(scored[:k], start=1)]
 
@@ -215,12 +226,11 @@ def build_collection_graph(index: Index, lam: float | None = None, tau_doc: floa
     if not 0.0 <= tau_doc <= 1.0:
         raise UsageError(f"tau_doc must be within [0, 1], got {tau_doc}")
     doc_ids = sorted(index.networks)
+    wl, embeddings = index.wl_vectors, index.embeddings
     edges = []
     for i, doc_a in enumerate(doc_ids):
         for doc_b in doc_ids[i + 1 :]:
-            explicit = wl_kernel_normalized(index.wl_vectors[doc_a], index.wl_vectors[doc_b])
-            latent = max(0.0, cosine(index.embeddings[doc_a].vector, index.embeddings[doc_b].vector))
-            score = lam * explicit + (1.0 - lam) * latent
+            score = _score(wl[doc_a], embeddings[doc_a], wl[doc_b], embeddings[doc_b], lam)
             if score >= tau_doc:
                 edges.append((doc_a, doc_b, score))
     return CollectionGraph(edges)
@@ -241,6 +251,7 @@ _PATH_FIELDS = ("lexicon", "triples", "corpus", "extractor_model", "transe_model
 
 
 def index_to_dict(index: Index) -> dict:
+    """The container payload, format tag and version included."""
     # Input paths are dropped: the artifacts they pointed at are embedded, and
     # keeping them would make index bytes depend on where the inputs lived.
     config = index.config.to_dict()
@@ -248,8 +259,7 @@ def index_to_dict(index: Index) -> dict:
         config[field_name] = None
     return {
         "format": INDEX_FORMAT,
-        "version": index.version,
-        "h": index.h,
+        "version": INDEX_VERSION,
         "config": config,
         "lexicon": lexicon_to_dict(index.lexicon),
         "kb": triples_to_dict(index.kb) if index.kb is not None else None,
@@ -261,26 +271,22 @@ def index_to_dict(index: Index) -> dict:
             doc_id: {str(label): count for label, count in vec.counts.items()}
             for doc_id, vec in index.wl_vectors.items()
         },
-        "embeddings": {
-            doc_id: {"vector": emb.vector.tolist(), "mass": emb.mass}
-            for doc_id, emb in index.embeddings.items()
-        },
-        "postings": index.cui_postings,
     }
 
 
 def index_from_dict(data: dict) -> Index:
-    if data.get("format") != INDEX_FORMAT:
-        raise FormatError(f"not a {INDEX_FORMAT} container")
-    if data.get("version") != INDEX_VERSION:
-        raise FormatError(f"unsupported index version {data.get('version')} (expected {INDEX_VERSION})")
+    """Decode a container payload, check it is consistent, and rebuild the derived maps."""
     config = PipelineConfig(**data["config"])
+    try:
+        config.validate()
+    except UsageError as exc:
+        raise FormatError(f"invalid config ({exc})") from None
+    if set(data["wl"]) != set(data["networks"]):
+        raise FormatError("kernel features and networks cover different documents")
     compressor = LabelCompressor()
     compressor.table = dict(data["compressor"]["table"])
     compressor.next_id = data["compressor"]["next_id"]
     index = Index(
-        data["version"],
-        data["h"],
         config,
         lexicon_from_dict(data["lexicon"]),
         triples_from_dict(data["kb"]) if data["kb"] is not None else None,
@@ -290,31 +296,16 @@ def index_from_dict(data: dict) -> Index:
     )
     index.networks = {doc_id: network_from_dict(net) for doc_id, net in data["networks"].items()}
     index.wl_vectors = {
-        doc_id: WlFeatureVector({int(label): count for label, count in counts.items()}, data["h"], compressor)
+        doc_id: WlFeatureVector({int(label): count for label, count in counts.items()}, config.h, compressor)
         for doc_id, counts in data["wl"].items()
     }
-    index.embeddings = {
-        doc_id: DocEmbedding(np.array(emb["vector"], dtype=float), emb["mass"])
-        for doc_id, emb in data["embeddings"].items()
-    }
-    index.cui_postings = {cui: list(docs) for cui, docs in data["postings"].items()}
+    _derive_maps(index)
     return index
 
 
 def save_index(index: Index, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(index_to_dict(index), sort_keys=True, separators=(",", ":")) + "\n")
+    save_container(path, INDEX_FORMAT, INDEX_VERSION, index_to_dict(index))
 
 
 def load_index(path: str | Path) -> Index:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not a JSON index container ({exc.msg})") from None
-    try:
-        return index_from_dict(data)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed index container ({exc})") from None
+    return load_container(path, INDEX_FORMAT, INDEX_VERSION, index_from_dict)

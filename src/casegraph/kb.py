@@ -12,7 +12,8 @@ All inputs are plain UTF-8 text files:
   per line.
 
 Every loaded structure is immutable after construction and safe for
-concurrent reads.
+concurrent reads. The JSONL line reader and the versioned JSON container
+helpers here serve every artifact reader and model file of the package.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
-from .errors import ParseError, ValidationError
+from .errors import CasegraphError, FormatError, ParseError, ValidationError
+
+T = TypeVar("T")
 
 _WORD_RE = re.compile(r"[^\W_]+")
 
@@ -269,24 +273,73 @@ def triples_from_dict(data: dict) -> TripleStore:
     return store
 
 
-def load_corpus(path: str | Path) -> list[Document]:
-    """Read a corpus JSONL file; document ids must be unique."""
-    documents: list[Document] = []
-    seen: set[str] = set()
+def read_jsonl(path: str | Path, decode: Callable[[object], T], what: str) -> list[T]:
+    """Decode every non-blank line of a JSONL file; each error names its line.
+
+    A ``KeyError`` or ``TypeError`` from ``decode`` means the line is not
+    ``what`` record (e.g. "a mention"); a package error it raises keeps its
+    type and gains the path and line number.
+    """
+    values = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                values.append(decode(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict) or not {"id", "title", "text"} <= set(obj):
-                raise ParseError(f"{path}: line {lineno}: expected an object with id, title, text")
-            doc = Document(str(obj["id"]), str(obj["title"]), str(obj["text"]))
-            if doc.id in seen:
-                raise ValidationError(f"{path}: line {lineno}: duplicate document id {doc.id}")
-            seen.add(doc.id)
-            documents.append(doc)
-    return documents
+            except (KeyError, TypeError) as exc:
+                raise ParseError(f"{path}: line {lineno}: not {what} record ({exc})") from None
+            except CasegraphError as exc:
+                raise type(exc)(f"{path}: line {lineno}: {exc}") from None
+    return values
+
+
+def load_corpus(path: str | Path) -> list[Document]:
+    """Read a corpus JSONL file; document ids must be unique."""
+    seen: set[str] = set()
+
+    def decode(obj) -> Document:
+        doc = Document(str(obj["id"]), str(obj["title"]), str(obj["text"]))
+        try:
+            "".join((doc.id, doc.title, doc.text)).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"document text is not encodable as UTF-8 ({exc.reason})") from None
+        if doc.id in seen:
+            raise ValidationError(f"duplicate document id {doc.id}")
+        seen.add(doc.id)
+        return doc
+
+    return read_jsonl(path, decode, "a document")
+
+
+def save_container(path: str | Path, fmt: str, version: int, body: dict) -> None:
+    """Write ``body`` as one compact, key-sorted JSON object tagged with format and version."""
+    payload = {**body, "format": fmt, "version": version}
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def load_container(path: str | Path, fmt: str, version: int, decode: Callable[[dict], T]) -> T:
+    """Read a container written by ``save_container`` and decode its payload.
+
+    Bad JSON, a wrong format tag or version, and missing or ill-typed keys
+    all raise ``FormatError`` naming the path.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:
+            raise FormatError(f"{path}: not a JSON {fmt} container ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise FormatError(f"{path}: not a {fmt} container")
+    if payload.get("version") != version:
+        raise FormatError(f"{path}: unsupported {fmt} version {payload.get('version')!r} (expected {version})")
+    try:
+        return decode(payload)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed {fmt} container ({exc!r})") from None

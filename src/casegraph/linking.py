@@ -12,8 +12,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError
-from .kb import Lexicon, _WORD_RE, normalize_surface
+from .kb import Lexicon, _WORD_RE, normalize_surface, read_jsonl
 
 _SENTENCE_END_RE = re.compile(r"[.?!]")
 
@@ -175,18 +174,7 @@ def write_mentions(per_doc: dict[str, list[Mention]], path: str | Path) -> None:
 
 
 def read_mentions(path: str | Path) -> dict[str, list[Mention]]:
-    per_doc: dict[str, list[Mention]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            try:
-                per_doc[obj["doc_id"]] = [mention_from_dict(m) for m in obj["mentions"]]
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"{path}: line {lineno}: not a mention record ({exc})") from None
-    return per_doc
+    def decode(obj) -> tuple[str, list[Mention]]:
+        return obj["doc_id"], [mention_from_dict(m) for m in obj["mentions"]]
+
+    return dict(read_jsonl(path, decode, "a mention"))

@@ -13,8 +13,8 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConsistencyError, ParseError, UsageError, ValidationError
-from .kb import Lexicon
+from .errors import ConsistencyError, UsageError, ValidationError
+from .kb import Lexicon, read_jsonl
 from .linking import Mention
 from .transe import EmbeddingModel, plausibility
 
@@ -208,18 +208,4 @@ def write_networks(networks: list[SemanticNetwork], path: str | Path) -> None:
 
 
 def read_networks(path: str | Path) -> list[SemanticNetwork]:
-    networks = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            try:
-                networks.append(network_from_dict(obj))
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"{path}: line {lineno}: not a network record ({exc})") from None
-    return networks
+    return read_jsonl(path, network_from_dict, "a network")

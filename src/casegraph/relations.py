@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, ParseError, TrainingError, UsageError, ValidationError
-from .kb import Lexicon, TripleStore, normalize_surface
+from .errors import TrainingError, UsageError, ValidationError
+from .kb import Lexicon, TripleStore, load_container, normalize_surface, read_jsonl, save_container
 from .linking import Mention, SentenceSpan, Token
 from .network import Edge, PROV_EXTRACTED
 
@@ -316,23 +316,10 @@ def write_edges(per_doc: dict[str, list[Edge]], path: str | Path) -> None:
 
 
 def read_edges(path: str | Path) -> dict[str, list[Edge]]:
-    per_doc: dict[str, list[Edge]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            try:
-                per_doc[obj["doc_id"]] = [
-                    Edge(e["head"], e["tail"], e["rel"], e["conf"], e["prov"]) for e in obj["edges"]
-                ]
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"{path}: line {lineno}: not an edge record ({exc})") from None
-    return per_doc
+    def decode(obj) -> tuple[str, list[Edge]]:
+        return obj["doc_id"], [Edge(e["head"], e["tail"], e["rel"], e["conf"], e["prov"]) for e in obj["edges"]]
+
+    return dict(read_jsonl(path, decode, "an edge"))
 
 
 def extractor_to_dict(model: ExtractorModel) -> dict:
@@ -359,14 +346,8 @@ def extractor_from_dict(data: dict) -> ExtractorModel:
 
 
 def save_extractor(model: ExtractorModel, path: str | Path) -> None:
-    payload = {"format": MODEL_FORMAT, "version": MODEL_VERSION, **extractor_to_dict(model)}
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    save_container(path, MODEL_FORMAT, MODEL_VERSION, extractor_to_dict(model))
 
 
 def load_extractor(path: str | Path) -> ExtractorModel:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
-        raise FormatError(f"{path}: expected {MODEL_FORMAT} v{MODEL_VERSION} container")
-    return extractor_from_dict(payload)
+    return load_container(path, MODEL_FORMAT, MODEL_VERSION, extractor_from_dict)

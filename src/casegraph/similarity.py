@@ -163,6 +163,11 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b)) / (norm_a * norm_b)
 
 
+def combine(explicit: float, cos: float, lam: float) -> float:
+    """lam * kernel + (1 - lam) * embedding cosine clamped at 0."""
+    return lam * explicit + (1.0 - lam) * max(0.0, cos)
+
+
 def combined_similarity(
     net_a: SemanticNetwork,
     net_b: SemanticNetwork,
@@ -171,7 +176,7 @@ def combined_similarity(
     h: int,
     model: EmbeddingModel | None,
 ) -> float:
-    """lam * kernel + (1 - lam) * clamped embedding cosine; symmetric, in [0, 1].
+    """``combine`` of the kernel and the embedding cosine; symmetric, in [0, 1].
 
     Without an embedding model the latent component is 0.
     """
@@ -179,9 +184,7 @@ def combined_similarity(
         raise UsageError(f"lambda must be within [0, 1], got {lam}")
     explicit = wl_kernel_normalized(wl_features(net_a, h, comp), wl_features(net_b, h, comp))
     if model is None:
-        latent = 0.0
+        cos = 0.0
     else:
-        emb_a = doc_embedding(net_a, model)
-        emb_b = doc_embedding(net_b, model)
-        latent = max(0.0, cosine(emb_a.vector, emb_b.vector))
-    return lam * explicit + (1.0 - lam) * latent
+        cos = cosine(doc_embedding(net_a, model).vector, doc_embedding(net_b, model).vector)
+    return combine(explicit, cos, lam)

@@ -13,7 +13,6 @@ corruption coin flips, and entity sampling are all byte-reproducible.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -22,8 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, UnknownIdentifierError, UsageError
-from .kb import Triple, TripleStore
+from .errors import ConfigError, TrainingError, UnknownIdentifierError, UsageError
+from .kb import Triple, TripleStore, load_container, save_container
 
 log = logging.getLogger(__name__)
 
@@ -212,11 +211,16 @@ def train(
             for (kind, name), grad in margin_loss_gradients(trained, positive, corrupted).items():
                 table = trained.entity_vectors if kind == "entity" else trained.relation_vectors
                 table[name] = table[name] - lr * grad
+        mean_loss = total / len(triples)
+        if not math.isfinite(mean_loss):
+            raise TrainingError(f"training diverged: epoch {epoch + 1} mean loss is {mean_loss}")
         for name, vec in trained.entity_vectors.items():
+            # A norm overflows to inf while the vector is still finite.
             norm = np.linalg.norm(vec)
+            if not math.isfinite(norm):
+                raise TrainingError(f"training diverged: epoch {epoch + 1} vector of entity {name} has norm {norm}")
             if norm > 0.0:
                 trained.entity_vectors[name] = vec / norm
-        mean_loss = total / len(triples)
         trained.epoch_losses.append(mean_loss)
         log.debug("epoch %d: mean margin loss %.6f", epoch + 1, mean_loss)
         if on_epoch is not None:
@@ -345,14 +349,8 @@ def model_from_dict(data: dict) -> EmbeddingModel:
 
 
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
-    payload = {"format": MODEL_FORMAT, "version": MODEL_VERSION, **model_to_dict(model)}
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    save_container(path, MODEL_FORMAT, MODEL_VERSION, model_to_dict(model))
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
-        raise FormatError(f"{path}: expected {MODEL_FORMAT} v{MODEL_VERSION} container")
-    return model_from_dict(payload)
+    return load_container(path, MODEL_FORMAT, MODEL_VERSION, model_from_dict)

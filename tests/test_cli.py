@@ -56,6 +56,42 @@ class TestDispatchBasics:
         assert run_cli("--help") == 0
 
 
+class TestBadInputsExitTwo:
+    def assert_one_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+    def test_eval_lp_model_not_json(self, tmp_path, fixtures, capsys):
+        junk = tmp_path / "junk.json"
+        junk.write_text("not json at all\n", encoding="utf-8")
+        assert run_cli("eval-lp", "--transe-model", str(junk), "--triples", fixtures["triples"]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_index_extractor_model_not_json(self, tmp_path, fixtures, capsys):
+        junk = tmp_path / "junk.json"
+        junk.write_text("not json at all\n", encoding="utf-8")
+        code = run_cli(
+            "index",
+            "--lexicon", fixtures["lexicon"],
+            "--corpus", fixtures["corpus"],
+            "--mode", "model",
+            "--extractor-model", str(junk),
+            "--out", str(tmp_path / "x.idx"),
+        )
+        assert code == 2
+        self.assert_one_error_line(capsys)
+        assert not (tmp_path / "x.idx").exists()
+
+    def test_divergent_transe_writes_no_model(self, tmp_path, fixtures, capsys):
+        out = tmp_path / "model.json"
+        code = run_cli(
+            "train-transe", "--triples", fixtures["triples"], "--dim", "8", "--epochs", "3", "--lr", "1e300", "--out", str(out)
+        )
+        assert code == 2
+        assert "diverged" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestStagedPipeline:
     def test_link_extract_build_enrich(self, tmp_path, fixtures, capsys):
         mentions = tmp_path / "mentions.jsonl"

@@ -228,3 +228,43 @@ class TestPersistence:
         path.write_text('{"format": "something-else", "version": 1}', encoding="utf-8")
         with pytest.raises(FormatError):
             load_index(path)
+
+
+class TestLoadConsistency:
+    def load_edited(self, index, tmp_path, edit):
+        from casegraph.engine import index_to_dict
+
+        payload = index_to_dict(index)
+        edit(payload)
+        path = tmp_path / "edited.idx"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return load_index(path)
+
+    def test_document_missing_from_wl(self, small_index, tmp_path):
+        _, index = small_index
+        with pytest.raises(FormatError, match="different documents"):
+            self.load_edited(index, tmp_path, lambda payload: payload["wl"].pop(sorted(payload["wl"])[0]))
+
+    def test_invalid_config(self, small_index, tmp_path):
+        _, index = small_index
+        with pytest.raises(FormatError, match="--h"):
+            self.load_edited(index, tmp_path, lambda payload: payload["config"].update(h=-1))
+
+    def test_non_integer_wl_label(self, small_index, tmp_path):
+        _, index = small_index
+
+        def edit(payload):
+            counts = payload["wl"][sorted(payload["wl"])[0]]
+            counts["x"] = counts.pop(next(iter(counts)))
+
+        with pytest.raises(FormatError, match="malformed"):
+            self.load_edited(index, tmp_path, edit)
+
+    def test_derived_maps_match_fresh_index(self, small_index, tmp_path):
+        _, index = small_index
+        loaded = self.load_edited(index, tmp_path, lambda payload: None)
+        assert loaded.cui_postings == index.cui_postings
+        assert loaded.embeddings.keys() == index.embeddings.keys()
+        for doc_id, emb in index.embeddings.items():
+            assert loaded.embeddings[doc_id].mass == emb.mass
+            assert loaded.embeddings[doc_id].vector.tolist() == emb.vector.tolist()

@@ -206,9 +206,9 @@ class TestIndexContainer:
             load_index(path)
 
     def test_truncated_container_rejected(self, tmp_path):
-        from casegraph.engine import load_index
+        from casegraph.engine import INDEX_VERSION, load_index
 
         path = tmp_path / "trunc.idx"
-        path.write_text('{"format": "casegraph-index", "version": 1}', encoding="utf-8")
+        path.write_text(f'{{"format": "casegraph-index", "version": {INDEX_VERSION}}}', encoding="utf-8")
         with pytest.raises(FormatError, match="malformed"):
             load_index(path)

@@ -160,3 +160,9 @@ class TestLoadCorpus:
         path.write_text('{"id": "d1", "title": "", "text": "a"}\nnot json\n', encoding="utf-8")
         with pytest.raises(ParseError, match="line 2"):
             load_corpus(path)
+
+    def test_lone_surrogate_names_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d1", "title": "", "text": "a"}\n{"id": "d2", "title": "", "text": "\\ud800"}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: .*surrogates"):
+            load_corpus(path)
