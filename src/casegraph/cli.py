@@ -4,7 +4,7 @@ Subcommands exchange inspectable file artifacts (mention, edge, and network
 JSONL; model and index containers; TREC qrels and runs). Every tunable is a
 flag, optionally preloaded from a flat ``key = value`` config file; all
 randomness flows from ``--seed``. Exit codes: 0 success, 1 usage error,
-2 data or validation error.
+2 data or validation error, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -18,16 +18,7 @@ from pathlib import Path
 
 from . import engine, trec
 from .config import PipelineConfig, merge_config, read_config_file
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    FormatError,
-    ParseError,
-    TrainingError,
-    UnknownIdentifierError,
-    UsageError,
-    ValidationError,
-)
+from .errors import CasegraphError, UsageError
 from .kb import Triple, load_corpus, load_lexicon, load_triples
 from .linking import link, mentions_jsonl, read_mentions, split_sentences, tokenize
 from .network import build_network, enrich_network, fuse_network, networks_jsonl, read_networks
@@ -36,10 +27,8 @@ from .relations import (
     RelationInstance,
     distant_label,
     edges_jsonl,
-    extract_relations,
     featurize,
     generate_candidates,
-    kb_match_extract,
     load_extractor,
     read_edges,
     save_extractor,
@@ -48,16 +37,6 @@ from .relations import (
 from .transe import TrainConfig, evaluate_link_prediction, init_model, load_model, save_model, train
 
 log = logging.getLogger(__name__)
-
-_DATA_ERRORS = (
-    ParseError,
-    ValidationError,
-    UnknownIdentifierError,
-    ConfigError,
-    TrainingError,
-    ConsistencyError,
-    FormatError,
-)
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
 
@@ -114,10 +93,7 @@ def _cmd_extract(args: argparse.Namespace) -> None:
         tokens = tokenize(content)
         sentences = split_sentences(content, tokens)
         pairs = generate_candidates(doc.id, per_doc_mentions.get(doc.id, []), sentences, tokens, cfg.window)
-        if cfg.mode == "model":
-            per_doc_edges[doc.id] = extract_relations(pairs, extractor, cfg.theta_rel, tokens, lexicon)
-        else:
-            per_doc_edges[doc.id] = kb_match_extract(pairs, kb)
+        per_doc_edges[doc.id] = engine.extract_edges(pairs, tokens, lexicon, cfg, kb, extractor)
     _emit(edges_jsonl(per_doc_edges), args.out)
 
 
@@ -182,8 +158,7 @@ def _cmd_enrich(args: argparse.Namespace) -> None:
     networks = read_networks(args.networks)
     out = []
     for net in networks:
-        m_cap = cfg.m_cap if cfg.m_cap is not None else len(net.edges)
-        enriched = enrich_network(net, model, cfg.tau_lp, m_cap)
+        enriched = enrich_network(net, model, cfg.tau_lp, cfg.m_cap)
         if cfg.fuse:
             enriched = fuse_network(enriched, model)
         out.append(enriched)
@@ -345,7 +320,7 @@ def dispatch(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _DATA_ERRORS as exc:
+    except (CasegraphError, OSError) as exc:  # a data error, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help

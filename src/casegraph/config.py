@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import UsageError
+from .kb import read_lines
 
 MODES = ("model", "kbmatch")
 DISTANCES = ("l1", "l2")
@@ -110,18 +111,17 @@ def _coerce(key: str, value: str):
 def read_config_file(path: str | Path) -> dict:
     """Parse a flat key = value file into PipelineConfig field overrides."""
     overrides: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}: line {lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = _KEY_ALIASES.get(key, key)
-            if key not in _FIELDS:
-                raise UsageError(f"{path}: line {lineno}: unknown config key {key!r}")
-            overrides[key] = _coerce(key, value)
+    for lineno, line in read_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}: line {lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = _KEY_ALIASES.get(key, key)
+        if key not in _FIELDS:
+            raise UsageError(f"{path}: line {lineno}: unknown config key {key!r}")
+        overrides[key] = _coerce(key, value)
     return overrides
 
 

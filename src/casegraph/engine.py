@@ -34,6 +34,7 @@ from .kb import (
 )
 from .linking import Mention, Token, link, split_sentences, tokenize
 from .network import (
+    Edge,
     SemanticNetwork,
     build_network,
     enrich_network,
@@ -108,6 +109,24 @@ def analyze(doc: Document, lexicon: Lexicon, window: int) -> tuple[list[Token], 
     return tokens, mentions, generate_candidates(doc.id, mentions, sentences, tokens, window)
 
 
+def extract_edges(
+    pairs: list[CandidatePair],
+    tokens: list[Token],
+    lexicon: Lexicon,
+    config: PipelineConfig,
+    kb: TripleStore | None = None,
+    extractor: ExtractorModel | None = None,
+) -> list[Edge]:
+    """Typed edges between a document's candidate pairs, by the configured extraction mode."""
+    if config.mode == "model":
+        if extractor is None:
+            raise ConfigError("mode 'model' requires a trained relation extractor")
+        return extract_relations(pairs, extractor, config.theta_rel, tokens, lexicon)
+    if kb is None:
+        raise ConfigError("mode 'kbmatch' requires a triple store")
+    return kb_match_extract(pairs, kb)
+
+
 def document_network(
     doc: Document,
     lexicon: Lexicon,
@@ -118,20 +137,11 @@ def document_network(
 ) -> SemanticNetwork:
     """Run the full per-document pipeline: link, extract, build, enrich, fuse."""
     tokens, mentions, pairs = analyze(doc, lexicon, config.window)
-    if config.mode == "model":
-        if extractor is None:
-            raise ConfigError("mode 'model' requires a trained relation extractor")
-        edges = extract_relations(pairs, extractor, config.theta_rel, tokens, lexicon)
-    else:
-        if kb is None:
-            raise ConfigError("mode 'kbmatch' requires a triple store")
-        edges = kb_match_extract(pairs, kb)
-    net = build_network(doc.id, mentions, edges, lexicon)
+    net = build_network(doc.id, mentions, extract_edges(pairs, tokens, lexicon, config, kb, extractor), lexicon)
     if config.enrich:
         if transe is None:
             raise ConfigError("enrichment requires an embedding model")
-        m_cap = config.m_cap if config.m_cap is not None else len(net.edges)
-        net = enrich_network(net, transe, config.tau_lp, m_cap)
+        net = enrich_network(net, transe, config.tau_lp, config.m_cap)
     if config.fuse:
         if transe is None:
             raise ConfigError("confidence fusion requires an embedding model")

@@ -11,9 +11,11 @@ All inputs are plain UTF-8 text files:
 * corpus JSONL, one ``{"id": ..., "title": ..., "text": ...}`` object
   per line.
 
-Every loaded structure is immutable after construction and safe for
-concurrent reads. The JSONL line reader and the versioned JSON container
-helpers here serve every artifact reader and model file of the package.
+Blank lines are skipped in every text input. Every loaded structure is
+immutable after construction and safe for concurrent reads. The line reader
+here is the only code that opens a text input; it, the JSONL reader and
+writer, and the versioned JSON container helpers serve every artifact and
+model file of the package.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CasegraphError, FormatError, ParseError, ValidationError
 
@@ -37,6 +39,27 @@ def normalize_surface(s: str) -> str:
     Idempotent; returns "" for strings without alphanumeric content.
     """
     return " ".join(_WORD_RE.findall(s.lower()))
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for every non-blank line of a UTF-8 text file.
+
+    Lines are numbered from 1 and lose their line ending (``\\n``, ``\\r\\n``
+    or ``\\r``) but no other whitespace. A line that is not valid UTF-8
+    raises ``ParseError`` naming the path and line.
+    """
+    # Undecodable bytes become lone surrogates, which a valid line never holds.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ParseError(f"{path}: line {lineno}: invalid UTF-8 (byte 0x{byte:02x})") from None
+            yield lineno, line
 
 
 @dataclass(frozen=True)
@@ -111,23 +134,17 @@ class Lexicon:
                     f"({existing.preferred_name!r} vs {preferred_name!r})"
                 )
             merged = list(existing.synonyms)
-            seen = {normalize_surface(s) for s in merged}
-            for syn in synonyms:
-                key = normalize_surface(syn)
-                if key and key not in seen:
-                    merged.append(syn)
-                    seen.add(key)
-            self.concepts[cui] = Concept(cui, preferred_name, tuple(merged), existing.semantic_type)
+            semantic_type = existing.semantic_type
         else:
-            deduped: list[str] = []
-            seen = set()
-            for syn in synonyms:
-                key = normalize_surface(syn)
-                if key and key not in seen:
-                    deduped.append(syn)
-                    seen.add(key)
-            self.concepts[cui] = Concept(cui, preferred_name, tuple(deduped), semantic_type)
+            merged = []
             self._order.append(cui)
+        seen = {normalize_surface(s) for s in merged}
+        for syn in synonyms:
+            key = normalize_surface(syn)
+            if key and key not in seen:
+                merged.append(syn)
+                seen.add(key)
+        self.concepts[cui] = Concept(cui, preferred_name, tuple(merged), semantic_type)
         self._index_surface(preferred_name, cui)
         for syn in synonyms:
             self._index_surface(syn, cui)
@@ -144,17 +161,13 @@ def build_lexicon(rows: list[tuple[str, str, list[str], str]]) -> Lexicon:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Read a lexicon TSV file; see the module docstring for the format."""
     lexicon = Lexicon()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated columns, got {len(cols)}")
-            cui, name, syn_col, semtype = cols
-            synonyms = [s for s in syn_col.split("|") if s]
-            lexicon._add(cui, name, synonyms, semtype)
+    for lineno, line in read_lines(path):
+        cols = line.split("\t")
+        if len(cols) != 4:
+            raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated columns, got {len(cols)}")
+        cui, name, syn_col, semtype = cols
+        synonyms = [s for s in syn_col.split("|") if s]
+        lexicon._add(cui, name, synonyms, semtype)
     return lexicon
 
 
@@ -232,29 +245,25 @@ def load_triples(path: str | Path) -> TripleStore:
     """Read a triple TSV file; see the module docstring for the format."""
     store = TripleStore()
     declared: list[str] | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("#"):
-                match = _RELATION_HEADER_RE.match(line.strip())
-                if match:
-                    declared = [r.strip() for r in match.group(1).split(",") if r.strip()]
-                    store.relations = list(declared)
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise ParseError(f"{path}: line {lineno}: expected 3 tab-separated columns, got {len(cols)}")
-            head, relation, tail = cols
-            if declared is not None and relation not in declared:
-                raise ValidationError(
-                    f"{path}: line {lineno}: relation {relation!r} not in the declared inventory"
-                )
-            try:
-                store._add(Triple(head, relation, tail))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in read_lines(path):
+        if line.lstrip().startswith("#"):
+            match = _RELATION_HEADER_RE.match(line.strip())
+            if match:
+                declared = [r.strip() for r in match.group(1).split(",") if r.strip()]
+                store.relations = list(declared)
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise ParseError(f"{path}: line {lineno}: expected 3 tab-separated columns, got {len(cols)}")
+        head, relation, tail = cols
+        if declared is not None and relation not in declared:
+            raise ValidationError(
+                f"{path}: line {lineno}: relation {relation!r} not in the declared inventory"
+            )
+        try:
+            store._add(Triple(head, relation, tail))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
     return store
 
 
@@ -281,20 +290,21 @@ def read_jsonl(path: str | Path, decode: Callable[[object], T], what: str) -> li
     type and gains the path and line number.
     """
     values = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values.append(decode(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"{path}: line {lineno}: not {what} record ({exc})") from None
-            except CasegraphError as exc:
-                raise type(exc)(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in read_lines(path):
+        try:
+            values.append(decode(json.loads(line.strip())))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{path}: line {lineno}: not {what} record ({exc})") from None
+        except CasegraphError as exc:
+            raise type(exc)(f"{path}: line {lineno}: {exc}") from None
     return values
+
+
+def jsonl(records: Iterable[dict]) -> str:
+    """One key-sorted JSON object per line: the text ``read_jsonl`` reads back."""
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
 def load_corpus(path: str | Path) -> list[Document]:

@@ -7,12 +7,11 @@ regardless of the consumer language.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .kb import Lexicon, _WORD_RE, normalize_surface, read_jsonl
+from .kb import Lexicon, _WORD_RE, jsonl, normalize_surface, read_jsonl
 
 _SENTENCE_END_RE = re.compile(r"[.?!]")
 
@@ -162,11 +161,7 @@ def mention_from_dict(data: dict) -> Mention:
 
 def mentions_jsonl(per_doc: dict[str, list[Mention]]) -> str:
     """One ``{"doc_id", "mentions"}`` object per line, in the given order."""
-    lines = []
-    for doc_id, mentions in per_doc.items():
-        obj = {"doc_id": doc_id, "mentions": [mention_to_dict(m) for m in mentions]}
-        lines.append(json.dumps(obj, sort_keys=True) + "\n")
-    return "".join(lines)
+    return jsonl({"doc_id": doc_id, "mentions": [mention_to_dict(m) for m in ms]} for doc_id, ms in per_doc.items())
 
 
 def write_mentions(per_doc: dict[str, list[Mention]], path: str | Path) -> None:

@@ -8,13 +8,12 @@ and typed edges with a confidence in (0, 1] and a provenance tag:
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConsistencyError, UsageError, ValidationError
-from .kb import Lexicon, read_jsonl
+from .kb import Lexicon, jsonl, read_jsonl
 from .linking import Mention
 from .transe import EmbeddingModel, plausibility
 
@@ -98,18 +97,23 @@ def build_network(doc_id: str, mentions: list[Mention], edges: list[Edge], lexic
     return net
 
 
-def enrich_network(net: SemanticNetwork, model: EmbeddingModel, tau_lp: float, m_cap: int) -> SemanticNetwork:
+def enrich_network(
+    net: SemanticNetwork, model: EmbeddingModel, tau_lp: float, m_cap: int | None = None
+) -> SemanticNetwork:
     """Add the most plausible absent edges between existing nodes.
 
     Every ordered node pair and model relation without an existing
     (head, tail, relation) edge is scored by translation plausibility;
     candidates at or above ``tau_lp`` are ranked (plausibility descending,
     then lexicographic key) and the top ``m_cap`` are appended with
-    provenance ``predicted``. Nodes, existing edges, and their order are
-    untouched; pairs the model cannot score are skipped.
+    provenance ``predicted``; ``m_cap`` None caps at the number of existing
+    edges. Nodes, existing edges, and their order are untouched; pairs the
+    model cannot score are skipped.
     """
     if not 0.0 < tau_lp <= 1.0:
         raise UsageError(f"tau_lp must be within (0, 1], got {tau_lp}")
+    if m_cap is None:
+        m_cap = len(net.edges)
     if m_cap < 0:
         raise UsageError(f"m_cap must be >= 0, got {m_cap}")
     enriched = SemanticNetwork(net.doc_id, dict(net.nodes), list(net.edges))
@@ -156,6 +160,20 @@ def fuse_network(net: SemanticNetwork, model: EmbeddingModel) -> SemanticNetwork
     return fused
 
 
+def edge_to_dict(edge: Edge) -> dict:
+    return {
+        "head": edge.head,
+        "tail": edge.tail,
+        "rel": edge.relation,
+        "conf": edge.confidence,
+        "prov": edge.provenance,
+    }
+
+
+def edge_from_dict(data: dict) -> Edge:
+    return Edge(data["head"], data["tail"], data["rel"], data["conf"], data["prov"])
+
+
 def network_to_dict(net: SemanticNetwork) -> dict:
     return {
         "doc_id": net.doc_id,
@@ -168,16 +186,7 @@ def network_to_dict(net: SemanticNetwork) -> dict:
             }
             for node in (net.nodes[c] for c in sorted(net.nodes))
         ],
-        "edges": [
-            {
-                "head": e.head,
-                "tail": e.tail,
-                "rel": e.relation,
-                "conf": e.confidence,
-                "prov": e.provenance,
-            }
-            for e in net.edges
-        ],
+        "edges": [edge_to_dict(e) for e in net.edges],
     }
 
 
@@ -191,7 +200,7 @@ def network_from_dict(data: dict) -> SemanticNetwork:
             )
         net.nodes[row["cui"]] = Node(row["cui"], row["name"], spans)
     for row in data["edges"]:
-        edge = Edge(row["head"], row["tail"], row["rel"], row["conf"], row["prov"])
+        edge = edge_from_dict(row)
         for endpoint in (edge.head, edge.tail):
             if endpoint not in net.nodes:
                 raise ConsistencyError(f"edge endpoint {endpoint} has no node in document {data['doc_id']}")
@@ -200,7 +209,7 @@ def network_from_dict(data: dict) -> SemanticNetwork:
 
 
 def networks_jsonl(networks: list[SemanticNetwork]) -> str:
-    return "".join(json.dumps(network_to_dict(net), sort_keys=True) + "\n" for net in networks)
+    return jsonl(map(network_to_dict, networks))
 
 
 def write_networks(networks: list[SemanticNetwork], path: str | Path) -> None:

@@ -11,20 +11,19 @@ Two modes are supported:
 
 from __future__ import annotations
 
-import json
 import logging
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import TrainingError, UsageError, ValidationError
-from .kb import Lexicon, TripleStore, load_container, normalize_surface, read_jsonl, save_container
+from .kb import Lexicon, TripleStore, jsonl, load_container, normalize_surface, read_jsonl, save_container
 from .linking import Mention, SentenceSpan, Token
-from .network import Edge, PROV_EXTRACTED
+from .network import PROV_EXTRACTED, Edge, edge_from_dict, edge_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -145,21 +144,23 @@ def featurize(pair: CandidatePair, tokens: Sequence[Token], lexicon: Lexicon) ->
     return dict(features)
 
 
+def _sparse(features: dict, vocab: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Vocabulary ids and counts of the known features, in sorted feature order."""
+    ids = []
+    counts = []
+    for feature, count in sorted(features.items()):
+        fid = vocab.get(feature)
+        if fid is not None:
+            ids.append(fid)
+            counts.append(float(count))
+    return np.array(ids, dtype=int), np.array(counts, dtype=float)
+
+
 def _encode(
     instances: Sequence[RelationInstance], vocab: dict[str, int], labels: list[str]
 ) -> list[tuple[np.ndarray, np.ndarray, int]]:
     label_ids = {label: i for i, label in enumerate(labels)}
-    encoded = []
-    for instance in instances:
-        ids = []
-        counts = []
-        for feature, count in sorted(instance.features.items()):
-            fid = vocab.get(feature)
-            if fid is not None:
-                ids.append(fid)
-                counts.append(float(count))
-        encoded.append((np.array(ids, dtype=int), np.array(counts, dtype=float), label_ids[instance.label]))
-    return encoded
+    return [(*_sparse(instance.features, vocab), label_ids[instance.label]) for instance in instances]
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -174,6 +175,16 @@ def _instance_probabilities(weights: np.ndarray, ids: np.ndarray, counts: np.nda
     return _softmax(weights[:, ids] @ counts)
 
 
+def _instance_gradient(
+    weights: np.ndarray, ids: np.ndarray, counts: np.ndarray, label_id: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label probabilities of one instance and its cross-entropy gradient on the columns ``ids``."""
+    probs = _instance_probabilities(weights, ids, counts)
+    delta = probs.copy()
+    delta[label_id] -= 1.0
+    return probs, np.outer(delta, counts)
+
+
 def dataset_loss_and_gradient(
     weights: np.ndarray,
     instances: Sequence[RelationInstance],
@@ -186,12 +197,9 @@ def dataset_loss_and_gradient(
     loss = 0.0
     grad = np.zeros_like(weights)
     for ids, counts, label_id in encoded:
-        probs = _instance_probabilities(weights, ids, counts)
+        probs, instance_grad = _instance_gradient(weights, ids, counts, label_id)
         loss -= float(np.log(probs[label_id]))
-        delta = probs.copy()
-        delta[label_id] -= 1.0
-        if ids.size:
-            grad[:, ids] += np.outer(delta, counts)
+        grad[:, ids] += instance_grad
     loss += 0.5 * l2 * float((weights * weights).sum())
     grad += l2 * weights
     return loss, grad
@@ -224,12 +232,8 @@ def train_extractor(
     for _ in range(hyperparams.epochs):
         for idx in rng.permutation(len(encoded)):
             ids, counts, label_id = encoded[idx]
-            probs = _instance_probabilities(weights, ids, counts)
-            delta = probs.copy()
-            delta[label_id] -= 1.0
             grad = l2_share * weights
-            if ids.size:
-                grad[:, ids] += np.outer(delta, counts)
+            grad[:, ids] += _instance_gradient(weights, ids, counts, label_id)[1]
             weights -= lr * grad
     if not np.isfinite(weights).all():
         raise TrainingError("training diverged to non-finite weights")
@@ -238,14 +242,7 @@ def train_extractor(
 
 def predict_probabilities(model: ExtractorModel, features: dict) -> np.ndarray:
     """Label distribution for one feature map; unknown features are ignored."""
-    ids = []
-    counts = []
-    for feature, count in sorted(features.items()):
-        fid = model.feature_vocab.get(feature)
-        if fid is not None:
-            ids.append(fid)
-            counts.append(float(count))
-    return _instance_probabilities(model.weights, np.array(ids, dtype=int), np.array(counts, dtype=float))
+    return _instance_probabilities(model.weights, *_sparse(features, model.feature_vocab))
 
 
 def extract_relations(
@@ -296,19 +293,11 @@ def kb_match_extract(pairs: Sequence[CandidatePair], kb: TripleStore) -> list[Ed
 
 
 def edges_to_dict(doc_id: str, edges: Sequence[Edge]) -> dict:
-    return {
-        "doc_id": doc_id,
-        "edges": [
-            {"head": e.head, "tail": e.tail, "rel": e.relation, "conf": e.confidence, "prov": e.provenance}
-            for e in edges
-        ],
-    }
+    return {"doc_id": doc_id, "edges": [edge_to_dict(e) for e in edges]}
 
 
 def edges_jsonl(per_doc: dict[str, list[Edge]]) -> str:
-    return "".join(
-        json.dumps(edges_to_dict(doc_id, edges), sort_keys=True) + "\n" for doc_id, edges in per_doc.items()
-    )
+    return jsonl(edges_to_dict(doc_id, edges) for doc_id, edges in per_doc.items())
 
 
 def write_edges(per_doc: dict[str, list[Edge]], path: str | Path) -> None:
@@ -317,7 +306,7 @@ def write_edges(per_doc: dict[str, list[Edge]], path: str | Path) -> None:
 
 def read_edges(path: str | Path) -> dict[str, list[Edge]]:
     def decode(obj) -> tuple[str, list[Edge]]:
-        return obj["doc_id"], [Edge(e["head"], e["tail"], e["rel"], e["conf"], e["prov"]) for e in obj["edges"]]
+        return obj["doc_id"], [edge_from_dict(e) for e in obj["edges"]]
 
     return dict(read_jsonl(path, decode, "an edge"))
 
@@ -327,12 +316,7 @@ def extractor_to_dict(model: ExtractorModel) -> dict:
         "labels": list(model.labels),
         "feature_vocab": dict(model.feature_vocab),
         "weights": model.weights.tolist(),
-        "hyperparams": {
-            "learning_rate": model.hyperparams.learning_rate,
-            "epochs": model.hyperparams.epochs,
-            "l2": model.hyperparams.l2,
-            "seed": model.hyperparams.seed,
-        },
+        "hyperparams": asdict(model.hyperparams),
     }
 
 

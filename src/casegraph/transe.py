@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -214,13 +214,15 @@ def train(
         mean_loss = total / len(triples)
         if not math.isfinite(mean_loss):
             raise TrainingError(f"training diverged: epoch {epoch + 1} mean loss is {mean_loss}")
-        for name, vec in trained.entity_vectors.items():
-            # A norm overflows to inf while the vector is still finite.
-            norm = np.linalg.norm(vec)
-            if not math.isfinite(norm):
-                raise TrainingError(f"training diverged: epoch {epoch + 1} vector of entity {name} has norm {norm}")
-            if norm > 0.0:
-                trained.entity_vectors[name] = vec / norm
+        # A norm overflows to inf while the vector is still finite; that is
+        # reported as divergence below, not as a numpy warning.
+        with np.errstate(over="ignore"):
+            for name, vec in trained.entity_vectors.items():
+                norm = np.linalg.norm(vec)
+                if not math.isfinite(norm):
+                    raise TrainingError(f"training diverged: epoch {epoch + 1} vector of entity {name} has norm {norm}")
+                if norm > 0.0:
+                    trained.entity_vectors[name] = vec / norm
         trained.epoch_losses.append(mean_loss)
         log.debug("epoch %d: mean margin loss %.6f", epoch + 1, mean_loss)
         if on_epoch is not None:
@@ -326,14 +328,7 @@ def evaluate_link_prediction(
 
 def model_to_dict(model: EmbeddingModel) -> dict:
     return {
-        "config": {
-            "dim": model.config.dim,
-            "margin": model.config.margin,
-            "learning_rate": model.config.learning_rate,
-            "epochs": model.config.epochs,
-            "distance": model.config.distance,
-            "seed": model.config.seed,
-        },
+        "config": asdict(model.config),
         "entities": {k: v.tolist() for k, v in model.entity_vectors.items()},
         "relations": {k: v.tolist() for k, v in model.relation_vectors.items()},
     }

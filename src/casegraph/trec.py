@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
+from .kb import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -55,24 +56,20 @@ class MetricReport:
 
 def parse_qrels(path: str | Path) -> Qrels:
     qrels = Qrels()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(f"{path}: line {lineno}: expected 4 whitespace-separated fields")
-            topic, _, doc_id, grade_text = parts
-            try:
-                grade = int(grade_text)
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: relevance {grade_text!r} is not an integer") from None
-            if grade < 0:
-                raise ValidationError(f"{path}: line {lineno}: negative relevance {grade}")
-            if (topic, doc_id) in qrels.judgments:
-                raise ValidationError(f"{path}: line {lineno}: duplicate judgment for ({topic}, {doc_id})")
-            qrels.judgments[(topic, doc_id)] = grade
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"{path}: line {lineno}: expected 4 whitespace-separated fields")
+        topic, _, doc_id, grade_text = parts
+        try:
+            grade = int(grade_text)
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: relevance {grade_text!r} is not an integer") from None
+        if grade < 0:
+            raise ValidationError(f"{path}: line {lineno}: negative relevance {grade}")
+        if (topic, doc_id) in qrels.judgments:
+            raise ValidationError(f"{path}: line {lineno}: duplicate judgment for ({topic}, {doc_id})")
+        qrels.judgments[(topic, doc_id)] = grade
     if not qrels.judgments:
         log.warning("%s: empty qrels; all metrics will be reported as 0", path)
     return qrels
@@ -106,21 +103,17 @@ def write_run(run: Run, path: str | Path) -> None:
 
 def read_run(path: str | Path) -> Run:
     run = Run(topics={})
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParseError(f"{path}: line {lineno}: expected 6 whitespace-separated fields")
-            topic, _, doc_id, _, score_text, tag = parts
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: score {score_text!r} is not a number") from None
-            run.topics.setdefault(topic, []).append((doc_id, score))
-            run.tag = tag
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError(f"{path}: line {lineno}: expected 6 whitespace-separated fields")
+        topic, _, doc_id, _, score_text, tag = parts
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: score {score_text!r} is not a number") from None
+        run.topics.setdefault(topic, []).append((doc_id, score))
+        run.tag = tag
     _validate_run(run)
     return run
 

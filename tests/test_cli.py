@@ -57,9 +57,10 @@ class TestDispatchBasics:
 
 
 class TestBadInputsExitTwo:
-    def assert_one_error_line(self, capsys):
+    def assert_one_error_line(self, capsys) -> str:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        return err
 
     def test_eval_lp_model_not_json(self, tmp_path, fixtures, capsys):
         junk = tmp_path / "junk.json"
@@ -88,8 +89,23 @@ class TestBadInputsExitTwo:
             "train-transe", "--triples", fixtures["triples"], "--dim", "8", "--epochs", "3", "--lr", "1e300", "--out", str(out)
         )
         assert code == 2
-        assert "diverged" in capsys.readouterr().err
+        assert "diverged" in self.assert_one_error_line(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["missing index", "missing corpus", "missing output directory", "corpus not UTF-8"])
+    def test_unusable_path(self, tmp_path, fixtures, capsys, case):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": "1", "title": "", "text": "a"}\n\n{"id": "2", "title": "", "text": "\xff"}\n')
+        nope = tmp_path / "nope"
+        link = ["link", "--lexicon", fixtures["lexicon"], "--corpus"]
+        argv, named = {
+            "missing index": (["search", "--index", str(nope), "--query-file", fixtures["corpus"]], "nope"),
+            "missing corpus": ([*link, str(nope)], "nope"),
+            "missing output directory": ([*link, fixtures["corpus"], "--out", str(nope / "m.jsonl")], "nope"),
+            "corpus not UTF-8": ([*link, str(bad)], "line 3"),
+        }[case]
+        assert run_cli(*argv) == 2
+        assert named in self.assert_one_error_line(capsys)
 
 
 class TestStagedPipeline:
@@ -152,6 +168,41 @@ class TestStagedPipeline:
         for base, plus in zip(base_payload, enriched_payload):
             assert len(plus["edges"]) >= len(base["edges"])
             assert {n["cui"] for n in plus["nodes"]} == {n["cui"] for n in base["nodes"]}
+
+    @pytest.mark.parametrize("mode", ["kbmatch", "model"])
+    def test_staged_networks_equal_index_networks(self, tmp_path, fixtures, mode):
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        transe_model = tmp_path / "transe.json"
+        extractor = tmp_path / "extractor.json"
+        mentions, edges, networks = tmp_path / "mentions.jsonl", tmp_path / "edges.jsonl", tmp_path / "networks.jsonl"
+        enriched, index_path = tmp_path / "enriched.jsonl", tmp_path / "corpus.idx"
+        assert run_cli(
+            "train-transe", "--triples", fixtures["triples"], "--dim", "8", "--epochs", "10", "--seed", "5",
+            "--out", str(transe_model),
+        ) == 0
+        if mode == "model":
+            assert run_cli(
+                "train-extractor", *docs, "--triples", fixtures["triples"], "--epochs", "20", "--seed", "4",
+                "--out", str(extractor),
+            ) == 0
+            source = ["--mode", mode, "--extractor-model", str(extractor), "--theta-rel", "0.3"]
+        else:
+            source = ["--mode", mode, "--triples", fixtures["triples"]]
+        enrich = ["--transe-model", str(transe_model), "--tau-lp", "0.001", "--fuse"]
+
+        assert run_cli("link", *docs, "--out", str(mentions)) == 0
+        assert run_cli("extract", *docs, "--mentions", str(mentions), *source, "--out", str(edges)) == 0
+        assert run_cli(
+            "build-graphs", *docs, "--mentions", str(mentions), "--edges", str(edges), "--out", str(networks)
+        ) == 0
+        assert run_cli("enrich", "--networks", str(networks), *enrich, "--out", str(enriched)) == 0
+        assert run_cli("index", *docs, *source, *enrich, "--enrich", "--out", str(index_path)) == 0
+
+        staged = [json.loads(line) for line in enriched.read_text(encoding="utf-8").splitlines()]
+        indexed = json.loads(index_path.read_text(encoding="utf-8"))["networks"]
+        assert staged == [indexed[doc.id] for doc in fixtures["docs"]]
+        provenances = {edge["prov"] for net in staged for edge in net["edges"]}
+        assert {"predicted", "fused"} <= provenances
 
     def test_extractor_training_and_model_mode(self, tmp_path, fixtures):
         extractor = tmp_path / "extractor.json"

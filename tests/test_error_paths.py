@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from casegraph.errors import (
     UsageError,
     ValidationError,
 )
-from casegraph.kb import build_lexicon, build_triple_store
+from casegraph.kb import build_lexicon, build_triple_store, load_corpus, load_lexicon, load_triples
 from casegraph.linking import Mention, read_mentions, tokenize
 from casegraph.network import SemanticNetwork, enrich_network, read_networks
 from casegraph.relations import (
@@ -126,6 +128,27 @@ class TestEnrichDegenerate:
         net = SemanticNetwork("d")
         enriched = enrich_network(net, model, 0.5, 5)
         assert enriched.nodes == {} and enriched.edges == []
+
+
+class TestInvalidUtf8:
+    # Lines 1 and 2 are valid for their reader; line 3 holds byte 0xff.
+    @pytest.mark.parametrize(
+        "reader, data",
+        [
+            (load_lexicon, b"C1\tfever\t\tT1\nC2\tcough\t\tT1\nC3\tna\xffusea\t\tT1\n"),
+            (load_triples, b"C1\tr\tC2\nC2\tr\tC3\nC3\tr\tC\xff\n"),
+            (load_corpus, b'{"id": "1", "title": "", "text": "a"}\n{"id": "2", "title": "", "text": "b"}\n{"id": "\xff"}\n'),
+            (read_config_file, b"window = 3\nk = 5\nseed = \xff\n"),
+            (parse_qrels, b"q1 0 d1 1\nq1 0 d2 0\nq1 0 d\xff 1\n"),
+            (read_run, b"q1 Q0 d1 1 0.9 t\nq1 Q0 d2 2 0.8 t\nq1 Q0 d\xff 3 0.7 t\n"),
+        ],
+        ids=["lexicon", "triples", "corpus", "config", "qrels", "run"],
+    )
+    def test_names_path_and_line(self, tmp_path, reader, data):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 3: invalid UTF-8 \(byte 0xff\)$"):
+            reader(path)
 
 
 class TestArtifactReaders:

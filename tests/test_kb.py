@@ -11,6 +11,7 @@ from casegraph.kb import (
     load_lexicon,
     load_triples,
     normalize_surface,
+    read_lines,
 )
 
 
@@ -28,6 +29,13 @@ class TestNormalizeSurface:
     def test_idempotent(self, s):
         once = normalize_surface(s)
         assert normalize_surface(once) == once
+
+
+class TestReadLines:
+    def test_line_endings_and_blank_lines(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"a\r\n\r\n \t\r\n b \nc\rd")
+        assert list(read_lines(path)) == [(1, "a"), (4, " b "), (5, "c"), (6, "d")]
 
 
 class TestLoadLexicon:
@@ -48,6 +56,11 @@ class TestLoadLexicon:
         path.write_text("C1\tName\tsyn\tT1\nC2\tOnlyTwo\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 2"):
             load_lexicon(path)
+
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        path = tmp_path / "spaced.tsv"
+        path.write_text("C1\tName\t\tT1\n  \t \nC2\tOther\t\tT1\n", encoding="utf-8")
+        assert sorted(load_lexicon(path).concepts) == ["C1", "C2"]
 
     def test_conflicting_preferred_name(self, tmp_path):
         path = tmp_path / "dup.tsv"
