@@ -4,7 +4,8 @@ Subcommands exchange inspectable file artifacts (mention, edge, and network
 JSONL; model and index containers; TREC qrels and runs). Every tunable is a
 flag, optionally preloaded from a flat ``key = value`` config file; all
 randomness flows from ``--seed``. Exit codes: 0 success, 1 usage error,
-2 data or validation error, or a file that cannot be read or written.
+2 data or validation error, or a file that cannot be read or written,
+3 an unexpected failure (a defect; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import json
 import logging
 import sys
+import traceback
 from pathlib import Path
 
 from . import engine, trec
@@ -325,6 +327,9 @@ def dispatch(argv: list[str]) -> int:
         return 2
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except Exception:  # a defect rather than bad input: keep the traceback
+        traceback.print_exc()
+        return 3
 
 
 def main() -> None:

@@ -5,16 +5,23 @@ pipeline the documents went through: the lexicon, the triple store, any
 trained models, the shared label compressor, and the per-document
 networks and kernel features. It persists as a single versioned JSON
 container whose bytes are reproducible for a fixed corpus, configuration,
-and seed. Document embeddings and concept postings are pure functions of
-the networks and the embedding model, so they are rebuilt on load rather
-than stored; kernel features and the compressor table are stored, because
+and seed. Kernel features and the compressor table are stored, because
 recomputing them makes loading markedly slower.
+
+What scoring needs is a pure function of the stored data, so it is rebuilt
+whenever an index is built or loaded (``DocRows``): an inverted index from
+each kernel label to the documents holding it, with each document's kernel
+self-norm, and a matrix of document embeddings with their norms. A query
+is scored against every document at once, by one scatter-add over its own
+labels and one matrix-vector product; the collection graph scores each
+document against the ones after it the same way.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,16 +58,7 @@ from .relations import (
     generate_candidates,
     kb_match_extract,
 )
-from .similarity import (
-    DocEmbedding,
-    LabelCompressor,
-    WlFeatureVector,
-    combine,
-    cosine,
-    doc_embedding,
-    wl_features,
-    wl_kernel_normalized,
-)
+from .similarity import LabelCompressor, WlFeatureVector, combine, doc_embedding, wl_features
 from .transe import EmbeddingModel, model_from_dict, model_to_dict
 
 log = logging.getLogger(__name__)
@@ -81,6 +79,26 @@ class CollectionGraph:
     edges: list[tuple[str, str, float]]  # (doc_a, doc_b, similarity), doc_a < doc_b
 
 
+@dataclass(eq=False)
+class DocRows:
+    """The documents of an index as rows in sorted-id order, laid out for scoring all of them at once.
+
+    ``label_rows[label_ptr[l]:label_ptr[l + 1]]`` are the rows holding kernel
+    label ``l`` (ascending) and ``label_counts`` the matching counts; every
+    row's integer self-dot is in ``self_dots``. ``embeddings`` holds one
+    document embedding per row (no columns without an embedding model), and
+    ``embedding_norms`` their norms.
+    """
+
+    doc_ids: list[str]
+    label_ptr: np.ndarray
+    label_rows: np.ndarray
+    label_counts: np.ndarray
+    self_dots: np.ndarray
+    embeddings: np.ndarray
+    embedding_norms: np.ndarray
+
+
 @dataclass
 class Index:
     config: PipelineConfig
@@ -91,9 +109,7 @@ class Index:
     compressor: LabelCompressor
     networks: dict[str, SemanticNetwork] = field(default_factory=dict)
     wl_vectors: dict[str, WlFeatureVector] = field(default_factory=dict)
-    # Rebuilt from networks and transe by _derive_maps, never persisted.
-    embeddings: dict[str, DocEmbedding] = field(default_factory=dict)
-    cui_postings: dict[str, list[str]] = field(default_factory=dict)
+    rows: DocRows | None = None  # rebuilt from the above and transe by _derive_maps, never persisted
 
     @property
     def h(self) -> int:
@@ -169,27 +185,76 @@ def index_corpus(
         index.networks[doc.id] = net
         index.wl_vectors[doc.id] = wl_features(net, config.h, index.compressor)
     _derive_maps(index)
-    log.info("indexed %d documents (%d distinct concepts)", len(corpus), len(index.cui_postings))
+    log.info("indexed %d documents (%d kernel labels)", len(corpus), index.compressor.next_id)
     return index
 
 
-def _embedding(net: SemanticNetwork, transe: EmbeddingModel | None) -> DocEmbedding:
-    return doc_embedding(net, transe) if transe is not None else DocEmbedding(np.zeros(0), 0)
+def _embedding(net: SemanticNetwork, transe: EmbeddingModel | None) -> np.ndarray:
+    return doc_embedding(net, transe).vector if transe is not None else np.zeros(0)
 
 
 def _derive_maps(index: Index) -> None:
-    """Rebuild the per-document embeddings and the concept -> sorted doc ids postings."""
-    index.embeddings = {}
-    index.cui_postings = {}
-    for doc_id in sorted(index.networks):
-        net = index.networks[doc_id]
-        index.embeddings[doc_id] = _embedding(net, index.transe)
-        for cui in net.nodes:
-            index.cui_postings.setdefault(cui, []).append(doc_id)
+    """Rebuild ``index.rows`` from the networks, the kernel features and the embedding model.
+
+    Raises FormatError for a kernel label outside [0, next_id) or a count that
+    is not a positive integer, which only an edited index file can hold.
+    """
+    doc_ids = sorted(index.networks)
+    features = [index.wl_vectors[doc_id].counts for doc_id in doc_ids]
+    if not set(map(type, chain.from_iterable(map(dict.values, features)))) <= {int}:
+        raise FormatError("kernel feature counts must be integers")
+    sizes = np.fromiter(map(len, features), np.int64, len(features))
+    total = int(sizes.sum())
+    labels = np.fromiter(chain.from_iterable(features), np.int64, total)
+    counts = np.fromiter(chain.from_iterable(map(dict.values, features)), np.int64, total)
+    next_id = index.compressor.next_id
+    if total and (labels.min() < 0 or labels.max() >= next_id):
+        raise FormatError(f"kernel feature label outside [0, {next_id})")
+    if total and counts.min() < 1:
+        raise FormatError("kernel feature counts must be positive")
+    rows = np.repeat(np.arange(len(doc_ids)), sizes)
+    order = np.argsort(labels, kind="stable")  # rows stay ascending within a label
+    label_ptr = np.zeros(next_id + 1, np.int64)
+    np.cumsum(np.bincount(labels, minlength=next_id), out=label_ptr[1:])
+    dim = index.transe.config.dim if index.transe is not None else 0
+    embeddings = np.zeros((len(doc_ids), dim))
+    for row, doc_id in enumerate(doc_ids):
+        embeddings[row] = _embedding(index.networks[doc_id], index.transe)
+    index.rows = DocRows(
+        doc_ids,
+        label_ptr,
+        rows[order],
+        counts[order],
+        np.bincount(rows, weights=counts * counts, minlength=len(doc_ids)).astype(np.int64),  # exact below 2**53
+        embeddings,
+        np.fromiter(map(np.linalg.norm, embeddings), float, len(doc_ids)),
+    )
 
 
-def _score(f: WlFeatureVector, emb_f: DocEmbedding, g: WlFeatureVector, emb_g: DocEmbedding, lam: float) -> float:
-    return combine(wl_kernel_normalized(f, g), cosine(emb_f.vector, emb_g.vector), lam)
+def _score_rows(rows: DocRows, query: WlFeatureVector, embedding: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """``combine`` of the query with every row: the scores and the integer kernel dots.
+
+    The kernel is ``dot / sqrt(qq * self_dot)`` on exact integers, as
+    ``wl_kernel_normalized`` computes it; the kernel and the cosine are 0
+    against an empty graph or a zero embedding.
+    """
+    n = len(rows.doc_ids)
+    labels = np.fromiter(query.counts, np.int64, len(query.counts))
+    counts = np.fromiter(query.counts.values(), np.int64, len(query.counts))
+    known = labels < len(rows.label_ptr) - 1  # overlay labels of a query occur in no document
+    starts, ends = rows.label_ptr[labels[known]], rows.label_ptr[labels[known] + 1]
+    lengths = ends - starts
+    # Positions of all postings of those labels: each label's slice laid end to end.
+    postings = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+    weights = rows.label_counts[postings] * np.repeat(counts[known], lengths)
+    dots = np.bincount(rows.label_rows[postings], weights=weights, minlength=n)  # integers, exact in float64
+    kernel_norms = np.sqrt(int((counts * counts).sum()) * rows.self_dots)
+    kernel = np.divide(dots, kernel_norms, out=np.zeros(n), where=kernel_norms > 0)
+    # einsum, not BLAS: it reduces every row alike, so equal rows get equal
+    # cosines wherever they sit and exact ties still break by doc id.
+    cos_norms = np.linalg.norm(embedding) * rows.embedding_norms
+    cos = np.divide(np.einsum("ij,j->i", rows.embeddings, embedding), cos_norms, out=np.zeros(n), where=cos_norms != 0)
+    return combine(kernel, cos, lam), dots
 
 
 def search(
@@ -201,9 +266,9 @@ def search(
 ) -> list[SearchResult]:
     """Rank documents against a query case processed by the document pipeline.
 
-    With ``prune`` only documents sharing at least one concept with the
-    query are scored. Ties break by ascending doc id; fewer than ``k``
-    results are returned when candidates run out.
+    With ``prune`` only documents sharing a kernel label, i.e. a concept,
+    with the query are ranked. Ties break by ascending doc id; fewer than
+    ``k`` results are returned when candidates run out.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
@@ -214,17 +279,14 @@ def search(
     query_doc = Document("query", "", query_text)
     net = document_network(query_doc, index.lexicon, index.config, index.kb, index.extractor, index.transe)
     query_vector = wl_features(net, index.h, index.compressor.overlay())
-    query_embedding = _embedding(net, index.transe)
-    if prune:
-        candidates = sorted({doc for cui in net.nodes for doc in index.cui_postings.get(cui, ())})
-    else:
-        candidates = sorted(index.networks)
-    wl, embeddings = index.wl_vectors, index.embeddings
-    scored = [
-        (doc_id, _score(query_vector, query_embedding, wl[doc_id], embeddings[doc_id], lam)) for doc_id in candidates
+    scores, dots = _score_rows(index.rows, query_vector, _embedding(net, index.transe), lam)
+    candidates = np.flatnonzero(dots) if prune else np.arange(len(scores))
+    top = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]  # stable: ties keep doc id order
+    doc_ids = index.rows.doc_ids
+    return [
+        SearchResult(doc_ids[row], score, rank)
+        for rank, (row, score) in enumerate(zip(top.tolist(), scores[top].tolist()), start=1)
     ]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return [SearchResult(doc_id, score, rank) for rank, (doc_id, score) in enumerate(scored[:k], start=1)]
 
 
 def build_collection_graph(index: Index, lam: float | None = None, tau_doc: float | None = None) -> CollectionGraph:
@@ -235,14 +297,12 @@ def build_collection_graph(index: Index, lam: float | None = None, tau_doc: floa
         tau_doc = index.config.tau_doc
     if not 0.0 <= tau_doc <= 1.0:
         raise UsageError(f"tau_doc must be within [0, 1], got {tau_doc}")
-    doc_ids = sorted(index.networks)
-    wl, embeddings = index.wl_vectors, index.embeddings
+    rows = index.rows
     edges = []
-    for i, doc_a in enumerate(doc_ids):
-        for doc_b in doc_ids[i + 1 :]:
-            score = _score(wl[doc_a], embeddings[doc_a], wl[doc_b], embeddings[doc_b], lam)
-            if score >= tau_doc:
-                edges.append((doc_a, doc_b, score))
+    for i, doc_a in enumerate(rows.doc_ids):
+        scores, _ = _score_rows(rows, index.wl_vectors[doc_a], rows.embeddings[i], lam)
+        kept = np.flatnonzero(scores[i + 1 :] >= tau_doc) + i + 1
+        edges += [(doc_a, rows.doc_ids[j], float(scores[j])) for j in kept.tolist()]
     return CollectionGraph(edges)
 
 
@@ -296,6 +356,8 @@ def index_from_dict(data: dict) -> Index:
     compressor = LabelCompressor()
     compressor.table = dict(data["compressor"]["table"])
     compressor.next_id = data["compressor"]["next_id"]
+    if type(compressor.next_id) is not int or compressor.next_id < 0:
+        raise FormatError(f"compressor next_id must be a non-negative integer, got {compressor.next_id!r}")
     index = Index(
         config,
         lexicon_from_dict(data["lexicon"]),

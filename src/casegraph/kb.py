@@ -351,5 +351,5 @@ def load_container(path: str | Path, fmt: str, version: int, decode: Callable[[d
         return decode(payload)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed {fmt} container ({exc!r})") from None

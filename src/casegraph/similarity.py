@@ -163,9 +163,9 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b)) / (norm_a * norm_b)
 
 
-def combine(explicit: float, cos: float, lam: float) -> float:
-    """lam * kernel + (1 - lam) * embedding cosine clamped at 0."""
-    return lam * explicit + (1.0 - lam) * max(0.0, cos)
+def combine(explicit: float | np.ndarray, cos: float | np.ndarray, lam: float) -> float | np.ndarray:
+    """lam * kernel + (1 - lam) * embedding cosine clamped at 0, for numbers or arrays alike."""
+    return lam * explicit + (1.0 - lam) * np.maximum(0.0, cos)
 
 
 def combined_similarity(

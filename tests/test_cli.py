@@ -108,6 +108,33 @@ class TestBadInputsExitTwo:
         assert named in self.assert_one_error_line(capsys)
 
 
+    @pytest.mark.parametrize("edit", ["string count", "label out of range", "negative next_id"])
+    def test_search_on_edited_index(self, tmp_path, fixtures, built_index, capsys, edit):
+        payload = json.loads(built_index.read_text(encoding="utf-8"))
+        counts = payload["wl"][sorted(payload["wl"])[0]]
+        if edit == "string count":
+            label = next(iter(counts))
+            counts[label] = str(counts[label])
+        elif edit == "label out of range":
+            counts[str(payload["compressor"]["next_id"])] = 1
+        else:
+            payload["compressor"]["next_id"] = -1
+        built_index.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("search", "--index", str(built_index), "--query-file", fixtures["corpus"]) == 2
+        assert str(built_index) in self.assert_one_error_line(capsys)
+
+
+class TestUnexpectedFailure:
+    def test_exits_three_with_traceback(self, fixtures, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("a defect")
+
+        monkeypatch.setattr("casegraph.cli._cmd_link", broken)
+        assert run_cli("link", "--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "RuntimeError: a defect" in err
+
+
 class TestStagedPipeline:
     def test_link_extract_build_enrich(self, tmp_path, fixtures, capsys):
         mentions = tmp_path / "mentions.jsonl"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import helpers
@@ -17,6 +18,7 @@ from casegraph.engine import (
 )
 from casegraph.errors import FormatError, UsageError, ValidationError
 from casegraph.kb import Document
+from casegraph.similarity import doc_embedding, wl_dot
 from casegraph.transe import TrainConfig, init_model, train
 
 
@@ -37,17 +39,23 @@ def small_index(pipeline):
     return corpus, index_corpus(corpus, lexicon, config, kb=kb, transe=transe_model)
 
 
-def oracle_ranking(index, corpus, query_doc, lam, prune, pipeline):
-    lexicon, kb, transe_model, config = pipeline
-    query_net = document_network(query_doc, lexicon, config, kb=kb, transe=transe_model)
-    candidates = []
-    for doc in corpus:
-        net = index.networks[doc.id]
-        if prune and not (set(net.nodes) & set(query_net.nodes)):
-            continue
-        candidates.append((doc.id, helpers.oracle_combined(query_net, net, lam, config.h, transe_model)))
-    candidates.sort(key=lambda item: (-item[1], item[0]))
-    return candidates
+def query_network(index, text):
+    return document_network(Document("q", "", text), index.lexicon, index.config, index.kb, index.extractor, index.transe)
+
+
+def oracle_results(index, text, lam, prune):
+    """Exhaustive ranking by the independent oracle; prune keeps documents sharing a node with the query."""
+    query_net = query_network(index, text)
+    scored = [
+        (doc_id, helpers.oracle_combined(query_net, net, lam, index.h, index.transe))
+        for doc_id, net in index.networks.items()
+        if not prune or set(net.nodes) & set(query_net.nodes)
+    ]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored
+
+
+UNRELATED = "totally unrelated wording"
 
 
 class TestIndexCorpus:
@@ -55,14 +63,22 @@ class TestIndexCorpus:
         lexicon, kb, transe_model, config = pipeline
         corpus = helpers.synth_corpus(lexicon, 3, seed=1)
         index = index_corpus(corpus, lexicon, config, kb=kb, transe=transe_model)
-        assert set(index.networks) == set(index.wl_vectors) == set(index.embeddings) == {d.id for d in corpus}
-        for cui, doc_ids in index.cui_postings.items():
-            assert doc_ids == sorted(doc_ids)
-            for doc_id in doc_ids:
-                assert cui in index.networks[doc_id].nodes
-        for doc_id, net in index.networks.items():
-            for cui in net.nodes:
-                assert doc_id in index.cui_postings[cui]
+        rows = index.rows
+        assert rows.doc_ids == sorted(index.networks) == sorted(index.wl_vectors) == sorted(d.id for d in corpus)
+        assert len(rows.label_ptr) == index.compressor.next_id + 1
+        postings: dict[str, dict[int, int]] = {doc_id: {} for doc_id in rows.doc_ids}
+        for label in range(index.compressor.next_id):
+            span = slice(rows.label_ptr[label], rows.label_ptr[label + 1])
+            assert rows.label_rows[span].tolist() == sorted(rows.label_rows[span].tolist())
+            for row, count in zip(rows.label_rows[span].tolist(), rows.label_counts[span].tolist()):
+                postings[rows.doc_ids[row]][label] = count
+        for row, doc_id in enumerate(rows.doc_ids):
+            vec = index.wl_vectors[doc_id]
+            assert postings[doc_id] == vec.counts
+            assert rows.self_dots[row] == wl_dot(vec, vec)
+            emb = doc_embedding(index.networks[doc_id], transe_model).vector
+            assert rows.embeddings[row].tolist() == emb.tolist()
+            assert rows.embedding_norms[row] == np.linalg.norm(emb)
 
     def test_empty_corpus_round_trips(self, pipeline, tmp_path):
         lexicon, kb, transe_model, config = pipeline
@@ -112,12 +128,12 @@ class TestSearch:
         scores = [r.score for r in results]
         assert scores == sorted(scores, reverse=True)
 
-    def test_matches_exhaustive_oracle(self, pipeline, small_index):
+    def test_matches_exhaustive_oracle(self, small_index):
         corpus, index = small_index
-        query = Document("q", "", "fever and cough treated using aspirin after cardiac arrest")
+        query = "fever and cough treated using aspirin after cardiac arrest"
         for prune in (False, True):
-            results = search(index, query.text, len(corpus), lam=0.6, prune=prune)
-            expected = oracle_ranking(index, corpus, query, 0.6, prune, pipeline)
+            results = search(index, query, len(corpus), lam=0.6, prune=prune)
+            expected = oracle_results(index, query, 0.6, prune)
             assert [r.doc_id for r in results] == [doc_id for doc_id, _ in expected]
             for result, (_, score) in zip(results, expected):
                 assert result.score == pytest.approx(score, abs=1e-9)
@@ -263,8 +279,113 @@ class TestLoadConsistency:
     def test_derived_maps_match_fresh_index(self, small_index, tmp_path):
         _, index = small_index
         loaded = self.load_edited(index, tmp_path, lambda payload: None)
-        assert loaded.cui_postings == index.cui_postings
-        assert loaded.embeddings.keys() == index.embeddings.keys()
-        for doc_id, emb in index.embeddings.items():
-            assert loaded.embeddings[doc_id].mass == emb.mass
-            assert loaded.embeddings[doc_id].vector.tolist() == emb.vector.tolist()
+        assert loaded.rows.doc_ids == index.rows.doc_ids
+        for name in ("label_ptr", "label_rows", "label_counts", "self_dots", "embeddings", "embedding_norms"):
+            fresh, rebuilt = getattr(index.rows, name), getattr(loaded.rows, name)
+            assert rebuilt.dtype == fresh.dtype and rebuilt.shape == fresh.shape, name
+            assert np.array_equal(rebuilt, fresh), name
+
+    @pytest.mark.parametrize(
+        "label, count, match",
+        [
+            ("-1", 1, "outside"),
+            ("next_id", 1, "outside"),
+            ("99999999999999999999999", 1, "malformed"),
+            ("0", "2", "integers"),
+            ("0", True, "integers"),
+            ("0", 1.0, "integers"),
+            ("0", None, "integers"),
+            ("0", 0, "positive"),
+            ("0", -3, "positive"),
+        ],
+    )
+    def test_bad_wl_entry(self, small_index, tmp_path, label, count, match):
+        _, index = small_index
+
+        def edit(payload):
+            key = str(payload["compressor"]["next_id"]) if label == "next_id" else label
+            payload["wl"][sorted(payload["wl"])[0]][key] = count
+
+        with pytest.raises(FormatError, match=match):
+            self.load_edited(index, tmp_path, edit)
+
+    @pytest.mark.parametrize("next_id", [-1, "12", 3.0, True, None])
+    def test_bad_next_id(self, small_index, tmp_path, next_id):
+        _, index = small_index
+        with pytest.raises(FormatError, match="next_id"):
+            self.load_edited(index, tmp_path, lambda payload: payload["compressor"].update(next_id=next_id))
+
+
+class TestMatrixPathOracle:
+    """Scoring the whole collection at once, against the pairwise oracle."""
+
+    COPIES = ["doc003", "doc003-copy", "zz-copy"]
+
+    @pytest.fixture(scope="class", params=["transe", "no-model"])
+    def indexed(self, request, pipeline):
+        lexicon, kb, transe_model, config = pipeline
+        corpus = helpers.synth_corpus(lexicon, 10, seed=5)
+        # Copies of doc003 both next to it and in the last row, where a blocked
+        # matrix-vector product may round differently.
+        original = corpus[3]
+        corpus += [Document(copy_id, original.title, original.text) for copy_id in self.COPIES[1:]]
+        corpus.append(Document("empty", "", "nothing here names a known concept"))
+        model = transe_model if request.param == "transe" else None
+        index = index_corpus(corpus, lexicon, config, kb=kb, transe=model)
+        assert index.networks["empty"].nodes == {}
+        queries = [
+            "fever and cough treated using aspirin after cardiac arrest",
+            "aspirin for hypertension and renal failure",
+            original.content(),
+            UNRELATED,
+            "",
+        ]
+        return index, queries
+
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
+    def test_search_matches_oracle(self, indexed, prune, lam):
+        index, queries = indexed
+        n = len(index.networks)
+        for text in queries:
+            expected = oracle_results(index, text, lam, prune)
+            for k in (1, 4, n + 5):
+                results = search(index, text, k, lam=lam, prune=prune)
+                assert [r.doc_id for r in results] == [doc_id for doc_id, _ in expected[:k]], (text, k)
+                assert [r.rank for r in results] == list(range(1, len(results) + 1))
+                for result, (_, score) in zip(results, expected):
+                    assert result.score == pytest.approx(score, abs=1e-9)
+
+    def test_duplicates_tie_exactly_in_doc_id_order(self, indexed):
+        index, queries = indexed
+        for text in queries:
+            results = search(index, text, len(index.networks))
+            copies = [r for r in results if r.doc_id in self.COPIES]
+            assert [r.doc_id for r in copies] == self.COPIES
+            assert copies[0].score == copies[1].score == copies[2].score
+            keys = [(-r.score, r.doc_id) for r in results]
+            assert keys == sorted(keys)
+
+    def test_query_sharing_no_concept(self, indexed):
+        index, _ = indexed
+        assert search(index, UNRELATED, 5, prune=True) == []
+        unpruned = search(index, UNRELATED, len(index.networks) + 5)
+        assert [(r.doc_id, r.score) for r in unpruned] == [(doc_id, 0.0) for doc_id in sorted(index.networks)]
+
+    def test_pruned_is_unpruned_filtered_to_shared_nodes(self, indexed):
+        index, queries = indexed
+        for text in queries:
+            query_nodes = set(query_network(index, text).nodes)
+            unpruned = search(index, text, len(index.networks))
+            pruned = search(index, text, len(index.networks), prune=True)
+            shared = [(r.doc_id, r.score) for r in unpruned if set(index.networks[r.doc_id].nodes) & query_nodes]
+            assert [(r.doc_id, r.score) for r in pruned] == shared
+
+    def test_collection_graph_matches_oracle_over_all_pairs(self, indexed):
+        index, _ = indexed
+        graph = build_collection_graph(index, lam=0.6, tau_doc=0.0)
+        ids = sorted(index.networks)
+        assert [(a, b) for a, b, _ in graph.edges] == [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+        for doc_a, doc_b, score in graph.edges:
+            want = helpers.oracle_combined(index.networks[doc_a], index.networks[doc_b], 0.6, index.h, index.transe)
+            assert score == pytest.approx(want, abs=1e-9)
