@@ -9,13 +9,16 @@ and typed edges with a confidence in (0, 1] and a provenance tag:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConsistencyError, UsageError, ValidationError
 from .kb import Lexicon, jsonl, read_jsonl
 from .linking import Mention
-from .transe import EmbeddingModel, plausibility
+from .transe import EmbeddingModel, distances, plausibility
 
 log = logging.getLogger(__name__)
 
@@ -119,21 +122,31 @@ def enrich_network(
     enriched = SemanticNetwork(net.doc_id, dict(net.nodes), list(net.edges))
     if m_cap == 0 or not net.nodes:
         return enriched
-    existing = net.edge_keys()
     cuis = [c for c in sorted(net.nodes) if c in model.entity_vectors]
     relations = sorted(model.relation_vectors)
+    if not cuis or not relations:
+        return enriched
+    existing = net.edge_keys()
+    # One (head, tail, relation) block of distances, computed in slices of
+    # heads that hold about a million numbers at most. A distance-side bound
+    # with room for the rounding of exp and log keeps every candidate that
+    # can pass; the exact plausibility test is then applied to those alone.
+    vectors = np.array([model.entity_vectors[c] for c in cuis])
+    relation_vectors = np.array([model.relation_vectors[r] for r in relations])
+    step = max(1, (1 << 20) // max(1, len(cuis) * relation_vectors.size))
+    dist = np.concatenate([
+        distances(vectors[i : i + step, None, None] + relation_vectors[None, None] - vectors[None, :, None], model.config.distance)
+        for i in range(0, len(cuis), step)
+    ])
+    near = np.nonzero(dist <= -math.log(tau_lp) + 1e-9)
     candidates: list[tuple[float, tuple[str, str, str]]] = []
-    for head in cuis:
-        for tail in cuis:
-            if head == tail:
-                continue
-            for relation in relations:
-                key = (head, tail, relation)
-                if key in existing:
-                    continue
-                score = plausibility(model, head, relation, tail)
-                if score >= tau_lp:
-                    candidates.append((score, key))
+    for h, t, r, d in zip(*(axis.tolist() for axis in near), dist[near].tolist()):
+        key = (cuis[h], cuis[t], relations[r])
+        if h == t or key in existing:
+            continue
+        score = math.exp(-d)
+        if score >= tau_lp:
+            candidates.append((score, key))
     candidates.sort(key=lambda c: (-c[0], c[1]))
     for score, (head, tail, relation) in candidates[:m_cap]:
         enriched.edges.append(Edge(head, tail, relation, score, PROV_PREDICTED))

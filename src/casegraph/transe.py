@@ -15,19 +15,24 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError, UnknownIdentifierError, UsageError
+from .errors import ConfigError, FormatError, TrainingError, UnknownIdentifierError, UsageError
 from .kb import Triple, TripleStore, load_container, save_container
 
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "casegraph-transe"
 MODEL_VERSION = 1
+# Trained entity vectors have unit length. A relation component beyond this
+# bound (or NaN or infinite) means training diverged, and a loaded one would
+# overflow the distances and embeddings.
+MAX_COMPONENT = 1e100
 
 
 @dataclass(frozen=True)
@@ -85,29 +90,41 @@ def init_model(entities: Iterable[str], relations: Iterable[str], config: TrainC
     return EmbeddingModel(entity_vectors, relation_vectors, config)
 
 
+def _entity(model: EmbeddingModel, name: str) -> np.ndarray:
+    try:
+        return model.entity_vectors[name]
+    except KeyError:
+        raise UnknownIdentifierError(f"unknown entity {name}") from None
+
+
+def _relation(model: EmbeddingModel, name: str) -> np.ndarray:
+    try:
+        return model.relation_vectors[name]
+    except KeyError:
+        raise UnknownIdentifierError(f"unknown relation {name}") from None
+
+
 def _vectors(model: EmbeddingModel, head: str, relation: str, tail: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    try:
-        h = model.entity_vectors[head]
-    except KeyError:
-        raise UnknownIdentifierError(f"unknown entity {head}") from None
-    try:
-        t = model.entity_vectors[tail]
-    except KeyError:
-        raise UnknownIdentifierError(f"unknown entity {tail}") from None
-    try:
-        r = model.relation_vectors[relation]
-    except KeyError:
-        raise UnknownIdentifierError(f"unknown relation {relation}") from None
-    return h, r, t
+    h = _entity(model, head)
+    t = _entity(model, tail)
+    return h, _relation(model, relation), t
+
+
+def distances(diff: np.ndarray, distance: str) -> np.ndarray:
+    """L1 or L2 norm along the last axis of ``h + r - t`` differences.
+
+    Every distance of the package comes from here, so a batch of rows gives
+    the same bits as one row at a time.
+    """
+    if distance == "l1":
+        return np.abs(diff).sum(axis=-1)
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def dissimilarity(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
     """Distance between vec(head) + vec(relation) and vec(tail)."""
     h, r, t = _vectors(model, head, relation, tail)
-    diff = h + r - t
-    if model.config.distance == "l1":
-        return float(np.abs(diff).sum())
-    return float(np.sqrt((diff * diff).sum()))
+    return float(distances(h + r - t, model.config.distance))
 
 
 def plausibility(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
@@ -122,14 +139,12 @@ def margin_loss(model: EmbeddingModel, positive: Triple, corrupted: Triple) -> f
     return max(0.0, model.config.margin + pos - neg)
 
 
-def _distance_gradient(diff: np.ndarray, distance: str) -> np.ndarray:
-    # Gradient of d(x) wrt x; subgradient 0 at L1/L2 kinks.
+def _distance_gradient(diff: np.ndarray, dist: np.ndarray, distance: str) -> np.ndarray:
+    # Gradient wrt diff of its distances dist along the last axis; subgradient 0 at L1/L2 kinks.
     if distance == "l1":
         return np.sign(diff)
-    norm = np.sqrt((diff * diff).sum())
-    if norm == 0.0:
-        return np.zeros_like(diff)
-    return diff / norm
+    norm = np.expand_dims(dist, -1)
+    return np.divide(diff, norm, out=np.zeros_like(diff), where=norm != 0.0)
 
 
 def margin_loss_gradients(
@@ -145,8 +160,8 @@ def margin_loss_gradients(
     distance = model.config.distance
     h, r, t = _vectors(model, positive.head, positive.relation, positive.tail)
     hc, rc, tc = _vectors(model, corrupted.head, corrupted.relation, corrupted.tail)
-    g_pos = _distance_gradient(h + r - t, distance)
-    g_neg = _distance_gradient(hc + rc - tc, distance)
+    diff = np.array([h + r - t, hc + rc - tc])
+    g_pos, g_neg = _distance_gradient(diff, distances(diff, distance), distance)
     grads: dict[tuple[str, str], np.ndarray] = {}
 
     def accumulate(key: tuple[str, str], value: np.ndarray) -> None:
@@ -164,6 +179,30 @@ def margin_loss_gradients(
     return grads
 
 
+def _stored(triples: Iterable[Triple], index: dict[str, int]) -> tuple[dict, dict]:
+    """Sorted ``index`` positions of the stored heads of every (relation, tail)
+    and of the stored tails of every (head, relation); unindexed names are left out."""
+    heads: dict[tuple[str, str], list[int]] = {}
+    tails: dict[tuple[str, str], list[int]] = {}
+    for triple in triples:
+        if triple.head in index:
+            heads.setdefault((triple.relation, triple.tail), []).append(index[triple.head])
+        if triple.tail in index:
+            tails.setdefault((triple.head, triple.relation), []).append(index[triple.tail])
+    for positions in (*heads.values(), *tails.values()):
+        positions.sort()
+    return heads, tails
+
+
+def _allowed(positions: list[int], num_entities: int) -> tuple[int, list[int]]:
+    """The number of entities left when ``positions`` are excluded, and skips.
+
+    The k-th excluded position has ``positions[k] - k`` allowed entities
+    before it, so the j-th allowed entity is ``j + bisect_right(skips, j)``.
+    """
+    return num_entities - len(positions), [p - k for k, p in enumerate(positions)]
+
+
 def train(
     model: EmbeddingModel,
     kb: TripleStore,
@@ -173,72 +212,117 @@ def train(
     """Train a copy of ``model`` on the triple store; the input is untouched.
 
     Per epoch: seeded shuffle; one corrupted triple per positive (head or
-    tail replaced, coin-flipped, avoiding stored triples); one SGD step on
-    the margin loss; entity re-normalization at epoch end. The mean epoch
-    loss trace is kept on the returned model.
+    tail replaced, coin-flipped, drawn uniformly from the entities that do
+    not form a stored triple); one SGD step on the margin loss; entity
+    re-normalization at epoch end. The mean epoch loss trace is kept on the
+    returned model.
+
+    The vectors are trained as the rows of one matrix, entities in name
+    order and then relations, and handed back as the model's dicts at every
+    epoch end. Each step gives the same bits as ``margin_loss`` and
+    ``margin_loss_gradients`` on the dicts, accumulated in their key order.
     """
     if config is None:
         config = model.config
     if not kb.triples:
         raise ConfigError("cannot train on an empty triple store")
-    trained = EmbeddingModel(
-        {k: v.copy() for k, v in model.entity_vectors.items()},
-        {k: v.copy() for k, v in model.relation_vectors.items()},
-        config,
-    )
+    trained = EmbeddingModel(dict(model.entity_vectors), dict(model.relation_vectors), config)
     triples = sorted(kb.triples, key=lambda t: (t.head, t.relation, t.tail))
     entity_list = sorted(trained.entity_vectors)
+    relation_list = sorted(trained.relation_vectors)
+    index = {name: row for row, name in enumerate(entity_list)}
+    relation_row = {name: len(entity_list) + k for k, name in enumerate(relation_list)}
+    stored_heads, stored_tails = _stored(kb.triples, index)
+    head_choices = {key: _allowed(p, len(entity_list)) for key, p in stored_heads.items()}
+    tail_choices = {key: _allowed(p, len(entity_list)) for key, p in stored_tails.items()}
+    everyone = (len(entity_list), [])
+    steps = []
+    for p in triples:
+        rows = (index.get(p.head), relation_row.get(p.relation), index.get(p.tail))
+        steps.append((
+            None if None in rows else rows,
+            head_choices.get((p.relation, p.tail), everyone),
+            tail_choices.get((p.head, p.relation), everyone),
+        ))
+    matrix = np.array(
+        [trained.entity_vectors[n] for n in entity_list] + [trained.relation_vectors[n] for n in relation_list],
+        dtype=float,
+    )
+    # Rows 0-2 of a step are (h, r, t) of the positive, rows 3-5 the corrupted
+    # triple; these pick and sign each row's share of the two distance gradients.
+    share = [0, 0, 0, 1, 1, 1]
+    signs = np.array([[1.0], [1.0], [-1.0], [-1.0], [-1.0], [1.0]])
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
     for epoch in range(config.epochs):
         order = rng.permutation(len(triples))
         total = 0.0
         for idx in order:
-            positive = triples[idx]
+            rows, head_side, tail_side = steps[idx]
             corrupt_head = bool(rng.integers(2))
-            if corrupt_head:
-                allowed = [e for e in entity_list if not kb.has_triple(e, positive.relation, positive.tail)]
-            else:
-                allowed = [e for e in entity_list if not kb.has_triple(positive.head, positive.relation, e)]
+            allowed, skips = head_side if corrupt_head else tail_side
             if not allowed:
                 continue
-            replacement = allowed[int(rng.integers(len(allowed)))]
-            if corrupt_head:
-                corrupted = Triple(replacement, positive.relation, positive.tail)
-            else:
-                corrupted = Triple(positive.head, positive.relation, replacement)
-            total += margin_loss(trained, positive, corrupted)
-            for (kind, name), grad in margin_loss_gradients(trained, positive, corrupted).items():
-                table = trained.entity_vectors if kind == "entity" else trained.relation_vectors
-                table[name] = table[name] - lr * grad
+            j = int(rng.integers(allowed))
+            replacement = j + bisect_right(skips, j)
+            if rows is None:
+                _vectors(trained, triples[idx].head, triples[idx].relation, triples[idx].tail)
+            h, r, t = rows
+            slots = [h, r, t, replacement, r, t] if corrupt_head else [h, r, t, h, r, replacement]
+            stacked = matrix[slots]
+            diff = stacked[0::3] + stacked[1::3] - stacked[2::3]
+            dist = distances(diff, config.distance)
+            pos, neg = dist.tolist()
+            loss = max(0.0, config.margin + pos - neg)
+            total += loss
+            if loss <= 0.0:
+                continue
+            grads: dict[int, np.ndarray] = {}
+            for slot, grad in zip(slots, _distance_gradient(diff, dist, config.distance)[share] * signs):
+                grads[slot] = grads[slot] + grad if slot in grads else grad
+            matrix[list(grads)] -= lr * np.array(list(grads.values()))
         mean_loss = total / len(triples)
         if not math.isfinite(mean_loss):
             raise TrainingError(f"training diverged: epoch {epoch + 1} mean loss is {mean_loss}")
         # A norm overflows to inf while the vector is still finite; that is
-        # reported as divergence below, not as a numpy warning.
+        # reported as divergence below, not as a numpy warning. One norm per
+        # row: the norms of a whole matrix are not the same bits.
         with np.errstate(over="ignore"):
-            for name, vec in trained.entity_vectors.items():
+            for name in trained.entity_vectors:
+                vec = matrix[index[name]]
                 norm = np.linalg.norm(vec)
                 if not math.isfinite(norm):
                     raise TrainingError(f"training diverged: epoch {epoch + 1} vector of entity {name} has norm {norm}")
                 if norm > 0.0:
-                    trained.entity_vectors[name] = vec / norm
+                    vec /= norm
+        for name in trained.relation_vectors:
+            if not (np.abs(matrix[relation_row[name]]) <= MAX_COMPONENT).all():
+                raise TrainingError(f"training diverged: epoch {epoch + 1} vector of relation {name} exceeds {MAX_COMPONENT:g}")
         trained.epoch_losses.append(mean_loss)
         log.debug("epoch %d: mean margin loss %.6f", epoch + 1, mean_loss)
         if on_epoch is not None:
+            _unstack(trained, matrix.copy(), entity_list, relation_list)
             on_epoch(epoch + 1, trained)
+    _unstack(trained, matrix, entity_list, relation_list)
     return trained
+
+
+def _unstack(model: EmbeddingModel, matrix: np.ndarray, entity_list: list[str], relation_list: list[str]) -> None:
+    model.entity_vectors.update(zip(entity_list, matrix[: len(entity_list)]))
+    model.relation_vectors.update(zip(relation_list, matrix[len(entity_list) :]))
 
 
 def _ranked(
     model: EmbeddingModel,
-    candidates: Sequence[str],
-    score: Callable[[str], float],
+    candidates: list[str],
     keep: Callable[[str], bool],
+    diff: Callable[[np.ndarray], np.ndarray],
 ) -> list[tuple[str, float]]:
-    scored = [(c, score(c)) for c in candidates if keep(c)]
-    scored.sort(key=lambda item: (item[1], item[0]))
-    return scored
+    kept = [c for c in candidates if keep(c)]
+    if not kept:
+        return []
+    scores = distances(diff(np.array([_entity(model, c) for c in kept])), model.config.distance).tolist()
+    return sorted(zip(kept, scores), key=lambda item: (item[1], item[0]))
 
 
 def rank_tails(
@@ -257,14 +341,14 @@ def rank_tails(
     candidate_list = list(candidates)
     if not candidate_list:
         raise UsageError("candidate set must be non-empty")
-    h, r, _ = _vectors(model, head, relation, next(iter(candidate_list)))
+    h, r, _ = _vectors(model, head, relation, candidate_list[0])
 
     def keep(c: str) -> bool:
         if filter_store is None or c == true_tail:
             return True
         return not filter_store.has_triple(head, relation, c)
 
-    return _ranked(model, candidate_list, lambda c: dissimilarity(model, head, relation, c), keep)
+    return _ranked(model, candidate_list, keep, lambda tails: h + r - tails)
 
 
 def rank_heads(
@@ -279,21 +363,27 @@ def rank_heads(
     candidate_list = list(candidates)
     if not candidate_list:
         raise UsageError("candidate set must be non-empty")
-    _vectors(model, next(iter(candidate_list)), relation, tail)
+    _, r, t = _vectors(model, candidate_list[0], relation, tail)
 
     def keep(c: str) -> bool:
         if filter_store is None or c == true_head:
             return True
         return not filter_store.has_triple(c, relation, tail)
 
-    return _ranked(model, candidate_list, lambda c: dissimilarity(model, c, relation, tail), keep)
+    return _ranked(model, candidate_list, keep, lambda heads: heads + r - t)
 
 
-def _rank_of(ranked: list[tuple[str, float]], target: str) -> int:
-    for position, (candidate, _) in enumerate(ranked, start=1):
-        if candidate == target:
-            return position
-    raise UnknownIdentifierError(f"true entity {target} missing from the candidate ranking")
+def _rank(dist: np.ndarray, target: int, excluded: np.ndarray | None) -> int:
+    """1-based position of ``target`` in (distance, name) order, candidates in name order.
+
+    ``excluded`` positions other than the target are not counted.
+    """
+    d = dist[target]
+    rank = 1 + int(np.count_nonzero(dist < d)) + int(np.count_nonzero(dist[:target] == d))
+    if excluded is not None:
+        de = dist[excluded]
+        rank -= int(np.count_nonzero((de < d) | ((de == d) & (excluded < target))))
+    return rank
 
 
 def evaluate_link_prediction(
@@ -302,19 +392,35 @@ def evaluate_link_prediction(
     """Mean rank and hits@{1,3,10} over head- and tail-corruption rankings.
 
     Reported for the raw setting and the filtered setting (other stored
-    true entities removed from the candidate list before ranking).
+    true entities removed from the candidate list before ranking). Every
+    entity of the model is a candidate; the ranks are those of
+    ``rank_tails`` and ``rank_heads`` over them, counted from one distance
+    vector per ranking.
     """
     test_list = list(test)
     if not test_list:
         raise UsageError("test triple set must be non-empty")
     candidates = sorted(model.entity_vectors)
+    if not candidates:
+        raise UsageError("candidate set must be non-empty")
+    index = {name: i for i, name in enumerate(candidates)}
+    entities = np.array([model.entity_vectors[c] for c in candidates])
+    stored_heads, stored_tails = _stored(kb.triples, index)
+    stored_heads = {key: np.array(p) for key, p in stored_heads.items()}
+    stored_tails = {key: np.array(p) for key, p in stored_tails.items()}
+    distance = model.config.distance
     ranks: dict[str, list[int]] = {"raw": [], "filtered": []}
     for triple in test_list:
-        for setting, store in (("raw", None), ("filtered", kb)):
-            tail_ranked = rank_tails(model, triple.head, triple.relation, candidates, store, triple.tail)
-            head_ranked = rank_heads(model, triple.tail, triple.relation, candidates, store, triple.head)
-            ranks[setting].append(_rank_of(tail_ranked, triple.tail))
-            ranks[setting].append(_rank_of(head_ranked, triple.head))
+        h = _entity(model, triple.head)
+        r = _relation(model, triple.relation)
+        t = _entity(model, triple.tail)
+        tail_dist = distances(h + r - entities, distance)
+        head_dist = distances(entities + r - t, distance)
+        tail, head = index[triple.tail], index[triple.head]
+        tails = stored_tails.get((triple.head, triple.relation))
+        heads = stored_heads.get((triple.relation, triple.tail))
+        ranks["raw"] += [_rank(tail_dist, tail, None), _rank(head_dist, head, None)]
+        ranks["filtered"] += [_rank(tail_dist, tail, tails), _rank(head_dist, head, heads)]
     report = {}
     for setting, values in ranks.items():
         report[setting] = {
@@ -334,11 +440,30 @@ def model_to_dict(model: EmbeddingModel) -> dict:
     }
 
 
+def _vector_table(rows: dict, dim: int, kind: str) -> dict[str, np.ndarray]:
+    if not rows:
+        raise FormatError(f"model has no {kind} vectors")
+    table = {}
+    for name, values in rows.items():
+        vec = np.array(values, dtype=float)
+        if vec.shape != (dim,):
+            raise FormatError(f"{kind} {name}: vector of shape {vec.shape}, expected ({dim},)")
+        if not (np.abs(vec) <= MAX_COMPONENT).all():
+            raise FormatError(f"{kind} {name}: vector holds a value that is not finite or exceeds {MAX_COMPONENT:g}")
+        table[name] = vec
+    return table
+
+
 def model_from_dict(data: dict) -> EmbeddingModel:
-    config = TrainConfig(**data["config"])
+    """Decode ``model_to_dict`` output; every vector must be ``config.dim`` long,
+    finite and within ``MAX_COMPONENT``."""
+    try:
+        config = TrainConfig(**data["config"])
+    except ConfigError as exc:
+        raise FormatError(f"config: {exc}") from None
     return EmbeddingModel(
-        {k: np.array(v, dtype=float) for k, v in data["entities"].items()},
-        {k: np.array(v, dtype=float) for k, v in data["relations"].items()},
+        _vector_table(data["entities"], config.dim, "entity"),
+        _vector_table(data["relations"], config.dim, "relation"),
         config,
     )
 

@@ -15,9 +15,24 @@ from collections import Counter
 
 import numpy as np
 
-from casegraph.kb import Document, Lexicon, TripleStore, build_lexicon, build_triple_store, normalize_surface
+from casegraph.config import PipelineConfig
+from casegraph.engine import document_network
+from casegraph.errors import TrainingError
+from casegraph.kb import (
+    Document,
+    Lexicon,
+    Triple,
+    TripleStore,
+    build_lexicon,
+    build_triple_store,
+    load_corpus,
+    load_lexicon,
+    load_triples,
+    normalize_surface,
+)
 from casegraph.linking import Mention, tokenize
-from casegraph.network import SemanticNetwork
+from casegraph.network import SemanticNetwork, write_networks
+from casegraph.transe import EmbeddingModel, margin_loss, margin_loss_gradients
 
 FIXTURE_LEXICON_ROWS = [
     ("C0027051", "Myocardial Infarction", ["heart attack", "myocardial infarction"], "T047"),
@@ -129,6 +144,14 @@ def write_pipeline_fixtures(tmp_path, num_docs: int = 12, seed: int = 3) -> dict
     write_triples_tsv(kb, paths["triples"])
     write_corpus_jsonl(corpus, paths["corpus"])
     return {name: str(path) for name, path in paths.items()} | {"docs": corpus}
+
+
+def write_pipeline_networks(fixtures: dict, path) -> str:
+    """Write the kbmatch networks of the fixture corpus, as ``build-graphs`` does."""
+    lexicon, kb = load_lexicon(fixtures["lexicon"]), load_triples(fixtures["triples"])
+    config = PipelineConfig(mode="kbmatch")
+    write_networks([document_network(doc, lexicon, config, kb) for doc in load_corpus(fixtures["corpus"])], path)
+    return str(path)
 
 
 def synth_kb(lexicon: Lexicon) -> TripleStore:
@@ -322,6 +345,98 @@ def oracle_enrichment(net: SemanticNetwork, model, tau_lp: float, m_cap: int):
                     candidates.append((score, key))
     candidates.sort(key=lambda c: (-c[0], c[1]))
     return candidates[:m_cap]
+
+
+# --- TransE oracles ---------------------------------------------------------------
+
+
+def oracle_train(model: EmbeddingModel, kb: TripleStore, config) -> EmbeddingModel:
+    """The reference training loop: a full ``allowed`` list per SGD step and the
+    library's per-triple loss and gradients applied to the vector dicts."""
+    trained = EmbeddingModel(
+        {k: v.copy() for k, v in model.entity_vectors.items()},
+        {k: v.copy() for k, v in model.relation_vectors.items()},
+        config,
+    )
+    triples = sorted(kb.triples, key=lambda t: (t.head, t.relation, t.tail))
+    entity_list = sorted(trained.entity_vectors)
+    rng = np.random.default_rng(config.seed)
+    lr = config.learning_rate
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(triples))
+        total = 0.0
+        for idx in order:
+            positive = triples[idx]
+            corrupt_head = bool(rng.integers(2))
+            if corrupt_head:
+                allowed = [e for e in entity_list if not kb.has_triple(e, positive.relation, positive.tail)]
+            else:
+                allowed = [e for e in entity_list if not kb.has_triple(positive.head, positive.relation, e)]
+            if not allowed:
+                continue
+            replacement = allowed[int(rng.integers(len(allowed)))]
+            if corrupt_head:
+                corrupted = Triple(replacement, positive.relation, positive.tail)
+            else:
+                corrupted = Triple(positive.head, positive.relation, replacement)
+            total += margin_loss(trained, positive, corrupted)
+            for (kind, name), grad in margin_loss_gradients(trained, positive, corrupted).items():
+                table = trained.entity_vectors if kind == "entity" else trained.relation_vectors
+                table[name] = table[name] - lr * grad
+        mean_loss = total / len(triples)
+        if not math.isfinite(mean_loss):
+            raise TrainingError(f"training diverged: epoch {epoch + 1} mean loss is {mean_loss}")
+        with np.errstate(over="ignore"):
+            for name, vec in trained.entity_vectors.items():
+                norm = np.linalg.norm(vec)
+                if not math.isfinite(norm):
+                    raise TrainingError(f"training diverged: epoch {epoch + 1} vector of entity {name} has norm {norm}")
+                if norm > 0.0:
+                    trained.entity_vectors[name] = vec / norm
+        trained.epoch_losses.append(mean_loss)
+    return trained
+
+
+def oracle_distance(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
+    diff = [
+        float(h) + float(r) - float(t)
+        for h, r, t in zip(model.entity_vectors[head], model.relation_vectors[relation], model.entity_vectors[tail])
+    ]
+    if model.config.distance == "l1":
+        return sum(abs(x) for x in diff)
+    return math.sqrt(sum(x * x for x in diff))
+
+
+def oracle_ranking(model: EmbeddingModel, triple: Triple, side: str, kb: TripleStore | None) -> list[tuple[float, str]]:
+    """Every entity as the ``side`` ("head" or "tail") of ``triple``, sorted by
+    (pure-Python distance, name); with ``kb``, other stored entities are dropped."""
+    scored = []
+    for entity in model.entity_vectors:
+        head, tail = (entity, triple.tail) if side == "head" else (triple.head, entity)
+        true = triple.head if side == "head" else triple.tail
+        if kb is not None and entity != true and Triple(head, triple.relation, tail) in kb.triples:
+            continue
+        scored.append((oracle_distance(model, head, triple.relation, tail), entity))
+    return sorted(scored)
+
+
+def oracle_link_prediction(model: EmbeddingModel, test, kb: TripleStore) -> dict[str, dict[str, float]]:
+    """Raw and filtered mean rank and hits@{1,3,10} from full sorts of every ranking."""
+    ranks: dict[str, list[int]] = {"raw": [], "filtered": []}
+    for triple in test:
+        for setting, store in (("raw", None), ("filtered", kb)):
+            for side in ("tail", "head"):
+                names = [name for _, name in oracle_ranking(model, triple, side, store)]
+                ranks[setting].append(names.index(triple.tail if side == "tail" else triple.head) + 1)
+    return {
+        setting: {
+            "mean_rank": sum(values) / len(values),
+            "hits_at_1": sum(r <= 1 for r in values) / len(values),
+            "hits_at_3": sum(r <= 3 for r in values) / len(values),
+            "hits_at_10": sum(r <= 10 for r in values) / len(values),
+        }
+        for setting, values in ranks.items()
+    }
 
 
 # --- numeric helpers --------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,15 @@ class TestBadInputsExitTwo:
         assert "diverged" in self.assert_one_error_line(capsys)
         assert not out.exists()
 
+    def test_relation_beyond_bound_is_divergence(self, tmp_path, fixtures, capsys):
+        out = tmp_path / "model.json"
+        code = run_cli(
+            "train-transe", "--triples", fixtures["triples"], "--dim", "8", "--epochs", "3", "--lr", "1e120", "--out", str(out)
+        )
+        assert code == 2
+        assert "diverged" in self.assert_one_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["missing index", "missing corpus", "missing output directory", "corpus not UTF-8"])
     def test_unusable_path(self, tmp_path, fixtures, capsys, case):
         bad = tmp_path / "bad.jsonl"
@@ -119,6 +129,46 @@ class TestBadInputsExitTwo:
             counts[str(payload["compressor"]["next_id"])] = 1
         else:
             payload["compressor"]["next_id"] = -1
+        built_index.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("search", "--index", str(built_index), "--query-file", fixtures["corpus"]) == 2
+        assert str(built_index) in self.assert_one_error_line(capsys)
+
+
+    @staticmethod
+    def spoil(model: dict, spoiler: str) -> None:
+        entity = sorted(model["entities"])[0]
+        if spoiler == "short vector":
+            model["entities"][entity] = model["entities"][entity][:-1]
+        elif spoiler == "nested vector":
+            model["relations"][sorted(model["relations"])[0]] = [model["entities"][entity]]
+        else:
+            model["entities"][entity][0] = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}[spoiler]
+
+    @pytest.mark.parametrize("spoiler", ["short vector", "nested vector", "NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", ["eval-lp", "enrich", "index"])
+    def test_bad_model_vectors(self, tmp_path, fixtures, capsys, command, spoiler):
+        model = tmp_path / "transe.json"
+        assert run_cli("train-transe", "--triples", fixtures["triples"], "--dim", "6", "--epochs", "2", "--out", str(model)) == 0
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        self.spoil(payload, spoiler)
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "eval-lp": ["eval-lp", "--triples", fixtures["triples"]],
+            "enrich": ["enrich", "--networks", helpers.write_pipeline_networks(fixtures, tmp_path / "n.jsonl"), "--fuse"],
+            "index": [
+                "index", "--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"],
+                "--triples", fixtures["triples"], "--enrich", "--fuse",
+            ],
+        }[command]
+        assert run_cli(*argv, "--transe-model", str(model), "--out", str(out)) == 2
+        assert str(model) in self.assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spoiler", ["short vector", "NaN", "Infinity"])
+    def test_search_on_index_with_bad_model(self, tmp_path, fixtures, built_index, capsys, spoiler):
+        payload = json.loads(built_index.read_text(encoding="utf-8"))
+        self.spoil(payload["transe"], spoiler)
         built_index.write_text(json.dumps(payload), encoding="utf-8")
         assert run_cli("search", "--index", str(built_index), "--query-file", fixtures["corpus"]) == 2
         assert str(built_index) in self.assert_one_error_line(capsys)

@@ -1,0 +1,83 @@
+"""Damaged artifacts fed through ``cli.dispatch``: a failure is a typed error.
+
+Every run must exit 0, 1 (usage) or 2 (data) with at most one ``error:``
+line on stderr and no traceback. Hypothesis draws the damage
+deterministically (``derandomize``), so the suite stays reproducible.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
+from casegraph.cli import dispatch
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+) | st.lists(st.floats(), max_size=5)  # vector-like, of any length
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    fixtures = helpers.write_pipeline_fixtures(tmp, num_docs=6, seed=3)
+    model = tmp / "transe.json"
+    assert dispatch(["train-transe", "--triples", fixtures["triples"], "--dim", "3", "--epochs", "2", "--out", str(model)]) == 0
+    networks = helpers.write_pipeline_networks(fixtures, tmp / "networks.jsonl")
+    return tmp, fixtures, networks, model.read_text(encoding="utf-8")
+
+
+@st.composite
+def damaged_models(draw, valid: str) -> str:
+    """A truncated copy of a valid model file, one with a value replaced or a
+    key dropped somewhere inside, or a JSON document of the wrong shape."""
+    kind = draw(st.sampled_from(["truncated", "mutated", "wrong type"]))
+    if kind == "truncated":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    if kind == "wrong type":
+        return json.dumps(draw(json_values))
+    payload = json.loads(valid)
+    node = payload
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+        elif isinstance(node, dict) and draw(st.integers(0, 4)) == 0:
+            del node[key]
+            return json.dumps(payload)
+        else:
+            node[key] = draw(json_values)
+            return json.dumps(payload)
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = dispatch(argv)
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data())
+def test_damaged_transe_model(pipeline, data):
+    tmp, fixtures, networks, valid = pipeline
+    model = tmp / "damaged.json"
+    model.write_text(data.draw(damaged_models(valid)), encoding="utf-8")
+    out = str(tmp / "out")
+    for argv in (
+        ["eval-lp", "--triples", fixtures["triples"]],
+        ["enrich", "--networks", networks, "--fuse"],
+        ["index", "--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"], "--triples", fixtures["triples"], "--enrich", "--fuse"],
+    ):
+        code, err = run_quietly([*argv, "--transe-model", str(model), "--out", out])
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, err

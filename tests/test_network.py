@@ -164,6 +164,50 @@ class TestEnrichNetwork:
             assert len(predicted) <= cap
 
 
+def quarter_model(distance):
+    """Components are multiples of 1/4, so every distance is exact whatever
+    the order of summation. C7 repeats C2's vector, and (C0, exact, C1) is an
+    exact translation."""
+    rng = random.Random(7)
+
+    def vector():
+        return np.array([rng.randint(-8, 8) / 4 for _ in range(4)])
+
+    entities = {f"C{i}": vector() for i in range(8)}
+    entities["C7"] = entities["C2"].copy()
+    relations = {f"r{k}": vector() for k in range(3)}
+    relations["exact"] = entities["C1"] - entities["C0"]
+    return EmbeddingModel(entities, relations, TrainConfig(dim=4, distance=distance))
+
+
+class TestEnrichmentEqualsOracleExactly:
+    @pytest.mark.parametrize("distance", ["l1", "l2"])
+    def test_keys_and_confidences(self, distance):
+        model = quarter_model(distance)
+        names = sorted(model.entity_vectors)
+        rng = random.Random(3)
+        cases = [(["C0", "C1", "C0999999"], [], 1.0, 5), (["C2", "C7", "C3", "C5"], [], 0.01, 40)]
+        for _ in range(30):
+            cuis = rng.sample(names, rng.randint(2, 8)) + ["C0999999"]
+            edges = {}
+            for _ in range(rng.randint(0, 4)):
+                head, tail = rng.sample(cuis, 2)
+                edge = Edge(head, tail, rng.choice(sorted(model.relation_vectors)), 0.5, "extracted")
+                edges[edge.key()] = edge
+            cases.append((cuis, list(edges.values()), rng.choice([1.0, 0.5, 0.05, 1e-4]), rng.randint(0, 40)))
+        for cuis, edges, tau, cap in cases:
+            net = make_network("d", cuis, edges)
+            enriched = enrich_network(net, model, tau, cap)
+            predicted = [(e.confidence, e.key()) for e in enriched.edges[len(net.edges):]]
+            assert predicted == helpers.oracle_enrichment(net, model, tau, cap)
+            assert all("C0999999" not in key for _, key in predicted)
+        exact = enrich_network(make_network("d", cases[0][0], []), model, 1.0, 5).edges
+        assert [(e.confidence, e.key()) for e in exact] == [(1.0, ("C0", "C1", "exact"))]
+        tied = enrich_network(make_network("d", cases[1][0], []), model, 0.01, 40).edges
+        scores = {e.key(): e.confidence for e in tied}
+        assert any(key[0] == "C2" and scores.get(("C7",) + key[1:]) == score for key, score in scores.items())
+
+
 class TestFuseConfidence:
     def test_noisy_or(self):
         assert fuse_confidence(0.6, 0.5) == pytest.approx(0.8)

@@ -20,6 +20,7 @@ from casegraph.transe import (
     margin_loss_gradients,
     model_to_dict,
     plausibility,
+    rank_heads,
     rank_tails,
     save_model,
     train,
@@ -181,6 +182,128 @@ class TestTrain:
         train(model, kb, config)
         for name, vec in snapshot.items():
             assert np.array_equal(model.entity_vectors[name], vec)
+
+
+def dense_kb():
+    """Seven entities: E0 has r0 to every other entity and every other entity
+    has r1 to E1, so the only corrupted tail of (E0, r0, .) is E0 itself and
+    the only corrupted head of (., r1, E1) is E1: a self-loop triple. A seeded
+    sprinkle of r0/r2 facts fills in the rest."""
+    entities = [f"E{i}" for i in range(7)]
+    triples = [("E0", "r0", e) for e in entities[1:]] + [(e, "r1", "E1") for e in entities if e != "E1"]
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        head, tail = rng.choice(entities, size=2, replace=False).tolist()
+        triples.append((head, "r2" if rng.integers(2) else "r0", tail))
+    return build_triple_store(triples)
+
+
+class TestTrainMatchesOracle:
+    @pytest.mark.parametrize("dim", [5, 16, 50])
+    @pytest.mark.parametrize("distance", ["l1", "l2"])
+    def test_identical_to_allowed_list_loop(self, distance, dim):
+        kbs = [dense_kb(), helpers.planted_toy_kb(num_entities=12, num_triples=30)]
+        for kb, extra in ((kbs[0], []), (kbs[1], []), (kbs[1], ["C0", "Z9"])):
+            for seed in (0, 1, 2):
+                config = TrainConfig(dim=dim, margin=2.0, learning_rate=0.05, epochs=5, distance=distance, seed=seed)
+                model = init_model([*kb.entities, *extra], kb.relations, config)
+                got = train(model, kb, config)
+                want = helpers.oracle_train(model, kb, config)
+                assert json.dumps(model_to_dict(got)) == json.dumps(model_to_dict(want))
+                assert got.epoch_losses == want.epoch_losses
+
+    def test_dense_kb_forces_self_loop_corruptions(self):
+        kb = dense_kb()
+        entities = sorted(kb.entities)
+        assert [e for e in entities if not kb.has_triple("E0", "r0", e)] == ["E0"]
+        assert [e for e in entities if not kb.has_triple(e, "r1", "E1")] == ["E1"]
+
+    def test_epoch_vectors_keep_their_values(self):
+        kb = dense_kb()
+
+        def config(epochs):
+            return TrainConfig(dim=6, learning_rate=0.05, epochs=epochs, distance="l2", seed=4)
+
+        model = init_model(kb.entities, kb.relations, config(3))
+        held = []
+        train(model, kb, config(3), on_epoch=lambda epoch, m: held.append({**m.entity_vectors, **m.relation_vectors}))
+        # The vectors handed out at an epoch end still hold that epoch's values
+        # after training went on, and equal a run that stops there.
+        for epoch, vectors in enumerate(held, start=1):
+            shorter = train(model, kb, config(epoch))
+            expected = {**shorter.entity_vectors, **shorter.relation_vectors}
+            assert {k: v.tobytes() for k, v in vectors.items()} == {k: v.tobytes() for k, v in expected.items()}
+
+    def test_unknown_entity_fails_like_oracle(self):
+        kb = dense_kb()
+        config = TrainConfig(dim=4, epochs=2, seed=1)
+        model = init_model(sorted(kb.entities)[:-1], kb.relations, config)
+        with pytest.raises(UnknownIdentifierError) as want:
+            helpers.oracle_train(model, kb, config)
+        with pytest.raises(UnknownIdentifierError) as got:
+            train(model, kb, config)
+        assert str(got.value) == str(want.value)
+
+
+def lp_case(seed, distance):
+    """A random model with e3 and e7 on the same vector (a tie broken by
+    name) and a store with several true tails per (head, relation)."""
+    rng = np.random.default_rng(seed)
+    vectors = {f"e{i:02d}": rng.normal(size=4) for i in range(14)}
+    vectors["e07"] = vectors["e03"].copy()
+    relations = {"r": rng.normal(size=4), "s": rng.normal(size=4)}
+    model = EmbeddingModel(vectors, relations, TrainConfig(dim=4, distance=distance))
+    kb = build_triple_store(
+        [("e00", "r", t) for t in ("e01", "e03", "e05", "e07", "e11")]
+        + [(h, "s", "e03") for h in ("e02", "e04", "e09", "e07")]
+        + [("e06", "r", "e08"), ("e08", "s", "e07"), ("e10", "r", "e12"), ("e13", "s", "e00")]
+    )
+    test = sorted(kb.triples, key=lambda t: (t.head, t.relation, t.tail))
+    test += [Triple("e00", "r", "e02"), Triple("e01", "s", "e03"), Triple("e12", "r", "e07")]
+    return model, kb, test
+
+
+class TestLinkPredictionMatchesOracle:
+    @pytest.mark.parametrize("distance", ["l1", "l2"])
+    def test_reports_equal_full_sort(self, distance):
+        for seed in range(4):
+            model, kb, test = lp_case(seed, distance)
+            assert evaluate_link_prediction(model, test, kb) == helpers.oracle_link_prediction(model, test, kb)
+
+    def test_trained_model_reports_equal_full_sort(self):
+        kb = helpers.planted_toy_kb(num_entities=15, num_triples=40)
+        test = sorted(kb.triples, key=lambda t: (t.head, t.relation, t.tail))
+        for distance in ("l1", "l2"):
+            config = TrainConfig(dim=8, learning_rate=0.05, epochs=20, distance=distance, seed=2)
+            model = train(init_model(kb.entities, kb.relations, config), kb, config)
+            assert evaluate_link_prediction(model, test, kb) == helpers.oracle_link_prediction(model, test, kb)
+
+    @pytest.mark.parametrize("distance", ["l1", "l2"])
+    def test_rank_functions_keep_their_output(self, distance):
+        model, kb, test = lp_case(5, distance)
+        candidates = sorted(model.entity_vectors, reverse=True)
+        for triple in test:
+            h, r, t = triple.head, triple.relation, triple.tail
+            for store in (None, kb):
+                def kept(c, true, head, tail):
+                    return store is None or c == true or not store.has_triple(head, r, tail)
+
+                tails = rank_tails(model, h, r, candidates, store, t)
+                want = [(c, dissimilarity(model, h, r, c)) for c in candidates if kept(c, t, h, c)]
+                assert tails == sorted(want, key=lambda item: (item[1], item[0]))
+                assert [c for c, _ in tails] == [name for _, name in helpers.oracle_ranking(model, triple, "tail", store)]
+                heads = rank_heads(model, t, r, candidates, store, h)
+                want = [(c, dissimilarity(model, c, r, t)) for c in candidates if kept(c, h, c, t)]
+                assert heads == sorted(want, key=lambda item: (item[1], item[0]))
+                assert [c for c, _ in heads] == [name for _, name in helpers.oracle_ranking(model, triple, "head", store)]
+
+    def test_tie_counts_the_earlier_name(self):
+        model, kb, _ = lp_case(0, "l1")
+        report = evaluate_link_prediction(model, [Triple("e12", "r", "e07")], kb)
+        ranking = helpers.oracle_ranking(model, Triple("e12", "r", "e07"), "tail", None)
+        names = [name for _, name in ranking]
+        assert names.index("e03") + 1 == names.index("e07")
+        assert report == helpers.oracle_link_prediction(model, [Triple("e12", "r", "e07")], kb)
 
 
 class TestRanking:
