@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -39,6 +40,18 @@ def normalize_surface(s: str) -> str:
     Idempotent; returns "" for strings without alphanumeric content.
     """
     return " ".join(_WORD_RE.findall(s.lower()))
+
+
+def normalize_token(token: str) -> str:
+    """``normalize_surface`` of one token, cheap for ASCII.
+
+    An ASCII alphanumeric token normalises to its lowercase. Any other token
+    takes the full rule: a non-ASCII lowercase may split into several runs
+    (``'İ'.lower()`` is ``'i'`` plus a combining dot).
+    """
+    if token.isascii() and token.isalnum():
+        return token.lower()
+    return normalize_surface(token)
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -102,6 +115,11 @@ class Lexicon:
     surface_index: dict[str, list[str]] = field(default_factory=dict)
     max_surface_token_len: int = 0
     _order: list[str] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def first_words(self) -> frozenset[str]:
+        """The first word of every indexed surface, derived once the index is complete."""
+        return frozenset(key.split(" ", 1)[0] for key in self.surface_index)
 
     def lookup(self, surface: str) -> list[str]:
         """Candidate cuis for a surface, in lexicon priority order."""

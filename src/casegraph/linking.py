@@ -10,10 +10,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
-from .kb import Lexicon, _WORD_RE, jsonl, normalize_surface, read_jsonl
+import numpy as np
 
-_SENTENCE_END_RE = re.compile(r"[.?!]")
+from .kb import Lexicon, _WORD_RE, jsonl, normalize_token, read_jsonl
+
+_SENTENCE_END_RE = re.compile(r"[.?!](?=\s|\Z)")
 
 
 @dataclass(frozen=True)
@@ -43,18 +46,24 @@ class Mention:
     score: float
 
 
-def _byte_offsets(text: str) -> list[int]:
-    """Byte offset of every code point boundary (len(text) + 1 entries)."""
-    offsets = [0]
-    total = 0
-    for ch in text:
-        total += len(ch.encode("utf-8"))
-        offsets.append(total)
-    return offsets
+def _byte_offsets(text: str) -> Sequence[int]:
+    """Byte offset of every code point boundary (len(text) + 1 entries).
+
+    For ASCII text a character offset is the byte offset, so the offsets are
+    ``range(len(text) + 1)`` and cost nothing. Otherwise a code point starts
+    at every byte of its UTF-8 encoding that is not a continuation byte
+    (``0b10xxxxxx``), and the encoding's length closes the last one.
+    """
+    if text.isascii():
+        return range(len(text) + 1)
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    return np.flatnonzero((data & 0xC0) != 0x80).tolist() + [len(data)]
 
 
 def tokenize(text: str) -> list[Token]:
     """Maximal alphanumeric runs in document order, with byte offsets."""
+    if text.isascii():
+        return [Token(m.group(), *m.span()) for m in _WORD_RE.finditer(text)]
     offsets = _byte_offsets(text)
     return [
         Token(m.group(), offsets[m.start()], offsets[m.end()])
@@ -68,12 +77,11 @@ def split_sentences(text: str, tokens: list[Token]) -> list[SentenceSpan]:
     Spans are trimmed to the first/last non-whitespace character, so together
     they partition the non-whitespace text; a text without a terminator is a
     single sentence. ``tokens`` must come from ``tokenize(text)``.
+
+    Whitespace is ``str.isspace`` throughout: the regex ``\\s`` of a str
+    pattern, ``str.strip`` and ``str.isspace`` share one whitespace rule.
     """
-    cuts = []
-    for m in _SENTENCE_END_RE.finditer(text):
-        j = m.end()
-        if j >= len(text) or text[j].isspace():
-            cuts.append(j)
+    cuts = [m.end() for m in _SENTENCE_END_RE.finditer(text)]
     if not cuts or cuts[-1] != len(text):
         cuts.append(len(text))
 
@@ -82,16 +90,14 @@ def split_sentences(text: str, tokens: list[Token]) -> list[SentenceSpan]:
     prev = 0
     token_idx = 0
     for cut in cuts:
-        first = last = None
-        for i in range(prev, cut):
-            if not text[i].isspace():
-                if first is None:
-                    first = i
-                last = i
+        segment = text[prev:cut]
+        trimmed = segment.rstrip()
+        first = prev + len(segment) - len(segment.lstrip())
+        last_end = prev + len(trimmed)
         prev = cut
-        if first is None:
+        if not trimmed:
             continue
-        start_b, end_b = offsets[first], offsets[last + 1]
+        start_b, end_b = offsets[first], offsets[last_end]
         tok_start = token_idx
         while token_idx < len(tokens) and tokens[token_idx].start < end_b:
             token_idx += 1
@@ -111,12 +117,18 @@ def link(text: str, lexicon: Lexicon, tokens: list[Token] | None = None) -> list
         tokens = tokenize(text)
     if not tokens or not lexicon.surface_index:
         return []
-    norm = [normalize_surface(t.text) for t in tokens]
+    norm = [normalize_token(t.text) for t in tokens]
     text_bytes = text.encode("utf-8")
     mentions: list[Mention] = []
+    first_words = lexicon.first_words
     n = len(tokens)
     i = 0
     while i < n:
+        # A window can match only if its first word starts a surface. A
+        # token that normalises to several words is always probed.
+        if norm[i] not in first_words and " " not in norm[i]:
+            i += 1
+            continue
         matched = 0
         cuis: list[str] = []
         for width in range(min(lexicon.max_surface_token_len, n - i), 0, -1):

@@ -12,7 +12,7 @@ Two modes are supported:
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TrainingError, UsageError, ValidationError
-from .kb import Lexicon, TripleStore, jsonl, load_container, normalize_surface, read_jsonl, save_container
+from .kb import Lexicon, TripleStore, jsonl, load_container, normalize_token, read_jsonl, save_container
 from .linking import Mention, SentenceSpan, Token
 from .network import PROV_EXTRACTED, Edge, edge_from_dict, edge_to_dict
 
@@ -68,14 +68,14 @@ class ExtractorModel:
     hyperparams: ExtractorHyperparams
 
 
-def _mention_token_range(mention: Mention, tokens: Sequence[Token]) -> tuple[int, int]:
-    starts = [t.start for t in tokens]
+def _mention_token_range(mention: Mention, starts: Sequence[int], ends: Sequence[int]) -> tuple[int, int]:
+    """First and last token of a mention, given every token's start and end byte."""
     first = bisect_left(starts, mention.start)
-    if first == len(tokens) or tokens[first].start != mention.start:
+    if first == len(starts) or starts[first] != mention.start:
         raise ValidationError(f"mention at byte {mention.start} does not align with a token boundary")
-    last = first
-    while tokens[last].end < mention.end:
-        last += 1
+    last = bisect_left(ends, mention.end, first)
+    if last == len(ends):
+        raise ValidationError(f"mention at byte {mention.start} ends at byte {mention.end}, past the last token")
     return first, last
 
 
@@ -89,18 +89,25 @@ def generate_candidates(
     """All ordered pairs of distinct same-sentence mentions within the window.
 
     ``window`` bounds the number of tokens strictly between the mentions;
-    both orientations of every pair are emitted.
+    both orientations of every pair are emitted. ``sentences`` must come from
+    ``split_sentences``, whose token ranges ascend and do not overlap, so a
+    mention lies in the one sentence found by bisecting on its first token.
+    Mentions may arrive unsorted or overlapping (``extract`` reads them from
+    a file): pairs follow the sentence order, then the given mention order.
     """
-    ranges = [_mention_token_range(m, tokens) for m in mentions]
+    starts = [t.start for t in tokens]
+    ends = [t.end for t in tokens]
+    ranges = [_mention_token_range(m, starts, ends) for m in mentions]
+    sentence_starts = [s.token_start for s in sentences]
+    inside: list[list[int]] = [[] for _ in sentences]
+    for i, (first, last) in enumerate(ranges):
+        k = bisect_right(sentence_starts, first) - 1
+        if k >= 0 and last < sentences[k].token_end:
+            inside[k].append(i)
     pairs: list[CandidatePair] = []
-    for sentence in sentences:
-        inside = [
-            i
-            for i, (first, last) in enumerate(ranges)
-            if first >= sentence.token_start and last < sentence.token_end
-        ]
-        for i in inside:
-            for j in inside:
+    for sentence, members in zip(sentences, inside):
+        for i in members:
+            for j in members:
                 if i == j:
                     continue
                 head, tail = mentions[i], mentions[j]
@@ -128,7 +135,7 @@ def featurize(pair: CandidatePair, tokens: Sequence[Token], lexicon: Lexicon) ->
     """Sparse feature counts: between-token bag, orientation, distance bucket, types."""
     features: Counter[str] = Counter()
     for token in tokens[pair.between_start : pair.between_end]:
-        features[f"bet:{normalize_surface(token.text)}"] += 1
+        features[f"bet:{normalize_token(token.text)}"] += 1
     forward = pair.head_mention.start < pair.tail_mention.start
     features[f"dir:{'fwd' if forward else 'rev'}"] += 1
     if pair.token_distance <= 2:

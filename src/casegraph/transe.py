@@ -226,6 +226,9 @@ def train(
         config = model.config
     if not kb.triples:
         raise ConfigError("cannot train on an empty triple store")
+    for vec in (*model.entity_vectors.values(), *model.relation_vectors.values()):
+        if vec.shape != (config.dim,):
+            raise ConfigError(f"config dim is {config.dim} but the model's vectors have shape {vec.shape}")
     trained = EmbeddingModel(dict(model.entity_vectors), dict(model.relation_vectors), config)
     triples = sorted(kb.triples, key=lambda t: (t.head, t.relation, t.tail))
     entity_list = sorted(trained.entity_vectors)
@@ -445,6 +448,9 @@ def _vector_table(rows: dict, dim: int, kind: str) -> dict[str, np.ndarray]:
         raise FormatError(f"model has no {kind} vectors")
     table = {}
     for name, values in rows.items():
+        # JSON numbers only: numpy would also read "0.5" and true as floats.
+        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+            raise FormatError(f"{kind} {name}: vector components must be JSON numbers")
         vec = np.array(values, dtype=float)
         if vec.shape != (dim,):
             raise FormatError(f"{kind} {name}: vector of shape {vec.shape}, expected ({dim},)")

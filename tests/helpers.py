@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -30,8 +31,9 @@ from casegraph.kb import (
     load_triples,
     normalize_surface,
 )
-from casegraph.linking import Mention, tokenize
+from casegraph.linking import Mention, SentenceSpan, Token, tokenize
 from casegraph.network import SemanticNetwork, write_networks
+from casegraph.relations import CandidatePair
 from casegraph.transe import EmbeddingModel, margin_loss, margin_loss_gradients
 
 FIXTURE_LEXICON_ROWS = [
@@ -207,6 +209,80 @@ def random_fixture_text(lexicon: Lexicon, rng: random.Random, num_words: int = 2
         if rng.random() < 0.2:
             pieces.append(rng.choice([",", ".", ";", "!", "?", " -"]))
     return " ".join(pieces)
+
+
+# --- text front-end oracles ----------------------------------------------------------
+
+
+def _oracle_byte_offsets(text: str) -> list[int]:
+    offsets = [0]
+    total = 0
+    for ch in text:
+        total += len(ch.encode("utf-8"))
+        offsets.append(total)
+    return offsets
+
+
+def oracle_tokenize(text: str) -> list[Token]:
+    """Alphanumeric runs with byte offsets summed character by character."""
+    offsets = _oracle_byte_offsets(text)
+    return [Token(m.group(), offsets[m.start()], offsets[m.end()]) for m in re.finditer(r"[^\W_]+", text)]
+
+
+def oracle_split_sentences(text: str, tokens: list[Token]) -> list[SentenceSpan]:
+    """Sentence spans found by testing ``isspace`` on every character."""
+    cuts = []
+    for m in re.finditer(r"[.?!]", text):
+        j = m.end()
+        if j >= len(text) or text[j].isspace():
+            cuts.append(j)
+    if not cuts or cuts[-1] != len(text):
+        cuts.append(len(text))
+    offsets = _oracle_byte_offsets(text)
+    spans = []
+    prev = 0
+    token_idx = 0
+    for cut in cuts:
+        first = last = None
+        for i in range(prev, cut):
+            if not text[i].isspace():
+                if first is None:
+                    first = i
+                last = i
+        prev = cut
+        if first is None:
+            continue
+        start_b, end_b = offsets[first], offsets[last + 1]
+        tok_start = token_idx
+        while token_idx < len(tokens) and tokens[token_idx].start < end_b:
+            token_idx += 1
+        spans.append(SentenceSpan(start_b, end_b, tok_start, token_idx))
+    return spans
+
+
+def oracle_generate_candidates(doc_id, mentions, sentences, tokens, window) -> list[CandidatePair]:
+    """Candidate pairs found by scanning every mention for every sentence."""
+    ranges = []
+    for m in mentions:
+        first = next(k for k, t in enumerate(tokens) if t.start == m.start)
+        last = next(k for k in range(first, len(tokens)) if tokens[k].end >= m.end)
+        ranges.append((first, last))
+    pairs = []
+    for sentence in sentences:
+        inside = [i for i, (first, last) in enumerate(ranges) if first >= sentence.token_start and last < sentence.token_end]
+        for i in inside:
+            for j in inside:
+                if i == j:
+                    continue
+                (h_first, h_last), (t_first, t_last) = ranges[i], ranges[j]
+                if mentions[i].start < mentions[j].start:
+                    between = (h_last + 1, t_first)
+                else:
+                    between = (t_last + 1, h_first)
+                distance = between[1] - between[0]
+                if distance <= window:
+                    pairs.append(CandidatePair(doc_id, mentions[i], mentions[j], sentence, *between, distance))
+    return pairs
 
 
 # --- linker oracle -----------------------------------------------------------

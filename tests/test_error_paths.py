@@ -17,12 +17,12 @@ from casegraph.errors import (
     ValidationError,
 )
 from casegraph.kb import build_lexicon, build_triple_store, load_corpus, load_lexicon, load_triples
-from casegraph.linking import Mention, read_mentions, tokenize
+from casegraph.linking import Mention, read_mentions, split_sentences, tokenize
 from casegraph.network import SemanticNetwork, enrich_network, read_networks
 from casegraph.relations import (
     RelationInstance,
-    _mention_token_range,
     extract_relations,
+    generate_candidates,
     load_extractor,
     read_edges,
     train_extractor,
@@ -116,10 +116,18 @@ class TestExtractorDegenerate:
             extract_relations([], model, 1.5, [], lexicon)
 
     def test_misaligned_mention_rejected(self):
-        tokens = tokenize("plain words here")
+        text = "plain words here"
+        tokens = tokenize(text)
         mention = Mention(2, 7, "ain w", ("C1",), "C1", 1.0)
         with pytest.raises(ValidationError, match="token boundary"):
-            _mention_token_range(mention, tokens)
+            generate_candidates("d", [mention], split_sentences(text, tokens), tokens, 5)
+
+    def test_mention_past_last_token_rejected(self):
+        text = "plain words here"
+        tokens = tokenize(text)
+        mention = Mention(6, 40, "words here", ("C1",), "C1", 1.0)
+        with pytest.raises(ValidationError, match="past the last token"):
+            generate_candidates("d", [mention], split_sentences(text, tokens), tokens, 5)
 
 
 class TestEnrichDegenerate:

@@ -81,3 +81,23 @@ def test_damaged_transe_model(pipeline, data):
         assert code in (0, 1, 2), err
         assert "Traceback" not in err
         assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, err
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(data=st.data())
+def test_non_numeric_vector_component(pipeline, data):
+    # A component that JSON holds as a string, boolean or null is a data
+    # error, even where numpy could read it as a float.
+    tmp, fixtures, networks, valid = pipeline
+    payload = json.loads(valid)
+    table = payload[data.draw(st.sampled_from(["entities", "relations"]))]
+    vector = table[data.draw(st.sampled_from(sorted(table)))]
+    vector[data.draw(st.integers(0, len(vector) - 1))] = data.draw(
+        st.booleans() | st.none() | st.floats(allow_nan=False).map(repr) | st.integers(-3, 3).map(str)
+    )
+    model = tmp / "non_numeric.json"
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    code, err = run_quietly(["eval-lp", "--triples", fixtures["triples"], "--transe-model", str(model), "--out", str(tmp / "out")])
+    assert code == 2, err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()[-1:]
+    assert "vector components must be JSON numbers" in err

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import sys
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from casegraph.kb import normalize_surface
+from casegraph.kb import build_lexicon, normalize_surface, normalize_token
 from casegraph.linking import (
     link,
     mention_to_dict,
@@ -20,6 +22,11 @@ from casegraph.linking import (
 # Letters, digits, CJK, accents, punctuation, and whitespace; no combining
 # marks or case-ignorable apostrophes, which have no byte-stable lowercase.
 _TEXT_ALPHABET = "abcXYZ019 éüñα中文.!?,-\t\n"
+
+# ASCII, 2-, 3- and 4-byte code points, sentence terminators, and every
+# class of whitespace that ``str.isspace`` knows: ASCII controls, the
+# information separators, NEL, no-break space and the ideographic space.
+_FRONT_END_ALPHABET = "aZ09_.?!,é中😀 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000"
 
 
 class TestTokenize:
@@ -82,6 +89,27 @@ class TestSplitSentences:
             assert fragment == fragment.strip()
 
 
+class TestFrontEndOracle:
+    """The offset and trimming fast paths against per-character oracles."""
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(st.text(alphabet=_FRONT_END_ALPHABET, max_size=80))
+    def test_tokenize_and_split_match_oracles(self, text):
+        tokens = tokenize(text)
+        assert tokens == helpers.oracle_tokenize(text)
+        assert split_sentences(text, tokens) == helpers.oracle_split_sentences(text, tokens)
+
+    def test_whitespace_rules_agree_on_every_code_point(self):
+        space = re.compile(r"\s")
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            assert ch.isspace() == (ch.strip() == "") == bool(space.match(ch)), hex(code)
+
+    @given(st.text(alphabet="aZ09éİß中_-", max_size=6))
+    def test_normalize_token_matches_normalize_surface(self, token):
+        assert normalize_token(token) == normalize_surface(token)
+
+
 class TestLink:
     def test_longest_match_beats_shorter(self, lexicon):
         mentions = link("Acute myocardial infarction treated with aspirin.", lexicon)
@@ -131,6 +159,13 @@ class TestLink:
         for _ in range(25):
             text = helpers.random_fixture_text(lexicon, rng)
             assert link(text, lexicon) == helpers.oracle_link(text, lexicon)
+
+    def test_token_normalising_to_several_words_is_probed(self):
+        # 'İx' lowercases to 'i', a combining dot and 'x': one token, two words.
+        lexicon = build_lexicon([("C1", "i x", [], "T1"), ("C2", "x ray", [], "T1")])
+        text = "See İx, then İx ray."
+        assert link(text, lexicon) == helpers.oracle_link(text, lexicon)
+        assert [m.surface for m in link(text, lexicon)] == ["İx", "İx"]
 
     def test_candidates_keep_priority_order(self, tmp_path):
         path = tmp_path / "lex.tsv"

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 import helpers
 from casegraph.errors import TrainingError
 from casegraph.kb import build_triple_store
-from casegraph.linking import link, split_sentences, tokenize
+from casegraph.linking import Mention, link, split_sentences, tokenize
 from casegraph.relations import (
     NA_LABEL,
     ExtractorHyperparams,
@@ -54,6 +56,26 @@ class TestGenerateCandidates:
         assert pairs == []
         _, pairs = analyze(text, lexicon, window=6)
         assert len(pairs) == 2
+
+    def test_matches_per_sentence_oracle_on_shuffled_overlapping_mentions(self, lexicon):
+        # Mentions read from a file by ``extract`` may be in any order and may
+        # overlap; the pairs must keep the order of the per-sentence scan.
+        rng = random.Random(5)
+        for _ in range(40):
+            text = helpers.random_fixture_text(lexicon, rng, num_words=40)
+            tokens = tokenize(text)
+            sentences = split_sentences(text, tokens)
+            mentions = link(text, lexicon, tokens=tokens)
+            for _ in range(rng.randint(0, 8)):
+                first = rng.randrange(len(tokens))
+                last = min(len(tokens) - 1, first + rng.randint(0, 3))
+                start, end = tokens[first].start, tokens[last].end
+                mentions.append(Mention(start, end, text.encode()[start:end].decode(), ("C1",), "C1", 1.0))
+            mentions += rng.sample(mentions, k=len(mentions) // 4)  # exact duplicates
+            rng.shuffle(mentions)
+            window = rng.choice([0, 2, 30])
+            expected = helpers.oracle_generate_candidates("d", mentions, sentences, tokens, window)
+            assert generate_candidates("d", mentions, sentences, tokens, window) == expected
 
 
 class TestDistantLabel:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from casegraph.errors import ConfigError, UnknownIdentifierError, UsageError
+from casegraph.errors import ConfigError, FormatError, UnknownIdentifierError, UsageError
 from casegraph.kb import Triple, build_triple_store
 from casegraph.transe import (
     EmbeddingModel,
@@ -18,6 +18,7 @@ from casegraph.transe import (
     load_model,
     margin_loss,
     margin_loss_gradients,
+    model_from_dict,
     model_to_dict,
     plausibility,
     rank_heads,
@@ -173,6 +174,13 @@ class TestTrain:
         train(init_model(kb.entities, kb.relations, config), kb, config, on_epoch=check)
         assert len(norms_seen) == 10
         assert max(norms_seen) < 1e-6
+
+    def test_config_dim_must_match_model(self):
+        # Training such a model would write a file that load_model refuses.
+        kb = helpers.planted_toy_kb(num_triples=10)
+        model = init_model(kb.entities, kb.relations, TrainConfig(dim=8))
+        with pytest.raises(ConfigError, match="dim is 4"):
+            train(model, kb, TrainConfig(dim=4, epochs=2))
 
     def test_input_model_untouched(self):
         kb = helpers.planted_toy_kb(num_triples=10)
@@ -427,6 +435,18 @@ class TestModelIO:
         for name, vec in model.relation_vectors.items():
             assert np.array_equal(loaded.relation_vectors[name], vec)
         assert loaded.config == config
+
+    @pytest.mark.parametrize("component", ["0.5", True, False, None, [0.5]])
+    def test_non_numeric_components_rejected(self, component):
+        payload = model_to_dict(toy_model())
+        payload["entities"]["C1"] = [component, 1.0]
+        with pytest.raises(FormatError, match="entity C1: vector components must be JSON numbers"):
+            model_from_dict(payload)
+
+    def test_integer_components_accepted(self):
+        payload = model_to_dict(toy_model())
+        payload["relations"]["r"] = [0, 1]
+        assert model_from_dict(payload).relation_vectors["r"].tolist() == [0.0, 1.0]
 
     def test_wrong_container_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
