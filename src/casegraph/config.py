@@ -1,4 +1,4 @@
-"""Pipeline configuration: defaults, config-file parsing, range validation.
+"""Pipeline configuration: defaults, config-file parsing, type and range validation.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment and keys
 match the ``PipelineConfig`` field names (``lambda`` is accepted for the
@@ -56,6 +56,9 @@ class PipelineConfig:
     seed: int = 13
 
     def validate(self) -> None:
+        for name, spec in _FIELDS.items():
+            if type(getattr(self, name)) not in _TYPES[spec.type]:
+                raise UsageError(f"config {name} must be {spec.type}, got {getattr(self, name)!r}")
         checks = [
             (self.window >= 0, "--window", "must be >= 0"),
             (0.0 <= self.theta_rel <= 1.0, "--theta-rel", "must be within [0, 1]"),
@@ -85,6 +88,15 @@ class PipelineConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+# The types each annotation admits; an int is a float, but a bool is no number.
+_TYPES = {
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "float": (int, float),
+    "bool": (bool,),
+}
 _KEY_ALIASES = {"lambda": "lambda_weight"}
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 

@@ -2,24 +2,38 @@
 
 The index bundles everything needed to answer queries with the exact
 pipeline the documents went through: the lexicon, the triple store, any
-trained models, the shared label compressor, and the per-document
-networks and kernel features. It persists as a single versioned JSON
-container whose bytes are reproducible for a fixed corpus, configuration,
-and seed. Kernel features and the compressor table are stored, because
-recomputing them makes loading markedly slower.
+trained models, the shared label compressor, and per document its network
+and kernel features. It persists as a single versioned JSON container
+(version 3) whose bytes are reproducible for a fixed corpus, configuration,
+and seed. It stores the sorted doc ids; the compressor's signatures in label
+order; the kernel features as a row-major CSR (``ptr``, ``labels``,
+``counts``, labels ascending within a row); and one compact network record
+per document (``network.network_to_record``), aligned with the doc ids.
+The kernel features and the compressor are stored because recomputing them
+makes loading markedly slower.
 
-What scoring needs is a pure function of the stored data, so it is rebuilt
-whenever an index is built or loaded (``DocRows``): an inverted index from
-each kernel label to the documents holding it, with each document's kernel
-self-norm, and a matrix of document embeddings with their norms. A query
-is scored against every document at once, by one scatter-add over its own
-labels and one matrix-vector product; the collection graph scores each
-document against the ones after it the same way.
+What scoring needs is a pure function of the stored data, so it is derived
+whenever an index is built or loaded (``DocRows``): the label-major transpose
+of the kernel features, i.e. an inverted index from each kernel label to the
+documents holding it, with each document's kernel self-norm, and a matrix
+of document embeddings with their norms, computed for all documents in one
+pass over the nodes' cuis and weights. A query is scored against every
+document at once, by one scatter-add over its own labels and one
+matrix-vector product; the collection graph scores each document against the
+ones after it the same way.
+
+Loading checks everything before it returns: the configuration, the doc ids,
+that every part covers the same documents, the compressor, that every kernel
+label lies below the compressor's next label with a positive integer count,
+and every network record (``network.record_nodes``). It builds no network:
+``Index.networks`` of a loaded index decodes a record on first access. An
+older container version is refused with ``FormatError``.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -45,9 +59,11 @@ from .network import (
     SemanticNetwork,
     build_network,
     enrich_network,
+    first_unordered_row,
     fuse_network,
-    network_from_dict,
-    network_to_dict,
+    network_from_record,
+    network_to_record,
+    record_nodes,
 )
 from .relations import (
     CandidatePair,
@@ -58,13 +74,13 @@ from .relations import (
     generate_candidates,
     kb_match_extract,
 )
-from .similarity import LabelCompressor, WlFeatureVector, combine, doc_embedding, wl_features
+from .similarity import LabelCompressor, combine, doc_embedding, wl_features
 from .transe import EmbeddingModel, model_from_dict, model_to_dict
 
 log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "casegraph-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -83,7 +99,9 @@ class CollectionGraph:
 class DocRows:
     """The documents of an index as rows in sorted-id order, laid out for scoring all of them at once.
 
-    ``label_rows[label_ptr[l]:label_ptr[l + 1]]`` are the rows holding kernel
+    Row ``i`` holds kernel labels ``labels[ptr[i]:ptr[i + 1]]`` (ascending)
+    with ``counts`` of the same slice; this row-major form is what the index
+    stores. ``label_rows[label_ptr[l]:label_ptr[l + 1]]`` are the rows holding
     label ``l`` (ascending) and ``label_counts`` the matching counts; every
     row's integer self-dot is in ``self_dots``. ``embeddings`` holds one
     document embedding per row (no columns without an embedding model), and
@@ -91,12 +109,50 @@ class DocRows:
     """
 
     doc_ids: list[str]
+    ptr: np.ndarray
+    labels: np.ndarray
+    counts: np.ndarray
     label_ptr: np.ndarray
     label_rows: np.ndarray
     label_counts: np.ndarray
     self_dots: np.ndarray
     embeddings: np.ndarray
     embedding_norms: np.ndarray
+
+
+class StoredNetworks(Mapping):
+    """The networks of a loaded index, read-only, each decoded from its stored record on first access.
+
+    A decoded network replaces its record, so one form of each is held.
+    """
+
+    def __init__(self, doc_ids: list[str], records: list, lexicon: Lexicon):
+        self._doc_ids = doc_ids
+        self._records = dict(zip(doc_ids, records))
+        self._decoded: dict[str, SemanticNetwork] = {}
+        self._lexicon = lexicon
+
+    def __getitem__(self, doc_id: str) -> SemanticNetwork:
+        net = self._decoded.get(doc_id)
+        if net is None:
+            net = network_from_record(doc_id, self._records[doc_id], self._lexicon)
+            del self._records[doc_id]
+            self._decoded[doc_id] = net
+        return net
+
+    def __contains__(self, doc_id: object) -> bool:
+        return doc_id in self._records or doc_id in self._decoded
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._doc_ids)
+
+    def __len__(self) -> int:
+        return len(self._doc_ids)
+
+    def record(self, doc_id: str) -> list:
+        """The stored record of a network, re-encoded once it has been decoded."""
+        raw = self._records.get(doc_id)
+        return raw if raw is not None else network_to_record(self._decoded[doc_id])
 
 
 @dataclass
@@ -107,9 +163,8 @@ class Index:
     extractor: ExtractorModel | None
     transe: EmbeddingModel | None
     compressor: LabelCompressor
-    networks: dict[str, SemanticNetwork] = field(default_factory=dict)
-    wl_vectors: dict[str, WlFeatureVector] = field(default_factory=dict)
-    rows: DocRows | None = None  # rebuilt from the above and transe by _derive_maps, never persisted
+    networks: Mapping[str, SemanticNetwork] = field(default_factory=dict)
+    rows: DocRows | None = None  # set by index_corpus and on load; its row-major kernel features are persisted
 
     @property
     def h(self) -> int:
@@ -180,67 +235,98 @@ def index_corpus(
             raise ValidationError(f"duplicate document id {doc.id}")
         seen.add(doc.id)
     index = Index(config, lexicon, kb, extractor, transe, LabelCompressor())
-    for doc in corpus:
+    features = {}
+    for doc in corpus:  # in corpus order, which decides the compressed labels
         net = document_network(doc, lexicon, config, kb, extractor, transe)
         index.networks[doc.id] = net
-        index.wl_vectors[doc.id] = wl_features(net, config.h, index.compressor)
-    _derive_maps(index)
+        features[doc.id] = sorted(wl_features(net, config.h, index.compressor).counts.items())
+    doc_ids = sorted(index.networks)
+    ptr, labels, counts = _flatten([features[doc_id] for doc_id in doc_ids])
+    node_ptr, cuis, weights = _flatten(
+        [[(cui, net.nodes[cui].weight) for cui in sorted(net.nodes)] for net in map(index.networks.get, doc_ids)]
+    )
+    nodes = (node_ptr, list(cuis), np.array(weights, np.int64))
+    index.rows = _derive_rows(
+        doc_ids, ptr, np.array(labels, np.int64), np.array(counts, np.int64), nodes, index.compressor.next_id, transe
+    )
     log.info("indexed %d documents (%d kernel labels)", len(corpus), index.compressor.next_id)
     return index
 
 
-def _embedding(net: SemanticNetwork, transe: EmbeddingModel | None) -> np.ndarray:
-    return doc_embedding(net, transe).vector if transe is not None else np.zeros(0)
+def _flatten(rows: list[list[tuple]]) -> tuple[np.ndarray, tuple, tuple]:
+    """Rows of pairs as a CSR row pointer and the two columns of all the pairs."""
+    pairs = list(chain.from_iterable(rows))
+    first, second = zip(*pairs) if pairs else ((), ())
+    return np.cumsum([0, *map(len, rows)]), first, second
 
 
-def _derive_maps(index: Index) -> None:
-    """Rebuild ``index.rows`` from the networks, the kernel features and the embedding model.
+def _embed_rows(ptr: np.ndarray, cuis: list[str], weights: np.ndarray, transe: EmbeddingModel | None) -> np.ndarray:
+    """``doc_embedding`` of every row at once; row ``i`` has the nodes ``cuis[ptr[i]:ptr[i + 1]]`` in cui order.
 
-    Raises FormatError for a kernel label outside [0, next_id) or a count that
-    is not a positive integer, which only an edited index file can hold.
+    Step j adds the j-th weighted node vector of every row that has one, so
+    each row sums its nodes in the order ``doc_embedding`` does and gets its
+    bits.
     """
-    doc_ids = sorted(index.networks)
-    features = [index.wl_vectors[doc_id].counts for doc_id in doc_ids]
-    if not set(map(type, chain.from_iterable(map(dict.values, features)))) <= {int}:
-        raise FormatError("kernel feature counts must be integers")
-    sizes = np.fromiter(map(len, features), np.int64, len(features))
-    total = int(sizes.sum())
-    labels = np.fromiter(chain.from_iterable(features), np.int64, total)
-    counts = np.fromiter(chain.from_iterable(map(dict.values, features)), np.int64, total)
-    next_id = index.compressor.next_id
-    if total and (labels.min() < 0 or labels.max() >= next_id):
-        raise FormatError(f"kernel feature label outside [0, {next_id})")
-    if total and counts.min() < 1:
-        raise FormatError("kernel feature counts must be positive")
-    rows = np.repeat(np.arange(len(doc_ids)), sizes)
+    if transe is None:
+        return np.zeros((len(ptr) - 1, 0))
+    entity = {cui: i for i, cui in enumerate(transe.entity_vectors)}
+    matrix = np.array(list(transe.entity_vectors.values())).reshape(len(entity), transe.config.dim)
+    entities = np.array([entity.get(cui, -1) for cui in cuis], np.int64)
+    known = entities >= 0  # nodes without an entity vector are skipped
+    rows = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))[known]
+    entities, weights = entities[known], weights[known]
+    steps = np.arange(len(rows)) - np.searchsorted(rows, rows)  # each node's position within its row
+    order = np.argsort(steps, kind="stable")
+    bounds = np.searchsorted(steps[order], np.arange(steps.max(initial=-1) + 2))
+    embeddings = np.zeros((len(ptr) - 1, transe.config.dim))
+    for start, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        step = order[start:end]  # one node of each row at most
+        embeddings[rows[step]] += weights[step, None] * matrix[entities[step]]
+    masses = np.bincount(rows, weights=weights, minlength=len(ptr) - 1)
+    massive = masses > 0
+    embeddings[massive] /= masses[massive, None]
+    return embeddings
+
+
+def _derive_rows(
+    doc_ids: list[str],
+    ptr: np.ndarray,
+    labels: np.ndarray,
+    counts: np.ndarray,
+    nodes: tuple[np.ndarray, list[str], np.ndarray],
+    next_id: int,
+    transe: EmbeddingModel | None,
+) -> DocRows:
+    """``DocRows`` from the row-major kernel features, the rows' nodes (see ``_embed_rows``) and the embedding model."""
+    rows = np.repeat(np.arange(len(doc_ids)), np.diff(ptr))
     order = np.argsort(labels, kind="stable")  # rows stay ascending within a label
     label_ptr = np.zeros(next_id + 1, np.int64)
     np.cumsum(np.bincount(labels, minlength=next_id), out=label_ptr[1:])
-    dim = index.transe.config.dim if index.transe is not None else 0
-    embeddings = np.zeros((len(doc_ids), dim))
-    for row, doc_id in enumerate(doc_ids):
-        embeddings[row] = _embedding(index.networks[doc_id], index.transe)
-    index.rows = DocRows(
+    embeddings = _embed_rows(*nodes, transe)
+    return DocRows(
         doc_ids,
+        ptr,
+        labels,
+        counts,
         label_ptr,
         rows[order],
         counts[order],
         np.bincount(rows, weights=counts * counts, minlength=len(doc_ids)).astype(np.int64),  # exact below 2**53
         embeddings,
-        np.fromiter(map(np.linalg.norm, embeddings), float, len(doc_ids)),
+        np.sqrt(np.array([row.dot(row) for row in embeddings])),  # what np.linalg.norm computes, row by row
     )
 
 
-def _score_rows(rows: DocRows, query: WlFeatureVector, embedding: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """``combine`` of the query with every row: the scores and the integer kernel dots.
+def _score_rows(
+    rows: DocRows, labels: np.ndarray, counts: np.ndarray, embedding: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``combine`` of a query (its kernel labels, counts and embedding) with every row: the scores and the kernel dots.
 
     The kernel is ``dot / sqrt(qq * self_dot)`` on exact integers, as
     ``wl_kernel_normalized`` computes it; the kernel and the cosine are 0
     against an empty graph or a zero embedding.
     """
     n = len(rows.doc_ids)
-    labels = np.fromiter(query.counts, np.int64, len(query.counts))
-    counts = np.fromiter(query.counts.values(), np.int64, len(query.counts))
     known = labels < len(rows.label_ptr) - 1  # overlay labels of a query occur in no document
     starts, ends = rows.label_ptr[labels[known]], rows.label_ptr[labels[known] + 1]
     lengths = ends - starts
@@ -255,6 +341,20 @@ def _score_rows(rows: DocRows, query: WlFeatureVector, embedding: np.ndarray, la
     cos_norms = np.linalg.norm(embedding) * rows.embedding_norms
     cos = np.divide(np.einsum("ij,j->i", rows.embeddings, embedding), cos_norms, out=np.zeros(n), where=cos_norms != 0)
     return combine(kernel, cos, lam), dots
+
+
+def _top_rows(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` candidates in (-score, row) order, without sorting them all.
+
+    Only the candidates scoring at least the k-th best score are sorted,
+    every one tied with it included, so the result is the prefix of a full
+    stable sort.
+    """
+    ranked = scores[candidates]
+    if k < len(candidates):
+        kept = ranked >= -np.partition(-ranked, k - 1)[k - 1]  # the k-th best score and all tied with it
+        candidates, ranked = candidates[kept], ranked[kept]
+    return candidates[np.argsort(-ranked, kind="stable")[:k]]  # stable: ties keep doc id order
 
 
 def search(
@@ -278,10 +378,11 @@ def search(
         raise UsageError(f"lambda must be within [0, 1], got {lam}")
     query_doc = Document("query", "", query_text)
     net = document_network(query_doc, index.lexicon, index.config, index.kb, index.extractor, index.transe)
-    query_vector = wl_features(net, index.h, index.compressor.overlay())
-    scores, dots = _score_rows(index.rows, query_vector, _embedding(net, index.transe), lam)
-    candidates = np.flatnonzero(dots) if prune else np.arange(len(scores))
-    top = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]  # stable: ties keep doc id order
+    counts = wl_features(net, index.h, index.compressor.overlay()).counts
+    labels = np.fromiter(counts, np.int64, len(counts))
+    embedding = doc_embedding(net, index.transe).vector if index.transe is not None else np.zeros(0)
+    scores, dots = _score_rows(index.rows, labels, np.fromiter(counts.values(), np.int64, len(counts)), embedding, lam)
+    top = _top_rows(scores, np.flatnonzero(dots) if prune else np.arange(len(scores)), k)
     doc_ids = index.rows.doc_ids
     return [
         SearchResult(doc_ids[row], score, rank)
@@ -298,9 +399,11 @@ def build_collection_graph(index: Index, lam: float | None = None, tau_doc: floa
     if not 0.0 <= tau_doc <= 1.0:
         raise UsageError(f"tau_doc must be within [0, 1], got {tau_doc}")
     rows = index.rows
+    ptr = rows.ptr.tolist()
     edges = []
     for i, doc_a in enumerate(rows.doc_ids):
-        scores, _ = _score_rows(rows, index.wl_vectors[doc_a], rows.embeddings[i], lam)
+        own = slice(ptr[i], ptr[i + 1])
+        scores, _ = _score_rows(rows, rows.labels[own], rows.counts[own], rows.embeddings[i], lam)
         kept = np.flatnonzero(scores[i + 1 :] >= tau_doc) + i + 1
         edges += [(doc_a, rows.doc_ids[j], float(scores[j])) for j in kept.tolist()]
     return CollectionGraph(edges)
@@ -327,6 +430,11 @@ def index_to_dict(index: Index) -> dict:
     config = index.config.to_dict()
     for field_name in _PATH_FIELDS:
         config[field_name] = None
+    rows, networks, table = index.rows, index.networks, index.compressor.table
+    if isinstance(networks, StoredNetworks):
+        records = [networks.record(doc_id) for doc_id in rows.doc_ids]
+    else:
+        records = [network_to_record(networks[doc_id]) for doc_id in rows.doc_ids]
     return {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -335,43 +443,74 @@ def index_to_dict(index: Index) -> dict:
         "kb": triples_to_dict(index.kb) if index.kb is not None else None,
         "extractor": extractor_to_dict(index.extractor) if index.extractor is not None else None,
         "transe": model_to_dict(index.transe) if index.transe is not None else None,
-        "compressor": {"table": index.compressor.table, "next_id": index.compressor.next_id},
-        "networks": {doc_id: network_to_dict(net) for doc_id, net in index.networks.items()},
-        "wl": {
-            doc_id: {str(label): count for label, count in vec.counts.items()}
-            for doc_id, vec in index.wl_vectors.items()
-        },
+        # json.dumps output never holds a raw newline, so one joins the signatures unambiguously.
+        "compressor": {"next_id": index.compressor.next_id, "signatures": "\n".join(sorted(table, key=table.get))},
+        "docs": list(rows.doc_ids),
+        "wl": {"ptr": rows.ptr.tolist(), "labels": rows.labels.tolist(), "counts": rows.counts.tolist()},
+        "networks": records,
     }
 
 
+def _integers(values: list, what: str) -> np.ndarray:
+    """A JSON list of integers as an int64 array; ``np.array`` alone would take booleans, floats and numeric strings."""
+    if type(values) is not list or not set(map(type, values)) <= {int}:
+        raise FormatError(f"kernel feature {what} must be a list of integers")
+    return np.array(values, np.int64)
+
+
+def _check_features(docs: list, ptr: np.ndarray, labels: np.ndarray, counts: np.ndarray, next_id: int) -> None:
+    """Raise FormatError unless the row-major kernel features fit the documents and the compressor."""
+    if len(ptr) != len(docs) + 1 or ptr[0] != 0 or ptr[-1] != len(labels) or len(counts) != len(labels):
+        raise FormatError(f"kernel features cover different documents than the {len(docs)} indexed")
+    if np.any(np.diff(ptr) < 0):
+        raise FormatError("kernel feature row pointers must not decrease")
+    if len(labels) and (labels.min() < 0 or labels.max() >= next_id):
+        raise FormatError(f"kernel feature label outside [0, {next_id})")
+    if len(counts) and counts.min() < 1:
+        raise FormatError("kernel feature counts must be positive")
+    row = first_unordered_row(np.diff(labels) > 0, ptr)
+    if row >= 0:
+        raise FormatError(f"document {docs[row]}: kernel feature labels must ascend strictly")
+
+
 def index_from_dict(data: dict) -> Index:
-    """Decode a container payload, check it is consistent, and rebuild the derived maps."""
+    """Decode a container payload and check it in full; networks stay records until they are read."""
     config = PipelineConfig(**data["config"])
     try:
         config.validate()
     except UsageError as exc:
         raise FormatError(f"invalid config ({exc})") from None
-    if set(data["wl"]) != set(data["networks"]):
-        raise FormatError("kernel features and networks cover different documents")
     compressor = LabelCompressor()
-    compressor.table = dict(data["compressor"]["table"])
     compressor.next_id = data["compressor"]["next_id"]
     if type(compressor.next_id) is not int or compressor.next_id < 0:
         raise FormatError(f"compressor next_id must be a non-negative integer, got {compressor.next_id!r}")
+    signatures = data["compressor"]["signatures"]
+    if type(signatures) is not str:
+        raise FormatError("compressor signatures must be a string")
+    signatures = signatures.split("\n") if signatures else []
+    compressor.table = dict(zip(signatures, range(len(signatures))))  # a signature's label is its position
+    if not len(signatures) == len(compressor.table) == compressor.next_id:
+        raise FormatError(f"compressor next_id {compressor.next_id} is not its number of distinct signatures")
+    docs, records = data["docs"], data["networks"]
+    if type(docs) is not list or not set(map(type, docs)) <= {str} or docs != sorted(set(docs)):
+        raise FormatError("doc ids must be distinct strings in ascending order")
+    if type(records) is not list or len(records) != len(docs):
+        raise FormatError(f"networks cover different documents than the {len(docs)} indexed")
+    wl = data["wl"]
+    ptr, labels, counts = (_integers(wl[key], key) for key in ("ptr", "labels", "counts"))
+    _check_features(docs, ptr, labels, counts, compressor.next_id)
+    nodes = record_nodes(docs, records)
+    lexicon = lexicon_from_dict(data["lexicon"])
     index = Index(
         config,
-        lexicon_from_dict(data["lexicon"]),
+        lexicon,
         triples_from_dict(data["kb"]) if data["kb"] is not None else None,
         extractor_from_dict(data["extractor"]) if data["extractor"] is not None else None,
         model_from_dict(data["transe"]) if data["transe"] is not None else None,
         compressor,
+        StoredNetworks(docs, records, lexicon),
     )
-    index.networks = {doc_id: network_from_dict(net) for doc_id, net in data["networks"].items()}
-    index.wl_vectors = {
-        doc_id: WlFeatureVector({int(label): count for label, count in counts.items()}, config.h, compressor)
-        for doc_id, counts in data["wl"].items()
-    }
-    _derive_maps(index)
+    index.rows = _derive_rows(docs, ptr, labels, counts, nodes, compressor.next_id, index.transe)
     return index
 
 

@@ -24,6 +24,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -214,6 +215,10 @@ def lexicon_from_dict(data: dict) -> Lexicon:
         lexicon._order.append(row["cui"])
     lexicon.surface_index = {k: list(v) for k, v in data["surface_index"].items()}
     lexicon.max_surface_token_len = data["max_surface_token_len"]
+    if type(lexicon.max_surface_token_len) is not int or lexicon.max_surface_token_len < 0:
+        raise FormatError("lexicon max_surface_token_len must be a non-negative integer")
+    if not set(map(type, chain.from_iterable(lexicon.surface_index.values()))) <= {str}:
+        raise FormatError("lexicon surface index must map surfaces to lists of cuis")
     return lexicon
 
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConsistencyError, UsageError, ValidationError
+from .errors import ConsistencyError, FormatError, UsageError, ValidationError
 from .kb import Lexicon, jsonl, read_jsonl
 from .linking import Mention
 from .transe import EmbeddingModel, distances, plausibility
@@ -71,6 +73,12 @@ class SemanticNetwork:
         return {e.key() for e in self.edges}
 
 
+def node_name(cui: str, lexicon: Lexicon) -> str:
+    """The name of a concept's node: its preferred name, or the cui if the lexicon lacks it."""
+    concept = lexicon.concepts.get(cui)
+    return concept.preferred_name if concept else cui
+
+
 def build_network(doc_id: str, mentions: list[Mention], edges: list[Edge], lexicon: Lexicon) -> SemanticNetwork:
     """Aggregate mentions into weighted nodes and attach deduplicated edges.
 
@@ -81,9 +89,7 @@ def build_network(doc_id: str, mentions: list[Mention], edges: list[Edge], lexic
     for mention in mentions:
         node = net.nodes.get(mention.primary_cui)
         if node is None:
-            concept = lexicon.concepts.get(mention.primary_cui)
-            name = concept.preferred_name if concept else mention.primary_cui
-            node = Node(mention.primary_cui, name, [])
+            node = Node(mention.primary_cui, node_name(mention.primary_cui, lexicon), [])
             net.nodes[mention.primary_cui] = node
         node.mention_spans.append((mention.start, mention.end))
     best: dict[tuple[str, str, str], Edge] = {}
@@ -218,6 +224,104 @@ def network_from_dict(data: dict) -> SemanticNetwork:
             if endpoint not in net.nodes:
                 raise ConsistencyError(f"edge endpoint {endpoint} has no node in document {data['doc_id']}")
         net.edges.append(edge)
+    return net
+
+
+def network_to_record(net: SemanticNetwork) -> list:
+    """The compact record of a network that an index stores: ``[nodes, edges]``.
+
+    Nodes are ``[cui, [s0, e0, s1, e1, ...]]`` in cui order and edges
+    ``[head, tail, rel, conf, prov]`` in network order. The doc id, node
+    names and weights are left out: the index keeps records aligned with its
+    doc ids, a name comes from the lexicon (``node_name``) and a weight is
+    the number of spans.
+    """
+    return [
+        [[cui, [bound for span in net.nodes[cui].mention_spans for bound in span]] for cui in sorted(net.nodes)],
+        [[e.head, e.tail, e.relation, e.confidence, e.provenance] for e in net.edges],
+    ]
+
+
+def first_unordered_row(ascending: np.ndarray, ptr: np.ndarray) -> int:
+    """The first row of a CSR layout whose items do not ascend strictly, or -1.
+
+    Row ``r`` holds items ``ptr[r]:ptr[r + 1]``; ``ascending[i]`` says whether
+    item ``i + 1`` is above item ``i``. Pairs across rows are ignored (and set
+    in ``ascending``).
+    """
+    starts = ptr[1:-1]
+    ascending[starts[(starts > 0) & (starts <= len(ascending))] - 1] = True
+    unordered = np.flatnonzero(~ascending)
+    return int(np.searchsorted(ptr, unordered[0], "right")) - 1 if len(unordered) else -1
+
+
+def _columns(rows: list, width: int, what: str) -> list[tuple]:
+    """The columns of ``rows``, each of which must be a list of ``width`` items."""
+    if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {width}:
+        raise FormatError(f"every {what} must be a list of {width} items")
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def record_nodes(doc_ids: list[str], records: list) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Check the network records of an index in full; their nodes as ``(ptr, cuis, weights)``.
+
+    Document ``i`` has the nodes ``cuis[ptr[i]:ptr[i + 1]]``, in cui order,
+    with their weights. Raises FormatError unless ``network_from_record`` can
+    decode every record into a valid network: node cuis are strings that
+    ascend strictly within a document, each with a non-empty, even-length
+    list of integer span bounds, and every edge joins two distinct nodes of
+    its document with a string relation, a float confidence in (0, 1] and a
+    known provenance. The checks run over all records at once.
+    """
+    nodes, edges = _columns(records, 2, "network record")
+    if not set(map(type, nodes)) | set(map(type, edges)) <= {list}:
+        raise FormatError("the nodes and edges of a network record must be lists")
+    node_ptr = np.cumsum([0, *map(len, nodes)])
+    cuis, spans = _columns(list(chain.from_iterable(nodes)), 2, "network node")
+    heads, tails, relations, confidences, provenances = _columns(list(chain.from_iterable(edges)), 5, "network edge")
+    if not set(map(type, cuis)) <= {str}:
+        raise FormatError("network node cuis must be strings")
+    row = first_unordered_row(np.fromiter(map(operator.lt, cuis, cuis[1:]), bool, max(len(cuis) - 1, 0)), node_ptr)
+    if row >= 0:
+        raise FormatError(f"document {doc_ids[row]}: node cuis must ascend strictly")
+    if not set(map(type, spans)) <= {list} or not set(map(type, chain.from_iterable(spans))) <= {int}:
+        raise FormatError("network node spans must be lists of integers")
+    sizes = np.fromiter(map(len, spans), np.int64, len(spans))
+    uneven = np.flatnonzero((sizes == 0) | (sizes % 2 == 1))
+    if len(uneven):
+        row = int(np.searchsorted(node_ptr, uneven[0], "right")) - 1
+        raise FormatError(f"document {doc_ids[row]}: node {cuis[uneven[0]]} needs a non-empty, even-length span list")
+    edge_ptr = np.cumsum([0, *map(len, edges)]).tolist()
+    for row, (start, end) in enumerate(zip(node_ptr.tolist(), node_ptr[1:].tolist())):
+        names = set(cuis[start:end])
+        for endpoints in (heads, tails):
+            if not names.issuperset(endpoints[edge_ptr[row] : edge_ptr[row + 1]]):
+                missing = sorted(set(endpoints[edge_ptr[row] : edge_ptr[row + 1]]) - names, key=repr)[0]
+                raise FormatError(f"document {doc_ids[row]}: edge endpoint {missing} has no node")
+    edge_rows = np.repeat(np.arange(len(records)), np.diff(edge_ptr))
+    loops = np.flatnonzero(np.fromiter(map(operator.eq, heads, tails), bool, len(heads)))
+    if len(loops):
+        raise FormatError(f"document {doc_ids[edge_rows[loops[0]]]}: self-loop edge on {heads[loops[0]]}")
+    if not set(map(type, relations)) <= {str} or not set(map(type, confidences)) <= {float}:
+        raise FormatError("network edges need string relations and float confidences")
+    confidence = np.array(confidences, float)
+    outside = np.flatnonzero(~((confidence > 0.0) & (confidence <= 1.0)))
+    if len(outside):
+        i = outside[0]
+        raise FormatError(f"document {doc_ids[edge_rows[i]]}: edge confidence {confidences[i]} outside (0, 1]")
+    unknown = set(provenances).difference(_PROVENANCES)
+    if unknown:
+        raise FormatError(f"unknown edge provenance {sorted(map(repr, unknown))[0]}")
+    return node_ptr, list(cuis), sizes // 2
+
+
+def network_from_record(doc_id: str, record: list, lexicon: Lexicon) -> SemanticNetwork:
+    """Decode a record that ``record_nodes`` accepted."""
+    nodes, edges = record
+    net = SemanticNetwork(doc_id)
+    for cui, spans in nodes:
+        net.nodes[cui] = Node(cui, node_name(cui, lexicon), list(zip(spans[::2], spans[1::2])))
+    net.edges = [Edge(*row) for row in edges]
     return net
 
 

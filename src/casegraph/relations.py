@@ -76,6 +76,8 @@ def _mention_token_range(mention: Mention, starts: Sequence[int], ends: Sequence
     last = bisect_left(ends, mention.end, first)
     if last == len(ends):
         raise ValidationError(f"mention at byte {mention.start} ends at byte {mention.end}, past the last token")
+    if ends[last] != mention.end:
+        raise ValidationError(f"mention at byte {mention.start} ends at byte {mention.end}, inside a token")
     return first, last
 
 

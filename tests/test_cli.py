@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import helpers
+from casegraph import engine
 from casegraph.cli import dispatch
+from casegraph.network import network_to_dict
 from casegraph.trec import read_run
 
 
@@ -118,15 +120,25 @@ class TestBadInputsExitTwo:
         assert named in self.assert_one_error_line(capsys)
 
 
+    def test_extract_with_mention_ending_inside_a_token(self, tmp_path, fixtures, capsys):
+        corpus, mentions = tmp_path / "corpus.jsonl", tmp_path / "mentions.jsonl"
+        corpus.write_text('{"id": "d", "title": "", "text": "aspirin treats fever."}\n', encoding="utf-8")
+        spans = [(0, 3, "asp"), (15, 17, "fe")]
+        mentions.write_text(json.dumps({"doc_id": "d", "mentions": [
+            {"start": s, "end": e, "surface": t, "candidates": ["C1"], "primary": "C1", "score": 1.0} for s, e, t in spans
+        ]}) + "\n", encoding="utf-8")
+        argv = ["extract", "--lexicon", fixtures["lexicon"], "--corpus", str(corpus), "--mentions", str(mentions)]
+        assert run_cli(*argv, "--mode", "kbmatch", "--triples", fixtures["triples"]) == 2
+        assert "inside a token" in self.assert_one_error_line(capsys)
+
     @pytest.mark.parametrize("edit", ["string count", "label out of range", "negative next_id"])
     def test_search_on_edited_index(self, tmp_path, fixtures, built_index, capsys, edit):
         payload = json.loads(built_index.read_text(encoding="utf-8"))
-        counts = payload["wl"][sorted(payload["wl"])[0]]
+        wl = payload["wl"]
         if edit == "string count":
-            label = next(iter(counts))
-            counts[label] = str(counts[label])
+            wl["counts"][0] = str(wl["counts"][0])
         elif edit == "label out of range":
-            counts[str(payload["compressor"]["next_id"])] = 1
+            wl["labels"][wl["ptr"][1] - 1] = payload["compressor"]["next_id"]
         else:
             payload["compressor"]["next_id"] = -1
         built_index.write_text(json.dumps(payload), encoding="utf-8")
@@ -276,8 +288,8 @@ class TestStagedPipeline:
         assert run_cli("index", *docs, *source, *enrich, "--enrich", "--out", str(index_path)) == 0
 
         staged = [json.loads(line) for line in enriched.read_text(encoding="utf-8").splitlines()]
-        indexed = json.loads(index_path.read_text(encoding="utf-8"))["networks"]
-        assert staged == [indexed[doc.id] for doc in fixtures["docs"]]
+        indexed = engine.load_index(index_path).networks
+        assert staged == [network_to_dict(indexed[doc.id]) for doc in fixtures["docs"]]
         provenances = {edge["prov"] for net in staged for edge in net["edges"]}
         assert {"predicted", "fused"} <= provenances
 

@@ -40,6 +40,19 @@ class TestDefaults:
         with pytest.raises(UsageError, match=flag):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("h", 1.5), ("window", True), ("m_cap", "3"), ("theta_rel", None), ("enrich", 1), ("mode", 0), ("lexicon", 1)],
+    )
+    def test_wrong_type_names_field(self, field, value):
+        config = PipelineConfig()
+        setattr(config, field, value)
+        with pytest.raises(UsageError, match=f"config {field} must be"):
+            config.validate()
+
+    def test_int_is_a_float(self):
+        PipelineConfig(theta_rel=1, lambda_weight=0, tau_lp=1).validate()
+
 
 class TestConfigFile:
     def test_parse_and_merge(self, tmp_path):

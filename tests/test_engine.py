@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import helpers
+from casegraph import engine
 from casegraph.config import PipelineConfig
 from casegraph.engine import (
+    _top_rows,
     build_collection_graph,
     collection_graph_to_dot,
     document_network,
@@ -18,8 +20,8 @@ from casegraph.engine import (
 )
 from casegraph.errors import FormatError, UsageError, ValidationError
 from casegraph.kb import Document
-from casegraph.similarity import doc_embedding, wl_dot
-from casegraph.transe import TrainConfig, init_model, train
+from casegraph.similarity import doc_embedding, wl_dot, wl_features
+from casegraph.transe import EmbeddingModel, TrainConfig, init_model, train
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +66,8 @@ class TestIndexCorpus:
         corpus = helpers.synth_corpus(lexicon, 3, seed=1)
         index = index_corpus(corpus, lexicon, config, kb=kb, transe=transe_model)
         rows = index.rows
-        assert rows.doc_ids == sorted(index.networks) == sorted(index.wl_vectors) == sorted(d.id for d in corpus)
+        assert rows.doc_ids == sorted(index.networks) == sorted(d.id for d in corpus)
+        assert len(rows.ptr) == len(rows.doc_ids) + 1
         assert len(rows.label_ptr) == index.compressor.next_id + 1
         postings: dict[str, dict[int, int]] = {doc_id: {} for doc_id in rows.doc_ids}
         for label in range(index.compressor.next_id):
@@ -73,12 +76,33 @@ class TestIndexCorpus:
             for row, count in zip(rows.label_rows[span].tolist(), rows.label_counts[span].tolist()):
                 postings[rows.doc_ids[row]][label] = count
         for row, doc_id in enumerate(rows.doc_ids):
-            vec = index.wl_vectors[doc_id]
+            vec = wl_features(index.networks[doc_id], index.h, index.compressor.overlay())
+            own = slice(rows.ptr[row], rows.ptr[row + 1])
+            assert rows.labels[own].tolist() == sorted(vec.counts)
+            assert dict(zip(rows.labels[own].tolist(), rows.counts[own].tolist())) == vec.counts
             assert postings[doc_id] == vec.counts
             assert rows.self_dots[row] == wl_dot(vec, vec)
             emb = doc_embedding(index.networks[doc_id], transe_model).vector
             assert rows.embeddings[row].tolist() == emb.tolist()
             assert rows.embedding_norms[row] == np.linalg.norm(emb)
+
+    def test_embeddings_are_doc_embedding_bit_for_bit(self, pipeline):
+        # All rows are embedded in one pass; each must keep doc_embedding's
+        # summation order, also when some nodes have no entity vector.
+        lexicon, kb, transe_model, config = pipeline
+        dropped = sorted(transe_model.entity_vectors)[::3]
+        model = EmbeddingModel(
+            {cui: vec for cui, vec in transe_model.entity_vectors.items() if cui not in dropped},
+            transe_model.relation_vectors,
+            transe_model.config,
+        )
+        corpus = helpers.synth_corpus(lexicon, 40, seed=9) + [Document("empty", "", UNRELATED)]
+        index = index_corpus(corpus, lexicon, config, kb=kb, transe=model)
+        assert any(set(net.nodes) & set(dropped) for net in index.networks.values())
+        for row, doc_id in enumerate(index.rows.doc_ids):
+            emb = doc_embedding(index.networks[doc_id], model).vector
+            assert index.rows.embeddings[row].tobytes() == emb.tobytes(), doc_id
+            assert index.rows.embedding_norms[row] == np.linalg.norm(emb), doc_id
 
     def test_empty_corpus_round_trips(self, pipeline, tmp_path):
         lexicon, kb, transe_model, config = pipeline
@@ -256,31 +280,69 @@ class TestLoadConsistency:
         path.write_text(json.dumps(payload), encoding="utf-8")
         return load_index(path)
 
+    @staticmethod
+    def first_edges(payload):
+        """The edge list of the first network record that has edges."""
+        return next(edges for _, edges in payload["networks"] if edges)
+
     def test_document_missing_from_wl(self, small_index, tmp_path):
         _, index = small_index
+
+        def edit(payload):
+            wl = payload["wl"]
+            wl["ptr"].pop()
+            del wl["labels"][wl["ptr"][-1] :], wl["counts"][wl["ptr"][-1] :]
+
         with pytest.raises(FormatError, match="different documents"):
-            self.load_edited(index, tmp_path, lambda payload: payload["wl"].pop(sorted(payload["wl"])[0]))
+            self.load_edited(index, tmp_path, edit)
+
+    def test_document_missing_from_networks(self, small_index, tmp_path):
+        _, index = small_index
+        with pytest.raises(FormatError, match="different documents"):
+            self.load_edited(index, tmp_path, lambda payload: payload["networks"].pop())
+
+    @pytest.mark.parametrize("docs", [["b", "a"], ["a", "a"], [1, 2]], ids=["unsorted", "duplicate", "not strings"])
+    def test_bad_doc_ids(self, small_index, tmp_path, docs):
+        _, index = small_index
+
+        def edit(payload):
+            payload["docs"][: len(docs)] = docs
+
+        with pytest.raises(FormatError, match="doc ids"):
+            self.load_edited(index, tmp_path, edit)
 
     def test_invalid_config(self, small_index, tmp_path):
         _, index = small_index
         with pytest.raises(FormatError, match="--h"):
             self.load_edited(index, tmp_path, lambda payload: payload["config"].update(h=-1))
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda payload: payload["config"].update(h=1.5), "config h must be int"),
+            (lambda payload: payload["lexicon"].update(max_surface_token_len="4"), "max_surface_token_len"),
+            (lambda payload: payload["lexicon"]["surface_index"].update(fever=[None]), "lists of cuis"),
+        ],
+        ids=["config type", "lexicon width", "lexicon surface"],
+    )
+    def test_bad_config_or_lexicon(self, small_index, tmp_path, edit, match):
+        # Each used to load and then fail inside search with a TypeError.
+        _, index = small_index
+        with pytest.raises(FormatError, match=match):
+            self.load_edited(index, tmp_path, edit)
+
     def test_non_integer_wl_label(self, small_index, tmp_path):
         _, index = small_index
-
-        def edit(payload):
-            counts = payload["wl"][sorted(payload["wl"])[0]]
-            counts["x"] = counts.pop(next(iter(counts)))
-
-        with pytest.raises(FormatError, match="malformed"):
-            self.load_edited(index, tmp_path, edit)
+        with pytest.raises(FormatError, match="labels must be a list of integers"):
+            self.load_edited(index, tmp_path, lambda payload: payload["wl"]["labels"].__setitem__(0, "x"))
 
     def test_derived_maps_match_fresh_index(self, small_index, tmp_path):
         _, index = small_index
         loaded = self.load_edited(index, tmp_path, lambda payload: None)
         assert loaded.rows.doc_ids == index.rows.doc_ids
-        for name in ("label_ptr", "label_rows", "label_counts", "self_dots", "embeddings", "embedding_norms"):
+        for name in (
+            "ptr", "labels", "counts", "label_ptr", "label_rows", "label_counts", "self_dots", "embeddings", "embedding_norms"
+        ):
             fresh, rebuilt = getattr(index.rows, name), getattr(loaded.rows, name)
             assert rebuilt.dtype == fresh.dtype and rebuilt.shape == fresh.shape, name
             assert np.array_equal(rebuilt, fresh), name
@@ -300,20 +362,227 @@ class TestLoadConsistency:
         ],
     )
     def test_bad_wl_entry(self, small_index, tmp_path, label, count, match):
+        # The first entry of the first row: its label and its count.
         _, index = small_index
 
         def edit(payload):
-            key = str(payload["compressor"]["next_id"]) if label == "next_id" else label
-            payload["wl"][sorted(payload["wl"])[0]][key] = count
+            wl = payload["wl"]
+            wl["labels"][0] = payload["compressor"]["next_id"] if label == "next_id" else int(label)
+            wl["counts"][0] = count
 
         with pytest.raises(FormatError, match=match):
             self.load_edited(index, tmp_path, edit)
+
+    @pytest.mark.parametrize("label", [True, 1.0, "3", None])
+    def test_label_not_an_integer(self, small_index, tmp_path, label):
+        # np.array([1, True], np.int64) would convert it silently.
+        _, index = small_index
+        with pytest.raises(FormatError, match="labels must be a list of integers"):
+            self.load_edited(index, tmp_path, lambda payload: payload["wl"]["labels"].__setitem__(1, label))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda ptr: ptr.append(ptr[-1]), "different documents"),
+            (lambda ptr: ptr.pop(0), "different documents"),
+            (lambda ptr: ptr.__setitem__(0, 1), "different documents"),
+            (lambda ptr: ptr.__setitem__(1, ptr[2] + 1), "must not decrease"),
+            (lambda ptr: ptr.__setitem__(2, True), "ptr must be a list of integers"),
+        ],
+        ids=["extra entry", "missing entry", "not starting at 0", "decreasing", "boolean"],
+    )
+    def test_bad_ptr(self, small_index, tmp_path, edit, match):
+        _, index = small_index
+        with pytest.raises(FormatError, match=match):
+            self.load_edited(index, tmp_path, lambda payload: edit(payload["wl"]["ptr"]))
+
+    @pytest.mark.parametrize("damage", ["duplicate", "swap"])
+    def test_labels_not_ascending_within_a_row(self, small_index, tmp_path, damage):
+        _, index = small_index
+        assert index.rows.ptr[1] >= 2
+
+        def edit(payload):
+            labels = payload["wl"]["labels"]
+            labels[0:2] = [labels[0], labels[0]] if damage == "duplicate" else [labels[1], labels[0]]
+
+        with pytest.raises(FormatError, match=f"document {index.rows.doc_ids[0]}: kernel feature labels must ascend"):
+            self.load_edited(index, tmp_path, edit)
+
+    def test_rows_may_start_below_the_previous_row(self, small_index, tmp_path):
+        # Labels ascend within a row only: every new row starts over.
+        _, index = small_index
+        labels, ptr = index.rows.labels, index.rows.ptr
+        assert any(labels[start] < labels[start - 1] for start in ptr[1:-1].tolist() if 0 < start < len(labels))
+        assert self.load_edited(index, tmp_path, lambda payload: None).rows.doc_ids == index.rows.doc_ids
 
     @pytest.mark.parametrize("next_id", [-1, "12", 3.0, True, None])
     def test_bad_next_id(self, small_index, tmp_path, next_id):
         _, index = small_index
         with pytest.raises(FormatError, match="next_id"):
             self.load_edited(index, tmp_path, lambda payload: payload["compressor"].update(next_id=next_id))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda c: c.update(next_id=c["next_id"] + 1), "not its number of distinct signatures"),
+            (lambda c: c.update(signatures=c["signatures"] + "\n" + c["signatures"].split("\n")[0]), "distinct"),
+            (lambda c: c.update(signatures=c["signatures"].split("\n")), "must be a string"),
+        ],
+        ids=["next_id too large", "duplicate signature", "list of signatures"],
+    )
+    def test_bad_compressor(self, small_index, tmp_path, edit, match):
+        _, index = small_index
+        with pytest.raises(FormatError, match=match):
+            self.load_edited(index, tmp_path, lambda payload: edit(payload["compressor"]))
+
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ([[]], "network record must be a list of 2 items"),
+            ({"nodes": [], "edges": []}, "network record must be a list of 2 items"),
+            ([[["C1"]], []], "network node must be a list of 2 items"),
+            ([[[1, [0, 3]]], []], "cuis must be strings"),
+            ([[["C2", [0, 3]], ["C1", [4, 7]]], []], "cuis must ascend"),
+            ([[["C1", [0, 3]], ["C1", [4, 7]]], []], "cuis must ascend"),
+            ([[["C1", [0, 3, 5]]], []], "even-length"),
+            ([[["C1", []]], []], "even-length"),
+            ([[["C1", [0, 3.0]]], []], "lists of integers"),
+            ([[["C1", [0, True]]], []], "lists of integers"),
+            ([[["C1", "03"]], []], "lists of integers"),
+            ([[["C1", [0, 3]]], [["C1", "C2", "r", 0.5, "extracted"]]], "edge endpoint C2 has no node"),
+            ([[["C1", [0, 3]]], [["C1", "C1", "r", 0.5, "extracted"]]], "self-loop edge on C1"),
+            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", 0.5]]], "network edge must be a list of 5 items"),
+            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", 7, 0.5, "extracted"]]], "string relations"),
+            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", 1, "extracted"]]], "float confidences"),
+            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", True, "extracted"]]], "float confidences"),
+            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", 0.0, "extracted"]]], r"outside \(0, 1\]"),
+            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", 1.5, "extracted"]]], r"outside \(0, 1\]"),
+            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", float("nan"), "extracted"]]], r"outside \(0, 1\]"),
+            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", 0.5, "guessed"]]], "unknown edge provenance 'guessed'"),
+        ],
+    )
+    def test_bad_network_record(self, small_index, tmp_path, record, match):
+        _, index = small_index
+        with pytest.raises(FormatError, match=match):
+            self.load_edited(index, tmp_path, lambda payload: payload["networks"].__setitem__(0, record))
+
+    def test_edge_endpoint_of_another_document(self, small_index, tmp_path):
+        # Every endpoint must be a node of the edge's own document.
+        _, index = small_index
+
+        def edit(payload):
+            nodes = {cui for record in payload["networks"] for cui, _ in record[0]}
+            record = next(record for record in payload["networks"] if record[1] and nodes - {cui for cui, _ in record[0]})
+            record[1][0][1] = sorted(nodes - {cui for cui, _ in record[0]})[0]
+
+        with pytest.raises(FormatError, match="has no node"):
+            self.load_edited(index, tmp_path, edit)
+
+    def test_v2_file_refused(self, small_index, tmp_path):
+        _, index = small_index
+        with pytest.raises(FormatError, match="unsupported casegraph-index version 2"):
+            self.load_edited(index, tmp_path, lambda payload: payload.update(version=2))
+
+
+class TestLazyNetworks:
+    """A loaded index decodes a network record only when the network is read."""
+
+    @pytest.fixture()
+    def saved(self, small_index, tmp_path):
+        corpus, index = small_index
+        path = tmp_path / "corpus.idx"
+        save_index(index, path)
+        return corpus, index, path
+
+    @pytest.fixture()
+    def decoded(self, monkeypatch):
+        seen: list[str] = []
+        original = engine.network_from_record
+
+        def counting(doc_id, record, lexicon):
+            seen.append(doc_id)
+            return original(doc_id, record, lexicon)
+
+        monkeypatch.setattr(engine, "network_from_record", counting)
+        return seen
+
+    def test_search_and_collection_graph_decode_no_network(self, saved, decoded):
+        corpus, index, path = saved
+        loaded = load_index(path)
+        for prune in (False, True):
+            assert search(loaded, corpus[0].content(), 3, prune=prune) == search(index, corpus[0].content(), 3, prune=prune)
+        assert build_collection_graph(loaded, 0.6, 0.2).edges == build_collection_graph(index, 0.6, 0.2).edges
+        assert len(loaded.networks) == len(corpus) and corpus[0].id in loaded.networks
+        assert decoded == []
+
+    def test_each_network_is_decoded_once(self, saved, decoded):
+        corpus, index, path = saved
+        loaded = load_index(path)
+        doc_id = corpus[2].id
+        assert loaded.networks[doc_id] == index.networks[doc_id]
+        assert loaded.networks[doc_id] is loaded.networks[doc_id]
+        assert decoded == [doc_id]
+
+    def test_loaded_networks_equal_built_ones(self, saved):
+        _, index, path = saved
+        loaded = load_index(path)
+        assert loaded.networks == index.networks
+        assert list(loaded.networks) == sorted(index.networks)
+
+    def test_networks_are_read_only(self, saved):
+        corpus, _, path = saved
+        with pytest.raises(TypeError):
+            load_index(path).networks[corpus[0].id] = None
+
+    def test_save_of_load_is_byte_identical(self, saved, tmp_path):
+        corpus, _, path = saved
+        loaded = load_index(path)
+        again = tmp_path / "again.idx"
+        save_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        loaded.networks[corpus[1].id]  # one network decoded, the others still records
+        save_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+class TestTopRows:
+    """``_top_rows`` against the full stable sort it replaces."""
+
+    @staticmethod
+    def full_sort(scores, candidates, k):
+        return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ties_across_the_k_boundary(self, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.choice([0.0, 0.25, 0.5, 0.5, 0.75, 1.0], size=40)
+        candidates = np.arange(len(scores))
+        for k in range(1, len(scores) + 3):
+            assert _top_rows(scores, candidates, k).tolist() == self.full_sort(scores, candidates, k).tolist()
+
+    def test_k_at_least_the_number_of_rows(self):
+        scores = np.array([0.5, 0.9, 0.5, 0.1, 0.9])
+        candidates = np.arange(len(scores))
+        for k in (5, 6, 100):
+            assert _top_rows(scores, candidates, k).tolist() == [1, 4, 0, 2, 3]
+
+    def test_pruned_with_fewer_candidates_than_k(self):
+        scores = np.array([0.5, 0.9, 0.5, 0.1, 0.9, 0.5])
+        candidates = np.array([0, 2, 3, 5])
+        for k in range(1, 8):
+            assert _top_rows(scores, candidates, k).tolist() == self.full_sort(scores, candidates, k).tolist()
+        assert _top_rows(scores, candidates, 10).tolist() == [0, 2, 5, 3]
+        assert _top_rows(scores, np.array([], np.int64), 3).tolist() == []
+
+    def test_search_splits_duplicates_at_k_in_doc_id_order(self, pipeline):
+        lexicon, kb, transe_model, config = pipeline
+        text = "aspirin treats fever."
+        docs = [Document(doc_id, "", text) for doc_id in ("d4", "d2", "d3", "d1")]
+        docs.append(Document("other", "", "insulin for diabetes."))
+        index = index_corpus(docs, lexicon, config, kb=kb, transe=transe_model)
+        for k in range(1, 7):
+            results = search(index, text, k)
+            assert [r.doc_id for r in results] == ["d1", "d2", "d3", "d4", "other"][:k]
 
 
 class TestMatrixPathOracle:

@@ -122,6 +122,14 @@ class TestExtractorDegenerate:
         with pytest.raises(ValidationError, match="token boundary"):
             generate_candidates("d", [mention], split_sentences(text, tokens), tokens, 5)
 
+    def test_mention_ending_inside_a_token_rejected(self):
+        # Not widened to the end of the token it stops in.
+        text = "aspirin treats fever."
+        tokens = tokenize(text)
+        mentions = [Mention(0, 3, "asp", ("C1",), "C1", 1.0), Mention(15, 17, "fe", ("C2",), "C2", 1.0)]
+        with pytest.raises(ValidationError, match="mention at byte 0 ends at byte 3, inside a token"):
+            generate_candidates("d", mentions, split_sentences(text, tokens), tokens, 5)
+
     def test_mention_past_last_token_rejected(self):
         text = "plain words here"
         tokens = tokenize(text)

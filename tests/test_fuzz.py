@@ -35,9 +35,22 @@ def pipeline(tmp_path_factory):
     return tmp, fixtures, networks, model.read_text(encoding="utf-8")
 
 
+@pytest.fixture(scope="module")
+def index_pipeline(pipeline):
+    """A kbmatch index with enrichment and fusion, holding a TransE model."""
+    tmp, fixtures, _, model = pipeline
+    (tmp / "index-transe.json").write_text(model, encoding="utf-8")
+    path = tmp / "corpus.idx"
+    assert dispatch([
+        "index", "--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"], "--triples", fixtures["triples"],
+        "--transe-model", str(tmp / "index-transe.json"), "--enrich", "--fuse", "--tau-lp", "0.001", "--out", str(path),
+    ]) == 0
+    return tmp, fixtures, path.read_text(encoding="utf-8")
+
+
 @st.composite
-def damaged_models(draw, valid: str) -> str:
-    """A truncated copy of a valid model file, one with a value replaced or a
+def damaged_json(draw, valid: str) -> str:
+    """A truncated copy of a valid JSON file, one with a value replaced or a
     key dropped somewhere inside, or a JSON document of the wrong shape."""
     kind = draw(st.sampled_from(["truncated", "mutated", "wrong type"]))
     if kind == "truncated":
@@ -70,7 +83,7 @@ def run_quietly(argv: list[str]) -> tuple[int, str]:
 def test_damaged_transe_model(pipeline, data):
     tmp, fixtures, networks, valid = pipeline
     model = tmp / "damaged.json"
-    model.write_text(data.draw(damaged_models(valid)), encoding="utf-8")
+    model.write_text(data.draw(damaged_json(valid)), encoding="utf-8")
     out = str(tmp / "out")
     for argv in (
         ["eval-lp", "--triples", fixtures["triples"]],
@@ -101,3 +114,21 @@ def test_non_numeric_vector_component(pipeline, data):
     assert code == 2, err
     assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()[-1:]
     assert "vector components must be JSON numbers" in err
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(data=st.data())
+def test_damaged_index(index_pipeline, data):
+    tmp, fixtures, valid = index_pipeline
+    index = tmp / "damaged.idx"
+    index.write_text(data.draw(damaged_json(valid)), encoding="utf-8")
+    out = str(tmp / "out")
+    for argv in (
+        ["search", "--query-file", fixtures["corpus"], "--prune"],
+        ["search", "--query-file", fixtures["corpus"]],
+        ["collection-graph", "--tau-doc", "0.1"],
+    ):
+        code, err = run_quietly([*argv, "--index", str(index), "--out", out])
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, err
