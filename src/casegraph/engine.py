@@ -149,11 +149,6 @@ class StoredNetworks(Mapping):
     def __len__(self) -> int:
         return len(self._doc_ids)
 
-    def record(self, doc_id: str) -> list:
-        """The stored record of a network, re-encoded once it has been decoded."""
-        raw = self._records.get(doc_id)
-        return raw if raw is not None else network_to_record(self._decoded[doc_id])
-
 
 @dataclass
 class Index:
@@ -430,11 +425,7 @@ def index_to_dict(index: Index) -> dict:
     config = index.config.to_dict()
     for field_name in _PATH_FIELDS:
         config[field_name] = None
-    rows, networks, table = index.rows, index.networks, index.compressor.table
-    if isinstance(networks, StoredNetworks):
-        records = [networks.record(doc_id) for doc_id in rows.doc_ids]
-    else:
-        records = [network_to_record(networks[doc_id]) for doc_id in rows.doc_ids]
+    rows, table = index.rows, index.compressor.table
     return {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -447,7 +438,7 @@ def index_to_dict(index: Index) -> dict:
         "compressor": {"next_id": index.compressor.next_id, "signatures": "\n".join(sorted(table, key=table.get))},
         "docs": list(rows.doc_ids),
         "wl": {"ptr": rows.ptr.tolist(), "labels": rows.labels.tolist(), "counts": rows.counts.tolist()},
-        "networks": records,
+        "networks": [network_to_record(index.networks[doc_id]) for doc_id in rows.doc_ids],
     }
 
 

@@ -30,6 +30,11 @@ PROV_FUSED = "fused"
 _PROVENANCES = (PROV_EXTRACTED, PROV_PREDICTED, PROV_FUSED)
 
 
+def _valid_confidence(confidence):
+    """Whether an edge confidence, a float or an array of them, lies in (0, 1]; NaN does not."""
+    return (confidence > 0.0) & (confidence <= 1.0)
+
+
 @dataclass(frozen=True)
 class Edge:
     head: str
@@ -39,9 +44,11 @@ class Edge:
     provenance: str
 
     def __post_init__(self) -> None:
+        # record_nodes applies these rules to every stored edge of an index at
+        # once; a rule changed here must change there too.
         if self.head == self.tail:
             raise ValidationError(f"self-loop edge on {self.head}")
-        if not 0.0 < self.confidence <= 1.0:
+        if not _valid_confidence(self.confidence):
             raise ValidationError(
                 f"edge ({self.head},{self.relation},{self.tail}) confidence {self.confidence} outside (0, 1]"
             )
@@ -305,7 +312,7 @@ def record_nodes(doc_ids: list[str], records: list) -> tuple[np.ndarray, list[st
     if not set(map(type, relations)) <= {str} or not set(map(type, confidences)) <= {float}:
         raise FormatError("network edges need string relations and float confidences")
     confidence = np.array(confidences, float)
-    outside = np.flatnonzero(~((confidence > 0.0) & (confidence <= 1.0)))
+    outside = np.flatnonzero(~_valid_confidence(confidence))
     if len(outside):
         i = outside[0]
         raise FormatError(f"document {doc_ids[edge_rows[i]]}: edge confidence {confidences[i]} outside (0, 1]")
