@@ -29,7 +29,7 @@ from .relations import (
     RelationInstance,
     distant_label,
     edges_jsonl,
-    featurize,
+    featurize_pairs,
     generate_candidates,
     load_extractor,
     read_edges,
@@ -106,8 +106,8 @@ def _cmd_train_extractor(args: argparse.Namespace) -> None:
     instances = []
     for doc in corpus:
         tokens, _, pairs = engine.analyze(doc, lexicon, cfg.window)
-        for pair in pairs:
-            instances.append(RelationInstance(pair, distant_label(pair, kb), featurize(pair, tokens, lexicon)))
+        for pair, features in zip(pairs, featurize_pairs(pairs, tokens, lexicon)):
+            instances.append(RelationInstance(pair, distant_label(pair, kb), features))
     hyper = ExtractorHyperparams(cfg.extractor_lr, cfg.extractor_epochs, cfg.l2, cfg.seed)
     model = train_extractor(instances, hyper)
     save_extractor(model, _require(args.out or cfg.extractor_model, "--out"))

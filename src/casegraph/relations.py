@@ -14,16 +14,19 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import TrainingError, UsageError, ValidationError
+from .errors import FormatError, TrainingError, UsageError, ValidationError
 from .kb import Lexicon, TripleStore, jsonl, load_container, normalize_token, read_jsonl, save_container
 from .linking import Mention, SentenceSpan, Token
 from .network import PROV_EXTRACTED, Edge, edge_from_dict, edge_to_dict
+from .transe import MAX_COMPONENT
 
 log = logging.getLogger(__name__)
 
@@ -133,24 +136,63 @@ def distant_label(pair: CandidatePair, kb: TripleStore) -> str:
     return min(relations)
 
 
+class _Encoded(dict):
+    """``encoded[value]`` is ``encode(name(value))``, computed on the first lookup of ``value``."""
+
+    def __init__(self, name: Callable, encode: Callable):  # starts empty, as dict.__new__ makes it
+        self.name = name
+        self.encode = encode
+
+    def __missing__(self, value):
+        entry = self[value] = self.encode(self.name(value))
+        return entry
+
+
+def _feature_rows(
+    pairs: Sequence[CandidatePair], tokens: Sequence[Token], lexicon: Lexicon, encode: Callable
+) -> list[list]:
+    """Each pair's features, one entry per occurrence: this defines the feature set.
+
+    A pair has one ``bet:`` feature per token strictly between its mentions
+    (the token's normalized form), then its orientation (``dir:``), its
+    distance bucket (``dist:``) and the semantic types of its head (``ht:``)
+    and tail (``tt:``) concepts. ``encode`` turns a feature name into the
+    entry the caller wants, once per distinct name of the call.
+    """
+
+    def semantic_type(cui: str) -> str:
+        concept = lexicon.concepts.get(cui)
+        return concept.semantic_type if concept else "unknown"
+
+    between = _Encoded(lambda text: f"bet:{normalize_token(text)}", encode)
+    direction = _Encoded(lambda forward: "dir:fwd" if forward else "dir:rev", encode)
+    bucket = _Encoded(lambda d: "dist:0-2" if d <= 2 else "dist:3-5" if d <= 5 else "dist:6+", encode)
+    head_type = _Encoded(lambda cui: f"ht:{semantic_type(cui)}", encode)
+    tail_type = _Encoded(lambda cui: f"tt:{semantic_type(cui)}", encode)
+    rows = []
+    for pair in pairs:
+        head, tail = pair.head_mention, pair.tail_mention
+        row = [between[token.text] for token in tokens[pair.between_start : pair.between_end]]
+        row += (
+            direction[head.start < tail.start],
+            bucket[pair.token_distance],
+            head_type[head.primary_cui],
+            tail_type[tail.primary_cui],
+        )
+        rows.append(row)
+    return rows
+
+
+def featurize_pairs(
+    pairs: Sequence[CandidatePair], tokens: Sequence[Token], lexicon: Lexicon
+) -> list[dict[str, int]]:
+    """``featurize`` of each of a document's pairs, naming each distinct feature once."""
+    return [dict(Counter(row)) for row in _feature_rows(pairs, tokens, lexicon, str)]
+
+
 def featurize(pair: CandidatePair, tokens: Sequence[Token], lexicon: Lexicon) -> dict[str, int]:
     """Sparse feature counts: between-token bag, orientation, distance bucket, types."""
-    features: Counter[str] = Counter()
-    for token in tokens[pair.between_start : pair.between_end]:
-        features[f"bet:{normalize_token(token.text)}"] += 1
-    forward = pair.head_mention.start < pair.tail_mention.start
-    features[f"dir:{'fwd' if forward else 'rev'}"] += 1
-    if pair.token_distance <= 2:
-        bucket = "0-2"
-    elif pair.token_distance <= 5:
-        bucket = "3-5"
-    else:
-        bucket = "6+"
-    features[f"dist:{bucket}"] += 1
-    for prefix, mention in (("ht", pair.head_mention), ("tt", pair.tail_mention)):
-        concept = lexicon.concepts.get(mention.primary_cui)
-        features[f"{prefix}:{concept.semantic_type if concept else 'unknown'}"] += 1
-    return dict(features)
+    return featurize_pairs([pair], tokens, lexicon)[0]
 
 
 def _sparse(features: dict, vocab: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -173,25 +215,24 @@ def _encode(
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+    """Softmax along the last axis; a row of a 2-D block gets the bits of the same row alone.
+
+    The ufunc reductions are what ``max`` and ``sum`` call, without their
+    Python wrappers, which cost a training step about a microsecond.
+    """
+    exp = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    return exp / np.add.reduce(exp, axis=-1, keepdims=True)
 
 
-def _instance_probabilities(weights: np.ndarray, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    if ids.size == 0:
-        return _softmax(np.zeros(weights.shape[0]))
-    return _softmax(weights[:, ids] @ counts)
+def _scores(weights: np.ndarray, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Label scores of P instances that each have n known features: ``ids`` and ``counts`` are (P, n).
 
-
-def _instance_gradient(
-    weights: np.ndarray, ids: np.ndarray, counts: np.ndarray, label_id: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Label probabilities of one instance and its cross-entropy gradient on the columns ``ids``."""
-    probs = _instance_probabilities(weights, ids, counts)
-    delta = probs.copy()
-    delta[label_id] -= 1.0
-    return probs, np.outer(delta, counts)
+    Row p equals ``weights[:, ids[p]] @ counts[p]`` bit for bit. That gather is
+    F-ordered, so numpy hands it to the column-major BLAS gemv. Every
+    (labels, n) block of the transposed stack below is F-ordered too and takes
+    the same kernel; a C-ordered stack or ``einsum`` rounds differently.
+    """
+    return np.matmul(weights.T[ids].transpose(0, 2, 1), counts[:, :, None])[:, :, 0]
 
 
 def dataset_loss_and_gradient(
@@ -206,9 +247,10 @@ def dataset_loss_and_gradient(
     loss = 0.0
     grad = np.zeros_like(weights)
     for ids, counts, label_id in encoded:
-        probs, instance_grad = _instance_gradient(weights, ids, counts, label_id)
+        probs = _softmax(weights[:, ids] @ counts)
         loss -= float(np.log(probs[label_id]))
-        grad[:, ids] += instance_grad
+        probs[label_id] -= 1.0  # now the label error
+        grad[:, ids] += probs[:, None] * counts
     loss += 0.5 * l2 * float((weights * weights).sum())
     grad += l2 * weights
     return loss, grad
@@ -223,6 +265,11 @@ def train_extractor(
     instance order is reshuffled every epoch, and the L2 penalty is spread
     across the instances of each epoch so a full pass matches the batch
     objective of ``dataset_loss_and_gradient``.
+
+    A step subtracts ``lr * grad``, where ``grad`` is ``l2_share * weights``
+    plus, on the instance's columns, the outer product of the label error
+    and the counts. It gathers those columns once, for the scores and the
+    update, and reuses one buffer for ``grad``.
     """
     if hyperparams is None:
         hyperparams = ExtractorHyperparams()
@@ -234,6 +281,7 @@ def train_extractor(
     labels = [NA_LABEL] + sorted(observed - {NA_LABEL})
     vocab = {feature: i for i, feature in enumerate(sorted({f for i in instances for f in i.features}))}
     weights = np.zeros((len(labels), len(vocab)))
+    grad = np.empty_like(weights)
     encoded = _encode(instances, vocab, labels)
     rng = np.random.default_rng(hyperparams.seed)
     lr = hyperparams.learning_rate
@@ -241,9 +289,15 @@ def train_extractor(
     for _ in range(hyperparams.epochs):
         for idx in rng.permutation(len(encoded)):
             ids, counts, label_id = encoded[idx]
-            grad = l2_share * weights
-            grad[:, ids] += _instance_gradient(weights, ids, counts, label_id)[1]
-            weights -= lr * grad
+            columns = weights[:, ids]
+            delta = _softmax(columns @ counts)
+            delta[label_id] -= 1.0
+            np.multiply(weights, l2_share, out=grad)
+            columns *= l2_share
+            columns += np.multiply.outer(delta, counts)
+            grad[:, ids] = columns
+            grad *= lr
+            weights -= grad
     if not np.isfinite(weights).all():
         raise TrainingError("training diverged to non-finite weights")
     return ExtractorModel(vocab, weights, labels, hyperparams)
@@ -251,7 +305,37 @@ def train_extractor(
 
 def predict_probabilities(model: ExtractorModel, features: dict) -> np.ndarray:
     """Label distribution for one feature map; unknown features are ignored."""
-    return _instance_probabilities(model.weights, *_sparse(features, model.feature_vocab))
+    ids, counts = _sparse(features, model.feature_vocab)
+    return _softmax(_scores(model.weights, ids[None], counts[None]))[0]
+
+
+def _feature_blocks(
+    rows: list[list[int]], num_features: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The rows' known features (ids >= 0), grouped by their number n >= 1 of distinct known features.
+
+    Returns the positions of the rows that have a known feature, ordered by
+    n and then by position, and for each n in ascending order the (rows, n)
+    ``ids`` and ``counts`` of its rows in that order. Ids ascend within a
+    row, which is the order of ``_sparse``: the vocabulary numbers its
+    features in sorted order.
+    """
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+    owners = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+    known = flat >= 0
+    keys, counts = np.unique(owners[known] * num_features + flat[known], return_counts=True)
+    owners = keys // num_features
+    sizes = np.bincount(owners, minlength=len(rows))
+    entries = np.argsort(sizes[owners], kind="stable")  # by n, then by position and id
+    ids, counts = (keys - owners * num_features)[entries], counts[entries].astype(float)
+    blocks = []
+    start = 0
+    for n, rows_with_n in enumerate(np.bincount(sizes).tolist()):
+        if n and rows_with_n:
+            end = start + n * rows_with_n
+            blocks.append((ids[start:end].reshape(-1, n), counts[start:end].reshape(-1, n)))
+            start = end
+    return np.argsort(sizes, kind="stable")[np.count_nonzero(sizes == 0) :], blocks
 
 
 def extract_relations(
@@ -265,24 +349,31 @@ def extract_relations(
 
     NA predictions and pairs whose mentions resolve to the same concept are
     suppressed; duplicate (head, tail, relation) edges keep the maximum
-    confidence.
+    confidence. The pairs of a call are featurized together and scored in
+    one matrix product per number of known features, with the bits that
+    ``predict_probabilities`` gives each pair alone. A pair without a known
+    feature scores 0 on every label, so its prediction is the first label,
+    NA.
     """
     if not 0.0 <= theta_rel <= 1.0:
         raise UsageError(f"theta_rel must be within [0, 1], got {theta_rel}")
+    pairs = [pair for pair in pairs if pair.head_mention.primary_cui != pair.tail_mention.primary_cui]
+    if not pairs:
+        return []
+    vocab = model.feature_vocab
+    rows = _feature_rows(pairs, tokens, lexicon, lambda name: vocab.get(name, -1))
+    positions, blocks = _feature_blocks(rows, len(vocab))
+    if not blocks:
+        return []
+    probs = _softmax(np.concatenate([_scores(model.weights, ids, counts) for ids, counts in blocks]))
     best: dict[tuple[str, str, str], float] = {}
-    for pair in pairs:
-        head = pair.head_mention.primary_cui
-        tail = pair.tail_mention.primary_cui
-        if head == tail:
+    predictions = zip(positions.tolist(), probs.argmax(axis=1).tolist(), probs.max(axis=1).tolist())
+    for position, label_id, confidence in predictions:
+        relation = model.labels[label_id]
+        if relation == NA_LABEL or confidence < theta_rel:
             continue
-        probs = predict_probabilities(model, featurize(pair, tokens, lexicon))
-        label_id = int(np.argmax(probs))
-        if model.labels[label_id] == NA_LABEL:
-            continue
-        confidence = float(probs[label_id])
-        if confidence < theta_rel:
-            continue
-        key = (head, tail, model.labels[label_id])
+        pair = pairs[position]
+        key = (pair.head_mention.primary_cui, pair.tail_mention.primary_cui, relation)
         if confidence > best.get(key, 0.0):
             best[key] = confidence
     return [Edge(h, t, r, c, PROV_EXTRACTED) for (h, t, r), c in sorted(best.items())]
@@ -330,12 +421,37 @@ def extractor_to_dict(model: ExtractorModel) -> dict:
 
 
 def extractor_from_dict(data: dict) -> ExtractorModel:
-    return ExtractorModel(
-        dict(data["feature_vocab"]),
-        np.array(data["weights"], dtype=float),
-        list(data["labels"]),
-        ExtractorHyperparams(**data["hyperparams"]),
-    )
+    """Decode ``extractor_to_dict`` output, checking what extraction relies on.
+
+    ``labels`` are at least two distinct strings with NA first.
+    ``feature_vocab`` numbers its features 0..V-1 in sorted order, as
+    ``train_extractor`` does, so ascending ids are sorted features.
+    ``weights`` holds one row of V JSON numbers per label, each finite and
+    within ``MAX_COMPONENT``, so no score can overflow. The hyperparameters
+    are JSON numbers, with integer epochs and seed.
+    """
+    labels, vocab, rows = data["labels"], data["feature_vocab"], data["weights"]
+    if type(labels) is not list or not set(map(type, labels)) <= {str} or len(set(labels)) != len(labels):
+        raise FormatError("labels must be a list of distinct strings")
+    if len(labels) < 2 or labels[0] != NA_LABEL:
+        raise FormatError(f"labels must start with {NA_LABEL} and hold at least one relation")
+    if type(vocab) is not dict or not set(map(type, vocab.values())) <= {int}:
+        raise FormatError("feature_vocab must map features to integer ids")
+    if [vocab[feature] for feature in sorted(vocab)] != list(range(len(vocab))):
+        raise FormatError("feature_vocab must number its features 0, 1, ... in sorted order")
+    if type(rows) is not list or [len(r) if type(r) is list else -1 for r in rows] != [len(vocab)] * len(labels):
+        raise FormatError(f"weights must be {len(labels)} rows (one per label) of {len(vocab)} values")
+    # JSON numbers only: numpy would also read "nan" and true as floats.
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        raise FormatError("weights must be JSON numbers")
+    weights = np.array(rows, dtype=float).reshape(len(labels), len(vocab))
+    if not (np.abs(weights) <= MAX_COMPONENT).all():
+        raise FormatError(f"weights hold a value that is not finite or exceeds {MAX_COMPONENT:g}")
+    hyper = ExtractorHyperparams(**data["hyperparams"])
+    numbers = {type(hyper.learning_rate), type(hyper.l2)}
+    if not numbers <= {int, float} or {type(hyper.epochs), type(hyper.seed)} != {int}:
+        raise FormatError("hyperparams must be JSON numbers, epochs and seed integers")
+    return ExtractorModel(dict(vocab), weights, list(labels), hyper)
 
 
 def save_extractor(model: ExtractorModel, path: str | Path) -> None:

@@ -32,8 +32,8 @@ from casegraph.kb import (
     normalize_surface,
 )
 from casegraph.linking import Mention, SentenceSpan, Token, tokenize
-from casegraph.network import SemanticNetwork, write_networks
-from casegraph.relations import CandidatePair
+from casegraph.network import PROV_EXTRACTED, Edge, SemanticNetwork, write_networks
+from casegraph.relations import CandidatePair, ExtractorModel
 from casegraph.transe import EmbeddingModel, margin_loss, margin_loss_gradients
 
 FIXTURE_LEXICON_ROWS = [
@@ -283,6 +283,79 @@ def oracle_generate_candidates(doc_id, mentions, sentences, tokens, window) -> l
                 if distance <= window:
                     pairs.append(CandidatePair(doc_id, mentions[i], mentions[j], sentence, *between, distance))
     return pairs
+
+
+# --- relation extractor oracles ------------------------------------------------
+
+
+def oracle_featurize(pair: CandidatePair, tokens: list[Token], lexicon: Lexicon) -> dict[str, int]:
+    """One pair's feature counts, built name by name with the full surface normalizer."""
+    features: Counter[str] = Counter()
+    for token in tokens[pair.between_start : pair.between_end]:
+        features[f"bet:{normalize_surface(token.text)}"] += 1
+    features["dir:fwd" if pair.head_mention.start < pair.tail_mention.start else "dir:rev"] += 1
+    distance = pair.token_distance
+    features["dist:0-2" if distance <= 2 else "dist:3-5" if distance <= 5 else "dist:6+"] += 1
+    for prefix, mention in (("ht", pair.head_mention), ("tt", pair.tail_mention)):
+        concept = lexicon.concepts.get(mention.primary_cui)
+        features[f"{prefix}:{concept.semantic_type if concept else 'unknown'}"] += 1
+    return dict(features)
+
+
+def _oracle_sparse(features: dict, vocab: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    known = [(vocab[name], float(count)) for name, count in sorted(features.items()) if name in vocab]
+    return np.array([i for i, _ in known], dtype=int), np.array([c for _, c in known], dtype=float)
+
+
+def oracle_softmax(scores: np.ndarray) -> np.ndarray:
+    exp = np.exp(scores - scores.max())
+    return exp / exp.sum()
+
+
+def oracle_probabilities(weights: np.ndarray, features: dict, vocab: dict[str, int]) -> np.ndarray:
+    """One instance's label distribution: its known features in sorted order, one gemv, one softmax."""
+    ids, counts = _oracle_sparse(features, vocab)
+    if ids.size == 0:
+        return oracle_softmax(np.zeros(weights.shape[0]))
+    return oracle_softmax(weights[:, ids] @ counts)
+
+
+def oracle_extract_relations(pairs, model, theta_rel: float, tokens, lexicon) -> list[Edge]:
+    """Extraction one pair at a time: featurize, score, keep the best non-NA edge per key."""
+    best: dict[tuple[str, str, str], float] = {}
+    for pair in pairs:
+        head, tail = pair.head_mention.primary_cui, pair.tail_mention.primary_cui
+        if head == tail:
+            continue
+        probs = oracle_probabilities(model.weights, oracle_featurize(pair, tokens, lexicon), model.feature_vocab)
+        label_id = int(np.argmax(probs))
+        confidence = float(probs[label_id])
+        if model.labels[label_id] == "NA" or confidence < theta_rel:
+            continue
+        key = (head, tail, model.labels[label_id])
+        if confidence > best.get(key, 0.0):
+            best[key] = confidence
+    return [Edge(h, t, r, c, PROV_EXTRACTED) for (h, t, r), c in sorted(best.items())]
+
+
+def oracle_train_extractor(instances, hyperparams) -> ExtractorModel:
+    """The reference SGD loop: a fresh dense gradient ``l2_share * W`` per step,
+    the instance's outer product added on its columns, then ``W -= lr * grad``."""
+    labels = ["NA"] + sorted({i.label for i in instances} - {"NA"})
+    vocab = {feature: i for i, feature in enumerate(sorted({f for i in instances for f in i.features}))}
+    encoded = [(*_oracle_sparse(i.features, vocab), labels.index(i.label)) for i in instances]
+    weights = np.zeros((len(labels), len(vocab)))
+    rng = np.random.default_rng(hyperparams.seed)
+    l2_share = hyperparams.l2 / len(encoded)
+    for _ in range(hyperparams.epochs):
+        for idx in rng.permutation(len(encoded)):
+            ids, counts, label_id = encoded[idx]
+            delta = oracle_softmax(weights[:, ids] @ counts)
+            delta[label_id] -= 1.0
+            grad = l2_share * weights
+            grad[:, ids] += np.outer(delta, counts)
+            weights -= hyperparams.learning_rate * grad
+    return ExtractorModel(vocab, weights, labels, hyperparams)
 
 
 # --- linker oracle -----------------------------------------------------------

@@ -177,6 +177,45 @@ class TestBadInputsExitTwo:
         assert str(model) in self.assert_one_error_line(capsys)
         assert not out.exists()
 
+    EXTRACTOR_SPOILERS = {
+        "id beyond the vocabulary": ("feature_vocab", lambda m, f: m["feature_vocab"].__setitem__(f, 10**6)),
+        "string id": ("feature_vocab", lambda m, f: m["feature_vocab"].__setitem__(f, "x")),
+        "boolean id": ("feature_vocab", lambda m, f: m["feature_vocab"].__setitem__(f, False)),
+        "negative id": ("feature_vocab", lambda m, f: m["feature_vocab"].__setitem__(f, -1)),
+        "ids out of sorted order": ("feature_vocab", lambda m, f: m["feature_vocab"].update(
+            zip(sorted(m["feature_vocab"])[:2], sorted(m["feature_vocab"].values())[1::-1])
+        )),
+        "a label row short": ("weights", lambda m, f: m["weights"].pop()),
+        "a weight short": ("weights", lambda m, f: m["weights"][1].pop()),
+        "string weight": ("weights", lambda m, f: m["weights"][1].__setitem__(0, "nan")),
+        "boolean weight": ("weights", lambda m, f: m["weights"][1].__setitem__(0, True)),
+        "infinite weight": ("weights", lambda m, f: m["weights"][1].__setitem__(0, math.inf)),
+        "huge weight": ("weights", lambda m, f: m["weights"][1].__setitem__(0, 1e300)),
+        "NA not first": ("labels", lambda m, f: m["labels"].reverse()),
+        "duplicate labels": ("labels", lambda m, f: m["labels"].__setitem__(-1, m["labels"][-2])),
+        "one label": ("labels", lambda m, f: m.update(labels=["NA"], weights=m["weights"][:1])),
+        "numeric label": ("labels", lambda m, f: m["labels"].__setitem__(-1, 7)),
+        "string hyperparameter": ("hyperparams", lambda m, f: m["hyperparams"].__setitem__("learning_rate", "0.1")),
+        "boolean seed": ("hyperparams", lambda m, f: m["hyperparams"].__setitem__("seed", True)),
+    }
+
+    @pytest.mark.parametrize("spoiler", sorted(EXTRACTOR_SPOILERS))
+    def test_bad_extractor_model(self, tmp_path, fixtures, capsys, spoiler):
+        model, mentions = tmp_path / "extractor.json", tmp_path / "mentions.jsonl"
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        assert run_cli("train-extractor", *docs, "--triples", fixtures["triples"], "--epochs", "3", "--out", str(model)) == 0
+        assert run_cli("link", *docs, "--out", str(mentions)) == 0
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        part, spoil = self.EXTRACTOR_SPOILERS[spoiler]
+        spoil(payload, sorted(payload["feature_vocab"])[0])
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "edges.jsonl"
+        argv = ["extract", *docs, "--mentions", str(mentions), "--mode", "model", "--extractor-model", str(model)]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert part in self.assert_one_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("spoiler", ["short vector", "NaN", "Infinity"])
     def test_search_on_index_with_bad_model(self, tmp_path, fixtures, built_index, capsys, spoiler):
         payload = json.loads(built_index.read_text(encoding="utf-8"))

@@ -48,6 +48,18 @@ def index_pipeline(pipeline):
     return tmp, fixtures, path.read_text(encoding="utf-8")
 
 
+@pytest.fixture(scope="module")
+def extractor_pipeline(pipeline):
+    """A trained extractor, the fixture's mentions and a model-mode index holding the extractor."""
+    tmp, fixtures, _, _ = pipeline
+    docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+    model, mentions, index = tmp / "extractor.json", tmp / "mentions.jsonl", tmp / "model.idx"
+    assert dispatch(["train-extractor", *docs, "--triples", fixtures["triples"], "--epochs", "2", "--out", str(model)]) == 0
+    assert dispatch(["link", *docs, "--out", str(mentions)]) == 0
+    assert dispatch(["index", *docs, "--mode", "model", "--extractor-model", str(model), "--out", str(index)]) == 0
+    return tmp, fixtures, str(mentions), model.read_text(encoding="utf-8"), index.read_text(encoding="utf-8")
+
+
 @st.composite
 def damaged_json(draw, valid: str) -> str:
     """A truncated copy of a valid JSON file, one with a value replaced or a
@@ -132,3 +144,35 @@ def test_damaged_index(index_pipeline, data):
         assert code in (0, 1, 2), err
         assert "Traceback" not in err
         assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, err
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data())
+def test_damaged_extractor_model(extractor_pipeline, data):
+    tmp, fixtures, mentions, valid, valid_index = extractor_pipeline
+    damaged = data.draw(damaged_json(valid))
+    model = tmp / "damaged-extractor.json"
+    model.write_text(damaged, encoding="utf-8")
+    docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+    runs = [
+        ["extract", *docs, "--mentions", mentions, "--mode", "model", "--extractor-model", str(model)],
+        ["index", *docs, "--mode", "model", "--extractor-model", str(model)],
+    ]
+    # The same damage inside an index, whose extractor is the model file's payload without its tags.
+    try:
+        embedded = json.loads(damaged)
+    except ValueError:
+        embedded = None
+    if embedded is not None:
+        if isinstance(embedded, dict):
+            embedded = {k: v for k, v in embedded.items() if k not in ("format", "version")}
+        payload = json.loads(valid_index)
+        payload["extractor"] = embedded
+        index = tmp / "damaged-extractor.idx"
+        index.write_text(json.dumps(payload), encoding="utf-8")
+        runs.append(["search", "--index", str(index), "--query-file", fixtures["corpus"]])
+    for argv in runs:
+        code, err = run_quietly([*argv, "--out", str(tmp / "out")])
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        assert sum(line.startswith("error:") for line in err.splitlines()) == (code != 0), err

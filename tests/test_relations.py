@@ -12,11 +12,15 @@ from casegraph.linking import Mention, link, split_sentences, tokenize
 from casegraph.relations import (
     NA_LABEL,
     ExtractorHyperparams,
+    ExtractorModel,
     RelationInstance,
+    _scores,
+    _softmax,
     dataset_loss_and_gradient,
     distant_label,
     extract_relations,
     featurize,
+    featurize_pairs,
     generate_candidates,
     kb_match_extract,
     predict_probabilities,
@@ -129,6 +133,22 @@ class TestFeaturize:
         assert features["dir:rev"] == 1
         assert features["bet:treats"] == 1
 
+    def test_repeated_between_tokens_are_counted(self, lexicon):
+        tokens, pairs = analyze("aspirin with with of WITH heart attack", lexicon)
+        forward = next(p for p in pairs if p.head_mention.primary_cui == "C0004057")
+        features = featurize(forward, tokens, lexicon)
+        assert features == {"bet:with": 3, "bet:of": 1, "dir:fwd": 1, "dist:3-5": 1, "ht:T121": 1, "tt:T047": 1}
+
+    def test_matches_oracle_on_random_documents(self):
+        lexicon = helpers.synth_lexicon()
+        rng = random.Random(17)
+        for _ in range(30):
+            tokens, pairs = analyze(helpers.random_fixture_text(lexicon, rng, num_words=40), lexicon)
+            batch = featurize_pairs(pairs, tokens, lexicon)
+            for pair, features in zip(pairs, batch, strict=True):
+                expected = list(helpers.oracle_featurize(pair, tokens, lexicon).items())
+                assert list(featurize(pair, tokens, lexicon).items()) == list(features.items()) == expected
+
 
 def separable_instances():
     rows = [("sig:na", NA_LABEL, 7), ("sig:treat", "may_treat", 7), ("sig:cause", "cause_of", 6)]
@@ -185,6 +205,17 @@ class TestTrainExtractor:
         )
         assert helpers.relative_error(grad, numeric) < 1e-4
 
+    @pytest.mark.parametrize("l2", [1e-3, 5.0])  # with a large L2 the decay's rounding reaches the weights
+    @pytest.mark.parametrize("epochs", [0, 1, 4])
+    @pytest.mark.parametrize("seed", [0, 5, 13])
+    def test_matches_oracle_bit_for_bit(self, seed, epochs, l2):
+        hyper = ExtractorHyperparams(learning_rate=0.3, epochs=epochs, l2=l2, seed=seed)
+        for instances in (separable_instances(), synth_instances()):
+            model = train_extractor(instances, hyper)
+            expected = helpers.oracle_train_extractor(instances, hyper)
+            assert (model.labels, model.feature_vocab) == (expected.labels, expected.feature_vocab)
+            assert model.weights.tobytes() == expected.weights.tobytes()
+
     def test_softmax_sums_to_one(self):
         model = train_extractor(separable_instances(), ExtractorHyperparams(epochs=5))
         rng = np.random.default_rng(8)
@@ -194,6 +225,17 @@ class TestTrainExtractor:
             probs = predict_probabilities(model, features)
             assert abs(float(probs.sum()) - 1.0) < 1e-9
             assert (probs > 0).all()
+
+
+def synth_instances():
+    """Distantly labelled instances of the synthetic corpus, as ``train-extractor`` builds them."""
+    lexicon = helpers.synth_lexicon()
+    kb = helpers.synth_kb(lexicon)
+    instances = []
+    for doc in helpers.synth_corpus(lexicon, 12, seed=3):
+        tokens, pairs = analyze(doc.content(), lexicon, doc_id=doc.id)
+        instances += [RelationInstance(p, distant_label(p, kb), featurize(p, tokens, lexicon)) for p in pairs]
+    return instances
 
 
 def trained_fixture_model(lexicon, kb):
@@ -290,3 +332,117 @@ class TestEdgeIO:
         path = tmp_path / "edges.jsonl"
         write_edges(per_doc, path)
         assert read_edges(path) == per_doc
+
+
+def random_model(features, num_labels: int, rng: np.random.Generator, keep: float = 1.0) -> ExtractorModel:
+    """Random weights over a random share ``keep`` of ``features``, numbered in sorted order."""
+    names = sorted(name for name in set(features) if rng.random() < keep)
+    labels = [NA_LABEL] + [f"rel_{i:02d}" for i in range(num_labels - 1)]
+    weights = rng.normal(size=(num_labels, len(names))) * rng.choice([0.01, 1.0, 4.0], size=(num_labels, len(names)))
+    return ExtractorModel({name: i for i, name in enumerate(names)}, weights, labels, ExtractorHyperparams())
+
+
+def pair_features(docs, lexicon):
+    return [name for tokens, pairs in docs for pair in pairs for name in helpers.oracle_featurize(pair, tokens, lexicon)]
+
+
+class TestBatchedExtraction:
+    """``extract_relations`` scores a call's pairs together; the per-pair oracle is the reference."""
+
+    @pytest.mark.parametrize("num_labels", [2, 12])
+    def test_matches_oracle_on_random_documents(self, num_labels):
+        lexicon = helpers.synth_lexicon()
+        rng = random.Random(num_labels)
+        docs = [
+            analyze(helpers.random_fixture_text(lexicon, rng, num_words=50), lexicon, window=rng.choice([0, 3, 30]))
+            for _ in range(15)
+        ]
+        features = pair_features(docs, lexicon)
+        weights_rng = np.random.default_rng(num_labels)
+        for keep in (1.0, 0.6, 0.1):
+            model = random_model(features, num_labels, weights_rng, keep)
+            for tokens, pairs in docs:
+                for theta in (0.0, 0.3, 0.6, 1.0):
+                    expected = helpers.oracle_extract_relations(pairs, model, theta, tokens, lexicon)
+                    assert extract_relations(pairs, model, theta, tokens, lexicon) == expected
+                for pair in pairs:
+                    expected = helpers.oracle_probabilities(model.weights, featurize(pair, tokens, lexicon), model.feature_vocab)
+                    assert predict_probabilities(model, featurize(pair, tokens, lexicon)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("num_labels", [2, 12])
+    def test_every_feature_count_from_zero_to_window_plus_four(self, num_labels):
+        # One sentence per number k of distinct between-tokens; models that
+        # know every feature give k + 4 known features, models that know only
+        # the between-tokens give k.
+        window = 8
+        lexicon = helpers.synth_lexicon()
+        fillers = ["patient", "presented", "with", "history", "of", "treated", "using", "after", "severe"]
+        text = " ".join(f"Aspirin {' '.join(fillers[:k])} fever." for k in range(window + 1))
+        tokens, pairs = analyze(text, lexicon, window=window)
+        features = pair_features([(tokens, pairs)], lexicon)
+        rng = np.random.default_rng(3)
+        seen = set()
+        for between_only in (False, True):
+            for _ in range(3):
+                model = random_model([f for f in features if f.startswith("bet:") or not between_only], num_labels, rng)
+                for pair in pairs:
+                    seen.add(sum(name in model.feature_vocab for name in helpers.oracle_featurize(pair, tokens, lexicon)))
+                for theta in (0.0, 0.5):
+                    expected = helpers.oracle_extract_relations(pairs, model, theta, tokens, lexicon)
+                    assert extract_relations(pairs, model, theta, tokens, lexicon) == expected
+        assert seen == set(range(window + 5))
+
+    def test_theta_exactly_at_a_confidence_keeps_the_edge(self):
+        lexicon = helpers.synth_lexicon()
+        rng = random.Random(4)
+        docs = [analyze(helpers.random_fixture_text(lexicon, rng, num_words=30), lexicon) for _ in range(4)]
+        model = random_model(pair_features(docs, lexicon), 3, np.random.default_rng(4))
+        checked = 0
+        for tokens, pairs in docs:
+            for edge in helpers.oracle_extract_relations(pairs, model, 0.0, tokens, lexicon)[:8]:
+                edges = extract_relations(pairs, model, edge.confidence, tokens, lexicon)
+                assert edge in edges
+                assert edges == helpers.oracle_extract_relations(pairs, model, edge.confidence, tokens, lexicon)
+                checked += 1
+        assert checked >= 8
+
+    def test_same_cui_pairs_are_skipped(self, lexicon):
+        tokens, pairs = analyze("Heart attack after myocardial infarction with aspirin.", lexicon)
+        assert any(p.head_mention.primary_cui == p.tail_mention.primary_cui for p in pairs)
+        model = random_model(pair_features([(tokens, pairs)], lexicon), 2, np.random.default_rng(0))
+        model.weights[1] = 50.0  # every known feature votes for the relation
+        edges = extract_relations(pairs, model, 0.0, tokens, lexicon)
+        assert edges == helpers.oracle_extract_relations(pairs, model, 0.0, tokens, lexicon)
+        assert edges and all(e.head != e.tail for e in edges)
+
+    def test_pairs_without_a_known_feature_predict_na(self, lexicon):
+        tokens, pairs = analyze("Aspirin treats heart attack and hypertension.", lexicon)
+        labels = [NA_LABEL, "may_treat"]
+        unknown = ExtractorModel({"bet:never": 0}, np.array([[0.0], [9.0]]), labels, ExtractorHyperparams())
+        assert extract_relations(pairs, unknown, 0.0, tokens, lexicon) == []
+        assert helpers.oracle_extract_relations(pairs, unknown, 0.0, tokens, lexicon) == []
+        empty = ExtractorModel({}, np.zeros((2, 0)), labels, ExtractorHyperparams())
+        assert extract_relations(pairs, empty, 0.0, tokens, lexicon) == []
+
+
+class TestScores:
+    """The stacked product behind ``_scores`` is bit-equal to one gemv per row."""
+
+    @pytest.mark.parametrize("num_labels", [2, 3, 7, 12])
+    def test_stacked_product_is_bit_equal_to_per_row_gemv(self, num_labels):
+        rng = np.random.default_rng(num_labels)
+        weights = rng.normal(size=(num_labels, 60)) * rng.choice([1e-3, 1.0, 30.0], size=(num_labels, 60))
+        for layout in (weights, np.ascontiguousarray(weights.T).T):
+            for n in range(1, 41):
+                for rows in (1, 2, 7, 100):
+                    ids = np.sort(np.array([rng.choice(60, n, replace=False) for _ in range(rows)]), axis=1)
+                    counts = rng.integers(1, 4, size=(rows, n)).astype(float)
+                    expected = np.array([weights[:, ids[p]] @ counts[p] for p in range(rows)])
+                    assert _scores(layout, ids, counts).tobytes() == expected.tobytes(), (n, rows)
+
+    @pytest.mark.parametrize("num_labels", [2, 7, 12, 33])
+    def test_row_softmax_keeps_each_rows_bits(self, num_labels):
+        rng = np.random.default_rng(num_labels)
+        scores = rng.normal(size=(200, num_labels)) * 20.0
+        expected = np.array([helpers.oracle_softmax(row) for row in scores])
+        assert _softmax(scores).tobytes() == expected.tobytes()
