@@ -80,15 +80,19 @@ def _cmd_link(args: argparse.Namespace) -> None:
     _emit(mentions_jsonl(per_doc), args.out)
 
 
+def _extraction_models(cfg: PipelineConfig):
+    """What the extraction mode reads, as ``(kb, extractor)``: the triple store
+    in kbmatch mode, the extractor in model mode, and never the other."""
+    if cfg.mode == "model":
+        return None, load_extractor(_require(cfg.extractor_model, "--extractor-model"))
+    return load_triples(_require(cfg.triples, "--triples")), None
+
+
 def _cmd_extract(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
     lexicon, corpus = _analyzed_docs(cfg)
     per_doc_mentions = read_mentions(args.mentions)
-    kb = extractor = None
-    if cfg.mode == "model":
-        extractor = load_extractor(_require(cfg.extractor_model, "--extractor-model"))
-    else:
-        kb = load_triples(_require(cfg.triples, "--triples"))
+    kb, extractor = _extraction_models(cfg)
     per_doc_edges = {}
     for doc in corpus:
         content = doc.content()
@@ -169,15 +173,11 @@ def _cmd_enrich(args: argparse.Namespace) -> None:
 
 def _cmd_index(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
-    if cfg.mode == "kbmatch":
-        _require(cfg.triples, "--triples")
-    else:
-        _require(cfg.extractor_model, "--extractor-model")
     if cfg.enrich or cfg.fuse:
         _require(cfg.transe_model, "--transe-model")
+    kb, extractor = _extraction_models(cfg)
     lexicon, corpus = _analyzed_docs(cfg)
-    kb = load_triples(cfg.triples) if cfg.triples else None
-    extractor = load_extractor(cfg.extractor_model) if cfg.extractor_model else None
+    # Given without enrichment or fusion, the TransE model still serves the embedding half of the score.
     transe_model = load_model(cfg.transe_model) if cfg.transe_model else None
     index = engine.index_corpus(corpus, lexicon, cfg, kb, extractor, transe_model)
     engine.save_index(index, _require(args.out or cfg.index, "--out"))

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConsistencyError, FormatError, UsageError, ValidationError
+from .errors import ConsistencyError, FormatError, ParseError, UsageError, ValidationError
 from .kb import Lexicon, jsonl, read_jsonl
 from .linking import Mention
-from .transe import EmbeddingModel, distances, plausibility
+from .transe import EmbeddingModel, distances
 
 log = logging.getLogger(__name__)
 
@@ -139,11 +139,9 @@ def enrich_network(
     relations = sorted(model.relation_vectors)
     if not cuis or not relations:
         return enriched
-    existing = net.edge_keys()
     # One (head, tail, relation) block of distances, computed in slices of
-    # heads that hold about a million numbers at most. A distance-side bound
-    # with room for the rounding of exp and log keeps every candidate that
-    # can pass; the exact plausibility test is then applied to those alone.
+    # heads that hold about a million numbers at most; self-pairs and existing
+    # edges are no candidates.
     vectors = np.array([model.entity_vectors[c] for c in cuis])
     relation_vectors = np.array([model.relation_vectors[r] for r in relations])
     step = max(1, (1 << 20) // max(1, len(cuis) * relation_vectors.size))
@@ -151,18 +149,34 @@ def enrich_network(
         distances(vectors[i : i + step, None, None] + relation_vectors[None, None] - vectors[None, :, None], model.config.distance)
         for i in range(0, len(cuis), step)
     ])
-    near = np.nonzero(dist <= -math.log(tau_lp) + 1e-9)
-    candidates: list[tuple[float, tuple[str, str, str]]] = []
-    for h, t, r, d in zip(*(axis.tolist() for axis in near), dist[near].tolist()):
-        key = (cuis[h], cuis[t], relations[r])
-        if h == t or key in existing:
-            continue
+    diagonal = np.arange(len(cuis))
+    dist[diagonal, diagonal] = np.inf
+    position = {cui: i for i, cui in enumerate(cuis)}
+    relation_position = {r: i for i, r in enumerate(relations)}
+    for edge in net.edges:
+        if edge.head in position and edge.tail in position and edge.relation in relation_position:
+            dist[position[edge.head], position[edge.tail], relation_position[edge.relation]] = np.inf
+    # exp is monotone, so no candidate beyond the m_cap-th smallest distance
+    # can outrank those up to it, and none beyond the tau_lp bound can pass.
+    # Both cuts leave 1e-9 of room for the rounding of exp and log; the
+    # exact plausibility test and ranking then run on the survivors alone.
+    flat = dist.ravel()
+    near = np.flatnonzero(flat <= -math.log(tau_lp) + 1e-9)
+    near_dist = flat[near]
+    if m_cap < len(near):
+        kept = near_dist <= np.partition(near_dist, m_cap - 1)[m_cap - 1] + 1e-9
+        near, near_dist = near[kept], near_dist[kept]
+    candidates = []
+    for i, d in zip(near.tolist(), near_dist.tolist()):
         score = math.exp(-d)
         if score >= tau_lp:
-            candidates.append((score, key))
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-    for score, (head, tail, relation) in candidates[:m_cap]:
-        enriched.edges.append(Edge(head, tail, relation, score, PROV_PREDICTED))
+            candidates.append((-score, i))  # C order of (head, tail, relation) is the key order
+    candidates.sort()
+    width = len(cuis) * len(relations)
+    for negated, i in candidates[:m_cap]:
+        head, rest = divmod(i, width)
+        tail, relation = divmod(rest, len(relations))
+        enriched.edges.append(Edge(cuis[head], cuis[tail], relations[relation], -negated, PROV_PREDICTED))
     return enriched
 
 
@@ -176,13 +190,25 @@ def fuse_confidence(c_ext: float, c_lp: float) -> float:
 
 
 def fuse_network(net: SemanticNetwork, model: EmbeddingModel) -> SemanticNetwork:
-    """Strengthen every extracted edge the model can score; provenance becomes fused."""
-    fused = SemanticNetwork(net.doc_id, dict(net.nodes), [])
-    for edge in net.edges:
-        if edge.provenance == PROV_EXTRACTED and model.knows(edge.head, edge.relation, edge.tail):
-            c_lp = plausibility(model, edge.head, edge.relation, edge.tail)
-            edge = Edge(edge.head, edge.tail, edge.relation, fuse_confidence(edge.confidence, c_lp), PROV_FUSED)
-        fused.edges.append(edge)
+    """Strengthen every extracted edge the model can score; provenance becomes fused.
+
+    The edges' distances come from one ``distances`` call, row for row the
+    bits of ``plausibility`` on each edge.
+    """
+    fused = SemanticNetwork(net.doc_id, dict(net.nodes), list(net.edges))
+    scorable = [
+        i for i, e in enumerate(net.edges) if e.provenance == PROV_EXTRACTED and model.knows(e.head, e.relation, e.tail)
+    ]
+    if not scorable:
+        return fused
+    edges = [net.edges[i] for i in scorable]
+    entity, relation = model.entity_vectors, model.relation_vectors
+    vectors = np.array(
+        [entity[e.head] for e in edges] + [relation[e.relation] for e in edges] + [entity[e.tail] for e in edges]
+    ).reshape(3, len(edges), -1)  # heads, relations and tails, each C-contiguous
+    dist = distances(vectors[0] + vectors[1] - vectors[2], model.config.distance)
+    for i, edge, d in zip(scorable, edges, dist.tolist()):
+        fused.edges[i] = Edge(edge.head, edge.tail, edge.relation, fuse_confidence(edge.confidence, math.exp(-d)), PROV_FUSED)
     return fused
 
 
@@ -197,7 +223,13 @@ def edge_to_dict(edge: Edge) -> dict:
 
 
 def edge_from_dict(data: dict) -> Edge:
-    return Edge(data["head"], data["tail"], data["rel"], data["conf"], data["prov"])
+    """The edge of an edge record; ParseError unless its fields have their JSON types."""
+    head, tail, relation, confidence, provenance = data["head"], data["tail"], data["rel"], data["conf"], data["prov"]
+    if not {type(head), type(tail), type(relation), type(provenance)} <= {str}:
+        raise ParseError("edge head, tail, rel and prov must be strings")
+    if type(confidence) not in (int, float):
+        raise ParseError(f"edge conf must be a JSON number, got {confidence!r}")
+    return Edge(head, tail, relation, confidence, provenance)
 
 
 def network_to_dict(net: SemanticNetwork) -> dict:
@@ -216,9 +248,21 @@ def network_to_dict(net: SemanticNetwork) -> dict:
     }
 
 
+def _span_pairs(spans) -> bool:
+    """Whether ``spans`` is a list of ``[start, end]`` integer pairs."""
+    return type(spans) is list and all(type(span) is list and len(span) == 2 and set(map(type, span)) <= {int} for span in spans)
+
+
 def network_from_dict(data: dict) -> SemanticNetwork:
+    """The network of a network record; ParseError unless its fields have their JSON types."""
+    if type(data["doc_id"]) is not str or type(data["nodes"]) is not list or type(data["edges"]) is not list:
+        raise ParseError("a network needs a string doc_id and lists of nodes and edges")
     net = SemanticNetwork(data["doc_id"])
     for row in data["nodes"]:
+        if type(row["cui"]) is not str or type(row["name"]) is not str:
+            raise ParseError("network node cui and name must be strings")
+        if not _span_pairs(row["spans"]) or type(row["weight"]) is not int:
+            raise ParseError(f"node {row['cui']}: spans must be [start, end] integer pairs and weight an integer")
         spans = [(s, e) for s, e in row["spans"]]
         if row["weight"] != len(spans):
             raise ValidationError(

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, TrainingError, UsageError, ValidationError
+from .errors import FormatError, ParseError, TrainingError, UsageError, ValidationError
 from .kb import Lexicon, TripleStore, jsonl, load_container, normalize_token, read_jsonl, save_container
 from .linking import Mention, SentenceSpan, Token
 from .network import PROV_EXTRACTED, Edge, edge_from_dict, edge_to_dict
@@ -406,6 +406,8 @@ def write_edges(per_doc: dict[str, list[Edge]], path: str | Path) -> None:
 
 def read_edges(path: str | Path) -> dict[str, list[Edge]]:
     def decode(obj) -> tuple[str, list[Edge]]:
+        if type(obj["doc_id"]) is not str or type(obj["edges"]) is not list:
+            raise ParseError("an edge record needs a string doc_id and a list of edges")
         return obj["doc_id"], [edge_from_dict(e) for e in obj["edges"]]
 
     return dict(read_jsonl(path, decode, "an edge"))

@@ -9,10 +9,11 @@ weighted by mention count. Both are combined convexly.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -92,15 +93,19 @@ def wl_label_history(net: SemanticNetwork, h: int, comp: LabelCompressor) -> lis
     for edge in net.edges:
         neighbors[edge.head].append((edge.relation, edge.tail))
         neighbors[edge.tail].append((edge.relation, edge.head))
-    labels = {cui: comp.compress(json.dumps(["n", cui])) for cui in cuis}
+    # Signatures are the json.dumps text of ["n", cui] and of
+    # [label, [[relation, label], ...]]: strings quoted as json.dumps quotes
+    # them, each relation once per network.
+    quoted = {relation: encode_basestring_ascii(relation) for relation in {edge.relation for edge in net.edges}}
+    compress = comp.compress
+    labels = {cui: compress(f'["n", {encode_basestring_ascii(cui)}]') for cui in cuis}
     history = [labels]
     for _ in range(h):
         refined = {}
         for cui in cuis:
-            signature = json.dumps(
-                [labels[cui], sorted((rel, labels[other]) for rel, other in neighbors[cui])]
-            )
-            refined[cui] = comp.compress(signature)
+            pairs = sorted([(rel, labels[other]) for rel, other in neighbors[cui]])
+            body = ", ".join([f"[{quoted[rel]}, {label}]" for rel, label in pairs])
+            refined[cui] = compress(f"[{labels[cui]}, [{body}]]")
         labels = refined
         history.append(labels)
     return history
@@ -108,9 +113,7 @@ def wl_label_history(net: SemanticNetwork, h: int, comp: LabelCompressor) -> lis
 
 def wl_features(net: SemanticNetwork, h: int, comp: LabelCompressor) -> WlFeatureVector:
     """Label counts accumulated over iterations 0..h."""
-    counts: Counter[int] = Counter()
-    for labels in wl_label_history(net, h, comp):
-        counts.update(labels.values())
+    counts = Counter(chain.from_iterable(map(dict.values, wl_label_history(net, h, comp))))
     return WlFeatureVector(dict(counts), h, comp)
 
 

@@ -9,6 +9,7 @@ arithmetic instead of the library's vector helpers.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -32,9 +33,10 @@ from casegraph.kb import (
     normalize_surface,
 )
 from casegraph.linking import Mention, SentenceSpan, Token, tokenize
-from casegraph.network import PROV_EXTRACTED, Edge, SemanticNetwork, write_networks
+from casegraph.network import PROV_EXTRACTED, PROV_FUSED, Edge, SemanticNetwork, fuse_confidence, write_networks
 from casegraph.relations import CandidatePair, ExtractorModel
-from casegraph.transe import EmbeddingModel, margin_loss, margin_loss_gradients
+from casegraph.similarity import LabelCompressor
+from casegraph.transe import EmbeddingModel, margin_loss, margin_loss_gradients, plausibility
 
 FIXTURE_LEXICON_ROWS = [
     ("C0027051", "Myocardial Infarction", ["heart attack", "myocardial infarction"], "T047"),
@@ -409,6 +411,24 @@ def oracle_wl_counts(net: SemanticNetwork, h: int) -> Counter:
     return counts
 
 
+def oracle_wl_label_history(net: SemanticNetwork, h: int, comp: LabelCompressor) -> list[dict[str, int]]:
+    """``wl_label_history`` with every signature written by ``json.dumps``."""
+    cuis = sorted(net.nodes)
+    neighbors = {cui: [] for cui in cuis}
+    for edge in net.edges:
+        neighbors[edge.head].append((edge.relation, edge.tail))
+        neighbors[edge.tail].append((edge.relation, edge.head))
+    labels = {cui: comp.compress(json.dumps(["n", cui])) for cui in cuis}
+    history = [labels]
+    for _ in range(h):
+        labels = {
+            cui: comp.compress(json.dumps([labels[cui], sorted((rel, labels[other]) for rel, other in neighbors[cui])]))
+            for cui in cuis
+        }
+        history.append(labels)
+    return history
+
+
 def oracle_wl_dot(counts_a: Counter, counts_b: Counter) -> int:
     return sum(count * counts_b.get(label, 0) for label, count in counts_a.items())
 
@@ -460,7 +480,7 @@ def oracle_combined(net_a: SemanticNetwork, net_b: SemanticNetwork, lam: float, 
     return lam * explicit + (1.0 - lam) * latent
 
 
-# --- enrichment oracle ----------------------------------------------------------
+# --- enrichment and fusion oracles ---------------------------------------------
 
 
 def oracle_enrichment(net: SemanticNetwork, model, tau_lp: float, m_cap: int):
@@ -494,6 +514,17 @@ def oracle_enrichment(net: SemanticNetwork, model, tau_lp: float, m_cap: int):
                     candidates.append((score, key))
     candidates.sort(key=lambda c: (-c[0], c[1]))
     return candidates[:m_cap]
+
+
+def oracle_fuse_network(net: SemanticNetwork, model) -> SemanticNetwork:
+    """Fusion edge by edge: one ``plausibility`` call per scorable extracted edge."""
+    fused = SemanticNetwork(net.doc_id, dict(net.nodes), [])
+    for edge in net.edges:
+        if edge.provenance == PROV_EXTRACTED and model.knows(edge.head, edge.relation, edge.tail):
+            c_lp = plausibility(model, edge.head, edge.relation, edge.tail)
+            edge = Edge(edge.head, edge.tail, edge.relation, fuse_confidence(edge.confidence, c_lp), PROV_FUSED)
+        fused.edges.append(edge)
+    return fused
 
 
 # --- TransE oracles ---------------------------------------------------------------

@@ -216,6 +216,69 @@ class TestBadInputsExitTwo:
         assert part in self.assert_one_error_line(capsys)
         assert not out.exists()
 
+    RECORD_SPOILERS = {
+        "list relation": lambda r, e: e.__setitem__("rel", [1]),
+        "numeric relation": lambda r, e: e.__setitem__("rel", 5),
+        "numeric head": lambda r, e: e.__setitem__("head", 3),
+        "list provenance": lambda r, e: e.__setitem__("prov", ["extracted"]),
+        "boolean confidence": lambda r, e: e.__setitem__("conf", True),
+        "string confidence": lambda r, e: e.__setitem__("conf", "0.5"),
+        "list doc id": lambda r, e: r.__setitem__("doc_id", [3]),
+        "edges not a list": lambda r, e: r.__setitem__("edges", {"0": e}),
+    }
+    NODE_SPOILERS = {
+        "numeric cui": lambda n: n.__setitem__("cui", 7),
+        "numeric name": lambda n: n.__setitem__("name", 7),
+        "one-bound span": lambda n: n["spans"].__setitem__(0, [1]),
+        "three-bound span": lambda n: n["spans"].__setitem__(0, [1, 2, 3]),
+        "string bound": lambda n: n["spans"].__setitem__(0, ["1", 2]),
+        "boolean bound": lambda n: n["spans"].__setitem__(0, [True, 2]),
+        "spans not a list": lambda n: n.__setitem__("spans", "0-5"),
+        "float weight": lambda n: n.__setitem__("weight", float(n["weight"])),
+        "boolean weight": lambda n: n.update(spans=n["spans"][:1], weight=True),
+    }
+
+    @staticmethod
+    def spoil_jsonl(path: Path, spoil) -> None:
+        """Apply ``spoil`` to the first record of a JSONL file that has an edge."""
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        spoil(next(r for r in records if r["edges"]))
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+    @pytest.mark.parametrize("spoiler", sorted(RECORD_SPOILERS) + sorted(NODE_SPOILERS))
+    def test_bad_network_record(self, tmp_path, fixtures, capsys, spoiler):
+        model, networks = tmp_path / "transe.json", tmp_path / "networks.jsonl"
+        assert run_cli("train-transe", "--triples", fixtures["triples"], "--dim", "4", "--epochs", "2", "--out", str(model)) == 0
+        helpers.write_pipeline_networks(fixtures, networks)
+        if spoiler in self.RECORD_SPOILERS:
+            self.spoil_jsonl(networks, lambda r: self.RECORD_SPOILERS[spoiler](r, r["edges"][0]))
+        else:
+            self.spoil_jsonl(networks, lambda r: self.NODE_SPOILERS[spoiler](r["nodes"][0]))
+        capsys.readouterr()
+        out = tmp_path / "out.jsonl"
+        argv = ["enrich", "--networks", str(networks), "--transe-model", str(model), "--fuse", "--out", str(out)]
+        assert run_cli(*argv) == 2
+        assert f"{networks}: line " in self.assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spoiler", sorted(RECORD_SPOILERS))
+    def test_bad_edge_record(self, tmp_path, fixtures, capsys, spoiler):
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        mentions, edges = tmp_path / "mentions.jsonl", tmp_path / "edges.jsonl"
+        assert run_cli("link", *docs, "--out", str(mentions)) == 0
+        argv = ["extract", *docs, "--mentions", str(mentions), "--mode", "kbmatch", "--triples", fixtures["triples"]]
+        assert run_cli(*argv, "--out", str(edges)) == 0
+        self.spoil_jsonl(edges, lambda r: self.RECORD_SPOILERS[spoiler](r, r["edges"][0]))
+        out = tmp_path / "out"
+        for argv in (
+            ["build-graphs", *docs, "--mentions", str(mentions), "--edges", str(edges)],
+            ["train-transe", "--triples", fixtures["triples"], "--extra-edges", str(edges), "--dim", "4", "--epochs", "1"],
+        ):
+            capsys.readouterr()
+            assert run_cli(*argv, "--out", str(out)) == 2
+            assert f"{edges}: line " in self.assert_one_error_line(capsys)
+            assert not out.exists()
+
     @pytest.mark.parametrize("spoiler", ["short vector", "NaN", "Infinity"])
     def test_search_on_index_with_bad_model(self, tmp_path, fixtures, built_index, capsys, spoiler):
         payload = json.loads(built_index.read_text(encoding="utf-8"))
@@ -223,6 +286,32 @@ class TestBadInputsExitTwo:
         built_index.write_text(json.dumps(payload), encoding="utf-8")
         assert run_cli("search", "--index", str(built_index), "--query-file", fixtures["corpus"]) == 2
         assert str(built_index) in self.assert_one_error_line(capsys)
+
+
+class TestModelLoading:
+    """index and extract read the model of their extraction mode and not the other one."""
+
+    def test_index_in_model_mode_leaves_the_triples_out(self, tmp_path, fixtures):
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        extractor, index = tmp_path / "extractor.json", tmp_path / "corpus.idx"
+        assert run_cli("train-extractor", *docs, "--triples", fixtures["triples"], "--epochs", "2", "--out", str(extractor)) == 0
+        argv = ["index", *docs, "--mode", "model", "--extractor-model", str(extractor), "--out", str(index)]
+        assert run_cli(*argv, "--triples", fixtures["triples"]) == 0
+        payload = json.loads(index.read_text(encoding="utf-8"))
+        assert payload["kb"] is None and payload["extractor"] is not None
+        with_triples = index.read_bytes()
+        assert run_cli(*argv) == 0
+        assert index.read_bytes() == with_triples
+
+    def test_unused_model_files_are_not_opened(self, tmp_path, fixtures):
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        mentions, nope = tmp_path / "mentions.jsonl", str(tmp_path / "nope")
+        assert run_cli("link", *docs, "--out", str(mentions)) == 0
+        kbmatch = ["--mode", "kbmatch", "--triples", fixtures["triples"], "--extractor-model", nope]
+        assert run_cli("index", *docs, *kbmatch, "--out", str(tmp_path / "corpus.idx")) == 0
+        payload = json.loads((tmp_path / "corpus.idx").read_text(encoding="utf-8"))
+        assert payload["extractor"] is None and payload["kb"] is not None
+        assert run_cli("extract", *docs, "--mentions", str(mentions), *kbmatch, "--out", str(tmp_path / "e.jsonl")) == 0
 
 
 class TestUnexpectedFailure:

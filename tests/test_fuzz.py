@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,18 @@ def extractor_pipeline(pipeline):
     return tmp, fixtures, str(mentions), model.read_text(encoding="utf-8"), index.read_text(encoding="utf-8")
 
 
+@pytest.fixture(scope="module")
+def edges_pipeline(pipeline):
+    """The fixture's mentions and their kbmatch edges JSONL."""
+    tmp, fixtures, _, _ = pipeline
+    docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+    mentions, edges = tmp / "edge-mentions.jsonl", tmp / "edges.jsonl"
+    assert dispatch(["link", *docs, "--out", str(mentions)]) == 0
+    argv = ["extract", *docs, "--mentions", str(mentions), "--mode", "kbmatch", "--triples", fixtures["triples"]]
+    assert dispatch([*argv, "--out", str(edges)]) == 0
+    return tmp, fixtures, str(mentions), edges.read_text(encoding="utf-8")
+
+
 @st.composite
 def damaged_json(draw, valid: str) -> str:
     """A truncated copy of a valid JSON file, one with a value replaced or a
@@ -81,6 +94,37 @@ def damaged_json(draw, valid: str) -> str:
         else:
             node[key] = draw(json_values)
             return json.dumps(payload)
+
+
+def leaves(node, path: tuple = ()):
+    """The paths to the scalars of a JSON value."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from leaves(child, (*path, key))
+    else:
+        yield path
+
+
+@st.composite
+def damaged_jsonl(draw, valid: str) -> str:
+    """A truncated copy of a valid JSONL file, or one with a line damaged as
+    ``damaged_json`` does or with one of its scalars replaced."""
+    kind = draw(st.sampled_from(["truncated", "damaged line", "replaced scalar"]))
+    if kind == "truncated":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    lines = valid.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "damaged line":
+        lines[i] = draw(damaged_json(lines[i]))
+    else:
+        record = json.loads(lines[i])
+        *path, key = draw(st.sampled_from(list(leaves(record))))
+        node = record
+        for step in path:
+            node = node[step]
+        node[key] = draw(json_values)
+        lines[i] = json.dumps(record)
+    return "".join(line + "\n" for line in lines)
 
 
 def run_quietly(argv: list[str]) -> tuple[int, str]:
@@ -176,3 +220,32 @@ def test_damaged_extractor_model(extractor_pipeline, data):
         assert code in (0, 1, 2), err
         assert "Traceback" not in err
         assert sum(line.startswith("error:") for line in err.splitlines()) == (code != 0), err
+
+
+def assert_typed_failure(code: int, err: str) -> None:
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == (code != 0), err
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data())
+def test_damaged_networks(pipeline, data):
+    tmp, _, networks, _ = pipeline
+    damaged = tmp / "damaged-networks.jsonl"
+    damaged.write_text(data.draw(damaged_jsonl(Path(networks).read_text(encoding="utf-8"))), encoding="utf-8")
+    argv = ["enrich", "--networks", str(damaged), "--transe-model", str(tmp / "transe.json"), "--tau-lp", "0.001", "--fuse"]
+    assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data())
+def test_damaged_edges(edges_pipeline, data):
+    tmp, fixtures, mentions, valid = edges_pipeline
+    damaged = tmp / "damaged-edges.jsonl"
+    damaged.write_text(data.draw(damaged_jsonl(valid)), encoding="utf-8")
+    for argv in (
+        ["build-graphs", "--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"], "--mentions", mentions, "--edges", str(damaged)],
+        ["train-transe", "--triples", fixtures["triples"], "--extra-edges", str(damaged), "--dim", "3", "--epochs", "1"],
+    ):
+        assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))

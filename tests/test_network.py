@@ -208,6 +208,56 @@ class TestEnrichmentEqualsOracleExactly:
         assert any(key[0] == "C2" and scores.get(("C7",) + key[1:]) == score for key, score in scores.items())
 
 
+class TestEnrichmentCut:
+    """The m_cap cut gives exactly the oracle's ranking at every cap."""
+
+    @pytest.mark.parametrize("distance", ["l1", "l2"])
+    def test_every_cap_on_ties(self, distance):
+        model = quarter_model(distance)
+        # C7 has C2's vector, so candidates tie in pairs all along the ranking.
+        cuis = ["C0", "C1", "C2", "C3", "C5", "C7", "C0999999"]
+        edges = [
+            Edge("C2", "C3", "r0", 0.5, "extracted"),
+            Edge("C7", "C2", "unknown_rel", 0.5, "extracted"),  # a relation the model lacks
+            Edge("C0999999", "C1", "r1", 0.5, "extracted"),  # an endpoint the model lacks
+        ]
+        net = make_network("d", cuis, edges)
+        for tau in (1e-4, 0.05, 0.5):
+            everything = helpers.oracle_enrichment(net, model, tau, 10**6)
+            scores = [score for score, _ in everything]
+            if tau < 0.5:
+                assert any(a == b for a, b in zip(scores, scores[1:]))  # a tie straddles some cap
+            for cap in [*range(len(everything) + 3), 10**6]:
+                enriched = enrich_network(net, model, tau, cap)
+                assert enriched.edges[: len(edges)] == edges
+                predicted = [(e.confidence, e.key()) for e in enriched.edges[len(edges) :]]
+                assert predicted == everything[:cap]
+            default = enrich_network(net, model, tau).edges[len(edges) :]
+            assert [(e.confidence, e.key()) for e in default] == everything[: len(edges)]
+
+    @pytest.mark.parametrize("distance", ["l1", "l2"])
+    def test_cut_is_a_prefix_of_the_full_ranking(self, distance):
+        # Trained vectors round differently in the oracle's sums, so compare
+        # each cap with the uncut ranking of the library itself.
+        kb = helpers.planted_toy_kb()
+        config = TrainConfig(dim=12, epochs=20, distance=distance, seed=3)
+        model = train(init_model(kb.entities, kb.relations, config), kb, config)
+        entities, relations = sorted(kb.entities), sorted(kb.relations)
+        rng = random.Random(17)
+        for case in range(10):
+            cuis = rng.sample(entities, rng.randint(2, 7))
+            edges = {}
+            for _ in range(rng.randint(0, 4)):
+                head, tail = rng.sample(cuis, 2)
+                edge = Edge(head, tail, rng.choice(relations), 0.5, "extracted")
+                edges[edge.key()] = edge
+            net = make_network(f"d{case}", cuis, list(edges.values()))
+            tau = rng.choice([1e-6, 0.01, 0.3])
+            everything = enrich_network(net, model, tau, 10**6).edges[len(edges) :]
+            for cap in range(len(everything) + 2):
+                assert enrich_network(net, model, tau, cap).edges[len(edges) :] == everything[:cap]
+
+
 class TestFuseConfidence:
     def test_noisy_or(self):
         assert fuse_confidence(0.6, 0.5) == pytest.approx(0.8)
@@ -253,6 +303,39 @@ class TestFuseNetwork:
         extracted = Edge("C1", "C2", "unknown_rel", 0.5, "extracted")
         net = make_network("d1", ["C1", "C2"], [extracted])
         assert fuse_network(net, model).edges == [extracted]
+
+
+class TestFusionEqualsPerEdgeOracle:
+    @pytest.mark.parametrize("distance", ["l1", "l2"])
+    @pytest.mark.parametrize("dim", [3, 8, 16, 50])
+    def test_bit_for_bit(self, distance, dim):
+        rng = random.Random(dim)
+        # Short vectors give plausibilities near 1, so that with small
+        # extraction confidences a last-bit change of a distance shows in the
+        # fused confidence.
+        vectors = np.random.default_rng(dim).normal(0.0, 0.05 / dim, (11, dim))
+        model = EmbeddingModel(
+            {f"C{i}": vectors[i] for i in range(8)},
+            {f"r{k}": vectors[8 + k] for k in range(3)},
+            TrainConfig(dim=dim, distance=distance),
+        )
+        cuis = [f"C{i}" for i in range(8)] + ["C0999999"]
+        for case in range(25):
+            edges = []
+            for _ in range(rng.randint(0, 10)):
+                head, tail = rng.sample(cuis, 2)
+                relation = rng.choice(["r0", "r1", "r2", "unknown_rel"])
+                provenance = rng.choice(["extracted", "extracted", "predicted", "fused"])
+                edges.append(Edge(head, tail, relation, rng.choice([1.0, 2.0**-60, rng.uniform(1e-3, 1.0)]), provenance))
+            net = make_network(f"d{case}", cuis, edges)
+            fused = fuse_network(net, model)
+            expected = helpers.oracle_fuse_network(net, model)
+            assert [e.confidence.hex() for e in fused.edges] == [e.confidence.hex() for e in expected.edges]
+            assert fused.edges == expected.edges
+            for before, after in zip(net.edges, fused.edges):
+                if before.provenance != "extracted" or not model.knows(before.head, before.relation, before.tail):
+                    assert after is before
+            assert fused.nodes == net.nodes
 
 
 class TestNetworkSerialization:

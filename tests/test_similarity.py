@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from casegraph.errors import UsageError
@@ -172,6 +174,61 @@ class TestWlKernel:
         overlay_vec = wl_features(net, 1, comp.overlay())
         assert wl_kernel_normalized(base, overlay_vec) == pytest.approx(1.0, abs=1e-12)
         assert comp.next_id == base.comp.next_id  # parent untouched by overlay use
+
+
+# Text that json.dumps escapes: quotes, backslashes, control characters,
+# non-ASCII characters (astral ones become surrogate pairs) and lone surrogates.
+awkward_text = st.text(
+    st.sampled_from(['"', "\\", "/", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "中", "\U0001f600", "\ud800", "\udfff"])
+    | st.characters(),
+    max_size=5,
+)
+
+
+@st.composite
+def awkward_networks(draw) -> SemanticNetwork:
+    cuis = draw(st.lists(awkward_text, min_size=1, max_size=6, unique=True))
+    relations = draw(st.lists(awkward_text, min_size=1, max_size=3, unique=True))
+    edges = []
+    if len(cuis) > 1:
+        for _ in range(draw(st.integers(0, 2 * len(cuis)))):
+            head, tail = draw(st.permutations(cuis))[:2]
+            edges.append((head, tail, draw(st.sampled_from(relations))))
+    return make_network("d", cuis, edges)
+
+
+class TestSignaturesEqualJsonDumps:
+    """Labels, signatures and their insertion order match the json.dumps signatures."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(st.lists(awkward_networks(), min_size=1, max_size=3), st.integers(0, 3))
+    def test_fresh_compressor(self, nets, h):
+        comp, oracle = LabelCompressor(), LabelCompressor()
+        for net in nets:
+            assert wl_label_history(net, h, comp) == helpers.oracle_wl_label_history(net, h, oracle)
+        assert list(comp.table.items()) == list(oracle.table.items())
+        assert comp.next_id == oracle.next_id
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(st.lists(awkward_networks(), min_size=2, max_size=4), st.integers(0, 3))
+    def test_overlay(self, nets, h):
+        parent = LabelCompressor()
+        for net in nets[1:]:
+            helpers.oracle_wl_label_history(net, h, parent)
+        table = dict(parent.table)
+        comp, oracle = parent.overlay(), parent.overlay()
+        assert wl_label_history(nets[0], h, comp) == helpers.oracle_wl_label_history(nets[0], h, oracle)
+        assert list(comp.table.items()) == list(oracle.table.items())
+        assert comp.next_id == oracle.next_id
+        assert parent.table == table
+
+    def test_random_networks(self):
+        rng = random.Random(5)
+        comp, oracle = LabelCompressor(), LabelCompressor()
+        for i in range(40):
+            net = random_network(rng, f"d{i}")
+            assert wl_label_history(net, 3, comp) == helpers.oracle_wl_label_history(net, 3, oracle)
+        assert list(comp.table.items()) == list(oracle.table.items())
 
 
 def tiny_model():
