@@ -17,10 +17,16 @@ whenever an index is built or loaded (``DocRows``): the label-major transpose
 of the kernel features, i.e. an inverted index from each kernel label to the
 documents holding it, with each document's kernel self-norm, and a matrix
 of document embeddings with their norms, computed for all documents in one
-pass over the nodes' cuis and weights. A query is scored against every
-document at once, by one scatter-add over its own labels and one
-matrix-vector product; the collection graph scores each document against the
-ones after it the same way.
+pass over the nodes' cuis and weights. One block scorer (``_score_rows``)
+scores a block of query rows against the documents: one scatter-add of the
+rows' kernel entries into a (rows x documents) matrix and one ``einsum`` of
+the embeddings. A query is a block of one row; the collection graph passes
+the documents themselves in blocks of at most ``_BLOCK_NUMBERS`` postings and
+cells, each against the documents from its first row on, and reads its pairs
+off the strict upper triangle. Every score has the bits of scoring its row
+alone: the kernel dots are integer sums, the norms the same elementwise
+products, and ``einsum`` reduces each (row, document) pair as it does for
+one row, where a BLAS product would not.
 
 Loading checks everything before it returns: the configuration, the doc ids,
 that every part covers the same documents, the compressor, that every kernel
@@ -81,6 +87,12 @@ log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "casegraph-index"
 INDEX_VERSION = 3
+
+# The most postings, and the most (query x row) cells, that one block of the
+# collection graph joins and scores at once. From 2**13 to 2**16 graphs of
+# 150-1,000 documents took about the same time; at 2**15 a block's
+# temporaries peak at about 3.5 MB, at 2**19 at 45 MB and 2-3x slower.
+_BLOCK_NUMBERS = 2**15
 
 
 @dataclass(frozen=True)
@@ -313,29 +325,58 @@ def _derive_rows(
 
 
 def _score_rows(
-    rows: DocRows, labels: np.ndarray, counts: np.ndarray, embedding: np.ndarray, lam: float
+    rows: DocRows,
+    owners: np.ndarray,
+    labels: np.ndarray,
+    counts: np.ndarray,
+    embeddings: np.ndarray,
+    norms: np.ndarray,
+    lam: float,
+    start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``combine`` of a query (its kernel labels, counts and embedding) with every row: the scores and the kernel dots.
+    """``combine`` of a block of queries with the rows from ``start`` on: the (queries x rows) scores and kernel dots.
 
-    The kernel is ``dot / sqrt(qq * self_dot)`` on exact integers, as
+    Query ``q`` is the kernel entries ``labels``/``counts`` whose ``owners``
+    entry is ``q``, and the embedding ``embeddings[q]`` with its
+    ``np.linalg.norm`` in ``norms[q]``. The kernel is
+    ``dot / sqrt(qq * self_dot)`` on exact integers, as
     ``wl_kernel_normalized`` computes it; the kernel and the cosine are 0
     against an empty graph or a zero embedding.
     """
-    n = len(rows.doc_ids)
+    width = len(rows.doc_ids) - start
+    shape = (len(embeddings), width)
+    # Each query's integer self-dot, exact below 2**53.
+    squares = np.bincount(owners, weights=counts * counts, minlength=len(embeddings)).astype(np.int64)
     known = labels < len(rows.label_ptr) - 1  # overlay labels of a query occur in no document
-    starts, ends = rows.label_ptr[labels[known]], rows.label_ptr[labels[known] + 1]
+    owners, labels, counts = owners[known], labels[known], counts[known]
+    starts, ends = rows.label_ptr[labels], rows.label_ptr[labels + 1]
     lengths = ends - starts
     # Positions of all postings of those labels: each label's slice laid end to end.
     postings = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-    weights = rows.label_counts[postings] * np.repeat(counts[known], lengths)
-    dots = np.bincount(rows.label_rows[postings], weights=weights, minlength=n)  # integers, exact in float64
-    kernel_norms = np.sqrt(int((counts * counts).sum()) * rows.self_dots)
-    kernel = np.divide(dots, kernel_norms, out=np.zeros(n), where=kernel_norms > 0)
-    # einsum, not BLAS: it reduces every row alike, so equal rows get equal
-    # cosines wherever they sit and exact ties still break by doc id.
-    cos_norms = np.linalg.norm(embedding) * rows.embedding_norms
-    cos = np.divide(np.einsum("ij,j->i", rows.embeddings, embedding), cos_norms, out=np.zeros(n), where=cos_norms != 0)
+    # A posting's cell is its row for one query scored from row 0; in a block
+    # it moves to its query's line of the matrix and its column from start.
+    cells = rows.label_rows[postings]
+    weights = rows.label_counts[postings] * np.repeat(counts, lengths)
+    if start or len(embeddings) > 1:
+        ahead = cells >= start
+        cells = (np.repeat(owners * width - start, lengths) + cells)[ahead]
+        weights = weights[ahead]
+    dots = np.bincount(cells, weights=weights, minlength=shape[0] * width).reshape(shape)  # integers, exact in float64
+    kernel_norms = np.sqrt(squares[:, None] * rows.self_dots[start:])
+    kernel = np.divide(dots, kernel_norms, out=np.zeros(shape), where=kernel_norms > 0)
+    # einsum, not BLAS: it reduces every pair alike, row by row as for one
+    # query, so equal rows get equal cosines and exact ties break by doc id.
+    cos_norms = norms[:, None] * rows.embedding_norms[start:]
+    products = np.einsum("ij,kj->ki", rows.embeddings[start:], embeddings)
+    cos = np.divide(products, cos_norms, out=np.zeros(shape), where=cos_norms != 0)
     return combine(kernel, cos, lam), dots
+
+
+def _unit(value: float, name: str) -> float:
+    """``value``, or UsageError unless it lies within [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise UsageError(f"{name} must be within [0, 1], got {value}")
+    return value
 
 
 def _top_rows(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
@@ -367,17 +408,17 @@ def search(
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    if lam is None:
-        lam = index.config.lambda_weight
-    if not 0.0 <= lam <= 1.0:
-        raise UsageError(f"lambda must be within [0, 1], got {lam}")
+    lam = _unit(index.config.lambda_weight if lam is None else lam, "lambda")
     query_doc = Document("query", "", query_text)
     net = document_network(query_doc, index.lexicon, index.config, index.kb, index.extractor, index.transe)
-    counts = wl_features(net, index.h, index.compressor.overlay()).counts
-    labels = np.fromiter(counts, np.int64, len(counts))
+    features = wl_features(net, index.h, index.compressor.overlay()).counts
+    labels = np.fromiter(features, np.int64, len(features))
+    counts = np.fromiter(features.values(), np.int64, len(features))
     embedding = doc_embedding(net, index.transe).vector if index.transe is not None else np.zeros(0)
-    scores, dots = _score_rows(index.rows, labels, np.fromiter(counts.values(), np.int64, len(counts)), embedding, lam)
-    top = _top_rows(scores, np.flatnonzero(dots) if prune else np.arange(len(scores)), k)
+    owners, norms = np.zeros(len(labels), np.int64), np.linalg.norm(embedding, keepdims=True)
+    scores, dots = _score_rows(index.rows, owners, labels, counts, embedding[None], norms, lam)
+    scores = scores[0]
+    top = _top_rows(scores, np.flatnonzero(dots[0]) if prune else np.arange(len(scores)), k)
     doc_ids = index.rows.doc_ids
     return [
         SearchResult(doc_ids[row], score, rank)
@@ -386,21 +427,32 @@ def search(
 
 
 def build_collection_graph(index: Index, lam: float | None = None, tau_doc: float | None = None) -> CollectionGraph:
-    """Score all unordered document pairs and keep those at or above tau_doc."""
-    if lam is None:
-        lam = index.config.lambda_weight
-    if tau_doc is None:
-        tau_doc = index.config.tau_doc
-    if not 0.0 <= tau_doc <= 1.0:
-        raise UsageError(f"tau_doc must be within [0, 1], got {tau_doc}")
+    """Score all unordered document pairs and keep those at or above tau_doc, in (doc_a, doc_b) order.
+
+    The rows are scored in blocks, each against the rows from its first one
+    on, and pairs are read off the strict upper triangle of every block.
+    """
+    lam = _unit(index.config.lambda_weight if lam is None else lam, "lambda")
+    tau_doc = _unit(index.config.tau_doc if tau_doc is None else tau_doc, "tau_doc")
     rows = index.rows
-    ptr = rows.ptr.tolist()
+    n = len(rows.doc_ids)
+    # joined[i]: the postings that the kernel entries of rows before i join.
+    joined = np.concatenate([[0], np.cumsum(np.diff(rows.label_ptr)[rows.labels])])[rows.ptr]
     edges = []
-    for i, doc_a in enumerate(rows.doc_ids):
-        own = slice(ptr[i], ptr[i + 1])
-        scores, _ = _score_rows(rows, rows.labels[own], rows.counts[own], rows.embeddings[i], lam)
-        kept = np.flatnonzero(scores[i + 1 :] >= tau_doc) + i + 1
-        edges += [(doc_a, rows.doc_ids[j], float(scores[j])) for j in kept.tolist()]
+    first = 0
+    while first < n:
+        by_postings = int(np.searchsorted(joined, joined[first] + _BLOCK_NUMBERS, side="right")) - 1
+        end = min(n, max(first + 1, min(by_postings, first + _BLOCK_NUMBERS // (n - first))))
+        block, own = slice(first, end), slice(rows.ptr[first], rows.ptr[end])
+        owners = np.repeat(np.arange(end - first), np.diff(rows.ptr[first : end + 1]))
+        embeddings, norms = rows.embeddings[block], rows.embedding_norms[block]
+        scores, _ = _score_rows(rows, owners, rows.labels[own], rows.counts[own], embeddings, norms, lam, first)
+        pairs = np.nonzero(np.triu(scores >= tau_doc, 1))
+        edges += [
+            (rows.doc_ids[first + a], rows.doc_ids[first + b], score)
+            for a, b, score in zip(*(axis.tolist() for axis in pairs), scores[pairs].tolist())
+        ]
+        first = end
     return CollectionGraph(edges)
 
 

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ParseError
 from .kb import Lexicon, _WORD_RE, jsonl, normalize_token, read_jsonl
 
 _SENTENCE_END_RE = re.compile(r"[.?!](?=\s|\Z)")
@@ -161,14 +162,19 @@ def mention_to_dict(mention: Mention) -> dict:
 
 
 def mention_from_dict(data: dict) -> Mention:
-    return Mention(
-        data["start"],
-        data["end"],
-        data["surface"],
-        tuple(data["candidates"]),
-        data["primary"],
-        data["score"],
+    """The mention of a mention record; ParseError unless its fields have their JSON types."""
+    start, end, surface, candidates, primary, score = (
+        data[key] for key in ("start", "end", "surface", "candidates", "primary", "score")
     )
+    if type(start) is not int or type(end) is not int:
+        raise ParseError(f"mention start and end must be integers, got {start!r} and {end!r}")
+    if type(surface) is not str or type(primary) is not str:
+        raise ParseError("mention surface and primary must be strings")
+    if type(candidates) is not list or not set(map(type, candidates)) <= {str}:
+        raise ParseError("mention candidates must be a list of strings")
+    if type(score) not in (int, float):
+        raise ParseError(f"mention score must be a JSON number, got {score!r}")
+    return Mention(start, end, surface, tuple(candidates), primary, score)
 
 
 def mentions_jsonl(per_doc: dict[str, list[Mention]]) -> str:
@@ -182,6 +188,8 @@ def write_mentions(per_doc: dict[str, list[Mention]], path: str | Path) -> None:
 
 def read_mentions(path: str | Path) -> dict[str, list[Mention]]:
     def decode(obj) -> tuple[str, list[Mention]]:
+        if type(obj["doc_id"]) is not str or type(obj["mentions"]) is not list:
+            raise ParseError("a mention record needs a string doc_id and a list of mentions")
         return obj["doc_id"], [mention_from_dict(m) for m in obj["mentions"]]
 
     return dict(read_jsonl(path, decode, "a mention"))

@@ -480,6 +480,42 @@ def oracle_combined(net_a: SemanticNetwork, net_b: SemanticNetwork, lam: float, 
     return lam * explicit + (1.0 - lam) * latent
 
 
+# --- collection graph oracle ---------------------------------------------------
+
+
+def oracle_score_row(rows, labels: np.ndarray, counts: np.ndarray, embedding: np.ndarray, lam: float):
+    """One query (its kernel labels, counts and embedding) against every row of a ``DocRows``: scores and kernel dots.
+
+    The one-query scorer that search and the collection graph used before
+    rows were scored in blocks; the blocked scorer must keep its bits.
+    """
+    n = len(rows.doc_ids)
+    known = labels < len(rows.label_ptr) - 1
+    starts, ends = rows.label_ptr[labels[known]], rows.label_ptr[labels[known] + 1]
+    lengths = ends - starts
+    postings = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+    weights = rows.label_counts[postings] * np.repeat(counts[known], lengths)
+    dots = np.bincount(rows.label_rows[postings], weights=weights, minlength=n)
+    kernel_norms = np.sqrt(int((counts * counts).sum()) * rows.self_dots)
+    kernel = np.divide(dots, kernel_norms, out=np.zeros(n), where=kernel_norms > 0)
+    cos_norms = np.linalg.norm(embedding) * rows.embedding_norms
+    cos = np.divide(np.einsum("ij,j->i", rows.embeddings, embedding), cos_norms, out=np.zeros(n), where=cos_norms != 0)
+    return lam * kernel + (1.0 - lam) * np.maximum(0.0, cos), dots
+
+
+def oracle_collection_graph(index, lam: float, tau_doc: float) -> list[tuple[str, str, float]]:
+    """Every row scored alone by ``oracle_score_row``, keeping the rows after it at or above ``tau_doc``."""
+    rows = index.rows
+    ptr = rows.ptr.tolist()
+    edges = []
+    for i, doc_a in enumerate(rows.doc_ids):
+        own = slice(ptr[i], ptr[i + 1])
+        scores, _ = oracle_score_row(rows, rows.labels[own], rows.counts[own], rows.embeddings[i], lam)
+        kept = np.flatnonzero(scores[i + 1 :] >= tau_doc) + i + 1
+        edges += [(doc_a, rows.doc_ids[j], float(scores[j])) for j in kept.tolist()]
+    return edges
+
+
 # --- enrichment and fusion oracles ---------------------------------------------
 
 

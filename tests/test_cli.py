@@ -239,10 +239,10 @@ class TestBadInputsExitTwo:
     }
 
     @staticmethod
-    def spoil_jsonl(path: Path, spoil) -> None:
-        """Apply ``spoil`` to the first record of a JSONL file that has an edge."""
+    def spoil_jsonl(path: Path, spoil, items: str = "edges") -> None:
+        """Apply ``spoil`` to the first record of a JSONL file whose ``items`` list is not empty."""
         records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        spoil(next(r for r in records if r["edges"]))
+        spoil(next(r for r in records if r[items]))
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
     @pytest.mark.parametrize("spoiler", sorted(RECORD_SPOILERS) + sorted(NODE_SPOILERS))
@@ -277,6 +277,40 @@ class TestBadInputsExitTwo:
             capsys.readouterr()
             assert run_cli(*argv, "--out", str(out)) == 2
             assert f"{edges}: line " in self.assert_one_error_line(capsys)
+            assert not out.exists()
+
+    MENTION_SPOILERS = {
+        "string start": lambda r, m: m.__setitem__("start", str(m["start"])),
+        "boolean start": lambda r, m: m.__setitem__("start", True),
+        "float end": lambda r, m: m.__setitem__("end", float(m["end"])),
+        "numeric surface": lambda r, m: m.__setitem__("surface", 7),
+        "list primary": lambda r, m: m.__setitem__("primary", [m["primary"]]),
+        "candidates not a list": lambda r, m: m.__setitem__("candidates", m["candidates"][0]),
+        "numeric candidate": lambda r, m: m["candidates"].__setitem__(0, 7),
+        "boolean score": lambda r, m: m.__setitem__("score", True),
+        "string score": lambda r, m: m.__setitem__("score", "1.0"),
+        "list doc id": lambda r, m: r.__setitem__("doc_id", [r["doc_id"]]),
+        "mentions not a list": lambda r, m: r.__setitem__("mentions", m),
+    }
+
+    @pytest.mark.parametrize("spoiler", sorted(MENTION_SPOILERS))
+    def test_bad_mention_record(self, tmp_path, fixtures, capsys, spoiler):
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        mentions, edges, extractor = tmp_path / "mentions.jsonl", tmp_path / "edges.jsonl", tmp_path / "extractor.json"
+        assert run_cli("link", *docs, "--out", str(mentions)) == 0
+        kbmatch = ["extract", *docs, "--mentions", str(mentions), "--mode", "kbmatch", "--triples", fixtures["triples"]]
+        assert run_cli(*kbmatch, "--out", str(edges)) == 0
+        assert run_cli("train-extractor", *docs, "--triples", fixtures["triples"], "--epochs", "1", "--out", str(extractor)) == 0
+        self.spoil_jsonl(mentions, lambda r: self.MENTION_SPOILERS[spoiler](r, r["mentions"][0]), "mentions")
+        out = tmp_path / "out"
+        for argv in (
+            kbmatch,
+            ["extract", *docs, "--mentions", str(mentions), "--mode", "model", "--extractor-model", str(extractor)],
+            ["build-graphs", *docs, "--mentions", str(mentions), "--edges", str(edges)],
+        ):
+            capsys.readouterr()
+            assert run_cli(*argv, "--out", str(out)) == 2
+            assert f"{mentions}: line " in self.assert_one_error_line(capsys)
             assert not out.exists()
 
     @pytest.mark.parametrize("spoiler", ["short vector", "NaN", "Infinity"])

@@ -243,6 +243,121 @@ class TestCollectionGraph:
         assert f'"{doc_a}" -- "{doc_b}" [label={score:.3f}];' in dot
 
 
+@pytest.fixture(scope="module")
+def varied_index(pipeline):
+    """An index with duplicate documents, empty networks and zero embeddings from nodes the model has no vector for."""
+    lexicon, kb, transe_model, config = pipeline
+    dropped = set(sorted(transe_model.entity_vectors)[::3])
+    model = EmbeddingModel(
+        {cui: vec for cui, vec in transe_model.entity_vectors.items() if cui not in dropped},
+        transe_model.relation_vectors,
+        transe_model.config,
+    )
+    unknown = [s for s, cuis in sorted(lexicon.surface_index.items()) if " " not in s and cuis[0] in dropped][:2]
+    corpus = helpers.synth_corpus(lexicon, 40, seed=9)
+    corpus += [Document(f"{doc.id}-copy", doc.title, doc.text) for doc in corpus[:4]]
+    corpus += [Document("empty-1", "", UNRELATED), Document("empty-2", "", UNRELATED)]
+    corpus += [Document("unembedded", "", f"{unknown[0]} reported {unknown[1]}.")]
+    index = index_corpus(corpus, lexicon, config, kb=kb, transe=model)
+    row = index.rows.doc_ids.index("unembedded")
+    assert index.rows.embedding_norms[row] == 0.0 < index.rows.self_dots[row]
+    return index
+
+
+class TestBlockedCollectionGraph:
+    """Row blocks against ``helpers.oracle_collection_graph``, the per-row scorer, compared with float ``==``."""
+
+    @pytest.fixture()
+    def blocks(self, monkeypatch):
+        """The (first row, row count) of every block scored."""
+        seen: list[tuple[int, int]] = []
+        original = engine._score_rows
+
+        def recording(rows, owners, labels, counts, embeddings, norms, lam, start=0):
+            seen.append((start, len(embeddings)))
+            return original(rows, owners, labels, counts, embeddings, norms, lam, start)
+
+        monkeypatch.setattr(engine, "_score_rows", recording)
+        return seen
+
+    @pytest.mark.parametrize("numbers", [1, 60, 700, 2**15])
+    def test_blocks_match_oracle(self, varied_index, monkeypatch, blocks, numbers):
+        monkeypatch.setattr(engine, "_BLOCK_NUMBERS", numbers)
+        n = len(varied_index.rows.doc_ids)
+        for lam in (0.0, 0.6, 1.0):
+            for tau_doc in (0.0, 0.3, 1.0):
+                blocks.clear()
+                graph = build_collection_graph(varied_index, lam, tau_doc)
+                assert graph.edges == helpers.oracle_collection_graph(varied_index, lam, tau_doc)
+                assert [start for start, _ in blocks] == list(np.cumsum([0] + [size for _, size in blocks[:-1]]))
+                assert sum(size for _, size in blocks) == n
+                assert len(blocks) > 1 if numbers < 2**15 else len(blocks) == 1
+
+    def test_duplicates_and_empty_networks(self, varied_index):
+        edges = {(a, b): score for a, b, score in build_collection_graph(varied_index, 0.6, 1.0).edges}
+        assert {("doc000", "doc000-copy"), ("doc003", "doc003-copy")} <= set(edges)
+        assert ("empty-1", "empty-2") not in edges  # empty graphs and zero embeddings score 0
+
+    def test_threshold_at_a_score(self, varied_index, monkeypatch):
+        monkeypatch.setattr(engine, "_BLOCK_NUMBERS", 60)
+        scores = sorted({score for _, _, score in helpers.oracle_collection_graph(varied_index, 0.6, 0.0)})
+        for tau_doc in (scores[1], scores[len(scores) // 2], scores[-1]):
+            edges = build_collection_graph(varied_index, 0.6, tau_doc).edges
+            assert edges == helpers.oracle_collection_graph(varied_index, 0.6, tau_doc)
+            assert min(score for _, _, score in edges) == tau_doc
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_tiny_collections(self, pipeline, count):
+        lexicon, kb, transe_model, config = pipeline
+        index = index_corpus(helpers.synth_corpus(lexicon, count, seed=5), lexicon, config, kb=kb, transe=transe_model)
+        for tau_doc in (0.0, 0.5):
+            edges = build_collection_graph(index, 0.6, tau_doc).edges
+            assert edges == helpers.oracle_collection_graph(index, 0.6, tau_doc)
+        assert len(build_collection_graph(index, 0.6, 0.0).edges) == count * (count - 1) // 2
+
+    def test_without_embedding_model(self, pipeline, monkeypatch):
+        lexicon, kb, _, config = pipeline
+        index = index_corpus(helpers.synth_corpus(lexicon, 20, seed=4), lexicon, config, kb=kb)
+        assert index.rows.embeddings.shape == (20, 0)
+        monkeypatch.setattr(engine, "_BLOCK_NUMBERS", 60)
+        for tau_doc in (0.0, 0.4):
+            assert build_collection_graph(index, 0.6, tau_doc).edges == helpers.oracle_collection_graph(index, 0.6, tau_doc)
+
+    def test_loaded_index(self, varied_index, tmp_path, monkeypatch):
+        path = tmp_path / "varied.idx"
+        save_index(varied_index, path)
+        loaded = load_index(path)
+        monkeypatch.setattr(engine, "_BLOCK_NUMBERS", 60)
+        edges = build_collection_graph(loaded, 0.6, 0.3).edges
+        assert edges == helpers.oracle_collection_graph(loaded, 0.6, 0.3)
+        assert edges == build_collection_graph(varied_index, 0.6, 0.3).edges
+
+    def test_search_is_the_one_row_oracle(self, varied_index):
+        index = varied_index
+        for text in ("fever with severe skin rash and blood clot", "aspirin", UNRELATED):
+            net = query_network(index, text)
+            counts = wl_features(net, index.h, index.compressor.overlay()).counts
+            scores, dots = helpers.oracle_score_row(
+                index.rows,
+                np.fromiter(counts, np.int64, len(counts)),
+                np.fromiter(counts.values(), np.int64, len(counts)),
+                doc_embedding(net, index.transe).vector,
+                0.6,
+            )
+            for prune in (False, True):
+                rows = [row for row in range(len(scores)) if dots[row] or not prune]
+                rows.sort(key=lambda row: -scores[row])  # stable: ties keep doc id order
+                want = [(index.rows.doc_ids[row], float(scores[row])) for row in rows]
+                got = search(index, text, len(scores), lam=0.6, prune=prune)
+                assert [(r.doc_id, r.score) for r in got] == want
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
+    def test_lambda_outside_unit_interval(self, small_index, lam):
+        _, index = small_index
+        with pytest.raises(UsageError, match="lambda must be within"):
+            build_collection_graph(index, lam=lam, tau_doc=0.5)
+
+
 class TestPersistence:
     def test_round_trip_preserves_search(self, pipeline, small_index, tmp_path):
         corpus, index = small_index

@@ -249,3 +249,18 @@ def test_damaged_edges(edges_pipeline, data):
         ["train-transe", "--triples", fixtures["triples"], "--extra-edges", str(damaged), "--dim", "3", "--epochs", "1"],
     ):
         assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data())
+def test_damaged_mentions(extractor_pipeline, edges_pipeline, data):
+    tmp, fixtures, mentions, _, _ = extractor_pipeline
+    damaged = tmp / "damaged-mentions.jsonl"
+    damaged.write_text(data.draw(damaged_jsonl(Path(mentions).read_text(encoding="utf-8"))), encoding="utf-8")
+    docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"], "--mentions", str(damaged)]
+    for argv in (
+        ["extract", *docs, "--mode", "kbmatch", "--triples", fixtures["triples"]],
+        ["extract", *docs, "--mode", "model", "--extractor-model", str(tmp / "extractor.json")],
+        ["build-graphs", *docs, "--edges", str(tmp / "edges.jsonl")],
+    ):
+        assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
