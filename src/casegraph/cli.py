@@ -11,7 +11,6 @@ randomness flows from ``--seed``. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -19,8 +18,8 @@ import traceback
 from pathlib import Path
 
 from . import engine, trec
-from .config import PipelineConfig, merge_config, read_config_file
-from .errors import CasegraphError, UsageError
+from .config import CHOICES, FIELDS, VALUE_TYPES, PipelineConfig, flag, merge_config, read_config_file
+from .errors import CasegraphError, UsageError, ValidationError
 from .kb import Triple, load_corpus, load_lexicon, load_triples
 from .linking import link, mentions_jsonl, read_mentions, split_sentences, tokenize
 from .network import build_network, enrich_network, fuse_network, networks_jsonl, read_networks
@@ -32,6 +31,7 @@ from .relations import (
     featurize_pairs,
     generate_candidates,
     load_extractor,
+    mention_token_ranges,
     read_edges,
     save_extractor,
     train_extractor,
@@ -39,8 +39,6 @@ from .relations import (
 from .transe import TrainConfig, evaluate_link_prediction, init_model, load_model, save_model, train
 
 log = logging.getLogger(__name__)
-
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,20 +54,19 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _merged_config(args: argparse.Namespace) -> PipelineConfig:
-    file_overrides = read_config_file(args.config) if getattr(args, "config", None) else {}
-    cli_overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
-    return merge_config(file_overrides, cli_overrides)
+    file_overrides = read_config_file(args.config) if args.config else {}
+    return merge_config(file_overrides, {k: v for k, v in vars(args).items() if k in FIELDS})
 
 
-def _require(value, flag: str):
+def _require(value, name: str):
     if value is None:
-        raise UsageError(f"{flag} is required (flag or config file)")
+        raise UsageError(f"{flag(name)} is required (flag or config file)")
     return value
 
 
 def _analyzed_docs(cfg: PipelineConfig):
-    lexicon = load_lexicon(_require(cfg.lexicon, "--lexicon"))
-    corpus = load_corpus(_require(cfg.corpus, "--corpus"))
+    lexicon = load_lexicon(_require(cfg.lexicon, "lexicon"))
+    corpus = load_corpus(_require(cfg.corpus, "corpus"))
     return lexicon, corpus
 
 
@@ -84,8 +81,8 @@ def _extraction_models(cfg: PipelineConfig):
     """What the extraction mode reads, as ``(kb, extractor)``: the triple store
     in kbmatch mode, the extractor in model mode, and never the other."""
     if cfg.mode == "model":
-        return None, load_extractor(_require(cfg.extractor_model, "--extractor-model"))
-    return load_triples(_require(cfg.triples, "--triples")), None
+        return None, load_extractor(_require(cfg.extractor_model, "extractor_model"))
+    return load_triples(_require(cfg.triples, "triples")), None
 
 
 def _cmd_extract(args: argparse.Namespace) -> None:
@@ -106,7 +103,7 @@ def _cmd_extract(args: argparse.Namespace) -> None:
 def _cmd_train_extractor(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
     lexicon, corpus = _analyzed_docs(cfg)
-    kb = load_triples(_require(cfg.triples, "--triples"))
+    kb = load_triples(_require(cfg.triples, "triples"))
     instances = []
     for doc in corpus:
         tokens, _, pairs = engine.analyze(doc, lexicon, cfg.window)
@@ -114,12 +111,12 @@ def _cmd_train_extractor(args: argparse.Namespace) -> None:
             instances.append(RelationInstance(pair, distant_label(pair, kb), features))
     hyper = ExtractorHyperparams(cfg.extractor_lr, cfg.extractor_epochs, cfg.l2, cfg.seed)
     model = train_extractor(instances, hyper)
-    save_extractor(model, _require(args.out or cfg.extractor_model, "--out"))
+    save_extractor(model, _require(args.out or cfg.extractor_model, "out"))
     log.info("trained on %d instances (%d labels, %d features)", len(instances), len(model.labels), len(model.feature_vocab))
 
 
 def _load_training_store(cfg: PipelineConfig, extra_edges: str | None):
-    kb = load_triples(_require(cfg.triples, "--triples"))
+    kb = load_triples(_require(cfg.triples, "triples"))
     if extra_edges:
         for edges in read_edges(extra_edges).values():
             for edge in edges:
@@ -132,15 +129,15 @@ def _cmd_train_transe(args: argparse.Namespace) -> None:
     kb = _load_training_store(cfg, args.extra_edges)
     train_config = TrainConfig(cfg.dim, cfg.margin, cfg.transe_lr, cfg.transe_epochs, cfg.distance, cfg.seed)
     model = train(init_model(kb.entities, kb.relations, train_config), kb, train_config)
-    save_model(model, _require(args.out or cfg.transe_model, "--out"))
+    save_model(model, _require(args.out or cfg.transe_model, "out"))
     if model.epoch_losses:
         log.info("final mean epoch loss %.6f", model.epoch_losses[-1])
 
 
 def _cmd_eval_lp(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
-    model = load_model(_require(cfg.transe_model, "--transe-model"))
-    kb = load_triples(_require(cfg.triples, "--triples"))
+    model = load_model(_require(cfg.transe_model, "transe_model"))
+    kb = load_triples(_require(cfg.triples, "triples"))
     test = load_triples(args.test_triples) if args.test_triples else kb
     report = evaluate_link_prediction(model, sorted(test.triples, key=lambda t: (t.head, t.relation, t.tail)), kb)
     _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
@@ -151,16 +148,20 @@ def _cmd_build_graphs(args: argparse.Namespace) -> None:
     lexicon, corpus = _analyzed_docs(cfg)
     per_doc_mentions = read_mentions(args.mentions)
     per_doc_edges = read_edges(args.edges)
-    networks = [
-        build_network(doc.id, per_doc_mentions.get(doc.id, []), per_doc_edges.get(doc.id, []), lexicon)
-        for doc in corpus
-    ]
+    networks = []
+    for doc in corpus:
+        mentions = per_doc_mentions.get(doc.id, [])
+        try:
+            mention_token_ranges(mentions, tokenize(doc.content()))
+        except ValidationError as exc:
+            raise ValidationError(f"document {doc.id}: {exc}") from None
+        networks.append(build_network(doc.id, mentions, per_doc_edges.get(doc.id, []), lexicon))
     _emit(networks_jsonl(networks), args.out)
 
 
 def _cmd_enrich(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
-    model = load_model(_require(cfg.transe_model, "--transe-model"))
+    model = load_model(_require(cfg.transe_model, "transe_model"))
     networks = read_networks(args.networks)
     out = []
     for net in networks:
@@ -174,18 +175,18 @@ def _cmd_enrich(args: argparse.Namespace) -> None:
 def _cmd_index(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
     if cfg.enrich or cfg.fuse:
-        _require(cfg.transe_model, "--transe-model")
+        _require(cfg.transe_model, "transe_model")
     kb, extractor = _extraction_models(cfg)
     lexicon, corpus = _analyzed_docs(cfg)
     # Given without enrichment or fusion, the TransE model still serves the embedding half of the score.
     transe_model = load_model(cfg.transe_model) if cfg.transe_model else None
     index = engine.index_corpus(corpus, lexicon, cfg, kb, extractor, transe_model)
-    engine.save_index(index, _require(args.out or cfg.index, "--out"))
+    engine.save_index(index, _require(args.out or cfg.index, "out"))
 
 
 def _cmd_search(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
-    index = engine.load_index(_require(cfg.index, "--index"))
+    index = engine.load_index(_require(cfg.index, "index"))
     queries = load_corpus(args.query_file)
     run = trec.Run(topics={}, tag=args.tag)
     for query in queries:
@@ -196,7 +197,7 @@ def _cmd_search(args: argparse.Namespace) -> None:
 
 def _cmd_collection_graph(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
-    index = engine.load_index(_require(cfg.index, "--index"))
+    index = engine.load_index(_require(cfg.index, "index"))
     graph = engine.build_collection_graph(index, cfg.lambda_weight, cfg.tau_doc)
     _emit(engine.collection_graph_to_dot(graph), args.out)
 
@@ -211,99 +212,72 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         _emit(trec.report_to_text(report), args.out)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output file (default: stdout)")
+def _add_settings(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Add the flags of these ``PipelineConfig`` fields. An absent flag leaves
+    its field ``None``, which overrides neither the config file nor the default."""
+    for name in names:
+        parse = VALUE_TYPES[FIELDS[name].type][0]
+        if parse is bool:
+            sub.add_argument(flag(name), dest=name, action=argparse.BooleanOptionalAction)
+        else:
+            sub.add_argument(flag(name), dest=name, type=parse, choices=CHOICES.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="casegraph", description="Case-based retrieval over document semantic networks.")
     commands = parser.add_subparsers(dest="command", required=True)
+    # Options are declared in the order that --help and usage errors list them.
 
-    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, handler, help_text: str, *settings: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(handler=handler)
-        _add_common(sub)
+        sub.add_argument("--config", help="flat key = value config file")
+        _add_settings(sub, "seed")
+        sub.add_argument("--out", default=None, help="output file (default: stdout)")
+        _add_settings(sub, *settings)
         return sub
 
-    sub = command("link", _cmd_link, "detect concept mentions in a corpus")
-    sub.add_argument("--lexicon")
-    sub.add_argument("--corpus")
+    command("link", _cmd_link, "detect concept mentions in a corpus", "lexicon", "corpus")
 
-    sub = command("extract", _cmd_extract, "extract typed relations between mentions")
-    sub.add_argument("--lexicon")
-    sub.add_argument("--corpus")
+    sub = command("extract", _cmd_extract, "extract typed relations between mentions", "lexicon", "corpus")
     sub.add_argument("--mentions", required=True, help="mention JSONL from the link step")
-    sub.add_argument("--triples")
-    sub.add_argument("--extractor-model", dest="extractor_model")
-    sub.add_argument("--mode", choices=["model", "kbmatch"])
-    sub.add_argument("--window", type=int)
-    sub.add_argument("--theta-rel", dest="theta_rel", type=float)
+    _add_settings(sub, "triples", "extractor_model", "mode", "window", "theta_rel")
 
-    sub = command("train-extractor", _cmd_train_extractor, "train the relation classifier by distant supervision")
-    sub.add_argument("--lexicon")
-    sub.add_argument("--corpus")
-    sub.add_argument("--triples")
-    sub.add_argument("--window", type=int)
-    sub.add_argument("--lr", dest="extractor_lr", type=float)
-    sub.add_argument("--epochs", dest="extractor_epochs", type=int)
-    sub.add_argument("--l2", type=float)
+    command(
+        "train-extractor", _cmd_train_extractor, "train the relation classifier by distant supervision",
+        "lexicon", "corpus", "triples", "window", "extractor_lr", "extractor_epochs", "l2",
+    )
 
-    sub = command("train-transe", _cmd_train_transe, "train translational embeddings on the triple store")
-    sub.add_argument("--triples")
+    sub = command("train-transe", _cmd_train_transe, "train translational embeddings on the triple store", "triples")
     sub.add_argument("--extra-edges", dest="extra_edges", help="edge JSONL appended as training triples")
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--margin", type=float)
-    sub.add_argument("--lr", dest="transe_lr", type=float)
-    sub.add_argument("--epochs", dest="transe_epochs", type=int)
-    sub.add_argument("--dist", dest="distance", choices=["l1", "l2"])
+    _add_settings(sub, "dim", "margin", "transe_lr", "transe_epochs", "distance")
 
-    sub = command("eval-lp", _cmd_eval_lp, "link-prediction ranking metrics for an embedding model")
-    sub.add_argument("--transe-model", dest="transe_model")
-    sub.add_argument("--triples")
+    sub = command("eval-lp", _cmd_eval_lp, "link-prediction ranking metrics for an embedding model", "transe_model", "triples")
     sub.add_argument("--test-triples", dest="test_triples")
 
-    sub = command("build-graphs", _cmd_build_graphs, "assemble per-document semantic networks")
-    sub.add_argument("--lexicon")
-    sub.add_argument("--corpus")
+    sub = command("build-graphs", _cmd_build_graphs, "assemble per-document semantic networks", "lexicon", "corpus")
     sub.add_argument("--mentions", required=True)
     sub.add_argument("--edges", required=True)
 
     sub = command("enrich", _cmd_enrich, "add predicted edges (and optionally fuse confidences)")
     sub.add_argument("--networks", required=True)
-    sub.add_argument("--transe-model", dest="transe_model")
-    sub.add_argument("--tau-lp", dest="tau_lp", type=float)
-    sub.add_argument("--m-cap", dest="m_cap", type=int)
-    sub.add_argument("--fuse", dest="fuse", action=argparse.BooleanOptionalAction, default=None)
+    _add_settings(sub, "transe_model", "tau_lp", "m_cap", "fuse")
 
-    sub = command("index", _cmd_index, "run the full pipeline and persist the index")
-    sub.add_argument("--lexicon")
-    sub.add_argument("--corpus")
-    sub.add_argument("--triples")
-    sub.add_argument("--extractor-model", dest="extractor_model")
-    sub.add_argument("--transe-model", dest="transe_model")
-    sub.add_argument("--mode", choices=["model", "kbmatch"])
-    sub.add_argument("--window", type=int)
-    sub.add_argument("--theta-rel", dest="theta_rel", type=float)
-    sub.add_argument("--tau-lp", dest="tau_lp", type=float)
-    sub.add_argument("--m-cap", dest="m_cap", type=int)
-    sub.add_argument("--enrich", dest="enrich", action=argparse.BooleanOptionalAction, default=None)
-    sub.add_argument("--fuse", dest="fuse", action=argparse.BooleanOptionalAction, default=None)
-    sub.add_argument("--h", dest="h", type=int)
+    command(
+        "index", _cmd_index, "run the full pipeline and persist the index",
+        "lexicon", "corpus", "triples", "extractor_model", "transe_model", "mode", "window", "theta_rel",
+        "tau_lp", "m_cap", "enrich", "fuse", "h",
+    )
 
-    sub = command("search", _cmd_search, "rank indexed documents against query cases")
-    sub.add_argument("--index", dest="index")
+    sub = command("search", _cmd_search, "rank indexed documents against query cases", "index")
     sub.add_argument("--query-file", dest="query_file", required=True, help="JSONL of id/title/text query cases")
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--lambda", dest="lambda_weight", type=float)
-    sub.add_argument("--prune", dest="prune", action=argparse.BooleanOptionalAction, default=None)
+    _add_settings(sub, "k", "lambda_weight", "prune")
     sub.add_argument("--tag", default="casegraph")
 
-    sub = command("collection-graph", _cmd_collection_graph, "export the document-document similarity graph as DOT")
-    sub.add_argument("--index", dest="index")
-    sub.add_argument("--lambda", dest="lambda_weight", type=float)
-    sub.add_argument("--tau-doc", dest="tau_doc", type=float)
+    command(
+        "collection-graph", _cmd_collection_graph, "export the document-document similarity graph as DOT",
+        "index", "lambda_weight", "tau_doc",
+    )
 
     sub = command("evaluate", _cmd_evaluate, "score a run file against qrels")
     sub.add_argument("--run", required=True)

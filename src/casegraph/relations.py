@@ -71,17 +71,23 @@ class ExtractorModel:
     hyperparams: ExtractorHyperparams
 
 
-def _mention_token_range(mention: Mention, starts: Sequence[int], ends: Sequence[int]) -> tuple[int, int]:
-    """First and last token of a mention, given every token's start and end byte."""
-    first = bisect_left(starts, mention.start)
-    if first == len(starts) or starts[first] != mention.start:
-        raise ValidationError(f"mention at byte {mention.start} does not align with a token boundary")
-    last = bisect_left(ends, mention.end, first)
-    if last == len(ends):
-        raise ValidationError(f"mention at byte {mention.start} ends at byte {mention.end}, past the last token")
-    if ends[last] != mention.end:
-        raise ValidationError(f"mention at byte {mention.start} ends at byte {mention.end}, inside a token")
-    return first, last
+def mention_token_ranges(mentions: Sequence[Mention], tokens: Sequence[Token]) -> list[tuple[int, int]]:
+    """First and last token of each mention. A mention must start and end on
+    token boundaries; one that does not is a ``ValidationError``."""
+    starts = [t.start for t in tokens]
+    ends = [t.end for t in tokens]
+    ranges = []
+    for mention in mentions:
+        first = bisect_left(starts, mention.start)
+        if first == len(starts) or starts[first] != mention.start:
+            raise ValidationError(f"mention at byte {mention.start} does not align with a token boundary")
+        last = bisect_left(ends, mention.end, first)
+        if last == len(ends):
+            raise ValidationError(f"mention at byte {mention.start} ends at byte {mention.end}, past the last token")
+        if ends[last] != mention.end:
+            raise ValidationError(f"mention at byte {mention.start} ends at byte {mention.end}, inside a token")
+        ranges.append((first, last))
+    return ranges
 
 
 def generate_candidates(
@@ -100,9 +106,7 @@ def generate_candidates(
     Mentions may arrive unsorted or overlapping (``extract`` reads them from
     a file): pairs follow the sentence order, then the given mention order.
     """
-    starts = [t.start for t in tokens]
-    ends = [t.end for t in tokens]
-    ranges = [_mention_token_range(m, starts, ends) for m in mentions]
+    ranges = mention_token_ranges(mentions, tokens)
     sentence_starts = [s.token_start for s in sentences]
     inside: list[list[int]] = [[] for _ in sentences]
     for i, (first, last) in enumerate(ranges):

@@ -33,6 +33,7 @@ MODEL_VERSION = 1
 # bound (or NaN or infinite) means training diverged, and a loaded one would
 # overflow the distances and embeddings.
 MAX_COMPONENT = 1e100
+DISTANCES = ("l1", "l2")
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.distance not in ("l1", "l2"):
-            raise ConfigError(f"distance must be 'l1' or 'l2', got {self.distance!r}")
+        if self.distance not in DISTANCES:
+            raise ConfigError(f"distance must be {' or '.join(map(repr, DISTANCES))}, got {self.distance!r}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import helpers
 from casegraph import engine
-from casegraph.cli import dispatch
+from casegraph.cli import build_parser, dispatch
 from casegraph.network import network_to_dict
 from casegraph.trec import read_run
 
@@ -312,6 +313,30 @@ class TestBadInputsExitTwo:
             assert run_cli(*argv, "--out", str(out)) == 2
             assert f"{mentions}: line " in self.assert_one_error_line(capsys)
             assert not out.exists()
+
+    @pytest.mark.parametrize("span", [(-5, -9), (0, -1), (0, 10**6)])
+    def test_build_graphs_refuses_mention_off_the_tokens(self, tmp_path, fixtures, capsys, span):
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        mentions, edges, networks = tmp_path / "mentions.jsonl", tmp_path / "edges.jsonl", tmp_path / "networks.jsonl"
+        assert run_cli("link", *docs, "--out", str(mentions)) == 0
+        argv = ["extract", *docs, "--mentions", str(mentions), "--mode", "kbmatch", "--triples", fixtures["triples"]]
+        assert run_cli(*argv, "--out", str(edges)) == 0
+        build = ["build-graphs", *docs, "--mentions", str(mentions), "--edges", str(edges), "--out", str(networks)]
+        assert run_cli(*build) == 0
+        expected = helpers.write_pipeline_networks(fixtures, tmp_path / "expected.jsonl")
+        assert networks.read_bytes() == Path(expected).read_bytes()
+        networks.unlink()
+        spoiled = []
+
+        def spoil(record):
+            spoiled.append(record["doc_id"])
+            record["mentions"][0].update(start=span[0], end=span[1])
+
+        self.spoil_jsonl(mentions, spoil, "mentions")
+        capsys.readouterr()
+        assert run_cli(*build) == 2
+        assert f"error: document {spoiled[0]}: mention at byte {span[0]} " in self.assert_one_error_line(capsys)
+        assert not networks.exists()
 
     @pytest.mark.parametrize("spoiler", ["short vector", "NaN", "Infinity"])
     def test_search_on_index_with_bad_model(self, tmp_path, fixtures, built_index, capsys, spoiler):
@@ -697,3 +722,122 @@ class TestEndToEndDeterminism:
         ]) == 0
         run = read_run(run_path)
         assert "t1" in run.topics and len(run.topics["t1"]) == 4
+
+
+# Each subcommand's options as (option strings, dest, type, choices, action,
+# required, default), written down from the hand-written parser that the
+# generated one replaced. Sets, because declaration order is free.
+COMMON_OPTIONS = {
+    (('--config',), 'config', None, None, '_StoreAction', False, None),
+    (('--out',), 'out', None, None, '_StoreAction', False, None),
+    (('--seed',), 'seed', 'int', None, '_StoreAction', False, None),
+    (('-h', '--help'), 'help', None, None, '_HelpAction', False, '==SUPPRESS=='),
+}
+SUBCOMMAND_OPTIONS = {
+    'build-graphs': {
+        (('--corpus',), 'corpus', None, None, '_StoreAction', False, None),
+        (('--edges',), 'edges', None, None, '_StoreAction', True, None),
+        (('--lexicon',), 'lexicon', None, None, '_StoreAction', False, None),
+        (('--mentions',), 'mentions', None, None, '_StoreAction', True, None),
+    },
+    'collection-graph': {
+        (('--index',), 'index', None, None, '_StoreAction', False, None),
+        (('--lambda',), 'lambda_weight', 'float', None, '_StoreAction', False, None),
+        (('--tau-doc',), 'tau_doc', 'float', None, '_StoreAction', False, None),
+    },
+    'enrich': {
+        (('--fuse', '--no-fuse'), 'fuse', None, None, 'BooleanOptionalAction', False, None),
+        (('--m-cap',), 'm_cap', 'int', None, '_StoreAction', False, None),
+        (('--networks',), 'networks', None, None, '_StoreAction', True, None),
+        (('--tau-lp',), 'tau_lp', 'float', None, '_StoreAction', False, None),
+        (('--transe-model',), 'transe_model', None, None, '_StoreAction', False, None),
+    },
+    'eval-lp': {
+        (('--test-triples',), 'test_triples', None, None, '_StoreAction', False, None),
+        (('--transe-model',), 'transe_model', None, None, '_StoreAction', False, None),
+        (('--triples',), 'triples', None, None, '_StoreAction', False, None),
+    },
+    'evaluate': {
+        (('--format',), 'format', None, ('text', 'json'), '_StoreAction', False, 'text'),
+        (('--qrels',), 'qrels', None, None, '_StoreAction', True, None),
+        (('--run',), 'run', None, None, '_StoreAction', True, None),
+    },
+    'extract': {
+        (('--corpus',), 'corpus', None, None, '_StoreAction', False, None),
+        (('--extractor-model',), 'extractor_model', None, None, '_StoreAction', False, None),
+        (('--lexicon',), 'lexicon', None, None, '_StoreAction', False, None),
+        (('--mentions',), 'mentions', None, None, '_StoreAction', True, None),
+        (('--mode',), 'mode', None, ('model', 'kbmatch'), '_StoreAction', False, None),
+        (('--theta-rel',), 'theta_rel', 'float', None, '_StoreAction', False, None),
+        (('--triples',), 'triples', None, None, '_StoreAction', False, None),
+        (('--window',), 'window', 'int', None, '_StoreAction', False, None),
+    },
+    'index': {
+        (('--corpus',), 'corpus', None, None, '_StoreAction', False, None),
+        (('--enrich', '--no-enrich'), 'enrich', None, None, 'BooleanOptionalAction', False, None),
+        (('--extractor-model',), 'extractor_model', None, None, '_StoreAction', False, None),
+        (('--fuse', '--no-fuse'), 'fuse', None, None, 'BooleanOptionalAction', False, None),
+        (('--h',), 'h', 'int', None, '_StoreAction', False, None),
+        (('--lexicon',), 'lexicon', None, None, '_StoreAction', False, None),
+        (('--m-cap',), 'm_cap', 'int', None, '_StoreAction', False, None),
+        (('--mode',), 'mode', None, ('model', 'kbmatch'), '_StoreAction', False, None),
+        (('--tau-lp',), 'tau_lp', 'float', None, '_StoreAction', False, None),
+        (('--theta-rel',), 'theta_rel', 'float', None, '_StoreAction', False, None),
+        (('--transe-model',), 'transe_model', None, None, '_StoreAction', False, None),
+        (('--triples',), 'triples', None, None, '_StoreAction', False, None),
+        (('--window',), 'window', 'int', None, '_StoreAction', False, None),
+    },
+    'link': {
+        (('--corpus',), 'corpus', None, None, '_StoreAction', False, None),
+        (('--lexicon',), 'lexicon', None, None, '_StoreAction', False, None),
+    },
+    'search': {
+        (('--index',), 'index', None, None, '_StoreAction', False, None),
+        (('--k',), 'k', 'int', None, '_StoreAction', False, None),
+        (('--lambda',), 'lambda_weight', 'float', None, '_StoreAction', False, None),
+        (('--prune', '--no-prune'), 'prune', None, None, 'BooleanOptionalAction', False, None),
+        (('--query-file',), 'query_file', None, None, '_StoreAction', True, None),
+        (('--tag',), 'tag', None, None, '_StoreAction', False, 'casegraph'),
+    },
+    'train-extractor': {
+        (('--corpus',), 'corpus', None, None, '_StoreAction', False, None),
+        (('--epochs',), 'extractor_epochs', 'int', None, '_StoreAction', False, None),
+        (('--l2',), 'l2', 'float', None, '_StoreAction', False, None),
+        (('--lexicon',), 'lexicon', None, None, '_StoreAction', False, None),
+        (('--lr',), 'extractor_lr', 'float', None, '_StoreAction', False, None),
+        (('--triples',), 'triples', None, None, '_StoreAction', False, None),
+        (('--window',), 'window', 'int', None, '_StoreAction', False, None),
+    },
+    'train-transe': {
+        (('--dim',), 'dim', 'int', None, '_StoreAction', False, None),
+        (('--dist',), 'distance', None, ('l1', 'l2'), '_StoreAction', False, None),
+        (('--epochs',), 'transe_epochs', 'int', None, '_StoreAction', False, None),
+        (('--extra-edges',), 'extra_edges', None, None, '_StoreAction', False, None),
+        (('--lr',), 'transe_lr', 'float', None, '_StoreAction', False, None),
+        (('--margin',), 'margin', 'float', None, '_StoreAction', False, None),
+        (('--triples',), 'triples', None, None, '_StoreAction', False, None),
+    },
+}
+
+
+def parsed_options(parser: argparse.ArgumentParser) -> set:
+    return {
+        (
+            tuple(a.option_strings), a.dest, a.type.__name__ if a.type else None,
+            tuple(a.choices) if a.choices else None, type(a).__name__, a.required, a.default,
+        )
+        for a in parser._actions
+    }
+
+
+class TestParser:
+    def test_subcommands_parse_their_options(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert {name: parsed_options(sub) for name, sub in subparsers.choices.items()} == {
+            name: COMMON_OPTIONS | options for name, options in SUBCOMMAND_OPTIONS.items()
+        }
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+    def test_help_exits_zero(self, command, capsys):
+        assert run_cli(command, "--help") == 0
+        assert capsys.readouterr().out.startswith(f"usage: casegraph {command} ")

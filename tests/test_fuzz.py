@@ -127,6 +127,33 @@ def damaged_jsonl(draw, valid: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+@st.composite
+def damaged_tsv(draw, valid: str) -> str:
+    """A truncated copy of a valid TSV file, one with a line's cell replaced,
+    dropped or added, or one with an extra line of cells or a relation header."""
+    kind = draw(st.sampled_from(["truncated", "replaced cell", "dropped cell", "added cell", "extra line"]))
+    if kind == "truncated":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    lines = valid.splitlines()
+    # Cells of the file itself make duplicates and dangling references; drawn text makes the rest.
+    cell = st.sampled_from(sorted({c for line in lines for c in line.split("\t")})) | st.text(max_size=6)
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "extra line":
+        cells = draw(st.lists(cell, max_size=5))
+        lines.insert(i, draw(st.sampled_from(["\t".join(cells), "# relations: " + ",".join(cells)])))
+    else:
+        cells = lines[i].split("\t")
+        j = draw(st.integers(0, len(cells) - 1))
+        if kind == "replaced cell":
+            cells[j] = draw(cell)
+        elif kind == "dropped cell":
+            del cells[j]
+        else:
+            cells.insert(j, draw(cell))
+        lines[i] = "\t".join(cells)
+    return "".join(line + "\n" for line in lines)
+
+
 def run_quietly(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -262,5 +289,40 @@ def test_damaged_mentions(extractor_pipeline, edges_pipeline, data):
         ["extract", *docs, "--mode", "kbmatch", "--triples", fixtures["triples"]],
         ["extract", *docs, "--mode", "model", "--extractor-model", str(tmp / "extractor.json")],
         ["build-graphs", *docs, "--edges", str(tmp / "edges.jsonl")],
+    ):
+        assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(data=st.data())
+def test_damaged_corpus(pipeline, data):
+    tmp, fixtures, _, _ = pipeline
+    corpus = tmp / "damaged-corpus.jsonl"
+    corpus.write_text(data.draw(damaged_jsonl(Path(fixtures["corpus"]).read_text(encoding="utf-8"))), encoding="utf-8")
+    docs = ["--lexicon", fixtures["lexicon"], "--corpus", str(corpus)]
+    for argv in (["link", *docs], ["index", *docs, "--triples", fixtures["triples"]]):
+        assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(data=st.data())
+def test_damaged_lexicon(pipeline, data):
+    tmp, fixtures, _, _ = pipeline
+    lexicon = tmp / "damaged-lexicon.tsv"
+    lexicon.write_text(data.draw(damaged_tsv(Path(fixtures["lexicon"]).read_text(encoding="utf-8"))), encoding="utf-8")
+    docs = ["--lexicon", str(lexicon), "--corpus", fixtures["corpus"]]
+    for argv in (["link", *docs], ["index", *docs, "--triples", fixtures["triples"]]):
+        assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(data=st.data())
+def test_damaged_triples(pipeline, data):
+    tmp, fixtures, _, _ = pipeline
+    triples = tmp / "damaged-triples.tsv"
+    triples.write_text(data.draw(damaged_tsv(Path(fixtures["triples"]).read_text(encoding="utf-8"))), encoding="utf-8")
+    for argv in (
+        ["train-transe", "--triples", str(triples), "--dim", "3", "--epochs", "1"],
+        ["index", "--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"], "--triples", str(triples)],
     ):
         assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
