@@ -4,20 +4,25 @@ The index bundles everything needed to answer queries with the exact
 pipeline the documents went through: the lexicon, the triple store, any
 trained models, the shared label compressor, and per document its network
 and kernel features. It persists as a single versioned JSON container
-(version 3) whose bytes are reproducible for a fixed corpus, configuration,
+(version 4) whose bytes are reproducible for a fixed corpus, configuration,
 and seed. It stores the sorted doc ids; the compressor's signatures in label
 order; the kernel features as a row-major CSR (``ptr``, ``labels``,
-``counts``, labels ascending within a row); and one compact network record
-per document (``network.network_to_record``), aligned with the doc ids.
-The kernel features and the compressor are stored because recomputing them
-makes loading markedly slower.
+``counts``, labels ascending within a row); and the networks column-wise,
+one row per document in doc id order (``network.NetworkColumns``): node and
+edge pointers, cui ids into one sorted cui table, span pointers and bounds,
+endpoints as node positions within the document, relation ids into one
+relation table, provenance ids and confidences. Every numeric column is a
+base64 string of little-endian ``int32`` (confidences ``float64``) items,
+which loading reads with ``np.frombuffer`` (``kb.pack``/``kb.unpack``); the
+strings stay readable JSON. The kernel features and the compressor are
+stored because recomputing them makes loading markedly slower.
 
 What scoring needs is a pure function of the stored data, so it is derived
 whenever an index is built or loaded (``DocRows``): the label-major transpose
 of the kernel features, i.e. an inverted index from each kernel label to the
 documents holding it, with each document's kernel self-norm, and a matrix
 of document embeddings with their norms, computed for all documents in one
-pass over the nodes' cuis and weights. One block scorer (``_score_rows``)
+pass over the node columns. One block scorer (``_score_rows``)
 scores a block of query rows against the documents: one scatter-add of the
 rows' kernel entries into a (rows x documents) matrix and one ``einsum`` of
 the embeddings. A query is a block of one row; the collection graph passes
@@ -28,12 +33,14 @@ alone: the kernel dots are integer sums, the norms the same elementwise
 products, and ``einsum`` reduces each (row, document) pair as it does for
 one row, where a BLAS product would not.
 
-Loading checks everything before it returns: the configuration, the doc ids,
-that every part covers the same documents, the compressor, that every kernel
-label lies below the compressor's next label with a positive integer count,
-and every network record (``network.record_nodes``). It builds no network:
-``Index.networks`` of a loaded index decodes a record on first access. An
-older container version is refused with ``FormatError``.
+Loading checks everything before it returns, with array operations: the
+configuration, the doc ids, the compressor, that every column is whole
+base64 and every pointer starts at 0, never decreases and ends at its
+column's length, that every kernel label lies below the compressor's next
+label with a positive count and ascends within its row, and that the network
+columns decode into valid networks (``network.check_columns``). It builds no
+network: ``Index.networks`` of a loaded index decodes a document's row on
+first access. An older container version is refused with ``FormatError``.
 """
 
 from __future__ import annotations
@@ -55,21 +62,27 @@ from .kb import (
     lexicon_from_dict,
     lexicon_to_dict,
     load_container,
+    pack,
     save_container,
     triples_from_dict,
     triples_to_dict,
+    unpack,
 )
 from .linking import Mention, Token, link, split_sentences, tokenize
 from .network import (
     Edge,
+    NetworkColumns,
     SemanticNetwork,
     build_network,
+    check_columns,
+    check_pointer,
+    columns_from_dict,
+    columns_to_dict,
     enrich_network,
     first_unordered_row,
     fuse_network,
-    network_from_record,
-    network_to_record,
-    record_nodes,
+    network_columns,
+    network_from_columns,
 )
 from .relations import (
     CandidatePair,
@@ -86,7 +99,7 @@ from .transe import EmbeddingModel, model_from_dict, model_to_dict
 log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "casegraph-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
 # The most postings, and the most (query x row) cells, that one block of the
 # collection graph joins and scores at once. From 2**13 to 2**16 graphs of
@@ -133,33 +146,29 @@ class DocRows:
 
 
 class StoredNetworks(Mapping):
-    """The networks of a loaded index, read-only, each decoded from its stored record on first access.
+    """The networks of a loaded index, read-only, each decoded from its row of the stored columns on first access."""
 
-    A decoded network replaces its record, so one form of each is held.
-    """
-
-    def __init__(self, doc_ids: list[str], records: list, lexicon: Lexicon):
-        self._doc_ids = doc_ids
-        self._records = dict(zip(doc_ids, records))
+    def __init__(self, doc_ids: list[str], columns: NetworkColumns, lexicon: Lexicon):
+        self._rows = {doc_id: row for row, doc_id in enumerate(doc_ids)}
+        self._columns = columns
         self._decoded: dict[str, SemanticNetwork] = {}
         self._lexicon = lexicon
 
     def __getitem__(self, doc_id: str) -> SemanticNetwork:
         net = self._decoded.get(doc_id)
         if net is None:
-            net = network_from_record(doc_id, self._records[doc_id], self._lexicon)
-            del self._records[doc_id]
+            net = network_from_columns(doc_id, self._columns, self._rows[doc_id], self._lexicon)
             self._decoded[doc_id] = net
         return net
 
     def __contains__(self, doc_id: object) -> bool:
-        return doc_id in self._records or doc_id in self._decoded
+        return doc_id in self._rows
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._doc_ids)
+        return iter(self._rows)
 
     def __len__(self) -> int:
-        return len(self._doc_ids)
+        return len(self._rows)
 
 
 @dataclass
@@ -248,38 +257,33 @@ def index_corpus(
         index.networks[doc.id] = net
         features[doc.id] = sorted(wl_features(net, config.h, index.compressor).counts.items())
     doc_ids = sorted(index.networks)
-    ptr, labels, counts = _flatten([features[doc_id] for doc_id in doc_ids])
-    node_ptr, cuis, weights = _flatten(
-        [[(cui, net.nodes[cui].weight) for cui in sorted(net.nodes)] for net in map(index.networks.get, doc_ids)]
-    )
-    nodes = (node_ptr, list(cuis), np.array(weights, np.int64))
+    pairs = list(chain.from_iterable(features[doc_id] for doc_id in doc_ids))
+    labels, counts = zip(*pairs) if pairs else ((), ())
+    ptr = np.cumsum([0, *(len(features[doc_id]) for doc_id in doc_ids)])
+    columns = network_columns([index.networks[doc_id] for doc_id in doc_ids])
     index.rows = _derive_rows(
-        doc_ids, ptr, np.array(labels, np.int64), np.array(counts, np.int64), nodes, index.compressor.next_id, transe
+        doc_ids, ptr, np.array(labels, np.int64), np.array(counts, np.int64), columns, index.compressor.next_id, transe
     )
     log.info("indexed %d documents (%d kernel labels)", len(corpus), index.compressor.next_id)
     return index
 
 
-def _flatten(rows: list[list[tuple]]) -> tuple[np.ndarray, tuple, tuple]:
-    """Rows of pairs as a CSR row pointer and the two columns of all the pairs."""
-    pairs = list(chain.from_iterable(rows))
-    first, second = zip(*pairs) if pairs else ((), ())
-    return np.cumsum([0, *map(len, rows)]), first, second
-
-
-def _embed_rows(ptr: np.ndarray, cuis: list[str], weights: np.ndarray, transe: EmbeddingModel | None) -> np.ndarray:
-    """``doc_embedding`` of every row at once; row ``i`` has the nodes ``cuis[ptr[i]:ptr[i + 1]]`` in cui order.
+def _embed_rows(columns: NetworkColumns, transe: EmbeddingModel | None) -> np.ndarray:
+    """``doc_embedding`` of every network of ``columns`` at once, one row each.
 
     Step j adds the j-th weighted node vector of every row that has one, so
     each row sums its nodes in the order ``doc_embedding`` does and gets its
     bits.
     """
+    ptr = columns.node_ptr
     if transe is None:
         return np.zeros((len(ptr) - 1, 0))
     entity = {cui: i for i, cui in enumerate(transe.entity_vectors)}
     matrix = np.array(list(transe.entity_vectors.values())).reshape(len(entity), transe.config.dim)
-    entities = np.array([entity.get(cui, -1) for cui in cuis], np.int64)
-    known = entities >= 0  # nodes without an entity vector are skipped
+    # Each cui of the table is mapped once; nodes without an entity vector are skipped.
+    entities = np.array([entity.get(cui, -1) for cui in columns.cuis], np.int64)[columns.node_cuis]
+    weights = np.diff(columns.span_ptr) // 2
+    known = entities >= 0
     rows = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))[known]
     entities, weights = entities[known], weights[known]
     steps = np.arange(len(rows)) - np.searchsorted(rows, rows)  # each node's position within its row
@@ -300,16 +304,16 @@ def _derive_rows(
     ptr: np.ndarray,
     labels: np.ndarray,
     counts: np.ndarray,
-    nodes: tuple[np.ndarray, list[str], np.ndarray],
+    columns: NetworkColumns,
     next_id: int,
     transe: EmbeddingModel | None,
 ) -> DocRows:
-    """``DocRows`` from the row-major kernel features, the rows' nodes (see ``_embed_rows``) and the embedding model."""
+    """``DocRows`` from the row-major kernel features, the rows' networks and the embedding model."""
     rows = np.repeat(np.arange(len(doc_ids)), np.diff(ptr))
     order = np.argsort(labels, kind="stable")  # rows stay ascending within a label
     label_ptr = np.zeros(next_id + 1, np.int64)
     np.cumsum(np.bincount(labels, minlength=next_id), out=label_ptr[1:])
-    embeddings = _embed_rows(*nodes, transe)
+    embeddings = _embed_rows(columns, transe)
     return DocRows(
         doc_ids,
         ptr,
@@ -489,24 +493,16 @@ def index_to_dict(index: Index) -> dict:
         # json.dumps output never holds a raw newline, so one joins the signatures unambiguously.
         "compressor": {"next_id": index.compressor.next_id, "signatures": "\n".join(sorted(table, key=table.get))},
         "docs": list(rows.doc_ids),
-        "wl": {"ptr": rows.ptr.tolist(), "labels": rows.labels.tolist(), "counts": rows.counts.tolist()},
-        "networks": [network_to_record(index.networks[doc_id]) for doc_id in rows.doc_ids],
+        "wl": {"ptr": pack(rows.ptr), "labels": pack(rows.labels), "counts": pack(rows.counts)},
+        "networks": columns_to_dict(network_columns([index.networks[doc_id] for doc_id in rows.doc_ids])),
     }
-
-
-def _integers(values: list, what: str) -> np.ndarray:
-    """A JSON list of integers as an int64 array; ``np.array`` alone would take booleans, floats and numeric strings."""
-    if type(values) is not list or not set(map(type, values)) <= {int}:
-        raise FormatError(f"kernel feature {what} must be a list of integers")
-    return np.array(values, np.int64)
 
 
 def _check_features(docs: list, ptr: np.ndarray, labels: np.ndarray, counts: np.ndarray, next_id: int) -> None:
     """Raise FormatError unless the row-major kernel features fit the documents and the compressor."""
-    if len(ptr) != len(docs) + 1 or ptr[0] != 0 or ptr[-1] != len(labels) or len(counts) != len(labels):
+    check_pointer(ptr, len(docs), len(labels), "kernel features", "documents")
+    if len(counts) != len(labels):
         raise FormatError(f"kernel features cover different documents than the {len(docs)} indexed")
-    if np.any(np.diff(ptr) < 0):
-        raise FormatError("kernel feature row pointers must not decrease")
     if len(labels) and (labels.min() < 0 or labels.max() >= next_id):
         raise FormatError(f"kernel feature label outside [0, {next_id})")
     if len(counts) and counts.min() < 1:
@@ -517,7 +513,7 @@ def _check_features(docs: list, ptr: np.ndarray, labels: np.ndarray, counts: np.
 
 
 def index_from_dict(data: dict) -> Index:
-    """Decode a container payload and check it in full; networks stay records until they are read."""
+    """Decode a container payload and check it in full; networks stay columns until they are read."""
     config = PipelineConfig(**data["config"])
     try:
         config.validate()
@@ -534,15 +530,14 @@ def index_from_dict(data: dict) -> Index:
     compressor.table = dict(zip(signatures, range(len(signatures))))  # a signature's label is its position
     if not len(signatures) == len(compressor.table) == compressor.next_id:
         raise FormatError(f"compressor next_id {compressor.next_id} is not its number of distinct signatures")
-    docs, records = data["docs"], data["networks"]
+    docs = data["docs"]
     if type(docs) is not list or not set(map(type, docs)) <= {str} or docs != sorted(set(docs)):
         raise FormatError("doc ids must be distinct strings in ascending order")
-    if type(records) is not list or len(records) != len(docs):
-        raise FormatError(f"networks cover different documents than the {len(docs)} indexed")
     wl = data["wl"]
-    ptr, labels, counts = (_integers(wl[key], key) for key in ("ptr", "labels", "counts"))
+    ptr, labels, counts = (unpack(wl[key], f"kernel feature {key}") for key in ("ptr", "labels", "counts"))
     _check_features(docs, ptr, labels, counts, compressor.next_id)
-    nodes = record_nodes(docs, records)
+    columns = columns_from_dict(data["networks"])
+    check_columns(docs, columns)
     lexicon = lexicon_from_dict(data["lexicon"])
     index = Index(
         config,
@@ -551,9 +546,9 @@ def index_from_dict(data: dict) -> Index:
         extractor_from_dict(data["extractor"]) if data["extractor"] is not None else None,
         model_from_dict(data["transe"]) if data["transe"] is not None else None,
         compressor,
-        StoredNetworks(docs, records, lexicon),
+        StoredNetworks(docs, columns, lexicon),
     )
-    index.rows = _derive_rows(docs, ptr, labels, counts, nodes, compressor.next_id, index.transe)
+    index.rows = _derive_rows(docs, ptr, labels, counts, columns, compressor.next_id, index.transe)
     return index
 
 

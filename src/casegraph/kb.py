@@ -9,17 +9,20 @@ All inputs are plain UTF-8 text files:
   ``#`` are comments, and an optional ``# relations: a,b,c`` header pins the
   allowed relation inventory (otherwise it is derived from the file);
 * corpus JSONL, one ``{"id": ..., "title": ..., "text": ...}`` object
-  per line.
+  per line, each of the three a JSON string.
 
 Blank lines are skipped in every text input. Every loaded structure is
 immutable after construction and safe for concurrent reads. The line reader
 here is the only code that opens a text input; it, the JSONL reader and
 writer, and the versioned JSON container helpers serve every artifact and
-model file of the package.
+model file of the package. A container's numeric columns are JSON strings:
+base64 of little-endian ``int32`` or ``float64`` arrays (``pack``/``unpack``).
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import re
 from dataclasses import dataclass, field
@@ -27,6 +30,8 @@ from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
+
+import numpy as np
 
 from .errors import CasegraphError, FormatError, ParseError, ValidationError
 
@@ -335,7 +340,9 @@ def load_corpus(path: str | Path) -> list[Document]:
     seen: set[str] = set()
 
     def decode(obj) -> Document:
-        doc = Document(str(obj["id"]), str(obj["title"]), str(obj["text"]))
+        doc = Document(obj["id"], obj["title"], obj["text"])
+        if not {type(doc.id), type(doc.title), type(doc.text)} <= {str}:
+            raise ParseError("document id, title and text must be strings")
         try:
             "".join((doc.id, doc.title, doc.text)).encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -376,3 +383,38 @@ def load_container(path: str | Path, fmt: str, version: int, decode: Callable[[d
         raise FormatError(f"{path}: {exc}") from None
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed {fmt} container ({exc!r})") from None
+
+
+# The little-endian item type of each kind of container column, and what its items are called.
+_COLUMN_TYPES = {"int32": (np.dtype("<i4"), "int32 integers"), "float64": (np.dtype("<f8"), "float64 numbers")}
+
+
+def pack(values, kind: str = "int32") -> str:
+    """A numeric column as base64 of its little-endian ``int32`` or ``float64`` items.
+
+    ValidationError for an integer outside the ``int32`` range.
+    """
+    if kind == "int32":
+        try:
+            values = np.asarray(values, np.int64)
+        except OverflowError:
+            raise ValidationError("a column value lies outside the int32 range") from None
+        if len(values) and (values.min() < -(2**31) or values.max() >= 2**31):
+            raise ValidationError("a column value lies outside the int32 range")
+    return base64.b64encode(np.asarray(values, _COLUMN_TYPES[kind][0]).tobytes()).decode("ascii")
+
+
+def unpack(text, what: str, kind: str = "int32") -> np.ndarray:
+    """The column that ``pack`` wrote, as an ``int64`` or ``float64`` array.
+
+    FormatError naming ``what`` unless ``text`` is a base64 string of a whole
+    number of items.
+    """
+    item, items = _COLUMN_TYPES[kind]
+    try:
+        raw = base64.b64decode(text, validate=True) if type(text) is str else None
+    except (binascii.Error, ValueError):
+        raw = None
+    if raw is None or len(raw) % item.itemsize:
+        raise FormatError(f"{what} must be base64 of little-endian {items}")
+    return np.frombuffer(raw, item).astype(np.int64 if kind == "int32" else np.float64)

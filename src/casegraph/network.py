@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConsistencyError, FormatError, ParseError, UsageError, ValidationError
-from .kb import Lexicon, jsonl, read_jsonl
+from .kb import Lexicon, jsonl, pack, read_jsonl, unpack
 from .linking import Mention
 from .transe import EmbeddingModel, distances
 
@@ -44,7 +43,7 @@ class Edge:
     provenance: str
 
     def __post_init__(self) -> None:
-        # record_nodes applies these rules to every stored edge of an index at
+        # check_columns applies these rules to every stored edge of an index at
         # once; a rule changed here must change there too.
         if self.head == self.tail:
             raise ValidationError(f"self-loop edge on {self.head}")
@@ -278,19 +277,91 @@ def network_from_dict(data: dict) -> SemanticNetwork:
     return net
 
 
-def network_to_record(net: SemanticNetwork) -> list:
-    """The compact record of a network that an index stores: ``[nodes, edges]``.
+@dataclass(frozen=True)
+class NetworkColumns:
+    """The networks of an index, column-wise: the network of document ``i`` is row ``i``.
 
-    Nodes are ``[cui, [s0, e0, s1, e1, ...]]`` in cui order and edges
-    ``[head, tail, rel, conf, prov]`` in network order. The doc id, node
-    names and weights are left out: the index keeps records aligned with its
-    doc ids, a name comes from the lexicon (``node_name``) and a weight is
-    the number of spans.
+    Row ``i`` has the nodes ``node_ptr[i]:node_ptr[i + 1]`` in cui order: node
+    ``n`` is the concept ``cuis[node_cuis[n]]``, with the mention spans
+    ``spans[span_ptr[n]:span_ptr[n + 1]]`` as flat ``start, end`` bounds. It
+    has the edges ``edge_ptr[i]:edge_ptr[i + 1]`` in network order: edge ``e``
+    runs from the row's node at position ``heads[e]`` to the one at
+    ``tails[e]``, by ``relations[edge_relations[e]]``, with ``confidences[e]``
+    and the provenance ``_PROVENANCES[provenances[e]]``. ``cuis`` and
+    ``relations`` are sorted and distinct. Node names and weights are not
+    kept: a name comes from the lexicon (``node_name``) and a weight is the
+    number of spans.
     """
-    return [
-        [[cui, [bound for span in net.nodes[cui].mention_spans for bound in span]] for cui in sorted(net.nodes)],
-        [[e.head, e.tail, e.relation, e.confidence, e.provenance] for e in net.edges],
-    ]
+
+    cuis: list[str]
+    relations: list[str]
+    node_ptr: np.ndarray
+    node_cuis: np.ndarray
+    span_ptr: np.ndarray
+    spans: np.ndarray
+    edge_ptr: np.ndarray
+    heads: np.ndarray
+    tails: np.ndarray
+    edge_relations: np.ndarray
+    provenances: np.ndarray
+    confidences: np.ndarray
+
+
+_TABLES = ("cuis", "relations")  # the string fields of NetworkColumns; the others are numeric columns
+
+
+def _kind(name: str) -> str:
+    """How a numeric column of ``NetworkColumns`` is stored (see ``kb.pack``)."""
+    return "float64" if name == "confidences" else "int32"
+
+
+def columns_to_dict(columns: NetworkColumns) -> dict:
+    """The stored form of ``columns``: the tables as JSON lists and every numeric column packed."""
+    return {name: value if name in _TABLES else pack(value, _kind(name)) for name, value in vars(columns).items()}
+
+
+def columns_from_dict(data: dict) -> NetworkColumns:
+    """``NetworkColumns`` of their stored form, unchecked but for each column being whole base64."""
+    return NetworkColumns(**{
+        name: data[name] if name in _TABLES else unpack(data[name], f"network {name}", _kind(name))
+        for name in NetworkColumns.__dataclass_fields__
+    })
+
+
+def network_columns(nets: list[SemanticNetwork]) -> NetworkColumns:
+    """The columns of ``nets``, one row per network in the given order."""
+    cuis = sorted({cui for net in nets for cui in net.nodes})
+    relations = sorted({edge.relation for net in nets for edge in net.edges})
+    cui_id = {cui: i for i, cui in enumerate(cuis)}
+    relation_id = {relation: i for i, relation in enumerate(relations)}
+    provenance_id = {provenance: i for i, provenance in enumerate(_PROVENANCES)}
+    node_cuis, span_sizes, spans, edges = [], [], [], []
+    for net in nets:
+        order = sorted(net.nodes)
+        position = {cui: i for i, cui in enumerate(order)}
+        for cui in order:
+            node_cuis.append(cui_id[cui])
+            span_sizes.append(2 * len(net.nodes[cui].mention_spans))
+            spans.extend(chain.from_iterable(net.nodes[cui].mention_spans))
+        edges += [
+            (position[e.head], position[e.tail], relation_id[e.relation], provenance_id[e.provenance], e.confidence)
+            for e in net.edges
+        ]
+    heads, tails, edge_relations, provenances, confidences = zip(*edges) if edges else ((),) * 5
+    return NetworkColumns(
+        cuis,
+        relations,
+        np.cumsum([0, *(len(net.nodes) for net in nets)]),
+        np.array(node_cuis, np.int64),
+        np.cumsum([0, *span_sizes]),
+        np.array(spans, np.int64),
+        np.cumsum([0, *(len(net.edges) for net in nets)]),
+        np.array(heads, np.int64),
+        np.array(tails, np.int64),
+        np.array(edge_relations, np.int64),
+        np.array(provenances, np.int64),
+        np.array(confidences, np.float64),
+    )
 
 
 def first_unordered_row(ascending: np.ndarray, ptr: np.ndarray) -> int:
@@ -306,73 +377,96 @@ def first_unordered_row(ascending: np.ndarray, ptr: np.ndarray) -> int:
     return int(np.searchsorted(ptr, unordered[0], "right")) - 1 if len(unordered) else -1
 
 
-def _columns(rows: list, width: int, what: str) -> list[tuple]:
-    """The columns of ``rows``, each of which must be a list of ``width`` items."""
-    if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {width}:
-        raise FormatError(f"every {what} must be a list of {width} items")
-    return list(zip(*rows)) if rows else [()] * width
+def check_pointer(ptr: np.ndarray, rows: int, items: int, what: str, unit: str) -> None:
+    """FormatError unless ``ptr`` splits ``items`` items into ``rows`` rows: from 0 to ``items``, never decreasing."""
+    if len(ptr) != rows + 1 or ptr[0] != 0 or ptr[-1] != items:
+        raise FormatError(f"{what} cover different {unit} than the {rows} indexed")
+    if np.any(np.diff(ptr) < 0):
+        raise FormatError(f"{what} row pointers must not decrease")
 
 
-def record_nodes(doc_ids: list[str], records: list) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Check the network records of an index in full; their nodes as ``(ptr, cuis, weights)``.
+def _first(bad: np.ndarray) -> int:
+    """The first position where ``bad`` holds, or -1."""
+    found = np.flatnonzero(bad)
+    return int(found[0]) if len(found) else -1
 
-    Document ``i`` has the nodes ``cuis[ptr[i]:ptr[i + 1]]``, in cui order,
-    with their weights. Raises FormatError unless ``network_from_record`` can
-    decode every record into a valid network: node cuis are strings that
-    ascend strictly within a document, each with a non-empty, even-length
-    list of integer span bounds, and every edge joins two distinct nodes of
-    its document with a string relation, a float confidence in (0, 1] and a
-    known provenance. The checks run over all records at once.
+
+def check_columns(doc_ids: list[str], columns: NetworkColumns) -> None:
+    """Raise FormatError unless ``network_from_columns`` decodes every row into a valid network.
+
+    Node cuis ascend strictly within a document and each has a non-empty,
+    even-length run of span bounds; every edge joins two distinct nodes of its
+    document by a known relation, with a confidence in (0, 1] and a known
+    provenance. The checks run over all rows at once.
     """
-    nodes, edges = _columns(records, 2, "network record")
-    if not set(map(type, nodes)) | set(map(type, edges)) <= {list}:
-        raise FormatError("the nodes and edges of a network record must be lists")
-    node_ptr = np.cumsum([0, *map(len, nodes)])
-    cuis, spans = _columns(list(chain.from_iterable(nodes)), 2, "network node")
-    heads, tails, relations, confidences, provenances = _columns(list(chain.from_iterable(edges)), 5, "network edge")
-    if not set(map(type, cuis)) <= {str}:
-        raise FormatError("network node cuis must be strings")
-    row = first_unordered_row(np.fromiter(map(operator.lt, cuis, cuis[1:]), bool, max(len(cuis) - 1, 0)), node_ptr)
+    c = columns
+    for table, untyped, name in (
+        (c.cuis, "network node cuis must be strings", "cui"),
+        (c.relations, "network edges need string relations", "relation"),
+    ):
+        if type(table) is not list or not set(map(type, table)) <= {str}:
+            raise FormatError(untyped)
+        if table != sorted(set(table)):
+            raise FormatError(f"the network {name} table must ascend strictly")
+    check_pointer(c.node_ptr, len(doc_ids), len(c.node_cuis), "networks", "documents")
+    check_pointer(c.span_ptr, len(c.node_cuis), len(c.spans), "network spans", "nodes")
+    check_pointer(c.edge_ptr, len(doc_ids), len(c.heads), "networks", "documents")
+    edge_columns = (c.tails, c.edge_relations, c.provenances, c.confidences)
+    if set(map(len, edge_columns)) - {len(c.heads)}:
+        raise FormatError("network edge columns must have one item per edge")
+    node_rows = np.repeat(np.arange(len(doc_ids)), np.diff(c.node_ptr))
+    edge_rows = np.repeat(np.arange(len(doc_ids)), np.diff(c.edge_ptr))
+    for ids, size, what, rows in (
+        (c.node_cuis, len(c.cuis), "node cui", node_rows),
+        (c.edge_relations, len(c.relations), "edge relation", edge_rows),
+        (c.provenances, len(_PROVENANCES), "edge provenance", edge_rows),
+    ):
+        i = _first((ids < 0) | (ids >= size))
+        if i >= 0:
+            raise FormatError(f"document {doc_ids[rows[i]]}: {what} id {ids[i]} outside [0, {size})")
+    row = first_unordered_row(np.diff(c.node_cuis) > 0, c.node_ptr)
     if row >= 0:
         raise FormatError(f"document {doc_ids[row]}: node cuis must ascend strictly")
-    if not set(map(type, spans)) <= {list} or not set(map(type, chain.from_iterable(spans))) <= {int}:
-        raise FormatError("network node spans must be lists of integers")
-    sizes = np.fromiter(map(len, spans), np.int64, len(spans))
-    uneven = np.flatnonzero((sizes == 0) | (sizes % 2 == 1))
-    if len(uneven):
-        row = int(np.searchsorted(node_ptr, uneven[0], "right")) - 1
-        raise FormatError(f"document {doc_ids[row]}: node {cuis[uneven[0]]} needs a non-empty, even-length span list")
-    edge_ptr = np.cumsum([0, *map(len, edges)]).tolist()
-    for row, (start, end) in enumerate(zip(node_ptr.tolist(), node_ptr[1:].tolist())):
-        names = set(cuis[start:end])
-        for endpoints in (heads, tails):
-            if not names.issuperset(endpoints[edge_ptr[row] : edge_ptr[row + 1]]):
-                missing = sorted(set(endpoints[edge_ptr[row] : edge_ptr[row + 1]]) - names, key=repr)[0]
-                raise FormatError(f"document {doc_ids[row]}: edge endpoint {missing} has no node")
-    edge_rows = np.repeat(np.arange(len(records)), np.diff(edge_ptr))
-    loops = np.flatnonzero(np.fromiter(map(operator.eq, heads, tails), bool, len(heads)))
-    if len(loops):
-        raise FormatError(f"document {doc_ids[edge_rows[loops[0]]]}: self-loop edge on {heads[loops[0]]}")
-    if not set(map(type, relations)) <= {str} or not set(map(type, confidences)) <= {float}:
-        raise FormatError("network edges need string relations and float confidences")
-    confidence = np.array(confidences, float)
-    outside = np.flatnonzero(~_valid_confidence(confidence))
-    if len(outside):
-        i = outside[0]
-        raise FormatError(f"document {doc_ids[edge_rows[i]]}: edge confidence {confidences[i]} outside (0, 1]")
-    unknown = set(provenances).difference(_PROVENANCES)
-    if unknown:
-        raise FormatError(f"unknown edge provenance {sorted(map(repr, unknown))[0]}")
-    return node_ptr, list(cuis), sizes // 2
+    sizes = np.diff(c.span_ptr)
+    i = _first((sizes == 0) | (sizes % 2 == 1))
+    if i >= 0:
+        raise FormatError(f"document {doc_ids[node_rows[i]]}: node {c.cuis[c.node_cuis[i]]} needs a non-empty, even-length span list")
+    nodes = np.diff(c.node_ptr)[edge_rows]  # each edge's number of nodes in its document
+    for positions in (c.heads, c.tails):
+        i = _first((positions < 0) | (positions >= nodes))
+        if i >= 0:
+            raise FormatError(f"document {doc_ids[edge_rows[i]]}: edge endpoint {positions[i]} has no node among its {nodes[i]}")
+    i = _first(c.heads == c.tails)
+    if i >= 0:
+        cui = c.cuis[c.node_cuis[c.node_ptr[edge_rows[i]] + c.heads[i]]]
+        raise FormatError(f"document {doc_ids[edge_rows[i]]}: self-loop edge on {cui}")
+    i = _first(~_valid_confidence(c.confidences))
+    if i >= 0:
+        raise FormatError(f"document {doc_ids[edge_rows[i]]}: edge confidence {c.confidences[i]} outside (0, 1]")
 
 
-def network_from_record(doc_id: str, record: list, lexicon: Lexicon) -> SemanticNetwork:
-    """Decode a record that ``record_nodes`` accepted."""
-    nodes, edges = record
+def network_from_columns(doc_id: str, columns: NetworkColumns, row: int, lexicon: Lexicon) -> SemanticNetwork:
+    """Decode row ``row`` of columns that ``check_columns`` accepted."""
+    c = columns
+    first, last = c.node_ptr[row : row + 2].tolist()
+    cuis = [c.cuis[i] for i in c.node_cuis[first:last].tolist()]
+    ends = c.span_ptr[first : last + 1].tolist()
+    bounds = c.spans[ends[0] : ends[-1]].tolist()
     net = SemanticNetwork(doc_id)
-    for cui, spans in nodes:
-        net.nodes[cui] = Node(cui, node_name(cui, lexicon), list(zip(spans[::2], spans[1::2])))
-    net.edges = [Edge(*row) for row in edges]
+    for cui, start, end in zip(cuis, ends, ends[1:]):
+        run = bounds[start - ends[0] : end - ends[0]]
+        net.nodes[cui] = Node(cui, node_name(cui, lexicon), list(zip(run[::2], run[1::2])))
+    edges = slice(*c.edge_ptr[row : row + 2].tolist())
+    net.edges = [
+        Edge(cuis[head], cuis[tail], c.relations[relation], confidence, _PROVENANCES[provenance])
+        for head, tail, relation, confidence, provenance in zip(
+            c.heads[edges].tolist(),
+            c.tails[edges].tolist(),
+            c.edge_relations[edges].tolist(),
+            c.confidences[edges].tolist(),
+            c.provenances[edges].tolist(),
+        )
+    ]
     return net
 
 

@@ -31,6 +31,8 @@ from casegraph.kb import (
     load_lexicon,
     load_triples,
     normalize_surface,
+    pack,
+    unpack,
 )
 from casegraph.linking import Mention, SentenceSpan, Token, tokenize
 from casegraph.network import PROV_EXTRACTED, PROV_FUSED, Edge, SemanticNetwork, fuse_confidence, write_networks
@@ -148,6 +150,24 @@ def write_pipeline_fixtures(tmp_path, num_docs: int = 12, seed: int = 3) -> dict
     write_triples_tsv(kb, paths["triples"])
     write_corpus_jsonl(corpus, paths["corpus"])
     return {name: str(path) for name, path in paths.items()} | {"docs": corpus}
+
+
+def column(part: dict, key: str, kind: str = "int32") -> list:
+    """One stored column of an index payload part (``payload["wl"]`` or ``payload["networks"]``) as a list."""
+    return unpack(part[key], key, kind).tolist()
+
+
+def edit_column(part: dict, key: str, edit, kind: str = "int32") -> None:
+    """Decode one stored column, let ``edit`` change the list in place, and store it again.
+
+    A list that ``pack`` cannot store as ``kind`` (one holding a boolean, a
+    string or a float among integers) is stored as that JSON list, the form
+    an older container used, which the loader must refuse.
+    """
+    values = column(part, key, kind)
+    edit(values)
+    packable = {int} if kind == "int32" else {float}
+    part[key] = pack(values, kind) if set(map(type, values)) <= packable else values
 
 
 def write_pipeline_networks(fixtures: dict, path) -> str:

@@ -137,14 +137,34 @@ class TestBadInputsExitTwo:
         payload = json.loads(built_index.read_text(encoding="utf-8"))
         wl = payload["wl"]
         if edit == "string count":
-            wl["counts"][0] = str(wl["counts"][0])
+            helpers.edit_column(wl, "counts", lambda counts: counts.__setitem__(0, str(counts[0])))
         elif edit == "label out of range":
-            wl["labels"][wl["ptr"][1] - 1] = payload["compressor"]["next_id"]
+            last = helpers.column(wl, "ptr")[1] - 1
+            helpers.edit_column(wl, "labels", lambda labels: labels.__setitem__(last, payload["compressor"]["next_id"]))
         else:
             payload["compressor"]["next_id"] = -1
         built_index.write_text(json.dumps(payload), encoding="utf-8")
         assert run_cli("search", "--index", str(built_index), "--query-file", fixtures["corpus"]) == 2
         assert str(built_index) in self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["link", "index", "search"])
+    @pytest.mark.parametrize(
+        "fields",
+        [{"id": None}, {"id": 7}, {"title": False}, {"text": [1, 2, {"a": None}]}],
+        ids=["null id", "numeric id", "boolean title", "list text"],
+    )
+    def test_corpus_fields_must_be_strings(self, tmp_path, fixtures, built_index, capsys, command, fields):
+        corpus = tmp_path / "typed.jsonl"
+        lines = [{"id": "d1", "title": "", "text": "aspirin treats fever."}, {"id": "d2", "title": "", "text": "fever.", **fields}]
+        corpus.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        argv = {
+            "link": ["link", "--lexicon", fixtures["lexicon"], "--corpus", str(corpus)],
+            "index": ["index", "--lexicon", fixtures["lexicon"], "--corpus", str(corpus), "--triples", fixtures["triples"]],
+            "search": ["search", "--index", str(built_index), "--query-file", str(corpus)],
+        }[command]
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        assert f"{corpus}: line 2: document id, title and text must be strings" in self.assert_one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
 
 
     @staticmethod

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from casegraph import engine
 from casegraph.config import PipelineConfig
 from casegraph.engine import (
     _top_rows,
+    analyze,
     build_collection_graph,
     collection_graph_to_dot,
     document_network,
@@ -20,6 +22,8 @@ from casegraph.engine import (
 )
 from casegraph.errors import FormatError, UsageError, ValidationError
 from casegraph.kb import Document
+from casegraph.network import Node, SemanticNetwork
+from casegraph.relations import ExtractorHyperparams, RelationInstance, distant_label, featurize_pairs, train_extractor
 from casegraph.similarity import doc_embedding, wl_dot, wl_features
 from casegraph.transe import EmbeddingModel, TrainConfig, init_model, train
 
@@ -385,6 +389,11 @@ class TestPersistence:
             load_index(path)
 
 
+def edit_networks(key, edit, kind="int32"):
+    """An edit of one column of the stored networks."""
+    return lambda networks: helpers.edit_column(networks, key, edit, kind)
+
+
 class TestLoadConsistency:
     def load_edited(self, index, tmp_path, edit):
         from casegraph.engine import index_to_dict
@@ -395,18 +404,15 @@ class TestLoadConsistency:
         path.write_text(json.dumps(payload), encoding="utf-8")
         return load_index(path)
 
-    @staticmethod
-    def first_edges(payload):
-        """The edge list of the first network record that has edges."""
-        return next(edges for _, edges in payload["networks"] if edges)
-
     def test_document_missing_from_wl(self, small_index, tmp_path):
         _, index = small_index
 
         def edit(payload):
             wl = payload["wl"]
-            wl["ptr"].pop()
-            del wl["labels"][wl["ptr"][-1] :], wl["counts"][wl["ptr"][-1] :]
+            helpers.edit_column(wl, "ptr", list.pop)
+            end = helpers.column(wl, "ptr")[-1]
+            for key in ("labels", "counts"):
+                helpers.edit_column(wl, key, lambda values: values.__delitem__(slice(end, None)))
 
         with pytest.raises(FormatError, match="different documents"):
             self.load_edited(index, tmp_path, edit)
@@ -414,7 +420,7 @@ class TestLoadConsistency:
     def test_document_missing_from_networks(self, small_index, tmp_path):
         _, index = small_index
         with pytest.raises(FormatError, match="different documents"):
-            self.load_edited(index, tmp_path, lambda payload: payload["networks"].pop())
+            self.load_edited(index, tmp_path, lambda payload: helpers.edit_column(payload["networks"], "node_ptr", list.pop))
 
     @pytest.mark.parametrize("docs", [["b", "a"], ["a", "a"], [1, 2]], ids=["unsorted", "duplicate", "not strings"])
     def test_bad_doc_ids(self, small_index, tmp_path, docs):
@@ -448,8 +454,8 @@ class TestLoadConsistency:
 
     def test_non_integer_wl_label(self, small_index, tmp_path):
         _, index = small_index
-        with pytest.raises(FormatError, match="labels must be a list of integers"):
-            self.load_edited(index, tmp_path, lambda payload: payload["wl"]["labels"].__setitem__(0, "x"))
+        with pytest.raises(FormatError, match="labels must be base64 of little-endian int32 integers"):
+            self.load_edited(index, tmp_path, lambda payload: payload["wl"].update(labels="x"))
 
     def test_derived_maps_match_fresh_index(self, small_index, tmp_path):
         _, index = small_index
@@ -467,7 +473,6 @@ class TestLoadConsistency:
         [
             ("-1", 1, "outside"),
             ("next_id", 1, "outside"),
-            ("99999999999999999999999", 1, "malformed"),
             ("0", "2", "integers"),
             ("0", True, "integers"),
             ("0", 1.0, "integers"),
@@ -477,23 +482,27 @@ class TestLoadConsistency:
         ],
     )
     def test_bad_wl_entry(self, small_index, tmp_path, label, count, match):
-        # The first entry of the first row: its label and its count.
+        # The first entry of the first row: its label and its count. A count
+        # that is no integer leaves the counts a JSON list, which is refused.
         _, index = small_index
 
         def edit(payload):
             wl = payload["wl"]
-            wl["labels"][0] = payload["compressor"]["next_id"] if label == "next_id" else int(label)
-            wl["counts"][0] = count
+            next_id = payload["compressor"]["next_id"]
+            helpers.edit_column(wl, "labels", lambda labels: labels.__setitem__(0, next_id if label == "next_id" else int(label)))
+            helpers.edit_column(wl, "counts", lambda counts: counts.__setitem__(0, count))
 
         with pytest.raises(FormatError, match=match):
             self.load_edited(index, tmp_path, edit)
 
     @pytest.mark.parametrize("label", [True, 1.0, "3", None])
     def test_label_not_an_integer(self, small_index, tmp_path, label):
-        # np.array([1, True], np.int64) would convert it silently.
+        # Labels as a JSON list, whatever it holds, are refused: np.array([1, True], np.int64) would convert them.
         _, index = small_index
-        with pytest.raises(FormatError, match="labels must be a list of integers"):
-            self.load_edited(index, tmp_path, lambda payload: payload["wl"]["labels"].__setitem__(1, label))
+        with pytest.raises(FormatError, match="labels must be base64"):
+            self.load_edited(
+                index, tmp_path, lambda payload: helpers.edit_column(payload["wl"], "labels", lambda labels: labels.__setitem__(1, label))
+            )
 
     @pytest.mark.parametrize(
         "edit, match",
@@ -502,26 +511,25 @@ class TestLoadConsistency:
             (lambda ptr: ptr.pop(0), "different documents"),
             (lambda ptr: ptr.__setitem__(0, 1), "different documents"),
             (lambda ptr: ptr.__setitem__(1, ptr[2] + 1), "must not decrease"),
-            (lambda ptr: ptr.__setitem__(2, True), "ptr must be a list of integers"),
+            (lambda ptr: ptr.__setitem__(2, True), "ptr must be base64"),
         ],
         ids=["extra entry", "missing entry", "not starting at 0", "decreasing", "boolean"],
     )
     def test_bad_ptr(self, small_index, tmp_path, edit, match):
         _, index = small_index
         with pytest.raises(FormatError, match=match):
-            self.load_edited(index, tmp_path, lambda payload: edit(payload["wl"]["ptr"]))
+            self.load_edited(index, tmp_path, lambda payload: helpers.edit_column(payload["wl"], "ptr", edit))
 
     @pytest.mark.parametrize("damage", ["duplicate", "swap"])
     def test_labels_not_ascending_within_a_row(self, small_index, tmp_path, damage):
         _, index = small_index
         assert index.rows.ptr[1] >= 2
 
-        def edit(payload):
-            labels = payload["wl"]["labels"]
+        def edit(labels):
             labels[0:2] = [labels[0], labels[0]] if damage == "duplicate" else [labels[1], labels[0]]
 
         with pytest.raises(FormatError, match=f"document {index.rows.doc_ids[0]}: kernel feature labels must ascend"):
-            self.load_edited(index, tmp_path, edit)
+            self.load_edited(index, tmp_path, lambda payload: helpers.edit_column(payload["wl"], "labels", edit))
 
     def test_rows_may_start_below_the_previous_row(self, small_index, tmp_path):
         # Labels ascend within a row only: every new row starts over.
@@ -553,54 +561,101 @@ class TestLoadConsistency:
     @pytest.mark.parametrize(
         "record, match",
         [
-            ([[]], "network record must be a list of 2 items"),
-            ({"nodes": [], "edges": []}, "network record must be a list of 2 items"),
-            ([[["C1"]], []], "network node must be a list of 2 items"),
-            ([[[1, [0, 3]]], []], "cuis must be strings"),
-            ([[["C2", [0, 3]], ["C1", [4, 7]]], []], "cuis must ascend"),
-            ([[["C1", [0, 3]], ["C1", [4, 7]]], []], "cuis must ascend"),
-            ([[["C1", [0, 3, 5]]], []], "even-length"),
-            ([[["C1", []]], []], "even-length"),
-            ([[["C1", [0, 3.0]]], []], "lists of integers"),
-            ([[["C1", [0, True]]], []], "lists of integers"),
-            ([[["C1", "03"]], []], "lists of integers"),
-            ([[["C1", [0, 3]]], [["C1", "C2", "r", 0.5, "extracted"]]], "edge endpoint C2 has no node"),
-            ([[["C1", [0, 3]]], [["C1", "C1", "r", 0.5, "extracted"]]], "self-loop edge on C1"),
-            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", 0.5]]], "network edge must be a list of 5 items"),
-            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", 7, 0.5, "extracted"]]], "string relations"),
-            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", 1, "extracted"]]], "float confidences"),
-            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", True, "extracted"]]], "float confidences"),
-            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", 0.0, "extracted"]]], r"outside \(0, 1\]"),
-            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", 1.5, "extracted"]]], r"outside \(0, 1\]"),
-            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", float("nan"), "extracted"]]], r"outside \(0, 1\]"),
-            ([[["C1", [0, 3]], ["C2", [4, 7]]], [["C1", "C2", "r", 0.5, "guessed"]]], "unknown edge provenance 'guessed'"),
+            # Each damages the stored network columns: the first document has
+            # two nodes or more, and the first edge is its. The ids are those
+            # of the per-document record cases that these columns replaced.
+            pytest.param(lambda networks: networks["cuis"].__setitem__(0, 1), "cuis must be strings", id="record3-cuis must be strings"),
+            pytest.param(
+                edit_networks("node_cuis", lambda ids: ids.__setitem__(slice(0, 2), ids[1::-1])),
+                "cuis must ascend",
+                id="record4-cuis must ascend",
+            ),
+            pytest.param(
+                edit_networks("node_cuis", lambda ids: ids.__setitem__(1, ids[0])), "cuis must ascend", id="record5-cuis must ascend"
+            ),
+            pytest.param(
+                edit_networks("span_ptr", lambda ptr: ptr.__setitem__(1, ptr[1] - 1)), "even-length", id="record6-even-length"
+            ),
+            pytest.param(edit_networks("span_ptr", lambda ptr: ptr.__setitem__(1, 0)), "even-length", id="record7-even-length"),
+            pytest.param(
+                edit_networks("spans", lambda spans: spans.__setitem__(1, 3.0)), "spans must be base64", id="record8-lists of integers"
+            ),
+            pytest.param(
+                edit_networks("spans", lambda spans: spans.__setitem__(1, True)), "spans must be base64", id="record9-lists of integers"
+            ),
+            pytest.param(lambda networks: networks.update(spans="03"), "spans must be base64", id="record10-lists of integers"),
+            pytest.param(edit_networks("provenances", list.pop), "one item per edge", id="record13-network edge must be a list of 5 items"),
+            pytest.param(lambda networks: networks["relations"].__setitem__(0, 7), "string relations", id="record14-string relations"),
+            pytest.param(
+                edit_networks("confidences", lambda conf: conf.__setitem__(0, 1), "float64"),
+                "confidences must be base64 of little-endian float64",
+                id="record15-float confidences",
+            ),
+            pytest.param(
+                edit_networks("confidences", lambda conf: conf.__setitem__(0, True), "float64"),
+                "confidences must be base64 of little-endian float64",
+                id="record16-float confidences",
+            ),
+            pytest.param(
+                edit_networks("confidences", lambda conf: conf.__setitem__(0, 0.0), "float64"),
+                r"outside \(0, 1\]",
+                id=r"record17-outside \(0, 1\]",
+            ),
+            pytest.param(
+                edit_networks("confidences", lambda conf: conf.__setitem__(0, 1.5), "float64"),
+                r"outside \(0, 1\]",
+                id=r"record18-outside \(0, 1\]",
+            ),
+            pytest.param(
+                edit_networks("confidences", lambda conf: conf.__setitem__(0, float("nan")), "float64"),
+                r"outside \(0, 1\]",
+                id=r"record19-outside \(0, 1\]",
+            ),
         ],
     )
     def test_bad_network_record(self, small_index, tmp_path, record, match):
         _, index = small_index
+        first = index.networks[index.rows.doc_ids[0]]
+        assert len(first.nodes) >= 2 and first.edges
         with pytest.raises(FormatError, match=match):
-            self.load_edited(index, tmp_path, lambda payload: payload["networks"].__setitem__(0, record))
+            self.load_edited(index, tmp_path, lambda payload: record(payload["networks"]))
 
-    def test_edge_endpoint_of_another_document(self, small_index, tmp_path):
-        # Every endpoint must be a node of the edge's own document.
+    @pytest.mark.parametrize("table", ["cuis", "relations"])
+    @pytest.mark.parametrize("damage", ["swap", "duplicate"])
+    def test_table_not_ascending(self, small_index, tmp_path, table, damage):
+        # Ids ascend in table order, and a network's nodes must come out in cui order, once each.
         _, index = small_index
 
         def edit(payload):
-            nodes = {cui for record in payload["networks"] for cui, _ in record[0]}
-            record = next(record for record in payload["networks"] if record[1] and nodes - {cui for cui, _ in record[0]})
-            record[1][0][1] = sorted(nodes - {cui for cui, _ in record[0]})[0]
+            names = payload["networks"][table]
+            names[:2] = names[1::-1] if damage == "swap" else names[:1] * 2
 
-        with pytest.raises(FormatError, match="has no node"):
+        with pytest.raises(FormatError, match=f"the network {table[:-1]} table must ascend strictly"):
             self.load_edited(index, tmp_path, edit)
 
-    def test_v2_file_refused(self, small_index, tmp_path):
+    def test_edge_endpoint_of_another_document(self, small_index, tmp_path):
+        # Every endpoint must be a node of the edge's own document: position n
+        # of a document with n nodes is the first node of the next one.
         _, index = small_index
-        with pytest.raises(FormatError, match="unsupported casegraph-index version 2"):
-            self.load_edited(index, tmp_path, lambda payload: payload.update(version=2))
+        doc_ids = index.rows.doc_ids
+        row = next(row for row, doc_id in enumerate(doc_ids[:-1]) if index.networks[doc_id].edges)
+        edge = sum(len(index.networks[doc_id].edges) for doc_id in doc_ids[:row])
+        size = len(index.networks[doc_ids[row]].nodes)
+
+        def edit(payload):
+            helpers.edit_column(payload["networks"], "tails", lambda tails: tails.__setitem__(edge, size))
+
+        with pytest.raises(FormatError, match=f"document {doc_ids[row]}: edge endpoint {size} has no node"):
+            self.load_edited(index, tmp_path, edit)
+
+    def test_v3_file_refused(self, small_index, tmp_path):
+        _, index = small_index
+        with pytest.raises(FormatError, match="unsupported casegraph-index version 3"):
+            self.load_edited(index, tmp_path, lambda payload: payload.update(version=3))
 
 
 class TestLazyNetworks:
-    """A loaded index decodes a network record only when the network is read."""
+    """A loaded index decodes a network from its columns only when the network is read."""
 
     @pytest.fixture()
     def saved(self, small_index, tmp_path):
@@ -612,13 +667,13 @@ class TestLazyNetworks:
     @pytest.fixture()
     def decoded(self, monkeypatch):
         seen: list[str] = []
-        original = engine.network_from_record
+        original = engine.network_from_columns
 
-        def counting(doc_id, record, lexicon):
+        def counting(doc_id, columns, row, lexicon):
             seen.append(doc_id)
-            return original(doc_id, record, lexicon)
+            return original(doc_id, columns, row, lexicon)
 
-        monkeypatch.setattr(engine, "network_from_record", counting)
+        monkeypatch.setattr(engine, "network_from_columns", counting)
         return seen
 
     def test_search_and_collection_graph_decode_no_network(self, saved, decoded):
@@ -655,6 +710,56 @@ class TestLazyNetworks:
         again = tmp_path / "again.idx"
         save_index(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def model_index(pipeline):
+    """A model-mode index with enrichment and fusion, its extractor trained by distant supervision.
+
+    ``tau_lp`` is low enough for enrichment to add edges.
+    """
+    lexicon, kb, transe_model, config = pipeline
+    corpus = helpers.synth_corpus(lexicon, 12, seed=5)
+    instances = []
+    for doc in corpus:
+        tokens, _, pairs = analyze(doc, lexicon, config.window)
+        for pair, features in zip(pairs, featurize_pairs(pairs, tokens, lexicon)):
+            instances.append(RelationInstance(pair, distant_label(pair, kb), features))
+    extractor = train_extractor(instances, ExtractorHyperparams(epochs=20, seed=5))
+    config = replace(config, mode="model", enrich=True, fuse=True, theta_rel=0.3, tau_lp=1e-6)
+    return index_corpus(corpus, lexicon, config, kb=kb, extractor=extractor, transe=transe_model)
+
+
+class TestRoundTrip:
+    """Saving and loading a model-mode index; ``TestLazyNetworks`` does the same for a kbmatch one."""
+
+    def test_loaded_networks_equal_built_ones(self, model_index, tmp_path):
+        assert {e.provenance for net in model_index.networks.values() for e in net.edges} == {"fused", "predicted"}
+        path = tmp_path / "model.idx"
+        save_index(model_index, path)
+        assert load_index(path).networks == model_index.networks
+
+    def test_save_of_load_is_byte_identical(self, model_index, tmp_path):
+        path, again = tmp_path / "model.idx", tmp_path / "again.idx"
+        save_index(model_index, path)
+        save_index(load_index(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_span_bound_beyond_int32_is_refused(self, small_index, tmp_path):
+        # A crafted network: a real document this long would be 2 GB of text.
+        corpus, index = small_index
+        net = index.networks[corpus[0].id]
+        cui = sorted(net.nodes)[0]
+        for bound in (2**31 - 1, 2**31):
+            nodes = {**net.nodes, cui: Node(cui, net.nodes[cui].name, [(0, bound)])}
+            crafted = replace(index, networks={**index.networks, net.doc_id: replace(net, nodes=nodes)})
+            path = tmp_path / f"{bound}.idx"
+            if bound < 2**31:
+                save_index(crafted, path)
+                assert load_index(path).networks[net.doc_id].nodes[cui].mention_spans == [(0, bound)]
+            else:
+                with pytest.raises(ValidationError, match="outside the int32 range"):
+                    save_index(crafted, path)
 
 
 class TestTopRows:

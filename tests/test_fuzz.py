@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import helpers
 from casegraph.cli import dispatch
+from casegraph.engine import load_index
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -215,6 +217,101 @@ def test_damaged_index(index_pipeline, data):
         assert code in (0, 1, 2), err
         assert "Traceback" not in err
         assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, err
+
+
+@pytest.fixture(scope="module")
+def index_layout(index_pipeline):
+    """Positions in the valid index: a document with two nodes or more and an edge, and a document after it.
+
+    ``node`` and ``edge`` are the document's first node and edge in their
+    columns, ``head`` the position of that edge's head within the document,
+    and ``size`` its number of nodes.
+    """
+    tmp, _, valid = index_pipeline
+    (tmp / "layout.idx").write_text(valid, encoding="utf-8")
+    index = load_index(tmp / "layout.idx")
+    nets = [index.networks[doc_id] for doc_id in index.rows.doc_ids]
+    row = next(i for i, net in enumerate(nets[:-1]) if len(net.nodes) >= 2 and net.edges)
+    return {
+        "node": sum(len(net.nodes) for net in nets[:row]),  # the row's first node
+        "edge": sum(len(net.edges) for net in nets[:row]),  # the row's first edge
+        "head": sorted(nets[row].nodes).index(nets[row].edges[0].head),
+        "size": len(nets[row].nodes),
+    }
+
+
+# Each case damages one stored column of a valid index: (part, column, kind,
+# edit of the decoded list given the layout, text the error line must hold).
+# Every cui and relation of a table is used, so the largest id is the last.
+COLUMN_DAMAGES = {
+    "decreasing kernel pointer": ("wl", "ptr", "int32", lambda c, at: c.__setitem__(1, c[2] + 1), "must not decrease"),
+    "decreasing node pointer": ("networks", "node_ptr", "int32", lambda c, at: c.__setitem__(1, c[2] + 1), "must not decrease"),
+    "decreasing span pointer": ("networks", "span_ptr", "int32", lambda c, at: c.__setitem__(1, c[2] + 1), "must not decrease"),
+    "decreasing edge pointer": ("networks", "edge_ptr", "int32", lambda c, at: c.__setitem__(1, c[2] + 1), "must not decrease"),
+    "cui id at the table length": (
+        "networks", "node_cuis", "int32", lambda c, at: c.__setitem__(at["node"], max(c) + 1), "node cui id"
+    ),
+    "cuis out of order": (
+        "networks", "node_cuis", "int32",
+        lambda c, at: c.__setitem__(slice(at["node"], at["node"] + 2), [c[at["node"] + 1], c[at["node"]]]),
+        "node cuis must ascend strictly",
+    ),
+    "odd span run": (
+        "networks", "span_ptr", "int32", lambda c, at: c.__setitem__(at["node"] + 1, c[at["node"] + 1] - 1), "even-length span list"
+    ),
+    "empty span run": (
+        "networks", "span_ptr", "int32", lambda c, at: c.__setitem__(at["node"] + 1, c[at["node"]]), "even-length span list"
+    ),
+    "head == tail": ("networks", "tails", "int32", lambda c, at: c.__setitem__(at["edge"], at["head"]), "self-loop edge on"),
+    "endpoint in another document": (
+        "networks", "tails", "int32", lambda c, at: c.__setitem__(at["edge"], at["size"]), "has no node"
+    ),
+    "relation id out of range": (
+        "networks", "edge_relations", "int32", lambda c, at: c.__setitem__(at["edge"], max(c) + 1), "edge relation id"
+    ),
+    "provenance id out of range": (
+        "networks", "provenances", "int32", lambda c, at: c.__setitem__(at["edge"], 3), "edge provenance id 3 outside [0, 3)"
+    ),
+    "confidence 0": ("networks", "confidences", "float64", lambda c, at: c.__setitem__(at["edge"], 0.0), "outside (0, 1]"),
+    "confidence 1.5": ("networks", "confidences", "float64", lambda c, at: c.__setitem__(at["edge"], 1.5), "outside (0, 1]"),
+    "confidence NaN": ("networks", "confidences", "float64", lambda c, at: c.__setitem__(at["edge"], math.nan), "outside (0, 1]"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(COLUMN_DAMAGES))
+def test_damaged_index_column(index_pipeline, index_layout, damage):
+    tmp, fixtures, valid = index_pipeline
+    part, key, kind, edit, text = COLUMN_DAMAGES[damage]
+    payload = json.loads(valid)
+    helpers.edit_column(payload[part], key, lambda column: edit(column, index_layout), kind)
+    assert_index_refused(tmp, fixtures, payload, text)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda column: column[:-1],  # bad padding
+        lambda column: column[:-4],  # 1-3 bytes short: no whole number of items
+        lambda column: column[:4] + "!" + column[4:],  # a lax decoder would skip the "!"
+        lambda column: "é" + column[1:],
+    ],
+    ids=["truncated by one character", "truncated by one quantum", "non-base64 text", "non-ASCII text"],
+)
+@pytest.mark.parametrize("part, key", [("wl", "labels"), ("networks", "node_cuis"), ("networks", "confidences")])
+def test_index_column_not_base64(index_pipeline, damage, part, key):
+    tmp, fixtures, valid = index_pipeline
+    payload = json.loads(valid)
+    payload[part][key] = damage(payload[part][key])
+    assert_index_refused(tmp, fixtures, payload, "must be base64")
+
+
+def assert_index_refused(tmp: Path, fixtures: dict, payload: dict, text: str) -> None:
+    """``search`` on the index ``payload`` exits 2 with one error line that holds ``text``, and no traceback."""
+    index = tmp / "column-damaged.idx"
+    index.write_text(json.dumps(payload), encoding="utf-8")
+    code, err = run_quietly(["search", "--index", str(index), "--query-file", fixtures["corpus"], "--out", str(tmp / "out")])
+    assert code == 2 and "Traceback" not in err, err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and text in err, err
 
 
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
