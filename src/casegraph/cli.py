@@ -21,7 +21,7 @@ from . import engine, trec
 from .config import CHOICES, FIELDS, VALUE_TYPES, PipelineConfig, flag, merge_config, read_config_file
 from .errors import CasegraphError, UsageError, ValidationError
 from .kb import Triple, load_corpus, load_lexicon, load_triples
-from .linking import link, mentions_jsonl, read_mentions, split_sentences, tokenize
+from .linking import link, mentions_jsonl, read_mentions, tokenize
 from .network import build_network, enrich_network, fuse_network, networks_jsonl, read_networks
 from .relations import (
     ExtractorHyperparams,
@@ -29,7 +29,6 @@ from .relations import (
     distant_label,
     edges_jsonl,
     featurize_pairs,
-    generate_candidates,
     load_extractor,
     mention_token_ranges,
     read_edges,
@@ -92,10 +91,7 @@ def _cmd_extract(args: argparse.Namespace) -> None:
     kb, extractor = _extraction_models(cfg)
     per_doc_edges = {}
     for doc in corpus:
-        content = doc.content()
-        tokens = tokenize(content)
-        sentences = split_sentences(content, tokens)
-        pairs = generate_candidates(doc.id, per_doc_mentions.get(doc.id, []), sentences, tokens, cfg.window)
+        tokens, _, pairs = engine.analyze(doc, lexicon, cfg.window, per_doc_mentions.get(doc.id, []))
         per_doc_edges[doc.id] = engine.extract_edges(pairs, tokens, lexicon, cfg, kb, extractor)
     _emit(edges_jsonl(per_doc_edges), args.out)
 

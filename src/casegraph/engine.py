@@ -34,20 +34,24 @@ products, and ``einsum`` reduces each (row, document) pair as it does for
 one row, where a BLAS product would not.
 
 Loading checks everything before it returns, with array operations: the
-configuration, the doc ids, the compressor, that every column is whole
-base64 and every pointer starts at 0, never decreases and ends at its
+configuration, the lexicon and the triple store (``kb.lexicon_from_dict``,
+``kb.triples_from_dict``), the doc ids, the compressor, that every column is
+whole base64 and every pointer starts at 0, never decreases and ends at its
 column's length, that every kernel label lies below the compressor's next
 label with a positive count and ascends within its row, and that the network
 columns decode into valid networks (``network.check_columns``). It builds no
-network: ``Index.networks`` of a loaded index decodes a document's row on
-first access. An older container version is refused with ``FormatError``.
+network. Every index, built or loaded, holds its networks only as those
+columns (``StoredNetworks``): ``index_corpus`` encodes the pipeline's
+networks once, saving writes the columns as they are, and ``Index.networks``
+decodes a document's row on first access. An older container version is
+refused with ``FormatError``.
 """
 
 from __future__ import annotations
 
 import logging
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -146,18 +150,18 @@ class DocRows:
 
 
 class StoredNetworks(Mapping):
-    """The networks of a loaded index, read-only, each decoded from its row of the stored columns on first access."""
+    """The networks of an index, read-only, each decoded from its row of the columns on first access."""
 
     def __init__(self, doc_ids: list[str], columns: NetworkColumns, lexicon: Lexicon):
         self._rows = {doc_id: row for row, doc_id in enumerate(doc_ids)}
-        self._columns = columns
+        self.columns = columns
         self._decoded: dict[str, SemanticNetwork] = {}
         self._lexicon = lexicon
 
     def __getitem__(self, doc_id: str) -> SemanticNetwork:
         net = self._decoded.get(doc_id)
         if net is None:
-            net = network_from_columns(doc_id, self._columns, self._rows[doc_id], self._lexicon)
+            net = network_from_columns(doc_id, self.columns, self._rows[doc_id], self._lexicon)
             self._decoded[doc_id] = net
         return net
 
@@ -179,20 +183,26 @@ class Index:
     extractor: ExtractorModel | None
     transe: EmbeddingModel | None
     compressor: LabelCompressor
-    networks: Mapping[str, SemanticNetwork] = field(default_factory=dict)
-    rows: DocRows | None = None  # set by index_corpus and on load; its row-major kernel features are persisted
+    networks: StoredNetworks
+    rows: DocRows  # its row-major kernel features are persisted
 
     @property
     def h(self) -> int:
         return self.config.h
 
 
-def analyze(doc: Document, lexicon: Lexicon, window: int) -> tuple[list[Token], list[Mention], list[CandidatePair]]:
-    """Tokenize, split, link and pair one document: its tokens, mentions and candidate pairs."""
+def analyze(
+    doc: Document, lexicon: Lexicon, window: int, mentions: list[Mention] | None = None
+) -> tuple[list[Token], list[Mention], list[CandidatePair]]:
+    """Tokenize, split, link and pair one document: its tokens, mentions and candidate pairs.
+
+    Given ``mentions``, the document is paired on those and not linked.
+    """
     content = doc.content()
     tokens = tokenize(content)
     sentences = split_sentences(content, tokens)
-    mentions = link(content, lexicon, tokens=tokens)
+    if mentions is None:
+        mentions = link(content, lexicon, tokens=tokens)
     return tokens, mentions, generate_candidates(doc.id, mentions, sentences, tokens, window)
 
 
@@ -245,27 +255,22 @@ def index_corpus(
     transe: EmbeddingModel | None = None,
 ) -> Index:
     """Build networks for every document and featurize them with a shared compressor."""
-    seen: set[str] = set()
-    for doc in corpus:
-        if doc.id in seen:
-            raise ValidationError(f"duplicate document id {doc.id}")
-        seen.add(doc.id)
-    index = Index(config, lexicon, kb, extractor, transe, LabelCompressor())
-    features = {}
+    compressor, nets, features = LabelCompressor(), {}, {}
     for doc in corpus:  # in corpus order, which decides the compressed labels
-        net = document_network(doc, lexicon, config, kb, extractor, transe)
-        index.networks[doc.id] = net
-        features[doc.id] = sorted(wl_features(net, config.h, index.compressor).counts.items())
-    doc_ids = sorted(index.networks)
+        if doc.id in nets:
+            raise ValidationError(f"duplicate document id {doc.id}")
+        net = nets[doc.id] = document_network(doc, lexicon, config, kb, extractor, transe)
+        features[doc.id] = sorted(wl_features(net, config.h, compressor).counts.items())
+    doc_ids = sorted(nets)
     pairs = list(chain.from_iterable(features[doc_id] for doc_id in doc_ids))
     labels, counts = zip(*pairs) if pairs else ((), ())
     ptr = np.cumsum([0, *(len(features[doc_id]) for doc_id in doc_ids)])
-    columns = network_columns([index.networks[doc_id] for doc_id in doc_ids])
-    index.rows = _derive_rows(
-        doc_ids, ptr, np.array(labels, np.int64), np.array(counts, np.int64), columns, index.compressor.next_id, transe
+    columns = network_columns([nets[doc_id] for doc_id in doc_ids])
+    log.info("indexed %d documents (%d kernel labels)", len(corpus), compressor.next_id)
+    return Index(
+        config, lexicon, kb, extractor, transe, compressor, StoredNetworks(doc_ids, columns, lexicon),
+        _derive_rows(doc_ids, ptr, np.array(labels, np.int64), np.array(counts, np.int64), columns, compressor.next_id, transe),
     )
-    log.info("indexed %d documents (%d kernel labels)", len(corpus), index.compressor.next_id)
-    return index
 
 
 def _embed_rows(columns: NetworkColumns, transe: EmbeddingModel | None) -> np.ndarray:
@@ -494,7 +499,7 @@ def index_to_dict(index: Index) -> dict:
         "compressor": {"next_id": index.compressor.next_id, "signatures": "\n".join(sorted(table, key=table.get))},
         "docs": list(rows.doc_ids),
         "wl": {"ptr": pack(rows.ptr), "labels": pack(rows.labels), "counts": pack(rows.counts)},
-        "networks": columns_to_dict(network_columns([index.networks[doc_id] for doc_id in rows.doc_ids])),
+        "networks": columns_to_dict(index.networks.columns),
     }
 
 
@@ -539,17 +544,17 @@ def index_from_dict(data: dict) -> Index:
     columns = columns_from_dict(data["networks"])
     check_columns(docs, columns)
     lexicon = lexicon_from_dict(data["lexicon"])
-    index = Index(
+    transe = model_from_dict(data["transe"]) if data["transe"] is not None else None
+    return Index(
         config,
         lexicon,
         triples_from_dict(data["kb"]) if data["kb"] is not None else None,
         extractor_from_dict(data["extractor"]) if data["extractor"] is not None else None,
-        model_from_dict(data["transe"]) if data["transe"] is not None else None,
+        transe,
         compressor,
         StoredNetworks(docs, columns, lexicon),
+        _derive_rows(docs, ptr, labels, counts, columns, compressor.next_id, transe),
     )
-    index.rows = _derive_rows(docs, ptr, labels, counts, columns, compressor.next_id, index.transe)
-    return index
 
 
 def save_index(index: Index, path: str | Path) -> None:

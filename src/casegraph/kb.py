@@ -212,18 +212,26 @@ def lexicon_to_dict(lexicon: Lexicon) -> dict:
 
 
 def lexicon_from_dict(data: dict) -> Lexicon:
+    """The lexicon that ``lexicon_to_dict`` stored; FormatError unless its parts are typed and agree."""
     lexicon = Lexicon()
     for row in data["concepts"]:
-        lexicon.concepts[row["cui"]] = Concept(
-            row["cui"], row["name"], tuple(row["synonyms"]), row["semantic_type"]
-        )
-        lexicon._order.append(row["cui"])
+        cui, name, synonyms, semantic_type = row["cui"], row["name"], row["synonyms"], row["semantic_type"]
+        if not str is type(cui) is type(name) is type(semantic_type) or type(synonyms) is not list:
+            raise FormatError("lexicon concept fields and synonyms must be strings")
+        if cui in lexicon.concepts:
+            raise FormatError(f"lexicon concept {cui} is stored twice")
+        lexicon.concepts[cui] = Concept(cui, name, tuple(synonyms), semantic_type)
+        lexicon._order.append(cui)
+    if not set(map(type, chain.from_iterable(c.synonyms for c in lexicon.concepts.values()))) <= {str}:
+        raise FormatError("lexicon concept fields and synonyms must be strings")
+    buckets = data["surface_index"].values()
+    if not set(map(type, buckets)) <= {list} or not set(chain.from_iterable(buckets)) <= lexicon.concepts.keys():
+        raise FormatError("lexicon surface index must map surfaces to lists of cuis of its concepts")
     lexicon.surface_index = {k: list(v) for k, v in data["surface_index"].items()}
+    width = max((key.count(" ") + 1 for key in lexicon.surface_index), default=0)
     lexicon.max_surface_token_len = data["max_surface_token_len"]
-    if type(lexicon.max_surface_token_len) is not int or lexicon.max_surface_token_len < 0:
-        raise FormatError("lexicon max_surface_token_len must be a non-negative integer")
-    if not set(map(type, chain.from_iterable(lexicon.surface_index.values()))) <= {str}:
-        raise FormatError("lexicon surface index must map surfaces to lists of cuis")
+    if type(lexicon.max_surface_token_len) is not int or lexicon.max_surface_token_len != width:
+        raise FormatError(f"lexicon max_surface_token_len must be {width}, the word count of its longest surface")
     return lexicon
 
 
@@ -278,7 +286,8 @@ def load_triples(path: str | Path) -> TripleStore:
             match = _RELATION_HEADER_RE.match(line.strip())
             if match:
                 declared = [r.strip() for r in match.group(1).split(",") if r.strip()]
-                store.relations = list(declared)
+                # Relations of earlier triples stay listed; each relation is listed once.
+                store.relations = list(dict.fromkeys([*store.relations, *declared]))
             continue
         cols = line.split("\t")
         if len(cols) != 3:
@@ -303,10 +312,22 @@ def triples_to_dict(store: TripleStore) -> dict:
 
 
 def triples_from_dict(data: dict) -> TripleStore:
+    """The store that ``triples_to_dict`` stored; FormatError unless every triple is 3 strings with a listed relation."""
     store = TripleStore()
-    store.relations = list(data["relations"])
-    for head, relation, tail in data["triples"]:
-        store._add(Triple(head, relation, tail))
+    store.relations, triples = data["relations"], data["triples"]
+    if type(store.relations) is not list or not set(map(type, store.relations)) <= {str}:
+        raise FormatError("triple store relations must be strings")
+    if len(set(store.relations)) < len(store.relations):
+        raise FormatError("triple store relations must be distinct")
+    if not set(map(type, triples)) <= {list} or set(map(len, triples)) - {3} or not set(map(type, chain(*triples))) <= {str}:
+        raise FormatError("stored triples must be lists of 3 strings")
+    if not {relation for _, relation, _ in triples} <= set(store.relations):
+        raise FormatError("a stored triple's relation is not listed")
+    try:
+        for head, relation, tail in triples:
+            store._add(Triple(head, relation, tail))
+    except ValidationError as exc:
+        raise FormatError(f"stored {exc}") from None
     return store
 
 

@@ -317,7 +317,7 @@ def _kind(name: str) -> str:
 
 def columns_to_dict(columns: NetworkColumns) -> dict:
     """The stored form of ``columns``: the tables as JSON lists and every numeric column packed."""
-    return {name: value if name in _TABLES else pack(value, _kind(name)) for name, value in vars(columns).items()}
+    return {name: list(value) if name in _TABLES else pack(value, _kind(name)) for name, value in vars(columns).items()}
 
 
 def columns_from_dict(data: dict) -> NetworkColumns:

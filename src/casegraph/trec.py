@@ -3,7 +3,7 @@
 Text formats follow the TREC conventions:
 
 * qrels: ``topic_id 0 doc_id relevance`` (whitespace separated, graded
-  relevance as a non-negative integer);
+  relevance as an integer from 0 to 53);
 * runs: ``topic_id Q0 doc_id rank score tag`` with 1-based ranks and
   6-decimal scores.
 
@@ -25,6 +25,8 @@ from .kb import read_lines
 log = logging.getLogger(__name__)
 
 GAIN_NOTE = "nDCG gain: (2^grade - 1) / log2(rank + 1); relevant means grade >= 1"
+# The largest grade whose gain 2^grade - 1 is exact in float64; above it, gains lose bits and overflow.
+MAX_GRADE = 53
 
 
 @dataclass
@@ -67,6 +69,8 @@ def parse_qrels(path: str | Path) -> Qrels:
             raise ParseError(f"{path}: line {lineno}: relevance {grade_text!r} is not an integer") from None
         if grade < 0:
             raise ValidationError(f"{path}: line {lineno}: negative relevance {grade}")
+        if grade > MAX_GRADE:
+            raise ValidationError(f"{path}: line {lineno}: relevance {grade} above {MAX_GRADE}")
         if (topic, doc_id) in qrels.judgments:
             raise ValidationError(f"{path}: line {lineno}: duplicate judgment for ({topic}, {doc_id})")
         qrels.judgments[(topic, doc_id)] = grade

@@ -22,7 +22,15 @@ from casegraph.engine import (
 )
 from casegraph.errors import FormatError, UsageError, ValidationError
 from casegraph.kb import Document
-from casegraph.network import Node, SemanticNetwork
+from casegraph.network import (
+    Node,
+    SemanticNetwork,
+    check_columns,
+    columns_from_dict,
+    columns_to_dict,
+    network_columns,
+    network_from_columns,
+)
 from casegraph.relations import ExtractorHyperparams, RelationInstance, distant_label, featurize_pairs, train_extractor
 from casegraph.similarity import doc_embedding, wl_dot, wl_features
 from casegraph.transe import EmbeddingModel, TrainConfig, init_model, train
@@ -133,6 +141,16 @@ class TestIndexCorpus:
             save_index(index, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_analyze_pairs_given_mentions_without_linking(pipeline, monkeypatch):
+    lexicon, _, _, config = pipeline
+    doc = helpers.synth_corpus(lexicon, 1, seed=4)[0]
+    tokens, mentions, pairs = analyze(doc, lexicon, config.window)
+    assert pairs
+    monkeypatch.setattr(engine, "link", lambda *args, **kwargs: pytest.fail("linked despite given mentions"))
+    assert analyze(doc, lexicon, config.window, mentions) == (tokens, mentions, pairs)
+    assert analyze(doc, lexicon, config.window, []) == (tokens, [], [])
 
 
 class TestSearch:
@@ -443,14 +461,50 @@ class TestLoadConsistency:
             (lambda payload: payload["config"].update(h=1.5), "config h must be int"),
             (lambda payload: payload["lexicon"].update(max_surface_token_len="4"), "max_surface_token_len"),
             (lambda payload: payload["lexicon"]["surface_index"].update(fever=[None]), "lists of cuis"),
+            # These used to load: a width of 0 then linked nothing, and a string of cuis was read as its characters.
+            (lambda payload: payload["lexicon"].update(max_surface_token_len=0), "max_surface_token_len must be 3"),
+            (lambda payload: payload["lexicon"].update(max_surface_token_len=4), "max_surface_token_len must be 3"),
+            (lambda payload: payload["lexicon"]["surface_index"].update(fever="C0001"), "lists of cuis"),
+            (lambda payload: payload["lexicon"]["surface_index"].update(fever=["C9999"]), "lists of cuis"),
+            (lambda payload: payload["lexicon"]["concepts"][0].update(name=7), "concept fields and synonyms must be strings"),
+            (lambda payload: payload["lexicon"]["concepts"][0].update(synonyms="fever"), "concept fields and synonyms"),
+            (lambda payload: payload["lexicon"]["concepts"][0].update(synonyms=[None]), "concept fields and synonyms"),
+            (lambda payload: payload["lexicon"]["concepts"].append(payload["lexicon"]["concepts"][0]), "stored twice"),
         ],
-        ids=["config type", "lexicon width", "lexicon surface"],
+        ids=[
+            "config type", "lexicon width", "lexicon surface", "lexicon width 0", "lexicon width too large",
+            "lexicon cuis a string", "lexicon unknown cui", "lexicon name", "lexicon synonyms a string", "lexicon synonym",
+            "lexicon concept twice",
+        ],
     )
     def test_bad_config_or_lexicon(self, small_index, tmp_path, edit, match):
-        # Each used to load and then fail inside search with a TypeError.
+        # The first three used to load and then fail inside search with a TypeError.
         _, index = small_index
         with pytest.raises(FormatError, match=match):
             self.load_edited(index, tmp_path, edit)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda kb: kb["relations"].append(kb["relations"][0]), "relations must be distinct"),
+            (lambda kb: kb["relations"].append(3), "relations must be strings"),
+            (lambda kb: kb.update(relations="may_treat"), "relations must be strings"),
+            (lambda kb: kb["triples"].append("abc"), "lists of 3 strings"),
+            (lambda kb: kb["triples"].append(["a", "may_treat", "b", "c"]), "lists of 3 strings"),
+            (lambda kb: kb["triples"].append(["a", "may_treat", 1]), "lists of 3 strings"),
+            (lambda kb: kb["triples"].append(["a", "unlisted", "b"]), "relation is not listed"),
+            (lambda kb: kb["triples"].append(["a", kb["relations"][0], "a"]), "self-loop"),
+        ],
+        ids=[
+            "duplicate relation", "relation not a string", "relations a string", "triple a string", "4 parts", "tail", "unlisted",
+            "self-loop",
+        ],
+    )
+    def test_inconsistent_kb(self, small_index, tmp_path, edit, match):
+        # A triple "abc" used to load as the triple (a, b, c); a self-loop was a ValidationError without the path.
+        _, index = small_index
+        with pytest.raises(FormatError, match=match):
+            self.load_edited(index, tmp_path, lambda payload: edit(payload["kb"]))
 
     def test_non_integer_wl_label(self, small_index, tmp_path):
         _, index = small_index
@@ -700,9 +754,15 @@ class TestLazyNetworks:
         assert list(loaded.networks) == sorted(index.networks)
 
     def test_networks_are_read_only(self, saved):
-        corpus, _, path = saved
-        with pytest.raises(TypeError):
-            load_index(path).networks[corpus[0].id] = None
+        # A built index and a loaded one hold their networks in the same read-only form.
+        corpus, index, path = saved
+        loaded = load_index(path)
+        assert type(index.networks) is type(loaded.networks)
+        for networks in (index.networks, loaded.networks):
+            with pytest.raises(TypeError):
+                networks[corpus[0].id] = None
+            with pytest.raises(TypeError):
+                del networks[corpus[0].id]
 
     def test_save_of_load_is_byte_identical(self, saved, tmp_path):
         _, _, path = saved
@@ -710,6 +770,23 @@ class TestLazyNetworks:
         again = tmp_path / "again.idx"
         save_index(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_networks_are_encoded_once_per_build(self, pipeline, monkeypatch, tmp_path):
+        # index_corpus encodes the networks into columns once; saving writes those columns as they are.
+        lexicon, kb, transe_model, config = pipeline
+        calls = []
+        original = engine.network_columns
+        monkeypatch.setattr(engine, "network_columns", lambda nets: calls.append(len(nets)) or original(nets))
+        index = index_corpus(helpers.synth_corpus(lexicon, 4, seed=6), lexicon, config, kb=kb, transe=transe_model)
+        assert calls == [4]
+        save_index(index, tmp_path / "once.idx")
+        load_index(tmp_path / "once.idx")
+        assert calls == [4]
+
+
+def model_corpus(lexicon):
+    """The corpus of ``model_index``."""
+    return helpers.synth_corpus(lexicon, 12, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -719,7 +796,7 @@ def model_index(pipeline):
     ``tau_lp`` is low enough for enrichment to add edges.
     """
     lexicon, kb, transe_model, config = pipeline
-    corpus = helpers.synth_corpus(lexicon, 12, seed=5)
+    corpus = model_corpus(lexicon)
     instances = []
     for doc in corpus:
         tokens, _, pairs = analyze(doc, lexicon, config.window)
@@ -745,21 +822,39 @@ class TestRoundTrip:
         save_index(load_index(path), again)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_span_bound_beyond_int32_is_refused(self, small_index, tmp_path):
+    def test_span_bound_beyond_int32_is_refused(self, small_index):
         # A crafted network: a real document this long would be 2 GB of text.
+        # The bound up to int32 survives the stored form; one past it cannot be stored.
         corpus, index = small_index
         net = index.networks[corpus[0].id]
         cui = sorted(net.nodes)[0]
         for bound in (2**31 - 1, 2**31):
             nodes = {**net.nodes, cui: Node(cui, net.nodes[cui].name, [(0, bound)])}
-            crafted = replace(index, networks={**index.networks, net.doc_id: replace(net, nodes=nodes)})
-            path = tmp_path / f"{bound}.idx"
+            columns = network_columns([replace(net, nodes=nodes)])
             if bound < 2**31:
-                save_index(crafted, path)
-                assert load_index(path).networks[net.doc_id].nodes[cui].mention_spans == [(0, bound)]
+                stored = columns_from_dict(json.loads(json.dumps(columns_to_dict(columns))))
+                check_columns([net.doc_id], stored)
+                assert network_from_columns(net.doc_id, stored, 0, index.lexicon).nodes[cui].mention_spans == [(0, bound)]
             else:
                 with pytest.raises(ValidationError, match="outside the int32 range"):
-                    save_index(crafted, path)
+                    columns_to_dict(columns)
+
+
+class TestBuiltNetworks:
+    """A built index holds its networks as columns; decoded, each is the network the pipeline built."""
+
+    def assert_pipeline_networks(self, index, corpus):
+        assert sorted(index.networks) == sorted(doc.id for doc in corpus)
+        for doc in corpus:
+            net = document_network(doc, index.lexicon, index.config, index.kb, index.extractor, index.transe)
+            assert index.networks[doc.id] == net, doc.id
+
+    def test_kbmatch_index(self, small_index):
+        corpus, index = small_index
+        self.assert_pipeline_networks(index, corpus)
+
+    def test_model_index(self, model_index):
+        self.assert_pipeline_networks(model_index, model_corpus(model_index.lexicon))
 
 
 class TestTopRows:

@@ -130,21 +130,24 @@ def damaged_jsonl(draw, valid: str) -> str:
 
 
 @st.composite
-def damaged_tsv(draw, valid: str) -> str:
-    """A truncated copy of a valid TSV file, one with a line's cell replaced,
-    dropped or added, or one with an extra line of cells or a relation header."""
+def damaged_tsv(draw, valid: str, sep: str = "\t", numbers: bool = False) -> str:
+    """A truncated copy of a valid file of ``sep``-separated cells, one with a
+    line's cell replaced, dropped or added, or one with an extra line of cells
+    or a relation header. With ``numbers``, a cell may also become an integer."""
     kind = draw(st.sampled_from(["truncated", "replaced cell", "dropped cell", "added cell", "extra line"]))
     if kind == "truncated":
         return valid[: draw(st.integers(0, len(valid) - 1))]
     lines = valid.splitlines()
     # Cells of the file itself make duplicates and dangling references; drawn text makes the rest.
-    cell = st.sampled_from(sorted({c for line in lines for c in line.split("\t")})) | st.text(max_size=6)
+    cell = st.sampled_from(sorted({c for line in lines for c in line.split(sep)})) | st.text(max_size=6)
+    if numbers:
+        cell |= st.integers(-3, 2**11).map(str)
     i = draw(st.integers(0, len(lines) - 1))
     if kind == "extra line":
         cells = draw(st.lists(cell, max_size=5))
-        lines.insert(i, draw(st.sampled_from(["\t".join(cells), "# relations: " + ",".join(cells)])))
+        lines.insert(i, draw(st.sampled_from([sep.join(cells), "# relations: " + ",".join(cells)])))
     else:
-        cells = lines[i].split("\t")
+        cells = lines[i].split(sep)
         j = draw(st.integers(0, len(cells) - 1))
         if kind == "replaced cell":
             cells[j] = draw(cell)
@@ -152,7 +155,7 @@ def damaged_tsv(draw, valid: str) -> str:
             del cells[j]
         else:
             cells.insert(j, draw(cell))
-        lines[i] = "\t".join(cells)
+        lines[i] = sep.join(cells)
     return "".join(line + "\n" for line in lines)
 
 
@@ -408,8 +411,8 @@ def test_damaged_lexicon(pipeline, data):
     lexicon = tmp / "damaged-lexicon.tsv"
     lexicon.write_text(data.draw(damaged_tsv(Path(fixtures["lexicon"]).read_text(encoding="utf-8"))), encoding="utf-8")
     docs = ["--lexicon", str(lexicon), "--corpus", fixtures["corpus"]]
-    for argv in (["link", *docs], ["index", *docs, "--triples", fixtures["triples"]]):
-        assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
+    assert_typed_failure(*run_quietly(["link", *docs, "--out", str(tmp / "out")]))
+    assert_index_typed_failure(tmp, [*docs, "--triples", fixtures["triples"]])
 
 
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
@@ -418,8 +421,62 @@ def test_damaged_triples(pipeline, data):
     tmp, fixtures, _, _ = pipeline
     triples = tmp / "damaged-triples.tsv"
     triples.write_text(data.draw(damaged_tsv(Path(fixtures["triples"]).read_text(encoding="utf-8"))), encoding="utf-8")
-    for argv in (
-        ["train-transe", "--triples", str(triples), "--dim", "3", "--epochs", "1"],
-        ["index", "--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"], "--triples", str(triples)],
-    ):
+    argv = ["train-transe", "--triples", str(triples), "--dim", "3", "--epochs", "1", "--out", str(tmp / "out")]
+    assert_typed_failure(*run_quietly(argv))
+    assert_index_typed_failure(tmp, ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"], "--triples", str(triples)])
+
+
+def assert_index_typed_failure(tmp: Path, args: list[str]) -> None:
+    """``index`` with these arguments fails only as a typed error, and an index it writes passes the loader's checks."""
+    index = tmp / "damaged-input.idx"
+    index.unlink(missing_ok=True)
+    code, err = run_quietly(["index", *args, "--out", str(index)])
+    assert_typed_failure(code, err)
+    if code == 0:
+        load_index(index)
+
+
+@pytest.fixture(scope="module")
+def evaluate_pipeline(index_pipeline):
+    """A run of the fixture's documents as queries against the index, and qrels judging each query's own document and another."""
+    tmp, fixtures, index = index_pipeline
+    (tmp / "evaluate.idx").write_text(index, encoding="utf-8")
+    run = tmp / "run.txt"
+    argv = ["search", "--index", str(tmp / "evaluate.idx"), "--query-file", fixtures["corpus"], "--k", "3", "--out", str(run)]
+    assert dispatch(argv) == 0
+    docs = [doc.id for doc in fixtures["docs"]]
+    qrels = "".join(f"{doc} 0 {doc} 2\n{doc} 0 {docs[i - 1]} {i % 3}\n" for i, doc in enumerate(docs))
+    return tmp, run.read_text(encoding="utf-8"), qrels
+
+
+def evaluate_damaged(tmp: Path, run: str, qrels: str) -> None:
+    """``evaluate`` on these run and qrels texts, in both formats, fails only as a typed error."""
+    (tmp / "damaged-run.txt").write_text(run, encoding="utf-8")
+    (tmp / "damaged-qrels.txt").write_text(qrels, encoding="utf-8")
+    for fmt in ("text", "json"):
+        argv = ["evaluate", "--run", str(tmp / "damaged-run.txt"), "--qrels", str(tmp / "damaged-qrels.txt"), "--format", fmt]
         assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data())
+def test_damaged_run(evaluate_pipeline, data):
+    tmp, run, qrels = evaluate_pipeline
+    evaluate_damaged(tmp, data.draw(damaged_tsv(run, sep=" ", numbers=True)), qrels)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data())
+def test_damaged_qrels(evaluate_pipeline, data):
+    tmp, run, qrels = evaluate_pipeline
+    evaluate_damaged(tmp, run, data.draw(damaged_tsv(qrels, sep=" ", numbers=True)))
+
+
+@pytest.mark.parametrize("grade", [54, 1024])
+def test_qrels_grade_beyond_53(evaluate_pipeline, grade):
+    # A grade of 1024 used to overflow inside nDCG and exit 3 with a traceback.
+    tmp, run, qrels = evaluate_pipeline
+    (tmp / "grade-qrels.txt").write_text(qrels + f"x 0 y {grade}\n", encoding="utf-8")
+    code, err = run_quietly(["evaluate", "--run", str(tmp / "run.txt"), "--qrels", str(tmp / "grade-qrels.txt")])
+    assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert f"line {len(qrels.splitlines()) + 1}: relevance {grade} above 53" in err

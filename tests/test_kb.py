@@ -12,6 +12,8 @@ from casegraph.kb import (
     load_triples,
     normalize_surface,
     read_lines,
+    triples_from_dict,
+    triples_to_dict,
 )
 
 
@@ -134,6 +136,22 @@ class TestLoadTriples:
         path = tmp_path / "header.tsv"
         path.write_text("# relations: cause_of, may_treat\nA\tmay_treat\tB\n", encoding="utf-8")
         assert load_triples(path).relations == ["cause_of", "may_treat"]
+
+    @pytest.mark.parametrize(
+        "text, relations",
+        [
+            ("# relations: cause_of, may_treat, cause_of\nA\tmay_treat\tB\n", ["cause_of", "may_treat"]),
+            ("A\tmay_treat\tB\n# relations: cause_of\nA\tcause_of\tC\n", ["may_treat", "cause_of"]),
+        ],
+        ids=["relation declared twice", "header after a triple"],
+    )
+    def test_stored_store_loads_back(self, tmp_path, text, relations):
+        # Every relation of a store is listed once, so its stored form passes the index loader's checks.
+        path = tmp_path / "header.tsv"
+        path.write_text(text, encoding="utf-8")
+        store = load_triples(path)
+        assert store.relations == relations
+        assert triples_from_dict(triples_to_dict(store)) == store
 
     def test_by_pair_matches_exhaustive_scan(self):
         triples = [

@@ -47,6 +47,20 @@ class TestParseQrels:
         with pytest.raises(ParseError, match="line 2"):
             parse_qrels(path)
 
+    def test_top_grade_is_exact(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("1 0 docA 53\n1 0 docB 1\n", encoding="utf-8")
+        report = evaluate_run(run_from({"1": [("docA", 1.0), ("docB", 0.5)]}), parse_qrels(path))
+        assert report.per_topic["1"]["nDCG@10"] == 1.0
+
+    @pytest.mark.parametrize("grade", [54, 1024])
+    def test_grade_above_53_rejected(self, tmp_path, grade):
+        # 2**1024 - 1 overflowed float division; above 53 the gain is no longer exact.
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"1 0 docA 2\n1 0 docB {grade}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"line 2: relevance {grade} above 53"):
+            parse_qrels(path)
+
     def test_empty_file_gives_zero_metrics(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("", encoding="utf-8")
