@@ -1,4 +1,4 @@
-"""Pipeline configuration: defaults, config-file parsing, type and range validation.
+"""Pipeline configuration: defaults, config-file parsing, and the rule of every setting.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment and keys
 match the ``PipelineConfig`` field names (``lambda`` is accepted for the
@@ -6,6 +6,9 @@ combination weight). Unknown keys are rejected. Command-line flags override
 file values, which override the built-in defaults. Each field is also the
 command-line flag that ``flag`` names, and its annotation sets how that flag
 and a config-file value are parsed.
+
+``RULES`` holds the range of every setting: a frozen ``PipelineConfig`` checks
+itself when it is made, and the library checks the same rules (``check``).
 """
 
 from __future__ import annotations
@@ -14,17 +17,16 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 from .kb import read_lines
-from .relations import ExtractorHyperparams
-from .transe import DISTANCES, TrainConfig
 
 MODES = ("model", "kbmatch")
+DISTANCES = ("l1", "l2")
 # The fields whose value is one of a fixed set of names.
 CHOICES = {"mode": MODES, "distance": DISTANCES}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     # artifact paths
     lexicon: str | None = None
@@ -38,15 +40,15 @@ class PipelineConfig:
     theta_rel: float = 0.5
     mode: str = "kbmatch"
     # extractor training
-    extractor_lr: float = ExtractorHyperparams.learning_rate
-    extractor_epochs: int = ExtractorHyperparams.epochs
-    l2: float = ExtractorHyperparams.l2
+    extractor_lr: float = 0.1
+    extractor_epochs: int = 50
+    l2: float = 1e-4
     # embedding training
-    dim: int = TrainConfig.dim
-    margin: float = TrainConfig.margin
-    transe_lr: float = TrainConfig.learning_rate
-    transe_epochs: int = TrainConfig.epochs
-    distance: str = TrainConfig.distance
+    dim: int = 50
+    margin: float = 1.0
+    transe_lr: float = 0.01
+    transe_epochs: int = 100
+    distance: str = "l1"
     # graph enrichment
     tau_lp: float = 0.8
     m_cap: int | None = None  # None: per-document cap = number of extracted edges
@@ -58,38 +60,60 @@ class PipelineConfig:
     tau_doc: float = 0.5
     k: int = 10
     prune: bool = False
-    seed: int = TrainConfig.seed
+    seed: int = 13
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, spec in FIELDS.items():
             if type(getattr(self, name)) not in VALUE_TYPES[spec.type][1]:
                 raise UsageError(f"config {name} must be {spec.type}, got {getattr(self, name)!r}")
-        checks = [
-            ("window", self.window >= 0, "must be >= 0"),
-            ("theta_rel", 0.0 <= self.theta_rel <= 1.0, "must be within [0, 1]"),
-            ("mode", self.mode in MODES, f"must be one of {', '.join(MODES)}"),
-            ("extractor_lr", self.extractor_lr > 0, "must be > 0"),
-            ("extractor_epochs", self.extractor_epochs >= 0, "must be >= 0"),
-            ("l2", self.l2 >= 0, "must be >= 0"),
-            ("dim", self.dim >= 1, "must be >= 1"),
-            ("margin", self.margin > 0, "must be > 0"),
-            ("transe_lr", self.transe_lr > 0, "must be > 0"),
-            ("transe_epochs", self.transe_epochs >= 0, "must be >= 0"),
-            ("distance", self.distance in DISTANCES, f"must be one of {', '.join(DISTANCES)}"),
-            ("tau_lp", 0.0 < self.tau_lp <= 1.0, "must be within (0, 1]"),
-            ("m_cap", self.m_cap is None or self.m_cap >= 0, "must be >= 0"),
-            ("h", self.h >= 0, "must be >= 0"),
-            ("lambda_weight", 0.0 <= self.lambda_weight <= 1.0, "must be within [0, 1]"),
-            ("tau_doc", 0.0 <= self.tau_doc <= 1.0, "must be within [0, 1]"),
-            ("k", self.k >= 1, "must be >= 1"),
-            ("seed", self.seed >= 0, "must be >= 0"),
-        ]
-        for name, ok, rule in checks:
-            if not ok:
+        for name, (test, rule) in RULES.items():
+            if not test(getattr(self, name)):
                 raise UsageError(f"{flag(name)} {rule}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+
+# For each setting with a range: its test and the rule it enforces, in the
+# order a config is checked.
+RULES = {
+    "window": (lambda v: v >= 0, "must be >= 0"),
+    "theta_rel": (lambda v: 0.0 <= v <= 1.0, "must be within [0, 1]"),
+    "mode": (lambda v: v in MODES, f"must be one of {', '.join(MODES)}"),
+    "extractor_lr": (lambda v: v > 0, "must be > 0"),
+    "extractor_epochs": (lambda v: v >= 0, "must be >= 0"),
+    "l2": (lambda v: v >= 0, "must be >= 0"),
+    "dim": (lambda v: v >= 1, "must be >= 1"),
+    "margin": (lambda v: v > 0, "must be > 0"),
+    "transe_lr": (lambda v: v > 0, "must be > 0"),
+    "transe_epochs": (lambda v: v >= 0, "must be >= 0"),
+    "distance": (lambda v: v in DISTANCES, f"must be one of {', '.join(DISTANCES)}"),
+    "tau_lp": (lambda v: 0.0 < v <= 1.0, "must be within (0, 1]"),
+    "m_cap": (lambda v: v is None or v >= 0, "must be >= 0"),
+    "h": (lambda v: v >= 0, "must be >= 0"),
+    "lambda_weight": (lambda v: 0.0 <= v <= 1.0, "must be within [0, 1]"),
+    "tau_doc": (lambda v: 0.0 <= v <= 1.0, "must be within [0, 1]"),
+    "k": (lambda v: v >= 1, "must be >= 1"),
+    "seed": (lambda v: v >= 0, "must be >= 0"),
+}
+
+
+def check(name: str, value, label: str | None = None, error: type[Exception] = UsageError):
+    """``value``, or ``error`` unless it obeys the rule of setting ``name``; the message names ``label`` or ``name``."""
+    test, rule = RULES[name]
+    if not test(value):
+        raise error(f"{label or name} {rule}, got {value!r}")
+    return value
+
+
+class Settings:
+    """Base of a frozen dataclass whose fields are settings (``setting``); each is checked when it is made."""
+
+    def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            check(field.metadata["setting"], getattr(self, field.name), field.name, ConfigError)
+
+
+def setting(name: str):
+    """A ``Settings`` field that takes the default and the rule of the ``PipelineConfig`` setting ``name``."""
+    return dataclasses.field(default=getattr(PipelineConfig, name), metadata={"setting": name})
 
 
 FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
@@ -156,6 +180,4 @@ def read_config_file(path: str | Path) -> dict:
 def merge_config(file_overrides: dict, cli_overrides: dict) -> PipelineConfig:
     """Defaults, then file values, then explicitly-set CLI flags."""
     merged = {k: v for source in (file_overrides, cli_overrides) for k, v in source.items() if v is not None}
-    config = PipelineConfig(**merged)
-    config.validate()
-    return config
+    return PipelineConfig(**merged)

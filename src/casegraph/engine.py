@@ -51,13 +51,13 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, check
 from .errors import ConfigError, FormatError, UsageError, ValidationError
 from .kb import (
     Document,
@@ -381,13 +381,6 @@ def _score_rows(
     return combine(kernel, cos, lam), dots
 
 
-def _unit(value: float, name: str) -> float:
-    """``value``, or UsageError unless it lies within [0, 1]."""
-    if not 0.0 <= value <= 1.0:
-        raise UsageError(f"{name} must be within [0, 1], got {value}")
-    return value
-
-
 def _top_rows(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
     """The first ``k`` candidates in (-score, row) order, without sorting them all.
 
@@ -415,9 +408,8 @@ def search(
     with the query are ranked. Ties break by ascending doc id; fewer than
     ``k`` results are returned when candidates run out.
     """
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    lam = _unit(index.config.lambda_weight if lam is None else lam, "lambda")
+    check("k", k)
+    lam = check("lambda_weight", index.config.lambda_weight if lam is None else lam, "lambda")
     query_doc = Document("query", "", query_text)
     net = document_network(query_doc, index.lexicon, index.config, index.kb, index.extractor, index.transe)
     features = wl_features(net, index.h, index.compressor.overlay()).counts
@@ -441,8 +433,8 @@ def build_collection_graph(index: Index, lam: float | None = None, tau_doc: floa
     The rows are scored in blocks, each against the rows from its first one
     on, and pairs are read off the strict upper triangle of every block.
     """
-    lam = _unit(index.config.lambda_weight if lam is None else lam, "lambda")
-    tau_doc = _unit(index.config.tau_doc if tau_doc is None else tau_doc, "tau_doc")
+    lam = check("lambda_weight", index.config.lambda_weight if lam is None else lam, "lambda")
+    tau_doc = check("tau_doc", index.config.tau_doc if tau_doc is None else tau_doc)
     rows = index.rows
     n = len(rows.doc_ids)
     # joined[i]: the postings that the kernel entries of rows before i join.
@@ -483,9 +475,7 @@ def index_to_dict(index: Index) -> dict:
     """The container payload, format tag and version included."""
     # Input paths are dropped: the artifacts they pointed at are embedded, and
     # keeping them would make index bytes depend on where the inputs lived.
-    config = index.config.to_dict()
-    for field_name in _PATH_FIELDS:
-        config[field_name] = None
+    config = {**asdict(index.config), **dict.fromkeys(_PATH_FIELDS)}
     rows, table = index.rows, index.compressor.table
     return {
         "format": INDEX_FORMAT,
@@ -519,9 +509,8 @@ def _check_features(docs: list, ptr: np.ndarray, labels: np.ndarray, counts: np.
 
 def index_from_dict(data: dict) -> Index:
     """Decode a container payload and check it in full; networks stay columns until they are read."""
-    config = PipelineConfig(**data["config"])
     try:
-        config.validate()
+        config = PipelineConfig(**data["config"])
     except UsageError as exc:
         raise FormatError(f"invalid config ({exc})") from None
     compressor = LabelCompressor()

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .errors import CasegraphError, FormatError, ParseError, ValidationError
+from .errors import CasegraphError, ConfigError, FormatError, ParseError, ValidationError
 
 T = TypeVar("T")
 
@@ -120,7 +120,6 @@ class Lexicon:
     concepts: dict[str, Concept] = field(default_factory=dict)
     surface_index: dict[str, list[str]] = field(default_factory=dict)
     max_surface_token_len: int = 0
-    _order: list[str] = field(default_factory=list, repr=False)
 
     @cached_property
     def first_words(self) -> frozenset[str]:
@@ -151,6 +150,7 @@ class Lexicon:
         if not preferred_name:
             raise ValidationError(f"concept {cui} has an empty preferred name")
         existing = self.concepts.get(cui)
+        merged = []
         if existing is not None:
             if existing.preferred_name != preferred_name:
                 raise ValidationError(
@@ -159,9 +159,6 @@ class Lexicon:
                 )
             merged = list(existing.synonyms)
             semantic_type = existing.semantic_type
-        else:
-            merged = []
-            self._order.append(cui)
         seen = {normalize_surface(s) for s in merged}
         for syn in synonyms:
             key = normalize_surface(syn)
@@ -204,7 +201,7 @@ def lexicon_to_dict(lexicon: Lexicon) -> dict:
                 "synonyms": list(c.synonyms),
                 "semantic_type": c.semantic_type,
             }
-            for c in (lexicon.concepts[cui] for cui in lexicon._order)
+            for c in lexicon.concepts.values()
         ],
         "surface_index": {k: list(v) for k, v in lexicon.surface_index.items()},
         "max_surface_token_len": lexicon.max_surface_token_len,
@@ -221,7 +218,6 @@ def lexicon_from_dict(data: dict) -> Lexicon:
         if cui in lexicon.concepts:
             raise FormatError(f"lexicon concept {cui} is stored twice")
         lexicon.concepts[cui] = Concept(cui, name, tuple(synonyms), semantic_type)
-        lexicon._order.append(cui)
     if not set(map(type, chain.from_iterable(c.synonyms for c in lexicon.concepts.values()))) <= {str}:
         raise FormatError("lexicon concept fields and synonyms must be strings")
     buckets = data["surface_index"].values()
@@ -351,6 +347,20 @@ def read_jsonl(path: str | Path, decode: Callable[[object], T], what: str) -> li
     return values
 
 
+def read_doc_records(path: str | Path, decode: Callable[[object], tuple[str, T]], what: str) -> dict[str, T]:
+    """``read_jsonl`` of ``(doc id, value)`` records, keyed by doc id; a repeated doc id is a ValidationError."""
+    records: dict[str, T] = {}
+
+    def keep(obj) -> None:
+        doc_id, value = decode(obj)
+        if doc_id in records:
+            raise ValidationError(f"duplicate document id {doc_id}")
+        records[doc_id] = value
+
+    read_jsonl(path, keep, what)
+    return records
+
+
 def jsonl(records: Iterable[dict]) -> str:
     """One key-sorted JSON object per line: the text ``read_jsonl`` reads back."""
     return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
@@ -358,9 +368,8 @@ def jsonl(records: Iterable[dict]) -> str:
 
 def load_corpus(path: str | Path) -> list[Document]:
     """Read a corpus JSONL file; document ids must be unique."""
-    seen: set[str] = set()
 
-    def decode(obj) -> Document:
+    def decode(obj) -> tuple[str, Document]:
         doc = Document(obj["id"], obj["title"], obj["text"])
         if not {type(doc.id), type(doc.title), type(doc.text)} <= {str}:
             raise ParseError("document id, title and text must be strings")
@@ -368,12 +377,9 @@ def load_corpus(path: str | Path) -> list[Document]:
             "".join((doc.id, doc.title, doc.text)).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ParseError(f"document text is not encodable as UTF-8 ({exc.reason})") from None
-        if doc.id in seen:
-            raise ValidationError(f"duplicate document id {doc.id}")
-        seen.add(doc.id)
-        return doc
+        return doc.id, doc
 
-    return read_jsonl(path, decode, "a document")
+    return list(read_doc_records(path, decode, "a document").values())
 
 
 def save_container(path: str | Path, fmt: str, version: int, body: dict) -> None:
@@ -386,8 +392,8 @@ def save_container(path: str | Path, fmt: str, version: int, body: dict) -> None
 def load_container(path: str | Path, fmt: str, version: int, decode: Callable[[dict], T]) -> T:
     """Read a container written by ``save_container`` and decode its payload.
 
-    Bad JSON, a wrong format tag or version, and missing or ill-typed keys
-    all raise ``FormatError`` naming the path.
+    Bad JSON, a wrong format tag or version, missing or ill-typed keys and
+    stored settings out of range all raise ``FormatError`` naming the path.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -400,7 +406,7 @@ def load_container(path: str | Path, fmt: str, version: int, decode: Callable[[d
         raise FormatError(f"{path}: unsupported {fmt} version {payload.get('version')!r} (expected {version})")
     try:
         return decode(payload)
-    except FormatError as exc:
+    except (ConfigError, FormatError) as exc:  # ConfigError: stored settings out of range
         raise FormatError(f"{path}: {exc}") from None
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed {fmt} container ({exc!r})") from None

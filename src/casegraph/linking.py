@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError
-from .kb import Lexicon, _WORD_RE, jsonl, normalize_token, read_jsonl
+from .kb import Lexicon, _WORD_RE, jsonl, normalize_token, read_doc_records
 
 _SENTENCE_END_RE = re.compile(r"[.?!](?=\s|\Z)")
 
@@ -192,4 +192,4 @@ def read_mentions(path: str | Path) -> dict[str, list[Mention]]:
             raise ParseError("a mention record needs a string doc_id and a list of mentions")
         return obj["doc_id"], [mention_from_dict(m) for m in obj["mentions"]]
 
-    return dict(read_jsonl(path, decode, "a mention"))
+    return read_doc_records(path, decode, "a mention")

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check
 from .errors import ConsistencyError, FormatError, ParseError, UsageError, ValidationError
 from .kb import Lexicon, jsonl, pack, read_jsonl, unpack
 from .linking import Mention
@@ -125,12 +126,9 @@ def enrich_network(
     edges. Nodes, existing edges, and their order are untouched; pairs the
     model cannot score are skipped.
     """
-    if not 0.0 < tau_lp <= 1.0:
-        raise UsageError(f"tau_lp must be within (0, 1], got {tau_lp}")
-    if m_cap is None:
+    check("tau_lp", tau_lp)
+    if check("m_cap", m_cap) is None:
         m_cap = len(net.edges)
-    if m_cap < 0:
-        raise UsageError(f"m_cap must be >= 0, got {m_cap}")
     enriched = SemanticNetwork(net.doc_id, dict(net.nodes), list(net.edges))
     if m_cap == 0 or not net.nodes:
         return enriched
@@ -263,10 +261,13 @@ def network_from_dict(data: dict) -> SemanticNetwork:
         if not _span_pairs(row["spans"]) or type(row["weight"]) is not int:
             raise ParseError(f"node {row['cui']}: spans must be [start, end] integer pairs and weight an integer")
         spans = [(s, e) for s, e in row["spans"]]
+        where = f"node {row['cui']} in document {data['doc_id']}"
+        if row["cui"] in net.nodes:
+            raise ValidationError(f"{where} is stored twice")
+        if not spans:
+            raise ValidationError(f"{where} has no mention spans")
         if row["weight"] != len(spans):
-            raise ValidationError(
-                f"node {row['cui']} in document {data['doc_id']}: weight {row['weight']} != {len(spans)} spans"
-            )
+            raise ValidationError(f"{where}: weight {row['weight']} != {len(spans)} spans")
         net.nodes[row["cui"]] = Node(row["cui"], row["name"], spans)
     for row in data["edges"]:
         edge = edge_from_dict(row)

@@ -22,8 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, ParseError, TrainingError, UsageError, ValidationError
-from .kb import Lexicon, TripleStore, jsonl, load_container, normalize_token, read_jsonl, save_container
+from .config import Settings, check, setting
+from .errors import FormatError, ParseError, TrainingError, ValidationError
+from .kb import Lexicon, TripleStore, jsonl, load_container, normalize_token, read_doc_records, save_container
 from .linking import Mention, SentenceSpan, Token
 from .network import PROV_EXTRACTED, Edge, edge_from_dict, edge_to_dict
 from .transe import MAX_COMPONENT
@@ -38,11 +39,11 @@ MODEL_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ExtractorHyperparams:
-    learning_rate: float = 0.1
-    epochs: int = 50
-    l2: float = 1e-4
-    seed: int = 13
+class ExtractorHyperparams(Settings):
+    learning_rate: float = setting("extractor_lr")
+    epochs: int = setting("extractor_epochs")
+    l2: float = setting("l2")
+    seed: int = setting("seed")
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,7 @@ def generate_candidates(
     Mentions may arrive unsorted or overlapping (``extract`` reads them from
     a file): pairs follow the sentence order, then the given mention order.
     """
+    check("window", window)
     ranges = mention_token_ranges(mentions, tokens)
     sentence_starts = [s.token_start for s in sentences]
     inside: list[list[int]] = [[] for _ in sentences]
@@ -359,8 +361,7 @@ def extract_relations(
     feature scores 0 on every label, so its prediction is the first label,
     NA.
     """
-    if not 0.0 <= theta_rel <= 1.0:
-        raise UsageError(f"theta_rel must be within [0, 1], got {theta_rel}")
+    check("theta_rel", theta_rel)
     pairs = [pair for pair in pairs if pair.head_mention.primary_cui != pair.tail_mention.primary_cui]
     if not pairs:
         return []
@@ -414,7 +415,7 @@ def read_edges(path: str | Path) -> dict[str, list[Edge]]:
             raise ParseError("an edge record needs a string doc_id and a list of edges")
         return obj["doc_id"], [edge_from_dict(e) for e in obj["edges"]]
 
-    return dict(read_jsonl(path, decode, "an edge"))
+    return read_doc_records(path, decode, "an edge")
 
 
 def extractor_to_dict(model: ExtractorModel) -> dict:
@@ -434,7 +435,7 @@ def extractor_from_dict(data: dict) -> ExtractorModel:
     ``train_extractor`` does, so ascending ids are sorted features.
     ``weights`` holds one row of V JSON numbers per label, each finite and
     within ``MAX_COMPONENT``, so no score can overflow. The hyperparameters
-    are JSON numbers, with integer epochs and seed.
+    are JSON numbers, with integer epochs and seed, within their settings' ranges.
     """
     labels, vocab, rows = data["labels"], data["feature_vocab"], data["weights"]
     if type(labels) is not list or not set(map(type, labels)) <= {str} or len(set(labels)) != len(labels):
@@ -453,11 +454,10 @@ def extractor_from_dict(data: dict) -> ExtractorModel:
     weights = np.array(rows, dtype=float).reshape(len(labels), len(vocab))
     if not (np.abs(weights) <= MAX_COMPONENT).all():
         raise FormatError(f"weights hold a value that is not finite or exceeds {MAX_COMPONENT:g}")
-    hyper = ExtractorHyperparams(**data["hyperparams"])
-    numbers = {type(hyper.learning_rate), type(hyper.l2)}
-    if not numbers <= {int, float} or {type(hyper.epochs), type(hyper.seed)} != {int}:
+    hyper = data["hyperparams"]
+    if not {type(hyper["learning_rate"]), type(hyper["l2"])} <= {int, float} or {type(hyper["epochs"]), type(hyper["seed"])} != {int}:
         raise FormatError("hyperparams must be JSON numbers, epochs and seed integers")
-    return ExtractorModel(dict(vocab), weights, list(labels), hyper)
+    return ExtractorModel(dict(vocab), weights, list(labels), ExtractorHyperparams(**hyper))
 
 
 def save_extractor(model: ExtractorModel, path: str | Path) -> None:

@@ -17,6 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .config import check
 from .errors import UsageError
 from .network import SemanticNetwork
 from .transe import EmbeddingModel
@@ -83,8 +84,7 @@ def wl_label_history(net: SemanticNetwork, h: int, comp: LabelCompressor) -> lis
     label) pairs. Nodes are processed in sorted cui order, so label
     assignment is independent of insertion order.
     """
-    if h < 0:
-        raise UsageError(f"iteration count must be >= 0, got {h}")
+    check("h", h)
     cuis = sorted(net.nodes)
     if not cuis:
         return [{} for _ in range(h + 1)]
@@ -183,8 +183,7 @@ def combined_similarity(
 
     Without an embedding model the latent component is 0.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise UsageError(f"lambda must be within [0, 1], got {lam}")
+    check("lambda_weight", lam, "lambda")
     explicit = wl_kernel_normalized(wl_features(net_a, h, comp), wl_features(net_b, h, comp))
     if model is None:
         cos = 0.0

@@ -22,6 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .config import Settings, setting
 from .errors import ConfigError, FormatError, TrainingError, UnknownIdentifierError, UsageError
 from .kb import Triple, TripleStore, load_container, save_container
 
@@ -33,29 +34,14 @@ MODEL_VERSION = 1
 # bound (or NaN or infinite) means training diverged, and a loaded one would
 # overflow the distances and embeddings.
 MAX_COMPONENT = 1e100
-DISTANCES = ("l1", "l2")
-
-
 @dataclass(frozen=True)
-class TrainConfig:
-    dim: int = 50
-    margin: float = 1.0
-    learning_rate: float = 0.01
-    epochs: int = 100
-    distance: str = "l1"
-    seed: int = 13
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be > 0, got {self.margin}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.distance not in DISTANCES:
-            raise ConfigError(f"distance must be {' or '.join(map(repr, DISTANCES))}, got {self.distance!r}")
+class TrainConfig(Settings):
+    dim: int = setting("dim")
+    margin: float = setting("margin")
+    learning_rate: float = setting("transe_lr")
+    epochs: int = setting("transe_epochs")
+    distance: str = setting("distance")
+    seed: int = setting("seed")
 
 
 @dataclass
@@ -464,10 +450,7 @@ def _vector_table(rows: dict, dim: int, kind: str) -> dict[str, np.ndarray]:
 def model_from_dict(data: dict) -> EmbeddingModel:
     """Decode ``model_to_dict`` output; every vector must be ``config.dim`` long,
     finite and within ``MAX_COMPONENT``."""
-    try:
-        config = TrainConfig(**data["config"])
-    except ConfigError as exc:
-        raise FormatError(f"config: {exc}") from None
+    config = TrainConfig(**data["config"])
     return EmbeddingModel(
         _vector_table(data["entities"], config.dim, "entity"),
         _vector_table(data["relations"], config.dim, "relation"),

@@ -358,6 +358,67 @@ class TestBadInputsExitTwo:
         assert f"error: document {spoiled[0]}: mention at byte {span[0]} " in self.assert_one_error_line(capsys)
         assert not networks.exists()
 
+    @staticmethod
+    def repeat_record(path: Path, items: str) -> tuple[str, int]:
+        """Add, right after the first record whose ``items`` list has two items or more,
+        a record of the same doc id holding only its first item; returns the doc id
+        and the line of the repeat."""
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        i = next(i for i, r in enumerate(records) if len(r[items]) >= 2)
+        records.insert(i + 1, {**records[i], items: records[i][items][:1]})
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return records[i]["doc_id"], i + 2
+
+    @pytest.mark.parametrize("command", ["extract", "build-graphs"])
+    def test_repeated_mention_record(self, tmp_path, fixtures, capsys, command):
+        # The last record of a doc id used to win: a 1-node network, exit 0.
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        mentions, edges, out = tmp_path / "mentions.jsonl", tmp_path / "edges.jsonl", tmp_path / "out"
+        assert run_cli("link", *docs, "--out", str(mentions)) == 0
+        kbmatch = ["extract", *docs, "--mentions", str(mentions), "--mode", "kbmatch", "--triples", fixtures["triples"]]
+        assert run_cli(*kbmatch, "--out", str(edges)) == 0
+        doc_id, line = self.repeat_record(mentions, "mentions")
+        capsys.readouterr()
+        argv = kbmatch if command == "extract" else ["build-graphs", *docs, "--mentions", str(mentions), "--edges", str(edges)]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert self.assert_one_error_line(capsys) == f"error: {mentions}: line {line}: duplicate document id {doc_id}\n"
+        assert not out.exists()
+
+    def test_repeated_edge_record(self, tmp_path, fixtures, capsys):
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        mentions, edges, out = tmp_path / "mentions.jsonl", tmp_path / "edges.jsonl", tmp_path / "out"
+        assert run_cli("link", *docs, "--out", str(mentions)) == 0
+        argv = ["extract", *docs, "--mentions", str(mentions), "--mode", "kbmatch", "--triples", fixtures["triples"]]
+        assert run_cli(*argv, "--out", str(edges)) == 0
+        doc_id, line = self.repeat_record(edges, "edges")
+        capsys.readouterr()
+        assert run_cli("build-graphs", *docs, "--mentions", str(mentions), "--edges", str(edges), "--out", str(out)) == 2
+        assert self.assert_one_error_line(capsys) == f"error: {edges}: line {line}: duplicate document id {doc_id}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spoiler, text",
+        [
+            # The last node of a cui used to win, and the first one's spans were lost.
+            (lambda nodes: nodes.append({**nodes[0], "spans": nodes[0]["spans"][:1], "weight": 1}), "is stored twice"),
+            # check_columns refuses such a node in an index.
+            (lambda nodes: nodes[0].update(spans=[], weight=0), "has no mention spans"),
+        ],
+        ids=["repeated cui", "no spans"],
+    )
+    def test_bad_network_node(self, tmp_path, fixtures, capsys, spoiler, text):
+        model, networks, out = tmp_path / "transe.json", tmp_path / "networks.jsonl", tmp_path / "out.jsonl"
+        assert run_cli("train-transe", "--triples", fixtures["triples"], "--dim", "4", "--epochs", "1", "--out", str(model)) == 0
+        helpers.write_pipeline_networks(fixtures, networks)
+        spoiled = []
+        self.spoil_jsonl(networks, lambda r: spoiled.append((r["doc_id"], r["nodes"][0]["cui"])) or spoiler(r["nodes"]), "nodes")
+        doc_id, cui = spoiled[0]
+        capsys.readouterr()
+        assert run_cli("enrich", "--networks", str(networks), "--transe-model", str(model), "--out", str(out)) == 2
+        err = self.assert_one_error_line(capsys)
+        assert f"{networks}: line " in err and f": node {cui} in document {doc_id} {text}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spoiler", ["short vector", "NaN", "Infinity"])
     def test_search_on_index_with_bad_model(self, tmp_path, fixtures, built_index, capsys, spoiler):
         payload = json.loads(built_index.read_text(encoding="utf-8"))

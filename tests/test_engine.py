@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 import helpers
 from casegraph import engine
-from casegraph.config import PipelineConfig
+from casegraph.config import PipelineConfig, flag
 from casegraph.engine import (
     _top_rows,
     analyze,
@@ -410,6 +410,33 @@ class TestPersistence:
 def edit_networks(key, edit, kind="int32"):
     """An edit of one column of the stored networks."""
     return lambda networks: helpers.edit_column(networks, key, edit, kind)
+
+
+class TestConfigAtIndexing:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mode", "modle"), ("window", -5), ("lambda_weight", 2), ("tau_doc", 7), ("k", 0), ("theta_rel", 3)],
+    )
+    def test_config_the_loader_refuses_is_refused_before_indexing(self, pipeline, tmp_path, field, value):
+        # Each of these used to index and save, and the loader then refused the file.
+        lexicon, kb, _, _ = pipeline
+        corpus = helpers.synth_corpus(lexicon, 3, seed=3)
+        with pytest.raises(UsageError, match=f"^{flag(field)} "):
+            save_index(index_corpus(corpus, lexicon, PipelineConfig(**{field: value}), kb), tmp_path / "corpus.idx")
+
+    def test_config_cannot_change_under_a_built_index(self, pipeline):
+        # An index used to share its caller's config, so editing it changed later searches.
+        lexicon, kb, transe_model, _ = pipeline
+        corpus = helpers.synth_corpus(lexicon, 8, seed=3)
+        config = PipelineConfig(mode="kbmatch", h=3, lambda_weight=0.6)
+        index = index_corpus(corpus, lexicon, config, kb=kb, transe=transe_model)
+        query = corpus[3].content()
+        before = search(index, query, 5)
+        with pytest.raises(FrozenInstanceError):
+            config.h = 0
+        with pytest.raises(FrozenInstanceError):
+            config.lambda_weight = 1.0
+        assert search(index, query, 5) == before
 
 
 class TestLoadConsistency:

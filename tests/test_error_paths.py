@@ -20,6 +20,7 @@ from casegraph.kb import build_lexicon, build_triple_store, load_corpus, load_le
 from casegraph.linking import Mention, read_mentions, split_sentences, tokenize
 from casegraph.network import SemanticNetwork, enrich_network, read_networks
 from casegraph.relations import (
+    ExtractorHyperparams,
     RelationInstance,
     extract_relations,
     generate_candidates,
@@ -114,6 +115,25 @@ class TestExtractorDegenerate:
         )
         with pytest.raises(UsageError, match="theta_rel"):
             extract_relations([], model, 1.5, [], lexicon)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"learning_rate": 0}, {"epochs": -3}, {"learning_rate": -5}, {"l2": -1}],
+        ids=["zero learning rate", "negative epochs", "negative learning rate", "negative l2"],
+    )
+    def test_degenerate_hyperparameters_rejected(self, kwargs):
+        # These used to train an all-zero model, or run gradient ascent.
+        instances = [RelationInstance(None, "NA", {"x": 1}), RelationInstance(None, "rel", {"y": 1})]
+        (name, value), = kwargs.items()
+        with pytest.raises(ConfigError, match=f"^{name} must be .*, got {value}$"):
+            train_extractor(instances, ExtractorHyperparams(**kwargs))
+
+    def test_negative_window_rejected(self):
+        # A negative window used to pair nothing, silently.
+        text = "plain words here"
+        tokens = tokenize(text)
+        with pytest.raises(UsageError, match="^window must be >= 0, got -5$"):
+            generate_candidates("d1", [], split_sentences(text, tokens), tokens, -5)
 
     def test_misaligned_mention_rejected(self):
         text = "plain words here"

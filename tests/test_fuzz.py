@@ -395,34 +395,62 @@ def test_damaged_mentions(extractor_pipeline, edges_pipeline, data):
 
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(data=st.data())
-def test_damaged_corpus(pipeline, data):
+def test_damaged_corpus(pipeline, edges_pipeline, index_pipeline, data):
     tmp, fixtures, _, _ = pipeline
+    _, _, mentions, _ = edges_pipeline
     corpus = tmp / "damaged-corpus.jsonl"
     corpus.write_text(data.draw(damaged_jsonl(Path(fixtures["corpus"]).read_text(encoding="utf-8"))), encoding="utf-8")
+    (tmp / "query.idx").write_text(index_pipeline[2], encoding="utf-8")
     docs = ["--lexicon", fixtures["lexicon"], "--corpus", str(corpus)]
-    for argv in (["link", *docs], ["index", *docs, "--triples", fixtures["triples"]]):
+    for argv in (
+        ["link", *docs],
+        ["index", *docs, "--triples", fixtures["triples"]],
+        *readers_of_inputs(docs, fixtures["triples"], mentions),
+        ["build-graphs", *docs, "--mentions", mentions, "--edges", str(tmp / "edges.jsonl")],
+        ["search", "--index", str(tmp / "query.idx"), "--query-file", str(corpus)],
+    ):
         assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
+
+
+def readers_of_inputs(docs: list[str], triples: str, mentions: str) -> list[list[str]]:
+    """The commands other than ``index`` that read a corpus, a lexicon and a triple store."""
+    return [
+        ["extract", *docs, "--mentions", mentions, "--mode", "kbmatch", "--triples", triples],
+        ["train-extractor", *docs, "--triples", triples, "--epochs", "1"],
+    ]
 
 
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(data=st.data())
-def test_damaged_lexicon(pipeline, data):
+def test_damaged_lexicon(pipeline, edges_pipeline, data):
     tmp, fixtures, _, _ = pipeline
+    _, _, mentions, _ = edges_pipeline
     lexicon = tmp / "damaged-lexicon.tsv"
     lexicon.write_text(data.draw(damaged_tsv(Path(fixtures["lexicon"]).read_text(encoding="utf-8"))), encoding="utf-8")
     docs = ["--lexicon", str(lexicon), "--corpus", fixtures["corpus"]]
-    assert_typed_failure(*run_quietly(["link", *docs, "--out", str(tmp / "out")]))
+    for argv in (
+        ["link", *docs],
+        *readers_of_inputs(docs, fixtures["triples"], mentions),
+        ["build-graphs", *docs, "--mentions", mentions, "--edges", str(tmp / "edges.jsonl")],
+    ):
+        assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
     assert_index_typed_failure(tmp, [*docs, "--triples", fixtures["triples"]])
 
 
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(data=st.data())
-def test_damaged_triples(pipeline, data):
+def test_damaged_triples(pipeline, edges_pipeline, data):
     tmp, fixtures, _, _ = pipeline
+    _, _, mentions, _ = edges_pipeline
     triples = tmp / "damaged-triples.tsv"
     triples.write_text(data.draw(damaged_tsv(Path(fixtures["triples"]).read_text(encoding="utf-8"))), encoding="utf-8")
-    argv = ["train-transe", "--triples", str(triples), "--dim", "3", "--epochs", "1", "--out", str(tmp / "out")]
-    assert_typed_failure(*run_quietly(argv))
+    docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+    for argv in (
+        ["train-transe", "--triples", str(triples), "--dim", "3", "--epochs", "1"],
+        ["eval-lp", "--triples", str(triples), "--transe-model", str(tmp / "transe.json")],
+        *readers_of_inputs(docs, str(triples), mentions),
+    ):
+        assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
     assert_index_typed_failure(tmp, ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"], "--triples", str(triples)])
 
 
