@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import engine, trec
 from .config import CHOICES, FIELDS, VALUE_TYPES, PipelineConfig, flag, merge_config, read_config_file
-from .errors import CasegraphError, UsageError, ValidationError
+from .errors import CasegraphError, UsageError
 from .kb import Triple, load_corpus, load_lexicon, load_triples
-from .linking import link, mentions_jsonl, read_mentions, tokenize
+from .linking import link, mentions_jsonl, read_mentions
 from .network import build_network, enrich_network, fuse_network, networks_jsonl, read_networks
 from .relations import (
     ExtractorHyperparams,
@@ -30,7 +30,6 @@ from .relations import (
     edges_jsonl,
     featurize_pairs,
     load_extractor,
-    mention_token_ranges,
     read_edges,
     save_extractor,
     train_extractor,
@@ -91,8 +90,8 @@ def _cmd_extract(args: argparse.Namespace) -> None:
     kb, extractor = _extraction_models(cfg)
     per_doc_edges = {}
     for doc in corpus:
-        tokens, _, pairs = engine.analyze(doc, lexicon, cfg.window, per_doc_mentions.get(doc.id, []))
-        per_doc_edges[doc.id] = engine.extract_edges(pairs, tokens, lexicon, cfg, kb, extractor)
+        analysis = engine.analyze(doc, lexicon, cfg.window, per_doc_mentions.get(doc.id, []))
+        per_doc_edges[doc.id] = engine.extract_edges(analysis, lexicon, cfg, kb, extractor)
     _emit(edges_jsonl(per_doc_edges), args.out)
 
 
@@ -102,8 +101,8 @@ def _cmd_train_extractor(args: argparse.Namespace) -> None:
     kb = load_triples(_require(cfg.triples, "triples"))
     instances = []
     for doc in corpus:
-        tokens, _, pairs = engine.analyze(doc, lexicon, cfg.window)
-        for pair, features in zip(pairs, featurize_pairs(pairs, tokens, lexicon)):
+        analysis = engine.analyze(doc, lexicon, cfg.window)
+        for pair, features in zip(analysis.pairs, featurize_pairs(analysis.pairs, analysis.tokens, lexicon)):
             instances.append(RelationInstance(pair, distant_label(pair, kb), features))
     hyper = ExtractorHyperparams(cfg.extractor_lr, cfg.extractor_epochs, cfg.l2, cfg.seed)
     model = train_extractor(instances, hyper)
@@ -146,11 +145,7 @@ def _cmd_build_graphs(args: argparse.Namespace) -> None:
     per_doc_edges = read_edges(args.edges)
     networks = []
     for doc in corpus:
-        mentions = per_doc_mentions.get(doc.id, [])
-        try:
-            mention_token_ranges(mentions, tokenize(doc.content()))
-        except ValidationError as exc:
-            raise ValidationError(f"document {doc.id}: {exc}") from None
+        mentions = engine.analyze(doc, lexicon, cfg.window, per_doc_mentions.get(doc.id, [])).mentions
         networks.append(build_network(doc.id, mentions, per_doc_edges.get(doc.id, []), lexicon))
     _emit(networks_jsonl(networks), args.out)
 

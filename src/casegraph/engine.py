@@ -1,5 +1,14 @@
 """Corpus indexing, query search, and the document-document collection graph.
 
+Every document, indexed or searched, is analyzed once (``analyze``) into one
+columnar ``Analysis`` record: its tokens (texts, normal forms, byte offsets),
+the token bounds of its sentences, its mentions (offsets, first and last
+token, cuis) and its candidate pairs (head and tail mention indices, the
+token bounds between them, their sentence). Extraction (``extract_edges``)
+and ``build_network`` read that record's columns. ``document_network`` runs
+the pipeline on to a fused network; ``search`` runs the same
+``enriched_network`` and stops before fusion, which no score reads.
+
 The index bundles everything needed to answer queries with the exact
 pipeline the documents went through: the lexicon, the triple store, any
 trained models, the shared label compressor, and per document its network
@@ -50,7 +59,7 @@ refused with ``FormatError``.
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
@@ -72,7 +81,7 @@ from .kb import (
     triples_to_dict,
     unpack,
 )
-from .linking import Mention, Token, link, split_sentences, tokenize
+from .linking import Mention, Mentions, Sentences, Tokens, link, split_sentences, tokenize
 from .network import (
     Edge,
     NetworkColumns,
@@ -89,8 +98,8 @@ from .network import (
     network_from_columns,
 )
 from .relations import (
-    CandidatePair,
     ExtractorModel,
+    Pairs,
     extract_relations,
     extractor_from_dict,
     extractor_to_dict,
@@ -191,24 +200,42 @@ class Index:
         return self.config.h
 
 
-def analyze(
-    doc: Document, lexicon: Lexicon, window: int, mentions: list[Mention] | None = None
-) -> tuple[list[Token], list[Mention], list[CandidatePair]]:
-    """Tokenize, split, link and pair one document: its tokens, mentions and candidate pairs.
+@dataclass
+class Analysis:
+    """One document's text analysis, column-wise: its tokens, sentences, mentions and candidate pairs.
 
-    Given ``mentions``, the document is paired on those and not linked.
+    The pairs index into ``mentions`` and ``sentences``, the mentions carry
+    their token bounds, and the tokens their normal forms, so no stage
+    after ``analyze`` tokenizes, aligns or normalises again.
+    """
+
+    tokens: Tokens
+    sentences: Sentences
+    mentions: Mentions
+    pairs: Pairs
+
+
+def analyze(doc: Document, lexicon: Lexicon, window: int, mentions: Sequence[Mention] | None = None) -> Analysis:
+    """Tokenize, split, link and pair one document.
+
+    Given ``mentions``, the document is paired on those, aligned to its
+    tokens, and not linked; a mention off the tokens is a ``ValidationError``
+    that names the document.
     """
     content = doc.content()
     tokens = tokenize(content)
     sentences = split_sentences(content, tokens)
     if mentions is None:
-        mentions = link(content, lexicon, tokens=tokens)
-    return tokens, mentions, generate_candidates(doc.id, mentions, sentences, tokens, window)
+        mentions = link(content, lexicon, tokens)
+    try:
+        pairs = generate_candidates(doc.id, mentions, sentences, tokens, window)
+    except ValidationError as exc:
+        raise ValidationError(f"document {doc.id}: {exc}") from None
+    return Analysis(tokens, sentences, pairs.mentions, pairs)
 
 
 def extract_edges(
-    pairs: list[CandidatePair],
-    tokens: list[Token],
+    analysis: Analysis,
     lexicon: Lexicon,
     config: PipelineConfig,
     kb: TripleStore | None = None,
@@ -218,10 +245,32 @@ def extract_edges(
     if config.mode == "model":
         if extractor is None:
             raise ConfigError("mode 'model' requires a trained relation extractor")
-        return extract_relations(pairs, extractor, config.theta_rel, tokens, lexicon)
+        return extract_relations(analysis.pairs, extractor, config.theta_rel, analysis.tokens, lexicon)
     if kb is None:
         raise ConfigError("mode 'kbmatch' requires a triple store")
-    return kb_match_extract(pairs, kb)
+    return kb_match_extract(analysis.pairs, kb)
+
+
+def enriched_network(
+    doc: Document,
+    lexicon: Lexicon,
+    config: PipelineConfig,
+    kb: TripleStore | None = None,
+    extractor: ExtractorModel | None = None,
+    transe: EmbeddingModel | None = None,
+) -> SemanticNetwork:
+    """The per-document pipeline up to fusion: analyze, extract, build, enrich.
+
+    ``search`` stops here: no score reads an edge's confidence, so fusing a
+    query's network would not change its ranking.
+    """
+    analysis = analyze(doc, lexicon, config.window)
+    net = build_network(doc.id, analysis.mentions, extract_edges(analysis, lexicon, config, kb, extractor), lexicon)
+    if config.enrich:
+        if transe is None:
+            raise ConfigError("enrichment requires an embedding model")
+        net = enrich_network(net, transe, config.tau_lp, config.m_cap)
+    return net
 
 
 def document_network(
@@ -233,12 +282,7 @@ def document_network(
     transe: EmbeddingModel | None = None,
 ) -> SemanticNetwork:
     """Run the full per-document pipeline: link, extract, build, enrich, fuse."""
-    tokens, mentions, pairs = analyze(doc, lexicon, config.window)
-    net = build_network(doc.id, mentions, extract_edges(pairs, tokens, lexicon, config, kb, extractor), lexicon)
-    if config.enrich:
-        if transe is None:
-            raise ConfigError("enrichment requires an embedding model")
-        net = enrich_network(net, transe, config.tau_lp, config.m_cap)
+    net = enriched_network(doc, lexicon, config, kb, extractor, transe)
     if config.fuse:
         if transe is None:
             raise ConfigError("confidence fusion requires an embedding model")
@@ -404,14 +448,15 @@ def search(
 ) -> list[SearchResult]:
     """Rank documents against a query case processed by the document pipeline.
 
-    With ``prune`` only documents sharing a kernel label, i.e. a concept,
-    with the query are ranked. Ties break by ascending doc id; fewer than
-    ``k`` results are returned when candidates run out.
+    The query's network stops before fusion (``enriched_network``). With
+    ``prune`` only documents sharing a kernel label, i.e. a concept, with the
+    query are ranked. Ties break by ascending doc id; fewer than ``k``
+    results are returned when candidates run out.
     """
     check("k", k)
     lam = check("lambda_weight", index.config.lambda_weight if lam is None else lam, "lambda")
     query_doc = Document("query", "", query_text)
-    net = document_network(query_doc, index.lexicon, index.config, index.kb, index.extractor, index.transe)
+    net = enriched_network(query_doc, index.lexicon, index.config, index.kb, index.extractor, index.transe)
     features = wl_features(net, index.h, index.compressor.overlay()).counts
     labels = np.fromiter(features, np.int64, len(features))
     counts = np.fromiter(features.values(), np.int64, len(features))

@@ -122,9 +122,10 @@ class Lexicon:
     max_surface_token_len: int = 0
 
     @cached_property
-    def first_words(self) -> frozenset[str]:
-        """The first word of every indexed surface, derived once the index is complete."""
-        return frozenset(key.split(" ", 1)[0] for key in self.surface_index)
+    def prefixes(self) -> frozenset[str]:
+        """Every leading run of words of every indexed surface, the surface
+        itself included; derived once the index is complete."""
+        return frozenset(" ".join(words[:k]) for words in map(str.split, self.surface_index) for k in range(1, len(words) + 1))
 
     def lookup(self, surface: str) -> list[str]:
         """Candidate cuis for a surface, in lexicon priority order."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -18,8 +19,8 @@ import numpy as np
 
 from .config import check
 from .errors import ConsistencyError, FormatError, ParseError, UsageError, ValidationError
-from .kb import Lexicon, jsonl, pack, read_jsonl, unpack
-from .linking import Mention
+from .kb import Lexicon, jsonl, pack, read_doc_records, unpack
+from .linking import Mention, Mentions
 from .transe import EmbeddingModel, distances
 
 log = logging.getLogger(__name__)
@@ -86,19 +87,20 @@ def node_name(cui: str, lexicon: Lexicon) -> str:
     return concept.preferred_name if concept else cui
 
 
-def build_network(doc_id: str, mentions: list[Mention], edges: list[Edge], lexicon: Lexicon) -> SemanticNetwork:
+def build_network(doc_id: str, mentions: Sequence[Mention], edges: list[Edge], lexicon: Lexicon) -> SemanticNetwork:
     """Aggregate mentions into weighted nodes and attach deduplicated edges.
 
-    One node per distinct primary cui; duplicate (head, tail, relation) edges
-    keep the maximum confidence. An edge endpoint without a node is an error.
+    One node per distinct primary cui, with the spans of its mentions in
+    their order; duplicate (head, tail, relation) edges keep the maximum
+    confidence. An edge endpoint without a node is an error.
     """
     net = SemanticNetwork(doc_id)
-    for mention in mentions:
-        node = net.nodes.get(mention.primary_cui)
+    mentions = Mentions.of(mentions)
+    for cui, start, end in zip(mentions.primaries, mentions.starts, mentions.ends):
+        node = net.nodes.get(cui)
         if node is None:
-            node = Node(mention.primary_cui, node_name(mention.primary_cui, lexicon), [])
-            net.nodes[mention.primary_cui] = node
-        node.mention_spans.append((mention.start, mention.end))
+            node = net.nodes[cui] = Node(cui, node_name(cui, lexicon), [])
+        node.mention_spans.append((start, end))
     best: dict[tuple[str, str, str], Edge] = {}
     for edge in edges:
         for endpoint in (edge.head, edge.tail):
@@ -480,4 +482,10 @@ def write_networks(networks: list[SemanticNetwork], path: str | Path) -> None:
 
 
 def read_networks(path: str | Path) -> list[SemanticNetwork]:
-    return read_jsonl(path, network_from_dict, "a network")
+    """The networks of a network file, in file order; a repeated doc id is a ValidationError."""
+
+    def decode(obj) -> tuple[str, SemanticNetwork]:
+        net = network_from_dict(obj)
+        return net.doc_id, net
+
+    return list(read_doc_records(path, decode, "a network").values())

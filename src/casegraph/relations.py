@@ -12,7 +12,7 @@ Two modes are supported:
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -23,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .config import Settings, check, setting
-from .errors import FormatError, ParseError, TrainingError, ValidationError
-from .kb import Lexicon, TripleStore, jsonl, load_container, normalize_token, read_doc_records, save_container
-from .linking import Mention, SentenceSpan, Token
+from .errors import FormatError, ParseError, TrainingError
+from .kb import Lexicon, TripleStore, jsonl, load_container, read_doc_records, save_container
+from .linking import Mention, Mentions, Record, Sentences, SentenceSpan, Tokens
 from .network import PROV_EXTRACTED, Edge, edge_from_dict, edge_to_dict
 from .transe import MAX_COMPONENT
 
@@ -72,32 +72,65 @@ class ExtractorModel:
     hyperparams: ExtractorHyperparams
 
 
-def mention_token_ranges(mentions: Sequence[Mention], tokens: Sequence[Token]) -> list[tuple[int, int]]:
-    """First and last token of each mention. A mention must start and end on
-    token boundaries; one that does not is a ``ValidationError``."""
-    starts = [t.start for t in tokens]
-    ends = [t.end for t in tokens]
-    ranges = []
-    for mention in mentions:
-        first = bisect_left(starts, mention.start)
-        if first == len(starts) or starts[first] != mention.start:
-            raise ValidationError(f"mention at byte {mention.start} does not align with a token boundary")
-        last = bisect_left(ends, mention.end, first)
-        if last == len(ends):
-            raise ValidationError(f"mention at byte {mention.start} ends at byte {mention.end}, past the last token")
-        if ends[last] != mention.end:
-            raise ValidationError(f"mention at byte {mention.start} ends at byte {mention.end}, inside a token")
-        ranges.append((first, last))
-    return ranges
+@dataclass
+class Pairs(Record):
+    """A document's candidate pairs, column-wise over its mentions and sentences.
+
+    Pair ``p`` runs from mention ``heads[p]`` to mention ``tails[p]`` within
+    sentence ``in_sentence[p]``; the tokens ``between_starts[p]`` up to
+    ``between_ends[p]`` lie strictly between the two. Item ``p`` is its
+    ``CandidatePair``, built when it is first read.
+    """
+
+    doc_id: str
+    mentions: Mentions
+    sentences: Sentences
+    heads: list[int]
+    tails: list[int]
+    between_starts: list[int]
+    between_ends: list[int]
+    in_sentence: list[int]
+    _columns = ("heads",)
+
+    @classmethod
+    def of(cls, pairs: Sequence[CandidatePair]) -> Pairs:
+        """``pairs`` as a record; a record is returned as it is.
+
+        The record holds each pair's head and tail mention and its sentence
+        on their own, and takes its doc id from the first pair.
+        """
+        if isinstance(pairs, Pairs):
+            return pairs
+        n = len(pairs)
+        return cls(
+            pairs[0].doc_id if n else "",
+            Mentions.of([mention for pair in pairs for mention in (pair.head_mention, pair.tail_mention)]),
+            Sentences.of([pair.sentence for pair in pairs]),
+            list(range(0, 2 * n, 2)),
+            list(range(1, 2 * n, 2)),
+            [pair.between_start for pair in pairs],
+            [pair.between_end for pair in pairs],
+            list(range(n)),
+        )
+
+    def _build(self, p: int) -> CandidatePair:
+        start, end = self.between_starts[p], self.between_ends[p]
+        head, tail = self.mentions[self.heads[p]], self.mentions[self.tails[p]]
+        return CandidatePair(self.doc_id, head, tail, self.sentences[self.in_sentence[p]], start, end, end - start)
+
+    def select(self, positions: list[int]) -> Pairs:
+        """The pairs at ``positions``, in that order."""
+        columns = (self.heads, self.tails, self.between_starts, self.between_ends, self.in_sentence)
+        return Pairs(self.doc_id, self.mentions, self.sentences, *([column[p] for p in positions] for column in columns))
 
 
 def generate_candidates(
     doc_id: str,
     mentions: Sequence[Mention],
-    sentences: Sequence[SentenceSpan],
-    tokens: Sequence[Token],
+    sentences: Sentences,
+    tokens: Tokens,
     window: int,
-) -> list[CandidatePair]:
+) -> Pairs:
     """All ordered pairs of distinct same-sentence mentions within the window.
 
     ``window`` bounds the number of tokens strictly between the mentions;
@@ -106,32 +139,35 @@ def generate_candidates(
     mention lies in the one sentence found by bisecting on its first token.
     Mentions may arrive unsorted or overlapping (``extract`` reads them from
     a file): pairs follow the sentence order, then the given mention order.
+    The pairs' mentions are ``mentions`` aligned to ``tokens``.
     """
     check("window", window)
-    ranges = mention_token_ranges(mentions, tokens)
-    sentence_starts = [s.token_start for s in sentences]
-    inside: list[list[int]] = [[] for _ in sentences]
-    for i, (first, last) in enumerate(ranges):
+    mentions = Mentions.of(mentions).aligned(tokens)
+    firsts, lasts, starts = mentions.firsts, mentions.lasts, mentions.starts
+    sentence_starts, sentence_ends = sentences.token_starts, sentences.token_ends
+    runs: list[list[int]] = [[] for _ in sentence_starts]
+    for i, (first, last) in enumerate(zip(firsts, lasts)):
         k = bisect_right(sentence_starts, first) - 1
-        if k >= 0 and last < sentences[k].token_end:
-            inside[k].append(i)
-    pairs: list[CandidatePair] = []
-    for sentence, members in zip(sentences, inside):
-        for i in members:
-            for j in members:
+        if k >= 0 and last < sentence_ends[k]:
+            runs[k].append(i)
+    heads, tails, between_starts, between_ends, in_sentence = [], [], [], [], []
+    for k, run in enumerate(runs):
+        for i in run:
+            for j in run:
                 if i == j:
                     continue
-                head, tail = mentions[i], mentions[j]
-                (h_first, h_last), (t_first, t_last) = ranges[i], ranges[j]
-                if head.start < tail.start:
-                    between = (h_last + 1, t_first)
+                if starts[i] < starts[j]:
+                    start, end = lasts[i] + 1, firsts[j]
                 else:
-                    between = (t_last + 1, h_first)
-                distance = between[1] - between[0]
-                if distance > window:
+                    start, end = lasts[j] + 1, firsts[i]
+                if end - start > window:
                     continue
-                pairs.append(CandidatePair(doc_id, head, tail, sentence, between[0], between[1], distance))
-    return pairs
+                heads.append(i)
+                tails.append(j)
+                between_starts.append(start)
+                between_ends.append(end)
+                in_sentence.append(k)
+    return Pairs(doc_id, mentions, sentences, heads, tails, between_starts, between_ends, in_sentence)
 
 
 def distant_label(pair: CandidatePair, kb: TripleStore) -> str:
@@ -154,13 +190,11 @@ class _Encoded(dict):
         return entry
 
 
-def _feature_rows(
-    pairs: Sequence[CandidatePair], tokens: Sequence[Token], lexicon: Lexicon, encode: Callable
-) -> list[list]:
+def _feature_rows(pairs: Pairs, tokens: Tokens, lexicon: Lexicon, encode: Callable) -> list[list]:
     """Each pair's features, one entry per occurrence: this defines the feature set.
 
     A pair has one ``bet:`` feature per token strictly between its mentions
-    (the token's normalized form), then its orientation (``dir:``), its
+    (the token's normal form), then its orientation (``dir:``), its
     distance bucket (``dist:``) and the semantic types of its head (``ht:``)
     and tail (``tt:``) concepts. ``encode`` turns a feature name into the
     entry the caller wants, once per distinct name of the call.
@@ -170,33 +204,31 @@ def _feature_rows(
         concept = lexicon.concepts.get(cui)
         return concept.semantic_type if concept else "unknown"
 
-    between = _Encoded(lambda text: f"bet:{normalize_token(text)}", encode)
+    between = _Encoded(lambda norm: f"bet:{norm}", encode)
     direction = _Encoded(lambda forward: "dir:fwd" if forward else "dir:rev", encode)
     bucket = _Encoded(lambda d: "dist:0-2" if d <= 2 else "dist:3-5" if d <= 5 else "dist:6+", encode)
     head_type = _Encoded(lambda cui: f"ht:{semantic_type(cui)}", encode)
     tail_type = _Encoded(lambda cui: f"tt:{semantic_type(cui)}", encode)
+    norms, starts, primaries = tokens.norms, pairs.mentions.starts, pairs.mentions.primaries
     rows = []
-    for pair in pairs:
-        head, tail = pair.head_mention, pair.tail_mention
-        row = [between[token.text] for token in tokens[pair.between_start : pair.between_end]]
+    for head, tail, start, end in zip(pairs.heads, pairs.tails, pairs.between_starts, pairs.between_ends):
+        row = [between[norm] for norm in norms[start:end]]
         row += (
-            direction[head.start < tail.start],
-            bucket[pair.token_distance],
-            head_type[head.primary_cui],
-            tail_type[tail.primary_cui],
+            direction[starts[head] < starts[tail]],
+            bucket[end - start],
+            head_type[primaries[head]],
+            tail_type[primaries[tail]],
         )
         rows.append(row)
     return rows
 
 
-def featurize_pairs(
-    pairs: Sequence[CandidatePair], tokens: Sequence[Token], lexicon: Lexicon
-) -> list[dict[str, int]]:
+def featurize_pairs(pairs: Sequence[CandidatePair], tokens: Tokens, lexicon: Lexicon) -> list[dict[str, int]]:
     """``featurize`` of each of a document's pairs, naming each distinct feature once."""
-    return [dict(Counter(row)) for row in _feature_rows(pairs, tokens, lexicon, str)]
+    return [dict(Counter(row)) for row in _feature_rows(Pairs.of(pairs), tokens, lexicon, str)]
 
 
-def featurize(pair: CandidatePair, tokens: Sequence[Token], lexicon: Lexicon) -> dict[str, int]:
+def featurize(pair: CandidatePair, tokens: Tokens, lexicon: Lexicon) -> dict[str, int]:
     """Sparse feature counts: between-token bag, orientation, distance bucket, types."""
     return featurize_pairs([pair], tokens, lexicon)[0]
 
@@ -348,7 +380,7 @@ def extract_relations(
     pairs: Sequence[CandidatePair],
     model: ExtractorModel,
     theta_rel: float,
-    tokens: Sequence[Token],
+    tokens: Tokens,
     lexicon: Lexicon,
 ) -> list[Edge]:
     """Predicted edges with softmax confidence at or above ``theta_rel``.
@@ -362,7 +394,9 @@ def extract_relations(
     NA.
     """
     check("theta_rel", theta_rel)
-    pairs = [pair for pair in pairs if pair.head_mention.primary_cui != pair.tail_mention.primary_cui]
+    pairs = Pairs.of(pairs)
+    primaries = pairs.mentions.primaries
+    pairs = pairs.select([p for p, (h, t) in enumerate(zip(pairs.heads, pairs.tails)) if primaries[h] != primaries[t]])
     if not pairs:
         return []
     vocab = model.feature_vocab
@@ -377,8 +411,7 @@ def extract_relations(
         relation = model.labels[label_id]
         if relation == NA_LABEL or confidence < theta_rel:
             continue
-        pair = pairs[position]
-        key = (pair.head_mention.primary_cui, pair.tail_mention.primary_cui, relation)
+        key = (primaries[pairs.heads[position]], primaries[pairs.tails[position]], relation)
         if confidence > best.get(key, 0.0):
             best[key] = confidence
     return [Edge(h, t, r, c, PROV_EXTRACTED) for (h, t, r), c in sorted(best.items())]
@@ -386,10 +419,11 @@ def extract_relations(
 
 def kb_match_extract(pairs: Sequence[CandidatePair], kb: TripleStore) -> list[Edge]:
     """One edge per (pair, stored relation) at a flat confidence of 0.5."""
+    pairs = Pairs.of(pairs)
+    primaries = pairs.mentions.primaries
     keys: set[tuple[str, str, str]] = set()
-    for pair in pairs:
-        head = pair.head_mention.primary_cui
-        tail = pair.tail_mention.primary_cui
+    for h, t in zip(pairs.heads, pairs.tails):
+        head, tail = primaries[h], primaries[t]
         if head == tail:
             continue
         for relation in kb.relations_between(head, tail):

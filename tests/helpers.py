@@ -16,9 +16,10 @@ import re
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from casegraph.config import PipelineConfig
-from casegraph.engine import document_network
+from casegraph.engine import document_network, search
 from casegraph.errors import TrainingError
 from casegraph.kb import (
     Document,
@@ -34,10 +35,10 @@ from casegraph.kb import (
     pack,
     unpack,
 )
-from casegraph.linking import Mention, SentenceSpan, Token, tokenize
+from casegraph.linking import Mention, SentenceSpan, Token
 from casegraph.network import PROV_EXTRACTED, PROV_FUSED, Edge, SemanticNetwork, fuse_confidence, write_networks
 from casegraph.relations import CandidatePair, ExtractorModel
-from casegraph.similarity import LabelCompressor
+from casegraph.similarity import LabelCompressor, combined_similarity
 from casegraph.transe import EmbeddingModel, margin_loss, margin_loss_gradients, plausibility
 
 FIXTURE_LEXICON_ROWS = [
@@ -386,7 +387,7 @@ def oracle_train_extractor(instances, hyperparams) -> ExtractorModel:
 def oracle_link(text: str, lexicon: Lexicon) -> list[Mention]:
     """Exhaustively enumerate all indexed token spans, then select the
     leftmost-longest non-overlapping ones."""
-    tokens = tokenize(text)
+    tokens = oracle_tokenize(text)
     norm = [normalize_surface(t.text) for t in tokens]
     n = len(tokens)
     by_start: dict[int, list[tuple[int, list[str]]]] = {}
@@ -498,6 +499,27 @@ def oracle_combined(net_a: SemanticNetwork, net_b: SemanticNetwork, lam: float, 
         eb = oracle_embedding(net_b, model.entity_vectors)
         latent = max(0.0, oracle_cosine(ea, eb))
     return lam * explicit + (1.0 - lam) * latent
+
+
+def assert_search_ranks_fused_query(index, texts: list[str]) -> None:
+    """``search`` of each text ranks every document as ``combined_similarity`` of the
+    query's *fused* network does; at least one query network has a fused edge.
+
+    ``search`` stops the query's network before fusion: no score reads an
+    edge's confidence, so fusing cannot change a score.
+    """
+    fused_edges = 0
+    for text in texts:
+        query = Document("q", "", text)
+        net = document_network(query, index.lexicon, index.config, index.kb, index.extractor, index.transe)
+        fused_edges += sum(edge.provenance == PROV_FUSED for edge in net.edges)
+        overlay, lam = index.compressor.overlay(), index.config.lambda_weight
+        scores = {doc_id: combined_similarity(net, doc, lam, overlay, index.h, index.transe) for doc_id, doc in index.networks.items()}
+        results = search(index, text, len(index.networks))
+        assert [r.doc_id for r in results] == sorted(scores, key=lambda doc_id: (-scores[doc_id], doc_id)), text
+        for result in results:
+            assert result.score == pytest.approx(scores[result.doc_id], rel=1e-12, abs=1e-12), (text, result.doc_id)
+    assert fused_edges > 0
 
 
 # --- collection graph oracle ---------------------------------------------------

@@ -62,7 +62,7 @@ def test_criterion_1_linker_oracle_equivalence(desk_fixture):
         agreements = 0
         for _ in range(100):
             text = helpers.random_fixture_text(lexicon, rng)
-            if link(text, lexicon) == helpers.oracle_link(text, lexicon):
+            if list(link(text, lexicon)) == helpers.oracle_link(text, lexicon):
                 agreements += 1
         assert agreements == 100
 

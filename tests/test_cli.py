@@ -130,7 +130,8 @@ class TestBadInputsExitTwo:
         ]}) + "\n", encoding="utf-8")
         argv = ["extract", "--lexicon", fixtures["lexicon"], "--corpus", str(corpus), "--mentions", str(mentions)]
         assert run_cli(*argv, "--mode", "kbmatch", "--triples", fixtures["triples"]) == 2
-        assert "inside a token" in self.assert_one_error_line(capsys)
+        # The message used to leave out the document.
+        assert self.assert_one_error_line(capsys) == "error: document d: mention at byte 0 ends at byte 3, inside a token\n"
 
     @pytest.mark.parametrize("edit", ["string count", "label out of range", "negative next_id"])
     def test_search_on_edited_index(self, tmp_path, fixtures, built_index, capsys, edit):
@@ -394,6 +395,19 @@ class TestBadInputsExitTwo:
         capsys.readouterr()
         assert run_cli("build-graphs", *docs, "--mentions", str(mentions), "--edges", str(edges), "--out", str(out)) == 2
         assert self.assert_one_error_line(capsys) == f"error: {edges}: line {line}: duplicate document id {doc_id}\n"
+        assert not out.exists()
+
+    def test_repeated_network_record(self, tmp_path, capsys):
+        # The repeat used to be kept: exit 0 and 31 enriched networks for 30 documents.
+        fixtures = helpers.write_pipeline_fixtures(tmp_path, num_docs=30, seed=3)
+        model, networks, out = tmp_path / "transe.json", tmp_path / "networks.jsonl", tmp_path / "out.jsonl"
+        assert run_cli("train-transe", "--triples", fixtures["triples"], "--dim", "4", "--epochs", "1", "--out", str(model)) == 0
+        helpers.write_pipeline_networks(fixtures, networks)
+        lines = networks.read_text(encoding="utf-8").splitlines(keepends=True)
+        networks.write_text("".join([lines[0], *lines]), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("enrich", "--networks", str(networks), "--transe-model", str(model), "--out", str(out)) == 2
+        assert self.assert_one_error_line(capsys) == f"error: {networks}: line 2: duplicate document id doc000\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -703,6 +717,10 @@ def built_index(tmp_path, fixtures):
 
 
 class TestIndexSearchEvaluate:
+    def test_search_ranks_as_the_fused_query_network(self, fixtures, built_index):
+        texts = [doc.text for doc in fixtures["docs"]] + ["aspirin and insulin after cardiac arrest with fever"]
+        helpers.assert_search_ranks_fused_query(engine.load_index(built_index), texts)
+
     def test_search_writes_k_line_run(self, tmp_path, fixtures, built_index, capsys):
         query_file = tmp_path / "q.jsonl"
         doc = fixtures["docs"][0]

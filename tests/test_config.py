@@ -15,7 +15,6 @@ from casegraph.cli import dispatch
 from casegraph.config import RULES, PipelineConfig, flag, merge_config, read_config_file
 from casegraph.engine import analyze, build_collection_graph, index_corpus, search
 from casegraph.errors import ConfigError, UsageError
-from casegraph.linking import split_sentences
 from casegraph.network import enrich_network
 from casegraph.relations import ExtractorHyperparams, ExtractorModel, extract_relations, generate_candidates
 from casegraph.similarity import LabelCompressor, combined_similarity, wl_label_history
@@ -176,16 +175,16 @@ def library():
     corpus = helpers.synth_corpus(lexicon, 4, seed=3)
     model = init_model(kb.entities, kb.relations, TrainConfig(dim=4))
     index = index_corpus(corpus, lexicon, PipelineConfig(), kb=kb, transe=model)
-    tokens, mentions, _ = analyze(corpus[0], lexicon, 30)
+    analysis = analyze(corpus[0], lexicon, 30)
     return SimpleNamespace(
         lexicon=lexicon,
         model=model,
         index=index,
         query=corpus[1].content(),
         net=index.networks[corpus[0].id],
-        tokens=tokens,
-        mentions=mentions,
-        sentences=split_sentences(corpus[0].content(), tokens),
+        tokens=analysis.tokens,
+        mentions=analysis.mentions,
+        sentences=analysis.sentences,
         extractor=ExtractorModel({}, np.zeros((2, 0)), ["NA", "rel"], ExtractorHyperparams()),
     )
 

@@ -146,11 +146,12 @@ class TestIndexCorpus:
 def test_analyze_pairs_given_mentions_without_linking(pipeline, monkeypatch):
     lexicon, _, _, config = pipeline
     doc = helpers.synth_corpus(lexicon, 1, seed=4)[0]
-    tokens, mentions, pairs = analyze(doc, lexicon, config.window)
-    assert pairs
+    analysis = analyze(doc, lexicon, config.window)
+    assert analysis.pairs
     monkeypatch.setattr(engine, "link", lambda *args, **kwargs: pytest.fail("linked despite given mentions"))
-    assert analyze(doc, lexicon, config.window, mentions) == (tokens, mentions, pairs)
-    assert analyze(doc, lexicon, config.window, []) == (tokens, [], [])
+    assert analyze(doc, lexicon, config.window, list(analysis.mentions)) == analysis
+    unlinked = analyze(doc, lexicon, config.window, [])
+    assert (unlinked.tokens, list(unlinked.mentions), list(unlinked.pairs)) == (analysis.tokens, [], [])
 
 
 class TestSearch:
@@ -826,8 +827,8 @@ def model_index(pipeline):
     corpus = model_corpus(lexicon)
     instances = []
     for doc in corpus:
-        tokens, _, pairs = analyze(doc, lexicon, config.window)
-        for pair, features in zip(pairs, featurize_pairs(pairs, tokens, lexicon)):
+        analysis = analyze(doc, lexicon, config.window)
+        for pair, features in zip(analysis.pairs, featurize_pairs(analysis.pairs, analysis.tokens, lexicon)):
             instances.append(RelationInstance(pair, distant_label(pair, kb), features))
     extractor = train_extractor(instances, ExtractorHyperparams(epochs=20, seed=5))
     config = replace(config, mode="model", enrich=True, fuse=True, theta_rel=0.3, tau_lp=1e-6)
@@ -865,6 +866,11 @@ class TestRoundTrip:
             else:
                 with pytest.raises(ValidationError, match="outside the int32 range"):
                     columns_to_dict(columns)
+
+
+def test_search_ranks_as_the_fused_query_network(model_index):
+    texts = [doc.text for doc in model_corpus(model_index.lexicon)]
+    helpers.assert_search_ranks_fused_query(model_index, texts)
 
 
 class TestBuiltNetworks:

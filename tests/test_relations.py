@@ -48,16 +48,16 @@ class TestGenerateCandidates:
 
     def test_single_mention_yields_nothing(self, lexicon):
         _, pairs = analyze("Aspirin was administered.", lexicon)
-        assert pairs == []
+        assert list(pairs) == []
 
     def test_sentence_boundary_blocks_pairs(self, lexicon):
         _, pairs = analyze("Aspirin was given. Heart attack occurred later.", lexicon)
-        assert pairs == []
+        assert list(pairs) == []
 
     def test_window_limit(self, lexicon):
         text = "Aspirin one two three four five six heart attack."
         _, pairs = analyze(text, lexicon, window=3)
-        assert pairs == []
+        assert list(pairs) == []
         _, pairs = analyze(text, lexicon, window=6)
         assert len(pairs) == 2
 
@@ -69,7 +69,7 @@ class TestGenerateCandidates:
             text = helpers.random_fixture_text(lexicon, rng, num_words=40)
             tokens = tokenize(text)
             sentences = split_sentences(text, tokens)
-            mentions = link(text, lexicon, tokens=tokens)
+            mentions = list(link(text, lexicon, tokens=tokens))
             for _ in range(rng.randint(0, 8)):
                 first = rng.randrange(len(tokens))
                 last = min(len(tokens) - 1, first + rng.randint(0, 3))
@@ -79,7 +79,7 @@ class TestGenerateCandidates:
             rng.shuffle(mentions)
             window = rng.choice([0, 2, 30])
             expected = helpers.oracle_generate_candidates("d", mentions, sentences, tokens, window)
-            assert generate_candidates("d", mentions, sentences, tokens, window) == expected
+            assert list(generate_candidates("d", mentions, sentences, tokens, window)) == expected
 
 
 class TestDistantLabel:

@@ -1,0 +1,61 @@
+"""The names that the benchmark's tracer wraps stay bound, and stay on the analysis path.
+
+The tracer (``perfbench/tracer.py``) wraps module attributes by name and
+reports a name that is gone as a missing per-layer metric, which the
+benchmark self-test notices only after several seconds of runs. These checks
+read the same table and name the binding or stage that went missing.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import helpers
+from casegraph import engine, linking, relations
+from casegraph.config import PipelineConfig
+from casegraph.kb import load_corpus, load_lexicon, load_triples
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _required() -> list[tuple[str, str]]:
+    """The tracer's ``_REQUIRED`` (module, name) bindings, read from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(module, name) for module, names in tracer._REQUIRED.items() for name in names]
+
+
+REQUIRED = _required()
+STAGES = {"tokenize": linking, "split_sentences": linking, "link": linking, "generate_candidates": relations}
+
+
+@pytest.mark.parametrize("module, name", REQUIRED, ids=[f"{module}.{name}" for module, name in REQUIRED])
+def test_traced_name_is_bound(module, name):
+    assert callable(getattr(importlib.import_module(f"casegraph.{module}"), name, None))
+
+
+def test_engine_stages_are_the_stage_functions():
+    for stage, home in STAGES.items():
+        assert getattr(engine, stage) is getattr(home, stage), stage
+
+
+def test_index_corpus_runs_each_stage_once_per_document(tmp_path, monkeypatch):
+    fixtures = helpers.write_pipeline_fixtures(tmp_path, num_docs=12, seed=3)
+    calls: Counter[str] = Counter()
+    for stage in STAGES:
+
+        def spy(*args, _stage=stage, _original=getattr(engine, stage), **kwargs):
+            calls[_stage] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, stage, spy)
+    corpus = load_corpus(fixtures["corpus"])
+    lexicon, kb = load_lexicon(fixtures["lexicon"]), load_triples(fixtures["triples"])
+    engine.index_corpus(corpus, lexicon, PipelineConfig(mode="kbmatch"), kb)
+    assert {stage: calls[stage] for stage in STAGES} == dict.fromkeys(STAGES, len(corpus))
