@@ -21,7 +21,7 @@ from . import engine, trec
 from .config import CHOICES, FIELDS, VALUE_TYPES, PipelineConfig, flag, merge_config, read_config_file
 from .errors import CasegraphError, UsageError
 from .kb import Triple, load_corpus, load_lexicon, load_triples
-from .linking import link, mentions_jsonl, read_mentions
+from .linking import link, mentions_jsonl, read_mentions, tokenize
 from .network import build_network, enrich_network, fuse_network, networks_jsonl, read_networks
 from .relations import (
     ExtractorHyperparams,
@@ -145,7 +145,7 @@ def _cmd_build_graphs(args: argparse.Namespace) -> None:
     per_doc_edges = read_edges(args.edges)
     networks = []
     for doc in corpus:
-        mentions = engine.analyze(doc, lexicon, cfg.window, per_doc_mentions.get(doc.id, [])).mentions
+        mentions = engine.aligned_mentions(doc.id, per_doc_mentions.get(doc.id, []), tokenize(doc.content()))
         networks.append(build_network(doc.id, mentions, per_doc_edges.get(doc.id, []), lexicon))
     _emit(networks_jsonl(networks), args.out)
 

@@ -11,27 +11,29 @@ the pipeline on to a fused network; ``search`` runs the same
 
 The index bundles everything needed to answer queries with the exact
 pipeline the documents went through: the lexicon, the triple store, any
-trained models, the shared label compressor, and per document its network
-and kernel features. It persists as a single versioned JSON container
-(version 4) whose bytes are reproducible for a fixed corpus, configuration,
-and seed. It stores the sorted doc ids; the compressor's signatures in label
-order; the kernel features as a row-major CSR (``ptr``, ``labels``,
-``counts``, labels ascending within a row); and the networks column-wise,
-one row per document in doc id order (``network.NetworkColumns``): node and
-edge pointers, cui ids into one sorted cui table, span pointers and bounds,
-endpoints as node positions within the document, relation ids into one
-relation table, provenance ids and confidences. Every numeric column is a
-base64 string of little-endian ``int32`` (confidences ``float64``) items,
-which loading reads with ``np.frombuffer`` (``kb.pack``/``kb.unpack``); the
-strings stay readable JSON. The kernel features and the compressor are
-stored because recomputing them makes loading markedly slower.
+trained models, and the networks. It persists as a single versioned JSON
+container (version 5) whose bytes are reproducible for a fixed corpus,
+configuration, and seed. It stores the sorted doc ids and the networks
+column-wise, one row per document in doc id order (``network.NetworkColumns``):
+node and edge pointers, cui ids into one sorted cui table, span pointers and
+bounds, endpoints as node positions within the document, relation ids into
+one relation table, provenance ids, confidences, and each node's kernel
+labels at iterations 0..h. Those labels are the first-seen labels of
+compressing the corpus in corpus order, the one thing about the kernel that
+the networks do not determine. Every numeric column is a base64 string of
+little-endian ``int32`` (confidences ``float64``) items, which loading reads
+with ``np.frombuffer`` (``kb.pack``/``kb.unpack``); the strings stay readable
+JSON.
 
-What scoring needs is a pure function of the stored data, so it is derived
-whenever an index is built or loaded (``DocRows``): the label-major transpose
-of the kernel features, i.e. an inverted index from each kernel label to the
-documents holding it, with each document's kernel self-norm, and a matrix
-of document embeddings with their norms, computed for all documents in one
-pass over the node columns. One block scorer (``_score_rows``)
+Everything else is derived whenever an index is built or loaded, by one
+function (``_derive``) with array operations: the label compressor, each
+label's signature taken from the networks (``similarity.compressor_from_columns``);
+each document's kernel features, its nodes' label counts in ascending label
+order; and what scoring needs (``DocRows``): the label-major transpose of the
+kernel features, i.e. an inverted index from each kernel label to the
+documents holding it, with each document's kernel self-norm, and a matrix of
+document embeddings with their norms, computed for all documents in one pass
+over the node columns. One block scorer (``_score_rows``)
 scores a block of query rows against the documents: one scatter-add of the
 rows' kernel entries into a (rows x documents) matrix and one ``einsum`` of
 the embeddings. A query is a block of one row; the collection graph passes
@@ -44,13 +46,14 @@ one row, where a BLAS product would not.
 
 Loading checks everything before it returns, with array operations: the
 configuration, the lexicon and the triple store (``kb.lexicon_from_dict``,
-``kb.triples_from_dict``), the doc ids, the compressor, that every column is
-whole base64 and every pointer starts at 0, never decreases and ends at its
-column's length, that every kernel label lies below the compressor's next
-label with a positive count and ascends within its row, and that the network
-columns decode into valid networks (``network.check_columns``). It builds no
-network. Every index, built or loaded, holds its networks only as those
-columns (``StoredNetworks``): ``index_corpus`` encodes the pipeline's
+``kb.triples_from_dict``), the doc ids, that every column is whole base64
+and every pointer starts at 0, never decreases and ends at its column's
+length, that the network columns decode into valid networks
+(``network.check_columns``), and, in deriving the compressor, that there are
+h + 1 labels per node covering 0..next_id - 1, that every node holding a
+label has that label's signature and that no signature holds two labels. It
+builds no network. Every index, built or loaded, holds its networks only as
+those columns (``StoredNetworks``): ``index_corpus`` encodes the pipeline's
 networks once, saving writes the columns as they are, and ``Index.networks``
 decodes a document's row on first access. An older container version is
 refused with ``FormatError``.
@@ -61,7 +64,6 @@ from __future__ import annotations
 import logging
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -75,11 +77,9 @@ from .kb import (
     lexicon_from_dict,
     lexicon_to_dict,
     load_container,
-    pack,
     save_container,
     triples_from_dict,
     triples_to_dict,
-    unpack,
 )
 from .linking import Mention, Mentions, Sentences, Tokens, link, split_sentences, tokenize
 from .network import (
@@ -88,11 +88,9 @@ from .network import (
     SemanticNetwork,
     build_network,
     check_columns,
-    check_pointer,
     columns_from_dict,
     columns_to_dict,
     enrich_network,
-    first_unordered_row,
     fuse_network,
     network_columns,
     network_from_columns,
@@ -106,13 +104,13 @@ from .relations import (
     generate_candidates,
     kb_match_extract,
 )
-from .similarity import LabelCompressor, combine, doc_embedding, wl_features
+from .similarity import LabelCompressor, combine, compressor_from_columns, doc_embedding, wl_features
 from .transe import EmbeddingModel, model_from_dict, model_to_dict
 
 log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "casegraph-index"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 
 # The most postings, and the most (query x row) cells, that one block of the
 # collection graph joins and scores at once. From 2**13 to 2**16 graphs of
@@ -193,7 +191,7 @@ class Index:
     transe: EmbeddingModel | None
     compressor: LabelCompressor
     networks: StoredNetworks
-    rows: DocRows  # its row-major kernel features are persisted
+    rows: DocRows
 
     @property
     def h(self) -> int:
@@ -215,22 +213,25 @@ class Analysis:
     pairs: Pairs
 
 
+def aligned_mentions(doc_id: str, mentions: Sequence[Mention], tokens: Tokens) -> Mentions:
+    """``mentions`` aligned to their document's ``tokens``; a mention off the tokens is a ``ValidationError`` that names the document."""
+    try:
+        return Mentions.of(mentions).aligned(tokens)
+    except ValidationError as exc:
+        raise ValidationError(f"document {doc_id}: {exc}") from None
+
+
 def analyze(doc: Document, lexicon: Lexicon, window: int, mentions: Sequence[Mention] | None = None) -> Analysis:
     """Tokenize, split, link and pair one document.
 
     Given ``mentions``, the document is paired on those, aligned to its
-    tokens, and not linked; a mention off the tokens is a ``ValidationError``
-    that names the document.
+    tokens (``aligned_mentions``), and not linked.
     """
     content = doc.content()
     tokens = tokenize(content)
     sentences = split_sentences(content, tokens)
-    if mentions is None:
-        mentions = link(content, lexicon, tokens)
-    try:
-        pairs = generate_candidates(doc.id, mentions, sentences, tokens, window)
-    except ValidationError as exc:
-        raise ValidationError(f"document {doc.id}: {exc}") from None
+    mentions = link(content, lexicon, tokens) if mentions is None else aligned_mentions(doc.id, mentions, tokens)
+    pairs = generate_candidates(doc.id, mentions, sentences, tokens, window)
     return Analysis(tokens, sentences, pairs.mentions, pairs)
 
 
@@ -299,22 +300,18 @@ def index_corpus(
     transe: EmbeddingModel | None = None,
 ) -> Index:
     """Build networks for every document and featurize them with a shared compressor."""
-    compressor, nets, features = LabelCompressor(), {}, {}
+    compressor, nets, histories = LabelCompressor(), {}, {}
     for doc in corpus:  # in corpus order, which decides the compressed labels
         if doc.id in nets:
             raise ValidationError(f"duplicate document id {doc.id}")
         net = nets[doc.id] = document_network(doc, lexicon, config, kb, extractor, transe)
-        features[doc.id] = sorted(wl_features(net, config.h, compressor).counts.items())
+        histories[doc.id] = wl_features(net, config.h, compressor).history
     doc_ids = sorted(nets)
-    pairs = list(chain.from_iterable(features[doc_id] for doc_id in doc_ids))
-    labels, counts = zip(*pairs) if pairs else ((), ())
-    ptr = np.cumsum([0, *(len(features[doc_id]) for doc_id in doc_ids)])
-    columns = network_columns([nets[doc_id] for doc_id in doc_ids])
+    # Each node's labels at iterations 0..h, node after node in cui order, the order of the node columns.
+    node_labels = [label for doc_id in doc_ids for node in zip(*map(dict.values, histories[doc_id])) for label in node]
+    columns = network_columns([nets[doc_id] for doc_id in doc_ids], node_labels)
     log.info("indexed %d documents (%d kernel labels)", len(corpus), compressor.next_id)
-    return Index(
-        config, lexicon, kb, extractor, transe, compressor, StoredNetworks(doc_ids, columns, lexicon),
-        _derive_rows(doc_ids, ptr, np.array(labels, np.int64), np.array(counts, np.int64), columns, compressor.next_id, transe),
-    )
+    return Index(config, lexicon, kb, extractor, transe, *_derive(doc_ids, columns, config.h, lexicon, transe))
 
 
 def _embed_rows(columns: NetworkColumns, transe: EmbeddingModel | None) -> np.ndarray:
@@ -348,22 +345,26 @@ def _embed_rows(columns: NetworkColumns, transe: EmbeddingModel | None) -> np.nd
     return embeddings
 
 
-def _derive_rows(
-    doc_ids: list[str],
-    ptr: np.ndarray,
-    labels: np.ndarray,
-    counts: np.ndarray,
-    columns: NetworkColumns,
-    next_id: int,
-    transe: EmbeddingModel | None,
-) -> DocRows:
-    """``DocRows`` from the row-major kernel features, the rows' networks and the embedding model."""
-    rows = np.repeat(np.arange(len(doc_ids)), np.diff(ptr))
+def _derive(
+    doc_ids: list[str], columns: NetworkColumns, h: int, lexicon: Lexicon, transe: EmbeddingModel | None
+) -> tuple[LabelCompressor, StoredNetworks, DocRows]:
+    """What an index derives from its networks' columns, built or loaded alike: the compressor, the networks and ``DocRows``.
+
+    A document's kernel features count the labels its nodes hold at
+    iterations 0..h, in ascending label order.
+    """
+    compressor = compressor_from_columns(doc_ids, columns, h)
+    next_id = max(compressor.next_id, 1)
+    items = np.repeat(np.arange(len(doc_ids)), np.diff(columns.node_ptr) * (h + 1))
+    features, counts = np.unique(items * next_id + columns.node_labels, return_counts=True)  # row by row, labels ascending
+    rows, labels = np.divmod(features, next_id)
+    ptr = np.zeros(len(doc_ids) + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(doc_ids)), out=ptr[1:])
     order = np.argsort(labels, kind="stable")  # rows stay ascending within a label
-    label_ptr = np.zeros(next_id + 1, np.int64)
-    np.cumsum(np.bincount(labels, minlength=next_id), out=label_ptr[1:])
+    label_ptr = np.zeros(compressor.next_id + 1, np.int64)
+    np.cumsum(np.bincount(labels, minlength=compressor.next_id), out=label_ptr[1:])
     embeddings = _embed_rows(columns, transe)
-    return DocRows(
+    return compressor, StoredNetworks(doc_ids, columns, lexicon), DocRows(
         doc_ids,
         ptr,
         labels,
@@ -521,7 +522,6 @@ def index_to_dict(index: Index) -> dict:
     # Input paths are dropped: the artifacts they pointed at are embedded, and
     # keeping them would make index bytes depend on where the inputs lived.
     config = {**asdict(index.config), **dict.fromkeys(_PATH_FIELDS)}
-    rows, table = index.rows, index.compressor.table
     return {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -530,26 +530,9 @@ def index_to_dict(index: Index) -> dict:
         "kb": triples_to_dict(index.kb) if index.kb is not None else None,
         "extractor": extractor_to_dict(index.extractor) if index.extractor is not None else None,
         "transe": model_to_dict(index.transe) if index.transe is not None else None,
-        # json.dumps output never holds a raw newline, so one joins the signatures unambiguously.
-        "compressor": {"next_id": index.compressor.next_id, "signatures": "\n".join(sorted(table, key=table.get))},
-        "docs": list(rows.doc_ids),
-        "wl": {"ptr": pack(rows.ptr), "labels": pack(rows.labels), "counts": pack(rows.counts)},
+        "docs": list(index.rows.doc_ids),
         "networks": columns_to_dict(index.networks.columns),
     }
-
-
-def _check_features(docs: list, ptr: np.ndarray, labels: np.ndarray, counts: np.ndarray, next_id: int) -> None:
-    """Raise FormatError unless the row-major kernel features fit the documents and the compressor."""
-    check_pointer(ptr, len(docs), len(labels), "kernel features", "documents")
-    if len(counts) != len(labels):
-        raise FormatError(f"kernel features cover different documents than the {len(docs)} indexed")
-    if len(labels) and (labels.min() < 0 or labels.max() >= next_id):
-        raise FormatError(f"kernel feature label outside [0, {next_id})")
-    if len(counts) and counts.min() < 1:
-        raise FormatError("kernel feature counts must be positive")
-    row = first_unordered_row(np.diff(labels) > 0, ptr)
-    if row >= 0:
-        raise FormatError(f"document {docs[row]}: kernel feature labels must ascend strictly")
 
 
 def index_from_dict(data: dict) -> Index:
@@ -558,23 +541,9 @@ def index_from_dict(data: dict) -> Index:
         config = PipelineConfig(**data["config"])
     except UsageError as exc:
         raise FormatError(f"invalid config ({exc})") from None
-    compressor = LabelCompressor()
-    compressor.next_id = data["compressor"]["next_id"]
-    if type(compressor.next_id) is not int or compressor.next_id < 0:
-        raise FormatError(f"compressor next_id must be a non-negative integer, got {compressor.next_id!r}")
-    signatures = data["compressor"]["signatures"]
-    if type(signatures) is not str:
-        raise FormatError("compressor signatures must be a string")
-    signatures = signatures.split("\n") if signatures else []
-    compressor.table = dict(zip(signatures, range(len(signatures))))  # a signature's label is its position
-    if not len(signatures) == len(compressor.table) == compressor.next_id:
-        raise FormatError(f"compressor next_id {compressor.next_id} is not its number of distinct signatures")
     docs = data["docs"]
     if type(docs) is not list or not set(map(type, docs)) <= {str} or docs != sorted(set(docs)):
         raise FormatError("doc ids must be distinct strings in ascending order")
-    wl = data["wl"]
-    ptr, labels, counts = (unpack(wl[key], f"kernel feature {key}") for key in ("ptr", "labels", "counts"))
-    _check_features(docs, ptr, labels, counts, compressor.next_id)
     columns = columns_from_dict(data["networks"])
     check_columns(docs, columns)
     lexicon = lexicon_from_dict(data["lexicon"])
@@ -585,9 +554,7 @@ def index_from_dict(data: dict) -> Index:
         triples_from_dict(data["kb"]) if data["kb"] is not None else None,
         extractor_from_dict(data["extractor"]) if data["extractor"] is not None else None,
         transe,
-        compressor,
-        StoredNetworks(docs, columns, lexicon),
-        _derive_rows(docs, ptr, labels, counts, columns, compressor.next_id, transe),
+        *_derive(docs, columns, config.h, lexicon, transe),
     )
 
 

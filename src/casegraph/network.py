@@ -293,7 +293,9 @@ class NetworkColumns:
     and the provenance ``_PROVENANCES[provenances[e]]``. ``cuis`` and
     ``relations`` are sorted and distinct. Node names and weights are not
     kept: a name comes from the lexicon (``node_name``) and a weight is the
-    number of spans.
+    number of spans. ``node_labels`` holds each node's kernel labels at
+    iterations 0..h, node after node (``similarity.compressor_from_columns``
+    checks them).
     """
 
     cuis: list[str]
@@ -308,6 +310,7 @@ class NetworkColumns:
     edge_relations: np.ndarray
     provenances: np.ndarray
     confidences: np.ndarray
+    node_labels: np.ndarray
 
 
 _TABLES = ("cuis", "relations")  # the string fields of NetworkColumns; the others are numeric columns
@@ -331,8 +334,8 @@ def columns_from_dict(data: dict) -> NetworkColumns:
     })
 
 
-def network_columns(nets: list[SemanticNetwork]) -> NetworkColumns:
-    """The columns of ``nets``, one row per network in the given order."""
+def network_columns(nets: list[SemanticNetwork], node_labels: Sequence[int]) -> NetworkColumns:
+    """The columns of ``nets``, one row per network in the given order, with ``node_labels`` as they are."""
     cuis = sorted({cui for net in nets for cui in net.nodes})
     relations = sorted({edge.relation for net in nets for edge in net.edges})
     cui_id = {cui: i for i, cui in enumerate(cuis)}
@@ -364,6 +367,7 @@ def network_columns(nets: list[SemanticNetwork]) -> NetworkColumns:
         np.array(edge_relations, np.int64),
         np.array(provenances, np.int64),
         np.array(confidences, np.float64),
+        np.array(node_labels, np.int64),
     )
 
 
@@ -388,7 +392,7 @@ def check_pointer(ptr: np.ndarray, rows: int, items: int, what: str, unit: str) 
         raise FormatError(f"{what} row pointers must not decrease")
 
 
-def _first(bad: np.ndarray) -> int:
+def first_true(bad: np.ndarray) -> int:
     """The first position where ``bad`` holds, or -1."""
     found = np.flatnonzero(bad)
     return int(found[0]) if len(found) else -1
@@ -424,26 +428,26 @@ def check_columns(doc_ids: list[str], columns: NetworkColumns) -> None:
         (c.edge_relations, len(c.relations), "edge relation", edge_rows),
         (c.provenances, len(_PROVENANCES), "edge provenance", edge_rows),
     ):
-        i = _first((ids < 0) | (ids >= size))
+        i = first_true((ids < 0) | (ids >= size))
         if i >= 0:
             raise FormatError(f"document {doc_ids[rows[i]]}: {what} id {ids[i]} outside [0, {size})")
     row = first_unordered_row(np.diff(c.node_cuis) > 0, c.node_ptr)
     if row >= 0:
         raise FormatError(f"document {doc_ids[row]}: node cuis must ascend strictly")
     sizes = np.diff(c.span_ptr)
-    i = _first((sizes == 0) | (sizes % 2 == 1))
+    i = first_true((sizes == 0) | (sizes % 2 == 1))
     if i >= 0:
         raise FormatError(f"document {doc_ids[node_rows[i]]}: node {c.cuis[c.node_cuis[i]]} needs a non-empty, even-length span list")
     nodes = np.diff(c.node_ptr)[edge_rows]  # each edge's number of nodes in its document
     for positions in (c.heads, c.tails):
-        i = _first((positions < 0) | (positions >= nodes))
+        i = first_true((positions < 0) | (positions >= nodes))
         if i >= 0:
             raise FormatError(f"document {doc_ids[edge_rows[i]]}: edge endpoint {positions[i]} has no node among its {nodes[i]}")
-    i = _first(c.heads == c.tails)
+    i = first_true(c.heads == c.tails)
     if i >= 0:
         cui = c.cuis[c.node_cuis[c.node_ptr[edge_rows[i]] + c.heads[i]]]
         raise FormatError(f"document {doc_ids[edge_rows[i]]}: self-loop edge on {cui}")
-    i = _first(~_valid_confidence(c.confidences))
+    i = first_true(~_valid_confidence(c.confidences))
     if i >= 0:
         raise FormatError(f"document {doc_ids[edge_rows[i]]}: edge confidence {c.confidences[i]} outside (0, 1]")
 

@@ -13,45 +13,57 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+from struct import pack
 
 import numpy as np
 
 from .config import check
-from .errors import UsageError
-from .network import SemanticNetwork
+from .errors import FormatError, UsageError
+from .network import NetworkColumns, SemanticNetwork, first_true
 from .transe import EmbeddingModel
 
 
 class LabelCompressor:
-    """Append-only injective mapping from signature strings to integer labels.
+    """Append-only injective mapping from signature keys to integer labels.
 
     A collection shares one compressor so identical signatures always get
-    the same label. ``overlay()`` returns a read-through child that can
-    assign labels for unseen signatures (e.g. a query graph) without
-    mutating the shared parent.
+    the same label. A node's iteration-0 key is its cui; its later keys are
+    the bytes of the little-endian ``int32`` items ``[previous label,
+    relation id, neighbor label, ...]``, the (relation id, neighbor label)
+    pairs sorted. A ``str`` never equals ``bytes``, so the two kinds of key
+    never meet. ``relations`` numbers the relations, and a relation it lacks
+    gets the next id. ``overlay()`` returns a read-through child that can
+    assign labels and relation ids for unseen signatures (e.g. a query
+    graph) without mutating the shared parent.
     """
 
     def __init__(self, parent: "LabelCompressor | None" = None):
-        self.table: dict[str, int] = {}
+        self.table: dict[str | bytes, int] = {}
         self.parent = parent
         self.next_id = parent.next_id if parent is not None else 0
+        self.relations: dict[str, int] = dict(parent.relations) if parent is not None else {}
 
-    def _get(self, signature: str) -> int | None:
+    def _get(self, key: str | bytes) -> int | None:
         if self.parent is not None:
-            found = self.parent._get(signature)
+            found = self.parent._get(key)
             if found is not None:
                 return found
-        return self.table.get(signature)
+        return self.table.get(key)
 
-    def compress(self, signature: str) -> int:
-        found = self._get(signature)
+    def compress(self, key: str | bytes) -> int:
+        found = self._get(key)
         if found is not None:
             return found
         label = self.next_id
-        self.table[signature] = label
+        self.table[key] = label
         self.next_id += 1
         return label
+
+    def relation_id(self, relation: str) -> int:
+        found = self.relations.get(relation)
+        if found is None:
+            found = self.relations[relation] = len(self.relations)
+        return found
 
     def overlay(self) -> "LabelCompressor":
         return LabelCompressor(parent=self)
@@ -68,6 +80,7 @@ class WlFeatureVector:
     counts: dict[int, int]
     h: int
     comp: LabelCompressor = field(repr=False, compare=False)
+    history: list[dict[str, int]] = field(repr=False, compare=False)  # the wl_label_history counted
 
 
 @dataclass
@@ -86,35 +99,111 @@ def wl_label_history(net: SemanticNetwork, h: int, comp: LabelCompressor) -> lis
     """
     check("h", h)
     cuis = sorted(net.nodes)
-    if not cuis:
-        return [{} for _ in range(h + 1)]
+    position = {cui: i for i, cui in enumerate(cuis)}
     # Undirected neighborhood with the relation tag kept; multi-edges count once each.
-    neighbors: dict[str, list[tuple[str, str]]] = {cui: [] for cui in cuis}
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in cuis]
+    relation_id = comp.relation_id
     for edge in net.edges:
-        neighbors[edge.head].append((edge.relation, edge.tail))
-        neighbors[edge.tail].append((edge.relation, edge.head))
-    # Signatures are the json.dumps text of ["n", cui] and of
-    # [label, [[relation, label], ...]]: strings quoted as json.dumps quotes
-    # them, each relation once per network.
-    quoted = {relation: encode_basestring_ascii(relation) for relation in {edge.relation for edge in net.edges}}
+        relation, head, tail = relation_id(edge.relation), position[edge.head], position[edge.tail]
+        neighbors[head].append((relation, tail))
+        neighbors[tail].append((relation, head))
     compress = comp.compress
-    labels = {cui: compress(f'["n", {encode_basestring_ascii(cui)}]') for cui in cuis}
-    history = [labels]
+    layouts = [f"<{1 + 2 * len(pairs)}i" for pairs in neighbors]  # each node's key: previous label, then its pairs
+    labels = [compress(cui) for cui in cuis]
+    history = [dict(zip(cuis, labels))]
     for _ in range(h):
-        refined = {}
-        for cui in cuis:
-            pairs = sorted([(rel, labels[other]) for rel, other in neighbors[cui]])
-            body = ", ".join([f"[{quoted[rel]}, {label}]" for rel, label in pairs])
-            refined[cui] = compress(f"[{labels[cui]}, [{body}]]")
-        labels = refined
-        history.append(labels)
+        labels = [
+            compress(pack(layout, label, *chain.from_iterable(sorted([(rel, labels[at]) for rel, at in pairs]))))
+            for layout, label, pairs in zip(layouts, labels, neighbors)
+        ]
+        history.append(dict(zip(cuis, labels)))
     return history
 
 
 def wl_features(net: SemanticNetwork, h: int, comp: LabelCompressor) -> WlFeatureVector:
-    """Label counts accumulated over iterations 0..h."""
-    counts = Counter(chain.from_iterable(map(dict.values, wl_label_history(net, h, comp))))
-    return WlFeatureVector(dict(counts), h, comp)
+    """Label counts accumulated over iterations 0..h, with the per-iteration label maps they count."""
+    history = wl_label_history(net, h, comp)
+    counts = Counter(chain.from_iterable(map(dict.values, history)))
+    return WlFeatureVector(dict(counts), h, comp, history)
+
+
+def compressor_from_columns(doc_ids: list[str], columns: NetworkColumns, h: int) -> LabelCompressor:
+    """The compressor of the stored ``columns.node_labels``, each label's signature read off the networks.
+
+    ``columns`` passed ``network.check_columns``. Relation ids are positions
+    in the sorted relation table, so pairs sort by the raw relation string.
+    FormatError unless there are h + 1 labels per node, each in [0, number
+    of labels), together covering 0..next_id - 1, every node holding a label
+    has that label's signature, and no signature holds two labels.
+    """
+    c, width = columns, h + 1
+    nodes, labels = len(c.node_cuis), c.node_labels
+    if len(labels) != nodes * width:
+        raise FormatError(f"network node labels must be {width} per node, {nodes * width} in all, got {len(labels)}")
+
+    def refuse(item: int, text: str):
+        node = item // width
+        row = int(np.searchsorted(c.node_ptr, node, "right")) - 1
+        raise FormatError(f"document {doc_ids[row]}: node {c.cuis[c.node_cuis[node]]} {text}")
+
+    i = first_true((labels < 0) | (labels >= len(labels)))
+    if i >= 0:
+        refuse(i, f"has kernel label {labels[i]} outside [0, {len(labels)})")
+    next_id = int(labels.max(initial=-1)) + 1
+    first = np.full(next_id, len(labels))
+    np.minimum.at(first, labels, np.arange(len(labels)))  # each label's first holder, whose signature every other must have
+    i = first_true(first == len(labels))
+    if i >= 0:
+        raise FormatError(f"kernel label {i} is held by no node, below the next label {next_id}")
+    holders, levels = np.divmod(first, width)
+    grid = labels.reshape(nodes, width)
+    bad = levels[grid] != np.arange(width)  # a label held at two iterations
+    bad[:, 0] |= c.node_cuis != c.node_cuis[holders[grid[:, 0]]]
+    # Each edge from both ends, by global node position. A (relation id,
+    # neighbor label) pair is one number below span, so sorting
+    # owner * span + pair sorts each node's pairs, node after node.
+    edge_rows = np.repeat(np.arange(len(doc_ids)), np.diff(c.edge_ptr))
+    heads, tails = c.node_ptr[edge_rows] + c.heads, c.node_ptr[edge_rows] + c.tails
+    owners, others = np.concatenate([heads, tails]), np.concatenate([tails, heads])
+    degrees = np.bincount(owners, minlength=nodes)
+    starts = np.cumsum(degrees) - degrees
+    pair_owners, positions = np.repeat(np.arange(nodes), degrees), np.arange(len(owners))
+    span = max(len(c.relations), 1) * max(next_id, 1)
+    if nodes * span >= 2**63:
+        raise FormatError(f"{nodes} nodes, {len(c.relations)} relations and {next_id} kernel labels overflow the int64 sort keys")
+    owned = owners * span + np.tile(c.edge_relations, 2) * next_id
+    # Each node's key at one iteration, node after node: its previous label, then its pairs.
+    items = np.empty(nodes + 2 * len(owners), "<i4")
+    begins, at = np.arange(nodes) + 2 * starts, pair_owners + 1 + 2 * positions
+    zero = np.flatnonzero(levels == 0)
+    keys: list[str | bytes] = [c.cuis[cui] for cui in c.node_cuis[holders[zero]].tolist()]
+    key_labels = zero.tolist()
+    for level in range(1, width):
+        previous = grid[:, level - 1]
+        pairs = np.sort(owned + previous[others]) % span
+        holder = holders[grid[:, level]]
+        same = (previous == previous[holder]) & (degrees == degrees[holder])
+        shift = np.repeat(np.where(same, starts[holder] - starts, 0), degrees)
+        bad[:, level] |= ~same
+        bad[pair_owners[pairs != pairs[positions + shift]], level] = True
+        items[begins] = previous
+        items[at], items[at + 1] = np.divmod(pairs, next_id)
+        here = np.flatnonzero(levels == level)
+        sizes = degrees[holders[here]]
+        for size in np.unique(sizes).tolist():  # one size at a time: a key's items, viewed as one void scalar, list as its bytes
+            group = here[sizes == size]
+            keys += items[begins[holders[group], None] + np.arange(1 + 2 * size)].view(f"V{4 + 8 * size}").ravel().tolist()
+            key_labels += group.tolist()
+    i = first_true(bad.ravel())
+    if i >= 0:
+        refuse(i, f"holds kernel label {labels[i]} at iteration {i % width} under another signature than its other holders")
+    table = dict(zip(keys, key_labels))
+    if len(table) != next_id:
+        key, label = next((key, label) for key, label in zip(keys, key_labels) if table[key] != label)
+        raise FormatError(f"kernel labels {label} and {table[key]} have one signature")
+    comp = LabelCompressor()
+    comp.table, comp.next_id, comp.relations = table, next_id, {relation: i for i, relation in enumerate(c.relations)}
+    return comp
 
 
 def wl_dot(f: WlFeatureVector, g: WlFeatureVector) -> int:

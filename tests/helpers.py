@@ -154,7 +154,7 @@ def write_pipeline_fixtures(tmp_path, num_docs: int = 12, seed: int = 3) -> dict
 
 
 def column(part: dict, key: str, kind: str = "int32") -> list:
-    """One stored column of an index payload part (``payload["wl"]`` or ``payload["networks"]``) as a list."""
+    """One stored column of an index payload part (such as ``payload["networks"]``) as a list."""
     return unpack(part[key], key, kind).tolist()
 
 

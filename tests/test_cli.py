@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from casegraph import engine
+from casegraph import engine, linking, relations
 from casegraph.cli import build_parser, dispatch
 from casegraph.network import network_to_dict
 from casegraph.trec import read_run
@@ -135,15 +135,17 @@ class TestBadInputsExitTwo:
 
     @pytest.mark.parametrize("edit", ["string count", "label out of range", "negative next_id"])
     def test_search_on_edited_index(self, tmp_path, fixtures, built_index, capsys, edit):
+        # The ids are those of the cases that damaged the stored kernel
+        # features and compressor, which v5 derives from the node labels.
         payload = json.loads(built_index.read_text(encoding="utf-8"))
-        wl = payload["wl"]
+        size = len(helpers.column(payload["networks"], "node_labels"))
         if edit == "string count":
-            helpers.edit_column(wl, "counts", lambda counts: counts.__setitem__(0, str(counts[0])))
+            label = lambda labels: labels.__setitem__(0, str(labels[0]))  # noqa: E731
         elif edit == "label out of range":
-            last = helpers.column(wl, "ptr")[1] - 1
-            helpers.edit_column(wl, "labels", lambda labels: labels.__setitem__(last, payload["compressor"]["next_id"]))
+            label = lambda labels: labels.__setitem__(size - 1, size)  # noqa: E731
         else:
-            payload["compressor"]["next_id"] = -1
+            label = lambda labels: labels.__setitem__(0, -1)  # noqa: E731
+        helpers.edit_column(payload["networks"], "node_labels", label)
         built_index.write_text(json.dumps(payload), encoding="utf-8")
         assert run_cli("search", "--index", str(built_index), "--query-file", fixtures["corpus"]) == 2
         assert str(built_index) in self.assert_one_error_line(capsys)
@@ -358,6 +360,24 @@ class TestBadInputsExitTwo:
         assert run_cli(*build) == 2
         assert f"error: document {spoiled[0]}: mention at byte {span[0]} " in self.assert_one_error_line(capsys)
         assert not networks.exists()
+
+    def test_build_graphs_neither_splits_nor_pairs(self, tmp_path, fixtures, monkeypatch):
+        # build-graphs aligns the file's mentions to the tokens; it used to
+        # split sentences and pair every mention only to drop the pairs.
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        mentions, edges, networks = tmp_path / "mentions.jsonl", tmp_path / "edges.jsonl", tmp_path / "networks.jsonl"
+        assert run_cli("link", *docs, "--out", str(mentions)) == 0
+        argv = ["extract", *docs, "--mentions", str(mentions), "--mode", "kbmatch", "--triples", fixtures["triples"]]
+        assert run_cli(*argv, "--out", str(edges)) == 0
+        expected = Path(helpers.write_pipeline_networks(fixtures, tmp_path / "expected.jsonl")).read_bytes()
+        calls = []
+        for module in (engine, relations, linking):
+            for name in ("split_sentences", "generate_candidates"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        assert run_cli("build-graphs", *docs, "--mentions", str(mentions), "--edges", str(edges), "--out", str(networks)) == 0
+        assert calls == []
+        assert networks.read_bytes() == expected
 
     @staticmethod
     def repeat_record(path: Path, items: str) -> tuple[str, int]:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from casegraph.network import (
     network_from_columns,
 )
 from casegraph.relations import ExtractorHyperparams, RelationInstance, distant_label, featurize_pairs, train_extractor
-from casegraph.similarity import doc_embedding, wl_dot, wl_features
+from casegraph.similarity import LabelCompressor, doc_embedding, wl_dot, wl_features, wl_label_history
 from casegraph.transe import EmbeddingModel, TrainConfig, init_model, train
 
 
@@ -451,16 +453,16 @@ class TestLoadConsistency:
         return load_index(path)
 
     def test_document_missing_from_wl(self, small_index, tmp_path):
+        # The kernel labels of the last document's nodes are missing.
         _, index = small_index
+        ptr = index.networks.columns.node_ptr
+        assert ptr[-1] > ptr[-2]
+        width = index.h + 1
 
         def edit(payload):
-            wl = payload["wl"]
-            helpers.edit_column(wl, "ptr", list.pop)
-            end = helpers.column(wl, "ptr")[-1]
-            for key in ("labels", "counts"):
-                helpers.edit_column(wl, key, lambda values: values.__delitem__(slice(end, None)))
+            helpers.edit_column(payload["networks"], "node_labels", lambda labels: labels.__delitem__(slice(width * ptr[-2], None)))
 
-        with pytest.raises(FormatError, match="different documents"):
+        with pytest.raises(FormatError, match=f"network node labels must be {width} per node, {width * ptr[-1]} in all"):
             self.load_edited(index, tmp_path, edit)
 
     def test_document_missing_from_networks(self, small_index, tmp_path):
@@ -537,7 +539,7 @@ class TestLoadConsistency:
     def test_non_integer_wl_label(self, small_index, tmp_path):
         _, index = small_index
         with pytest.raises(FormatError, match="labels must be base64 of little-endian int32 integers"):
-            self.load_edited(index, tmp_path, lambda payload: payload["wl"].update(labels="x"))
+            self.load_edited(index, tmp_path, lambda payload: payload["networks"].update(node_labels="x"))
 
     def test_derived_maps_match_fresh_index(self, small_index, tmp_path):
         _, index = small_index
@@ -550,31 +552,18 @@ class TestLoadConsistency:
             assert rebuilt.dtype == fresh.dtype and rebuilt.shape == fresh.shape, name
             assert np.array_equal(rebuilt, fresh), name
 
-    @pytest.mark.parametrize(
-        "label, count, match",
-        [
-            ("-1", 1, "outside"),
-            ("next_id", 1, "outside"),
-            ("0", "2", "integers"),
-            ("0", True, "integers"),
-            ("0", 1.0, "integers"),
-            ("0", None, "integers"),
-            ("0", 0, "positive"),
-            ("0", -3, "positive"),
-        ],
-    )
-    def test_bad_wl_entry(self, small_index, tmp_path, label, count, match):
-        # The first entry of the first row: its label and its count. A count
-        # that is no integer leaves the counts a JSON list, which is refused.
+    @pytest.mark.parametrize("label, match", [("-1", "outside"), ("next_id", "outside")], ids=["-1-1-outside", "next_id-1-outside"])
+    def test_bad_wl_entry(self, small_index, tmp_path, label, match):
+        # The first kernel label of the first node. The ids are those of the
+        # cases that damaged the stored kernel features; their counts are
+        # no longer stored.
         _, index = small_index
+        size = len(index.networks.columns.node_labels)
 
         def edit(payload):
-            wl = payload["wl"]
-            next_id = payload["compressor"]["next_id"]
-            helpers.edit_column(wl, "labels", lambda labels: labels.__setitem__(0, next_id if label == "next_id" else int(label)))
-            helpers.edit_column(wl, "counts", lambda counts: counts.__setitem__(0, count))
+            helpers.edit_column(payload["networks"], "node_labels", lambda labels: labels.__setitem__(0, size if label == "next_id" else int(label)))
 
-        with pytest.raises(FormatError, match=match):
+        with pytest.raises(FormatError, match=f"has kernel label {size if label == 'next_id' else label} {match} \\[0, {size}\\)"):
             self.load_edited(index, tmp_path, edit)
 
     @pytest.mark.parametrize("label", [True, 1.0, "3", None])
@@ -583,7 +572,9 @@ class TestLoadConsistency:
         _, index = small_index
         with pytest.raises(FormatError, match="labels must be base64"):
             self.load_edited(
-                index, tmp_path, lambda payload: helpers.edit_column(payload["wl"], "labels", lambda labels: labels.__setitem__(1, label))
+                index,
+                tmp_path,
+                lambda payload: helpers.edit_column(payload["networks"], "node_labels", lambda labels: labels.__setitem__(1, label)),
             )
 
     @pytest.mark.parametrize(
@@ -598,47 +589,63 @@ class TestLoadConsistency:
         ids=["extra entry", "missing entry", "not starting at 0", "decreasing", "boolean"],
     )
     def test_bad_ptr(self, small_index, tmp_path, edit, match):
+        # A document's kernel labels are those of its nodes, so the node pointer is the kernel rows' pointer.
         _, index = small_index
         with pytest.raises(FormatError, match=match):
-            self.load_edited(index, tmp_path, lambda payload: helpers.edit_column(payload["wl"], "ptr", edit))
-
-    @pytest.mark.parametrize("damage", ["duplicate", "swap"])
-    def test_labels_not_ascending_within_a_row(self, small_index, tmp_path, damage):
-        _, index = small_index
-        assert index.rows.ptr[1] >= 2
-
-        def edit(labels):
-            labels[0:2] = [labels[0], labels[0]] if damage == "duplicate" else [labels[1], labels[0]]
-
-        with pytest.raises(FormatError, match=f"document {index.rows.doc_ids[0]}: kernel feature labels must ascend"):
-            self.load_edited(index, tmp_path, lambda payload: helpers.edit_column(payload["wl"], "labels", edit))
+            self.load_edited(index, tmp_path, lambda payload: helpers.edit_column(payload["networks"], "node_ptr", edit))
 
     def test_rows_may_start_below_the_previous_row(self, small_index, tmp_path):
-        # Labels ascend within a row only: every new row starts over.
+        # Node labels are first-seen labels in corpus order, so a document's nodes may hold lower labels than the one before.
         _, index = small_index
-        labels, ptr = index.rows.labels, index.rows.ptr
+        labels, ptr = index.networks.columns.node_labels, index.networks.columns.node_ptr * (index.h + 1)
         assert any(labels[start] < labels[start - 1] for start in ptr[1:-1].tolist() if 0 < start < len(labels))
         assert self.load_edited(index, tmp_path, lambda payload: None).rows.doc_ids == index.rows.doc_ids
 
-    @pytest.mark.parametrize("next_id", [-1, "12", 3.0, True, None])
-    def test_bad_next_id(self, small_index, tmp_path, next_id):
-        _, index = small_index
-        with pytest.raises(FormatError, match="next_id"):
-            self.load_edited(index, tmp_path, lambda payload: payload["compressor"].update(next_id=next_id))
+    @pytest.fixture(scope="class")
+    def two_nodes(self, pipeline):
+        """Indexes of two documents ``a`` and ``b`` of one node each, by cui: one with two cuis, one with the same cui twice.
+
+        With two cuis the node of ``a`` holds labels 0..3 and that of ``b``
+        4..7; with one cui both hold 0..3.
+        """
+        lexicon, kb, transe_model, config = pipeline
+        surfaces = sorted(lexicon.surface_index)
+        indexes = {}
+        for name, texts in (("two cuis", surfaces[:1] + surfaces[-1:]), ("one cui", surfaces[:1] * 2)):
+            corpus = [Document(doc_id, "", f"{text}.") for doc_id, text in zip("ab", texts)]
+            indexes[name] = index = index_corpus(corpus, lexicon, config, kb=kb, transe=transe_model)
+            assert [len(index.networks[doc_id].nodes) for doc_id in "ab"] == [1, 1]
+        assert indexes["two cuis"].networks.columns.node_labels.tolist() == list(range(8))
+        assert indexes["one cui"].networks.columns.node_labels.tolist() == [0, 1, 2, 3] * 2
+        return indexes
 
     @pytest.mark.parametrize(
-        "edit, match",
+        "cuis, labels, match",
         [
-            (lambda c: c.update(next_id=c["next_id"] + 1), "not its number of distinct signatures"),
-            (lambda c: c.update(signatures=c["signatures"] + "\n" + c["signatures"].split("\n")[0]), "distinct"),
-            (lambda c: c.update(signatures=c["signatures"].split("\n")), "must be a string"),
+            ("two cuis", [0, 1, 2, 3, 4, 5, 7, 7], "kernel label 6 is held by no node, below the next label 8"),
+            ("one cui", [0, 1, 2, 3, 4, 5, 6, 7], "kernel labels 0 and 4 have one signature"),
+            ("two cuis", "list", "node_labels must be base64"),
+            ("two cuis", [0, 1, 2, 3, 4, 5, 6], "network node labels must be 4 per node, 8 in all, got 7"),
+            ("two cuis", [0, 1, 2, 3, 0, 4, 5, 6], "document b: node .* holds kernel label 0 at iteration 0 under another signature"),
+            ("two cuis", [0, 1, 2, 3, 4, 1, 5, 6], "document b: node .* holds kernel label 1 at iteration 1 under another signature"),
+            ("two cuis", [0, 1, 2, 3, 4, 5, 6, 2], "document b: node .* holds kernel label 2 at iteration 3 under another signature"),
         ],
-        ids=["next_id too large", "duplicate signature", "list of signatures"],
+        ids=[
+            "next_id too large", "duplicate signature", "list of signatures", "wrong length", "two cuis with one level-0 label",
+            "one label with two signatures", "one label at two iterations",
+        ],
     )
-    def test_bad_compressor(self, small_index, tmp_path, edit, match):
-        _, index = small_index
+    def test_bad_compressor(self, two_nodes, tmp_path, cuis, labels, match):
+        # The compressor is derived from the node labels and the networks, so
+        # each case damages the labels: a gap below the next label, one
+        # signature under two labels, labels stored as a JSON list, a
+        # column of the wrong length, and a label whose holders differ.
+        def edit(payload):
+            stored = helpers.column(payload["networks"], "node_labels")
+            payload["networks"]["node_labels"] = stored if labels == "list" else helpers.pack(labels)
+
         with pytest.raises(FormatError, match=match):
-            self.load_edited(index, tmp_path, lambda payload: edit(payload["compressor"]))
+            self.load_edited(two_nodes[cuis], tmp_path, edit)
 
     @pytest.mark.parametrize(
         "record, match",
@@ -732,8 +739,49 @@ class TestLoadConsistency:
 
     def test_v3_file_refused(self, small_index, tmp_path):
         _, index = small_index
-        with pytest.raises(FormatError, match="unsupported casegraph-index version 3"):
-            self.load_edited(index, tmp_path, lambda payload: payload.update(version=3))
+        for version in (3, 4):
+            with pytest.raises(FormatError, match=f"unsupported casegraph-index version {version}"):
+                self.load_edited(index, tmp_path, lambda payload: payload.update(version=version))
+
+
+class TestLabelsMatchTheOracle:
+    """Kernel rows and query labels against the ``json.dumps`` signatures, compressed over the corpus in corpus order."""
+
+    @staticmethod
+    def oracle(index, corpus):
+        """The oracle's compressor and the kernel rows (ptr, labels, counts) in doc id order."""
+        oracle, features = LabelCompressor(), {}
+        for doc in corpus:
+            history = helpers.oracle_wl_label_history(index.networks[doc.id], index.h, oracle)
+            features[doc.id] = sorted(Counter(chain.from_iterable(map(dict.values, history))).items())
+        rows = [features[doc_id] for doc_id in sorted(features)]
+        ptr = np.cumsum([0, *map(len, rows)]).tolist()
+        return oracle, ptr, [label for row in rows for label, _ in row], [count for row in rows for _, count in row]
+
+    @pytest.mark.parametrize("which", ["kbmatch", "model"])
+    def test_built_and_loaded_rows_and_query_labels(self, pipeline, small_index, model_index, tmp_path, which):
+        corpus, index = small_index if which == "kbmatch" else (model_corpus(pipeline[0]), model_index)
+        oracle, ptr, labels, counts = self.oracle(index, corpus)
+        save_index(index, tmp_path / "oracle.idx")
+        loaded = load_index(tmp_path / "oracle.idx")
+        for built in (index, loaded):
+            assert built.compressor.next_id == oracle.next_id
+            assert (built.rows.ptr.tolist(), built.rows.labels.tolist(), built.rows.counts.tolist()) == (ptr, labels, counts)
+        held = new = 0
+        texts = [doc.content() for doc in corpus[:4]] + [" ".join(doc.content() for doc in corpus), UNRELATED]
+        for text in texts:
+            net = query_network(index, text)
+            expected = helpers.oracle_wl_label_history(net, index.h, oracle.overlay())
+            for built in (index, loaded):
+                for got, want in zip(wl_label_history(net, index.h, built.compressor.overlay()), expected):
+                    for cui, label in want.items():
+                        if label < oracle.next_id:  # a signature the index holds
+                            assert got[cui] == label, (text, cui)
+                            held += 1
+                        else:
+                            assert got[cui] >= built.compressor.next_id, (text, cui)
+                            new += 1
+        assert held and new
 
 
 class TestLazyNetworks:
@@ -804,7 +852,7 @@ class TestLazyNetworks:
         lexicon, kb, transe_model, config = pipeline
         calls = []
         original = engine.network_columns
-        monkeypatch.setattr(engine, "network_columns", lambda nets: calls.append(len(nets)) or original(nets))
+        monkeypatch.setattr(engine, "network_columns", lambda nets, *labels: calls.append(len(nets)) or original(nets, *labels))
         index = index_corpus(helpers.synth_corpus(lexicon, 4, seed=6), lexicon, config, kb=kb, transe=transe_model)
         assert calls == [4]
         save_index(index, tmp_path / "once.idx")
@@ -858,7 +906,7 @@ class TestRoundTrip:
         cui = sorted(net.nodes)[0]
         for bound in (2**31 - 1, 2**31):
             nodes = {**net.nodes, cui: Node(cui, net.nodes[cui].name, [(0, bound)])}
-            columns = network_columns([replace(net, nodes=nodes)])
+            columns = network_columns([replace(net, nodes=nodes)], [])
             if bound < 2**31:
                 stored = columns_from_dict(json.loads(json.dumps(columns_to_dict(columns))))
                 check_columns([net.doc_id], stored)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from casegraph.errors import UsageError
-from casegraph.network import Edge, Node, SemanticNetwork
+from casegraph.errors import FormatError, UsageError
+from casegraph.network import Edge, Node, SemanticNetwork, network_columns
 from casegraph.similarity import (
     LabelCompressor,
     combined_similarity,
+    compressor_from_columns,
     cosine,
     doc_embedding,
     wl_dot,
@@ -198,7 +200,7 @@ def awkward_networks(draw) -> SemanticNetwork:
 
 
 class TestSignaturesEqualJsonDumps:
-    """Labels, signatures and their insertion order match the json.dumps signatures."""
+    """Labels and the order in which they are assigned match those of the json.dumps signatures."""
 
     @settings(derandomize=True, deadline=None, max_examples=150, database=None)
     @given(st.lists(awkward_networks(), min_size=1, max_size=3), st.integers(0, 3))
@@ -206,19 +208,20 @@ class TestSignaturesEqualJsonDumps:
         comp, oracle = LabelCompressor(), LabelCompressor()
         for net in nets:
             assert wl_label_history(net, h, comp) == helpers.oracle_wl_label_history(net, h, oracle)
-        assert list(comp.table.items()) == list(oracle.table.items())
+        assert list(comp.table.values()) == list(oracle.table.values())
         assert comp.next_id == oracle.next_id
 
     @settings(derandomize=True, deadline=None, max_examples=150, database=None)
     @given(st.lists(awkward_networks(), min_size=2, max_size=4), st.integers(0, 3))
     def test_overlay(self, nets, h):
-        parent = LabelCompressor()
+        parent, oracle_parent = LabelCompressor(), LabelCompressor()
         for net in nets[1:]:
-            helpers.oracle_wl_label_history(net, h, parent)
+            wl_label_history(net, h, parent)
+            helpers.oracle_wl_label_history(net, h, oracle_parent)
         table = dict(parent.table)
-        comp, oracle = parent.overlay(), parent.overlay()
+        comp, oracle = parent.overlay(), oracle_parent.overlay()
         assert wl_label_history(nets[0], h, comp) == helpers.oracle_wl_label_history(nets[0], h, oracle)
-        assert list(comp.table.items()) == list(oracle.table.items())
+        assert list(comp.table.values()) == list(oracle.table.values())
         assert comp.next_id == oracle.next_id
         assert parent.table == table
 
@@ -228,7 +231,32 @@ class TestSignaturesEqualJsonDumps:
         for i in range(40):
             net = random_network(rng, f"d{i}")
             assert wl_label_history(net, 3, comp) == helpers.oracle_wl_label_history(net, 3, oracle)
-        assert list(comp.table.items()) == list(oracle.table.items())
+        assert list(comp.table.values()) == list(oracle.table.values())
+
+
+class TestCompressorFromColumns:
+    """The compressor derived from stored node labels labels every network as the one that assigned them."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(st.lists(awkward_networks(), min_size=1, max_size=4), st.integers(0, 3))
+    def test_derived_compressor_relabels_alike(self, nets, h):
+        nets = [replace(net, doc_id=f"d{i}") for i, net in enumerate(nets)]
+        comp = LabelCompressor()
+        histories = [wl_label_history(net, h, comp) for net in nets]
+        labels = [label for history in histories for node in zip(*map(dict.values, history)) for label in node]
+        derived = compressor_from_columns([net.doc_id for net in nets], network_columns(nets, labels), h)
+        assert derived.next_id == comp.next_id == len(derived.table)
+        for net, history in zip(nets, histories):
+            overlay = derived.overlay()
+            assert wl_label_history(net, h, overlay) == history
+            assert overlay.next_id == derived.next_id  # every signature was found
+
+    def test_overflowing_sort_keys_refused(self):
+        net = make_network("d", ["A", "B"], [("A", "B", "r")])
+        columns = network_columns([net], [label for node in zip(*map(dict.values, wl_label_history(net, 1, LabelCompressor()))) for label in node])
+        assert compressor_from_columns(["d"], columns, 1).next_id == 4
+        with pytest.raises(FormatError, match="overflow the int64 sort keys"):
+            compressor_from_columns(["d"], replace(columns, relations=range(2**62)), 1)
 
 
 def tiny_model():

@@ -59,3 +59,25 @@ def test_index_corpus_runs_each_stage_once_per_document(tmp_path, monkeypatch):
     lexicon, kb = load_lexicon(fixtures["lexicon"]), load_triples(fixtures["triples"])
     engine.index_corpus(corpus, lexicon, PipelineConfig(mode="kbmatch"), kb)
     assert {stage: calls[stage] for stage in STAGES} == dict.fromkeys(STAGES, len(corpus))
+
+
+def test_wl_features_runs_once_per_document_and_once_per_query(tmp_path, monkeypatch):
+    # The traced similarity.wl_features span is engine's binding: if index_corpus
+    # or search featurized through another name, the metric would read 0.
+    fixtures = helpers.write_pipeline_fixtures(tmp_path, num_docs=12, seed=3)
+    calls: list[str] = []
+    original = engine.wl_features
+
+    def spy(net, h, comp):
+        calls.append(net.doc_id)
+        return original(net, h, comp)
+
+    monkeypatch.setattr(engine, "wl_features", spy)
+    corpus = load_corpus(fixtures["corpus"])
+    lexicon, kb = load_lexicon(fixtures["lexicon"]), load_triples(fixtures["triples"])
+    index = engine.index_corpus(corpus, lexicon, PipelineConfig(mode="kbmatch"), kb)
+    assert calls == [doc.id for doc in corpus]
+    calls.clear()
+    for doc in corpus[:3]:
+        engine.search(index, doc.content(), 5)
+    assert calls == ["query"] * 3
