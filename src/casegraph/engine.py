@@ -5,9 +5,15 @@ columnar ``Analysis`` record: its tokens (texts, normal forms, byte offsets),
 the token bounds of its sentences, its mentions (offsets, first and last
 token, cuis) and its candidate pairs (head and tail mention indices, the
 token bounds between them, their sentence). Extraction (``extract_edges``)
-and ``build_network`` read that record's columns. ``document_network`` runs
-the pipeline on to a fused network; ``search`` runs the same
-``enriched_network`` and stops before fusion, which no score reads.
+reads that record's columns, and ``_add_document`` appends the document's
+network to ``network.NetworkRows`` and enriches it there. ``index_corpus``
+adds every document of the corpus as a row, fuses all rows at once, labels
+them for the kernel at once (``similarity.wl_corpus_labels``) and only then
+puts the rows in doc id order; it makes no per-document network object.
+``search`` adds its query as a row of its own and stops before fusion,
+which no score reads; ``document_network`` runs one document on to a fused
+``SemanticNetwork``. Which models a configuration needs is checked once,
+by ``require_models``, whenever an index is built or loaded.
 
 The index bundles everything needed to answer queries with the exact
 pipeline the documents went through: the lexicon, the triple store, any
@@ -53,17 +59,16 @@ length, that the network columns decode into valid networks
 h + 1 labels per node covering 0..next_id - 1, that every node holding a
 label has that label's signature and that no signature holds two labels. It
 builds no network. Every index, built or loaded, holds its networks only as
-those columns (``StoredNetworks``): ``index_corpus`` encodes the pipeline's
-networks once, saving writes the columns as they are, and ``Index.networks``
-decodes a document's row on first access. An older container version is
-refused with ``FormatError``.
+those columns (``StoredNetworks``): saving writes the columns as they are,
+and ``Index.networks`` decodes a document's row on first access. An older
+container version is refused with ``FormatError``.
 """
 
 from __future__ import annotations
 
 import logging
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +87,10 @@ from .kb import (
     triples_to_dict,
 )
 from .linking import Mention, Mentions, Sentences, Tokens, link, split_sentences, tokenize
-from .network import (
+from .network import (  # build_network, enrich_network and fuse_network: bound for perfbench's tracer
     Edge,
     NetworkColumns,
+    NetworkRows,
     SemanticNetwork,
     build_network,
     check_columns,
@@ -92,8 +98,8 @@ from .network import (
     columns_to_dict,
     enrich_network,
     fuse_network,
-    network_columns,
     network_from_columns,
+    take_rows,
 )
 from .relations import (
     ExtractorModel,
@@ -104,7 +110,7 @@ from .relations import (
     generate_candidates,
     kb_match_extract,
 )
-from .similarity import LabelCompressor, combine, compressor_from_columns, doc_embedding, wl_features
+from .similarity import LabelCompressor, combine, compressor_from_columns, doc_embedding, wl_corpus_labels, wl_features
 from .transe import EmbeddingModel, model_from_dict, model_to_dict
 
 log = logging.getLogger(__name__)
@@ -235,6 +241,27 @@ def analyze(doc: Document, lexicon: Lexicon, window: int, mentions: Sequence[Men
     return Analysis(tokens, sentences, pairs.mentions, pairs)
 
 
+def require_models(
+    config: PipelineConfig,
+    kb: TripleStore | None,
+    extractor: ExtractorModel | None,
+    transe: EmbeddingModel | None,
+) -> None:
+    """ConfigError unless the models are given that ``config`` needs.
+
+    Mode ``model`` needs a relation extractor and ``kbmatch`` a triple store;
+    enrichment and fusion need a TransE model.
+    """
+    if config.mode == "model" and extractor is None:
+        raise ConfigError("mode 'model' requires a trained relation extractor")
+    if config.mode == "kbmatch" and kb is None:
+        raise ConfigError("mode 'kbmatch' requires a triple store")
+    if config.enrich and transe is None:
+        raise ConfigError("enrichment requires an embedding model")
+    if config.fuse and transe is None:
+        raise ConfigError("confidence fusion requires an embedding model")
+
+
 def extract_edges(
     analysis: Analysis,
     lexicon: Lexicon,
@@ -242,36 +269,32 @@ def extract_edges(
     kb: TripleStore | None = None,
     extractor: ExtractorModel | None = None,
 ) -> list[Edge]:
-    """Typed edges between a document's candidate pairs, by the configured extraction mode."""
+    """Typed edges between a document's candidate pairs, by the configured extraction mode.
+
+    The mode's model must be given (``require_models``).
+    """
     if config.mode == "model":
-        if extractor is None:
-            raise ConfigError("mode 'model' requires a trained relation extractor")
         return extract_relations(analysis.pairs, extractor, config.theta_rel, analysis.tokens, lexicon)
-    if kb is None:
-        raise ConfigError("mode 'kbmatch' requires a triple store")
     return kb_match_extract(analysis.pairs, kb)
 
 
-def enriched_network(
+def _add_document(
+    rows: NetworkRows,
     doc: Document,
     lexicon: Lexicon,
     config: PipelineConfig,
-    kb: TripleStore | None = None,
-    extractor: ExtractorModel | None = None,
-    transe: EmbeddingModel | None = None,
-) -> SemanticNetwork:
-    """The per-document pipeline up to fusion: analyze, extract, build, enrich.
+    kb: TripleStore | None,
+    extractor: ExtractorModel | None,
+) -> None:
+    """Analyze ``doc``, extract its edges, and append its network to ``rows``, enriched if configured.
 
     ``search`` stops here: no score reads an edge's confidence, so fusing a
     query's network would not change its ranking.
     """
     analysis = analyze(doc, lexicon, config.window)
-    net = build_network(doc.id, analysis.mentions, extract_edges(analysis, lexicon, config, kb, extractor), lexicon)
+    rows.add(doc.id, analysis.mentions, extract_edges(analysis, lexicon, config, kb, extractor))
     if config.enrich:
-        if transe is None:
-            raise ConfigError("enrichment requires an embedding model")
-        net = enrich_network(net, transe, config.tau_lp, config.m_cap)
-    return net
+        rows.enrich(config.tau_lp, config.m_cap)
 
 
 def document_network(
@@ -283,12 +306,12 @@ def document_network(
     transe: EmbeddingModel | None = None,
 ) -> SemanticNetwork:
     """Run the full per-document pipeline: link, extract, build, enrich, fuse."""
-    net = enriched_network(doc, lexicon, config, kb, extractor, transe)
+    require_models(config, kb, extractor, transe)
+    rows = NetworkRows(transe)
+    _add_document(rows, doc, lexicon, config, kb, extractor)
     if config.fuse:
-        if transe is None:
-            raise ConfigError("confidence fusion requires an embedding model")
-        net = fuse_network(net, transe)
-    return net
+        rows.fuse()
+    return network_from_columns(doc.id, rows, 0, lexicon)
 
 
 def index_corpus(
@@ -299,18 +322,26 @@ def index_corpus(
     extractor: ExtractorModel | None = None,
     transe: EmbeddingModel | None = None,
 ) -> Index:
-    """Build networks for every document and featurize them with a shared compressor."""
-    compressor, nets, histories = LabelCompressor(), {}, {}
-    for doc in corpus:  # in corpus order, which decides the compressed labels
-        if doc.id in nets:
+    """Build the network of every document as a row, then fuse and label all rows at once.
+
+    The rows grow in corpus order, which decides the kernel labels
+    (``wl_corpus_labels``); the index holds them in doc id order.
+    """
+    require_models(config, kb, extractor, transe)
+    rows, seen = NetworkRows(transe), set()
+    for doc in corpus:
+        if doc.id in seen:
             raise ValidationError(f"duplicate document id {doc.id}")
-        net = nets[doc.id] = document_network(doc, lexicon, config, kb, extractor, transe)
-        histories[doc.id] = wl_features(net, config.h, compressor).history
-    doc_ids = sorted(nets)
-    # Each node's labels at iterations 0..h, node after node in cui order, the order of the node columns.
-    node_labels = [label for doc_id in doc_ids for node in zip(*map(dict.values, histories[doc_id])) for label in node]
-    columns = network_columns([nets[doc_id] for doc_id in doc_ids], node_labels)
-    log.info("indexed %d documents (%d kernel labels)", len(corpus), compressor.next_id)
+        seen.add(doc.id)
+        _add_document(rows, doc, lexicon, config, kb, extractor)
+    if config.fuse:
+        rows.fuse()
+    columns = rows.columns()
+    columns = replace(columns, node_labels=wl_corpus_labels(columns, config.h))
+    order = sorted(range(len(corpus)), key=lambda row: corpus[row].id)
+    columns = take_rows(columns, np.array(order, np.int64))
+    log.info("indexed %d documents (%d kernel labels)", len(corpus), columns.node_labels.max(initial=-1) + 1)
+    doc_ids = [corpus[row].id for row in order]
     return Index(config, lexicon, kb, extractor, transe, *_derive(doc_ids, columns, config.h, lexicon, transe))
 
 
@@ -345,6 +376,15 @@ def _embed_rows(columns: NetworkColumns, transe: EmbeddingModel | None) -> np.nd
     return embeddings
 
 
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The norm of every row of ``matrix``, each with the bits of ``np.linalg.norm`` on the row alone.
+
+    A stack of (1 x d) @ (d x 1) products reduces each row as ``row.dot(row)``
+    does; ``einsum("ij,ij->i")`` does not.
+    """
+    return np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None]).ravel())
+
+
 def _derive(
     doc_ids: list[str], columns: NetworkColumns, h: int, lexicon: Lexicon, transe: EmbeddingModel | None
 ) -> tuple[LabelCompressor, StoredNetworks, DocRows]:
@@ -374,7 +414,7 @@ def _derive(
         counts[order],
         np.bincount(rows, weights=counts * counts, minlength=len(doc_ids)).astype(np.int64),  # exact below 2**53
         embeddings,
-        np.sqrt(np.array([row.dot(row) for row in embeddings])),  # what np.linalg.norm computes, row by row
+        row_norms(embeddings),
     )
 
 
@@ -449,19 +489,19 @@ def search(
 ) -> list[SearchResult]:
     """Rank documents against a query case processed by the document pipeline.
 
-    The query's network stops before fusion (``enriched_network``). With
+    The query's network stops before fusion (``_add_document``). With
     ``prune`` only documents sharing a kernel label, i.e. a concept, with the
     query are ranked. Ties break by ascending doc id; fewer than ``k``
     results are returned when candidates run out.
     """
     check("k", k)
     lam = check("lambda_weight", index.config.lambda_weight if lam is None else lam, "lambda")
-    query_doc = Document("query", "", query_text)
-    net = enriched_network(query_doc, index.lexicon, index.config, index.kb, index.extractor, index.transe)
-    features = wl_features(net, index.h, index.compressor.overlay()).counts
+    rows = NetworkRows(index.transe)
+    _add_document(rows, Document("query", "", query_text), index.lexicon, index.config, index.kb, index.extractor)
+    features = wl_features(rows, index.h, index.compressor.overlay()).counts
     labels = np.fromiter(features, np.int64, len(features))
     counts = np.fromiter(features.values(), np.int64, len(features))
-    embedding = doc_embedding(net, index.transe).vector if index.transe is not None else np.zeros(0)
+    embedding = doc_embedding(rows, index.transe).vector if index.transe is not None else np.zeros(0)
     owners, norms = np.zeros(len(labels), np.int64), np.linalg.norm(embedding, keepdims=True)
     scores, dots = _score_rows(index.rows, owners, labels, counts, embedding[None], norms, lam)
     scores = scores[0]
@@ -547,15 +587,11 @@ def index_from_dict(data: dict) -> Index:
     columns = columns_from_dict(data["networks"])
     check_columns(docs, columns)
     lexicon = lexicon_from_dict(data["lexicon"])
+    kb = triples_from_dict(data["kb"]) if data["kb"] is not None else None
+    extractor = extractor_from_dict(data["extractor"]) if data["extractor"] is not None else None
     transe = model_from_dict(data["transe"]) if data["transe"] is not None else None
-    return Index(
-        config,
-        lexicon,
-        triples_from_dict(data["kb"]) if data["kb"] is not None else None,
-        extractor_from_dict(data["extractor"]) if data["extractor"] is not None else None,
-        transe,
-        *_derive(docs, columns, config.h, lexicon, transe),
-    )
+    require_models(config, kb, extractor, transe)
+    return Index(config, lexicon, kb, extractor, transe, *_derive(docs, columns, config.h, lexicon, transe))
 
 
 def save_index(index: Index, path: str | Path) -> None:

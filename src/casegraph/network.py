@@ -4,14 +4,23 @@ A network is a directed graph of concept nodes (weighted by mention count)
 and typed edges with a confidence in (0, 1] and a provenance tag:
 ``extracted`` (from text), ``predicted`` (link prediction), or ``fused``
 (extracted confidence strengthened by link prediction).
+
+Networks are built on columns: ``NetworkRows`` appends each document's
+nodes (cui ids, span runs) and edges (endpoint positions, relation ids,
+provenances, confidences) to corpus-wide lists, enriches a row as it is
+added and fuses all rows at once; ``NetworkColumns`` is the same rows as
+arrays, the form an index holds. ``SemanticNetwork`` is the decoded view of
+one row, which the network files, the ``build-graphs`` and ``enrich``
+commands and the oracles use; ``build_network``, ``enrich_network`` and
+``fuse_network`` run the row code on one network and decode the result.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Container, Iterable, Sequence
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -29,6 +38,8 @@ PROV_EXTRACTED = "extracted"
 PROV_PREDICTED = "predicted"
 PROV_FUSED = "fused"
 _PROVENANCES = (PROV_EXTRACTED, PROV_PREDICTED, PROV_FUSED)
+_PROVENANCE_IDS = {provenance: i for i, provenance in enumerate(_PROVENANCES)}
+_EXTRACTED, _PREDICTED, _FUSED = range(len(_PROVENANCES))
 
 
 def _valid_confidence(confidence):
@@ -87,38 +98,228 @@ def node_name(cui: str, lexicon: Lexicon) -> str:
     return concept.preferred_name if concept else cui
 
 
-def build_network(doc_id: str, mentions: Sequence[Mention], edges: list[Edge], lexicon: Lexicon) -> SemanticNetwork:
-    """Aggregate mentions into weighted nodes and attach deduplicated edges.
-
-    One node per distinct primary cui, with the spans of its mentions in
-    their order; duplicate (head, tail, relation) edges keep the maximum
-    confidence. An edge endpoint without a node is an error.
-    """
-    net = SemanticNetwork(doc_id)
-    mentions = Mentions.of(mentions)
-    for cui, start, end in zip(mentions.primaries, mentions.starts, mentions.ends):
-        node = net.nodes.get(cui)
-        if node is None:
-            node = net.nodes[cui] = Node(cui, node_name(cui, lexicon), [])
-        node.mention_spans.append((start, end))
-    best: dict[tuple[str, str, str], Edge] = {}
+def _check_endpoints(doc_id: str, nodes: Container[str], edges: Sequence[Edge]) -> None:
+    """ConsistencyError naming the first edge endpoint, in edge order, that is not among ``nodes``."""
     for edge in edges:
         for endpoint in (edge.head, edge.tail):
-            if endpoint not in net.nodes:
+            if endpoint not in nodes:
                 raise ConsistencyError(f"edge endpoint {endpoint} has no node in document {doc_id}")
-        kept = best.get(edge.key())
-        if kept is None or edge.confidence > kept.confidence:
-            best[edge.key()] = edge
-    net.edges = [best[k] for k in sorted(best)]
-    if not net.nodes:
-        log.debug("document %s produced an empty network", doc_id)
-    return net
+
+
+class NetworkRows:
+    """Networks being built, column-wise: the rows of ``NetworkColumns`` as lists that grow row by row.
+
+    The fields are those of ``NetworkColumns`` but for two differences: the
+    ``cuis`` and ``relations`` tables hold their strings in the order they
+    were first met, and there are no node labels. ``relations`` opens with
+    the model's relations, sorted, so that their ids are their positions in
+    the enrichment block. ``add`` appends a document's row, ``enrich``
+    enriches the last row, ``fuse`` fuses every row at once and ``columns``
+    gives the rows as ``NetworkColumns``, both tables sorted.
+    """
+
+    def __init__(self, model: EmbeddingModel | None = None):
+        self.model = model
+        self.cuis: list[str] = []
+        self.relations: list[str] = sorted(model.relation_vectors) if model is not None else []
+        self._cui_ids: dict[str, int] = {}
+        self._relation_ids = {relation: i for i, relation in enumerate(self.relations)}
+        # The model's relation vectors, one row per id.
+        self.relation_vectors = np.array([model.relation_vectors[r] for r in self.relations]) if model is not None else None
+        self.node_ptr, self.node_cuis, self.span_ptr, self.spans = [0], [], [0], []
+        self.edge_ptr, self.heads, self.tails, self.edge_relations = [0], [], [], []
+        self.provenances: list[int] = []
+        self.confidences: list[float] = []
+
+    @classmethod
+    def of(cls, net: SemanticNetwork | NetworkRows, model: EmbeddingModel | None = None) -> NetworkRows:
+        """``net`` as a row, its edges in their order; rows are returned as they are."""
+        if isinstance(net, NetworkRows):
+            return net
+        rows = cls(model)
+        rows.add_network(net)
+        return rows
+
+    def add_network(self, net: SemanticNetwork) -> None:
+        """Append ``net`` as a row, its edges in their order; an edge endpoint without a node is a ``ConsistencyError``."""
+        _check_endpoints(net.doc_id, net.nodes, net.edges)
+        cuis = sorted(net.nodes)
+        self._append(cuis, [chain.from_iterable(net.nodes[cui].mention_spans) for cui in cuis], net.edges)
+
+    def _append(self, cuis: list[str], runs: Iterable, edges: Sequence[Edge]) -> None:
+        """Append a row: the nodes ``cuis``, ascending, with their flat span bounds ``runs``, and ``edges`` between them in their order."""
+        position = {cui: i for i, cui in enumerate(cuis)}
+        for cui, run in zip(cuis, runs):
+            cui_id = self._cui_ids.get(cui)
+            if cui_id is None:
+                cui_id = self._cui_ids[cui] = len(self.cuis)
+                self.cuis.append(cui)
+            self.node_cuis.append(cui_id)
+            self.spans.extend(run)
+            self.span_ptr.append(len(self.spans))
+        self.node_ptr.append(len(self.node_cuis))
+        for edge in edges:
+            relation_id = self._relation_ids.get(edge.relation)
+            if relation_id is None:
+                relation_id = self._relation_ids[edge.relation] = len(self.relations)
+                self.relations.append(edge.relation)
+            self.heads.append(position[edge.head])
+            self.tails.append(position[edge.tail])
+            self.edge_relations.append(relation_id)
+            self.provenances.append(_PROVENANCE_IDS[edge.provenance])
+            self.confidences.append(edge.confidence)
+        self.edge_ptr.append(len(self.heads))
+
+    def add(self, doc_id: str, mentions: Sequence[Mention], edges: Sequence[Edge]) -> None:
+        """Append the network of a document's mentions and edges as its row.
+
+        One node per distinct primary cui, with the spans of its mentions in
+        their order; duplicate (head, tail, relation) edges keep the maximum
+        confidence, and the edges are in key order. An edge endpoint without
+        a node is a ``ConsistencyError``.
+        """
+        mentions = Mentions.of(mentions)
+        runs: dict[str, list[int]] = {}
+        for cui, start, end in zip(mentions.primaries, mentions.starts, mentions.ends):
+            run = runs.get(cui)
+            if run is None:
+                run = runs[cui] = []
+            run += (start, end)
+        _check_endpoints(doc_id, runs, edges)
+        best: dict[tuple[str, str, str], Edge] = {}
+        for edge in edges:
+            kept = best.get(edge.key())
+            if kept is None or edge.confidence > kept.confidence:
+                best[edge.key()] = edge
+        cuis = sorted(runs)
+        self._append(cuis, map(runs.__getitem__, cuis), [best[key] for key in sorted(best)])
+        if not cuis:
+            log.debug("document %s produced an empty network", doc_id)
+
+    def enrich(self, tau_lp: float, m_cap: int | None = None) -> None:
+        """Append the most plausible absent edges between the last row's nodes, as ``enrich_network`` describes."""
+        check("tau_lp", tau_lp)
+        first, edges = self.node_ptr[-2], self.edge_ptr[-2]
+        if check("m_cap", m_cap) is None:
+            m_cap = len(self.heads) - edges
+        entity = self.model.entity_vectors
+        vectors = [entity.get(self.cuis[cui]) for cui in self.node_cuis[first:]]
+        known = [node for node, vector in enumerate(vectors) if vector is not None]  # nodes in cui order
+        if m_cap == 0 or not known or not self.model.relation_vectors:
+            return
+        relation_vectors = self.relation_vectors
+        relations = len(relation_vectors)
+        heads = np.array([vectors[node] for node in known])
+        # One (head, tail, relation) block of distances, computed in slices of
+        # heads that hold about a million numbers at most; self-pairs and existing
+        # edges are no candidates.
+        step = max(1, (1 << 20) // max(1, len(known) * relation_vectors.size))
+        dist = np.concatenate([
+            distances(heads[i : i + step, None, None] + relation_vectors[None, None] - heads[None, :, None], self.model.config.distance)
+            for i in range(0, len(known), step)
+        ])
+        diagonal = np.arange(len(known))
+        dist[diagonal, diagonal] = np.inf
+        at = [-1] * len(vectors)  # each node's position in the block, -1 without a vector
+        for i, node in enumerate(known):
+            at[node] = i
+        for head, tail, relation in zip(self.heads[edges:], self.tails[edges:], self.edge_relations[edges:]):
+            if at[head] >= 0 and at[tail] >= 0 and relation < relations:
+                dist[at[head], at[tail], relation] = np.inf
+        # exp is monotone, so no candidate beyond the m_cap-th smallest distance
+        # can outrank those up to it, and none beyond the tau_lp bound can pass.
+        # Both cuts leave 1e-9 of room for the rounding of exp and log; the
+        # exact plausibility test and ranking then run on the survivors alone.
+        flat = dist.ravel()
+        near = np.flatnonzero(flat <= -math.log(tau_lp) + 1e-9)
+        near_dist = flat[near]
+        if m_cap < len(near):
+            kept = near_dist <= np.partition(near_dist, m_cap - 1)[m_cap - 1] + 1e-9
+            near, near_dist = near[kept], near_dist[kept]
+        candidates = []
+        for i, d in zip(near.tolist(), near_dist.tolist()):
+            score = math.exp(-d)
+            if score >= tau_lp:
+                candidates.append((-score, i))  # C order of (head, tail, relation) is the key order
+        candidates.sort()
+        width = len(known) * relations
+        for negated, i in candidates[:m_cap]:
+            head, rest = divmod(i, width)
+            tail, relation = divmod(rest, relations)
+            self.heads.append(known[head])
+            self.tails.append(known[tail])
+            self.edge_relations.append(relation)
+            self.provenances.append(_PREDICTED)
+            self.confidences.append(-negated)
+        self.edge_ptr[-1] = len(self.heads)
+
+    def fuse(self) -> None:
+        """Strengthen every extracted edge of every row that the model can score, as ``fuse_network`` describes.
+
+        All the edges' distances come from one ``distances`` call, row for
+        row the bits of ``plausibility`` on each edge.
+        """
+        model = self.model
+        vectors = [model.entity_vectors.get(cui) for cui in self.cuis]
+        if not self.heads or not any(vector is not None for vector in vectors):
+            return
+        edge_rows = np.repeat(np.arange(len(self.edge_ptr) - 1), np.diff(self.edge_ptr))
+        offsets = np.array(self.node_ptr)[edge_rows]
+        node_cuis = np.array(self.node_cuis, np.int64)
+        heads, tails = node_cuis[offsets + self.heads], node_cuis[offsets + self.tails]
+        relations = np.array(self.edge_relations)
+        known = np.array([vector is not None for vector in vectors])
+        scorable = np.flatnonzero(
+            (np.array(self.provenances) == _EXTRACTED) & (relations < len(model.relation_vectors)) & known[heads] & known[tails]
+        )
+        if not len(scorable):
+            return
+        zero = np.zeros(model.config.dim)
+        entity = np.array([zero if vector is None else vector for vector in vectors])
+        # heads, relations and tails, each C-contiguous
+        relation = self.relation_vectors[relations[scorable]]
+        dist = distances(entity[heads[scorable]] + relation - entity[tails[scorable]], model.config.distance)
+        confidences, provenances = self.confidences, self.provenances
+        for e, d in zip(scorable.tolist(), dist.tolist()):
+            confidences[e] = fuse_confidence(confidences[e], math.exp(-d))
+            provenances[e] = _FUSED
+
+    def columns(self) -> NetworkColumns:
+        """The rows as ``NetworkColumns``, with sorted tables of the cuis and relations they use and no node labels."""
+        cuis = sorted(range(len(self.cuis)), key=self.cuis.__getitem__)
+        relations = sorted(set(self.edge_relations), key=self.relations.__getitem__)
+        cui_ids = np.zeros(len(self.cuis), np.int64)
+        cui_ids[cuis] = np.arange(len(cuis))
+        relation_ids = np.zeros(len(self.relations), np.int64)
+        relation_ids[relations] = np.arange(len(relations))
+        return NetworkColumns(
+            [self.cuis[i] for i in cuis],
+            [self.relations[i] for i in relations],
+            np.array(self.node_ptr, np.int64),
+            cui_ids[np.array(self.node_cuis, np.int64)],
+            np.array(self.span_ptr, np.int64),
+            np.array(self.spans, np.int64),
+            np.array(self.edge_ptr, np.int64),
+            np.array(self.heads, np.int64),
+            np.array(self.tails, np.int64),
+            relation_ids[np.array(self.edge_relations, np.int64)],
+            np.array(self.provenances, np.int64),
+            np.array(self.confidences, np.float64),
+            np.zeros(0, np.int64),
+        )
+
+
+def build_network(doc_id: str, mentions: Sequence[Mention], edges: list[Edge], lexicon: Lexicon) -> SemanticNetwork:
+    """Aggregate mentions into weighted nodes and attach deduplicated edges (``NetworkRows.add``)."""
+    rows = NetworkRows()
+    rows.add(doc_id, mentions, edges)
+    return network_from_columns(doc_id, rows, 0, lexicon)
 
 
 def enrich_network(
     net: SemanticNetwork, model: EmbeddingModel, tau_lp: float, m_cap: int | None = None
 ) -> SemanticNetwork:
-    """Add the most plausible absent edges between existing nodes.
+    """Add the most plausible absent edges between existing nodes (``NetworkRows.enrich``).
 
     Every ordered node pair and model relation without an existing
     (head, tail, relation) edge is scored by translation plausibility;
@@ -128,55 +329,9 @@ def enrich_network(
     edges. Nodes, existing edges, and their order are untouched; pairs the
     model cannot score are skipped.
     """
-    check("tau_lp", tau_lp)
-    if check("m_cap", m_cap) is None:
-        m_cap = len(net.edges)
-    enriched = SemanticNetwork(net.doc_id, dict(net.nodes), list(net.edges))
-    if m_cap == 0 or not net.nodes:
-        return enriched
-    cuis = [c for c in sorted(net.nodes) if c in model.entity_vectors]
-    relations = sorted(model.relation_vectors)
-    if not cuis or not relations:
-        return enriched
-    # One (head, tail, relation) block of distances, computed in slices of
-    # heads that hold about a million numbers at most; self-pairs and existing
-    # edges are no candidates.
-    vectors = np.array([model.entity_vectors[c] for c in cuis])
-    relation_vectors = np.array([model.relation_vectors[r] for r in relations])
-    step = max(1, (1 << 20) // max(1, len(cuis) * relation_vectors.size))
-    dist = np.concatenate([
-        distances(vectors[i : i + step, None, None] + relation_vectors[None, None] - vectors[None, :, None], model.config.distance)
-        for i in range(0, len(cuis), step)
-    ])
-    diagonal = np.arange(len(cuis))
-    dist[diagonal, diagonal] = np.inf
-    position = {cui: i for i, cui in enumerate(cuis)}
-    relation_position = {r: i for i, r in enumerate(relations)}
-    for edge in net.edges:
-        if edge.head in position and edge.tail in position and edge.relation in relation_position:
-            dist[position[edge.head], position[edge.tail], relation_position[edge.relation]] = np.inf
-    # exp is monotone, so no candidate beyond the m_cap-th smallest distance
-    # can outrank those up to it, and none beyond the tau_lp bound can pass.
-    # Both cuts leave 1e-9 of room for the rounding of exp and log; the
-    # exact plausibility test and ranking then run on the survivors alone.
-    flat = dist.ravel()
-    near = np.flatnonzero(flat <= -math.log(tau_lp) + 1e-9)
-    near_dist = flat[near]
-    if m_cap < len(near):
-        kept = near_dist <= np.partition(near_dist, m_cap - 1)[m_cap - 1] + 1e-9
-        near, near_dist = near[kept], near_dist[kept]
-    candidates = []
-    for i, d in zip(near.tolist(), near_dist.tolist()):
-        score = math.exp(-d)
-        if score >= tau_lp:
-            candidates.append((-score, i))  # C order of (head, tail, relation) is the key order
-    candidates.sort()
-    width = len(cuis) * len(relations)
-    for negated, i in candidates[:m_cap]:
-        head, rest = divmod(i, width)
-        tail, relation = divmod(rest, len(relations))
-        enriched.edges.append(Edge(cuis[head], cuis[tail], relations[relation], -negated, PROV_PREDICTED))
-    return enriched
+    rows = NetworkRows.of(net, model)
+    rows.enrich(tau_lp, m_cap)
+    return SemanticNetwork(net.doc_id, dict(net.nodes), net.edges + _edges(rows, sorted(net.nodes), slice(len(net.edges), None)))
 
 
 def fuse_confidence(c_ext: float, c_lp: float) -> float:
@@ -189,26 +344,14 @@ def fuse_confidence(c_ext: float, c_lp: float) -> float:
 
 
 def fuse_network(net: SemanticNetwork, model: EmbeddingModel) -> SemanticNetwork:
-    """Strengthen every extracted edge the model can score; provenance becomes fused.
-
-    The edges' distances come from one ``distances`` call, row for row the
-    bits of ``plausibility`` on each edge.
-    """
-    fused = SemanticNetwork(net.doc_id, dict(net.nodes), list(net.edges))
-    scorable = [
-        i for i, e in enumerate(net.edges) if e.provenance == PROV_EXTRACTED and model.knows(e.head, e.relation, e.tail)
+    """Strengthen every extracted edge the model can score; provenance becomes fused (``NetworkRows.fuse``)."""
+    rows = NetworkRows.of(net, model)
+    rows.fuse()
+    edges = [
+        edge if provenance == _PROVENANCE_IDS[edge.provenance] else Edge(edge.head, edge.tail, edge.relation, confidence, PROV_FUSED)
+        for edge, provenance, confidence in zip(net.edges, rows.provenances, rows.confidences)
     ]
-    if not scorable:
-        return fused
-    edges = [net.edges[i] for i in scorable]
-    entity, relation = model.entity_vectors, model.relation_vectors
-    vectors = np.array(
-        [entity[e.head] for e in edges] + [relation[e.relation] for e in edges] + [entity[e.tail] for e in edges]
-    ).reshape(3, len(edges), -1)  # heads, relations and tails, each C-contiguous
-    dist = distances(vectors[0] + vectors[1] - vectors[2], model.config.distance)
-    for i, edge, d in zip(scorable, edges, dist.tolist()):
-        fused.edges[i] = Edge(edge.head, edge.tail, edge.relation, fuse_confidence(edge.confidence, math.exp(-d)), PROV_FUSED)
-    return fused
+    return SemanticNetwork(net.doc_id, dict(net.nodes), edges)
 
 
 def edge_to_dict(edge: Edge) -> dict:
@@ -273,9 +416,7 @@ def network_from_dict(data: dict) -> SemanticNetwork:
         net.nodes[row["cui"]] = Node(row["cui"], row["name"], spans)
     for row in data["edges"]:
         edge = edge_from_dict(row)
-        for endpoint in (edge.head, edge.tail):
-            if endpoint not in net.nodes:
-                raise ConsistencyError(f"edge endpoint {endpoint} has no node in document {data['doc_id']}")
+        _check_endpoints(net.doc_id, net.nodes, [edge])
         net.edges.append(edge)
     return net
 
@@ -336,38 +477,37 @@ def columns_from_dict(data: dict) -> NetworkColumns:
 
 def network_columns(nets: list[SemanticNetwork], node_labels: Sequence[int]) -> NetworkColumns:
     """The columns of ``nets``, one row per network in the given order, with ``node_labels`` as they are."""
-    cuis = sorted({cui for net in nets for cui in net.nodes})
-    relations = sorted({edge.relation for net in nets for edge in net.edges})
-    cui_id = {cui: i for i, cui in enumerate(cuis)}
-    relation_id = {relation: i for i, relation in enumerate(relations)}
-    provenance_id = {provenance: i for i, provenance in enumerate(_PROVENANCES)}
-    node_cuis, span_sizes, spans, edges = [], [], [], []
+    rows = NetworkRows()
     for net in nets:
-        order = sorted(net.nodes)
-        position = {cui: i for i, cui in enumerate(order)}
-        for cui in order:
-            node_cuis.append(cui_id[cui])
-            span_sizes.append(2 * len(net.nodes[cui].mention_spans))
-            spans.extend(chain.from_iterable(net.nodes[cui].mention_spans))
-        edges += [
-            (position[e.head], position[e.tail], relation_id[e.relation], provenance_id[e.provenance], e.confidence)
-            for e in net.edges
-        ]
-    heads, tails, edge_relations, provenances, confidences = zip(*edges) if edges else ((),) * 5
+        rows.add_network(net)
+    return replace(rows.columns(), node_labels=np.array(node_labels, np.int64))
+
+
+def _gather(ptr: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pointer of a CSR layout's rows taken in ``order``, and the positions of their items."""
+    sizes = np.diff(ptr)[order]
+    taken = np.zeros(len(order) + 1, np.int64)
+    np.cumsum(sizes, out=taken[1:])
+    return taken, np.repeat(ptr[order] - taken[:-1], sizes) + np.arange(taken[-1])
+
+
+def take_rows(columns: NetworkColumns, order: np.ndarray) -> NetworkColumns:
+    """``columns`` with row ``i`` holding row ``order[i]``; each node keeps its labels."""
+    c = columns
+    node_ptr, nodes = _gather(c.node_ptr, order)
+    span_ptr, spans = _gather(c.span_ptr, nodes)
+    edge_ptr, edges = _gather(c.edge_ptr, order)
+    labels = c.node_labels.reshape(len(c.node_cuis), len(c.node_labels) // max(1, len(c.node_cuis)))
     return NetworkColumns(
-        cuis,
-        relations,
-        np.cumsum([0, *(len(net.nodes) for net in nets)]),
-        np.array(node_cuis, np.int64),
-        np.cumsum([0, *span_sizes]),
-        np.array(spans, np.int64),
-        np.cumsum([0, *(len(net.edges) for net in nets)]),
-        np.array(heads, np.int64),
-        np.array(tails, np.int64),
-        np.array(edge_relations, np.int64),
-        np.array(provenances, np.int64),
-        np.array(confidences, np.float64),
-        np.array(node_labels, np.int64),
+        c.cuis,
+        c.relations,
+        node_ptr,
+        c.node_cuis[nodes],
+        span_ptr,
+        c.spans[spans],
+        edge_ptr,
+        *(column[edges] for column in (c.heads, c.tails, c.edge_relations, c.provenances, c.confidences)),
+        labels[nodes].ravel(),
     )
 
 
@@ -452,28 +592,27 @@ def check_columns(doc_ids: list[str], columns: NetworkColumns) -> None:
         raise FormatError(f"document {doc_ids[edge_rows[i]]}: edge confidence {c.confidences[i]} outside (0, 1]")
 
 
-def network_from_columns(doc_id: str, columns: NetworkColumns, row: int, lexicon: Lexicon) -> SemanticNetwork:
-    """Decode row ``row`` of columns that ``check_columns`` accepted."""
+def _edges(c: NetworkColumns | NetworkRows, cuis: list[str], edges: slice) -> list[Edge]:
+    """The edges ``edges`` of ``c``, whose row has the node cuis ``cuis``."""
+    columns = (c.heads, c.tails, c.edge_relations, c.confidences, c.provenances)
+    return [
+        Edge(cuis[head], cuis[tail], c.relations[relation], confidence, _PROVENANCES[provenance])
+        for head, tail, relation, confidence, provenance in zip(*(np.asarray(column[edges]).tolist() for column in columns))
+    ]
+
+
+def network_from_columns(doc_id: str, columns: NetworkColumns | NetworkRows, row: int, lexicon: Lexicon) -> SemanticNetwork:
+    """Decode row ``row`` of ``NetworkRows`` or of columns that ``check_columns`` accepted."""
     c = columns
-    first, last = c.node_ptr[row : row + 2].tolist()
-    cuis = [c.cuis[i] for i in c.node_cuis[first:last].tolist()]
-    ends = c.span_ptr[first : last + 1].tolist()
-    bounds = c.spans[ends[0] : ends[-1]].tolist()
+    first, last = np.asarray(c.node_ptr[row : row + 2]).tolist()
+    cuis = [c.cuis[i] for i in np.asarray(c.node_cuis[first:last]).tolist()]
+    ends = np.asarray(c.span_ptr[first : last + 1]).tolist()
+    bounds = np.asarray(c.spans[ends[0] : ends[-1]]).tolist()
     net = SemanticNetwork(doc_id)
     for cui, start, end in zip(cuis, ends, ends[1:]):
         run = bounds[start - ends[0] : end - ends[0]]
         net.nodes[cui] = Node(cui, node_name(cui, lexicon), list(zip(run[::2], run[1::2])))
-    edges = slice(*c.edge_ptr[row : row + 2].tolist())
-    net.edges = [
-        Edge(cuis[head], cuis[tail], c.relations[relation], confidence, _PROVENANCES[provenance])
-        for head, tail, relation, confidence, provenance in zip(
-            c.heads[edges].tolist(),
-            c.tails[edges].tolist(),
-            c.edge_relations[edges].tolist(),
-            c.confidences[edges].tolist(),
-            c.provenances[edges].tolist(),
-        )
-    ]
+    net.edges = _edges(c, cuis, slice(*np.asarray(c.edge_ptr[row : row + 2]).tolist()))
     return net
 
 

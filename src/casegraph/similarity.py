@@ -5,6 +5,13 @@ signature of its own label and its relation-tagged neighborhood (edges
 treated as undirected, relation tags kept), then counts labels from all
 iterations. The latent component averages entity embeddings over nodes,
 weighted by mention count. Both are combined convexly.
+
+An index labels its whole corpus at once (``wl_corpus_labels``): one sort
+per iteration classes every node's signature, and a class's label is the
+rank of its first holder, as a compressor going through the corpus would
+assign them. A query, or any single network, is labelled node by node
+through a ``LabelCompressor`` (``wl_label_history``), which
+``compressor_from_columns`` rebuilds from an index's stored labels.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .config import check
 from .errors import FormatError, UsageError
-from .network import NetworkColumns, SemanticNetwork, first_true
+from .network import NetworkColumns, NetworkRows, SemanticNetwork, first_true
 from .transe import EmbeddingModel
 
 
@@ -80,7 +87,6 @@ class WlFeatureVector:
     counts: dict[int, int]
     h: int
     comp: LabelCompressor = field(repr=False, compare=False)
-    history: list[dict[str, int]] = field(repr=False, compare=False)  # the wl_label_history counted
 
 
 @dataclass
@@ -89,8 +95,8 @@ class DocEmbedding:
     mass: int
 
 
-def wl_label_history(net: SemanticNetwork, h: int, comp: LabelCompressor) -> list[dict[str, int]]:
-    """Per-iteration node label maps for iterations 0..h.
+def wl_label_history(net: SemanticNetwork | NetworkRows, h: int, comp: LabelCompressor) -> list[dict[str, int]]:
+    """Per-iteration node label maps for iterations 0..h of a network or of a single row.
 
     Iteration 0 labels encode the node cuis; iteration i+1 relabels each node
     with its previous label plus the sorted multiset of (relation, neighbor
@@ -98,13 +104,13 @@ def wl_label_history(net: SemanticNetwork, h: int, comp: LabelCompressor) -> lis
     assignment is independent of insertion order.
     """
     check("h", h)
-    cuis = sorted(net.nodes)
-    position = {cui: i for i, cui in enumerate(cuis)}
+    rows = NetworkRows.of(net)
+    cuis = [rows.cuis[cui] for cui in rows.node_cuis]
     # Undirected neighborhood with the relation tag kept; multi-edges count once each.
     neighbors: list[list[tuple[int, int]]] = [[] for _ in cuis]
     relation_id = comp.relation_id
-    for edge in net.edges:
-        relation, head, tail = relation_id(edge.relation), position[edge.head], position[edge.tail]
+    for head, tail, relation in zip(rows.heads, rows.tails, rows.edge_relations):
+        relation = relation_id(rows.relations[relation])
         neighbors[head].append((relation, tail))
         neighbors[tail].append((relation, head))
     compress = comp.compress
@@ -120,11 +126,78 @@ def wl_label_history(net: SemanticNetwork, h: int, comp: LabelCompressor) -> lis
     return history
 
 
-def wl_features(net: SemanticNetwork, h: int, comp: LabelCompressor) -> WlFeatureVector:
-    """Label counts accumulated over iterations 0..h, with the per-iteration label maps they count."""
-    history = wl_label_history(net, h, comp)
-    counts = Counter(chain.from_iterable(map(dict.values, history)))
-    return WlFeatureVector(dict(counts), h, comp, history)
+def wl_features(net: SemanticNetwork | NetworkRows, h: int, comp: LabelCompressor) -> WlFeatureVector:
+    """Label counts accumulated over iterations 0..h of a network or of a single row."""
+    counts = Counter(chain.from_iterable(map(dict.values, wl_label_history(net, h, comp))))
+    return WlFeatureVector(dict(counts), h, comp)
+
+
+def _incidences(columns: NetworkColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each edge from both ends: its owner and other node by position in the columns, and its relation id; and each node's degree."""
+    c = columns
+    edge_rows = np.repeat(np.arange(len(c.edge_ptr) - 1), np.diff(c.edge_ptr))
+    heads, tails = c.node_ptr[edge_rows] + c.heads, c.node_ptr[edge_rows] + c.tails
+    owners = np.concatenate([heads, tails])
+    return owners, np.concatenate([tails, heads]), np.tile(c.edge_relations, 2), np.bincount(owners, minlength=len(c.node_cuis))
+
+
+def wl_corpus_labels(columns: NetworkColumns, h: int) -> np.ndarray:
+    """Each node's kernel labels at iterations 0..h, node after node: those of one compressor going through the rows in order.
+
+    Within a row the compressor labels every node at one iteration before
+    the next, nodes in order. So at each iteration the nodes fall into
+    classes, which are the cuis at iteration 0 and after it the distinct
+    (previous class, sorted (relation id, neighbor class) pairs) keys,
+    ranked by one ``np.lexsort`` per band of degrees. A class's label is the
+    rank of its first holder in (row, iteration, node) order.
+    """
+    check("h", h)
+    c, width = columns, h + 1
+    nodes = len(c.node_cuis)
+    owners, others, relations, degrees = _incidences(c)
+    starts = np.cumsum(degrees) - degrees
+    pair_owners = np.repeat(np.arange(nodes), degrees)
+    # The nodes of degree 0, 1, 2-3, 4-7, ... and where their pairs go in a
+    # band's key matrix, after the previous class. Padded with -1 to the
+    # band's largest degree, the pairs at most double, and keys of two
+    # degrees differ at the smaller one's padding.
+    bands = np.frexp(degrees)[1]
+    layouts = []
+    for band in np.unique(bands).tolist():
+        members = np.flatnonzero(bands == band)
+        local = np.zeros(nodes, np.int64)
+        local[members] = np.arange(len(members))
+        held = np.flatnonzero(bands[pair_owners] == band)
+        cells = (local[pair_owners[held]], 1 + held - starts[pair_owners[held]])
+        layouts.append((members, (len(members), 1 + int(degrees[members].max())), held, cells))
+    classes, count = [c.node_cuis.astype(np.int64)], len(c.cuis)
+    for _ in range(h):
+        previous = classes[-1]
+        span = max(len(c.relations), 1) * max(count, 1)
+        pairs = np.sort(owners * span + relations * count + previous[others]) % span  # node after node, ascending
+        current, count = np.empty(nodes, np.int64), 0
+        for members, shape, held, cells in layouts:
+            keys = np.full(shape, -1, np.int64)
+            keys[:, 0] = previous[members]
+            keys[cells] = pairs[held]
+            order = np.lexsort(keys.T[::-1])
+            ranked = keys[order]
+            new = np.ones(len(order), bool)
+            new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+            current[members[order]] = count + np.cumsum(new) - 1
+            count += int(new.sum())
+        classes.append(current)
+    # A (iteration, class) pair's first holder, in (row, iteration, node) order.
+    offsets = np.cumsum([0] + [int(level.max(initial=-1)) + 1 for level in classes])
+    grid = np.stack(classes, axis=1) + offsets[:-1]
+    rows = np.repeat(np.arange(len(c.node_ptr) - 1), np.diff(c.node_ptr))
+    sizes, firsts = np.diff(c.node_ptr)[rows], c.node_ptr[rows]
+    seen = firsts[:, None] * width + np.arange(width) * sizes[:, None] + (np.arange(nodes) - firsts)[:, None]
+    first = np.full(offsets[-1], nodes * width)
+    np.minimum.at(first, grid.ravel(), seen.ravel())
+    labels = np.empty(offsets[-1], np.int64)
+    labels[np.argsort(first, kind="stable")] = np.arange(offsets[-1])
+    return labels[grid].ravel()
 
 
 def compressor_from_columns(doc_ids: list[str], columns: NetworkColumns, h: int) -> LabelCompressor:
@@ -162,16 +235,13 @@ def compressor_from_columns(doc_ids: list[str], columns: NetworkColumns, h: int)
     # Each edge from both ends, by global node position. A (relation id,
     # neighbor label) pair is one number below span, so sorting
     # owner * span + pair sorts each node's pairs, node after node.
-    edge_rows = np.repeat(np.arange(len(doc_ids)), np.diff(c.edge_ptr))
-    heads, tails = c.node_ptr[edge_rows] + c.heads, c.node_ptr[edge_rows] + c.tails
-    owners, others = np.concatenate([heads, tails]), np.concatenate([tails, heads])
-    degrees = np.bincount(owners, minlength=nodes)
+    owners, others, relations, degrees = _incidences(c)
     starts = np.cumsum(degrees) - degrees
     pair_owners, positions = np.repeat(np.arange(nodes), degrees), np.arange(len(owners))
     span = max(len(c.relations), 1) * max(next_id, 1)
     if nodes * span >= 2**63:
         raise FormatError(f"{nodes} nodes, {len(c.relations)} relations and {next_id} kernel labels overflow the int64 sort keys")
-    owned = owners * span + np.tile(c.edge_relations, 2) * next_id
+    owned = owners * span + relations * next_id
     # Each node's key at one iteration, node after node: its previous label, then its pairs.
     items = np.empty(nodes + 2 * len(owners), "<i4")
     begins, at = np.arange(nodes) + 2 * starts, pair_owners + 1 + 2 * positions
@@ -224,19 +294,20 @@ def wl_kernel_normalized(f: WlFeatureVector, g: WlFeatureVector) -> float:
     return wl_dot(f, g) / math.sqrt(wl_dot(f, f) * wl_dot(g, g))
 
 
-def doc_embedding(net: SemanticNetwork, model: EmbeddingModel) -> DocEmbedding:
-    """Mention-count-weighted average of the entity vectors of the nodes.
+def doc_embedding(net: SemanticNetwork | NetworkRows, model: EmbeddingModel) -> DocEmbedding:
+    """Mention-count-weighted average of the entity vectors of the nodes of a network or of a single row.
 
     Nodes without an entity vector are skipped; if none remain the result
     is the zero vector with mass 0.
     """
+    rows = NetworkRows.of(net)
     total = np.zeros(model.config.dim)
     mass = 0
-    for cui in sorted(net.nodes):
-        vec = model.entity_vectors.get(cui)
+    for cui, start, end in zip(rows.node_cuis, rows.span_ptr, rows.span_ptr[1:]):
+        vec = model.entity_vectors.get(rows.cuis[cui])
         if vec is None:
             continue
-        weight = net.nodes[cui].weight
+        weight = (end - start) // 2
         total += weight * vec
         mass += weight
     if mass == 0:

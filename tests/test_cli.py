@@ -150,6 +150,25 @@ class TestBadInputsExitTwo:
         assert run_cli("search", "--index", str(built_index), "--query-file", fixtures["corpus"]) == 2
         assert str(built_index) in self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"kb": None}, "mode 'kbmatch' requires a triple store"),
+            ({"mode": "model"}, "mode 'model' requires a trained relation extractor"),
+            ({"transe": None}, "enrichment requires an embedding model"),
+            ({"transe": None, "enrich": False}, "confidence fusion requires an embedding model"),
+        ],
+        ids=["kbmatch without triple store", "model without extractor", "enrich without transe", "fuse without transe"],
+    )
+    def test_search_on_index_lacking_a_model_its_config_needs(self, fixtures, built_index, capsys, edit, message):
+        # The index is kbmatch with enrichment and fusion, and holds no extractor.
+        payload = json.loads(built_index.read_text(encoding="utf-8"))
+        for key, value in edit.items():
+            (payload if key in payload else payload["config"])[key] = value
+        built_index.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("search", "--index", str(built_index), "--query-file", fixtures["corpus"]) == 2
+        assert self.assert_one_error_line(capsys) == f"error: {built_index}: {message}\n"
+
     @pytest.mark.parametrize("command", ["link", "index", "search"])
     @pytest.mark.parametrize(
         "fields",

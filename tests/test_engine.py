@@ -7,6 +7,8 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from casegraph import engine
@@ -19,12 +21,15 @@ from casegraph.engine import (
     document_network,
     index_corpus,
     load_index,
+    row_norms,
     save_index,
     search,
 )
 from casegraph.errors import FormatError, UsageError, ValidationError
-from casegraph.kb import Document
+from casegraph.kb import Document, build_lexicon, build_triple_store
 from casegraph.network import (
+    Edge,
+    NetworkRows,
     Node,
     SemanticNetwork,
     check_columns,
@@ -117,6 +122,12 @@ class TestIndexCorpus:
             emb = doc_embedding(index.networks[doc_id], model).vector
             assert index.rows.embeddings[row].tobytes() == emb.tobytes(), doc_id
             assert index.rows.embedding_norms[row] == np.linalg.norm(emb), doc_id
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.integers(0, 9), st.integers(0, 200), st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3]), st.integers(0, 2**32 - 1))
+    def test_row_norms_are_np_linalg_norm_bit_for_bit(self, rows, dim, scale, seed):
+        matrix = np.random.default_rng(seed).normal(0.0, scale, (rows, dim))
+        assert row_norms(matrix).tolist() == [float(np.linalg.norm(row)) for row in matrix]
 
     def test_empty_corpus_round_trips(self, pipeline, tmp_path):
         lexicon, kb, transe_model, config = pipeline
@@ -784,6 +795,127 @@ class TestLabelsMatchTheOracle:
         assert held and new
 
 
+ORACLE_LEXICON = build_lexicon([
+    ("C1", "Aspirin", ["aspirin"], "T121"),
+    ("C2", "Fever", ["fever"], "T047"),
+    ("C3", "Rash", ["rash"], "T047"),
+    ("C4", "Cough", ["cough"], "T047"),
+    ("C5", "Insulin", ["insulin"], "T121"),
+    ("C6", "Nausea", ["nausea"], "T047"),
+])
+# Two relations on (C1, C2), both directions of (C2, assoc, C3), and a relation the model lacks.
+ORACLE_KB = build_triple_store([
+    ("C1", "treats", "C2"), ("C1", "causes", "C2"), ("C2", "assoc", "C3"), ("C3", "assoc", "C2"),
+    ("C5", "treats", "C4"), ("C4", "rare", "C3"), ("C5", "causes", "C3"),
+])
+# Not in doc id order; d0 repeats d3, d1 has no concept and d4 a single one.
+ORACLE_CORPUS = [
+    Document("d3", "", "Aspirin for fever. Fever with rash and rash with fever."),
+    Document("d1", "", UNRELATED),
+    Document("d4", "", "Nausea alone."),
+    Document("d0", "", "Aspirin for fever. Fever with rash and rash with fever."),
+    Document("d2", "", "Cough after insulin and rash. Nausea and aspirin."),
+    Document("d5", "", "Insulin, aspirin, fever, rash, nausea and cough with insulin."),
+    Document("d6", "", "Rash with fever. Aspirin."),
+]
+
+
+def oracle_model(distance):
+    """Components are multiples of 1/4, so every distance is exact whatever the order of summation; C6 has no vector."""
+    rng = np.random.default_rng(4)
+    vector = lambda: rng.integers(-4, 5, 4) / 4  # noqa: E731
+    entities = {f"C{i}": vector() for i in range(1, 6)}
+    relations = {name: vector() for name in ("assoc", "causes", "treats", "unused")}
+    return EmbeddingModel(entities, relations, TrainConfig(dim=4, distance=distance))
+
+
+@pytest.fixture(scope="module")
+def oracle_extractor():
+    instances = []
+    for doc in ORACLE_CORPUS:
+        analysis = analyze(doc, ORACLE_LEXICON, 10)
+        for pair, features in zip(analysis.pairs, featurize_pairs(analysis.pairs, analysis.tokens, ORACLE_LEXICON)):
+            instances.append(RelationInstance(pair, distant_label(pair, ORACLE_KB), features))
+    return train_extractor(instances, ExtractorHyperparams(epochs=30, seed=2))
+
+
+class TestIndexColumnsEqualOracles:
+    """Every network column of ``index_corpus`` against the oracles, run document by document in corpus order."""
+
+    @staticmethod
+    def expected(config, model, extractor) -> dict:
+        comp, nets, labels = LabelCompressor(), {}, {}
+        for doc in ORACLE_CORPUS:
+            analysis = analyze(doc, ORACLE_LEXICON, config.window)
+            mentions = analysis.mentions
+            nodes: dict[str, Node] = {}
+            for cui, start, end in zip(mentions.primaries, mentions.starts, mentions.ends):
+                nodes.setdefault(cui, Node(cui, cui, [])).mention_spans.append((start, end))
+            best: dict = {}
+            for edge in engine.extract_edges(analysis, ORACLE_LEXICON, config, ORACLE_KB, extractor):
+                if edge.key() not in best or edge.confidence > best[edge.key()].confidence:
+                    best[edge.key()] = edge
+            net = SemanticNetwork(doc.id, nodes, [best[key] for key in sorted(best)])
+            if config.enrich:
+                cap = len(net.edges) if config.m_cap is None else config.m_cap
+                predicted = helpers.oracle_enrichment(net, model, config.tau_lp, cap)
+                net.edges += [Edge(*key, score, "predicted") for score, key in predicted]
+            if config.fuse:
+                net = helpers.oracle_fuse_network(net, model)
+            nets[doc.id] = net
+            history = helpers.oracle_wl_label_history(net, config.h, comp)
+            labels[doc.id] = [label for node in zip(*map(dict.values, history)) for label in node]
+        rows = [nets[doc_id] for doc_id in sorted(nets)]
+        cuis = sorted({cui for net in rows for cui in net.nodes})
+        relations = sorted({edge.relation for net in rows for edge in net.edges})
+        columns = dict.fromkeys(["node_cuis", "spans", "heads", "tails", "edge_relations", "provenances", "confidences"])
+        columns = {name: [] for name in columns} | {"node_ptr": [0], "span_ptr": [0], "edge_ptr": [0]}
+        for net in rows:
+            order = sorted(net.nodes)
+            for cui in order:
+                columns["node_cuis"].append(cuis.index(cui))
+                columns["spans"] += [bound for span in net.nodes[cui].mention_spans for bound in span]
+                columns["span_ptr"].append(len(columns["spans"]))
+            columns["node_ptr"].append(len(columns["node_cuis"]))
+            for edge in net.edges:
+                columns["heads"].append(order.index(edge.head))
+                columns["tails"].append(order.index(edge.tail))
+                columns["edge_relations"].append(relations.index(edge.relation))
+                columns["provenances"].append(["extracted", "predicted", "fused"].index(edge.provenance))
+                columns["confidences"].append(edge.confidence)
+            columns["edge_ptr"].append(len(columns["heads"]))
+        node_labels = [label for doc_id in sorted(labels) for label in labels[doc_id]]
+        return columns | {"cuis": cuis, "relations": relations, "node_labels": node_labels}
+
+    @pytest.mark.parametrize("mode", ["kbmatch", "model"])
+    @pytest.mark.parametrize("h", range(5))
+    @pytest.mark.parametrize("m_cap", [None, 1, 4])
+    def test_every_column(self, oracle_extractor, mode, h, m_cap):
+        extractor = oracle_extractor if mode == "model" else None
+        for distance, enrich, fuse in (("l1", True, True), ("l2", True, False), ("l1", False, True)):
+            config = PipelineConfig(mode=mode, theta_rel=0.2, enrich=enrich, fuse=fuse, tau_lp=1e-3, m_cap=m_cap, h=h)
+            model = oracle_model(distance)
+            columns = index_corpus(ORACLE_CORPUS, ORACLE_LEXICON, config, ORACLE_KB, extractor, model).networks.columns
+            expected = self.expected(config, model, extractor)
+            got = {name: value if name in ("cuis", "relations") else value.tolist() for name, value in vars(columns).items()}
+            assert got == expected, (distance, enrich, fuse)
+
+    def test_the_corpus_has_each_case(self, oracle_extractor):
+        config = PipelineConfig(mode="kbmatch", enrich=True, fuse=True, tau_lp=1e-3, m_cap=1, h=2)
+        index = index_corpus(ORACLE_CORPUS, ORACLE_LEXICON, config, ORACLE_KB, None, oracle_model("l1"))
+        nets = index.networks
+        assert not nets["d1"].nodes and len(nets["d4"].nodes) == 1
+        assert {key for key in nets["d3"].edge_keys() if key[:2] == ("C1", "C2")} == {("C1", "C2", "causes"), ("C1", "C2", "treats")}
+        assert {("C2", "C3", "assoc"), ("C3", "C2", "assoc")} <= nets["d3"].edge_keys()
+        assert nets["d0"] == replace(nets["d3"], doc_id="d0")
+        assert any(edge.provenance == "predicted" for net in nets.values() for edge in net.edges)
+        assert any(edge.relation == "rare" and edge.provenance == "extracted" for edge in nets["d2"].edges)
+        uncapped = index_corpus(ORACLE_CORPUS, ORACLE_LEXICON, replace(config, m_cap=10**6), ORACLE_KB, None, oracle_model("l1"))
+        assert sum(len(net.edges) for net in uncapped.networks.values()) > sum(len(net.edges) for net in nets.values())
+        model_index = index_corpus(ORACLE_CORPUS, ORACLE_LEXICON, replace(config, mode="model", theta_rel=0.2), None, oracle_extractor, oracle_model("l1"))
+        assert any(edge.provenance == "fused" for net in model_index.networks.values() for edge in net.edges)
+
+
 class TestLazyNetworks:
     """A loaded index decodes a network from its columns only when the network is read."""
 
@@ -848,11 +980,11 @@ class TestLazyNetworks:
         assert again.read_bytes() == path.read_bytes()
 
     def test_networks_are_encoded_once_per_build(self, pipeline, monkeypatch, tmp_path):
-        # index_corpus encodes the networks into columns once; saving writes those columns as they are.
+        # index_corpus grows the networks as rows and turns them into columns once; saving writes those columns as they are.
         lexicon, kb, transe_model, config = pipeline
         calls = []
-        original = engine.network_columns
-        monkeypatch.setattr(engine, "network_columns", lambda nets, *labels: calls.append(len(nets)) or original(nets, *labels))
+        original = NetworkRows.columns
+        monkeypatch.setattr(NetworkRows, "columns", lambda rows: calls.append(len(rows.node_ptr) - 1) or original(rows))
         index = index_corpus(helpers.synth_corpus(lexicon, 4, seed=6), lexicon, config, kb=kb, transe=transe_model)
         assert calls == [4]
         save_index(index, tmp_path / "once.idx")

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from casegraph.config import merge_config, read_config_file
+from casegraph.config import PipelineConfig, merge_config, read_config_file
+from casegraph.engine import index_corpus
 from casegraph.errors import (
     ConfigError,
     FormatError,
@@ -68,6 +69,21 @@ class TestTrainConfigValidation:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+
+class TestIndexWithoutNeededModel:
+    @pytest.mark.parametrize(
+        "config, kb, message",
+        [
+            (PipelineConfig(mode="kbmatch"), None, "mode 'kbmatch' requires a triple store"),
+            (PipelineConfig(mode="model"), None, "mode 'model' requires a trained relation extractor"),
+            (PipelineConfig(enrich=True), build_triple_store([]), "enrichment requires an embedding model"),
+            (PipelineConfig(fuse=True), build_triple_store([]), "confidence fusion requires an embedding model"),
+        ],
+    )
+    def test_refused_before_the_first_document(self, config, kb, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            index_corpus([], build_lexicon([("C1", "Fever", [], "T1")]), config, kb)
 
 
 class TestTransEDegenerate:

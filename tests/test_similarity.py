@@ -20,6 +20,7 @@ from casegraph.similarity import (
     wl_dot,
     wl_features,
     wl_kernel_normalized,
+    wl_corpus_labels,
     wl_label_history,
 )
 from casegraph.transe import EmbeddingModel, TrainConfig
@@ -232,6 +233,45 @@ class TestSignaturesEqualJsonDumps:
             net = random_network(rng, f"d{i}")
             assert wl_label_history(net, 3, comp) == helpers.oracle_wl_label_history(net, 3, oracle)
         assert list(comp.table.values()) == list(oracle.table.values())
+
+
+@st.composite
+def hub_networks(draw) -> SemanticNetwork:
+    """A hub joined to up to 40 leaves, by one to three relations, in either direction: degrees fall in several bands."""
+    leaves = [f"L{i:02d}" for i in range(draw(st.integers(0, 40)))]
+    relations = ["r1", "r2", "r3"][: draw(st.integers(1, 3))]
+    edges = []
+    for leaf in leaves:
+        for _ in range(draw(st.integers(1, 3))):
+            pair = ("H", leaf) if draw(st.booleans()) else (leaf, "H")
+            edges.append((*pair, draw(st.sampled_from(relations))))
+    return make_network("d", ["H", *leaves], edges)
+
+
+class TestCorpusLabels:
+    """``wl_corpus_labels`` gives the labels of one compressor going through the networks in order."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(st.lists(awkward_networks() | hub_networks() | st.just(SemanticNetwork("d")), min_size=1, max_size=5), st.integers(0, 4))
+    def test_equal_to_the_oracle_network_by_network(self, nets, h):
+        oracle = LabelCompressor()
+        expected = []
+        for net in nets:
+            history = helpers.oracle_wl_label_history(net, h, oracle)
+            expected += [label for node in zip(*map(dict.values, history)) for label in node]
+        assert wl_corpus_labels(network_columns(nets, []), h).tolist() == expected
+
+    def test_no_networks(self):
+        assert wl_corpus_labels(network_columns([], []), 2).tolist() == []
+
+    def test_degrees_of_one_band_stay_apart(self):
+        # b's pairs at iteration 1 are all (relation id 0, cui id 0): two of
+        # them in one network, three in the other, padded to one width.
+        nets = [
+            make_network("d1", ["a", "b"], [("a", "b", "r"), ("b", "a", "r")]),
+            make_network("d2", ["a", "b"], [("a", "b", "r"), ("b", "a", "r"), ("a", "b", "r")]),
+        ]
+        assert wl_corpus_labels(network_columns(nets, []), 1).tolist() == [0, 2, 1, 3, 0, 4, 1, 5]
 
 
 class TestCompressorFromColumns:

@@ -61,23 +61,29 @@ def test_index_corpus_runs_each_stage_once_per_document(tmp_path, monkeypatch):
     assert {stage: calls[stage] for stage in STAGES} == dict.fromkeys(STAGES, len(corpus))
 
 
-def test_wl_features_runs_once_per_document_and_once_per_query(tmp_path, monkeypatch):
-    # The traced similarity.wl_features span is engine's binding: if index_corpus
-    # or search featurized through another name, the metric would read 0.
+def test_corpus_labeller_runs_once_per_index_and_wl_features_once_per_query(tmp_path, monkeypatch):
+    # The traced similarity.wl_features span is engine's binding, which search
+    # calls on its query row; index_corpus labels the whole corpus in one call
+    # and leaves the span at 0.
     fixtures = helpers.write_pipeline_fixtures(tmp_path, num_docs=12, seed=3)
     calls: list[str] = []
-    original = engine.wl_features
+    featurize, label = engine.wl_features, engine.wl_corpus_labels
 
-    def spy(net, h, comp):
-        calls.append(net.doc_id)
-        return original(net, h, comp)
+    def spy_features(net, h, comp):
+        calls.append("wl_features")
+        return featurize(net, h, comp)
 
-    monkeypatch.setattr(engine, "wl_features", spy)
+    def spy_labels(columns, h):
+        calls.append(f"wl_corpus_labels of {len(columns.node_ptr) - 1}")
+        return label(columns, h)
+
+    monkeypatch.setattr(engine, "wl_features", spy_features)
+    monkeypatch.setattr(engine, "wl_corpus_labels", spy_labels)
     corpus = load_corpus(fixtures["corpus"])
     lexicon, kb = load_lexicon(fixtures["lexicon"]), load_triples(fixtures["triples"])
     index = engine.index_corpus(corpus, lexicon, PipelineConfig(mode="kbmatch"), kb)
-    assert calls == [doc.id for doc in corpus]
+    assert calls == [f"wl_corpus_labels of {len(corpus)}"]
     calls.clear()
     for doc in corpus[:3]:
         engine.search(index, doc.content(), 5)
-    assert calls == ["query"] * 3
+    assert calls == ["wl_features"] * 3
