@@ -18,8 +18,15 @@ by ``require_models``, whenever an index is built or loaded.
 The index bundles everything needed to answer queries with the exact
 pipeline the documents went through: the lexicon, the triple store, any
 trained models, and the networks. It persists as a single versioned JSON
-container (version 5) whose bytes are reproducible for a fixed corpus,
-configuration, and seed. It stores the sorted doc ids and the networks
+container (version 6) whose bytes are reproducible for a fixed corpus,
+configuration, and seed. Each model is stored as lists of names and typed
+columns: the lexicon and the triple store as ``kb`` describes them, the
+TransE model as its entity and relation names ascending with their vectors
+as one ``float64`` column each (``transe.model_to_columns``), and the
+extractor as its labels, its features ascending (a feature's position is
+its id) and its weights as one ``float64`` column
+(``relations.extractor_to_columns``). Loading rebuilds the same in-memory
+models, with their checks. It stores the sorted doc ids and the networks
 column-wise, one row per document in doc id order (``network.NetworkColumns``):
 node and edge pointers, cui ids into one sorted cui table, span pointers and
 bounds, endpoints as node positions within the document, relation ids into
@@ -51,8 +58,9 @@ products, and ``einsum`` reduces each (row, document) pair as it does for
 one row, where a BLAS product would not.
 
 Loading checks everything before it returns, with array operations: the
-configuration, the lexicon and the triple store (``kb.lexicon_from_dict``,
-``kb.triples_from_dict``), the doc ids, that every column is whole base64
+configuration, the models (``kb.lexicon_from_dict``,
+``kb.triples_from_dict``, ``transe.model_from_columns``,
+``relations.extractor_from_columns``), the doc ids, that every column is whole base64
 and every pointer starts at 0, never decreases and ends at its column's
 length, that the network columns decode into valid networks
 (``network.check_columns``), and, in deriving the compressor, that there are
@@ -83,6 +91,7 @@ from .kb import (
     lexicon_to_dict,
     load_container,
     save_container,
+    strings,
     triples_from_dict,
     triples_to_dict,
 )
@@ -105,18 +114,18 @@ from .relations import (
     ExtractorModel,
     Pairs,
     extract_relations,
-    extractor_from_dict,
-    extractor_to_dict,
+    extractor_from_columns,
+    extractor_to_columns,
     generate_candidates,
     kb_match_extract,
 )
 from .similarity import LabelCompressor, combine, compressor_from_columns, doc_embedding, wl_corpus_labels, wl_features
-from .transe import EmbeddingModel, model_from_dict, model_to_dict
+from .transe import EmbeddingModel, model_from_columns, model_to_columns
 
 log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "casegraph-index"
-INDEX_VERSION = 5
+INDEX_VERSION = 6
 
 # The most postings, and the most (query x row) cells, that one block of the
 # collection graph joins and scores at once. From 2**13 to 2**16 graphs of
@@ -568,8 +577,8 @@ def index_to_dict(index: Index) -> dict:
         "config": config,
         "lexicon": lexicon_to_dict(index.lexicon),
         "kb": triples_to_dict(index.kb) if index.kb is not None else None,
-        "extractor": extractor_to_dict(index.extractor) if index.extractor is not None else None,
-        "transe": model_to_dict(index.transe) if index.transe is not None else None,
+        "extractor": extractor_to_columns(index.extractor) if index.extractor is not None else None,
+        "transe": model_to_columns(index.transe) if index.transe is not None else None,
         "docs": list(index.rows.doc_ids),
         "networks": columns_to_dict(index.networks.columns),
     }
@@ -581,15 +590,13 @@ def index_from_dict(data: dict) -> Index:
         config = PipelineConfig(**data["config"])
     except UsageError as exc:
         raise FormatError(f"invalid config ({exc})") from None
-    docs = data["docs"]
-    if type(docs) is not list or not set(map(type, docs)) <= {str} or docs != sorted(set(docs)):
-        raise FormatError("doc ids must be distinct strings in ascending order")
+    docs = strings(data["docs"], "doc ids", ascending=True)
     columns = columns_from_dict(data["networks"])
     check_columns(docs, columns)
     lexicon = lexicon_from_dict(data["lexicon"])
     kb = triples_from_dict(data["kb"]) if data["kb"] is not None else None
-    extractor = extractor_from_dict(data["extractor"]) if data["extractor"] is not None else None
-    transe = model_from_dict(data["transe"]) if data["transe"] is not None else None
+    extractor = extractor_from_columns(data["extractor"]) if data["extractor"] is not None else None
+    transe = model_from_columns(data["transe"]) if data["transe"] is not None else None
     require_models(config, kb, extractor, transe)
     return Index(config, lexicon, kb, extractor, transe, *_derive(docs, columns, config.h, lexicon, transe))
 

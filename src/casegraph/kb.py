@@ -17,6 +17,16 @@ here is the only code that opens a text input; it, the JSONL reader and
 writer, and the versioned JSON container helpers serve every artifact and
 model file of the package. A container's numeric columns are JSON strings:
 base64 of little-endian ``int32`` or ``float64`` arrays (``pack``/``unpack``).
+
+An index (container version 6) stores the lexicon and the triple store in
+that form (``lexicon_to_dict``, ``triples_to_dict``). The lexicon is its
+cuis, preferred names and semantic types as lists in concept order, the
+synonyms as one flat list with an ``int32`` pointer, and the surfaces
+ascending with an ``int32`` pointer into one column of bucket entries,
+each the position of a cui. The triple store is its relations in store
+order, its entities ascending, and one ``int32`` column of (head,
+relation, tail) id rows in ascending order. Loading rebuilds both with
+array checks and refuses what no lexicon or store build can make.
 """
 
 from __future__ import annotations
@@ -25,9 +35,10 @@ import base64
 import binascii
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -194,42 +205,82 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 
 def lexicon_to_dict(lexicon: Lexicon) -> dict:
+    """The stored form: the concepts' fields as lists, synonyms and surface buckets flattened with ``int32`` pointers.
+
+    The surfaces ascend, and a bucket holds the positions of its cuis in ``cuis``.
+    """
+    concepts = list(lexicon.concepts.values())
+    position = {cui: i for i, cui in enumerate(lexicon.concepts)}
+    surfaces = sorted(lexicon.surface_index)
+    buckets = [lexicon.surface_index[surface] for surface in surfaces]
     return {
-        "concepts": [
-            {
-                "cui": c.cui,
-                "name": c.preferred_name,
-                "synonyms": list(c.synonyms),
-                "semantic_type": c.semantic_type,
-            }
-            for c in lexicon.concepts.values()
-        ],
-        "surface_index": {k: list(v) for k, v in lexicon.surface_index.items()},
-        "max_surface_token_len": lexicon.max_surface_token_len,
+        "cuis": list(lexicon.concepts),
+        "names": [c.preferred_name for c in concepts],
+        "semantic_types": [c.semantic_type for c in concepts],
+        "synonyms": list(chain.from_iterable(c.synonyms for c in concepts)),
+        "synonym_ptr": pack(pointer(len(c.synonyms) for c in concepts)),
+        "surfaces": surfaces,
+        "surface_ptr": pack(pointer(map(len, buckets))),
+        "surface_concepts": pack([position[cui] for cui in chain.from_iterable(buckets)]),
     }
 
 
 def lexicon_from_dict(data: dict) -> Lexicon:
-    """The lexicon that ``lexicon_to_dict`` stored; FormatError unless its parts are typed and agree."""
-    lexicon = Lexicon()
-    for row in data["concepts"]:
-        cui, name, synonyms, semantic_type = row["cui"], row["name"], row["synonyms"], row["semantic_type"]
-        if not str is type(cui) is type(name) is type(semantic_type) or type(synonyms) is not list:
-            raise FormatError("lexicon concept fields and synonyms must be strings")
-        if cui in lexicon.concepts:
-            raise FormatError(f"lexicon concept {cui} is stored twice")
-        lexicon.concepts[cui] = Concept(cui, name, tuple(synonyms), semantic_type)
-    if not set(map(type, chain.from_iterable(c.synonyms for c in lexicon.concepts.values()))) <= {str}:
-        raise FormatError("lexicon concept fields and synonyms must be strings")
-    buckets = data["surface_index"].values()
-    if not set(map(type, buckets)) <= {list} or not set(chain.from_iterable(buckets)) <= lexicon.concepts.keys():
-        raise FormatError("lexicon surface index must map surfaces to lists of cuis of its concepts")
-    lexicon.surface_index = {k: list(v) for k, v in data["surface_index"].items()}
-    width = max((key.count(" ") + 1 for key in lexicon.surface_index), default=0)
-    lexicon.max_surface_token_len = data["max_surface_token_len"]
-    if type(lexicon.max_surface_token_len) is not int or lexicon.max_surface_token_len != width:
-        raise FormatError(f"lexicon max_surface_token_len must be {width}, the word count of its longest surface")
-    return lexicon
+    """The lexicon that ``lexicon_to_dict`` stored; FormatError unless a lexicon build could have made it.
+
+    Those are the rules of ``Lexicon._add``: cuis are distinct and non-empty,
+    preferred names non-empty, and every surface is non-empty and maps to a
+    non-empty bucket of distinct concepts. A surface has no leading,
+    trailing or repeated space, so its word count, from which
+    ``max_surface_token_len`` is derived, is its number of spaces plus one.
+    The surfaces ascend strictly, which is also the order of the loaded
+    surface index.
+    """
+    cuis, names, types = (strings(data[key], f"lexicon {key}") for key in ("cuis", "names", "semantic_types"))
+    synonyms, surfaces = strings(data["synonyms"], "lexicon synonyms"), strings(data["surfaces"], "lexicon surfaces")
+    if not len(cuis) == len(names) == len(types):
+        raise FormatError("lexicon cuis, names and semantic_types must have one item per concept")
+    if len(set(cuis)) < len(cuis):
+        raise FormatError(f"lexicon concept {next(cui for cui, n in Counter(cuis).items() if n > 1)} is stored twice")
+    if "" in cuis:
+        raise FormatError("lexicon concept with empty cui")
+    if "" in names:
+        raise FormatError(f"lexicon concept {cuis[names.index('')]} has an empty preferred name")
+    synonym_ptr = unpack(data["synonym_ptr"], "lexicon synonym_ptr")
+    check_pointer(synonym_ptr, len(cuis), len(synonyms), "lexicon synonyms", "concepts")
+    # Joined by newlines, a bad surface leaves one of these marks. A good one
+    # leaves one only if it holds a newline, so each surface confirms a mark.
+    joined = "\n" + "\n".join(surfaces) + "\n"
+    if any(bad in joined for bad in ("\n\n", "\n ", " \n", "  ")):
+        bad = next((s for s in surfaces if not s or s[0] == " " or s[-1] == " " or "  " in s), None)
+        if bad is not None:
+            raise FormatError(f"lexicon surface {bad!r} must be non-empty words joined by single spaces")
+    if not ascends(surfaces):
+        raise FormatError("lexicon surfaces must ascend strictly")
+    surface_ptr = unpack(data["surface_ptr"], "lexicon surface_ptr")
+    concepts = unpack(data["surface_concepts"], "lexicon surface_concepts")
+    check_pointer(surface_ptr, len(surfaces), len(concepts), "lexicon surface buckets", "surfaces")
+    i = first_true(np.diff(surface_ptr) == 0)
+    if i >= 0:
+        raise FormatError(f"lexicon surface {surfaces[i]!r} has no concepts")
+    owners = np.repeat(np.arange(len(surfaces)), np.diff(surface_ptr))
+    i = first_true((concepts < 0) | (concepts >= len(cuis)))
+    if i >= 0:
+        raise FormatError(f"lexicon surface {surfaces[owners[i]]!r}: concept id {concepts[i]} outside [0, {len(cuis)})")
+    keys = np.sort(owners * len(cuis) + concepts)
+    i = first_true(keys[1:] == keys[:-1])
+    if i >= 0:
+        surface, concept = divmod(int(keys[i]), len(cuis))
+        raise FormatError(f"lexicon surface {surfaces[surface]!r} lists concept {cuis[concept]} twice")
+    bounds = synonym_ptr.tolist()
+    grouped = [tuple(synonyms[start:end]) for start, end in zip(bounds, bounds[1:])]
+    flat = np.array(cuis, dtype=object)[concepts].tolist()
+    bounds = surface_ptr.tolist()
+    return Lexicon(
+        dict(zip(cuis, map(Concept, cuis, names, grouped, types))),
+        {surface: flat[start:end] for surface, start, end in zip(surfaces, bounds, bounds[1:])},
+        max(map(str.count, surfaces, repeat(" ")), default=-1) + 1,
+    )
 
 
 @dataclass
@@ -302,30 +353,59 @@ def load_triples(path: str | Path) -> TripleStore:
 
 
 def triples_to_dict(store: TripleStore) -> dict:
-    return {
-        "relations": list(store.relations),
-        "triples": sorted([t.head, t.relation, t.tail] for t in store.triples),
-    }
+    """The stored form: relations in store order, entities ascending, and one ``int32`` column of (head, relation, tail) id rows, ascending."""
+    entities = sorted(store.entities)
+    entity = {name: i for i, name in enumerate(entities)}
+    relation = {name: i for i, name in enumerate(store.relations)}
+    rows = sorted((entity[t.head], relation[t.relation], entity[t.tail]) for t in store.triples)
+    return {"relations": list(store.relations), "entities": entities, "triples": pack(list(chain.from_iterable(rows)))}
 
 
 def triples_from_dict(data: dict) -> TripleStore:
-    """The store that ``triples_to_dict`` stored; FormatError unless every triple is 3 strings with a listed relation."""
-    store = TripleStore()
-    store.relations, triples = data["relations"], data["triples"]
-    if type(store.relations) is not list or not set(map(type, store.relations)) <= {str}:
-        raise FormatError("triple store relations must be strings")
-    if len(set(store.relations)) < len(store.relations):
+    """The store that ``triples_to_dict`` stored; FormatError unless a store build could have made it.
+
+    Relations are distinct, entities ascend strictly and each is in a
+    triple, and the id rows ascend strictly (no triple twice), name listed
+    entities and relations, and join two distinct entities.
+    """
+    relations = strings(data["relations"], "triple store relations")
+    if len(set(relations)) < len(relations):
         raise FormatError("triple store relations must be distinct")
-    if not set(map(type, triples)) <= {list} or set(map(len, triples)) - {3} or not set(map(type, chain(*triples))) <= {str}:
-        raise FormatError("stored triples must be lists of 3 strings")
-    if not {relation for _, relation, _ in triples} <= set(store.relations):
-        raise FormatError("a stored triple's relation is not listed")
-    try:
-        for head, relation, tail in triples:
-            store._add(Triple(head, relation, tail))
-    except ValidationError as exc:
-        raise FormatError(f"stored {exc}") from None
-    return store
+    entities = strings(data["entities"], "triple store entities", ascending=True)
+    ids = unpack(data["triples"], "triple store triples")
+    if len(ids) % 3:
+        raise FormatError(f"stored triples must be (head, relation, tail) id rows, got {len(ids)} ids")
+    rows = ids.reshape(-1, 3)
+    heads, rels, tails = rows.T
+    for column, size, what in ((heads, len(entities), "head"), (rels, len(relations), "relation"), (tails, len(entities), "tail")):
+        i = first_true((column < 0) | (column >= size))
+        if i >= 0:
+            raise FormatError(f"stored triple {i}: {what} id {column[i]} outside [0, {size})")
+    # A row ascends from the one before it if the first id in which they differ is larger.
+    steps = np.diff(rows, axis=0)
+    i = first_true(steps[np.arange(len(steps)), np.argmax(steps != 0, axis=1)] <= 0)
+    if i >= 0:
+        raise FormatError(f"stored triples must ascend strictly by id, and triple {i + 1} does not")
+    i = first_true(heads == tails)
+    if i >= 0:
+        raise FormatError(f"stored self-loop triple on {entities[heads[i]]}")
+    i = first_true(np.bincount(np.concatenate([heads, tails]), minlength=len(entities)) == 0)
+    if i >= 0:
+        raise FormatError(f"triple store entity {entities[i]} is in no stored triple")
+    # (head, relation, tail) in name order, which orders by_pair as adding the sorted triples one by one does.
+    position = {name: i for i, name in enumerate(sorted(relations))}
+    rank = np.array([position[name] for name in relations], np.int64)
+    order = np.lexsort((tails, rank[rels], heads))
+    names = np.array(entities, dtype=object)
+    head_names, tail_names = names[heads[order]].tolist(), names[tails[order]].tolist()
+    relation_names = np.array(relations, dtype=object)[rels[order]].tolist()
+    by_pair: dict[tuple[str, str], set[str]] = {}
+    for pair, relation in zip(zip(head_names, tail_names), relation_names):
+        if pair in by_pair:
+            by_pair[pair].add(relation)
+        else:
+            by_pair[pair] = {relation}
+    return TripleStore(set(map(Triple, head_names, relation_names, tail_names)), by_pair, list(relations), set(entities))
 
 
 def read_jsonl(path: str | Path, decode: Callable[[object], T], what: str) -> list[T]:
@@ -411,6 +491,39 @@ def load_container(path: str | Path, fmt: str, version: int, decode: Callable[[d
         raise FormatError(f"{path}: {exc}") from None
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed {fmt} container ({exc!r})") from None
+
+
+def strings(values, what: str, ascending: bool = False) -> list[str]:
+    """``values`` if it is a list of strings, ascending strictly if asked; FormatError naming ``what`` otherwise."""
+    if type(values) is not list or not set(map(type, values)) <= {str}:
+        raise FormatError(f"{what} must be a list of strings")
+    if ascending and not ascends(values):
+        raise FormatError(f"{what} must ascend strictly")
+    return values
+
+
+def ascends(values: list[str]) -> bool:
+    """Whether ``values`` ascend strictly."""
+    return all(map(str.__lt__, values, values[1:]))
+
+
+def pointer(sizes: Iterable[int]) -> np.ndarray:
+    """The pointer of a CSR layout whose rows have ``sizes`` items: 0, then the running totals."""
+    return np.concatenate([[0], np.cumsum(np.fromiter(sizes, np.int64))])
+
+
+def check_pointer(ptr: np.ndarray, rows: int, items: int, what: str, unit: str) -> None:
+    """FormatError unless ``ptr`` splits ``items`` items into ``rows`` rows: from 0 to ``items``, never decreasing."""
+    if len(ptr) != rows + 1 or ptr[0] != 0 or ptr[-1] != items:
+        raise FormatError(f"{what} cover different {unit} than the {rows} indexed")
+    if np.any(np.diff(ptr) < 0):
+        raise FormatError(f"{what} row pointers must not decrease")
+
+
+def first_true(bad: np.ndarray) -> int:
+    """The first position where ``bad`` holds, or -1."""
+    found = np.flatnonzero(bad)
+    return int(found[0]) if len(found) else -1
 
 
 # The little-endian item type of each kind of container column, and what its items are called.

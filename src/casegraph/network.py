@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import check
 from .errors import ConsistencyError, FormatError, ParseError, UsageError, ValidationError
-from .kb import Lexicon, jsonl, pack, read_doc_records, unpack
+from .kb import Lexicon, check_pointer, first_true, jsonl, pack, read_doc_records, unpack
 from .linking import Mention, Mentions
 from .transe import EmbeddingModel, distances
 
@@ -522,20 +522,6 @@ def first_unordered_row(ascending: np.ndarray, ptr: np.ndarray) -> int:
     ascending[starts[(starts > 0) & (starts <= len(ascending))] - 1] = True
     unordered = np.flatnonzero(~ascending)
     return int(np.searchsorted(ptr, unordered[0], "right")) - 1 if len(unordered) else -1
-
-
-def check_pointer(ptr: np.ndarray, rows: int, items: int, what: str, unit: str) -> None:
-    """FormatError unless ``ptr`` splits ``items`` items into ``rows`` rows: from 0 to ``items``, never decreasing."""
-    if len(ptr) != rows + 1 or ptr[0] != 0 or ptr[-1] != items:
-        raise FormatError(f"{what} cover different {unit} than the {rows} indexed")
-    if np.any(np.diff(ptr) < 0):
-        raise FormatError(f"{what} row pointers must not decrease")
-
-
-def first_true(bad: np.ndarray) -> int:
-    """The first position where ``bad`` holds, or -1."""
-    found = np.flatnonzero(bad)
-    return int(found[0]) if len(found) else -1
 
 
 def check_columns(doc_ids: list[str], columns: NetworkColumns) -> None:

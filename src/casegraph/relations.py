@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import Settings, check, setting
 from .errors import FormatError, ParseError, TrainingError
-from .kb import Lexicon, TripleStore, jsonl, load_container, read_doc_records, save_container
+from .kb import Lexicon, TripleStore, jsonl, load_container, pack, read_doc_records, save_container, strings, unpack
 from .linking import Mention, Mentions, Record, Sentences, SentenceSpan, Tokens
 from .network import PROV_EXTRACTED, Edge, edge_from_dict, edge_to_dict
 from .transe import MAX_COMPONENT
@@ -453,6 +453,7 @@ def read_edges(path: str | Path) -> dict[str, list[Edge]]:
 
 
 def extractor_to_dict(model: ExtractorModel) -> dict:
+    """The model file's payload: the vocabulary as a feature-to-id object and the weights as JSON number rows."""
     return {
         "labels": list(model.labels),
         "feature_vocab": dict(model.feature_vocab),
@@ -461,37 +462,69 @@ def extractor_to_dict(model: ExtractorModel) -> dict:
     }
 
 
-def extractor_from_dict(data: dict) -> ExtractorModel:
-    """Decode ``extractor_to_dict`` output, checking what extraction relies on.
+def _model(data: dict, features: list[str], values: np.ndarray) -> ExtractorModel:
+    """The model of ``data``'s labels and hyperparameters, ``features`` (ascending) and the weights ``values``, laid out row by row.
 
-    ``labels`` are at least two distinct strings with NA first.
-    ``feature_vocab`` numbers its features 0..V-1 in sorted order, as
-    ``train_extractor`` does, so ascending ids are sorted features.
-    ``weights`` holds one row of V JSON numbers per label, each finite and
+    ``labels`` are at least two distinct strings with NA first. ``values``
+    holds one row of a weight per feature for every label, each finite and
     within ``MAX_COMPONENT``, so no score can overflow. The hyperparameters
-    are JSON numbers, with integer epochs and seed, within their settings' ranges.
+    are JSON numbers, with integer epochs and seed, within their settings'
+    ranges.
     """
-    labels, vocab, rows = data["labels"], data["feature_vocab"], data["weights"]
+    labels = data["labels"]
     if type(labels) is not list or not set(map(type, labels)) <= {str} or len(set(labels)) != len(labels):
         raise FormatError("labels must be a list of distinct strings")
     if len(labels) < 2 or labels[0] != NA_LABEL:
         raise FormatError(f"labels must start with {NA_LABEL} and hold at least one relation")
-    if type(vocab) is not dict or not set(map(type, vocab.values())) <= {int}:
-        raise FormatError("feature_vocab must map features to integer ids")
-    if [vocab[feature] for feature in sorted(vocab)] != list(range(len(vocab))):
-        raise FormatError("feature_vocab must number its features 0, 1, ... in sorted order")
-    if type(rows) is not list or [len(r) if type(r) is list else -1 for r in rows] != [len(vocab)] * len(labels):
-        raise FormatError(f"weights must be {len(labels)} rows (one per label) of {len(vocab)} values")
-    # JSON numbers only: numpy would also read "nan" and true as floats.
-    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        raise FormatError("weights must be JSON numbers")
-    weights = np.array(rows, dtype=float).reshape(len(labels), len(vocab))
-    if not (np.abs(weights) <= MAX_COMPONENT).all():
+    if len(values) != len(labels) * len(features):
+        raise FormatError(f"weights must be {len(labels)} rows (one per label) of {len(features)} values")
+    if not (np.abs(values) <= MAX_COMPONENT).all():
         raise FormatError(f"weights hold a value that is not finite or exceeds {MAX_COMPONENT:g}")
     hyper = data["hyperparams"]
     if not {type(hyper["learning_rate"]), type(hyper["l2"])} <= {int, float} or {type(hyper["epochs"]), type(hyper["seed"])} != {int}:
         raise FormatError("hyperparams must be JSON numbers, epochs and seed integers")
-    return ExtractorModel(dict(vocab), weights, list(labels), ExtractorHyperparams(**hyper))
+    vocab = dict(zip(features, range(len(features))))
+    return ExtractorModel(vocab, values.reshape(len(labels), len(features)), list(labels), ExtractorHyperparams(**hyper))
+
+
+def extractor_from_dict(data: dict) -> ExtractorModel:
+    """Decode ``extractor_to_dict`` output, checking what extraction relies on.
+
+    ``feature_vocab`` numbers its features 0..V-1 in sorted order, as
+    ``train_extractor`` does, so ascending ids are sorted features; the
+    weights are one row of V JSON numbers per label; the rest is checked
+    as ``_model`` checks it.
+    """
+    vocab, rows = data["feature_vocab"], data["weights"]
+    if type(vocab) is not dict or not set(map(type, vocab.values())) <= {int}:
+        raise FormatError("feature_vocab must map features to integer ids")
+    if [vocab[feature] for feature in sorted(vocab)] != list(range(len(vocab))):
+        raise FormatError("feature_vocab must number its features 0, 1, ... in sorted order")
+    if type(rows) is not list or any(type(row) is not list or len(row) != len(vocab) for row in rows):
+        raise FormatError(f"weights must be rows (one per label) of {len(vocab)} values")
+    # JSON numbers only: numpy would also read "nan" and true as floats.
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        raise FormatError("weights must be JSON numbers")
+    return _model(data, sorted(vocab), np.array(rows, dtype=float).ravel())
+
+
+def extractor_to_columns(model: ExtractorModel) -> dict:
+    """The index's form of the model: the features, whose positions are their ids, and the weights as one ``float64`` column.
+
+    The vocabulary lists its features in id order, which is sorted order.
+    """
+    return {
+        "labels": list(model.labels),
+        "features": list(model.feature_vocab),
+        "weights": pack(model.weights.ravel(), "float64"),
+        "hyperparams": asdict(model.hyperparams),
+    }
+
+
+def extractor_from_columns(data: dict) -> ExtractorModel:
+    """Decode ``extractor_to_columns`` output: features ascending strictly, the rest as ``_model`` checks it."""
+    features = strings(data["features"], "extractor features", ascending=True)
+    return _model(data, features, unpack(data["weights"], "extractor weights", "float64"))
 
 
 def save_extractor(model: ExtractorModel, path: str | Path) -> None:

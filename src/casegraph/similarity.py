@@ -26,7 +26,8 @@ import numpy as np
 
 from .config import check
 from .errors import FormatError, UsageError
-from .network import NetworkColumns, NetworkRows, SemanticNetwork, first_true
+from .kb import first_true
+from .network import NetworkColumns, NetworkRows, SemanticNetwork
 from .transe import EmbeddingModel
 
 

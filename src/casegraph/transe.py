@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import Settings, setting
 from .errors import ConfigError, FormatError, TrainingError, UnknownIdentifierError, UsageError
-from .kb import Triple, TripleStore, load_container, save_container
+from .kb import Triple, TripleStore, first_true, load_container, pack, save_container, strings, unpack
 
 log = logging.getLogger(__name__)
 
@@ -423,6 +423,7 @@ def evaluate_link_prediction(
 
 
 def model_to_dict(model: EmbeddingModel) -> dict:
+    """The model file's payload: each vector a JSON number list under its name."""
     return {
         "config": asdict(model.config),
         "entities": {k: v.tolist() for k, v in model.entity_vectors.items()},
@@ -430,21 +431,31 @@ def model_to_dict(model: EmbeddingModel) -> dict:
     }
 
 
-def _vector_table(rows: dict, dim: int, kind: str) -> dict[str, np.ndarray]:
-    if not rows:
+def _vector_rows(names: list[str], values: np.ndarray, dim: int, kind: str) -> dict[str, np.ndarray]:
+    """Each name's row of ``values``, a (names x dim) matrix laid out row by row.
+
+    FormatError unless there are names and ``values`` holds names x dim
+    components, each finite and within ``MAX_COMPONENT``.
+    """
+    if not names:
         raise FormatError(f"model has no {kind} vectors")
-    table = {}
+    if len(values) != len(names) * dim:
+        raise FormatError(f"{kind} vectors must be {len(names)} x {dim} numbers, got {len(values)}")
+    matrix = values.reshape(len(names), dim)
+    i = first_true(~(np.abs(matrix) <= MAX_COMPONENT).all(axis=1))
+    if i >= 0:
+        raise FormatError(f"{kind} {names[i]}: vector holds a value that is not finite or exceeds {MAX_COMPONENT:g}")
+    return dict(zip(names, matrix))
+
+
+def _vector_table(rows: dict, dim: int, kind: str) -> dict[str, np.ndarray]:
     for name, values in rows.items():
         # JSON numbers only: numpy would also read "0.5" and true as floats.
         if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
             raise FormatError(f"{kind} {name}: vector components must be JSON numbers")
-        vec = np.array(values, dtype=float)
-        if vec.shape != (dim,):
-            raise FormatError(f"{kind} {name}: vector of shape {vec.shape}, expected ({dim},)")
-        if not (np.abs(vec) <= MAX_COMPONENT).all():
-            raise FormatError(f"{kind} {name}: vector holds a value that is not finite or exceeds {MAX_COMPONENT:g}")
-        table[name] = vec
-    return table
+        if len(values) != dim:
+            raise FormatError(f"{kind} {name}: vector of shape ({len(values)},), expected ({dim},)")
+    return _vector_rows(list(rows), np.array(list(rows.values()), dtype=float).ravel(), dim, kind)
 
 
 def model_from_dict(data: dict) -> EmbeddingModel:
@@ -454,6 +465,36 @@ def model_from_dict(data: dict) -> EmbeddingModel:
     return EmbeddingModel(
         _vector_table(data["entities"], config.dim, "entity"),
         _vector_table(data["relations"], config.dim, "relation"),
+        config,
+    )
+
+
+# The index's form of each vector table: its key of names, its key of vectors, and what a vector is of.
+_COLUMNS = (("entities", "entity_vectors", "entity"), ("relations", "relation_vectors", "relation"))
+
+
+def model_to_columns(model: EmbeddingModel) -> dict:
+    """The index's form of the model: each table's names ascending, and its vectors one ``float64`` column in name order."""
+    stored = {"config": asdict(model.config)}
+    for (names_key, column, _), table in zip(_COLUMNS, (model.entity_vectors, model.relation_vectors)):
+        names = stored[names_key] = sorted(table)
+        stored[column] = pack(np.array([table[name] for name in names]).ravel(), "float64")
+    return stored
+
+
+def model_from_columns(data: dict) -> EmbeddingModel:
+    """Decode ``model_to_columns`` output: names ascending strictly, and vectors as ``model_from_dict`` checks them."""
+    config = TrainConfig(**data["config"])
+    return EmbeddingModel(
+        *(
+            _vector_rows(
+                strings(data[names], f"transe {names}", ascending=True),
+                unpack(data[column], f"transe {column}", "float64"),
+                config.dim,
+                kind,
+            )
+            for names, column, kind in _COLUMNS
+        ),
         config,
     )
 

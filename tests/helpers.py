@@ -171,6 +171,93 @@ def edit_column(part: dict, key: str, edit, kind: str = "int32") -> None:
     part[key] = pack(values, kind) if set(map(type, values)) <= packable else values
 
 
+def empty_bucket(lexicon: dict, surface: str | None = None) -> None:
+    """Empty the stored bucket of ``surface`` (the first surface by default), keeping the other buckets."""
+    i = lexicon["surfaces"].index(surface) if surface is not None else 0
+    ptr = column(lexicon, "surface_ptr")
+    start, end = ptr[i], ptr[i + 1]
+    edit_column(lexicon, "surface_concepts", lambda ids: ids.__delitem__(slice(start, end)))
+    lexicon["surface_ptr"] = pack(ptr[: i + 1] + [p - (end - start) for p in ptr[i + 1 :]])
+
+
+def repeat_in_bucket(lexicon: dict, surface: str | None = None) -> None:
+    """List the first concept of the stored bucket of ``surface`` (the first surface by default) twice."""
+    i = lexicon["surfaces"].index(surface) if surface is not None else 0
+    ptr = column(lexicon, "surface_ptr")
+    edit_column(lexicon, "surface_concepts", lambda ids: ids.insert(ptr[i], ids[ptr[i]]))
+    lexicon["surface_ptr"] = pack(ptr[: i + 1] + [p + 1 for p in ptr[i + 1 :]])
+
+
+def edit_triples(kb: dict, edit) -> None:
+    """Let ``edit`` change the stored (head, relation, tail) id rows of a triple store part, as a list of lists."""
+    ids = column(kb, "triples")
+    rows = [ids[i : i + 3] for i in range(0, len(ids), 3)]
+    edit(rows)
+    kb["triples"] = pack([i for row in rows for i in row])
+
+
+def swap_first_two(values: list) -> None:
+    values[:2] = values[1::-1]
+
+
+def self_loop(kb: dict) -> None:
+    """Append a triple joining the last entity to itself by the last relation: above every stored row, which holds no self-loop."""
+    edit_triples(kb, lambda rows: rows.append([len(kb["entities"]) - 1, len(kb["relations"]) - 1, len(kb["entities"]) - 1]))
+
+
+def _set(key: str, at: int, value, kind: str = "int32"):
+    return lambda part: edit_column(part, key, lambda values: values.__setitem__(at, value), kind)
+
+
+# Damage to one model part of a valid index ("lexicon", "kb", "transe" or
+# "extractor") that loading must refuse, with the text its error holds.
+INDEX_MODEL_SPOILERS = {
+    "lexicon empty bucket": ("lexicon", empty_bucket, "has no concepts"),
+    "lexicon concept twice in a bucket": ("lexicon", repeat_in_bucket, "lists concept C[0-9]+ twice"),
+    "lexicon empty surface": ("lexicon", lambda lex: lex["surfaces"].__setitem__(0, ""), "must be non-empty words"),
+    "lexicon empty cui": ("lexicon", lambda lex: lex["cuis"].__setitem__(0, ""), "empty cui"),
+    "lexicon empty name": ("lexicon", lambda lex: lex["names"].__setitem__(0, ""), "has an empty preferred name"),
+    "lexicon surface twice": ("lexicon", lambda lex: lex["surfaces"].__setitem__(1, lex["surfaces"][0]), "surfaces must ascend strictly"),
+    "lexicon surfaces unsorted": ("lexicon", lambda lex: swap_first_two(lex["surfaces"]), "surfaces must ascend strictly"),
+    "lexicon concept id negative": ("lexicon", _set("surface_concepts", 0, -1), "concept id -1 outside"),
+    "lexicon synonym pointer short": ("lexicon", lambda lex: edit_column(lex, "synonym_ptr", list.pop), "cover different concepts"),
+    "lexicon surface pointer not base64": (
+        "lexicon", lambda lex: lex.update(surface_ptr=lex["surface_ptr"][:-1]), "surface_ptr must be base64"
+    ),
+    "lexicon names short": ("lexicon", lambda lex: lex["names"].pop(), "one item per concept"),
+    "triples not base64": ("kb", lambda kb: kb.update(triples="!" + kb["triples"][1:]), "triples must be base64"),
+    "triples one id short": ("kb", lambda kb: edit_column(kb, "triples", list.pop), "id rows"),
+    "triple head id negative": ("kb", _set("triples", 0, -1), "head id -1 outside"),
+    "triples unsorted": ("kb", lambda kb: edit_triples(kb, swap_first_two), "ascend strictly"),
+    "triple twice": ("kb", lambda kb: edit_triples(kb, lambda rows: rows.insert(0, rows[0])), "ascend strictly"),
+    "self-loop by ids": ("kb", self_loop, "self-loop triple on C[0-9]+"),
+    "unused entity": ("kb", lambda kb: kb["entities"].append("~unused"), "entity ~unused is in no stored triple"),
+    "entities unsorted": ("kb", lambda kb: swap_first_two(kb["entities"]), "entities must ascend strictly"),
+    "transe vectors not base64": (
+        "transe", lambda m: m.update(entity_vectors="!" + m["entity_vectors"][1:]), "entity_vectors must be base64"
+    ),
+    "transe one component short": (
+        "transe", lambda m: edit_column(m, "entity_vectors", list.pop, "float64"), "entity vectors must be [0-9]+ x [0-9]+ numbers"
+    ),
+    "transe NaN": ("transe", _set("entity_vectors", 0, math.nan, "float64"), "not finite"),
+    "transe infinite relation": ("transe", _set("relation_vectors", 1, -math.inf, "float64"), "relation .*: vector holds a value"),
+    "transe huge component": ("transe", _set("entity_vectors", 2, 1e300, "float64"), "exceeds"),
+    "transe entities unsorted": ("transe", lambda m: swap_first_two(m["entities"]), "entities must ascend strictly"),
+    "transe entity twice": ("transe", lambda m: m["entities"].__setitem__(1, m["entities"][0]), "entities must ascend strictly"),
+    "transe relation not a string": ("transe", lambda m: m["relations"].__setitem__(0, 1), "relations must be a list of strings"),
+    "transe no relations": ("transe", lambda m: m.update(relations=[], relation_vectors=""), "no relation vectors"),
+    "transe dim too large": ("transe", lambda m: m["config"].update(dim=m["config"]["dim"] + 1), "numbers, got"),
+    "extractor weights not base64": ("extractor", lambda m: m.update(weights=m["weights"][:-1]), "weights must be base64"),
+    "extractor weights one short": ("extractor", lambda m: edit_column(m, "weights", list.pop, "float64"), "weights must be"),
+    "extractor huge weight": ("extractor", _set("weights", 1, 1e300, "float64"), "exceeds"),
+    "extractor NaN weight": ("extractor", _set("weights", 0, math.nan, "float64"), "not finite"),
+    "extractor features unsorted": ("extractor", lambda m: swap_first_two(m["features"]), "features must ascend strictly"),
+    "extractor feature twice": ("extractor", lambda m: m["features"].__setitem__(1, m["features"][0]), "features must ascend"),
+    "extractor feature not a string": ("extractor", lambda m: m["features"].__setitem__(0, 0), "features must be a list of strings"),
+    "extractor NA not first": ("extractor", lambda m: m["labels"].reverse(), "labels must start with NA"),
+}
+
+
 def write_pipeline_networks(fixtures: dict, path) -> str:
     """Write the kbmatch networks of the fixture corpus, as ``build-graphs`` does."""
     lexicon, kb = load_lexicon(fixtures["lexicon"]), load_triples(fixtures["triples"])

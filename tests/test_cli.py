@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import helpers
 from casegraph import engine, linking, relations
 from casegraph.cli import build_parser, dispatch
+from casegraph.kb import Document
 from casegraph.network import network_to_dict
 from casegraph.trec import read_run
 
@@ -472,13 +474,70 @@ class TestBadInputsExitTwo:
         assert f"{networks}: line " in err and f": node {cui} in document {doc_id} {text}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("spoiler", ["short vector", "NaN", "Infinity"])
+    @pytest.mark.parametrize("spoiler", ["short vector", "NaN", "Infinity", "-Infinity"])
     def test_search_on_index_with_bad_model(self, tmp_path, fixtures, built_index, capsys, spoiler):
+        # The index stores the vectors as one float64 column, which these damage as the model file cases damage its lists.
         payload = json.loads(built_index.read_text(encoding="utf-8"))
-        self.spoil(payload["transe"], spoiler)
+        if spoiler == "short vector":
+            helpers.edit_column(payload["transe"], "entity_vectors", list.pop, "float64")
+        else:
+            value = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}[spoiler]
+            helpers.edit_column(payload["transe"], "entity_vectors", lambda vectors: vectors.__setitem__(0, value), "float64")
         built_index.write_text(json.dumps(payload), encoding="utf-8")
         assert run_cli("search", "--index", str(built_index), "--query-file", fixtures["corpus"]) == 2
-        assert str(built_index) in self.assert_one_error_line(capsys)
+        err = self.assert_one_error_line(capsys)
+        assert str(built_index) in err and "entity" in err
+
+    @pytest.fixture(scope="class")
+    def model_part_indexes(self, tmp_path_factory):
+        """A kbmatch index holding a lexicon, a triple store and a TransE model, and a model-mode index holding an extractor."""
+        tmp = tmp_path_factory.mktemp("model-parts")
+        fixtures = helpers.write_pipeline_fixtures(tmp, num_docs=12, seed=3)
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        transe, extractor = tmp / "transe.json", tmp / "extractor.json"
+        assert run_cli("train-transe", "--triples", fixtures["triples"], "--dim", "4", "--epochs", "2", "--out", str(transe)) == 0
+        assert run_cli("train-extractor", *docs, "--triples", fixtures["triples"], "--epochs", "2", "--out", str(extractor)) == 0
+        kbmatch = ["--triples", fixtures["triples"], "--transe-model", str(transe), "--enrich", "--fuse"]
+        assert run_cli("index", *docs, *kbmatch, "--out", str(tmp / "kbmatch.idx")) == 0
+        assert run_cli("index", *docs, "--mode", "model", "--extractor-model", str(extractor), "--out", str(tmp / "model.idx")) == 0
+        kbmatch_index, model_index = (tmp / name for name in ("kbmatch.idx", "model.idx"))
+        valid = {part: kbmatch_index.read_text(encoding="utf-8") for part in ("lexicon", "kb", "transe")}
+        return fixtures, valid | {"extractor": model_index.read_text(encoding="utf-8")}
+
+    @pytest.mark.parametrize("spoiler", sorted(helpers.INDEX_MODEL_SPOILERS))
+    def test_search_on_index_with_bad_model_part(self, tmp_path, model_part_indexes, capsys, spoiler):
+        fixtures, valid = model_part_indexes
+        part, spoil, match = helpers.INDEX_MODEL_SPOILERS[spoiler]
+        payload = json.loads(valid[part])
+        spoil(payload[part])
+        index, out = tmp_path / "spoiled.idx", tmp_path / "run.txt"
+        index.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("search", "--index", str(index), "--query-file", fixtures["corpus"], "--out", str(out)) == 2
+        err = self.assert_one_error_line(capsys)
+        assert err.startswith(f"error: {index}: ") and re.search(match, err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spoiler", ["empty bucket", "concept twice in the bucket", "empty surface"])
+    def test_search_on_index_with_impossible_lexicon(self, tmp_path, capsys, spoiler):
+        # Each used to load, and search exited 0: with the bucket emptied, the query's concept was silently never linked.
+        fixtures = helpers.write_pipeline_fixtures(tmp_path, num_docs=30, seed=3)
+        index, queries = tmp_path / "corpus.idx", tmp_path / "queries.jsonl"
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        assert run_cli("index", *docs, "--triples", fixtures["triples"], "--out", str(index)) == 0
+        helpers.write_corpus_jsonl([Document("q1", "", "Acute renal failure after aspirin.")], queries)
+        payload = json.loads(index.read_text(encoding="utf-8"))
+        lexicon = payload["lexicon"]
+        if spoiler == "empty bucket":
+            helpers.empty_bucket(lexicon, "acute renal failure")
+        elif spoiler == "empty surface":
+            lexicon["surfaces"][0] = ""  # the first surface: an empty one elsewhere would also break their order
+        else:
+            helpers.repeat_in_bucket(lexicon, "acute renal failure")
+        index.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("search", "--index", str(index), "--query-file", str(queries)) == 2
+        assert self.assert_one_error_line(capsys).startswith(f"error: {index}: lexicon surface ")
 
 
 class TestModelLoading:

@@ -20,6 +20,8 @@ from casegraph.engine import (
     collection_graph_to_dot,
     document_network,
     index_corpus,
+    index_from_dict,
+    index_to_dict,
     load_index,
     row_norms,
     save_index,
@@ -38,7 +40,14 @@ from casegraph.network import (
     network_columns,
     network_from_columns,
 )
-from casegraph.relations import ExtractorHyperparams, RelationInstance, distant_label, featurize_pairs, train_extractor
+from casegraph.relations import (
+    ExtractorHyperparams,
+    ExtractorModel,
+    RelationInstance,
+    distant_label,
+    featurize_pairs,
+    train_extractor,
+)
 from casegraph.similarity import LabelCompressor, doc_embedding, wl_dot, wl_features, wl_label_history
 from casegraph.transe import EmbeddingModel, TrainConfig, init_model, train
 
@@ -500,17 +509,29 @@ class TestLoadConsistency:
         "edit, match",
         [
             (lambda payload: payload["config"].update(h=1.5), "config h must be int"),
-            (lambda payload: payload["lexicon"].update(max_surface_token_len="4"), "max_surface_token_len"),
-            (lambda payload: payload["lexicon"]["surface_index"].update(fever=[None]), "lists of cuis"),
+            # v5 stored the width, and these damaged it; v6 derives it from the surfaces, so they damage those.
+            (lambda payload: payload["lexicon"]["surfaces"].__setitem__(0, " fever"), "' fever' must be non-empty words"),
+            (
+                lambda payload: helpers.edit_column(payload["lexicon"], "surface_concepts", lambda ids: ids.__setitem__(0, None)),
+                "surface_concepts must be base64",
+            ),
             # These used to load: a width of 0 then linked nothing, and a string of cuis was read as its characters.
-            (lambda payload: payload["lexicon"].update(max_surface_token_len=0), "max_surface_token_len must be 3"),
-            (lambda payload: payload["lexicon"].update(max_surface_token_len=4), "max_surface_token_len must be 3"),
-            (lambda payload: payload["lexicon"]["surface_index"].update(fever="C0001"), "lists of cuis"),
-            (lambda payload: payload["lexicon"]["surface_index"].update(fever=["C9999"]), "lists of cuis"),
-            (lambda payload: payload["lexicon"]["concepts"][0].update(name=7), "concept fields and synonyms must be strings"),
-            (lambda payload: payload["lexicon"]["concepts"][0].update(synonyms="fever"), "concept fields and synonyms"),
-            (lambda payload: payload["lexicon"]["concepts"][0].update(synonyms=[None]), "concept fields and synonyms"),
-            (lambda payload: payload["lexicon"]["concepts"].append(payload["lexicon"]["concepts"][0]), "stored twice"),
+            (lambda payload: payload["lexicon"]["surfaces"].__setitem__(0, ""), "'' must be non-empty words"),
+            (
+                lambda payload: payload["lexicon"]["surfaces"].__setitem__(-1, payload["lexicon"]["surfaces"][-1].replace(" ", "  ")),
+                "must be non-empty words joined by single spaces",
+            ),
+            (lambda payload: payload["lexicon"].update(surface_concepts="C0001"), "surface_concepts must be base64"),
+            (
+                lambda payload: helpers.edit_column(
+                    payload["lexicon"], "surface_concepts", lambda ids: ids.__setitem__(0, len(payload["lexicon"]["cuis"]))
+                ),
+                "concept id [0-9]+ outside",
+            ),
+            (lambda payload: payload["lexicon"]["names"].__setitem__(0, 7), "lexicon names must be a list of strings"),
+            (lambda payload: payload["lexicon"].update(synonyms="fever"), "lexicon synonyms must be a list of strings"),
+            (lambda payload: payload["lexicon"]["synonyms"].__setitem__(0, None), "lexicon synonyms must be a list of strings"),
+            (lambda payload: payload["lexicon"]["cuis"].__setitem__(1, payload["lexicon"]["cuis"][0]), "stored twice"),
         ],
         ids=[
             "config type", "lexicon width", "lexicon surface", "lexicon width 0", "lexicon width too large",
@@ -528,13 +549,13 @@ class TestLoadConsistency:
         "edit, match",
         [
             (lambda kb: kb["relations"].append(kb["relations"][0]), "relations must be distinct"),
-            (lambda kb: kb["relations"].append(3), "relations must be strings"),
-            (lambda kb: kb.update(relations="may_treat"), "relations must be strings"),
-            (lambda kb: kb["triples"].append("abc"), "lists of 3 strings"),
-            (lambda kb: kb["triples"].append(["a", "may_treat", "b", "c"]), "lists of 3 strings"),
-            (lambda kb: kb["triples"].append(["a", "may_treat", 1]), "lists of 3 strings"),
-            (lambda kb: kb["triples"].append(["a", "unlisted", "b"]), "relation is not listed"),
-            (lambda kb: kb["triples"].append(["a", kb["relations"][0], "a"]), "self-loop"),
+            (lambda kb: kb["relations"].append(3), "relations must be a list of strings"),
+            (lambda kb: kb.update(relations="may_treat"), "relations must be a list of strings"),
+            (lambda kb: kb.update(triples="abc"), "triples must be base64"),
+            (lambda kb: helpers.edit_column(kb, "triples", lambda ids: ids.append(0)), "id rows"),
+            (lambda kb: helpers.edit_column(kb, "triples", lambda ids: ids.__setitem__(2, len(kb["entities"]))), "tail id [0-9]+ outside"),
+            (lambda kb: helpers.edit_column(kb, "triples", lambda ids: ids.__setitem__(1, len(kb["relations"]))), "relation id [0-9]+ outside"),
+            (helpers.self_loop, "self-loop"),
         ],
         ids=[
             "duplicate relation", "relation not a string", "relations a string", "triple a string", "4 parts", "tail", "unlisted",
@@ -546,6 +567,14 @@ class TestLoadConsistency:
         _, index = small_index
         with pytest.raises(FormatError, match=match):
             self.load_edited(index, tmp_path, lambda payload: edit(payload["kb"]))
+
+    @pytest.mark.parametrize("spoiler", sorted(helpers.INDEX_MODEL_SPOILERS))
+    def test_bad_model_part(self, model_index, tmp_path, spoiler):
+        # model_index holds all four model parts.
+        part, spoil, match = helpers.INDEX_MODEL_SPOILERS[spoiler]
+        with pytest.raises(FormatError, match=match) as refused:
+            self.load_edited(model_index, tmp_path, lambda payload: spoil(payload[part]))
+        assert str(refused.value).startswith(f"{tmp_path / 'edited.idx'}: ")
 
     def test_non_integer_wl_label(self, small_index, tmp_path):
         _, index = small_index
@@ -750,9 +779,88 @@ class TestLoadConsistency:
 
     def test_v3_file_refused(self, small_index, tmp_path):
         _, index = small_index
-        for version in (3, 4):
+        for version in (3, 4, 5):
             with pytest.raises(FormatError, match=f"unsupported casegraph-index version {version}"):
                 self.load_edited(index, tmp_path, lambda payload: payload.update(version=version))
+
+
+names = st.text(min_size=1, max_size=5)  # non-ASCII and control characters included
+
+
+@st.composite
+def lexicons(draw):
+    """A lexicon whose cuis recur across rows, so that their synonyms merge, and whose surfaces recur across cuis."""
+    cuis = draw(st.lists(names, unique=True, max_size=6))
+    if not cuis:
+        return build_lexicon([])
+    fields = {cui: (draw(names), draw(st.text(max_size=4))) for cui in cuis}  # preferred name and semantic type
+    surfaces = draw(st.lists(st.text(max_size=12), min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(st.sampled_from(cuis), st.lists(st.sampled_from(surfaces), max_size=3)), max_size=10))
+    return build_lexicon([(cui, fields[cui][0], synonyms, fields[cui][1]) for cui, synonyms in rows])
+
+
+@st.composite
+def triple_stores(draw):
+    """A store built from its triples in name order, with relations declared first in any order, some without triples."""
+    entities = draw(st.lists(names, unique=True, min_size=2, max_size=6))
+    relations = draw(st.lists(names, unique=True, min_size=1, max_size=4))
+    n = len(entities)
+    triple = st.tuples(st.integers(0, n - 1), st.sampled_from(relations), st.integers(1, n - 1))  # the tail is head + offset
+    store = build_triple_store(sorted((entities[h], r, entities[(h + k) % n]) for h, r, k in draw(st.lists(triple, max_size=12))))
+    store.relations = list(dict.fromkeys([*draw(st.permutations(relations)), *store.relations]))
+    return store
+
+
+def float_rows(draw, rows: int, width: int) -> np.ndarray:
+    values = st.floats(-1e100, 1e100)  # -0.0 and subnormals included
+    return np.array(draw(st.lists(values, min_size=rows * width, max_size=rows * width)), dtype=float).reshape(rows, width)
+
+
+@st.composite
+def transe_models(draw):
+    dim = draw(st.integers(1, 32))
+    tables = []
+    for _ in range(2):  # entities, then relations, each in name order as training makes them
+        table = sorted(draw(st.lists(names, unique=True, min_size=1, max_size=5)))
+        tables.append(dict(zip(table, float_rows(draw, len(table), dim))))
+    return EmbeddingModel(*tables, TrainConfig(dim=dim, seed=draw(st.integers(0, 2**31 - 1))))
+
+
+@st.composite
+def extractors(draw):
+    features = sorted(draw(st.lists(names, unique=True, max_size=6)))
+    labels = ["NA", *draw(st.lists(names.filter(lambda label: label != "NA"), unique=True, min_size=1, max_size=3))]
+    weights = float_rows(draw, len(labels), len(features))
+    return ExtractorModel(dict(zip(features, range(len(features)))), weights, labels, ExtractorHyperparams(epochs=draw(st.integers(0, 9))))
+
+
+class TestModelPartsRoundTrip:
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(lexicon=lexicons(), kb=triple_stores(), transe=transe_models(), extractor=extractors())
+    def test_models_keep_bits_and_orders(self, lexicon, kb, transe, extractor):
+        index = index_corpus([], lexicon, PipelineConfig(mode="model"), kb, extractor, transe)
+        stored = index_to_dict(index)
+        loaded = index_from_dict(json.loads(json.dumps(stored)))
+        assert json.dumps(index_to_dict(loaded)) == json.dumps(stored)
+        assert list(loaded.lexicon.concepts.items()) == list(lexicon.concepts.items())
+        assert list(loaded.lexicon.surface_index.items()) == sorted(lexicon.surface_index.items())  # as v5 loaded it
+        assert loaded.lexicon.max_surface_token_len == lexicon.max_surface_token_len
+        assert (loaded.kb.triples, loaded.kb.relations, loaded.kb.entities) == (kb.triples, kb.relations, kb.entities)
+        assert list(loaded.kb.by_pair.items()) == list(kb.by_pair.items())
+        assert loaded.transe.config == transe.config
+        for got, want in ((loaded.transe.entity_vectors, transe.entity_vectors), (loaded.transe.relation_vectors, transe.relation_vectors)):
+            assert list(got) == list(want)
+            assert [vector.tobytes() for vector in got.values()] == [vector.tobytes() for vector in want.values()]
+        assert list(loaded.extractor.feature_vocab.items()) == list(extractor.feature_vocab.items())
+        assert loaded.extractor.weights.shape == extractor.weights.shape
+        assert loaded.extractor.weights.tobytes() == extractor.weights.tobytes()
+        assert (loaded.extractor.labels, loaded.extractor.hyperparams) == (extractor.labels, extractor.hyperparams)
+
+    @pytest.mark.parametrize("which", ["kbmatch", "model"])
+    def test_saving_a_loaded_index_gives_its_bytes(self, small_index, model_index, tmp_path, which):
+        save_index(small_index[1] if which == "kbmatch" else model_index, tmp_path / "built.idx")
+        save_index(load_index(tmp_path / "built.idx"), tmp_path / "loaded.idx")
+        assert (tmp_path / "loaded.idx").read_bytes() == (tmp_path / "built.idx").read_bytes()
 
 
 class TestLabelsMatchTheOracle:

@@ -304,7 +304,13 @@ def test_damaged_index_column(index_pipeline, index_layout, damage):
     ],
     ids=["truncated by one character", "truncated by one quantum", "non-base64 text", "non-ASCII text"],
 )
-@pytest.mark.parametrize("part, key", [("networks", "node_labels"), ("networks", "node_cuis"), ("networks", "confidences")])
+@pytest.mark.parametrize(
+    "part, key",
+    [
+        ("networks", "node_labels"), ("networks", "node_cuis"), ("networks", "confidences"), ("lexicon", "surface_concepts"),
+        ("kb", "triples"), ("transe", "entity_vectors"),
+    ],
+)
 def test_index_column_not_base64(index_pipeline, damage, part, key):
     tmp, fixtures, valid = index_pipeline
     payload = json.loads(valid)
@@ -333,15 +339,13 @@ def test_damaged_extractor_model(extractor_pipeline, data):
         ["extract", *docs, "--mentions", mentions, "--mode", "model", "--extractor-model", str(model)],
         ["index", *docs, "--mode", "model", "--extractor-model", str(model)],
     ]
-    # The same damage inside an index, whose extractor is the model file's payload without its tags.
+    # The same kinds of damage to an index's extractor, which holds the model as columns.
+    payload = json.loads(valid_index)
     try:
-        embedded = json.loads(damaged)
+        embedded = json.loads(data.draw(damaged_json(json.dumps(payload["extractor"]))))
     except ValueError:
         embedded = None
     if embedded is not None:
-        if isinstance(embedded, dict):
-            embedded = {k: v for k, v in embedded.items() if k not in ("format", "version")}
-        payload = json.loads(valid_index)
         payload["extractor"] = embedded
         index = tmp / "damaged-extractor.idx"
         index.write_text(json.dumps(payload), encoding="utf-8")
@@ -351,6 +355,57 @@ def test_damaged_extractor_model(extractor_pipeline, data):
         assert code in (0, 1, 2), err
         assert "Traceback" not in err
         assert sum(line.startswith("error:") for line in err.splitlines()) == (code != 0), err
+
+
+_BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+@st.composite
+def damaged_model_part(draw, part: dict) -> dict:
+    """``part`` (a model part of an index) with one of its columns or lists damaged.
+
+    A column is truncated, has a base64 character flipped, or loses or gains
+    a quantum of four characters; a list has two entries swapped, or loses
+    or repeats an entry.
+    """
+    key = draw(st.sampled_from(sorted(k for k, v in part.items() if type(v) in (str, list) and v)))
+    value = part[key]
+    if type(value) is str:
+        kind = draw(st.sampled_from(["truncated", "flipped", "shorter", "longer"]))
+        i = draw(st.integers(0, len(value) - 1))
+        if kind == "truncated":
+            value = value[:i]
+        elif kind == "flipped":
+            value = value[:i] + draw(st.sampled_from(_BASE64)) + value[i + 1 :]
+        elif kind == "shorter":
+            value = value[:-4]
+        else:
+            value = value[: i - i % 4] + draw(st.text(_BASE64, min_size=4, max_size=4)) + value[i - i % 4 :]
+    else:
+        value = list(value)
+        kind = draw(st.sampled_from(["swapped", "dropped", "repeated"]))
+        i, j = draw(st.integers(0, len(value) - 1)), draw(st.integers(0, len(value) - 1))
+        if kind == "swapped":
+            value[i], value[j] = value[j], value[i]
+        elif kind == "dropped":
+            del value[i]
+        else:
+            value.insert(i, value[j])
+    return {**part, key: value}
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(data=st.data())
+def test_damaged_index_model_columns(index_pipeline, extractor_pipeline, data):
+    # The lexicon, triple store and TransE model of the kbmatch index, and the extractor of the model-mode one.
+    tmp, fixtures, valid = index_pipeline
+    part = data.draw(st.sampled_from(["lexicon", "kb", "transe", "extractor"]))
+    payload = json.loads(extractor_pipeline[4] if part == "extractor" else valid)
+    payload[part] = data.draw(damaged_model_part(payload[part]))
+    index = tmp / "damaged-model-part.idx"
+    index.write_text(json.dumps(payload), encoding="utf-8")
+    code, err = run_quietly(["search", "--index", str(index), "--query-file", fixtures["corpus"], "--out", str(tmp / "out")])
+    assert_typed_failure(code, err)
 
 
 def assert_typed_failure(code: int, err: str) -> None:
