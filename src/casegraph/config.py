@@ -104,11 +104,15 @@ def check(name: str, value, label: str | None = None, error: type[Exception] = U
 
 
 class Settings:
-    """Base of a frozen dataclass whose fields are settings (``setting``); each is checked when it is made."""
+    """Base of a frozen dataclass whose fields are settings (``setting``); each field's type and range
+    are checked when it is made, as ``PipelineConfig`` checks them, and a failure is a ``ConfigError`` naming the field."""
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
-            check(field.metadata["setting"], getattr(self, field.name), field.name, ConfigError)
+            name, value = field.metadata["setting"], getattr(self, field.name)
+            if type(value) not in VALUE_TYPES[FIELDS[name].type][1]:
+                raise ConfigError(f"{field.name} must be {FIELDS[name].type}, got {value!r}")
+            check(name, value, field.name, ConfigError)
 
 
 def setting(name: str):

@@ -25,9 +25,10 @@ TransE model as its entity and relation names ascending with their vectors
 as one ``float64`` column each (``transe.model_to_columns``), and the
 extractor as its labels, its features ascending (a feature's position is
 its id) and its weights as one ``float64`` column
-(``relations.extractor_to_columns``). Loading rebuilds the same in-memory
-models, with their checks. It stores the sorted doc ids and the networks
-column-wise, one row per document in doc id order (``network.NetworkColumns``):
+(``relations.extractor_to_columns``); the model files hold the same
+payloads. Loading rebuilds the same in-memory models, with their checks.
+It stores the sorted doc ids and the networks column-wise, one row per
+document in doc id order (``network.NetworkColumns``):
 node and edge pointers, cui ids into one sorted cui table, span pointers and
 bounds, endpoints as node positions within the document, relation ids into
 one relation table, provenance ids, confidences, and each node's kernel

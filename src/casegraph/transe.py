@@ -9,6 +9,12 @@ re-normalized to unit length at the end of every epoch.
 
 Everything is driven by a single seed: initialization, per-epoch shuffles,
 corruption coin flips, and entity sampling are all byte-reproducible.
+
+A model has one stored form (``model_to_columns``/``model_from_columns``):
+its config, its entity and relation names ascending, and their vectors as
+one ``float64`` column each. A model file (``save_model``, a version-2
+``casegraph-transe`` container) and an index's ``transe`` part hold the same
+payload.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .kb import Triple, TripleStore, first_true, load_container, pack, save_cont
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "casegraph-transe"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 # Trained entity vectors have unit length. A relation component beyond this
 # bound (or NaN or infinite) means training diverged, and a loaded one would
 # overflow the distances and embeddings.
@@ -422,59 +428,13 @@ def evaluate_link_prediction(
     return report
 
 
-def model_to_dict(model: EmbeddingModel) -> dict:
-    """The model file's payload: each vector a JSON number list under its name."""
-    return {
-        "config": asdict(model.config),
-        "entities": {k: v.tolist() for k, v in model.entity_vectors.items()},
-        "relations": {k: v.tolist() for k, v in model.relation_vectors.items()},
-    }
-
-
-def _vector_rows(names: list[str], values: np.ndarray, dim: int, kind: str) -> dict[str, np.ndarray]:
-    """Each name's row of ``values``, a (names x dim) matrix laid out row by row.
-
-    FormatError unless there are names and ``values`` holds names x dim
-    components, each finite and within ``MAX_COMPONENT``.
-    """
-    if not names:
-        raise FormatError(f"model has no {kind} vectors")
-    if len(values) != len(names) * dim:
-        raise FormatError(f"{kind} vectors must be {len(names)} x {dim} numbers, got {len(values)}")
-    matrix = values.reshape(len(names), dim)
-    i = first_true(~(np.abs(matrix) <= MAX_COMPONENT).all(axis=1))
-    if i >= 0:
-        raise FormatError(f"{kind} {names[i]}: vector holds a value that is not finite or exceeds {MAX_COMPONENT:g}")
-    return dict(zip(names, matrix))
-
-
-def _vector_table(rows: dict, dim: int, kind: str) -> dict[str, np.ndarray]:
-    for name, values in rows.items():
-        # JSON numbers only: numpy would also read "0.5" and true as floats.
-        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
-            raise FormatError(f"{kind} {name}: vector components must be JSON numbers")
-        if len(values) != dim:
-            raise FormatError(f"{kind} {name}: vector of shape ({len(values)},), expected ({dim},)")
-    return _vector_rows(list(rows), np.array(list(rows.values()), dtype=float).ravel(), dim, kind)
-
-
-def model_from_dict(data: dict) -> EmbeddingModel:
-    """Decode ``model_to_dict`` output; every vector must be ``config.dim`` long,
-    finite and within ``MAX_COMPONENT``."""
-    config = TrainConfig(**data["config"])
-    return EmbeddingModel(
-        _vector_table(data["entities"], config.dim, "entity"),
-        _vector_table(data["relations"], config.dim, "relation"),
-        config,
-    )
-
-
-# The index's form of each vector table: its key of names, its key of vectors, and what a vector is of.
+# Each stored vector table: its key of names, its key of vectors, and what a vector is of.
 _COLUMNS = (("entities", "entity_vectors", "entity"), ("relations", "relation_vectors", "relation"))
 
 
 def model_to_columns(model: EmbeddingModel) -> dict:
-    """The index's form of the model: each table's names ascending, and its vectors one ``float64`` column in name order."""
+    """The model's one stored form, in a model file and in an index: each table's
+    names ascending, and its vectors one ``float64`` column in name order."""
     stored = {"config": asdict(model.config)}
     for (names_key, column, _), table in zip(_COLUMNS, (model.entity_vectors, model.relation_vectors)):
         names = stored[names_key] = sorted(table)
@@ -483,25 +443,28 @@ def model_to_columns(model: EmbeddingModel) -> dict:
 
 
 def model_from_columns(data: dict) -> EmbeddingModel:
-    """Decode ``model_to_columns`` output: names ascending strictly, and vectors as ``model_from_dict`` checks them."""
+    """Decode ``model_to_columns`` output: FormatError unless each table's names are a non-empty list of
+    strings ascending strictly and its column holds names x dim components, each finite and within ``MAX_COMPONENT``."""
     config = TrainConfig(**data["config"])
-    return EmbeddingModel(
-        *(
-            _vector_rows(
-                strings(data[names], f"transe {names}", ascending=True),
-                unpack(data[column], f"transe {column}", "float64"),
-                config.dim,
-                kind,
-            )
-            for names, column, kind in _COLUMNS
-        ),
-        config,
-    )
+    tables = []
+    for names_key, column, kind in _COLUMNS:
+        names = strings(data[names_key], f"transe {names_key}", ascending=True)
+        values = unpack(data[column], f"transe {column}", "float64")
+        if not names:
+            raise FormatError(f"model has no {kind} vectors")
+        if len(values) != len(names) * config.dim:
+            raise FormatError(f"{kind} vectors must be {len(names)} x {config.dim} numbers, got {len(values)}")
+        matrix = values.reshape(len(names), config.dim)
+        i = first_true(~(np.abs(matrix) <= MAX_COMPONENT).all(axis=1))
+        if i >= 0:
+            raise FormatError(f"{kind} {names[i]}: vector holds a value that is not finite or exceeds {MAX_COMPONENT:g}")
+        tables.append(dict(zip(names, matrix)))
+    return EmbeddingModel(*tables, config)
 
 
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
-    save_container(path, MODEL_FORMAT, MODEL_VERSION, model_to_dict(model))
+    save_container(path, MODEL_FORMAT, MODEL_VERSION, model_to_columns(model))
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
-    return load_container(path, MODEL_FORMAT, MODEL_VERSION, model_from_dict)
+    return load_container(path, MODEL_FORMAT, MODEL_VERSION, model_from_columns)

@@ -209,8 +209,20 @@ def _set(key: str, at: int, value, kind: str = "int32"):
     return lambda part: edit_column(part, key, lambda values: values.__setitem__(at, value), kind)
 
 
+def drop_last_row(key: str, width):
+    """Drop the last row of the float64 column ``key`` of a part, whose rows are ``width(part)`` long."""
+    return lambda part: edit_column(part, key, lambda values: values.__delitem__(slice(-width(part), None)), "float64")
+
+
+def keep_first_label(extractor: dict) -> None:
+    """Keep only the first label of an extractor part, and its row of weights."""
+    extractor["labels"] = extractor["labels"][:1]
+    edit_column(extractor, "weights", lambda values: values.__delitem__(slice(len(extractor["features"]), None)), "float64")
+
+
 # Damage to one model part of a valid index ("lexicon", "kb", "transe" or
-# "extractor") that loading must refuse, with the text its error holds.
+# "extractor") that loading must refuse, with the text its error holds. The
+# "transe" and "extractor" cases damage a model file's payload the same way.
 INDEX_MODEL_SPOILERS = {
     "lexicon empty bucket": ("lexicon", empty_bucket, "has no concepts"),
     "lexicon concept twice in a bucket": ("lexicon", repeat_in_bucket, "lists concept C[0-9]+ twice"),
@@ -247,6 +259,16 @@ INDEX_MODEL_SPOILERS = {
     "transe relation not a string": ("transe", lambda m: m["relations"].__setitem__(0, 1), "relations must be a list of strings"),
     "transe no relations": ("transe", lambda m: m.update(relations=[], relation_vectors=""), "no relation vectors"),
     "transe dim too large": ("transe", lambda m: m["config"].update(dim=m["config"]["dim"] + 1), "numbers, got"),
+    "transe short vector": (
+        "transe", drop_last_row("entity_vectors", lambda m: m["config"]["dim"]), "entity vectors must be [0-9]+ x [0-9]+ numbers"
+    ),
+    "transe Infinity": ("transe", _set("entity_vectors", 1, math.inf, "float64"), "entity .*: vector holds a value"),
+    "transe -Infinity": ("transe", _set("entity_vectors", 1, -math.inf, "float64"), "entity .*: vector holds a value"),
+    "transe boolean learning rate": (
+        "transe", lambda m: m["config"].update(learning_rate=True), "learning_rate must be float, got True"
+    ),
+    "transe boolean epochs": ("transe", lambda m: m["config"].update(epochs=True), "epochs must be int, got True"),
+    "transe float seed": ("transe", lambda m: m["config"].update(seed=2.5), "seed must be int, got 2.5"),
     "extractor weights not base64": ("extractor", lambda m: m.update(weights=m["weights"][:-1]), "weights must be base64"),
     "extractor weights one short": ("extractor", lambda m: edit_column(m, "weights", list.pop, "float64"), "weights must be"),
     "extractor huge weight": ("extractor", _set("weights", 1, 1e300, "float64"), "exceeds"),
@@ -255,6 +277,19 @@ INDEX_MODEL_SPOILERS = {
     "extractor feature twice": ("extractor", lambda m: m["features"].__setitem__(1, m["features"][0]), "features must ascend"),
     "extractor feature not a string": ("extractor", lambda m: m["features"].__setitem__(0, 0), "features must be a list of strings"),
     "extractor NA not first": ("extractor", lambda m: m["labels"].reverse(), "labels must start with NA"),
+    "extractor a label row short": (
+        "extractor", drop_last_row("weights", lambda m: len(m["features"])), "weights must be [0-9]+ rows"
+    ),
+    "extractor infinite weight": ("extractor", _set("weights", 1, math.inf, "float64"), "not finite"),
+    "extractor duplicate labels": (
+        "extractor", lambda m: m["labels"].__setitem__(-1, m["labels"][-2]), "labels must be a list of distinct strings"
+    ),
+    "extractor one label": ("extractor", keep_first_label, "labels must start with NA and hold at least one relation"),
+    "extractor numeric label": ("extractor", lambda m: m["labels"].__setitem__(-1, 7), "labels must be a list of distinct strings"),
+    "extractor string hyperparameter": (
+        "extractor", lambda m: m["hyperparams"].update(learning_rate="0.1"), "learning_rate must be float, got '0.1'"
+    ),
+    "extractor boolean seed": ("extractor", lambda m: m["hyperparams"].update(seed=True), "seed must be int, got True"),
 }
 
 

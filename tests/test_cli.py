@@ -25,6 +25,11 @@ def run_cli(*argv):
     return dispatch(list(argv))
 
 
+def model_spoilers(part: str) -> list[str]:
+    """The ``helpers.INDEX_MODEL_SPOILERS`` cases of the model part ``part``, named without it."""
+    return sorted(name.removeprefix(f"{part} ") for name, (of, _, _) in helpers.INDEX_MODEL_SPOILERS.items() if of == part)
+
+
 class TestDispatchBasics:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run_cli() == 1
@@ -192,24 +197,28 @@ class TestBadInputsExitTwo:
 
 
     @staticmethod
-    def spoil(model: dict, spoiler: str) -> None:
-        entity = sorted(model["entities"])[0]
-        if spoiler == "short vector":
-            model["entities"][entity] = model["entities"][entity][:-1]
-        elif spoiler == "nested vector":
-            model["relations"][sorted(model["relations"])[0]] = [model["entities"][entity]]
-        else:
-            model["entities"][entity][0] = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}[spoiler]
+    def spoil_model_file(model: Path, spoiler: str) -> str:
+        """Damage the model file with the ``helpers.INDEX_MODEL_SPOILERS`` case ``spoiler``; its error's text."""
+        _, spoil, match = helpers.INDEX_MODEL_SPOILERS[spoiler]
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        spoil(payload)
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        return match
 
-    @pytest.mark.parametrize("spoiler", ["short vector", "nested vector", "NaN", "Infinity", "-Infinity"])
+    def assert_model_refused(self, capsys, model: Path, match: str, argv: list, out: Path) -> None:
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = self.assert_one_error_line(capsys)
+        assert err.startswith(f"error: {model}: ") and re.search(match, err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spoiler", model_spoilers("transe"))
     @pytest.mark.parametrize("command", ["eval-lp", "enrich", "index"])
     def test_bad_model_vectors(self, tmp_path, fixtures, capsys, command, spoiler):
+        # A model file holds the payload of an index's transe part, and is damaged as that part is.
         model = tmp_path / "transe.json"
         assert run_cli("train-transe", "--triples", fixtures["triples"], "--dim", "6", "--epochs", "2", "--out", str(model)) == 0
-        payload = json.loads(model.read_text(encoding="utf-8"))
-        self.spoil(payload, spoiler)
-        model.write_text(json.dumps(payload), encoding="utf-8")
-        out = tmp_path / "out"
+        match = self.spoil_model_file(model, f"transe {spoiler}")
         argv = {
             "eval-lp": ["eval-lp", "--triples", fixtures["triples"]],
             "enrich": ["enrich", "--networks", helpers.write_pipeline_networks(fixtures, tmp_path / "n.jsonl"), "--fuse"],
@@ -218,48 +227,38 @@ class TestBadInputsExitTwo:
                 "--triples", fixtures["triples"], "--enrich", "--fuse",
             ],
         }[command]
-        assert run_cli(*argv, "--transe-model", str(model), "--out", str(out)) == 2
-        assert str(model) in self.assert_one_error_line(capsys)
-        assert not out.exists()
+        self.assert_model_refused(capsys, model, match, [*argv, "--transe-model", str(model)], tmp_path / "out")
 
-    EXTRACTOR_SPOILERS = {
-        "id beyond the vocabulary": ("feature_vocab", lambda m, f: m["feature_vocab"].__setitem__(f, 10**6)),
-        "string id": ("feature_vocab", lambda m, f: m["feature_vocab"].__setitem__(f, "x")),
-        "boolean id": ("feature_vocab", lambda m, f: m["feature_vocab"].__setitem__(f, False)),
-        "negative id": ("feature_vocab", lambda m, f: m["feature_vocab"].__setitem__(f, -1)),
-        "ids out of sorted order": ("feature_vocab", lambda m, f: m["feature_vocab"].update(
-            zip(sorted(m["feature_vocab"])[:2], sorted(m["feature_vocab"].values())[1::-1])
-        )),
-        "a label row short": ("weights", lambda m, f: m["weights"].pop()),
-        "a weight short": ("weights", lambda m, f: m["weights"][1].pop()),
-        "string weight": ("weights", lambda m, f: m["weights"][1].__setitem__(0, "nan")),
-        "boolean weight": ("weights", lambda m, f: m["weights"][1].__setitem__(0, True)),
-        "infinite weight": ("weights", lambda m, f: m["weights"][1].__setitem__(0, math.inf)),
-        "huge weight": ("weights", lambda m, f: m["weights"][1].__setitem__(0, 1e300)),
-        "NA not first": ("labels", lambda m, f: m["labels"].reverse()),
-        "duplicate labels": ("labels", lambda m, f: m["labels"].__setitem__(-1, m["labels"][-2])),
-        "one label": ("labels", lambda m, f: m.update(labels=["NA"], weights=m["weights"][:1])),
-        "numeric label": ("labels", lambda m, f: m["labels"].__setitem__(-1, 7)),
-        "string hyperparameter": ("hyperparams", lambda m, f: m["hyperparams"].__setitem__("learning_rate", "0.1")),
-        "boolean seed": ("hyperparams", lambda m, f: m["hyperparams"].__setitem__("seed", True)),
-    }
-
-    @pytest.mark.parametrize("spoiler", sorted(EXTRACTOR_SPOILERS))
+    @pytest.mark.parametrize("spoiler", model_spoilers("extractor"))
     def test_bad_extractor_model(self, tmp_path, fixtures, capsys, spoiler):
         model, mentions = tmp_path / "extractor.json", tmp_path / "mentions.jsonl"
         docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
         assert run_cli("train-extractor", *docs, "--triples", fixtures["triples"], "--epochs", "3", "--out", str(model)) == 0
         assert run_cli("link", *docs, "--out", str(mentions)) == 0
-        payload = json.loads(model.read_text(encoding="utf-8"))
-        part, spoil = self.EXTRACTOR_SPOILERS[spoiler]
-        spoil(payload, sorted(payload["feature_vocab"])[0])
-        model.write_text(json.dumps(payload), encoding="utf-8")
-        capsys.readouterr()
-        out = tmp_path / "edges.jsonl"
-        argv = ["extract", *docs, "--mentions", str(mentions), "--mode", "model", "--extractor-model", str(model)]
-        assert run_cli(*argv, "--out", str(out)) == 2
-        assert part in self.assert_one_error_line(capsys)
-        assert not out.exists()
+        match = self.spoil_model_file(model, f"extractor {spoiler}")
+        for argv in (["extract", *docs, "--mentions", str(mentions)], ["index", *docs]):
+            argv += ["--mode", "model", "--extractor-model", str(model)]
+            self.assert_model_refused(capsys, model, match, argv, tmp_path / "out")
+
+    @pytest.mark.parametrize("kind", ["transe", "extractor"])
+    def test_version_1_model_file_refused(self, tmp_path, fixtures, capsys, kind):
+        # Written inline in the version-1 form: names mapped to JSON number vectors, or a feature-to-id object and weight rows.
+        model = tmp_path / "model.json"
+        if kind == "transe":
+            config = {"dim": 2, "margin": 1.0, "learning_rate": 0.01, "epochs": 1, "distance": "l1", "seed": 13}
+            payload = {"config": config, "entities": {"C0001": [0.6, 0.8]}, "relations": {"treats": [0.5, -0.5]}}
+            argv = ["eval-lp", "--triples", fixtures["triples"], "--transe-model", str(model)]
+        else:
+            hyperparams = {"learning_rate": 0.1, "epochs": 1, "l2": 0.0001, "seed": 13}
+            vocab, weights = {"dir:fwd": 0, "dir:rev": 1}, [[0.0, 0.0], [0.5, -0.5]]
+            payload = {"labels": ["NA", "treats"], "feature_vocab": vocab, "weights": weights, "hyperparams": hyperparams}
+            docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+            argv = ["index", *docs, "--mode", "model", "--extractor-model", str(model)]
+        model.write_text(json.dumps({**payload, "format": f"casegraph-{kind}", "version": 1}), encoding="utf-8")
+        message = f"error: {model}: unsupported casegraph-{kind} version 1 (expected 2)\n"
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        assert self.assert_one_error_line(capsys) == message
+        assert not (tmp_path / "out").exists()
 
     RECORD_SPOILERS = {
         "list relation": lambda r, e: e.__setitem__("rel", [1]),
@@ -564,6 +563,19 @@ class TestModelLoading:
         payload = json.loads((tmp_path / "corpus.idx").read_text(encoding="utf-8"))
         assert payload["extractor"] is None and payload["kb"] is not None
         assert run_cli("extract", *docs, "--mentions", str(mentions), *kbmatch, "--out", str(tmp_path / "e.jsonl")) == 0
+
+    def test_model_files_hold_the_index_parts(self, tmp_path, fixtures):
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        transe, extractor, index = tmp_path / "transe.json", tmp_path / "extractor.json", tmp_path / "corpus.idx"
+        assert run_cli("train-transe", "--triples", fixtures["triples"], "--dim", "6", "--epochs", "2", "--out", str(transe)) == 0
+        assert run_cli("train-extractor", *docs, "--triples", fixtures["triples"], "--epochs", "2", "--out", str(extractor)) == 0
+        models = ["--mode", "model", "--extractor-model", str(extractor), "--transe-model", str(transe)]
+        assert run_cli("index", *docs, *models, "--enrich", "--fuse", "--out", str(index)) == 0
+        stored = engine.index_to_dict(engine.load_index(index))
+        for part, path in (("transe", transe), ("extractor", extractor)):
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            assert (payload.pop("format"), payload.pop("version")) == (f"casegraph-{part}", 2)
+            assert payload == stored[part]
 
 
 class TestUnexpectedFailure:

@@ -62,6 +62,30 @@ class TestDefaults:
 
     def test_int_is_a_float(self):
         PipelineConfig(theta_rel=1, lambda_weight=0, tau_lp=1)
+        TrainConfig(margin=2, learning_rate=1)
+        ExtractorHyperparams(learning_rate=1, l2=0)
+
+    @pytest.mark.parametrize(
+        "settings,field,value,kind",
+        [
+            (TrainConfig, "epochs", 2.5, "int"),
+            (TrainConfig, "dim", "6", "int"),
+            (TrainConfig, "learning_rate", True, "float"),
+            (TrainConfig, "seed", 2.5, "int"),
+            (TrainConfig, "margin", None, "float"),
+            (TrainConfig, "distance", 1, "str"),
+            (ExtractorHyperparams, "learning_rate", "0.1", "float"),
+            (ExtractorHyperparams, "epochs", True, "int"),
+            (ExtractorHyperparams, "l2", [0.0], "float"),
+            (ExtractorHyperparams, "seed", 13.0, "int"),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_wrong_setting_type_names_field(self, settings, field, value, kind):
+        # TrainConfig(epochs=2.5) and a boolean learning rate used to be accepted, and TrainConfig(dim="6") was a bare TypeError.
+        with pytest.raises(ConfigError) as refused:
+            settings(**{field: value})
+        assert str(refused.value) == f"{field} must be {kind}, got {value!r}"
 
 
 class TestConfigFile:

@@ -166,42 +166,37 @@ def run_quietly(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def damaged_model_files(data, tmp: Path, valid: str, name: str) -> list[Path]:
+    """Two damaged copies of a valid model file: one as ``damaged_json`` damages it, and one
+    whose payload has a column or list damaged as ``damaged_model_part`` damages an index's model part."""
+    payload = json.loads(valid)
+    tag = {key: payload.pop(key) for key in ("format", "version")}
+    texts = [data.draw(damaged_json(valid)), json.dumps({**data.draw(damaged_model_part(payload)), **tag})]
+    paths = [tmp / f"{name}-json.json", tmp / f"{name}-columns.json"]
+    for path, text in zip(paths, texts):
+        path.write_text(text, encoding="utf-8")
+    return paths
+
+
+def assert_typed_failure(code: int, err: str) -> None:
+    """Exit 0, 1 or 2, no traceback, and one ``error:`` line exactly when the run failed."""
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == (code != 0), err
+
+
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
 @given(data=st.data())
 def test_damaged_transe_model(pipeline, data):
     tmp, fixtures, networks, valid = pipeline
-    model = tmp / "damaged.json"
-    model.write_text(data.draw(damaged_json(valid)), encoding="utf-8")
     out = str(tmp / "out")
-    for argv in (
-        ["eval-lp", "--triples", fixtures["triples"]],
-        ["enrich", "--networks", networks, "--fuse"],
-        ["index", "--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"], "--triples", fixtures["triples"], "--enrich", "--fuse"],
-    ):
-        code, err = run_quietly([*argv, "--transe-model", str(model), "--out", out])
-        assert code in (0, 1, 2), err
-        assert "Traceback" not in err
-        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, err
-
-
-@settings(derandomize=True, deadline=None, max_examples=30, database=None)
-@given(data=st.data())
-def test_non_numeric_vector_component(pipeline, data):
-    # A component that JSON holds as a string, boolean or null is a data
-    # error, even where numpy could read it as a float.
-    tmp, fixtures, networks, valid = pipeline
-    payload = json.loads(valid)
-    table = payload[data.draw(st.sampled_from(["entities", "relations"]))]
-    vector = table[data.draw(st.sampled_from(sorted(table)))]
-    vector[data.draw(st.integers(0, len(vector) - 1))] = data.draw(
-        st.booleans() | st.none() | st.floats(allow_nan=False).map(repr) | st.integers(-3, 3).map(str)
-    )
-    model = tmp / "non_numeric.json"
-    model.write_text(json.dumps(payload), encoding="utf-8")
-    code, err = run_quietly(["eval-lp", "--triples", fixtures["triples"], "--transe-model", str(model), "--out", str(tmp / "out")])
-    assert code == 2, err
-    assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()[-1:]
-    assert "vector components must be JSON numbers" in err
+    for model in damaged_model_files(data, tmp, valid, "damaged"):
+        for argv in (
+            ["eval-lp", "--triples", fixtures["triples"]],
+            ["enrich", "--networks", networks, "--fuse"],
+            ["index", "--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"], "--triples", fixtures["triples"], "--enrich", "--fuse"],
+        ):
+            assert_typed_failure(*run_quietly([*argv, "--transe-model", str(model), "--out", out]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -331,14 +326,13 @@ def assert_index_refused(tmp: Path, fixtures: dict, payload: dict, text: str) ->
 @given(data=st.data())
 def test_damaged_extractor_model(extractor_pipeline, data):
     tmp, fixtures, mentions, valid, valid_index = extractor_pipeline
-    damaged = data.draw(damaged_json(valid))
-    model = tmp / "damaged-extractor.json"
-    model.write_text(damaged, encoding="utf-8")
     docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
-    runs = [
-        ["extract", *docs, "--mentions", mentions, "--mode", "model", "--extractor-model", str(model)],
-        ["index", *docs, "--mode", "model", "--extractor-model", str(model)],
-    ]
+    runs = []
+    for model in damaged_model_files(data, tmp, valid, "damaged-extractor"):
+        runs += [
+            ["extract", *docs, "--mentions", mentions, "--mode", "model", "--extractor-model", str(model)],
+            ["index", *docs, "--mode", "model", "--extractor-model", str(model)],
+        ]
     # The same kinds of damage to an index's extractor, which holds the model as columns.
     payload = json.loads(valid_index)
     try:
@@ -351,10 +345,7 @@ def test_damaged_extractor_model(extractor_pipeline, data):
         index.write_text(json.dumps(payload), encoding="utf-8")
         runs.append(["search", "--index", str(index), "--query-file", fixtures["corpus"]])
     for argv in runs:
-        code, err = run_quietly([*argv, "--out", str(tmp / "out")])
-        assert code in (0, 1, 2), err
-        assert "Traceback" not in err
-        assert sum(line.startswith("error:") for line in err.splitlines()) == (code != 0), err
+        assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
 
 
 _BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
