@@ -134,7 +134,7 @@ def _cmd_eval_lp(args: argparse.Namespace) -> None:
     model = load_model(_require(cfg.transe_model, "transe_model"))
     kb = load_triples(_require(cfg.triples, "triples"))
     test = load_triples(args.test_triples) if args.test_triples else kb
-    report = evaluate_link_prediction(model, sorted(test.triples, key=lambda t: (t.head, t.relation, t.tail)), kb)
+    report = evaluate_link_prediction(model, sorted(test.triples), kb)
     _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
 
 

@@ -7,9 +7,9 @@ token, cuis) and its candidate pairs (head and tail mention indices, the
 token bounds between them, their sentence). Extraction (``extract_edges``)
 reads that record's columns, and ``_add_document`` appends the document's
 network to ``network.NetworkRows`` and enriches it there. ``index_corpus``
-adds every document of the corpus as a row, fuses all rows at once, labels
-them for the kernel at once (``similarity.wl_corpus_labels``) and only then
-puts the rows in doc id order; it makes no per-document network object.
+adds every document of the corpus as a row in doc id order, fuses all rows
+at once and labels them for the kernel at once
+(``similarity.wl_corpus_labels``); it makes no per-document network object.
 ``search`` adds its query as a row of its own and stops before fusion,
 which no score reads; ``document_network`` runs one document on to a fused
 ``SemanticNetwork``. Which models a configuration needs is checked once,
@@ -33,11 +33,12 @@ node and edge pointers, cui ids into one sorted cui table, span pointers and
 bounds, endpoints as node positions within the document, relation ids into
 one relation table, provenance ids, confidences, and each node's kernel
 labels at iterations 0..h. Those labels are the first-seen labels of
-compressing the corpus in corpus order, the one thing about the kernel that
-the networks do not determine. Every numeric column is a base64 string of
-little-endian ``int32`` (confidences ``float64``) items, which loading reads
-with ``np.frombuffer`` (``kb.pack``/``kb.unpack``); the strings stay readable
-JSON.
+compressing the networks in doc id order, so the index bytes depend only on
+the set of documents; they are stored because deriving them on load
+(``wl_corpus_labels``) would add about a third to its time. Every numeric
+column is a base64 string of little-endian ``int32`` (confidences
+``float64``) items, which loading reads with ``np.frombuffer``
+(``kb.pack``/``kb.unpack``); the strings stay readable JSON.
 
 Everything else is derived whenever an index is built or loaded, by one
 function (``_derive``) with array operations: the label compressor, each
@@ -109,7 +110,6 @@ from .network import (  # build_network, enrich_network and fuse_network: bound 
     enrich_network,
     fuse_network,
     network_from_columns,
-    take_rows,
 )
 from .relations import (
     ExtractorModel,
@@ -334,8 +334,9 @@ def index_corpus(
 ) -> Index:
     """Build the network of every document as a row, then fuse and label all rows at once.
 
-    The rows grow in corpus order, which decides the kernel labels
-    (``wl_corpus_labels``); the index holds them in doc id order.
+    The rows grow in doc id order, the order the index holds them in, so the
+    kernel labels (``wl_corpus_labels``) and the index bytes depend only on
+    the set of documents, not on their order in the corpus.
     """
     require_models(config, kb, extractor, transe)
     rows, seen = NetworkRows(transe), set()
@@ -343,16 +344,14 @@ def index_corpus(
         if doc.id in seen:
             raise ValidationError(f"duplicate document id {doc.id}")
         seen.add(doc.id)
+    for doc in sorted(corpus, key=lambda doc: doc.id):
         _add_document(rows, doc, lexicon, config, kb, extractor)
     if config.fuse:
         rows.fuse()
     columns = rows.columns()
     columns = replace(columns, node_labels=wl_corpus_labels(columns, config.h))
-    order = sorted(range(len(corpus)), key=lambda row: corpus[row].id)
-    columns = take_rows(columns, np.array(order, np.int64))
     log.info("indexed %d documents (%d kernel labels)", len(corpus), columns.node_labels.max(initial=-1) + 1)
-    doc_ids = [corpus[row].id for row in order]
-    return Index(config, lexicon, kb, extractor, transe, *_derive(doc_ids, columns, config.h, lexicon, transe))
+    return Index(config, lexicon, kb, extractor, transe, *_derive(sorted(seen), columns, config.h, lexicon, transe))
 
 
 def _embed_rows(columns: NetworkColumns, transe: EmbeddingModel | None) -> np.ndarray:

@@ -38,9 +38,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -100,8 +100,7 @@ class Concept:
     semantic_type: str
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     head: str
     relation: str
     tail: str
@@ -130,7 +129,6 @@ class Lexicon:
 
     concepts: dict[str, Concept] = field(default_factory=dict)
     surface_index: dict[str, list[str]] = field(default_factory=dict)
-    max_surface_token_len: int = 0
 
     @cached_property
     def prefixes(self) -> frozenset[str]:
@@ -152,9 +150,6 @@ class Lexicon:
         bucket = self.surface_index.setdefault(key, [])
         if cui not in bucket:
             bucket.append(cui)
-        width = len(key.split(" "))
-        if width > self.max_surface_token_len:
-            self.max_surface_token_len = width
 
     def _add(self, cui: str, preferred_name: str, synonyms: list[str], semantic_type: str) -> None:
         if not cui:
@@ -231,10 +226,8 @@ def lexicon_from_dict(data: dict) -> Lexicon:
     Those are the rules of ``Lexicon._add``: cuis are distinct and non-empty,
     preferred names non-empty, and every surface is non-empty and maps to a
     non-empty bucket of distinct concepts. A surface has no leading,
-    trailing or repeated space, so its word count, from which
-    ``max_surface_token_len`` is derived, is its number of spaces plus one.
-    The surfaces ascend strictly, which is also the order of the loaded
-    surface index.
+    trailing or repeated space. The surfaces ascend strictly, which is also
+    the order of the loaded surface index.
     """
     cuis, names, types = (strings(data[key], f"lexicon {key}") for key in ("cuis", "names", "semantic_types"))
     synonyms, surfaces = strings(data["synonyms"], "lexicon synonyms"), strings(data["surfaces"], "lexicon surfaces")
@@ -279,7 +272,6 @@ def lexicon_from_dict(data: dict) -> Lexicon:
     return Lexicon(
         dict(zip(cuis, map(Concept, cuis, names, grouped, types))),
         {surface: flat[start:end] for surface, start, end in zip(surfaces, bounds, bounds[1:])},
-        max(map(str.count, surfaces, repeat(" ")), default=-1) + 1,
     )
 
 
@@ -357,7 +349,7 @@ def triples_to_dict(store: TripleStore) -> dict:
     entities = sorted(store.entities)
     entity = {name: i for i, name in enumerate(entities)}
     relation = {name: i for i, name in enumerate(store.relations)}
-    rows = sorted((entity[t.head], relation[t.relation], entity[t.tail]) for t in store.triples)
+    rows = sorted((entity[h], relation[r], entity[t]) for h, r, t in store.triples)
     return {"relations": list(store.relations), "entities": entities, "triples": pack(list(chain.from_iterable(rows)))}
 
 

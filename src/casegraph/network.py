@@ -483,34 +483,6 @@ def network_columns(nets: list[SemanticNetwork], node_labels: Sequence[int]) -> 
     return replace(rows.columns(), node_labels=np.array(node_labels, np.int64))
 
 
-def _gather(ptr: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pointer of a CSR layout's rows taken in ``order``, and the positions of their items."""
-    sizes = np.diff(ptr)[order]
-    taken = np.zeros(len(order) + 1, np.int64)
-    np.cumsum(sizes, out=taken[1:])
-    return taken, np.repeat(ptr[order] - taken[:-1], sizes) + np.arange(taken[-1])
-
-
-def take_rows(columns: NetworkColumns, order: np.ndarray) -> NetworkColumns:
-    """``columns`` with row ``i`` holding row ``order[i]``; each node keeps its labels."""
-    c = columns
-    node_ptr, nodes = _gather(c.node_ptr, order)
-    span_ptr, spans = _gather(c.span_ptr, nodes)
-    edge_ptr, edges = _gather(c.edge_ptr, order)
-    labels = c.node_labels.reshape(len(c.node_cuis), len(c.node_labels) // max(1, len(c.node_cuis)))
-    return NetworkColumns(
-        c.cuis,
-        c.relations,
-        node_ptr,
-        c.node_cuis[nodes],
-        span_ptr,
-        c.spans[spans],
-        edge_ptr,
-        *(column[edges] for column in (c.heads, c.tails, c.edge_relations, c.provenances, c.confidences)),
-        labels[nodes].ravel(),
-    )
-
-
 def first_unordered_row(ascending: np.ndarray, ptr: np.ndarray) -> int:
     """The first row of a CSR layout whose items do not ascend strictly, or -1.
 

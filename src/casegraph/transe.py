@@ -127,8 +127,8 @@ def plausibility(model: EmbeddingModel, head: str, relation: str, tail: str) -> 
 
 def margin_loss(model: EmbeddingModel, positive: Triple, corrupted: Triple) -> float:
     """max(0, margin + d(positive) - d(corrupted))."""
-    pos = dissimilarity(model, positive.head, positive.relation, positive.tail)
-    neg = dissimilarity(model, corrupted.head, corrupted.relation, corrupted.tail)
+    pos = dissimilarity(model, *positive)
+    neg = dissimilarity(model, *corrupted)
     return max(0.0, model.config.margin + pos - neg)
 
 
@@ -151,8 +151,8 @@ def margin_loss_gradients(
     if margin_loss(model, positive, corrupted) <= 0.0:
         return {}
     distance = model.config.distance
-    h, r, t = _vectors(model, positive.head, positive.relation, positive.tail)
-    hc, rc, tc = _vectors(model, corrupted.head, corrupted.relation, corrupted.tail)
+    h, r, t = _vectors(model, *positive)
+    hc, rc, tc = _vectors(model, *corrupted)
     diff = np.array([h + r - t, hc + rc - tc])
     g_pos, g_neg = _distance_gradient(diff, distances(diff, distance), distance)
     grads: dict[tuple[str, str], np.ndarray] = {}
@@ -177,11 +177,11 @@ def _stored(triples: Iterable[Triple], index: dict[str, int]) -> tuple[dict, dic
     and of the stored tails of every (head, relation); unindexed names are left out."""
     heads: dict[tuple[str, str], list[int]] = {}
     tails: dict[tuple[str, str], list[int]] = {}
-    for triple in triples:
-        if triple.head in index:
-            heads.setdefault((triple.relation, triple.tail), []).append(index[triple.head])
-        if triple.tail in index:
-            tails.setdefault((triple.head, triple.relation), []).append(index[triple.tail])
+    for head, relation, tail in triples:
+        if head in index:
+            heads.setdefault((relation, tail), []).append(index[head])
+        if tail in index:
+            tails.setdefault((head, relation), []).append(index[tail])
     for positions in (*heads.values(), *tails.values()):
         positions.sort()
     return heads, tails
@@ -223,7 +223,7 @@ def train(
         if vec.shape != (config.dim,):
             raise ConfigError(f"config dim is {config.dim} but the model's vectors have shape {vec.shape}")
     trained = EmbeddingModel(dict(model.entity_vectors), dict(model.relation_vectors), config)
-    triples = sorted(kb.triples, key=lambda t: (t.head, t.relation, t.tail))
+    triples = sorted(kb.triples)
     entity_list = sorted(trained.entity_vectors)
     relation_list = sorted(trained.relation_vectors)
     index = {name: row for row, name in enumerate(entity_list)}
@@ -233,12 +233,12 @@ def train(
     tail_choices = {key: _allowed(p, len(entity_list)) for key, p in stored_tails.items()}
     everyone = (len(entity_list), [])
     steps = []
-    for p in triples:
-        rows = (index.get(p.head), relation_row.get(p.relation), index.get(p.tail))
+    for head, relation, tail in triples:
+        rows = (index.get(head), relation_row.get(relation), index.get(tail))
         steps.append((
             None if None in rows else rows,
-            head_choices.get((p.relation, p.tail), everyone),
-            tail_choices.get((p.head, p.relation), everyone),
+            head_choices.get((relation, tail), everyone),
+            tail_choices.get((head, relation), everyone),
         ))
     matrix = np.array(
         [trained.entity_vectors[n] for n in entity_list] + [trained.relation_vectors[n] for n in relation_list],
@@ -262,7 +262,7 @@ def train(
             j = int(rng.integers(allowed))
             replacement = j + bisect_right(skips, j)
             if rows is None:
-                _vectors(trained, triples[idx].head, triples[idx].relation, triples[idx].tail)
+                _vectors(trained, *triples[idx])
             h, r, t = rows
             slots = [h, r, t, replacement, r, t] if corrupt_head else [h, r, t, h, r, replacement]
             stacked = matrix[slots]

@@ -33,7 +33,7 @@ LEXICON = build_lexicon([
     ("C7", "Strasse", ["straße", "strasse"], "T001"),
     ("C8", "Fever rash", ["fever rash", "fever"], "T047"),
 ])
-EXAMPLES = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+EXAMPLES = settings(max_examples=200)
 
 texts = st.lists(st.tuples(st.sampled_from(WORDS), st.booleans(), st.sampled_from(SEPARATORS)), max_size=24).map(
     lambda words: "".join((word.upper() if upper else word) + separator for word, upper, separator in words)

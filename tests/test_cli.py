@@ -869,6 +869,22 @@ class TestIndexSearchEvaluate:
         text = capsys.readouterr().out
         assert text.startswith("# nDCG gain") and "\nmean" in text
 
+    def test_index_bytes_do_not_depend_on_corpus_order(self, tmp_path):
+        fixtures = helpers.write_pipeline_fixtures(tmp_path, num_docs=30, seed=3)
+        transe_model = tmp_path / "transe.json"
+        assert run_cli("train-transe", "--triples", fixtures["triples"], "--dim", "8", "--epochs", "5", "--out", str(transe_model)) == 0
+        lines = Path(fixtures["corpus"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        reversed_corpus = tmp_path / "reversed.jsonl"
+        reversed_corpus.write_text("".join(reversed(lines)), encoding="utf-8")
+        built = []
+        for corpus in (fixtures["corpus"], reversed_corpus):
+            built.append(tmp_path / f"{len(built)}.idx")
+            assert run_cli(
+                "index", "--lexicon", fixtures["lexicon"], "--corpus", str(corpus), "--triples", fixtures["triples"],
+                "--transe-model", str(transe_model), "--enrich", "--fuse", "--out", str(built[-1]),
+            ) == 0
+        assert built[0].read_bytes() == built[1].read_bytes()
+
     def test_config_file_supplies_paths(self, tmp_path, fixtures, built_index, capsys):
         conf = tmp_path / "search.conf"
         conf.write_text(f"index = {built_index}\nk = 3\n", encoding="utf-8")

@@ -185,7 +185,7 @@ def assert_typed_failure(code: int, err: str) -> None:
     assert sum(line.startswith("error:") for line in err.splitlines()) == (code != 0), err
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_damaged_transe_model(pipeline, data):
     tmp, fixtures, networks, valid = pipeline
@@ -199,7 +199,7 @@ def test_damaged_transe_model(pipeline, data):
             assert_typed_failure(*run_quietly([*argv, "--transe-model", str(model), "--out", out]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_damaged_index(index_pipeline, data):
     tmp, fixtures, valid = index_pipeline
@@ -322,7 +322,7 @@ def assert_index_refused(tmp: Path, fixtures: dict, payload: dict, text: str) ->
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and text in err, err
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_damaged_extractor_model(extractor_pipeline, data):
     tmp, fixtures, mentions, valid, valid_index = extractor_pipeline
@@ -385,7 +385,7 @@ def damaged_model_part(draw, part: dict) -> dict:
     return {**part, key: value}
 
 
-@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_damaged_index_model_columns(index_pipeline, extractor_pipeline, data):
     # The lexicon, triple store and TransE model of the kbmatch index, and the extractor of the model-mode one.
@@ -405,7 +405,7 @@ def assert_typed_failure(code: int, err: str) -> None:
     assert sum(line.startswith("error:") for line in err.splitlines()) == (code != 0), err
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_damaged_networks(pipeline, data):
     tmp, _, networks, _ = pipeline
@@ -415,7 +415,7 @@ def test_damaged_networks(pipeline, data):
     assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_damaged_edges(edges_pipeline, data):
     tmp, fixtures, mentions, valid = edges_pipeline
@@ -428,7 +428,7 @@ def test_damaged_edges(edges_pipeline, data):
         assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_damaged_mentions(extractor_pipeline, edges_pipeline, data):
     tmp, fixtures, mentions, _, _ = extractor_pipeline
@@ -443,7 +443,7 @@ def test_damaged_mentions(extractor_pipeline, edges_pipeline, data):
         assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_damaged_corpus(pipeline, edges_pipeline, index_pipeline, data):
     tmp, fixtures, _, _ = pipeline
@@ -470,7 +470,7 @@ def readers_of_inputs(docs: list[str], triples: str, mentions: str) -> list[list
     ]
 
 
-@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_damaged_lexicon(pipeline, edges_pipeline, data):
     tmp, fixtures, _, _ = pipeline
@@ -487,7 +487,7 @@ def test_damaged_lexicon(pipeline, edges_pipeline, data):
     assert_index_typed_failure(tmp, [*docs, "--triples", fixtures["triples"]])
 
 
-@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_damaged_triples(pipeline, edges_pipeline, data):
     tmp, fixtures, _, _ = pipeline
@@ -536,14 +536,14 @@ def evaluate_damaged(tmp: Path, run: str, qrels: str) -> None:
         assert_typed_failure(*run_quietly([*argv, "--out", str(tmp / "out")]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_damaged_run(evaluate_pipeline, data):
     tmp, run, qrels = evaluate_pipeline
     evaluate_damaged(tmp, data.draw(damaged_tsv(run, sep=" ", numbers=True)), qrels)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_damaged_qrels(evaluate_pipeline, data):
     tmp, run, qrels = evaluate_pipeline

@@ -44,14 +44,12 @@ class TestLoadLexicon:
     def test_fixture_file(self, lexicon):
         assert len(lexicon) == 4
         assert lexicon.surface_index["heart attack"] == ["C0027051"]
-        assert lexicon.max_surface_token_len == 3  # "acute myocardial infarction"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("", encoding="utf-8")
         lexicon = load_lexicon(path)
         assert len(lexicon) == 0
-        assert lexicon.max_surface_token_len == 0
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"

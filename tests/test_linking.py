@@ -92,7 +92,7 @@ class TestSplitSentences:
 class TestFrontEndOracle:
     """The offset and trimming fast paths against per-character oracles."""
 
-    @settings(derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(st.text(alphabet=_FRONT_END_ALPHABET, max_size=80))
     def test_tokenize_and_split_match_oracles(self, text):
         tokens = tokenize(text)

@@ -203,7 +203,7 @@ def awkward_networks(draw) -> SemanticNetwork:
 class TestSignaturesEqualJsonDumps:
     """Labels and the order in which they are assigned match those of the json.dumps signatures."""
 
-    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @settings(max_examples=150)
     @given(st.lists(awkward_networks(), min_size=1, max_size=3), st.integers(0, 3))
     def test_fresh_compressor(self, nets, h):
         comp, oracle = LabelCompressor(), LabelCompressor()
@@ -212,7 +212,7 @@ class TestSignaturesEqualJsonDumps:
         assert list(comp.table.values()) == list(oracle.table.values())
         assert comp.next_id == oracle.next_id
 
-    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @settings(max_examples=150)
     @given(st.lists(awkward_networks(), min_size=2, max_size=4), st.integers(0, 3))
     def test_overlay(self, nets, h):
         parent, oracle_parent = LabelCompressor(), LabelCompressor()
@@ -251,7 +251,7 @@ def hub_networks(draw) -> SemanticNetwork:
 class TestCorpusLabels:
     """``wl_corpus_labels`` gives the labels of one compressor going through the networks in order."""
 
-    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @settings(max_examples=150)
     @given(st.lists(awkward_networks() | hub_networks() | st.just(SemanticNetwork("d")), min_size=1, max_size=5), st.integers(0, 4))
     def test_equal_to_the_oracle_network_by_network(self, nets, h):
         oracle = LabelCompressor()
@@ -277,7 +277,7 @@ class TestCorpusLabels:
 class TestCompressorFromColumns:
     """The compressor derived from stored node labels labels every network as the one that assigned them."""
 
-    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @settings(max_examples=150)
     @given(st.lists(awkward_networks(), min_size=1, max_size=4), st.integers(0, 3))
     def test_derived_compressor_relabels_alike(self, nets, h):
         nets = [replace(net, doc_id=f"d{i}") for i, net in enumerate(nets)]
