@@ -77,12 +77,8 @@ from .similarity import (
 from .transe import (
     EmbeddingModel,
     TrainConfig,
-    dissimilarity,
     evaluate_link_prediction,
     init_model,
-    plausibility,
-    rank_heads,
-    rank_tails,
     train,
 )
 from .trec import MetricReport, Qrels, Run, evaluate_run, parse_qrels, read_run, write_run

@@ -12,14 +12,15 @@ at once and labels them for the kernel at once
 (``similarity.wl_corpus_labels``); it makes no per-document network object.
 ``search`` adds its query as a row of its own and stops before fusion,
 which no score reads; ``document_network`` runs one document on to a fused
-``SemanticNetwork``. Which models a configuration needs is checked once,
+``SemanticNetwork``. Which models a configuration reads is decided once,
 by ``require_models``, whenever an index is built or loaded.
 
 The index bundles everything needed to answer queries with the exact
-pipeline the documents went through: the lexicon, the triple store, any
-trained models, and the networks. It persists as a single versioned JSON
-container (version 6) whose bytes are reproducible for a fixed corpus,
-configuration, and seed. Each model is stored as lists of names and typed
+pipeline the documents went through: the lexicon, the models its
+configuration reads (the triple store in ``kbmatch`` mode, the extractor
+in ``model`` mode, TransE whenever it is given), and the networks. It
+persists as a single versioned JSON container (version 6) whose bytes are
+reproducible for a fixed corpus, configuration, and seed. Each model is stored as lists of names and typed
 columns: the lexicon and the triple store as ``kb`` describes them, the
 TransE model as its entity and relation names ascending with their vectors
 as one ``float64`` column each (``transe.model_to_columns``), and the
@@ -256,11 +257,13 @@ def require_models(
     kb: TripleStore | None,
     extractor: ExtractorModel | None,
     transe: EmbeddingModel | None,
-) -> None:
-    """ConfigError unless the models are given that ``config`` needs.
+) -> tuple[TripleStore | None, ExtractorModel | None, EmbeddingModel | None]:
+    """The models that ``config`` reads, as ``(kb, extractor, transe)``; ConfigError unless it has them all.
 
-    Mode ``model`` needs a relation extractor and ``kbmatch`` a triple store;
-    enrichment and fusion need a TransE model.
+    Mode ``model`` reads a relation extractor and ``kbmatch`` a triple store,
+    never the other; enrichment and fusion need a TransE model, which is
+    kept whenever it is given, since it also serves the cosine half of the
+    score.
     """
     if config.mode == "model" and extractor is None:
         raise ConfigError("mode 'model' requires a trained relation extractor")
@@ -270,6 +273,9 @@ def require_models(
         raise ConfigError("enrichment requires an embedding model")
     if config.fuse and transe is None:
         raise ConfigError("confidence fusion requires an embedding model")
+    if config.mode == "model":
+        return None, extractor, transe
+    return kb, None, transe
 
 
 def extract_edges(
@@ -338,7 +344,7 @@ def index_corpus(
     kernel labels (``wl_corpus_labels``) and the index bytes depend only on
     the set of documents, not on their order in the corpus.
     """
-    require_models(config, kb, extractor, transe)
+    kb, extractor, transe = require_models(config, kb, extractor, transe)
     rows, seen = NetworkRows(transe), set()
     for doc in corpus:
         if doc.id in seen:
@@ -597,7 +603,7 @@ def index_from_dict(data: dict) -> Index:
     kb = triples_from_dict(data["kb"]) if data["kb"] is not None else None
     extractor = extractor_from_columns(data["extractor"]) if data["extractor"] is not None else None
     transe = model_from_columns(data["transe"]) if data["transe"] is not None else None
-    require_models(config, kb, extractor, transe)
+    kb, extractor, transe = require_models(config, kb, extractor, transe)
     return Index(config, lexicon, kb, extractor, transe, *_derive(docs, columns, config.h, lexicon, transe))
 
 

@@ -310,10 +310,6 @@ def mentions_jsonl(per_doc: dict[str, list[Mention]]) -> str:
     return jsonl({"doc_id": doc_id, "mentions": [mention_to_dict(m) for m in ms]} for doc_id, ms in per_doc.items())
 
 
-def write_mentions(per_doc: dict[str, list[Mention]], path: str | Path) -> None:
-    Path(path).write_text(mentions_jsonl(per_doc), encoding="utf-8")
-
-
 def read_mentions(path: str | Path) -> dict[str, list[Mention]]:
     def decode(obj) -> tuple[str, list[Mention]]:
         if type(obj["doc_id"]) is not str or type(obj["mentions"]) is not list:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Container, Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -257,7 +257,8 @@ class NetworkRows:
         """Strengthen every extracted edge of every row that the model can score, as ``fuse_network`` describes.
 
         All the edges' distances come from one ``distances`` call, row for
-        row the bits of ``plausibility`` on each edge.
+        row the bits of the per-edge reference (``oracle_fuse_network`` in
+        ``tests/helpers.py``).
         """
         model = self.model
         vectors = [model.entity_vectors.get(cui) for cui in self.cuis]
@@ -475,14 +476,6 @@ def columns_from_dict(data: dict) -> NetworkColumns:
     })
 
 
-def network_columns(nets: list[SemanticNetwork], node_labels: Sequence[int]) -> NetworkColumns:
-    """The columns of ``nets``, one row per network in the given order, with ``node_labels`` as they are."""
-    rows = NetworkRows()
-    for net in nets:
-        rows.add_network(net)
-    return replace(rows.columns(), node_labels=np.array(node_labels, np.int64))
-
-
 def first_unordered_row(ascending: np.ndarray, ptr: np.ndarray) -> int:
     """The first row of a CSR layout whose items do not ascend strictly, or -1.
 
@@ -576,10 +569,6 @@ def network_from_columns(doc_id: str, columns: NetworkColumns | NetworkRows, row
 
 def networks_jsonl(networks: list[SemanticNetwork]) -> str:
     return jsonl(map(network_to_dict, networks))
-
-
-def write_networks(networks: list[SemanticNetwork], path: str | Path) -> None:
-    Path(path).write_text(networks_jsonl(networks), encoding="utf-8")
 
 
 def read_networks(path: str | Path) -> list[SemanticNetwork]:

@@ -280,27 +280,6 @@ def _scores(weights: np.ndarray, ids: np.ndarray, counts: np.ndarray) -> np.ndar
     return np.matmul(weights.T[ids].transpose(0, 2, 1), counts[:, :, None])[:, :, 0]
 
 
-def dataset_loss_and_gradient(
-    weights: np.ndarray,
-    instances: Sequence[RelationInstance],
-    feature_vocab: dict[str, int],
-    labels: list[str],
-    l2: float,
-) -> tuple[float, np.ndarray]:
-    """Total cross-entropy plus (l2/2)*||W||^2, with its analytic gradient."""
-    encoded = _encode(instances, feature_vocab, labels)
-    loss = 0.0
-    grad = np.zeros_like(weights)
-    for ids, counts, label_id in encoded:
-        probs = _softmax(weights[:, ids] @ counts)
-        loss -= float(np.log(probs[label_id]))
-        probs[label_id] -= 1.0  # now the label error
-        grad[:, ids] += probs[:, None] * counts
-    loss += 0.5 * l2 * float((weights * weights).sum())
-    grad += l2 * weights
-    return loss, grad
-
-
 def train_extractor(
     instances: Sequence[RelationInstance], hyperparams: ExtractorHyperparams | None = None
 ) -> ExtractorModel:
@@ -309,7 +288,7 @@ def train_extractor(
     The feature vocabulary and label list are fixed up front (sorted), the
     instance order is reshuffled every epoch, and the L2 penalty is spread
     across the instances of each epoch so a full pass matches the batch
-    objective of ``dataset_loss_and_gradient``.
+    objective (``oracle_dataset_loss_and_gradient`` in ``tests/helpers.py``).
 
     A step subtracts ``lr * grad``, where ``grad`` is ``l2_share * weights``
     plus, on the instance's columns, the outer product of the label error
@@ -346,12 +325,6 @@ def train_extractor(
     if not np.isfinite(weights).all():
         raise TrainingError("training diverged to non-finite weights")
     return ExtractorModel(vocab, weights, labels, hyperparams)
-
-
-def predict_probabilities(model: ExtractorModel, features: dict) -> np.ndarray:
-    """Label distribution for one feature map; unknown features are ignored."""
-    ids, counts = _sparse(features, model.feature_vocab)
-    return _softmax(_scores(model.weights, ids[None], counts[None]))[0]
 
 
 def _feature_blocks(
@@ -396,9 +369,9 @@ def extract_relations(
     suppressed; duplicate (head, tail, relation) edges keep the maximum
     confidence. The pairs of a call are featurized together and scored in
     one matrix product per number of known features, with the bits that
-    ``predict_probabilities`` gives each pair alone. A pair without a known
-    feature scores 0 on every label, so its prediction is the first label,
-    NA.
+    the per-pair reference (``oracle_probabilities`` in ``tests/helpers.py``)
+    gives each pair alone. A pair without a known feature scores 0 on every
+    label, so its prediction is the first label, NA, and it yields no edge.
     """
     check("theta_rel", theta_rel)
     pairs = Pairs.of(pairs)
@@ -444,10 +417,6 @@ def edges_to_dict(doc_id: str, edges: Sequence[Edge]) -> dict:
 
 def edges_jsonl(per_doc: dict[str, list[Edge]]) -> str:
     return jsonl(edges_to_dict(doc_id, edges) for doc_id, edges in per_doc.items())
-
-
-def write_edges(per_doc: dict[str, list[Edge]], path: str | Path) -> None:
-    Path(path).write_text(edges_jsonl(per_doc), encoding="utf-8")
 
 
 def read_edges(path: str | Path) -> dict[str, list[Edge]]:

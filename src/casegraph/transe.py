@@ -57,13 +57,6 @@ class EmbeddingModel:
     config: TrainConfig
     epoch_losses: list[float] = field(default_factory=list)
 
-    def knows(self, head: str, relation: str, tail: str) -> bool:
-        return (
-            head in self.entity_vectors
-            and tail in self.entity_vectors
-            and relation in self.relation_vectors
-        )
-
 
 def init_model(entities: Iterable[str], relations: Iterable[str], config: TrainConfig) -> EmbeddingModel:
     """Seeded uniform init in [-6/sqrt(dim), +6/sqrt(dim)]; entities unit-normalized."""
@@ -114,62 +107,12 @@ def distances(diff: np.ndarray, distance: str) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def dissimilarity(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
-    """Distance between vec(head) + vec(relation) and vec(tail)."""
-    h, r, t = _vectors(model, head, relation, tail)
-    return float(distances(h + r - t, model.config.distance))
-
-
-def plausibility(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
-    """exp(-dissimilarity): 1.0 iff the translation is exact, decaying toward 0."""
-    return math.exp(-dissimilarity(model, head, relation, tail))
-
-
-def margin_loss(model: EmbeddingModel, positive: Triple, corrupted: Triple) -> float:
-    """max(0, margin + d(positive) - d(corrupted))."""
-    pos = dissimilarity(model, *positive)
-    neg = dissimilarity(model, *corrupted)
-    return max(0.0, model.config.margin + pos - neg)
-
-
 def _distance_gradient(diff: np.ndarray, dist: np.ndarray, distance: str) -> np.ndarray:
     # Gradient wrt diff of its distances dist along the last axis; subgradient 0 at L1/L2 kinks.
     if distance == "l1":
         return np.sign(diff)
     norm = np.expand_dims(dist, -1)
     return np.divide(diff, norm, out=np.zeros_like(diff), where=norm != 0.0)
-
-
-def margin_loss_gradients(
-    model: EmbeddingModel, positive: Triple, corrupted: Triple
-) -> dict[tuple[str, str], np.ndarray]:
-    """Analytic gradients of ``margin_loss`` wrt every involved vector.
-
-    Keys are ("entity", cui) or ("relation", label); an inactive margin
-    yields an empty dict. Gradients on shared vectors accumulate.
-    """
-    if margin_loss(model, positive, corrupted) <= 0.0:
-        return {}
-    distance = model.config.distance
-    h, r, t = _vectors(model, *positive)
-    hc, rc, tc = _vectors(model, *corrupted)
-    diff = np.array([h + r - t, hc + rc - tc])
-    g_pos, g_neg = _distance_gradient(diff, distances(diff, distance), distance)
-    grads: dict[tuple[str, str], np.ndarray] = {}
-
-    def accumulate(key: tuple[str, str], value: np.ndarray) -> None:
-        if key in grads:
-            grads[key] = grads[key] + value
-        else:
-            grads[key] = value.copy()
-
-    accumulate(("entity", positive.head), g_pos)
-    accumulate(("relation", positive.relation), g_pos)
-    accumulate(("entity", positive.tail), -g_pos)
-    accumulate(("entity", corrupted.head), -g_neg)
-    accumulate(("relation", corrupted.relation), -g_neg)
-    accumulate(("entity", corrupted.tail), g_neg)
-    return grads
 
 
 def _stored(triples: Iterable[Triple], index: dict[str, int]) -> tuple[dict, dict]:
@@ -212,8 +155,9 @@ def train(
 
     The vectors are trained as the rows of one matrix, entities in name
     order and then relations, and handed back as the model's dicts at every
-    epoch end. Each step gives the same bits as ``margin_loss`` and
-    ``margin_loss_gradients`` on the dicts, accumulated in their key order.
+    epoch end. Each step gives the same bits as the per-triple loss and
+    gradients of the reference loop on the dicts (``oracle_train`` in
+    ``tests/helpers.py``), accumulated in their key order.
     """
     if config is None:
         config = model.config
@@ -308,67 +252,6 @@ def _unstack(model: EmbeddingModel, matrix: np.ndarray, entity_list: list[str], 
     model.relation_vectors.update(zip(relation_list, matrix[len(entity_list) :]))
 
 
-def _ranked(
-    model: EmbeddingModel,
-    candidates: list[str],
-    keep: Callable[[str], bool],
-    diff: Callable[[np.ndarray], np.ndarray],
-) -> list[tuple[str, float]]:
-    kept = [c for c in candidates if keep(c)]
-    if not kept:
-        return []
-    scores = distances(diff(np.array([_entity(model, c) for c in kept])), model.config.distance).tolist()
-    return sorted(zip(kept, scores), key=lambda item: (item[1], item[0]))
-
-
-def rank_tails(
-    model: EmbeddingModel,
-    head: str,
-    relation: str,
-    candidates: Iterable[str],
-    filter_store: TripleStore | None = None,
-    true_tail: str | None = None,
-) -> list[tuple[str, float]]:
-    """Candidates ascending by dissimilarity, ties broken lexicographically.
-
-    With a filter store, candidates that already form a stored triple with
-    (head, relation) are dropped, except ``true_tail``.
-    """
-    candidate_list = list(candidates)
-    if not candidate_list:
-        raise UsageError("candidate set must be non-empty")
-    h, r, _ = _vectors(model, head, relation, candidate_list[0])
-
-    def keep(c: str) -> bool:
-        if filter_store is None or c == true_tail:
-            return True
-        return not filter_store.has_triple(head, relation, c)
-
-    return _ranked(model, candidate_list, keep, lambda tails: h + r - tails)
-
-
-def rank_heads(
-    model: EmbeddingModel,
-    tail: str,
-    relation: str,
-    candidates: Iterable[str],
-    filter_store: TripleStore | None = None,
-    true_head: str | None = None,
-) -> list[tuple[str, float]]:
-    """Head-side counterpart of ``rank_tails``."""
-    candidate_list = list(candidates)
-    if not candidate_list:
-        raise UsageError("candidate set must be non-empty")
-    _, r, t = _vectors(model, candidate_list[0], relation, tail)
-
-    def keep(c: str) -> bool:
-        if filter_store is None or c == true_head:
-            return True
-        return not filter_store.has_triple(c, relation, tail)
-
-    return _ranked(model, candidate_list, keep, lambda heads: heads + r - t)
-
-
 def _rank(dist: np.ndarray, target: int, excluded: np.ndarray | None) -> int:
     """1-based position of ``target`` in (distance, name) order, candidates in name order.
 
@@ -389,9 +272,9 @@ def evaluate_link_prediction(
 
     Reported for the raw setting and the filtered setting (other stored
     true entities removed from the candidate list before ranking). Every
-    entity of the model is a candidate; the ranks are those of
-    ``rank_tails`` and ``rank_heads`` over them, counted from one distance
-    vector per ranking.
+    entity of the model is a candidate, ranked by (distance, name); the
+    ranks are those of the full sorts of ``oracle_ranking`` in
+    ``tests/helpers.py``, counted from one distance vector per ranking.
     """
     test_list = list(test)
     if not test_list:

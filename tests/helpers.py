@@ -14,13 +14,14 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from casegraph.config import PipelineConfig
 from casegraph.engine import document_network, search
-from casegraph.errors import TrainingError
+from casegraph.errors import TrainingError, UnknownIdentifierError
 from casegraph.kb import (
     Document,
     Lexicon,
@@ -36,10 +37,19 @@ from casegraph.kb import (
     unpack,
 )
 from casegraph.linking import Mention, SentenceSpan, Token
-from casegraph.network import PROV_EXTRACTED, PROV_FUSED, Edge, SemanticNetwork, fuse_confidence, write_networks
+from casegraph.network import (
+    PROV_EXTRACTED,
+    PROV_FUSED,
+    Edge,
+    NetworkColumns,
+    NetworkRows,
+    SemanticNetwork,
+    fuse_confidence,
+    networks_jsonl,
+)
 from casegraph.relations import CandidatePair, ExtractorModel
 from casegraph.similarity import LabelCompressor, combined_similarity
-from casegraph.transe import EmbeddingModel, margin_loss, margin_loss_gradients, plausibility
+from casegraph.transe import EmbeddingModel, _distance_gradient, distances
 
 FIXTURE_LEXICON_ROWS = [
     ("C0027051", "Myocardial Infarction", ["heart attack", "myocardial infarction"], "T047"),
@@ -297,8 +307,17 @@ def write_pipeline_networks(fixtures: dict, path) -> str:
     """Write the kbmatch networks of the fixture corpus, as ``build-graphs`` does."""
     lexicon, kb = load_lexicon(fixtures["lexicon"]), load_triples(fixtures["triples"])
     config = PipelineConfig(mode="kbmatch")
-    write_networks([document_network(doc, lexicon, config, kb) for doc in load_corpus(fixtures["corpus"])], path)
+    networks = [document_network(doc, lexicon, config, kb) for doc in load_corpus(fixtures["corpus"])]
+    path.write_text(networks_jsonl(networks), encoding="utf-8")
     return str(path)
+
+
+def oracle_network_columns(nets: list[SemanticNetwork], node_labels) -> NetworkColumns:
+    """The columns of ``nets``, one row per network in the given order, with ``node_labels`` as they are."""
+    rows = NetworkRows()
+    for net in nets:
+        rows.add_network(net)
+    return replace(rows.columns(), node_labels=np.array(node_labels, np.int64))
 
 
 def synth_kb(lexicon: Lexicon) -> TripleStore:
@@ -463,6 +482,23 @@ def oracle_probabilities(weights: np.ndarray, features: dict, vocab: dict[str, i
     if ids.size == 0:
         return oracle_softmax(np.zeros(weights.shape[0]))
     return oracle_softmax(weights[:, ids] @ counts)
+
+
+def oracle_dataset_loss_and_gradient(
+    weights: np.ndarray, instances, feature_vocab: dict[str, int], labels: list[str], l2: float
+) -> tuple[float, np.ndarray]:
+    """Total cross-entropy plus (l2/2)*||W||^2, with its analytic gradient."""
+    encoded = [(*_oracle_sparse(i.features, feature_vocab), labels.index(i.label)) for i in instances]
+    loss = 0.0
+    grad = np.zeros_like(weights)
+    for ids, counts, label_id in encoded:
+        probs = oracle_softmax(weights[:, ids] @ counts)
+        loss -= float(np.log(probs[label_id]))
+        probs[label_id] -= 1.0  # now the label error
+        grad[:, ids] += probs[:, None] * counts
+    loss += 0.5 * l2 * float((weights * weights).sum())
+    grad += l2 * weights
+    return loss, grad
 
 
 def oracle_extract_relations(pairs, model, theta_rel: float, tokens, lexicon) -> list[Edge]:
@@ -717,11 +753,11 @@ def oracle_enrichment(net: SemanticNetwork, model, tau_lp: float, m_cap: int):
 
 
 def oracle_fuse_network(net: SemanticNetwork, model) -> SemanticNetwork:
-    """Fusion edge by edge: one ``plausibility`` call per scorable extracted edge."""
+    """Fusion edge by edge: one ``oracle_plausibility`` call per scorable extracted edge."""
     fused = SemanticNetwork(net.doc_id, dict(net.nodes), [])
     for edge in net.edges:
-        if edge.provenance == PROV_EXTRACTED and model.knows(edge.head, edge.relation, edge.tail):
-            c_lp = plausibility(model, edge.head, edge.relation, edge.tail)
+        if edge.provenance == PROV_EXTRACTED and oracle_knows(model, edge.head, edge.relation, edge.tail):
+            c_lp = oracle_plausibility(model, edge.head, edge.relation, edge.tail)
             edge = Edge(edge.head, edge.tail, edge.relation, fuse_confidence(edge.confidence, c_lp), PROV_FUSED)
         fused.edges.append(edge)
     return fused
@@ -730,9 +766,71 @@ def oracle_fuse_network(net: SemanticNetwork, model) -> SemanticNetwork:
 # --- TransE oracles ---------------------------------------------------------------
 
 
+def oracle_knows(model: EmbeddingModel, head: str, relation: str, tail: str) -> bool:
+    return head in model.entity_vectors and tail in model.entity_vectors and relation in model.relation_vectors
+
+
+def _oracle_vectors(model: EmbeddingModel, head: str, relation: str, tail: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triple's vectors; UnknownIdentifierError names the first of head, tail and relation that the model lacks."""
+    for name, table, kind in ((head, model.entity_vectors, "entity"), (tail, model.entity_vectors, "entity"), (relation, model.relation_vectors, "relation")):
+        if name not in table:
+            raise UnknownIdentifierError(f"unknown {kind} {name}")
+    return model.entity_vectors[head], model.relation_vectors[relation], model.entity_vectors[tail]
+
+
+def oracle_dissimilarity(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
+    """Distance between vec(head) + vec(relation) and vec(tail), by the library's ``distances``."""
+    h, r, t = _oracle_vectors(model, head, relation, tail)
+    return float(distances(h + r - t, model.config.distance))
+
+
+def oracle_plausibility(model: EmbeddingModel, head: str, relation: str, tail: str) -> float:
+    """exp(-dissimilarity): 1.0 iff the translation is exact, decaying toward 0."""
+    return math.exp(-oracle_dissimilarity(model, head, relation, tail))
+
+
+def oracle_margin_loss(model: EmbeddingModel, positive: Triple, corrupted: Triple) -> float:
+    """max(0, margin + d(positive) - d(corrupted))."""
+    pos = oracle_dissimilarity(model, *positive)
+    neg = oracle_dissimilarity(model, *corrupted)
+    return max(0.0, model.config.margin + pos - neg)
+
+
+def oracle_margin_loss_gradients(
+    model: EmbeddingModel, positive: Triple, corrupted: Triple
+) -> dict[tuple[str, str], np.ndarray]:
+    """Analytic gradients of ``oracle_margin_loss`` wrt every involved vector.
+
+    Keys are ("entity", cui) or ("relation", label); an inactive margin
+    yields an empty dict. Gradients on shared vectors accumulate.
+    """
+    if oracle_margin_loss(model, positive, corrupted) <= 0.0:
+        return {}
+    distance = model.config.distance
+    h, r, t = _oracle_vectors(model, *positive)
+    hc, rc, tc = _oracle_vectors(model, *corrupted)
+    diff = np.array([h + r - t, hc + rc - tc])
+    g_pos, g_neg = _distance_gradient(diff, distances(diff, distance), distance)
+    grads: dict[tuple[str, str], np.ndarray] = {}
+
+    def accumulate(key: tuple[str, str], value: np.ndarray) -> None:
+        if key in grads:
+            grads[key] = grads[key] + value
+        else:
+            grads[key] = value.copy()
+
+    accumulate(("entity", positive.head), g_pos)
+    accumulate(("relation", positive.relation), g_pos)
+    accumulate(("entity", positive.tail), -g_pos)
+    accumulate(("entity", corrupted.head), -g_neg)
+    accumulate(("relation", corrupted.relation), -g_neg)
+    accumulate(("entity", corrupted.tail), g_neg)
+    return grads
+
+
 def oracle_train(model: EmbeddingModel, kb: TripleStore, config) -> EmbeddingModel:
     """The reference training loop: a full ``allowed`` list per SGD step and the
-    library's per-triple loss and gradients applied to the vector dicts."""
+    per-triple loss and gradients (``oracle_margin_loss_gradients``) applied to the vector dicts."""
     trained = EmbeddingModel(
         {k: v.copy() for k, v in model.entity_vectors.items()},
         {k: v.copy() for k, v in model.relation_vectors.items()},
@@ -759,8 +857,8 @@ def oracle_train(model: EmbeddingModel, kb: TripleStore, config) -> EmbeddingMod
                 corrupted = Triple(replacement, positive.relation, positive.tail)
             else:
                 corrupted = Triple(positive.head, positive.relation, replacement)
-            total += margin_loss(trained, positive, corrupted)
-            for (kind, name), grad in margin_loss_gradients(trained, positive, corrupted).items():
+            total += oracle_margin_loss(trained, positive, corrupted)
+            for (kind, name), grad in oracle_margin_loss_gradients(trained, positive, corrupted).items():
                 table = trained.entity_vectors if kind == "entity" else trained.relation_vectors
                 table[name] = table[name] - lr * grad
         mean_loss = total / len(triples)

@@ -20,13 +20,7 @@ from casegraph.engine import build_collection_graph, index_corpus, search
 from casegraph.kb import Document
 from casegraph.linking import link
 from casegraph.network import Edge, Node, SemanticNetwork, enrich_network, network_from_dict, network_to_dict
-from casegraph.relations import (
-    ExtractorHyperparams,
-    RelationInstance,
-    dataset_loss_and_gradient,
-    predict_probabilities,
-    train_extractor,
-)
+from casegraph.relations import ExtractorHyperparams, RelationInstance, train_extractor
 from casegraph.similarity import LabelCompressor, wl_dot, wl_features, wl_kernel_normalized
 from casegraph.transe import TrainConfig, evaluate_link_prediction, init_model, model_to_columns, train
 from casegraph.trec import Qrels, Run, evaluate_run, read_run, run_lines, write_run
@@ -78,11 +72,29 @@ def test_criterion_2_extractor_gradients_and_separable_fixture():
             features = {k: v for k, v in features.items() if v}
             instances.append(RelationInstance(None, labels[int(rng.integers(3))], features))
         weights = rng.normal(size=(3, 5))
-        _, grad = dataset_loss_and_gradient(weights, instances, vocab, labels, l2=0.01)
+        _, grad = helpers.oracle_dataset_loss_and_gradient(weights, instances, vocab, labels, l2=0.01)
         numeric = helpers.central_difference(
-            lambda w: dataset_loss_and_gradient(w, instances, vocab, labels, 0.01)[0], weights
+            lambda w: helpers.oracle_dataset_loss_and_gradient(w, instances, vocab, labels, 0.01)[0], weights
         )
         assert helpers.relative_error(grad, numeric) < 1e-4
+
+        # The production step: with one instance, epoch 2 is one SGD step from
+        # the epoch-1 weights W1, so (W1 - W2) / lr is the gradient of that
+        # instance's L2-regularized loss at W1.
+        instance = next(i for i in instances if i.label != "NA")
+        lr, l2 = 0.5, 0.1
+        w1, w2 = (
+            train_extractor([instance], ExtractorHyperparams(learning_rate=lr, epochs=epochs, l2=l2, seed=2))
+            for epochs in (1, 2)
+        )
+        assert w1.labels == w2.labels and w1.feature_vocab == w2.feature_vocab
+        step = (w1.weights - w2.weights) / lr
+        numeric = helpers.central_difference(
+            lambda w: helpers.oracle_dataset_loss_and_gradient(w, [instance], w1.feature_vocab, w1.labels, l2)[0],
+            w1.weights.copy(),
+        )
+        assert np.abs(step).max() > 0.0 and np.abs(w1.weights).max() > 0.0
+        assert helpers.relative_error(step, numeric) < 1e-4
 
         separable = []
         for signature, label, copies in (("sig:na", "NA", 7), ("sig:t", "may_treat", 7), ("sig:c", "cause_of", 6)):
@@ -91,7 +103,7 @@ def test_criterion_2_extractor_gradients_and_separable_fixture():
         assert len(separable) == 20
         model = train_extractor(separable, ExtractorHyperparams(epochs=50, seed=3))
         correct = sum(
-            model.labels[int(np.argmax(predict_probabilities(model, inst.features)))] == inst.label
+            model.labels[int(np.argmax(helpers.oracle_probabilities(model.weights, inst.features, model.feature_vocab)))] == inst.label
             for inst in separable
         )
         assert correct == len(separable)

@@ -11,8 +11,10 @@ import pytest
 import helpers
 from casegraph import engine, linking, relations
 from casegraph.cli import build_parser, dispatch
-from casegraph.kb import Document
+from casegraph.config import PipelineConfig
+from casegraph.kb import Document, load_corpus, load_lexicon, load_triples
 from casegraph.network import network_to_dict
+from casegraph.transe import load_model
 from casegraph.trec import read_run
 
 
@@ -487,6 +489,23 @@ class TestBadInputsExitTwo:
         err = self.assert_one_error_line(capsys)
         assert str(built_index) in err and "entity" in err
 
+    @pytest.mark.parametrize("field", ["doc id", "query id", "tag"])
+    def test_search_with_a_field_a_run_line_cannot_hold(self, tmp_path, fixtures, capsys, field):
+        # Each used to exit 0 with a run that evaluate then refused: "expected 6 whitespace-separated fields".
+        corpus, queries = tmp_path / "corpus.jsonl", tmp_path / "queries.jsonl"
+        index, out = tmp_path / "corpus.idx", tmp_path / "run.txt"
+        doc_id = "d 1" if field == "doc id" else "d1"
+        helpers.write_corpus_jsonl([Document(doc_id, "", "Aspirin for fever."), Document("d2", "", "Cough and fever.")], corpus)
+        helpers.write_corpus_jsonl([Document("q 1" if field == "query id" else "q1", "", "fever")], queries)
+        tag = ["--tag", "my run"] if field == "tag" else []
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", str(corpus)]
+        assert run_cli("index", *docs, "--triples", fixtures["triples"], "--out", str(index)) == 0
+        capsys.readouterr()
+        assert run_cli("search", "--index", str(index), "--query-file", str(queries), *tag, "--out", str(out)) == 2
+        err = self.assert_one_error_line(capsys)
+        assert "is empty or holds whitespace" in err and ("'my run'" if field == "tag" else " 1'") in err, err
+        assert not out.exists()
+
     @pytest.fixture(scope="class")
     def model_part_indexes(self, tmp_path_factory):
         """A kbmatch index holding a lexicon, a triple store and a TransE model, and a model-mode index holding an extractor."""
@@ -868,6 +887,24 @@ class TestIndexSearchEvaluate:
         assert run_cli("evaluate", "--run", str(run_path), "--qrels", str(qrels_path)) == 0
         text = capsys.readouterr().out
         assert text.startswith("# nDCG gain") and "\nmean" in text
+
+    @pytest.mark.parametrize("mode, unread", [("model", "kb"), ("kbmatch", "extractor")])
+    def test_library_index_keeps_only_the_models_it_reads(self, tmp_path, fixtures, mode, unread):
+        # index_corpus used to save every model it was given, unlike the CLI, which loads only those the mode reads.
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", fixtures["corpus"]]
+        transe, extractor = tmp_path / "transe.json", tmp_path / "extractor.json"
+        assert run_cli("train-transe", "--triples", fixtures["triples"], "--dim", "4", "--epochs", "2", "--out", str(transe)) == 0
+        assert run_cli("train-extractor", *docs, "--triples", fixtures["triples"], "--epochs", "2", "--out", str(extractor)) == 0
+        models = ["--triples", fixtures["triples"], "--extractor-model", str(extractor), "--transe-model", str(transe)]
+        built, saved = tmp_path / "cli.idx", tmp_path / "library.idx"
+        assert run_cli("index", *docs, *models, "--mode", mode, "--enrich", "--fuse", "--out", str(built)) == 0
+        index = engine.index_corpus(
+            load_corpus(fixtures["corpus"]), load_lexicon(fixtures["lexicon"]), PipelineConfig(mode=mode, enrich=True, fuse=True),
+            load_triples(fixtures["triples"]), relations.load_extractor(extractor), load_model(transe),
+        )
+        engine.save_index(index, saved)
+        assert json.loads(saved.read_text(encoding="utf-8"))[unread] is None
+        assert saved.read_bytes() == built.read_bytes()
 
     def test_index_bytes_do_not_depend_on_corpus_order(self, tmp_path):
         fixtures = helpers.write_pipeline_fixtures(tmp_path, num_docs=30, seed=3)

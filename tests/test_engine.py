@@ -37,7 +37,6 @@ from casegraph.network import (
     check_columns,
     columns_from_dict,
     columns_to_dict,
-    network_columns,
     network_from_columns,
 )
 from casegraph.relations import (
@@ -569,11 +568,12 @@ class TestLoadConsistency:
             self.load_edited(index, tmp_path, lambda payload: edit(payload["kb"]))
 
     @pytest.mark.parametrize("spoiler", sorted(helpers.INDEX_MODEL_SPOILERS))
-    def test_bad_model_part(self, model_index, tmp_path, spoiler):
-        # model_index holds all four model parts.
+    def test_bad_model_part(self, small_index, model_index, tmp_path, spoiler):
+        # model_index holds the lexicon, the extractor and TransE; the triple store is read in kbmatch mode alone.
         part, spoil, match = helpers.INDEX_MODEL_SPOILERS[spoiler]
+        index = small_index[1] if part == "kb" else model_index
         with pytest.raises(FormatError, match=match) as refused:
-            self.load_edited(model_index, tmp_path, lambda payload: spoil(payload[part]))
+            self.load_edited(index, tmp_path, lambda payload: spoil(payload[part]))
         assert str(refused.value).startswith(f"{tmp_path / 'edited.idx'}: ")
 
     def test_non_integer_wl_label(self, small_index, tmp_path):
@@ -838,14 +838,18 @@ class TestModelPartsRoundTrip:
     @settings(max_examples=60)
     @given(lexicon=lexicons(), kb=triple_stores(), transe=transe_models(), extractor=extractors())
     def test_models_keep_bits_and_orders(self, lexicon, kb, transe, extractor):
-        index = index_corpus([], lexicon, PipelineConfig(mode="model"), kb, extractor, transe)
-        stored = index_to_dict(index)
-        loaded = index_from_dict(json.loads(json.dumps(stored)))
-        assert json.dumps(index_to_dict(loaded)) == json.dumps(stored)
+        # An index keeps the triple store in kbmatch mode and the extractor in model mode.
+        indexes = []
+        for mode in ("kbmatch", "model"):
+            stored = index_to_dict(index_corpus([], lexicon, PipelineConfig(mode=mode), kb, extractor, transe))
+            loaded = index_from_dict(json.loads(json.dumps(stored)))
+            assert json.dumps(index_to_dict(loaded)) == json.dumps(stored)
+            indexes.append(loaded)
+        with_kb, loaded = indexes
+        assert (with_kb.kb.triples, with_kb.kb.relations, with_kb.kb.entities) == (kb.triples, kb.relations, kb.entities)
+        assert list(with_kb.kb.by_pair.items()) == list(kb.by_pair.items())
         assert list(loaded.lexicon.concepts.items()) == list(lexicon.concepts.items())
         assert list(loaded.lexicon.surface_index.items()) == sorted(lexicon.surface_index.items())  # as v5 loaded it
-        assert (loaded.kb.triples, loaded.kb.relations, loaded.kb.entities) == (kb.triples, kb.relations, kb.entities)
-        assert list(loaded.kb.by_pair.items()) == list(kb.by_pair.items())
         assert loaded.transe.config == transe.config
         for got, want in ((loaded.transe.entity_vectors, transe.entity_vectors), (loaded.transe.relation_vectors, transe.relation_vectors)):
             assert list(got) == list(want)
@@ -1171,7 +1175,7 @@ class TestRoundTrip:
         cui = sorted(net.nodes)[0]
         for bound in (2**31 - 1, 2**31):
             nodes = {**net.nodes, cui: Node(cui, net.nodes[cui].name, [(0, bound)])}
-            columns = network_columns([replace(net, nodes=nodes)], [])
+            columns = helpers.oracle_network_columns([replace(net, nodes=nodes)], [])
             if bound < 2**31:
                 stored = columns_from_dict(json.loads(json.dumps(columns_to_dict(columns))))
                 check_columns([net.doc_id], stored)

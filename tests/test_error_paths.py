@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pytest
 
 from casegraph.config import PipelineConfig, merge_config, read_config_file
@@ -18,7 +17,7 @@ from casegraph.errors import (
     ValidationError,
 )
 from casegraph.kb import build_lexicon, build_triple_store, load_corpus, load_lexicon, load_triples
-from casegraph.linking import Mention, read_mentions, split_sentences, tokenize
+from casegraph.linking import Mention, link, read_mentions, split_sentences, tokenize
 from casegraph.network import SemanticNetwork, enrich_network, read_networks
 from casegraph.relations import (
     ExtractorHyperparams,
@@ -29,7 +28,7 @@ from casegraph.relations import (
     read_edges,
     train_extractor,
 )
-from casegraph.transe import EmbeddingModel, TrainConfig, evaluate_link_prediction, init_model, rank_heads, train
+from casegraph.transe import TrainConfig, evaluate_link_prediction, init_model, train
 from casegraph.trec import parse_qrels, read_run
 
 
@@ -98,11 +97,6 @@ class TestTransEDegenerate:
         trained = train(model, kb)  # no explicit config
         assert len(trained.epoch_losses) == 2
 
-    def test_rank_heads_empty_candidates(self):
-        model = init_model(["a", "b"], ["r"], TrainConfig(dim=2))
-        with pytest.raises(UsageError):
-            rank_heads(model, "a", "r", [])
-
     def test_evaluate_empty_test_set(self):
         model = init_model(["a", "b"], ["r"], TrainConfig(dim=2))
         with pytest.raises(UsageError):
@@ -114,16 +108,18 @@ class TestExtractorDegenerate:
         with pytest.raises(TrainingError, match="no training instances"):
             train_extractor([])
 
-    def test_instance_with_only_unknown_features_predicts_uniform(self):
+    def test_instance_with_only_unknown_features_predicts_uniform(self, lexicon):
         instances = [
             RelationInstance(None, "NA", {"f:a": 1}),
             RelationInstance(None, "rel", {"f:b": 1}),
         ]
         model = train_extractor(instances)
-        from casegraph.relations import predict_probabilities
-
-        probs = predict_probabilities(model, {"never-seen": 3})
-        assert np.allclose(probs, 0.5)
+        text = "Aspirin treats heart attack."
+        tokens = tokenize(text)
+        pairs = generate_candidates("d1", link(text, lexicon, tokens), split_sentences(text, tokens), tokens, 30)
+        assert len(pairs) == 2
+        # Every feature of both pairs is unknown: each scores 0 on every label, a uniform distribution whose first label is NA.
+        assert extract_relations(pairs, model, 0.0, tokens, lexicon) == []
 
     def test_theta_range_checked(self, lexicon):
         model = train_extractor(

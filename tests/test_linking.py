@@ -13,10 +13,10 @@ from casegraph.kb import build_lexicon, normalize_surface, normalize_token
 from casegraph.linking import (
     link,
     mention_to_dict,
+    mentions_jsonl,
     read_mentions,
     split_sentences,
     tokenize,
-    write_mentions,
 )
 
 # Letters, digits, CJK, accents, punctuation, and whitespace; no combining
@@ -185,5 +185,5 @@ class TestMentionIO:
             "d2": list(link("No concepts here.", lexicon)),
         }
         path = tmp_path / "mentions.jsonl"
-        write_mentions(per_doc, path)
+        path.write_text(mentions_jsonl(per_doc), encoding="utf-8")
         assert read_mentions(path) == per_doc

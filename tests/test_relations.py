@@ -16,17 +16,15 @@ from casegraph.relations import (
     RelationInstance,
     _scores,
     _softmax,
-    dataset_loss_and_gradient,
     distant_label,
+    edges_jsonl,
     extract_relations,
     featurize,
     featurize_pairs,
     generate_candidates,
     kb_match_extract,
-    predict_probabilities,
     read_edges,
     train_extractor,
-    write_edges,
 )
 
 
@@ -164,7 +162,7 @@ class TestTrainExtractor:
         instances = separable_instances()
         model = train_extractor(instances, ExtractorHyperparams(epochs=50, seed=3))
         correct = sum(
-            model.labels[int(np.argmax(predict_probabilities(model, inst.features)))] == inst.label
+            model.labels[int(np.argmax(helpers.oracle_probabilities(model.weights, inst.features, model.feature_vocab)))] == inst.label
             for inst in instances
         )
         assert correct == len(instances)
@@ -177,7 +175,7 @@ class TestTrainExtractor:
 
     def test_zero_epochs_uniform_distribution(self):
         model = train_extractor(separable_instances(), ExtractorHyperparams(epochs=0))
-        probs = predict_probabilities(model, {"sig:treat": 1})
+        probs = helpers.oracle_probabilities(model.weights, {"sig:treat": 1}, model.feature_vocab)
         assert np.allclose(probs, 1.0 / len(model.labels))
 
     def test_all_na_is_an_error(self):
@@ -199,9 +197,9 @@ class TestTrainExtractor:
             features = {k: v for k, v in features.items() if v}
             instances.append(RelationInstance(None, labels[int(rng.integers(3))], features))
         weights = rng.normal(size=(3, 5))
-        _, grad = dataset_loss_and_gradient(weights, instances, vocab, labels, l2=0.01)
+        _, grad = helpers.oracle_dataset_loss_and_gradient(weights, instances, vocab, labels, l2=0.01)
         numeric = helpers.central_difference(
-            lambda w: dataset_loss_and_gradient(w, instances, vocab, labels, 0.01)[0], weights
+            lambda w: helpers.oracle_dataset_loss_and_gradient(w, instances, vocab, labels, 0.01)[0], weights
         )
         assert helpers.relative_error(grad, numeric) < 1e-4
 
@@ -222,7 +220,9 @@ class TestTrainExtractor:
         features_pool = sorted(model.feature_vocab)
         for _ in range(20):
             features = {rng.choice(features_pool): int(rng.integers(1, 4)) for _ in range(3)}
-            probs = predict_probabilities(model, features)
+            ids = np.array([[model.feature_vocab[name] for name in sorted(features)]])
+            counts = np.array([[features[name] for name in sorted(features)]], dtype=float)
+            probs = _softmax(_scores(model.weights, ids, counts))[0]
             assert abs(float(probs.sum()) - 1.0) < 1e-9
             assert (probs > 0).all()
 
@@ -294,7 +294,7 @@ class TestExtractRelations:
         assert len(keys) == len(set(keys))
         per_pair = {}
         for pair in pairs:
-            probs = predict_probabilities(model, featurize(pair, tokens, lexicon))
+            probs = helpers.oracle_probabilities(model.weights, featurize(pair, tokens, lexicon), model.feature_vocab)
             label = model.labels[int(np.argmax(probs))]
             if label == NA_LABEL:
                 continue
@@ -330,7 +330,7 @@ class TestEdgeIO:
         _, pairs = analyze("Aspirin treats heart attack.", lexicon)
         per_doc = {"d1": kb_match_extract(pairs, kb), "d2": []}
         path = tmp_path / "edges.jsonl"
-        write_edges(per_doc, path)
+        path.write_text(edges_jsonl(per_doc), encoding="utf-8")
         assert read_edges(path) == per_doc
 
 
@@ -365,9 +365,6 @@ class TestBatchedExtraction:
                 for theta in (0.0, 0.3, 0.6, 1.0):
                     expected = helpers.oracle_extract_relations(pairs, model, theta, tokens, lexicon)
                     assert extract_relations(pairs, model, theta, tokens, lexicon) == expected
-                for pair in pairs:
-                    expected = helpers.oracle_probabilities(model.weights, featurize(pair, tokens, lexicon), model.feature_vocab)
-                    assert predict_probabilities(model, featurize(pair, tokens, lexicon)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("num_labels", [2, 12])
     def test_every_feature_count_from_zero_to_window_plus_four(self, num_labels):

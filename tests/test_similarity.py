@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from casegraph.errors import FormatError, UsageError
-from casegraph.network import Edge, Node, SemanticNetwork, network_columns
+from casegraph.network import Edge, Node, SemanticNetwork
 from casegraph.similarity import (
     LabelCompressor,
     combined_similarity,
@@ -259,10 +259,10 @@ class TestCorpusLabels:
         for net in nets:
             history = helpers.oracle_wl_label_history(net, h, oracle)
             expected += [label for node in zip(*map(dict.values, history)) for label in node]
-        assert wl_corpus_labels(network_columns(nets, []), h).tolist() == expected
+        assert wl_corpus_labels(helpers.oracle_network_columns(nets, []), h).tolist() == expected
 
     def test_no_networks(self):
-        assert wl_corpus_labels(network_columns([], []), 2).tolist() == []
+        assert wl_corpus_labels(helpers.oracle_network_columns([], []), 2).tolist() == []
 
     def test_degrees_of_one_band_stay_apart(self):
         # b's pairs at iteration 1 are all (relation id 0, cui id 0): two of
@@ -271,7 +271,7 @@ class TestCorpusLabels:
             make_network("d1", ["a", "b"], [("a", "b", "r"), ("b", "a", "r")]),
             make_network("d2", ["a", "b"], [("a", "b", "r"), ("b", "a", "r"), ("a", "b", "r")]),
         ]
-        assert wl_corpus_labels(network_columns(nets, []), 1).tolist() == [0, 2, 1, 3, 0, 4, 1, 5]
+        assert wl_corpus_labels(helpers.oracle_network_columns(nets, []), 1).tolist() == [0, 2, 1, 3, 0, 4, 1, 5]
 
 
 class TestCompressorFromColumns:
@@ -284,7 +284,7 @@ class TestCompressorFromColumns:
         comp = LabelCompressor()
         histories = [wl_label_history(net, h, comp) for net in nets]
         labels = [label for history in histories for node in zip(*map(dict.values, history)) for label in node]
-        derived = compressor_from_columns([net.doc_id for net in nets], network_columns(nets, labels), h)
+        derived = compressor_from_columns([net.doc_id for net in nets], helpers.oracle_network_columns(nets, labels), h)
         assert derived.next_id == comp.next_id == len(derived.table)
         for net, history in zip(nets, histories):
             overlay = derived.overlay()
@@ -293,7 +293,7 @@ class TestCompressorFromColumns:
 
     def test_overflowing_sort_keys_refused(self):
         net = make_network("d", ["A", "B"], [("A", "B", "r")])
-        columns = network_columns([net], [label for node in zip(*map(dict.values, wl_label_history(net, 1, LabelCompressor()))) for label in node])
+        columns = helpers.oracle_network_columns([net], [label for node in zip(*map(dict.values, wl_label_history(net, 1, LabelCompressor()))) for label in node])
         assert compressor_from_columns(["d"], columns, 1).next_id == 4
         with pytest.raises(FormatError, match="overflow the int64 sort keys"):
             compressor_from_columns(["d"], replace(columns, relations=range(2**62)), 1)

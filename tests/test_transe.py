@@ -11,17 +11,11 @@ from casegraph.kb import Triple, build_triple_store
 from casegraph.transe import (
     EmbeddingModel,
     TrainConfig,
-    dissimilarity,
     evaluate_link_prediction,
     init_model,
     load_model,
-    margin_loss,
-    margin_loss_gradients,
     model_from_columns,
     model_to_columns,
-    plausibility,
-    rank_heads,
-    rank_tails,
     save_model,
     train,
 )
@@ -68,38 +62,40 @@ class TestInitModel:
 
 class TestDissimilarity:
     def test_exact_translation_l1(self):
-        assert dissimilarity(toy_model("l1"), "C1", "r", "C2") == 0.0
+        assert helpers.oracle_dissimilarity(toy_model("l1"), "C1", "r", "C2") == 0.0
 
     def test_l1_arithmetic(self):
-        assert dissimilarity(toy_model("l1"), "C1", "zero", "C3") == 1.0
+        assert helpers.oracle_dissimilarity(toy_model("l1"), "C1", "zero", "C3") == 1.0
 
     def test_l2_arithmetic(self):
-        assert dissimilarity(toy_model("l2"), "C1", "zero", "C3") == 1.0
+        assert helpers.oracle_dissimilarity(toy_model("l2"), "C1", "zero", "C3") == 1.0
 
     def test_unknown_identifiers_named(self):
         model = toy_model()
-        with pytest.raises(UnknownIdentifierError, match="C9"):
-            dissimilarity(model, "C9", "r", "C2")
-        with pytest.raises(UnknownIdentifierError, match="nope"):
-            dissimilarity(model, "C1", "nope", "C2")
+        for triple, name in ((Triple("C9", "r", "C2"), "entity C9"), (Triple("C1", "nope", "C2"), "relation nope")):
+            kb = build_triple_store([tuple(triple)])
+            with pytest.raises(UnknownIdentifierError, match=f"^unknown {name}$"):
+                evaluate_link_prediction(model, [triple], kb)
+            with pytest.raises(UnknownIdentifierError, match=f"^unknown {name}$"):
+                train(model, kb)
 
 
 class TestPlausibility:
     def test_perfect_translation(self):
-        assert plausibility(toy_model(), "C1", "r", "C2") == 1.0
+        assert helpers.oracle_plausibility(toy_model(), "C1", "r", "C2") == 1.0
 
     def test_unit_distance(self):
-        assert plausibility(toy_model(), "C1", "zero", "C3") == pytest.approx(0.3679, abs=1e-4)
+        assert helpers.oracle_plausibility(toy_model(), "C1", "zero", "C3") == pytest.approx(0.3679, abs=1e-4)
 
     def test_decay(self):
         model = toy_model()
         model.entity_vectors["far"] = np.array([11.0, 0.0])
-        assert plausibility(model, "C1", "zero", "far") < 1e-4
+        assert helpers.oracle_plausibility(model, "C1", "zero", "far") < 1e-4
 
     def test_strictly_decreasing_in_dissimilarity(self):
         model = toy_model()
         scored = [
-            (dissimilarity(model, h, r, t), plausibility(model, h, r, t))
+            (helpers.oracle_dissimilarity(model, h, r, t), helpers.oracle_plausibility(model, h, r, t))
             for h in model.entity_vectors
             for t in model.entity_vectors
             for r in model.relation_vectors
@@ -123,18 +119,18 @@ class TestMarginGradients:
         )
         positive = Triple("e1", "r", "e2")
         corrupted = Triple("e1", "r", "e3")
-        assert margin_loss(model, positive, corrupted) > 0.0
-        grads = margin_loss_gradients(model, positive, corrupted)
+        assert helpers.oracle_margin_loss(model, positive, corrupted) > 0.0
+        grads = helpers.oracle_margin_loss_gradients(model, positive, corrupted)
         for kind, name in [("entity", "e1"), ("entity", "e2"), ("entity", "e3"), ("relation", "r")]:
             table = model.entity_vectors if kind == "entity" else model.relation_vectors
             vec = table[name]
-            numeric = helpers.central_difference(lambda _: margin_loss(model, positive, corrupted), vec)
+            numeric = helpers.central_difference(lambda _: helpers.oracle_margin_loss(model, positive, corrupted), vec)
             assert helpers.relative_error(grads[(kind, name)], numeric) < 1e-4
 
     def test_inactive_margin_has_no_gradients(self):
         model = toy_model(margin=0.5)
         # d(C1, r, C2) = 0 and d(C1, r, C3) = 3, so the margin is satisfied.
-        assert margin_loss_gradients(model, Triple("C1", "r", "C2"), Triple("C1", "r", "C3")) == {}
+        assert helpers.oracle_margin_loss_gradients(model, Triple("C1", "r", "C2"), Triple("C1", "r", "C3")) == {}
 
 
 class TestTrain:
@@ -286,25 +282,6 @@ class TestLinkPredictionMatchesOracle:
             model = train(init_model(kb.entities, kb.relations, config), kb, config)
             assert evaluate_link_prediction(model, test, kb) == helpers.oracle_link_prediction(model, test, kb)
 
-    @pytest.mark.parametrize("distance", ["l1", "l2"])
-    def test_rank_functions_keep_their_output(self, distance):
-        model, kb, test = lp_case(5, distance)
-        candidates = sorted(model.entity_vectors, reverse=True)
-        for triple in test:
-            h, r, t = triple.head, triple.relation, triple.tail
-            for store in (None, kb):
-                def kept(c, true, head, tail):
-                    return store is None or c == true or not store.has_triple(head, r, tail)
-
-                tails = rank_tails(model, h, r, candidates, store, t)
-                want = [(c, dissimilarity(model, h, r, c)) for c in candidates if kept(c, t, h, c)]
-                assert tails == sorted(want, key=lambda item: (item[1], item[0]))
-                assert [c for c, _ in tails] == [name for _, name in helpers.oracle_ranking(model, triple, "tail", store)]
-                heads = rank_heads(model, t, r, candidates, store, h)
-                want = [(c, dissimilarity(model, c, r, t)) for c in candidates if kept(c, h, c, t)]
-                assert heads == sorted(want, key=lambda item: (item[1], item[0]))
-                assert [c for c, _ in heads] == [name for _, name in helpers.oracle_ranking(model, triple, "head", store)]
-
     def test_tie_counts_the_earlier_name(self):
         model, kb, _ = lp_case(0, "l1")
         report = evaluate_link_prediction(model, [Triple("e12", "r", "e07")], kb)
@@ -315,25 +292,28 @@ class TestLinkPredictionMatchesOracle:
 
 
 class TestRanking:
-    def test_singleton_candidate(self):
-        model = toy_model()
-        assert rank_tails(model, "C1", "r", ["C2"])[0][0] == "C2"
+    """The rankings behind ``evaluate_link_prediction``'s report."""
 
     def test_ties_break_lexicographically(self):
         model = toy_model()
         model.entity_vectors["C0"] = model.entity_vectors["C2"].copy()
-        ranked = rank_tails(model, "C1", "r", ["C2", "C0"])
-        assert [cui for cui, _ in ranked] == ["C0", "C2"]
+        # C0 and C2 tie at distance 0 as tails of (C1, r); C0 comes first.
+        report = evaluate_link_prediction(model, [Triple("C1", "r", "C2")], build_triple_store([("C1", "r", "C2")]))
+        assert report["raw"]["mean_rank"] == 1.5  # tail rank 2, head rank 1
+        assert report["raw"]["hits_at_1"] == 0.5
 
     def test_empty_candidates_rejected(self):
-        with pytest.raises(UsageError):
-            rank_tails(toy_model(), "C1", "r", [])
+        model = EmbeddingModel({}, {"r": np.array([0.0, 1.0])}, TrainConfig(dim=2))
+        with pytest.raises(UsageError, match="candidate set must be non-empty"):
+            evaluate_link_prediction(model, [Triple("C1", "r", "C2")], build_triple_store([("C1", "r", "C2")]))
 
     def test_filter_removes_other_true_tails(self):
         model = toy_model()
         kb = build_triple_store([("C1", "r", "C2"), ("C1", "r", "C3")])
-        ranked = rank_tails(model, "C1", "r", ["C2", "C3"], filter_store=kb, true_tail="C2")
-        assert [cui for cui, _ in ranked] == ["C2"]
+        # Tails of (C1, r) by l1 distance: C2 0, C1 1, C3 2; heads of (r, C3): C3 1, C1 2, C2 3.
+        report = evaluate_link_prediction(model, [Triple("C1", "r", "C3")], kb)
+        assert report["raw"]["mean_rank"] == (3 + 2) / 2
+        assert report["filtered"]["mean_rank"] == (2 + 2) / 2  # the other true tail C2 is dropped
 
     def test_trained_beats_random_baseline(self):
         kb = helpers.planted_toy_kb()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import pytest
 
@@ -95,6 +96,24 @@ class TestRunIO:
     def test_increasing_scores_rejected(self):
         with pytest.raises(ValidationError, match="increase"):
             run_lines(run_from({"1": [("docA", 0.1), ("docB", 0.9)]}))
+
+    @pytest.mark.parametrize(
+        "field, topic, doc_id, tag",
+        [
+            ("topic", "q 1", "d1", "t"),
+            ("doc id", "q1", "d\t1", "t"),
+            ("doc id", "q1", "", "t"),
+            ("doc id", "q1", "d\u20281", "t"),
+            ("tag", "q1", "d1", "my tag"),
+            ("tag", "q1", "d1", ""),
+        ],
+        ids=["spaced topic", "tab in doc id", "empty doc id", "line separator in doc id", "spaced tag", "empty tag"],
+    )
+    def test_field_that_would_not_read_back_rejected(self, field, topic, doc_id, tag):
+        # A space used to split the field: the run was written, and read_run then refused it.
+        value = {"topic": topic, "doc id": doc_id, "tag": tag}[field]
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'run {field} {value!r} is empty or holds whitespace')}"):
+            run_lines(run_from({topic: [(doc_id, 1.0)]}, tag))
 
     def test_duplicate_docs_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
