@@ -65,15 +65,7 @@ from .relations import (
     kb_match_extract,
     train_extractor,
 )
-from .similarity import (
-    DocEmbedding,
-    LabelCompressor,
-    WlFeatureVector,
-    combined_similarity,
-    doc_embedding,
-    wl_features,
-    wl_kernel_normalized,
-)
+from .similarity import LabelCompressor, combined_similarity, doc_embedding, wl_features
 from .transe import (
     EmbeddingModel,
     TrainConfig,

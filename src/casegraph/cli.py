@@ -179,6 +179,10 @@ def _cmd_search(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
     index = engine.load_index(_require(cfg.index, "index"))
     queries = load_corpus(args.query_file)
+    # Refused before the first query is scored, not when the run is written.
+    trec.one_field("run tag", args.tag)
+    for query in queries:
+        trec.one_field("query id", query.id)
     run = trec.Run(topics={}, tag=args.tag)
     for query in queries:
         results = engine.search(index, query.content(), cfg.k, cfg.lambda_weight, cfg.prune)

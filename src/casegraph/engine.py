@@ -123,6 +123,7 @@ from .relations import (
 )
 from .similarity import LabelCompressor, combine, compressor_from_columns, doc_embedding, wl_corpus_labels, wl_features
 from .transe import EmbeddingModel, model_from_columns, model_to_columns
+from .trec import one_field
 
 log = logging.getLogger(__name__)
 
@@ -342,11 +343,13 @@ def index_corpus(
 
     The rows grow in doc id order, the order the index holds them in, so the
     kernel labels (``wl_corpus_labels``) and the index bytes depend only on
-    the set of documents, not on their order in the corpus.
+    the set of documents, not on their order in the corpus. A doc id must be
+    distinct and one field of a run line (``trec.one_field``).
     """
     kb, extractor, transe = require_models(config, kb, extractor, transe)
     rows, seen = NetworkRows(transe), set()
     for doc in corpus:
+        one_field("document id", doc.id)
         if doc.id in seen:
             raise ValidationError(f"duplicate document id {doc.id}")
         seen.add(doc.id)
@@ -448,9 +451,9 @@ def _score_rows(
     Query ``q`` is the kernel entries ``labels``/``counts`` whose ``owners``
     entry is ``q``, and the embedding ``embeddings[q]`` with its
     ``np.linalg.norm`` in ``norms[q]``. The kernel is
-    ``dot / sqrt(qq * self_dot)`` on exact integers, as
-    ``wl_kernel_normalized`` computes it; the kernel and the cosine are 0
-    against an empty graph or a zero embedding.
+    ``dot / sqrt(qq * self_dot)`` on exact integers, as the scalar
+    ``similarity.combined_similarity`` computes it; the kernel and the
+    cosine are 0 against an empty graph or a zero embedding.
     """
     width = len(rows.doc_ids) - start
     shape = (len(embeddings), width)
@@ -513,10 +516,10 @@ def search(
     lam = check("lambda_weight", index.config.lambda_weight if lam is None else lam, "lambda")
     rows = NetworkRows(index.transe)
     _add_document(rows, Document("query", "", query_text), index.lexicon, index.config, index.kb, index.extractor)
-    features = wl_features(rows, index.h, index.compressor.overlay()).counts
+    features = wl_features(rows, index.h, index.compressor.overlay())
     labels = np.fromiter(features, np.int64, len(features))
     counts = np.fromiter(features.values(), np.int64, len(features))
-    embedding = doc_embedding(rows, index.transe).vector if index.transe is not None else np.zeros(0)
+    embedding = doc_embedding(rows, index.transe) if index.transe is not None else np.zeros(0)
     owners, norms = np.zeros(len(labels), np.int64), np.linalg.norm(embedding, keepdims=True)
     scores, dots = _score_rows(index.rows, owners, labels, counts, embedding[None], norms, lam)
     scores = scores[0]
@@ -559,11 +562,10 @@ def build_collection_graph(index: Index, lam: float | None = None, tau_doc: floa
 
 
 def collection_graph_to_dot(graph: CollectionGraph) -> str:
-    """Undirected DOT rendering with the similarity as a 3-decimal edge label."""
+    """Undirected DOT rendering with the similarity as a 3-decimal edge label; ids are quoted, each ``\\`` and ``"`` escaped."""
     lines = ["graph collection {"]
     for doc_a, doc_b, score in graph.edges:
-        a = doc_a.replace('"', '\\"')
-        b = doc_b.replace('"', '\\"')
+        a, b = (doc_id.replace("\\", "\\\\").replace('"', '\\"') for doc_id in (doc_a, doc_b))
         lines.append(f'  "{a}" -- "{b}" [label={score:.3f}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

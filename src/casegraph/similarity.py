@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 from struct import pack
 
 import numpy as np
 
 from .config import check
-from .errors import FormatError, UsageError
+from .errors import FormatError
 from .kb import first_true
 from .network import NetworkColumns, NetworkRows, SemanticNetwork
 from .transe import EmbeddingModel
@@ -76,25 +75,6 @@ class LabelCompressor:
     def overlay(self) -> "LabelCompressor":
         return LabelCompressor(parent=self)
 
-    def _root(self) -> "LabelCompressor":
-        return self if self.parent is None else self.parent._root()
-
-    def compatible_with(self, other: "LabelCompressor") -> bool:
-        return self._root() is other._root()
-
-
-@dataclass
-class WlFeatureVector:
-    counts: dict[int, int]
-    h: int
-    comp: LabelCompressor = field(repr=False, compare=False)
-
-
-@dataclass
-class DocEmbedding:
-    vector: np.ndarray
-    mass: int
-
 
 def wl_label_history(net: SemanticNetwork | NetworkRows, h: int, comp: LabelCompressor) -> list[dict[str, int]]:
     """Per-iteration node label maps for iterations 0..h of a network or of a single row.
@@ -127,10 +107,9 @@ def wl_label_history(net: SemanticNetwork | NetworkRows, h: int, comp: LabelComp
     return history
 
 
-def wl_features(net: SemanticNetwork | NetworkRows, h: int, comp: LabelCompressor) -> WlFeatureVector:
+def wl_features(net: SemanticNetwork | NetworkRows, h: int, comp: LabelCompressor) -> dict[int, int]:
     """Label counts accumulated over iterations 0..h of a network or of a single row."""
-    counts = Counter(chain.from_iterable(map(dict.values, wl_label_history(net, h, comp))))
-    return WlFeatureVector(dict(counts), h, comp)
+    return dict(Counter(chain.from_iterable(map(dict.values, wl_label_history(net, h, comp)))))
 
 
 def _incidences(columns: NetworkColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -277,29 +256,11 @@ def compressor_from_columns(doc_ids: list[str], columns: NetworkColumns, h: int)
     return comp
 
 
-def wl_dot(f: WlFeatureVector, g: WlFeatureVector) -> int:
-    """Raw (unnormalized) kernel value: integer dot product of label counts."""
-    if len(f.counts) > len(g.counts):
-        f, g = g, f
-    return sum(count * g.counts.get(label, 0) for label, count in f.counts.items())
-
-
-def wl_kernel_normalized(f: WlFeatureVector, g: WlFeatureVector) -> float:
-    """Cosine-normalized kernel in [0, 1]; 0 if either graph is empty."""
-    if f.h != g.h:
-        raise UsageError(f"feature vectors built with different iteration counts ({f.h} vs {g.h})")
-    if not f.comp.compatible_with(g.comp):
-        raise UsageError("feature vectors built with unrelated label compressors")
-    if not f.counts or not g.counts:
-        return 0.0
-    return wl_dot(f, g) / math.sqrt(wl_dot(f, f) * wl_dot(g, g))
-
-
-def doc_embedding(net: SemanticNetwork | NetworkRows, model: EmbeddingModel) -> DocEmbedding:
+def doc_embedding(net: SemanticNetwork | NetworkRows, model: EmbeddingModel) -> np.ndarray:
     """Mention-count-weighted average of the entity vectors of the nodes of a network or of a single row.
 
     Nodes without an entity vector are skipped; if none remain the result
-    is the zero vector with mass 0.
+    is the zero vector.
     """
     rows = NetworkRows.of(net)
     total = np.zeros(model.config.dim)
@@ -311,20 +272,7 @@ def doc_embedding(net: SemanticNetwork | NetworkRows, model: EmbeddingModel) -> 
         weight = (end - start) // 2
         total += weight * vec
         mass += weight
-    if mass == 0:
-        return DocEmbedding(total, 0)
-    return DocEmbedding(total / mass, mass)
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, defined as 0 when either vector is zero (or empty)."""
-    if a.size == 0 or b.size == 0:
-        return 0.0
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return float(np.dot(a, b)) / (norm_a * norm_b)
+    return total / mass if mass else total
 
 
 def combine(explicit: float | np.ndarray, cos: float | np.ndarray, lam: float) -> float | np.ndarray:
@@ -340,14 +288,26 @@ def combined_similarity(
     h: int,
     model: EmbeddingModel | None,
 ) -> float:
-    """``combine`` of the kernel and the embedding cosine; symmetric, in [0, 1].
+    """``combine`` of the kernel and the embedding cosine, pair by pair; symmetric, in [0, 1].
 
-    Without an embedding model the latent component is 0.
+    The scalar reference for ``engine._score_rows``: the kernel is the
+    integer dot of the label counts over the square root of the self-dots'
+    product, and the cosine is ``np.dot`` over the ``np.linalg.norm``
+    product. Each is 0 against an empty graph or a zero embedding, and the
+    cosine is 0 without an embedding model.
     """
     check("lambda_weight", lam, "lambda")
-    explicit = wl_kernel_normalized(wl_features(net_a, h, comp), wl_features(net_b, h, comp))
-    if model is None:
-        cos = 0.0
-    else:
-        cos = cosine(doc_embedding(net_a, model).vector, doc_embedding(net_b, model).vector)
+
+    def dot(f: dict[int, int], g: dict[int, int]) -> int:
+        return sum(count * g.get(label, 0) for label, count in f.items())
+
+    fa, fb = wl_features(net_a, h, comp), wl_features(net_b, h, comp)
+    explicit = cos = 0.0
+    if fa and fb:
+        explicit = dot(fa, fb) / math.sqrt(dot(fa, fa) * dot(fb, fb))
+    if model is not None:
+        a, b = doc_embedding(net_a, model), doc_embedding(net_b, model)
+        norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+        if norm_a and norm_b:
+            cos = float(np.dot(a, b)) / (norm_a * norm_b)
     return combine(explicit, cos, lam)

@@ -92,21 +92,21 @@ def _validate_run(run: Run) -> None:
             previous = score
 
 
-def _one_field(name: str, value: str) -> None:
-    """ValidationError unless ``value`` reads back as one whitespace-separated field of a run line."""
+def one_field(name: str, value: str) -> None:
+    """ValidationError naming ``name`` unless ``value`` reads back as one whitespace-separated field of a run line."""
     if value.split() != [value]:
-        raise ValidationError(f"run {name} {value!r} is empty or holds whitespace, so its run line would not read back")
+        raise ValidationError(f"{name} {value!r} is empty or holds whitespace, so its run line would not read back")
 
 
 def run_lines(run: Run) -> str:
     """The run's TREC lines, topics ascending; ValidationError for a topic, doc id or tag that is not one field."""
     _validate_run(run)
-    _one_field("tag", run.tag)
+    one_field("run tag", run.tag)
     lines = []
     for topic in sorted(run.topics):
-        _one_field("topic", topic)
+        one_field("run topic", topic)
         for rank, (doc_id, score) in enumerate(run.topics[topic], start=1):
-            _one_field("doc id", doc_id)
+            one_field("run doc id", doc_id)
             lines.append(f"{topic} Q0 {doc_id} {rank} {score:.6f} {run.tag}\n")
     return "".join(lines)
 

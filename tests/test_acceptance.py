@@ -9,11 +9,13 @@ from __future__ import annotations
 import json
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import helpers
+from casegraph import engine
 from casegraph.cli import dispatch
 from casegraph.config import PipelineConfig
 from casegraph.engine import build_collection_graph, index_corpus, search
@@ -21,7 +23,7 @@ from casegraph.kb import Document
 from casegraph.linking import link
 from casegraph.network import Edge, Node, SemanticNetwork, enrich_network, network_from_dict, network_to_dict
 from casegraph.relations import ExtractorHyperparams, RelationInstance, train_extractor
-from casegraph.similarity import LabelCompressor, wl_dot, wl_features, wl_kernel_normalized
+from casegraph.similarity import LabelCompressor, wl_corpus_labels, wl_features
 from casegraph.transe import TrainConfig, evaluate_link_prediction, init_model, model_to_columns, train
 from casegraph.trec import Qrels, Run, evaluate_run, read_run, run_lines, write_run
 
@@ -169,6 +171,8 @@ def test_criterion_4_enrichment_contracts():
 
 
 def test_criterion_5_kernel_correctness():
+    # The kernel is the one search and the collection graph score with,
+    # engine._score_rows, on rows derived as an index derives them.
     with criterion(5, "kernel equals explicit feature map"):
         rng = random.Random(55)
         pool = [f"C{i:03d}" for i in range(15)]
@@ -189,19 +193,33 @@ def test_criterion_5_kernel_correctness():
         for pair in range(20):
             net_a, net_b = random_net("a"), random_net("b")
             h = rng.randint(0, 3)
-            comp = LabelCompressor()
-            fa, fb = wl_features(net_a, h, comp), wl_features(net_b, h, comp)
-            oa, ob = helpers.oracle_wl_counts(net_a, h), helpers.oracle_wl_counts(net_b, h)
-            assert wl_dot(fa, fb) == helpers.oracle_wl_dot(oa, ob)
-            assert wl_kernel_normalized(fa, fa) == pytest.approx(1.0, abs=1e-12)
-            assert wl_kernel_normalized(fb, fb) == pytest.approx(1.0, abs=1e-12)
+            columns = helpers.oracle_network_columns([net_a, net_b], [])
+            columns = replace(columns, node_labels=wl_corpus_labels(columns, h))
+            compressor, _, rows = engine._derive(["a", "b"], columns, h, None, None)
+            oracle = [helpers.oracle_wl_counts(net_a, h), helpers.oracle_wl_counts(net_b, h)]
+            gram = [[helpers.oracle_wl_dot(x, y) for y in oracle] for x in oracle]
+            kernel = helpers.oracle_kernel(net_a, net_b, h)
+            no_embeddings = np.zeros((2, 0))
+            # Both rows as one block, as the collection graph scores them.
+            owners = np.repeat(np.arange(2), np.diff(rows.ptr))
+            scores, dots = engine._score_rows(rows, owners, rows.labels, rows.counts, no_embeddings, np.zeros(2), 1.0)
+            assert dots.tolist() == gram
+            assert abs(scores[0, 1] - kernel) <= 1e-12 and abs(scores[1, 0] - kernel) <= 1e-12
+            assert np.abs(np.diag(scores) - 1.0).max() <= 1e-12
+            # Network a as a query, featurized as search does it.
+            features = wl_features(net_a, h, compressor.overlay())
+            labels = np.fromiter(features, np.int64, len(features))
+            counts = np.fromiter(features.values(), np.int64, len(features))
+            scores, dots = engine._score_rows(rows, np.zeros(len(labels), np.int64), labels, counts, no_embeddings[:1], np.zeros(1), 1.0)
+            assert dots.tolist() == gram[:1]
+            assert abs(scores[0, 0] - 1.0) <= 1e-12 and abs(scores[0, 1] - kernel) <= 1e-12
 
             # permutation invariance over a shuffled serialization
             payload = network_to_dict(net_a)
             rng.shuffle(payload["nodes"])
             rng.shuffle(payload["edges"])
             shuffled = network_from_dict(payload)
-            assert wl_features(shuffled, h, LabelCompressor()).counts == wl_features(net_a, h, LabelCompressor()).counts
+            assert wl_features(shuffled, h, LabelCompressor()) == wl_features(net_a, h, LabelCompressor())
 
 
 def test_criterion_6_self_retrieval(desk_fixture):

@@ -489,21 +489,34 @@ class TestBadInputsExitTwo:
         err = self.assert_one_error_line(capsys)
         assert str(built_index) in err and "entity" in err
 
-    @pytest.mark.parametrize("field", ["doc id", "query id", "tag"])
-    def test_search_with_a_field_a_run_line_cannot_hold(self, tmp_path, fixtures, capsys, field):
-        # Each used to exit 0 with a run that evaluate then refused: "expected 6 whitespace-separated fields".
+    @pytest.mark.parametrize("doc_id", ["d 1", "d\t1", ""], ids=["space", "tab", "empty"])
+    def test_index_with_a_doc_id_a_run_line_cannot_hold(self, tmp_path, fixtures, capsys, doc_id):
+        # Every search writes the doc ids into run lines, so the index refuses an id a run line cannot hold.
+        corpus, index = tmp_path / "corpus.jsonl", tmp_path / "corpus.idx"
+        helpers.write_corpus_jsonl([Document(doc_id, "", "Aspirin for fever."), Document("d2", "", "Cough and fever.")], corpus)
+        docs = ["--lexicon", fixtures["lexicon"], "--corpus", str(corpus)]
+        assert run_cli("index", *docs, "--triples", fixtures["triples"], "--out", str(index)) == 2
+        err = self.assert_one_error_line(capsys)
+        assert f"document id {doc_id!r} is empty or holds whitespace" in err, err
+        assert not index.exists()
+
+    @pytest.mark.parametrize("field", ["query id", "tag"])
+    def test_search_with_a_field_a_run_line_cannot_hold(self, tmp_path, fixtures, capsys, monkeypatch, field):
+        # A run line cannot hold the field, so search refuses it before it scores a query.
         corpus, queries = tmp_path / "corpus.jsonl", tmp_path / "queries.jsonl"
         index, out = tmp_path / "corpus.idx", tmp_path / "run.txt"
-        doc_id = "d 1" if field == "doc id" else "d1"
-        helpers.write_corpus_jsonl([Document(doc_id, "", "Aspirin for fever."), Document("d2", "", "Cough and fever.")], corpus)
-        helpers.write_corpus_jsonl([Document("q 1" if field == "query id" else "q1", "", "fever")], queries)
+        helpers.write_corpus_jsonl([Document("d1", "", "Aspirin for fever."), Document("d2", "", "Cough and fever.")], corpus)
+        helpers.write_corpus_jsonl([Document("q0", "", "cough"), Document("q 1" if field == "query id" else "q1", "", "fever")], queries)
         tag = ["--tag", "my run"] if field == "tag" else []
         docs = ["--lexicon", fixtures["lexicon"], "--corpus", str(corpus)]
         assert run_cli("index", *docs, "--triples", fixtures["triples"], "--out", str(index)) == 0
         capsys.readouterr()
+        searched = []
+        monkeypatch.setattr(engine, "search", lambda *args, **kwargs: searched.append(args))
         assert run_cli("search", "--index", str(index), "--query-file", str(queries), *tag, "--out", str(out)) == 2
         err = self.assert_one_error_line(capsys)
-        assert "is empty or holds whitespace" in err and ("'my run'" if field == "tag" else " 1'") in err, err
+        assert "is empty or holds whitespace" in err and ("'my run'" if field == "tag" else "'q 1'") in err, err
+        assert searched == []
         assert not out.exists()
 
     @pytest.fixture(scope="class")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from itertools import chain
@@ -47,7 +48,7 @@ from casegraph.relations import (
     featurize_pairs,
     train_extractor,
 )
-from casegraph.similarity import LabelCompressor, doc_embedding, wl_corpus_labels, wl_dot, wl_features, wl_label_history
+from casegraph.similarity import LabelCompressor, doc_embedding, wl_corpus_labels, wl_features, wl_label_history
 from casegraph.transe import EmbeddingModel, TrainConfig, init_model, train
 
 
@@ -103,13 +104,13 @@ class TestIndexCorpus:
             for row, count in zip(rows.label_rows[span].tolist(), rows.label_counts[span].tolist()):
                 postings[rows.doc_ids[row]][label] = count
         for row, doc_id in enumerate(rows.doc_ids):
-            vec = wl_features(index.networks[doc_id], index.h, index.compressor.overlay())
+            counts = wl_features(index.networks[doc_id], index.h, index.compressor.overlay())
             own = slice(rows.ptr[row], rows.ptr[row + 1])
-            assert rows.labels[own].tolist() == sorted(vec.counts)
-            assert dict(zip(rows.labels[own].tolist(), rows.counts[own].tolist())) == vec.counts
-            assert postings[doc_id] == vec.counts
-            assert rows.self_dots[row] == wl_dot(vec, vec)
-            emb = doc_embedding(index.networks[doc_id], transe_model).vector
+            assert rows.labels[own].tolist() == sorted(counts)
+            assert dict(zip(rows.labels[own].tolist(), rows.counts[own].tolist())) == counts
+            assert postings[doc_id] == counts
+            assert rows.self_dots[row] == helpers.oracle_wl_dot(counts, counts)
+            emb = doc_embedding(index.networks[doc_id], transe_model)
             assert rows.embeddings[row].tolist() == emb.tolist()
             assert rows.embedding_norms[row] == np.linalg.norm(emb)
 
@@ -127,7 +128,7 @@ class TestIndexCorpus:
         index = index_corpus(corpus, lexicon, config, kb=kb, transe=model)
         assert any(set(net.nodes) & set(dropped) for net in index.networks.values())
         for row, doc_id in enumerate(index.rows.doc_ids):
-            emb = doc_embedding(index.networks[doc_id], model).vector
+            emb = doc_embedding(index.networks[doc_id], model)
             assert index.rows.embeddings[row].tobytes() == emb.tobytes(), doc_id
             assert index.rows.embedding_norms[row] == np.linalg.norm(emb), doc_id
 
@@ -150,6 +151,13 @@ class TestIndexCorpus:
         lexicon, kb, transe_model, config = pipeline
         docs = [Document("d", "", "fever"), Document("d", "", "cough")]
         with pytest.raises(ValidationError, match="duplicate document id"):
+            index_corpus(docs, lexicon, config, kb=kb, transe=transe_model)
+
+    @pytest.mark.parametrize("doc_id", ["d 1", "d\n1", "d\u00a01", ""])
+    def test_doc_id_a_run_line_cannot_hold_rejected(self, pipeline, doc_id):
+        lexicon, kb, transe_model, config = pipeline
+        docs = [Document("d0", "", "fever"), Document(doc_id, "", "cough")]
+        with pytest.raises(ValidationError, match=f"^document id {re.escape(repr(doc_id))} is empty or holds whitespace"):
             index_corpus(docs, lexicon, config, kb=kb, transe=transe_model)
 
     def test_indexing_twice_byte_identical(self, pipeline, tmp_path):
@@ -286,6 +294,21 @@ class TestCollectionGraph:
         doc_a, doc_b, score = graph.edges[0]
         assert f'"{doc_a}" -- "{doc_b}" [label={score:.3f}];' in dot
 
+    def test_dot_ids_with_backslashes_and_quotes_stay_quoted(self, pipeline):
+        # Unescaped, a backslash ending an id would escape the quote that closes it.
+        lexicon, kb, transe_model, config = pipeline
+        ids = ["a\\", 'b"c\\', 'd\\"e']
+        corpus = [replace(doc, id=doc_id) for doc, doc_id in zip(helpers.synth_corpus(lexicon, 3, seed=3), ids)]
+        graph = build_collection_graph(index_corpus(corpus, lexicon, config, kb=kb, transe=transe_model), 0.6, 0.0)
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        lines = collection_graph_to_dot(graph).splitlines()[1:-1]
+        assert len(lines) == 3
+        for line, (doc_a, doc_b, score) in zip(lines, graph.edges):
+            tokens = re.fullmatch(rf"  {quoted} -- {quoted} \[label=([0-9.]+)\];", line)
+            assert tokens is not None, line
+            assert [re.sub(r"\\(.)", r"\1", token) for token in tokens.groups()[:2]] == [doc_a, doc_b]
+            assert tokens[3] == f"{score:.3f}"
+
 
 @pytest.fixture(scope="module")
 def varied_index(pipeline):
@@ -380,12 +403,12 @@ class TestBlockedCollectionGraph:
         index = varied_index
         for text in ("fever with severe skin rash and blood clot", "aspirin", UNRELATED):
             net = query_network(index, text)
-            counts = wl_features(net, index.h, index.compressor.overlay()).counts
+            counts = wl_features(net, index.h, index.compressor.overlay())
             scores, dots = helpers.oracle_score_row(
                 index.rows,
                 np.fromiter(counts, np.int64, len(counts)),
                 np.fromiter(counts.values(), np.int64, len(counts)),
-                doc_embedding(net, index.transe).vector,
+                doc_embedding(net, index.transe),
                 0.6,
             )
             for prune in (False, True):

@@ -15,11 +15,8 @@ from casegraph.similarity import (
     LabelCompressor,
     combined_similarity,
     compressor_from_columns,
-    cosine,
     doc_embedding,
-    wl_dot,
     wl_features,
-    wl_kernel_normalized,
     wl_corpus_labels,
     wl_label_history,
 )
@@ -49,31 +46,28 @@ def random_network(rng: random.Random, doc_id: str, pool=None) -> SemanticNetwor
 
 class TestWlFeatures:
     def test_empty_network(self):
-        vec = wl_features(SemanticNetwork("d"), 3, LabelCompressor())
-        assert vec.counts == {}
+        assert wl_features(SemanticNetwork("d"), 3, LabelCompressor()) == {}
 
     def test_h_zero_is_node_histogram(self):
         comp = LabelCompressor()
         net = make_network("d", ["A", "B", "C"], [("A", "B", "r")])
-        vec = wl_features(net, 0, comp)
-        assert sorted(vec.counts.values()) == [1, 1, 1]
-        assert sum(vec.counts.values()) == len(net.nodes)
+        counts = wl_features(net, 0, comp)
+        assert sorted(counts.values()) == [1, 1, 1]
+        assert sum(counts.values()) == len(net.nodes)
 
     def test_three_node_path_h1_six_distinct_labels(self):
         # A -r-> B -r-> C: all refined labels differ (ends see one neighbor,
         # the middle sees two), so iterations 0 and 1 contribute 3 labels each.
         comp = LabelCompressor()
         net = make_network("d", ["A", "B", "C"], [("A", "B", "r"), ("B", "C", "r")])
-        vec = wl_features(net, 1, comp)
-        assert len(vec.counts) == 6
-        assert all(count == 1 for count in vec.counts.values())
+        counts = wl_features(net, 1, comp)
+        assert len(counts) == 6
+        assert all(count == 1 for count in counts.values())
 
     def test_shared_compressor_reuses_labels(self):
         comp = LabelCompressor()
         net = make_network("d", ["A", "B"], [("A", "B", "r")])
-        first = wl_features(net, 2, comp)
-        second = wl_features(net, 2, comp)
-        assert first.counts == second.counts
+        assert wl_features(net, 2, comp) == wl_features(net, 2, comp)
 
     def test_insertion_order_invariance(self):
         rng = random.Random(5)
@@ -84,9 +78,9 @@ class TestWlFeatures:
             for cui in order:
                 shuffled.nodes[cui] = net.nodes[cui]
             shuffled.edges = list(reversed(net.edges))
-            assert wl_features(net, 3, LabelCompressor()).counts == wl_features(shuffled, 3, LabelCompressor()).counts
+            assert wl_features(net, 3, LabelCompressor()) == wl_features(shuffled, 3, LabelCompressor())
             comp = LabelCompressor()
-            assert wl_features(net, 3, comp).counts == wl_features(shuffled, 3, comp).counts
+            assert wl_features(net, 3, comp) == wl_features(shuffled, 3, comp)
 
     def test_refinement_partitions_nest(self):
         rng = random.Random(11)
@@ -102,23 +96,20 @@ class TestWlFeatures:
 
 
 class TestWlKernel:
+    """The kernel as ``combined_similarity`` computes it at lambda 1, against the ``helpers`` oracles."""
+
     def test_self_kernel_is_one(self):
-        comp = LabelCompressor()
         net = make_network("d", ["A", "B"], [("A", "B", "r")])
-        vec = wl_features(net, 2, comp)
-        assert wl_kernel_normalized(vec, vec) == pytest.approx(1.0, abs=1e-12)
+        assert combined_similarity(net, net, 1.0, LabelCompressor(), 2, None) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_labels_orthogonal(self):
-        comp = LabelCompressor()
-        a = wl_features(make_network("a", ["A", "B"], []), 0, comp)
-        b = wl_features(make_network("b", ["C", "D"], []), 0, comp)
-        assert wl_kernel_normalized(a, b) == 0.0
+        a, b = make_network("a", ["A", "B"], []), make_network("b", ["C", "D"], [])
+        assert combined_similarity(a, b, 1.0, LabelCompressor(), 0, None) == 0.0
 
     def test_empty_graph_scores_zero(self):
-        comp = LabelCompressor()
-        a = wl_features(SemanticNetwork("a"), 1, comp)
-        b = wl_features(make_network("b", ["C"], []), 1, comp)
-        assert wl_kernel_normalized(a, b) == 0.0
+        a, b = SemanticNetwork("a"), make_network("b", ["C"], [])
+        assert combined_similarity(a, b, 1.0, LabelCompressor(), 1, None) == 0.0
+        assert combined_similarity(b, a, 1.0, LabelCompressor(), 1, None) == 0.0
 
     def test_matches_feature_map_oracle(self):
         rng = random.Random(23)
@@ -130,24 +121,24 @@ class TestWlKernel:
             fa, fb = wl_features(net_a, h, comp), wl_features(net_b, h, comp)
             oracle_a = helpers.oracle_wl_counts(net_a, h)
             oracle_b = helpers.oracle_wl_counts(net_b, h)
-            assert wl_dot(fa, fb) == helpers.oracle_wl_dot(oracle_a, oracle_b)
-            assert wl_dot(fa, fa) == helpers.oracle_wl_dot(oracle_a, oracle_a)
-            assert wl_kernel_normalized(fa, fb) == pytest.approx(helpers.oracle_kernel(net_a, net_b, h), abs=1e-12)
+            assert helpers.oracle_wl_dot(fa, fb) == helpers.oracle_wl_dot(oracle_a, oracle_b)
+            assert helpers.oracle_wl_dot(fa, fa) == helpers.oracle_wl_dot(oracle_a, oracle_a)
+            kernel = combined_similarity(net_a, net_b, 1.0, comp, h, None)
+            assert kernel == pytest.approx(helpers.oracle_kernel(net_a, net_b, h), abs=1e-12)
 
     def test_symmetry_exact(self):
         rng = random.Random(31)
         comp = LabelCompressor()
         for trial in range(10):
-            fa = wl_features(random_network(rng, "a"), 2, comp)
-            fb = wl_features(random_network(rng, "b"), 2, comp)
-            assert wl_kernel_normalized(fa, fb) == wl_kernel_normalized(fb, fa)
+            net_a, net_b = random_network(rng, "a"), random_network(rng, "b")
+            assert combined_similarity(net_a, net_b, 1.0, comp, 2, None) == combined_similarity(net_b, net_a, 1.0, comp, 2, None)
 
     def test_gram_matrix_equals_feature_matrix_product(self):
         rng = random.Random(37)
         nets = [random_network(rng, f"d{i}") for i in range(6)]
         comp = LabelCompressor()
         vectors = [wl_features(net, 2, comp) for net in nets]
-        gram = np.array([[wl_dot(a, b) for b in vectors] for a in vectors], dtype=float)
+        gram = np.array([[helpers.oracle_wl_dot(a, b) for b in vectors] for a in vectors], dtype=float)
         oracle_counts = [helpers.oracle_wl_counts(net, 2) for net in nets]
         all_labels = sorted({label for counts in oracle_counts for label in counts}, key=repr)
         features = np.array(
@@ -157,26 +148,14 @@ class TestWlKernel:
         eigenvalues = np.linalg.eigvalsh(gram)
         assert eigenvalues.min() > -1e-9
 
-    def test_h_mismatch_rejected(self):
-        comp = LabelCompressor()
-        net = make_network("d", ["A"], [])
-        with pytest.raises(UsageError):
-            wl_kernel_normalized(wl_features(net, 1, comp), wl_features(net, 2, comp))
-
-    def test_unrelated_compressors_rejected(self):
-        net = make_network("d", ["A"], [])
-        fa = wl_features(net, 1, LabelCompressor())
-        fb = wl_features(net, 1, LabelCompressor())
-        with pytest.raises(UsageError):
-            wl_kernel_normalized(fa, fb)
-
     def test_overlay_is_compatible_with_parent(self):
         comp = LabelCompressor()
         net = make_network("d", ["A", "B"], [("A", "B", "r")])
         base = wl_features(net, 1, comp)
-        overlay_vec = wl_features(net, 1, comp.overlay())
-        assert wl_kernel_normalized(base, overlay_vec) == pytest.approx(1.0, abs=1e-12)
-        assert comp.next_id == base.comp.next_id  # parent untouched by overlay use
+        next_id = comp.next_id
+        assert wl_features(net, 1, comp.overlay()) == base  # the overlay reads the parent's labels
+        assert combined_similarity(net, net, 1.0, comp.overlay(), 1, None) == pytest.approx(1.0, abs=1e-12)
+        assert comp.next_id == next_id  # parent untouched by overlay use
 
 
 # Text that json.dumps escapes: quotes, backslashes, control characters,
@@ -314,29 +293,23 @@ def tiny_model():
 class TestDocEmbedding:
     def test_singleton_average(self):
         model = tiny_model()
-        emb = doc_embedding(make_network("d", ["A"], []), model)
-        assert np.allclose(emb.vector, [1.0, 0.0])
-        assert emb.mass == 1
+        assert np.allclose(doc_embedding(make_network("d", ["A"], []), model), [1.0, 0.0])
 
     def test_weighted_average(self):
         model = tiny_model()
         net = make_network("d", ["A", "B"], [], weights=[1, 3])
         emb = doc_embedding(net, model)
-        assert np.allclose(emb.vector, (model.entity_vectors["A"] + 3 * model.entity_vectors["B"]) / 4)
-        assert emb.mass == 4
+        assert np.allclose(emb, (model.entity_vectors["A"] + 3 * model.entity_vectors["B"]) / 4)
 
     def test_no_embeddable_nodes(self):
         model = tiny_model()
         emb = doc_embedding(make_network("d", ["Z1", "Z2"], []), model)
-        assert emb.mass == 0
-        assert not emb.vector.any()
+        assert emb.shape == (2,) and not emb.any()
 
     def test_unknown_nodes_skipped(self):
         model = tiny_model()
         net = make_network("d", ["A", "Z9"], [], weights=[2, 5])
-        emb = doc_embedding(net, model)
-        assert emb.mass == 2
-        assert np.allclose(emb.vector, model.entity_vectors["A"])
+        assert np.allclose(doc_embedding(net, model), model.entity_vectors["A"])
 
 
 class TestCombinedSimilarity:
@@ -344,16 +317,30 @@ class TestCombinedSimilarity:
         model = tiny_model()
         net_a = make_network("a", ["A", "B"], [("A", "B", "r")])
         net_b = make_network("b", ["A", "C"], [("A", "C", "r")])
-        comp = LabelCompressor()
-        expected = wl_kernel_normalized(wl_features(net_a, 2, comp), wl_features(net_b, 2, comp))
-        assert combined_similarity(net_a, net_b, 1.0, comp, 2, model) == pytest.approx(expected)
+        expected = helpers.oracle_kernel(net_a, net_b, 2)
+        assert 0.0 < expected < 1.0
+        assert combined_similarity(net_a, net_b, 1.0, LabelCompressor(), 2, model) == pytest.approx(expected, abs=1e-12)
 
     def test_lambda_zero_is_clamped_cosine(self):
         model = tiny_model()
         net_a = make_network("a", ["A"], [])
-        net_b = make_network("b", ["B"], [])
-        value = combined_similarity(net_a, net_b, 0.0, LabelCompressor(), 2, model)
-        assert value == pytest.approx(max(0.0, cosine(model.entity_vectors["A"], model.entity_vectors["B"])))
+        for other in ("B", "C"):
+            net_b = make_network("b", [other], [])
+            value = combined_similarity(net_a, net_b, 0.0, LabelCompressor(), 2, model)
+            expected = helpers.oracle_cosine([1.0, 0.0], model.entity_vectors[other].tolist())
+            assert value == pytest.approx(max(0.0, expected), abs=1e-12)
+
+    def test_lambda_zero_matches_cosine_oracle(self):
+        # Some cuis of the pool have no entity vector; a network may have none at all.
+        rng = random.Random(41)
+        pool = [f"C{i:03d}" for i in range(12)]
+        vectors = {cui: np.array([rng.uniform(-1.0, 1.0) for _ in range(3)]) for cui in pool[::2] + pool[1:4]}
+        model = EmbeddingModel(vectors, {"r1": np.zeros(3)}, TrainConfig(dim=3))
+        for trial in range(20):
+            net_a, net_b = random_network(rng, "a", pool), random_network(rng, "b", pool)
+            value = combined_similarity(net_a, net_b, 0.0, LabelCompressor(), 1, model)
+            ea, eb = helpers.oracle_embedding(net_a, vectors), helpers.oracle_embedding(net_b, vectors)
+            assert value == pytest.approx(max(0.0, helpers.oracle_cosine(ea, eb)), abs=1e-12)
 
     def test_identical_networks_score_one(self):
         model = tiny_model()
