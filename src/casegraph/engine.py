@@ -599,6 +599,13 @@ def index_from_dict(data: dict) -> Index:
     except UsageError as exc:
         raise FormatError(f"invalid config ({exc})") from None
     docs = strings(data["docs"], "doc ids", ascending=True)
+    # Every search writes doc ids into run lines; the join holds exactly when each id is one field.
+    if " ".join(docs).split() != docs:
+        try:
+            for doc_id in docs:
+                one_field("document id", doc_id)
+        except ValidationError as exc:
+            raise FormatError(str(exc)) from None
     columns = columns_from_dict(data["networks"])
     check_columns(docs, columns)
     lexicon = lexicon_from_dict(data["lexicon"])

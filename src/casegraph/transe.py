@@ -115,16 +115,21 @@ def _distance_gradient(diff: np.ndarray, dist: np.ndarray, distance: str) -> np.
     return np.divide(diff, norm, out=np.zeros_like(diff), where=norm != 0.0)
 
 
-def _stored(triples: Iterable[Triple], index: dict[str, int]) -> tuple[dict, dict]:
-    """Sorted ``index`` positions of the stored heads of every (relation, tail)
-    and of the stored tails of every (head, relation); unindexed names are left out."""
-    heads: dict[tuple[str, str], list[int]] = {}
-    tails: dict[tuple[str, str], list[int]] = {}
+def _stored(
+    triples: Iterable[Triple], index: dict[str, int], head_keys: Iterable[tuple], tail_keys: Iterable[tuple]
+) -> tuple[dict, dict]:
+    """Sorted ``index`` positions of the stored heads of each (relation, tail)
+    in ``head_keys`` and of the stored tails of each (head, relation) in
+    ``tail_keys``, from one pass over ``triples``; unindexed names are left out."""
+    heads: dict[tuple[str, str], list[int]] = {key: [] for key in head_keys}
+    tails: dict[tuple[str, str], list[int]] = {key: [] for key in tail_keys}
     for head, relation, tail in triples:
-        if head in index:
-            heads.setdefault((relation, tail), []).append(index[head])
-        if tail in index:
-            tails.setdefault((head, relation), []).append(index[tail])
+        positions = heads.get((relation, tail))
+        if positions is not None and head in index:
+            positions.append(index[head])
+        positions = tails.get((head, relation))
+        if positions is not None and tail in index:
+            positions.append(index[tail])
     for positions in (*heads.values(), *tails.values()):
         positions.sort()
     return heads, tails
@@ -172,7 +177,9 @@ def train(
     relation_list = sorted(trained.relation_vectors)
     index = {name: row for row, name in enumerate(entity_list)}
     relation_row = {name: len(entity_list) + k for k, name in enumerate(relation_list)}
-    stored_heads, stored_tails = _stored(kb.triples, index)
+    stored_heads, stored_tails = _stored(
+        kb.triples, index, [(r, t) for _, r, t in kb.triples], [(h, r) for h, r, _ in kb.triples]
+    )
     head_choices = {key: _allowed(p, len(entity_list)) for key, p in stored_heads.items()}
     tail_choices = {key: _allowed(p, len(entity_list)) for key, p in stored_tails.items()}
     everyone = (len(entity_list), [])
@@ -252,17 +259,17 @@ def _unstack(model: EmbeddingModel, matrix: np.ndarray, entity_list: list[str], 
     model.relation_vectors.update(zip(relation_list, matrix[len(entity_list) :]))
 
 
-def _rank(dist: np.ndarray, target: int, excluded: np.ndarray | None) -> int:
-    """1-based position of ``target`` in (distance, name) order, candidates in name order.
+def _ranks(dist: np.ndarray, target: int, excluded: np.ndarray) -> tuple[int, int]:
+    """Raw and filtered 1-based position of ``target`` in (distance, name) order, candidates in name order.
 
-    ``excluded`` positions other than the target are not counted.
+    One mask holds the candidates ranked before the target; the filtered
+    rank does not count the ``excluded`` positions among them.
     """
     d = dist[target]
-    rank = 1 + int(np.count_nonzero(dist < d)) + int(np.count_nonzero(dist[:target] == d))
-    if excluded is not None:
-        de = dist[excluded]
-        rank -= int(np.count_nonzero((de < d) | ((de == d) & (excluded < target))))
-    return rank
+    better = dist < d
+    better[:target] |= dist[:target] == d
+    raw = 1 + int(np.count_nonzero(better))
+    return raw, raw - int(np.count_nonzero(better[excluded]))
 
 
 def evaluate_link_prediction(
@@ -274,7 +281,10 @@ def evaluate_link_prediction(
     true entities removed from the candidate list before ranking). Every
     entity of the model is a candidate, ranked by (distance, name); the
     ranks are those of the full sorts of ``oracle_ranking`` in
-    ``tests/helpers.py``, counted from one distance vector per ranking.
+    ``tests/helpers.py``. The filter holds only the test set's (head,
+    relation) and (relation, tail) keys, filled in one pass over the store,
+    and each ranking counts both of its ranks from one mask over one
+    distance vector.
     """
     test_list = list(test)
     if not test_list:
@@ -284,9 +294,11 @@ def evaluate_link_prediction(
         raise UsageError("candidate set must be non-empty")
     index = {name: i for i, name in enumerate(candidates)}
     entities = np.array([model.entity_vectors[c] for c in candidates])
-    stored_heads, stored_tails = _stored(kb.triples, index)
-    stored_heads = {key: np.array(p) for key, p in stored_heads.items()}
-    stored_tails = {key: np.array(p) for key, p in stored_tails.items()}
+    stored_heads, stored_tails = _stored(
+        kb.triples, index, [(r, t) for _, r, t in test_list], [(h, r) for h, r, _ in test_list]
+    )
+    stored_heads = {key: np.array(p, dtype=np.intp) for key, p in stored_heads.items()}
+    stored_tails = {key: np.array(p, dtype=np.intp) for key, p in stored_tails.items()}
     distance = model.config.distance
     ranks: dict[str, list[int]] = {"raw": [], "filtered": []}
     for triple in test_list:
@@ -295,11 +307,10 @@ def evaluate_link_prediction(
         t = _entity(model, triple.tail)
         tail_dist = distances(h + r - entities, distance)
         head_dist = distances(entities + r - t, distance)
-        tail, head = index[triple.tail], index[triple.head]
-        tails = stored_tails.get((triple.head, triple.relation))
-        heads = stored_heads.get((triple.relation, triple.tail))
-        ranks["raw"] += [_rank(tail_dist, tail, None), _rank(head_dist, head, None)]
-        ranks["filtered"] += [_rank(tail_dist, tail, tails), _rank(head_dist, head, heads)]
+        tail_raw, tail_filtered = _ranks(tail_dist, index[triple.tail], stored_tails[triple.head, triple.relation])
+        head_raw, head_filtered = _ranks(head_dist, index[triple.head], stored_heads[triple.relation, triple.tail])
+        ranks["raw"] += [tail_raw, head_raw]
+        ranks["filtered"] += [tail_filtered, head_filtered]
     report = {}
     for setting, values in ranks.items():
         report[setting] = {

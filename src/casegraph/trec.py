@@ -33,15 +33,6 @@ MAX_GRADE = 53
 class Qrels:
     judgments: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def topics(self) -> list[str]:
-        return sorted({topic for topic, _ in self.judgments})
-
-    def grade(self, topic: str, doc_id: str) -> int:
-        return self.judgments.get((topic, doc_id), 0)
-
-    def relevant_count(self, topic: str) -> int:
-        return sum(1 for (t, _), grade in self.judgments.items() if t == topic and grade >= 1)
-
 
 @dataclass
 class Run:
@@ -136,8 +127,9 @@ def _dcg(grades: list[int], k: int) -> float:
     return sum((2**grade - 1) / math.log2(rank + 1) for rank, grade in enumerate(grades[:k], start=1))
 
 
-def _topic_metrics(ranked: list[str], qrels: Qrels, topic: str, ks: tuple[int, ...]) -> dict[str, float]:
-    total_relevant = qrels.relevant_count(topic)
+def _topic_metrics(ranked: list[str], judged: dict[str, int], topic: str, ks: tuple[int, ...]) -> dict[str, float]:
+    """The metrics of one topic's ranked doc ids against its judged grades by doc id."""
+    total_relevant = sum(1 for grade in judged.values() if grade >= 1)
     metrics: dict[str, float] = {}
     if total_relevant == 0:
         log.warning("topic %s has no relevant documents; its metrics are reported as 0", topic)
@@ -147,11 +139,11 @@ def _topic_metrics(ranked: list[str], qrels: Qrels, topic: str, ks: tuple[int, .
         metrics["R-prec"] = 0.0
         metrics["AP"] = 0.0
         return metrics
-    grades = [qrels.grade(topic, doc_id) for doc_id in ranked]
+    grades = [judged.get(doc_id, 0) for doc_id in ranked]
     relevant_flags = [g >= 1 for g in grades]
     for k in ks:
         metrics[f"P@{k}"] = sum(relevant_flags[:k]) / k
-    ideal = sorted((g for (t, _), g in qrels.judgments.items() if t == topic), reverse=True)
+    ideal = sorted(judged.values(), reverse=True)
     for k in ks:
         idcg = _dcg(ideal, k)
         metrics[f"nDCG@{k}"] = _dcg(grades, k) / idcg if idcg > 0 else 0.0
@@ -172,10 +164,13 @@ def evaluate_run(run: Run, qrels: Qrels, ks: tuple[int, ...] = (5, 10)) -> Metri
     Means are arithmetic over the topics present in the qrels; topics the
     run never answered contribute zeros.
     """
+    judged: dict[str, dict[str, int]] = {}
+    for (topic, doc_id), grade in qrels.judgments.items():
+        judged.setdefault(topic, {})[doc_id] = grade
     per_topic: dict[str, dict[str, float]] = {}
-    for topic in qrels.topics():
+    for topic in sorted(judged):
         ranked = [doc_id for doc_id, _ in run.topics.get(topic, [])]
-        per_topic[topic] = _topic_metrics(ranked, qrels, topic, ks)
+        per_topic[topic] = _topic_metrics(ranked, judged[topic], topic, ks)
     names = [f"P@{k}" for k in ks] + [f"nDCG@{k}" for k in ks] + ["R-prec", "AP"]
     if per_topic:
         mean = {name: sum(m[name] for m in per_topic.values()) / len(per_topic) for name in names}

@@ -522,6 +522,19 @@ class TestLoadConsistency:
         with pytest.raises(FormatError, match="doc ids"):
             self.load_edited(index, tmp_path, edit)
 
+    @pytest.mark.parametrize("position, edit", [(0, " {}"), (0, ""), (-1, "{} x")], ids=["leading space", "empty", "inner space"])
+    def test_doc_id_a_run_line_cannot_hold(self, small_index, tmp_path, position, edit):
+        # An index written before ids were refused at indexing (or edited by hand) is refused when it loads,
+        # not after a search has scored every query.
+        _, index = small_index
+        bad = edit.format(index.rows.doc_ids[position])
+
+        def edit_docs(payload):
+            payload["docs"][position] = bad
+
+        with pytest.raises(FormatError, match=f"edited.idx: document id {re.escape(repr(bad))} is empty or holds whitespace"):
+            self.load_edited(index, tmp_path, edit_docs)
+
     def test_invalid_config(self, small_index, tmp_path):
         _, index = small_index
         with pytest.raises(FormatError, match="--h"):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from casegraph.errors import ConfigError, FormatError, UnknownIdentifierError, UsageError
@@ -289,6 +291,52 @@ class TestLinkPredictionMatchesOracle:
         names = [name for _, name in ranking]
         assert names.index("e03") + 1 == names.index("e07")
         assert report == helpers.oracle_link_prediction(model, [Triple("e12", "r", "e07")], kb)
+
+
+@pytest.mark.parametrize("distance", ["l1", "l2"])
+class TestLinkPredictionFilter:
+    """The filter holds only the test set's keys, filled from the whole store; each report equals the full sorts."""
+
+    def test_store_holds_names_the_model_lacks(self, distance):
+        for seed in range(4):
+            model, kb, test = lp_case(seed, distance)
+            # Unknown tails and heads on test keys, an unknown relation, and a fact of unknown names only.
+            extra = [("e00", "r", "x01"), ("x02", "s", "e03"), ("e00", "q", "e05"), ("x03", "q", "x04"), ("e10", "r", "x05")]
+            kb = build_triple_store([*kb.triples, *extra])
+            assert {"x01", "x02"}.isdisjoint(model.entity_vectors) and "q" not in model.relation_vectors
+            assert evaluate_link_prediction(model, test, kb) == helpers.oracle_link_prediction(model, test, kb)
+
+    def test_test_triples_share_keys(self, distance):
+        for seed in range(4):
+            model, kb, _ = lp_case(seed, distance)
+            # Stored and unstored tails of (e00, r), heads of (s, e03), and one triple twice.
+            test = [Triple("e00", "r", t) for t in ("e01", "e02", "e07", "e09", "e01")]
+            test += [Triple(h, "s", "e03") for h in ("e04", "e06", "e07")]
+            assert evaluate_link_prediction(model, test, kb) == helpers.oracle_link_prediction(model, test, kb)
+
+    def test_own_fact_stored(self, distance):
+        for seed in range(4):
+            model, _, _ = lp_case(seed, distance)
+            triple = Triple("e06", "r", "e08")
+            kb = build_triple_store([triple])
+            report = evaluate_link_prediction(model, [triple], kb)
+            assert report["filtered"] == report["raw"]  # the target is never filtered out of its own ranking
+            assert report == helpers.oracle_link_prediction(model, [triple], kb)
+
+    @given(st.data())
+    def test_random_models_and_stores(self, distance, data):
+        # Integer components make exact distance ties common; the store also names two entities and a relation
+        # the model lacks.
+        size = data.draw(st.integers(1, 5))
+        vector = st.lists(st.integers(-2, 2), min_size=2, max_size=2).map(lambda v: np.array(v, dtype=float))
+        entities = {f"e{i}": data.draw(vector) for i in range(size)}
+        model = EmbeddingModel(entities, {r: data.draw(vector) for r in "rs"}, TrainConfig(dim=2, distance=distance))
+        stored = st.sampled_from([f"e{i}" for i in range(size + 2)])
+        fact = st.tuples(stored, st.sampled_from("rsq"), stored).filter(lambda f: f[0] != f[2])
+        kb = build_triple_store(data.draw(st.lists(fact, max_size=12)))
+        known = st.sampled_from(sorted(entities))
+        test = data.draw(st.lists(st.builds(Triple, known, st.sampled_from("rs"), known), min_size=1, max_size=6))
+        assert evaluate_link_prediction(model, test, kb) == helpers.oracle_link_prediction(model, test, kb)
 
 
 class TestRanking:
