@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import engine, trec
 from .config import CHOICES, FIELDS, VALUE_TYPES, PipelineConfig, flag, merge_config, read_config_file
-from .errors import CasegraphError, UsageError
+from .errors import CasegraphError, UsageError, ValidationError
 from .kb import Triple, load_corpus, load_lexicon, load_triples
 from .linking import link, mentions_jsonl, read_mentions, tokenize
 from .network import build_network, enrich_network, fuse_network, networks_jsonl, read_networks
@@ -115,6 +115,10 @@ def _load_training_store(cfg: PipelineConfig, extra_edges: str | None):
     if extra_edges:
         for edges in read_edges(extra_edges).values():
             for edge in edges:
+                if edge.relation not in kb.relations:
+                    raise ValidationError(
+                        f"{extra_edges}: relation {edge.relation!r} not in the triple file's relation inventory"
+                    )
                 kb._add(Triple(edge.head, edge.relation, edge.tail))
     return kb
 

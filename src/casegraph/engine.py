@@ -122,7 +122,7 @@ from .relations import (
     kb_match_extract,
 )
 from .similarity import LabelCompressor, combine, compressor_from_columns, doc_embedding, wl_corpus_labels, wl_features
-from .transe import EmbeddingModel, model_from_columns, model_to_columns
+from .transe import EmbeddingModel, model_from_columns, model_to_columns, row_norms
 from .trec import one_field
 
 log = logging.getLogger(__name__)
@@ -392,15 +392,6 @@ def _embed_rows(columns: NetworkColumns, transe: EmbeddingModel | None) -> np.nd
     massive = masses > 0
     embeddings[massive] /= masses[massive, None]
     return embeddings
-
-
-def row_norms(matrix: np.ndarray) -> np.ndarray:
-    """The norm of every row of ``matrix``, each with the bits of ``np.linalg.norm`` on the row alone.
-
-    A stack of (1 x d) @ (d x 1) products reduces each row as ``row.dot(row)``
-    does; ``einsum("ij,ij->i")`` does not.
-    """
-    return np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None]).ravel())
 
 
 def _derive(

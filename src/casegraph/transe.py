@@ -107,6 +107,15 @@ def distances(diff: np.ndarray, distance: str) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The norm of every row of ``matrix``, each with the bits of ``np.linalg.norm`` on the row alone.
+
+    A stack of (1 x d) @ (d x 1) products reduces each row as ``row.dot(row)``
+    does; ``einsum("ij,ij->i")`` does not.
+    """
+    return np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None]).ravel())
+
+
 def _distance_gradient(diff: np.ndarray, dist: np.ndarray, distance: str) -> np.ndarray:
     # Gradient wrt diff of its distances dist along the last axis; subgradient 0 at L1/L2 kinks.
     if distance == "l1":
@@ -135,13 +144,25 @@ def _stored(
     return heads, tails
 
 
-def _allowed(positions: list[int], num_entities: int) -> tuple[int, list[int]]:
-    """The number of entities left when ``positions`` are excluded, and skips.
+def _filters(key: np.ndarray, free: np.ndarray, num_entities: int) -> tuple[np.ndarray, np.ndarray]:
+    """The skips of every triple's corruption filter, and each triple's (lo, hi) span of them.
 
-    The k-th excluded position has ``positions[k] - k`` allowed entities
-    before it, so the j-th allowed entity is ``j + bisect_right(skips, j)``.
+    A triple's filter excludes the rows of the entities that form a stored
+    triple with its ``key`` (its coded (relation, tail) or (head, relation));
+    ``free`` is each triple's entity row on the corrupted side, a name the
+    model lacks being coded from ``num_entities`` on. A span holds the k-th
+    excluded row p, ascending, as ``p - k``: p has ``p - k`` allowed entities
+    before it, so the j-th allowed one is ``j + bisect_right(skips, j, lo, hi) - lo``.
     """
-    return num_entities - len(positions), [p - k for k, p in enumerate(positions)]
+    order = np.lexsort((free, key))
+    key, free = key[order], free[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sizes = np.diff(np.r_[first, len(key)])
+    lo = np.repeat(first, sizes)
+    spans = np.empty((len(key), 2), dtype=np.intp)
+    spans[order, 0] = lo
+    spans[order, 1] = lo + np.repeat(np.add.reduceat((free < num_entities).astype(np.intp), first), sizes)
+    return free - (np.arange(len(key)) - lo), spans
 
 
 def train(
@@ -162,7 +183,14 @@ def train(
     order and then relations, and handed back as the model's dicts at every
     epoch end. Each step gives the same bits as the per-triple loss and
     gradients of the reference loop on the dicts (``oracle_train`` in
-    ``tests/helpers.py``), accumulated in their key order.
+    ``tests/helpers.py``), accumulated in their key order. When h, t and the
+    replacement are three rows, that sum has a closed form, and the step
+    writes its four rows at once: corrupting the head, h gets g0, r gets
+    g0 - g1, t gets g1 - g0 and h' gets -g1; corrupting the tail, h and r get
+    g0 - g1, t gets -g0 and t' gets g1, for the distance gradients g0 of the
+    positive and g1 of the corrupted triple. A step whose rows repeat, a
+    self-loop corruption such as (t, r, t), sums its six gradient rows in key
+    order instead.
     """
     if config is None:
         config = model.config
@@ -172,76 +200,98 @@ def train(
         if vec.shape != (config.dim,):
             raise ConfigError(f"config dim is {config.dim} but the model's vectors have shape {vec.shape}")
     trained = EmbeddingModel(dict(model.entity_vectors), dict(model.relation_vectors), config)
-    triples = sorted(kb.triples)
     entity_list = sorted(trained.entity_vectors)
     relation_list = sorted(trained.relation_vectors)
+    num_entities = len(entity_list)
     index = {name: row for row, name in enumerate(entity_list)}
-    relation_row = {name: len(entity_list) + k for k, name in enumerate(relation_list)}
-    stored_heads, stored_tails = _stored(
-        kb.triples, index, [(r, t) for _, r, t in kb.triples], [(h, r) for h, r, _ in kb.triples]
-    )
-    head_choices = {key: _allowed(p, len(entity_list)) for key, p in stored_heads.items()}
-    tail_choices = {key: _allowed(p, len(entity_list)) for key, p in stored_tails.items()}
-    everyone = (len(entity_list), [])
-    steps = []
-    for head, relation, tail in triples:
-        rows = (index.get(head), relation_row.get(relation), index.get(tail))
-        steps.append((
-            None if None in rows else rows,
-            head_choices.get((relation, tail), everyone),
-            tail_choices.get((head, relation), everyone),
-        ))
+    relation_row = {name: num_entities + k for k, name in enumerate(relation_list)}
+    # Every name of the store or the model is coded by its place among them
+    # all, so sorting the coded triples sorts the triples. A name the model
+    # lacks has no row (an entity gets one from num_entities on, a relation
+    # -1): the step of its triple fails, if it is reached.
+    store = list(kb.triples)
+    heads, relations, tails = zip(*store)
+    entity_names = sorted(index.keys() | {*heads, *tails})
+    relation_names = sorted(relation_row.keys() | {*relations})
+    entity_code = {name: k for k, name in enumerate(entity_names)}
+    relation_code = {name: k for k, name in enumerate(relation_names)}
+    codes = np.array([[entity_code[n] for n in heads], [relation_code[n] for n in relations], [entity_code[n] for n in tails]])
+    order = np.lexsort(codes[::-1])
+    triples = [store[i] for i in order.tolist()]
+    hc, rc, tc = codes[:, order]
+    entity_rows = np.array([index.get(name, num_entities + k) for k, name in enumerate(entity_names)])
+    h, r, t = entity_rows[hc], np.array([relation_row.get(name, -1) for name in relation_names])[rc], entity_rows[tc]
+    head_skips, head_spans = _filters(rc * len(entity_names) + tc, h, num_entities)
+    tail_skips, tail_spans = _filters(hc * len(relation_names) + rc, t, num_entities)
+    skips = [*head_skips.tolist(), *tail_skips.tolist()]
+    known = (h < num_entities) & (r >= 0) & (t < num_entities)
+    steps = np.column_stack((h, r, t, known, head_spans, tail_spans + len(triples))).tolist()
     matrix = np.array(
         [trained.entity_vectors[n] for n in entity_list] + [trained.relation_vectors[n] for n in relation_list],
         dtype=float,
     )
-    # Rows 0-2 of a step are (h, r, t) of the positive, rows 3-5 the corrupted
-    # triple; these pick and sign each row's share of the two distance gradients.
+    # The closed form: rows 0-1 of ``terms`` take a step's distance gradients
+    # g0 and g1, rows 2-3 hold +0 and -0, and the rows [h, r, t, replacement]
+    # get the differences of the two rows of ``terms`` that ``pick[corrupt_head]``
+    # names (g0 - +0 is g0 and -0 - g1 is -g1, signed zeros included).
+    terms = np.zeros((4, config.dim))
+    terms[3] = -0.0
+    pick = (np.array([[0, 0, 3, 1], [1, 1, 0, 2]]), np.array([[0, 0, 1, 3], [2, 1, 0, 1]]))
+    # Rows 0-2 of a repeating step are (h, r, t) of the positive, rows 3-5 the
+    # corrupted triple; these pick and sign each row's share of the two distance gradients.
     share = [0, 0, 0, 1, 1, 1]
     signs = np.array([[1.0], [1.0], [-1.0], [-1.0], [-1.0], [1.0]])
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
+    l1 = config.distance == "l1"
     for epoch in range(config.epochs):
         order = rng.permutation(len(triples))
         total = 0.0
         for idx in order:
-            rows, head_side, tail_side = steps[idx]
+            h, r, t, known, head_lo, head_hi, tail_lo, tail_hi = steps[idx]
             corrupt_head = bool(rng.integers(2))
-            allowed, skips = head_side if corrupt_head else tail_side
+            lo, hi = (head_lo, head_hi) if corrupt_head else (tail_lo, tail_hi)
+            allowed = num_entities - (hi - lo)
             if not allowed:
                 continue
             j = int(rng.integers(allowed))
-            replacement = j + bisect_right(skips, j)
-            if rows is None:
+            replacement = j + bisect_right(skips, j, lo, hi) - lo
+            if not known:
                 _vectors(trained, *triples[idx])
-            h, r, t = rows
-            slots = [h, r, t, replacement, r, t] if corrupt_head else [h, r, t, h, r, replacement]
-            stacked = matrix[slots]
-            diff = stacked[0::3] + stacked[1::3] - stacked[2::3]
+            slots = [h, r, t, replacement]
+            stacked = matrix.take(slots, axis=0)
+            diff = stacked[0::3] + stacked[1] - stacked[2] if corrupt_head else stacked[0] + stacked[1] - stacked[2:]
             dist = distances(diff, config.distance)
             pos, neg = dist.tolist()
             loss = max(0.0, config.margin + pos - neg)
             total += loss
             if loss <= 0.0:
                 continue
+            # With no distance 0, diff / dist is _distance_gradient's L2 branch.
+            grad = _distance_gradient(diff, dist, config.distance) if l1 or not (pos and neg) else diff / dist[:, None]
+            if replacement != h and replacement != t and h != t:
+                terms[:2] = grad
+                terms_of = terms.take(pick[corrupt_head], axis=0)
+                matrix[slots] = stacked - lr * (terms_of[0] - terms_of[1])
+                continue
             grads: dict[int, np.ndarray] = {}
-            for slot, grad in zip(slots, _distance_gradient(diff, dist, config.distance)[share] * signs):
-                grads[slot] = grads[slot] + grad if slot in grads else grad
+            slots = [h, r, t, replacement, r, t] if corrupt_head else [h, r, t, h, r, replacement]
+            for slot, row in zip(slots, grad[share] * signs):
+                grads[slot] = grads[slot] + row if slot in grads else row
             matrix[list(grads)] -= lr * np.array(list(grads.values()))
         mean_loss = total / len(triples)
         if not math.isfinite(mean_loss):
             raise TrainingError(f"training diverged: epoch {epoch + 1} mean loss is {mean_loss}")
         # A norm overflows to inf while the vector is still finite; that is
-        # reported as divergence below, not as a numpy warning. One norm per
-        # row: the norms of a whole matrix are not the same bits.
+        # reported as divergence of the first such entity in the model's
+        # order, not as a numpy warning.
+        entities = matrix[:num_entities]
         with np.errstate(over="ignore"):
-            for name in trained.entity_vectors:
-                vec = matrix[index[name]]
-                norm = np.linalg.norm(vec)
-                if not math.isfinite(norm):
-                    raise TrainingError(f"training diverged: epoch {epoch + 1} vector of entity {name} has norm {norm}")
-                if norm > 0.0:
-                    vec /= norm
+            norms = row_norms(entities)
+        if not np.isfinite(norms).all():
+            name, norm = next((n, norms[index[n]]) for n in trained.entity_vectors if not math.isfinite(norms[index[n]]))
+            raise TrainingError(f"training diverged: epoch {epoch + 1} vector of entity {name} has norm {norm}")
+        np.divide(entities, norms[:, None], out=entities, where=norms[:, None] > 0.0)
         for name in trained.relation_vectors:
             if not (np.abs(matrix[relation_row[name]]) <= MAX_COMPONENT).all():
                 raise TrainingError(f"training diverged: epoch {epoch + 1} vector of relation {name} exceeds {MAX_COMPONENT:g}")

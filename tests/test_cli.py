@@ -105,6 +105,22 @@ class TestBadInputsExitTwo:
         assert "diverged" in self.assert_one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("header", ["# relations: treats\n", ""], ids=["declared", "derived"])
+    def test_extra_edge_outside_the_relation_inventory(self, tmp_path, capsys, header):
+        triples, edges, out = tmp_path / "triples.tsv", tmp_path / "edges.jsonl", tmp_path / "model.json"
+        triples.write_text(f"{header}A\ttreats\tB\n", encoding="utf-8")
+        argv = ["train-transe", "--triples", str(triples), "--extra-edges", str(edges), "--dim", "4", "--epochs", "1", "--out", str(out)]
+        for rel, code in (("zzz", 2), ("treats", 0)):
+            edge = {"head": "A", "tail": "C", "rel": rel, "conf": 1.0, "prov": "extracted"}
+            edges.write_text(json.dumps({"doc_id": "d1", "edges": [edge]}) + "\n", encoding="utf-8")
+            capsys.readouterr()
+            assert run_cli(*argv) == code
+            if code:
+                assert f"{edges}: relation 'zzz'" in self.assert_one_error_line(capsys)
+                assert not out.exists()
+        model = json.loads(out.read_text(encoding="utf-8"))
+        assert (model["relations"], model["entities"]) == (["treats"], ["A", "B", "C"])
+
     def test_relation_beyond_bound_is_divergence(self, tmp_path, fixtures, capsys):
         out = tmp_path / "model.json"
         code = run_cli(

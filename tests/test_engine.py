@@ -24,7 +24,6 @@ from casegraph.engine import (
     index_from_dict,
     index_to_dict,
     load_index,
-    row_norms,
     save_index,
     search,
 )
@@ -49,7 +48,7 @@ from casegraph.relations import (
     train_extractor,
 )
 from casegraph.similarity import LabelCompressor, doc_embedding, wl_corpus_labels, wl_features, wl_label_history
-from casegraph.transe import EmbeddingModel, TrainConfig, init_model, train
+from casegraph.transe import EmbeddingModel, TrainConfig, init_model, row_norms, train
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from casegraph.errors import ConfigError, FormatError, UnknownIdentifierError, UsageError
+from casegraph.errors import ConfigError, FormatError, TrainingError, UnknownIdentifierError, UsageError
 from casegraph.kb import Triple, build_triple_store
 from casegraph.transe import (
     EmbeddingModel,
@@ -217,6 +218,75 @@ class TestTrainMatchesOracle:
                 assert model_to_columns(got) == model_to_columns(want)
                 assert (list(got.entity_vectors), list(got.relation_vectors)) == (list(want.entity_vectors), list(want.relation_vectors))
                 assert got.epoch_losses == want.epoch_losses
+
+    @pytest.mark.parametrize("distance", ["l1", "l2"])
+    def test_zero_distance_step(self, distance):
+        # A and B share a vector and r is zero, so the first step's positive
+        # (A, r, B) is at distance 0; its replacement is C, three distinct rows,
+        # when the draw after the coin flip is 1.
+        vector = np.array([0.6, 0.8, 0.0])
+        model = EmbeddingModel(
+            {"A": vector, "B": vector.copy(), "C": np.array([0.0, 0.6, -0.8])},
+            {"r": np.zeros(3)},
+            TrainConfig(dim=3, margin=2.0, learning_rate=0.1, epochs=3, distance=distance),
+        )
+        kb = build_triple_store([("A", "r", "B")])
+        seeds = range(6)
+        first_draws = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            rng.permutation(1), rng.integers(2)
+            first_draws.append(int(rng.integers(2)))
+        assert 1 in first_draws
+        for seed in seeds:
+            config = replace(model.config, seed=seed)
+            got, want = train(model, kb, config), helpers.oracle_train(model, kb, config)
+            assert model_to_columns(got) == model_to_columns(want)
+            assert got.epoch_losses == want.epoch_losses
+
+    @given(st.data())
+    def test_random_stores(self, data):
+        # Two to eight entities make repeated-row corruptions such as (t, r, t) common.
+        size = data.draw(st.integers(2, 8))
+        entities = [f"e{i}" for i in range(size)]
+        name = st.sampled_from(entities)
+        fact = st.tuples(name, st.sampled_from("rs"), name).filter(lambda f: f[0] != f[2])
+        kb = build_triple_store(data.draw(st.lists(fact, min_size=1, max_size=12)))
+        config = TrainConfig(
+            dim=data.draw(st.integers(1, 6)),
+            margin=data.draw(st.floats(0.01, 4.0)),
+            learning_rate=data.draw(st.floats(0.001, 0.5)),
+            epochs=data.draw(st.integers(1, 3)),
+            distance=data.draw(st.sampled_from(["l1", "l2"])),
+            seed=data.draw(st.integers(0, 2**16)),
+        )
+        model = init_model(entities, kb.relations, config)
+        got, want = train(model, kb, config), helpers.oracle_train(model, kb, config)
+        assert model_to_columns(got) == model_to_columns(want)
+        assert (list(got.entity_vectors), list(got.relation_vectors)) == (list(want.entity_vectors), list(want.relation_vectors))
+        assert got.epoch_losses == want.epoch_losses
+
+    def test_divergent_entity_named_like_oracle(self):
+        # One step at a huge learning rate: its loss is finite, but the norms of
+        # the rows it writes overflow. A is always one of them and comes first by
+        # name; the error names the first in the model's own order, C then B.
+        rng = np.random.default_rng(3)
+        model = EmbeddingModel(
+            {name: rng.normal(size=3) for name in "CBA"},
+            {"r": rng.normal(size=3)},
+            TrainConfig(dim=3, margin=100.0, learning_rate=1e160, epochs=1),
+        )
+        kb = build_triple_store([("A", "r", "B")])
+        named = set()
+        for seed in range(4):
+            config = replace(model.config, seed=seed)
+            with pytest.raises(TrainingError) as want:
+                helpers.oracle_train(model, kb, config)
+            with pytest.raises(TrainingError) as got:
+                train(model, kb, config)
+            assert str(got.value) == str(want.value)
+            named.add(str(got.value).split(" vector of entity ")[1].split()[0])
+        assert named == {"B", "C"}
 
     def test_dense_kb_forces_self_loop_corruptions(self):
         kb = dense_kb()
