@@ -88,10 +88,8 @@ def _cmd_extract(args: argparse.Namespace) -> None:
     lexicon, corpus = _analyzed_docs(cfg)
     per_doc_mentions = read_mentions(args.mentions)
     kb, extractor = _extraction_models(cfg)
-    per_doc_edges = {}
-    for doc in corpus:
-        analysis = engine.analyze(doc, lexicon, cfg.window, per_doc_mentions.get(doc.id, []))
-        per_doc_edges[doc.id] = engine.extract_edges(analysis, lexicon, cfg, kb, extractor)
+    extracted = engine.analyzed_edges(corpus, lexicon, cfg, kb, extractor, per_doc_mentions)
+    per_doc_edges = {doc.id: edges for doc, _, edges in extracted}
     _emit(edges_jsonl(per_doc_edges), args.out)
 
 

@@ -5,11 +5,15 @@ columnar ``Analysis`` record: its tokens (texts, normal forms, byte offsets),
 the token bounds of its sentences, its mentions (offsets, first and last
 token, cuis) and its candidate pairs (head and tail mention indices, the
 token bounds between them, their sentence). Extraction (``extract_edges``)
-reads that record's columns, and ``_add_document`` appends the document's
+reads that record's columns, and ``_add_row`` appends the document's
 network to ``network.NetworkRows`` and enriches it there. ``index_corpus``
 adds every document of the corpus as a row in doc id order, fuses all rows
 at once and labels them for the kernel at once
 (``similarity.wl_corpus_labels``); it makes no per-document network object.
+Its documents, like those of the ``extract`` command, come from
+``analyzed_edges``: analysis stays per document, but in mode ``model`` the
+corpus is extracted per batch of ``_EXTRACT_BATCH`` documents, scored at
+once by ``relations.extract_batch`` with the edges each document gets alone.
 ``search`` adds its query as a row of its own and stops before fusion,
 which no score reads; ``document_network`` runs one document on to a fused
 ``SemanticNetwork``. Which models a configuration reads is decided once,
@@ -78,8 +82,9 @@ container version is refused with ``FormatError``.
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +120,7 @@ from .network import (  # build_network, enrich_network and fuse_network: bound 
 from .relations import (
     ExtractorModel,
     Pairs,
+    extract_batch,
     extract_relations,
     extractor_from_columns,
     extractor_to_columns,
@@ -135,6 +141,11 @@ INDEX_VERSION = 6
 # 150-1,000 documents took about the same time; at 2**15 a block's
 # temporaries peak at about 3.5 MB, at 2**19 at 45 MB and 2-3x slower.
 _BLOCK_NUMBERS = 2**15
+
+# The most documents whose edges one ``extract_batch`` call scores in mode
+# ``model``. Their analyses are held until then: about 1.3 MB for abstracts
+# of about 80 tokens and 20 candidate pairs (21 KB of analysis each).
+_EXTRACT_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -295,6 +306,47 @@ def extract_edges(
     return kb_match_extract(analysis.pairs, kb)
 
 
+def analyzed_edges(
+    docs: Iterable[Document],
+    lexicon: Lexicon,
+    config: PipelineConfig,
+    kb: TripleStore | None = None,
+    extractor: ExtractorModel | None = None,
+    mentions: Mapping[str, Sequence[Mention]] | None = None,
+) -> Iterator[tuple[Document, Analysis, list[Edge]]]:
+    """Each document in order with its analysis and its edges: analyzed one by one, extracted a batch at a time.
+
+    Given ``mentions``, a document is paired on its entry there (none without
+    one) and not linked. In mode ``model`` the edges of up to
+    ``_EXTRACT_BATCH`` documents come from one ``extract_batch`` call, with
+    the bits ``extract_edges`` gives each document alone; ``kbmatch`` calls
+    ``extract_edges`` per document. The mode's model must be given.
+    """
+    docs = iter(docs)
+    while batch := [
+        (doc, analyze(doc, lexicon, config.window, None if mentions is None else mentions.get(doc.id, [])))
+        for doc in islice(docs, _EXTRACT_BATCH)
+    ]:
+        analyses = [analysis for _, analysis in batch]
+        if config.mode == "model":
+            edges = extract_batch([(a.pairs, a.tokens) for a in analyses], extractor, config.theta_rel, lexicon)
+        else:
+            edges = [extract_edges(analysis, lexicon, config, kb) for analysis in analyses]
+        for (doc, analysis), doc_edges in zip(batch, edges):
+            yield doc, analysis, doc_edges
+
+
+def _add_row(rows: NetworkRows, doc_id: str, analysis: Analysis, edges: list[Edge], config: PipelineConfig) -> None:
+    """Append a document's network to ``rows``, enriched if configured.
+
+    ``search`` stops here: no score reads an edge's confidence, so fusing a
+    query's network would not change its ranking.
+    """
+    rows.add(doc_id, analysis.mentions, edges)
+    if config.enrich:
+        rows.enrich(config.tau_lp, config.m_cap)
+
+
 def _add_document(
     rows: NetworkRows,
     doc: Document,
@@ -303,15 +355,9 @@ def _add_document(
     kb: TripleStore | None,
     extractor: ExtractorModel | None,
 ) -> None:
-    """Analyze ``doc``, extract its edges, and append its network to ``rows``, enriched if configured.
-
-    ``search`` stops here: no score reads an edge's confidence, so fusing a
-    query's network would not change its ranking.
-    """
+    """Analyze ``doc`` on its own, extract its edges, and add its row (``_add_row``)."""
     analysis = analyze(doc, lexicon, config.window)
-    rows.add(doc.id, analysis.mentions, extract_edges(analysis, lexicon, config, kb, extractor))
-    if config.enrich:
-        rows.enrich(config.tau_lp, config.m_cap)
+    _add_row(rows, doc.id, analysis, extract_edges(analysis, lexicon, config, kb, extractor), config)
 
 
 def document_network(
@@ -353,8 +399,8 @@ def index_corpus(
         if doc.id in seen:
             raise ValidationError(f"duplicate document id {doc.id}")
         seen.add(doc.id)
-    for doc in sorted(corpus, key=lambda doc: doc.id):
-        _add_document(rows, doc, lexicon, config, kb, extractor)
+    for doc, analysis, edges in analyzed_edges(sorted(corpus, key=lambda doc: doc.id), lexicon, config, kb, extractor):
+        _add_row(rows, doc.id, analysis, edges, config)
     if config.fuse:
         rows.fuse()
     columns = rows.columns()

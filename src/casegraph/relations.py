@@ -21,9 +21,9 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Sequence
 
@@ -125,11 +125,6 @@ class Pairs(Record):
         head, tail = self.mentions[self.heads[p]], self.mentions[self.tails[p]]
         return CandidatePair(self.doc_id, head, tail, self.sentences[self.in_sentence[p]], start, end, end - start)
 
-    def select(self, positions: list[int]) -> Pairs:
-        """The pairs at ``positions``, in that order."""
-        columns = (self.heads, self.tails, self.between_starts, self.between_ends, self.in_sentence)
-        return Pairs(self.doc_id, self.mentions, self.sentences, *([column[p] for p in positions] for column in columns))
-
 
 def generate_candidates(
     doc_id: str,
@@ -197,8 +192,8 @@ class _Encoded(dict):
         return entry
 
 
-def _feature_rows(pairs: Pairs, tokens: Tokens, lexicon: Lexicon, encode: Callable) -> list[list]:
-    """Each pair's features, one entry per occurrence: this defines the feature set.
+def _feature_rows(docs: Iterable[tuple[Pairs, Tokens]], lexicon: Lexicon, encode: Callable) -> list[list]:
+    """Each pair's features, one entry per occurrence, document after document: this defines the feature set.
 
     A pair has one ``bet:`` feature per token strictly between its mentions
     (the token's normal form), then its orientation (``dir:``), its
@@ -216,23 +211,26 @@ def _feature_rows(pairs: Pairs, tokens: Tokens, lexicon: Lexicon, encode: Callab
     bucket = _Encoded(lambda d: "dist:0-2" if d <= 2 else "dist:3-5" if d <= 5 else "dist:6+", encode)
     head_type = _Encoded(lambda cui: f"ht:{semantic_type(cui)}", encode)
     tail_type = _Encoded(lambda cui: f"tt:{semantic_type(cui)}", encode)
-    norms, starts, primaries = tokens.norms, pairs.mentions.starts, pairs.mentions.primaries
     rows = []
-    for head, tail, start, end in zip(pairs.heads, pairs.tails, pairs.between_starts, pairs.between_ends):
-        row = [between[norm] for norm in norms[start:end]]
-        row += (
-            direction[starts[head] < starts[tail]],
-            bucket[end - start],
-            head_type[primaries[head]],
-            tail_type[primaries[tail]],
-        )
-        rows.append(row)
+    for pairs, tokens in docs:
+        if not pairs:  # a document without pairs may come without its tokens
+            continue
+        norms, starts, primaries = tokens.norms, pairs.mentions.starts, pairs.mentions.primaries
+        for head, tail, start, end in zip(pairs.heads, pairs.tails, pairs.between_starts, pairs.between_ends):
+            row = [between[norm] for norm in norms[start:end]]
+            row += (
+                direction[starts[head] < starts[tail]],
+                bucket[end - start],
+                head_type[primaries[head]],
+                tail_type[primaries[tail]],
+            )
+            rows.append(row)
     return rows
 
 
 def featurize_pairs(pairs: Sequence[CandidatePair], tokens: Tokens, lexicon: Lexicon) -> list[dict[str, int]]:
     """``featurize`` of each of a document's pairs, naming each distinct feature once."""
-    return [dict(Counter(row)) for row in _feature_rows(Pairs.of(pairs), tokens, lexicon, str)]
+    return [dict(Counter(row)) for row in _feature_rows([(Pairs.of(pairs), tokens)], lexicon, str)]
 
 
 def featurize(pair: CandidatePair, tokens: Tokens, lexicon: Lexicon) -> dict[str, int]:
@@ -356,6 +354,45 @@ def _feature_blocks(
     return np.argsort(sizes, kind="stable")[np.count_nonzero(sizes == 0) :], blocks
 
 
+def extract_batch(
+    docs: Sequence[tuple[Sequence[CandidatePair], Tokens]],
+    model: ExtractorModel,
+    theta_rel: float,
+    lexicon: Lexicon,
+) -> list[list[Edge]]:
+    """``extract_relations`` of each document's ``(pairs, tokens)``, the whole batch scored at once.
+
+    The batch is featurized through one feature-id cache and scored in one
+    matrix product per number of known features; each pair's scores have
+    the bits it gets alone, and each document keeps its own best edge per
+    (head, tail, relation).
+    """
+    check("theta_rel", theta_rel)
+    docs = [(Pairs.of(pairs), tokens) for pairs, tokens in docs]
+    vocab = model.feature_vocab
+    rows = _feature_rows(docs, lexicon, lambda name: vocab.get(name, -1))
+    positions, blocks = _feature_blocks(rows, len(vocab))
+    if not blocks:
+        return [[] for _ in docs]
+    probs = _softmax(np.concatenate([_scores(model.weights, ids, counts) for ids, counts in blocks]))
+    offsets = list(accumulate((len(pairs) for pairs, _ in docs), initial=0))  # each document's first row
+    best: list[dict[tuple[str, str, str], float]] = [{} for _ in docs]
+    predictions = zip(positions.tolist(), probs.argmax(axis=1).tolist(), probs.max(axis=1).tolist())
+    for position, label_id, confidence in predictions:
+        relation = model.labels[label_id]
+        if relation == NA_LABEL or confidence < theta_rel:
+            continue
+        owner = bisect_right(offsets, position) - 1
+        pairs, p = docs[owner][0], position - offsets[owner]
+        head, tail = pairs.mentions.primaries[pairs.heads[p]], pairs.mentions.primaries[pairs.tails[p]]
+        if head == tail:  # a pair within one concept yields no edge
+            continue
+        key = (head, tail, relation)
+        if confidence > best[owner].get(key, 0.0):
+            best[owner][key] = confidence
+    return [[Edge(h, t, r, c, PROV_EXTRACTED) for (h, t, r), c in sorted(edges.items())] for edges in best]
+
+
 def extract_relations(
     pairs: Sequence[CandidatePair],
     model: ExtractorModel,
@@ -363,7 +400,7 @@ def extract_relations(
     tokens: Tokens,
     lexicon: Lexicon,
 ) -> list[Edge]:
-    """Predicted edges with softmax confidence at or above ``theta_rel``.
+    """Predicted edges with softmax confidence at or above ``theta_rel``: ``extract_batch`` of one document.
 
     NA predictions and pairs whose mentions resolve to the same concept are
     suppressed; duplicate (head, tail, relation) edges keep the maximum
@@ -373,28 +410,7 @@ def extract_relations(
     gives each pair alone. A pair without a known feature scores 0 on every
     label, so its prediction is the first label, NA, and it yields no edge.
     """
-    check("theta_rel", theta_rel)
-    pairs = Pairs.of(pairs)
-    primaries = pairs.mentions.primaries
-    pairs = pairs.select([p for p, (h, t) in enumerate(zip(pairs.heads, pairs.tails)) if primaries[h] != primaries[t]])
-    if not pairs:
-        return []
-    vocab = model.feature_vocab
-    rows = _feature_rows(pairs, tokens, lexicon, lambda name: vocab.get(name, -1))
-    positions, blocks = _feature_blocks(rows, len(vocab))
-    if not blocks:
-        return []
-    probs = _softmax(np.concatenate([_scores(model.weights, ids, counts) for ids, counts in blocks]))
-    best: dict[tuple[str, str, str], float] = {}
-    predictions = zip(positions.tolist(), probs.argmax(axis=1).tolist(), probs.max(axis=1).tolist())
-    for position, label_id, confidence in predictions:
-        relation = model.labels[label_id]
-        if relation == NA_LABEL or confidence < theta_rel:
-            continue
-        key = (primaries[pairs.heads[position]], primaries[pairs.tails[position]], relation)
-        if confidence > best.get(key, 0.0):
-            best[key] = confidence
-    return [Edge(h, t, r, c, PROV_EXTRACTED) for (h, t, r), c in sorted(best.items())]
+    return extract_batch([(pairs, tokens)], model, theta_rel, lexicon)[0]
 
 
 def kb_match_extract(pairs: Sequence[CandidatePair], kb: TripleStore) -> list[Edge]:

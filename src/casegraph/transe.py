@@ -247,38 +247,41 @@ def train(
     for epoch in range(config.epochs):
         order = rng.permutation(len(triples))
         total = 0.0
-        for idx in order:
-            h, r, t, known, head_lo, head_hi, tail_lo, tail_hi = steps[idx]
-            corrupt_head = bool(rng.integers(2))
-            lo, hi = (head_lo, head_hi) if corrupt_head else (tail_lo, tail_hi)
-            allowed = num_entities - (hi - lo)
-            if not allowed:
-                continue
-            j = int(rng.integers(allowed))
-            replacement = j + bisect_right(skips, j, lo, hi) - lo
-            if not known:
-                _vectors(trained, *triples[idx])
-            slots = [h, r, t, replacement]
-            stacked = matrix.take(slots, axis=0)
-            diff = stacked[0::3] + stacked[1] - stacked[2] if corrupt_head else stacked[0] + stacked[1] - stacked[2:]
-            dist = distances(diff, config.distance)
-            pos, neg = dist.tolist()
-            loss = max(0.0, config.margin + pos - neg)
-            total += loss
-            if loss <= 0.0:
-                continue
-            # With no distance 0, diff / dist is _distance_gradient's L2 branch.
-            grad = _distance_gradient(diff, dist, config.distance) if l1 or not (pos and neg) else diff / dist[:, None]
-            if replacement != h and replacement != t and h != t:
-                terms[:2] = grad
-                terms_of = terms.take(pick[corrupt_head], axis=0)
-                matrix[slots] = stacked - lr * (terms_of[0] - terms_of[1])
-                continue
-            grads: dict[int, np.ndarray] = {}
-            slots = [h, r, t, replacement, r, t] if corrupt_head else [h, r, t, h, r, replacement]
-            for slot, row in zip(slots, grad[share] * signs):
-                grads[slot] = grads[slot] + row if slot in grads else row
-            matrix[list(grads)] -= lr * np.array(list(grads.values()))
+        # A diverging step overflows or makes inf - inf; the loss check below
+        # reports it as a TrainingError, not as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in order:
+                h, r, t, known, head_lo, head_hi, tail_lo, tail_hi = steps[idx]
+                corrupt_head = bool(rng.integers(2))
+                lo, hi = (head_lo, head_hi) if corrupt_head else (tail_lo, tail_hi)
+                allowed = num_entities - (hi - lo)
+                if not allowed:
+                    continue
+                j = int(rng.integers(allowed))
+                replacement = j + bisect_right(skips, j, lo, hi) - lo
+                if not known:
+                    _vectors(trained, *triples[idx])
+                slots = [h, r, t, replacement]
+                stacked = matrix.take(slots, axis=0)
+                diff = stacked[0::3] + stacked[1] - stacked[2] if corrupt_head else stacked[0] + stacked[1] - stacked[2:]
+                dist = distances(diff, config.distance)
+                pos, neg = dist.tolist()
+                loss = max(0.0, config.margin + pos - neg)
+                total += loss
+                if loss <= 0.0:
+                    continue
+                # With no distance 0, diff / dist is _distance_gradient's L2 branch.
+                grad = _distance_gradient(diff, dist, config.distance) if l1 or not (pos and neg) else diff / dist[:, None]
+                if replacement != h and replacement != t and h != t:
+                    terms[:2] = grad
+                    terms_of = terms.take(pick[corrupt_head], axis=0)
+                    matrix[slots] = stacked - lr * (terms_of[0] - terms_of[1])
+                    continue
+                grads: dict[int, np.ndarray] = {}
+                slots = [h, r, t, replacement, r, t] if corrupt_head else [h, r, t, h, r, replacement]
+                for slot, row in zip(slots, grad[share] * signs):
+                    grads[slot] = grads[slot] + row if slot in grads else row
+                matrix[list(grads)] -= lr * np.array(list(grads.values()))
         mean_loss = total / len(triples)
         if not math.isfinite(mean_loss):
             raise TrainingError(f"training diverged: epoch {epoch + 1} mean loss is {mean_loss}")

@@ -333,6 +333,20 @@ def synth_kb(lexicon: Lexicon) -> TripleStore:
     return build_triple_store(triples)
 
 
+def dense_kb():
+    """Seven entities: E0 has r0 to every other entity and every other entity
+    has r1 to E1, so the only corrupted tail of (E0, r0, .) is E0 itself and
+    the only corrupted head of (., r1, E1) is E1: a self-loop triple. A seeded
+    sprinkle of r0/r2 facts fills in the rest."""
+    entities = [f"E{i}" for i in range(7)]
+    triples = [("E0", "r0", e) for e in entities[1:]] + [(e, "r1", "E1") for e in entities if e != "E1"]
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        head, tail = rng.choice(entities, size=2, replace=False).tolist()
+        triples.append((head, "r2" if rng.integers(2) else "r0", tail))
+    return build_triple_store(triples)
+
+
 def synth_corpus(lexicon: Lexicon, num_docs: int, seed: int) -> list[Document]:
     """Short abstracts built from lexicon surfaces and filler words.
 

@@ -105,6 +105,15 @@ class TestBadInputsExitTwo:
         assert "diverged" in self.assert_one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["1e154", "1e156"])
+    def test_overflowing_transe_prints_only_its_error(self, tmp_path, capsys, lr):
+        triples, out = tmp_path / "triples.tsv", tmp_path / "model.json"
+        helpers.write_triples_tsv(helpers.dense_kb(), triples)
+        argv = ["--dim", "4", "--epochs", "3", "--lr", lr, "--seed", "0", "--margin", "1.0", "--dist", "l2"]
+        assert run_cli("train-transe", "--triples", str(triples), *argv, "--out", str(out)) == 2
+        assert "diverged" in self.assert_one_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("header", ["# relations: treats\n", ""], ids=["declared", "derived"])
     def test_extra_edge_outside_the_relation_inventory(self, tmp_path, capsys, header):
         triples, edges, out = tmp_path / "triples.tsv", tmp_path / "edges.jsonl", tmp_path / "model.json"

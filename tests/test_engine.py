@@ -1220,6 +1220,39 @@ class TestRoundTrip:
                     columns_to_dict(columns)
 
 
+class TestExtractionBatches:
+    """``analyzed_edges`` analyzes each document once and extracts a batch of them at a time, each with its own edges."""
+
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    def test_each_document_gets_the_edges_it_gets_alone(self, model_index, monkeypatch, batch):
+        index, config = model_index, replace(model_index.config, theta_rel=0.0)
+        corpus = model_corpus(index.lexicon)
+        monkeypatch.setattr(engine, "_EXTRACT_BATCH", batch)
+        calls: Counter[str] = Counter()
+        for stage in ("tokenize", "extract_batch"):
+
+            def spy(*args, _stage=stage, _original=getattr(engine, stage), **kwargs):
+                calls[_stage] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine, stage, spy)
+        extracted = engine.analyzed_edges(corpus, index.lexicon, config, extractor=index.extractor)
+        got = [(doc.id, analysis.mentions, edges) for doc, analysis, edges in extracted]
+        assert calls == {"tokenize": len(corpus), "extract_batch": -(-len(corpus) // batch)}
+        expected = []
+        for doc in corpus:
+            analysis = analyze(doc, index.lexicon, config.window)
+            expected.append((doc.id, analysis.mentions, engine.extract_edges(analysis, index.lexicon, config, extractor=index.extractor)))
+        assert got == expected
+        assert sum(bool(edges) for _, _, edges in got) >= 3
+
+    def test_index_bytes_do_not_depend_on_the_batch(self, model_index, monkeypatch):
+        monkeypatch.setattr(engine, "_EXTRACT_BATCH", 5)
+        index = model_index
+        again = index_corpus(model_corpus(index.lexicon), index.lexicon, index.config, extractor=index.extractor, transe=index.transe)
+        assert json.dumps(engine.index_to_dict(again)) == json.dumps(engine.index_to_dict(index))
+
+
 def test_search_ranks_as_the_fused_query_network(model_index):
     texts = [doc.text for doc in model_corpus(model_index.lexicon)]
     helpers.assert_search_ranks_fused_query(model_index, texts)

@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
-from casegraph.errors import TrainingError
+from casegraph.errors import TrainingError, UsageError
 from casegraph.kb import build_triple_store
 from casegraph.linking import Mention, link, split_sentences, tokenize
 from casegraph.relations import (
@@ -18,6 +20,7 @@ from casegraph.relations import (
     _softmax,
     distant_label,
     edges_jsonl,
+    extract_batch,
     extract_relations,
     featurize,
     featurize_pairs,
@@ -420,6 +423,80 @@ class TestBatchedExtraction:
         assert helpers.oracle_extract_relations(pairs, unknown, 0.0, tokens, lexicon) == []
         empty = ExtractorModel({}, np.zeros((2, 0)), labels, ExtractorHyperparams())
         assert extract_relations(pairs, empty, 0.0, tokens, lexicon) == []
+
+
+SYNTH = helpers.synth_lexicon()
+SURFACES = sorted(SYNTH.surface_index)
+
+
+@st.composite
+def extraction_batches(draw):
+    """``(docs, model, theta)``: a batch of analyzed synthetic documents, a random model and a threshold.
+
+    A batch may repeat a document, so the same (head, tail, relation) key
+    occurs in several documents, and may hold documents without pairs or
+    whose pairs all join one concept. The model knows a random share of the
+    batch's features, down to none; a forceful one votes for a relation on
+    every known feature. The threshold may equal one of the batch's
+    confidences.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    docs = []
+    for kind in draw(st.lists(st.sampled_from(["text", "repeat", "no pairs", "one concept"]), max_size=8)):
+        if kind == "repeat" and docs:
+            docs.append(docs[rng.randrange(len(docs))])
+            continue
+        if kind == "no pairs":
+            text = rng.choice(["", "Fever.", "Patient with history of episode.", "Aspirin. Fever."])
+        elif kind == "one concept":
+            surface = rng.choice(SURFACES)
+            text = f"{surface} with {surface.title()} after {surface}. Severe {surface}."
+        else:
+            text = helpers.random_fixture_text(SYNTH, rng, num_words=rng.randrange(5, 40))
+        docs.append(analyze(text, SYNTH, doc_id=f"d{len(docs)}", window=rng.choice([0, 3, 30])))
+    weights_rng = np.random.default_rng(rng.randrange(2**32))
+    model = random_model(pair_features(docs, SYNTH), draw(st.sampled_from([2, 5])), weights_rng, draw(st.sampled_from([1.0, 0.5, 0.05, 0.0])))
+    if draw(st.booleans()):
+        model.weights[1] = 50.0
+    theta = draw(st.sampled_from([0.0, 0.3, 0.6, 1.0, "a confidence"]))
+    if theta == "a confidence":
+        confidences = sorted(e.confidence for tokens, pairs in docs for e in helpers.oracle_extract_relations(pairs, model, 0.0, tokens, SYNTH))
+        theta = confidences[rng.randrange(len(confidences))] if confidences else 0.5
+    return docs, model, theta
+
+
+class TestExtractBatch:
+    """``extract_batch`` scores many documents at once; each document must get what the per-pair oracle gives it alone."""
+
+    @given(extraction_batches())
+    def test_each_document_matches_the_oracle(self, batch):
+        docs, model, theta = batch
+        expected = [helpers.oracle_extract_relations(pairs, model, theta, tokens, SYNTH) for tokens, pairs in docs]
+        assert extract_batch([(pairs, tokens) for tokens, pairs in docs], model, theta, SYNTH) == expected
+
+    def test_a_key_in_several_documents_stays_in_each(self, lexicon, kb):
+        model, _ = trained_fixture_model(lexicon, kb)
+        texts = ["Aspirin treats heart attack.", "Hypertension.", "Aspirin rapidly treats heart attack."]
+        docs = [analyze(text, lexicon, doc_id=f"d{i}") for i, text in enumerate(texts)]
+        edges = extract_batch([(pairs, tokens) for tokens, pairs in docs], model, 0.0, lexicon)
+        assert edges == [helpers.oracle_extract_relations(pairs, model, 0.0, tokens, lexicon) for tokens, pairs in docs]
+        assert edges[0] and edges[1] == [] and edges[2]
+        assert {(e.head, e.tail, e.relation) for e in edges[0]} == {(e.head, e.tail, e.relation) for e in edges[2]}
+        assert edges[0] != edges[2]  # the same keys, each at its own document's confidence
+
+    def test_pairs_that_all_join_one_concept_yield_nothing(self, lexicon):
+        tokens, pairs = analyze("Heart attack after myocardial infarction.", lexicon)
+        assert pairs and all(p.head_mention.primary_cui == p.tail_mention.primary_cui for p in pairs)
+        model = random_model(pair_features([(tokens, pairs)], lexicon), 2, np.random.default_rng(0))
+        model.weights[1] = 50.0
+        assert extract_batch([(pairs, tokens), (pairs, tokens)], model, 0.0, lexicon) == [[], []]
+
+    def test_out_of_range_theta_on_an_empty_batch(self, lexicon, kb):
+        model, _ = trained_fixture_model(lexicon, kb)
+        assert extract_batch([], model, 1.0, lexicon) == []
+        for theta in (-0.1, 1.5, float("nan")):
+            with pytest.raises(UsageError):
+                extract_batch([], model, theta, lexicon)
 
 
 class TestScores:

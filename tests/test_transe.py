@@ -190,25 +190,11 @@ class TestTrain:
             assert np.array_equal(model.entity_vectors[name], vec)
 
 
-def dense_kb():
-    """Seven entities: E0 has r0 to every other entity and every other entity
-    has r1 to E1, so the only corrupted tail of (E0, r0, .) is E0 itself and
-    the only corrupted head of (., r1, E1) is E1: a self-loop triple. A seeded
-    sprinkle of r0/r2 facts fills in the rest."""
-    entities = [f"E{i}" for i in range(7)]
-    triples = [("E0", "r0", e) for e in entities[1:]] + [(e, "r1", "E1") for e in entities if e != "E1"]
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        head, tail = rng.choice(entities, size=2, replace=False).tolist()
-        triples.append((head, "r2" if rng.integers(2) else "r0", tail))
-    return build_triple_store(triples)
-
-
 class TestTrainMatchesOracle:
     @pytest.mark.parametrize("dim", [5, 16, 50])
     @pytest.mark.parametrize("distance", ["l1", "l2"])
     def test_identical_to_allowed_list_loop(self, distance, dim):
-        kbs = [dense_kb(), helpers.planted_toy_kb(num_entities=12, num_triples=30)]
+        kbs = [helpers.dense_kb(), helpers.planted_toy_kb(num_entities=12, num_triples=30)]
         for kb, extra in ((kbs[0], []), (kbs[1], []), (kbs[1], ["C0", "Z9"])):
             for seed in (0, 1, 2):
                 config = TrainConfig(dim=dim, margin=2.0, learning_rate=0.05, epochs=5, distance=distance, seed=seed)
@@ -288,14 +274,23 @@ class TestTrainMatchesOracle:
             named.add(str(got.value).split(" vector of entity ")[1].split()[0])
         assert named == {"B", "C"}
 
+    @pytest.mark.parametrize("lr", [1e154, 1e156])
+    def test_overflowing_steps_raise_only_training_error(self, lr):
+        # Under tier-1's error::RuntimeWarning filter a numpy overflow warning
+        # would escape as an exception before the divergence check.
+        kb = helpers.dense_kb()
+        config = TrainConfig(dim=4, margin=1.0, learning_rate=lr, epochs=3, distance="l2", seed=0)
+        with pytest.raises(TrainingError, match="diverged"):
+            train(init_model(kb.entities, kb.relations, config), kb, config)
+
     def test_dense_kb_forces_self_loop_corruptions(self):
-        kb = dense_kb()
+        kb = helpers.dense_kb()
         entities = sorted(kb.entities)
         assert [e for e in entities if not kb.has_triple("E0", "r0", e)] == ["E0"]
         assert [e for e in entities if not kb.has_triple(e, "r1", "E1")] == ["E1"]
 
     def test_epoch_vectors_keep_their_values(self):
-        kb = dense_kb()
+        kb = helpers.dense_kb()
 
         def config(epochs):
             return TrainConfig(dim=6, learning_rate=0.05, epochs=epochs, distance="l2", seed=4)
@@ -311,7 +306,7 @@ class TestTrainMatchesOracle:
             assert {k: v.tobytes() for k, v in vectors.items()} == {k: v.tobytes() for k, v in expected.items()}
 
     def test_unknown_entity_fails_like_oracle(self):
-        kb = dense_kb()
+        kb = helpers.dense_kb()
         config = TrainConfig(dim=4, epochs=2, seed=1)
         model = init_model(sorted(kb.entities)[:-1], kb.relations, config)
         with pytest.raises(UnknownIdentifierError) as want:
