@@ -95,6 +95,7 @@ def _cmd_extract(args: argparse.Namespace) -> None:
 
 def _cmd_train_extractor(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
+    out = _require(args.out or cfg.extractor_model, "out")
     lexicon, corpus = _analyzed_docs(cfg)
     kb = load_triples(_require(cfg.triples, "triples"))
     instances = []
@@ -104,7 +105,7 @@ def _cmd_train_extractor(args: argparse.Namespace) -> None:
             instances.append(RelationInstance(pair, distant_label(pair, kb), features))
     hyper = ExtractorHyperparams(cfg.extractor_lr, cfg.extractor_epochs, cfg.l2, cfg.seed)
     model = train_extractor(instances, hyper)
-    save_extractor(model, _require(args.out or cfg.extractor_model, "out"))
+    save_extractor(model, out)
     log.info("trained on %d instances (%d labels, %d features)", len(instances), len(model.labels), len(model.feature_vocab))
 
 
@@ -123,10 +124,11 @@ def _load_training_store(cfg: PipelineConfig, extra_edges: str | None):
 
 def _cmd_train_transe(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
+    out = _require(args.out or cfg.transe_model, "out")
     kb = _load_training_store(cfg, args.extra_edges)
     train_config = TrainConfig(cfg.dim, cfg.margin, cfg.transe_lr, cfg.transe_epochs, cfg.distance, cfg.seed)
     model = train(init_model(kb.entities, kb.relations, train_config), kb, train_config)
-    save_model(model, _require(args.out or cfg.transe_model, "out"))
+    save_model(model, out)
     if model.epoch_losses:
         log.info("final mean epoch loss %.6f", model.epoch_losses[-1])
 
@@ -167,6 +169,7 @@ def _cmd_enrich(args: argparse.Namespace) -> None:
 
 def _cmd_index(args: argparse.Namespace) -> None:
     cfg = _merged_config(args)
+    out = _require(args.out or cfg.index, "out")
     if cfg.enrich or cfg.fuse:
         _require(cfg.transe_model, "transe_model")
     kb, extractor = _extraction_models(cfg)
@@ -174,7 +177,7 @@ def _cmd_index(args: argparse.Namespace) -> None:
     # Given without enrichment or fusion, the TransE model still serves the embedding half of the score.
     transe_model = load_model(cfg.transe_model) if cfg.transe_model else None
     index = engine.index_corpus(corpus, lexicon, cfg, kb, extractor, transe_model)
-    engine.save_index(index, _require(args.out or cfg.index, "out"))
+    engine.save_index(index, out)
 
 
 def _cmd_search(args: argparse.Namespace) -> None:
@@ -225,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     # Options are declared in the order that --help and usage errors list them.
 
-    def command(name: str, handler, help_text: str, *settings: str) -> argparse.ArgumentParser:
+    def command(name: str, handler, help_text: str, *settings: str, out: str = "stdout") -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(handler=handler)
         sub.add_argument("--config", help="flat key = value config file")
         _add_settings(sub, "seed")
-        sub.add_argument("--out", default=None, help="output file (default: stdout)")
+        sub.add_argument("--out", default=None, help=f"output file (default: {out})")
         _add_settings(sub, *settings)
         return sub
 
@@ -243,9 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     command(
         "train-extractor", _cmd_train_extractor, "train the relation classifier by distant supervision",
         "lexicon", "corpus", "triples", "window", "extractor_lr", "extractor_epochs", "l2",
+        out="the config file's extractor_model",
     )
 
-    sub = command("train-transe", _cmd_train_transe, "train translational embeddings on the triple store", "triples")
+    sub = command(
+        "train-transe", _cmd_train_transe, "train translational embeddings on the triple store", "triples",
+        out="the config file's transe_model",
+    )
     sub.add_argument("--extra-edges", dest="extra_edges", help="edge JSONL appended as training triples")
     _add_settings(sub, "dim", "margin", "transe_lr", "transe_epochs", "distance")
 
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(
         "index", _cmd_index, "run the full pipeline and persist the index",
         "lexicon", "corpus", "triples", "extractor_model", "transe_model", "mode", "window", "theta_rel",
-        "tau_lp", "m_cap", "enrich", "fuse", "h",
+        "tau_lp", "m_cap", "enrich", "fuse", "h", out="the config file's index",
     )
 
     sub = command("search", _cmd_search, "rank indexed documents against query cases", "index")

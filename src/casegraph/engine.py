@@ -32,6 +32,12 @@ extractor as its labels, its features ascending (a feature's position is
 its id) and its weights as one ``float64`` column
 (``relations.extractor_to_columns``); the model files hold the same
 payloads. Loading rebuilds the same in-memory models, with their checks.
+Each model object keeps the JSON text of its part from its first save
+(``_encoded``), and drops it when the package changes the object
+(``Lexicon._add``, ``TripleStore._add``, each epoch ``transe.train`` hands
+back). ``save_index`` splices that text in (``kb.save_container``), so a
+later save with the same model objects encodes only the networks, with
+the bytes of encoding the whole payload.
 It stores the sorted doc ids and the networks column-wise, one row per
 document in doc id order (``network.NetworkColumns``):
 node and edge pointers, cui ids into one sorted cui table, span pointers and
@@ -95,6 +101,7 @@ from .kb import (
     Document,
     Lexicon,
     TripleStore,
+    encode,
     lexicon_from_dict,
     lexicon_to_dict,
     load_container,
@@ -611,8 +618,23 @@ def collection_graph_to_dot(graph: CollectionGraph) -> str:
 _PATH_FIELDS = ("lexicon", "triples", "corpus", "extractor_model", "transe_model", "index")
 
 
-def index_to_dict(index: Index) -> dict:
-    """The container payload, format tag and version included."""
+def index_to_dict(index: Index, encoded: bool = False) -> dict:
+    """The container payload, format tag and version included.
+
+    With ``encoded``, each embedded model is its ``kb.Encoded`` text, which
+    ``save_container`` splices in. The text is built once per model object
+    and kept on it (``_encoded``) until the package changes the object.
+    """
+
+    def model(obj, to_dict):
+        if obj is None:
+            return None
+        if not encoded:
+            return to_dict(obj)
+        if obj._encoded is None:
+            obj._encoded = encode(to_dict(obj))
+        return obj._encoded
+
     # Input paths are dropped: the artifacts they pointed at are embedded, and
     # keeping them would make index bytes depend on where the inputs lived.
     config = {**asdict(index.config), **dict.fromkeys(_PATH_FIELDS)}
@@ -620,10 +642,10 @@ def index_to_dict(index: Index) -> dict:
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "config": config,
-        "lexicon": lexicon_to_dict(index.lexicon),
-        "kb": triples_to_dict(index.kb) if index.kb is not None else None,
-        "extractor": extractor_to_columns(index.extractor) if index.extractor is not None else None,
-        "transe": model_to_columns(index.transe) if index.transe is not None else None,
+        "lexicon": model(index.lexicon, lexicon_to_dict),
+        "kb": model(index.kb, triples_to_dict),
+        "extractor": model(index.extractor, extractor_to_columns),
+        "transe": model(index.transe, model_to_columns),
         "docs": list(index.rows.doc_ids),
         "networks": columns_to_dict(index.networks.columns),
     }
@@ -654,7 +676,7 @@ def index_from_dict(data: dict) -> Index:
 
 
 def save_index(index: Index, path: str | Path) -> None:
-    save_container(path, INDEX_FORMAT, INDEX_VERSION, index_to_dict(index))
+    save_container(path, INDEX_FORMAT, INDEX_VERSION, index_to_dict(index, encoded=True))
 
 
 def load_index(path: str | Path) -> Index:

@@ -17,6 +17,8 @@ here is the only code that opens a text input; it, the JSONL reader and
 writer, and the versioned JSON container helpers serve every artifact and
 model file of the package. A container's numeric columns are JSON strings:
 base64 of little-endian ``int32`` or ``float64`` arrays (``pack``/``unpack``).
+A part of a container may be given already ``Encoded``: its JSON text is
+spliced in, with the bytes of encoding the whole payload at once.
 
 An index (container version 6) stores the lexicon and the triple store in
 that form (``lexicon_to_dict``, ``triples_to_dict``). The lexicon is its
@@ -37,7 +39,6 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
@@ -129,12 +130,18 @@ class Lexicon:
 
     concepts: dict[str, Concept] = field(default_factory=dict)
     surface_index: dict[str, list[str]] = field(default_factory=dict)
+    # Derived from the concepts, and dropped by ``_add``: the prefixes, built
+    # when first read, and the JSON text of ``lexicon_to_dict``, built on the
+    # first index save (``engine.index_to_dict``).
+    _prefixes = None
+    _encoded = None
 
-    @cached_property
+    @property
     def prefixes(self) -> frozenset[str]:
-        """Every leading run of words of every indexed surface, the surface
-        itself included; derived once the index is complete."""
-        return frozenset(" ".join(words[:k]) for words in map(str.split, self.surface_index) for k in range(1, len(words) + 1))
+        """Every leading run of words of every indexed surface, the surface itself included."""
+        if self._prefixes is None:
+            self._prefixes = frozenset(" ".join(words[:k]) for words in map(str.split, self.surface_index) for k in range(1, len(words) + 1))
+        return self._prefixes
 
     def lookup(self, surface: str) -> list[str]:
         """Candidate cuis for a surface, in lexicon priority order."""
@@ -156,6 +163,7 @@ class Lexicon:
             raise ValidationError("concept with empty cui")
         if not preferred_name:
             raise ValidationError(f"concept {cui} has an empty preferred name")
+        self._prefixes = self._encoded = None
         existing = self.concepts.get(cui)
         merged = []
         if existing is not None:
@@ -283,6 +291,7 @@ class TripleStore:
     by_pair: dict[tuple[str, str], set[str]] = field(default_factory=dict)
     relations: list[str] = field(default_factory=list)
     entities: set[str] = field(default_factory=set)
+    _encoded = None  # the JSON text of ``triples_to_dict``, as for ``Lexicon``; dropped by ``_add``
 
     def relations_between(self, head: str, tail: str) -> set[str]:
         return set(self.by_pair.get((head, tail), ()))
@@ -298,6 +307,7 @@ class TripleStore:
             raise ValidationError(f"self-loop triple on {triple.head}")
         if triple in self.triples:
             return
+        self._encoded = None
         self.triples.add(triple)
         self.by_pair.setdefault((triple.head, triple.tail), set()).add(triple.relation)
         if triple.relation not in self.relations:
@@ -455,11 +465,39 @@ def load_corpus(path: str | Path) -> list[Document]:
     return list(read_doc_records(path, decode, "a document").values())
 
 
+@dataclass(frozen=True)
+class Encoded:
+    """A container part already written as its compact, key-sorted JSON text."""
+
+    text: str
+
+
+# ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` without building an encoder per call.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def encode(part) -> Encoded:
+    """``part`` as the text that ``save_container`` writes for it."""
+    return Encoded(_COMPACT.encode(part))
+
+
 def save_container(path: str | Path, fmt: str, version: int, body: dict) -> None:
-    """Write ``body`` as one compact, key-sorted JSON object tagged with format and version."""
+    """Write ``body`` as one compact, key-sorted JSON object tagged with format and version.
+
+    A value of ``body`` may be ``Encoded``; its text is spliced in as it is.
+    The file holds exactly ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":")) + "\\n"`` of the payload with every such text
+    decoded. The whole text is built before the file is opened, so a failure
+    while encoding leaves the file as it was.
+    """
     payload = {**body, "format": fmt, "version": version}
+    pieces = []
+    for key, value in sorted(payload.items()):
+        pieces += (",", _COMPACT.encode(key), ":", value.text if isinstance(value, Encoded) else _COMPACT.encode(value))
+    pieces[0] = "{"  # the first separator opens the object
+    text = "".join([*pieces, "}\n"])  # one join: one copy of a text that is mostly the parts
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        handle.write(text)
 
 
 def load_container(path: str | Path, fmt: str, version: int, decode: Callable[[dict], T]) -> T:

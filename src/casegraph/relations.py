@@ -77,6 +77,7 @@ class ExtractorModel:
     weights: np.ndarray  # [num_labels, num_features]
     labels: list[str]  # NA first
     hyperparams: ExtractorHyperparams
+    _encoded = None  # the JSON text of ``extractor_to_columns``, as for ``kb.Lexicon``
 
 
 @dataclass

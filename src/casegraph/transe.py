@@ -56,6 +56,7 @@ class EmbeddingModel:
     relation_vectors: dict[str, np.ndarray]
     config: TrainConfig
     epoch_losses: list[float] = field(default_factory=list)
+    _encoded = None  # the JSON text of ``model_to_columns``, as for ``kb.Lexicon``; dropped by ``_unstack``
 
 
 def init_model(entities: Iterable[str], relations: Iterable[str], config: TrainConfig) -> EmbeddingModel:
@@ -308,6 +309,7 @@ def train(
 
 
 def _unstack(model: EmbeddingModel, matrix: np.ndarray, entity_list: list[str], relation_list: list[str]) -> None:
+    model._encoded = None
     model.entity_vectors.update(zip(entity_list, matrix[: len(entity_list)]))
     model.relation_vectors.update(zip(relation_list, matrix[len(entity_list) :]))
 

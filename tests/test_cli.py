@@ -635,6 +635,40 @@ class TestModelLoading:
             assert payload == stored[part]
 
 
+class TestOutputPath:
+    """``index``, ``train-transe`` and ``train-extractor`` write a file: ``--out``, else a path of the config file."""
+
+    COMMANDS = {  # the fixture files it reads, its other flags, the call that does its work, and the config key it falls back to
+        "index": (("lexicon", "corpus", "triples"), [], "casegraph.engine.index_corpus", "index"),
+        "train-transe": (("triples",), ["--epochs", "1"], "casegraph.cli.train", "transe_model"),
+        "train-extractor": (("lexicon", "corpus", "triples"), ["--epochs", "1"], "casegraph.cli.train_extractor", "extractor_model"),
+    }
+
+    def argv(self, fixtures, command):
+        inputs, flags, _, _ = self.COMMANDS[command]
+        return [*(arg for name in inputs for arg in (f"--{name}", fixtures[name])), *flags]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_out_is_refused_before_the_work(self, fixtures, capsys, monkeypatch, command):
+        # Each used to do all its work (index every document, train every epoch) and only then refuse.
+        def work(*args, **kwargs):
+            raise AssertionError("the work ran without an output path")
+
+        monkeypatch.setattr(self.COMMANDS[command][2], work)
+        assert run_cli(command, *self.argv(fixtures, command)) == 1
+        assert capsys.readouterr().err.startswith("error: --out is required (flag or config file)\n")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_falls_back_to_the_config_file(self, tmp_path, fixtures, capsys, command):
+        key = self.COMMANDS[command][3]
+        config, out = tmp_path / "casegraph.cfg", tmp_path / "written"
+        config.write_text(f"{key} = {out}\n", encoding="utf-8")
+        assert run_cli(command, "--config", str(config), *self.argv(fixtures, command)) == 0
+        assert out.stat().st_size > 0
+        assert run_cli(command, "--help") == 0
+        assert f"output file (default: the config file's {key})" in " ".join(capsys.readouterr().out.split())
+
+
 class TestUnexpectedFailure:
     def test_exits_three_with_traceback(self, fixtures, capsys, monkeypatch):
         def broken(args):

@@ -28,7 +28,7 @@ from casegraph.engine import (
     search,
 )
 from casegraph.errors import FormatError, UsageError, ValidationError
-from casegraph.kb import Document, build_lexicon, build_triple_store
+from casegraph.kb import Document, Triple, build_lexicon, build_triple_store
 from casegraph.network import (
     Edge,
     NetworkRows,
@@ -1218,6 +1218,81 @@ class TestRoundTrip:
             else:
                 with pytest.raises(ValidationError, match="outside the int32 range"):
                     columns_to_dict(columns)
+
+
+def oracle_bytes(index) -> bytes:
+    """What ``save_index`` writes: the ``index_to_dict`` payload as compact, key-sorted JSON text."""
+    return (json.dumps(index_to_dict(index), sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+class TestSavedBytes:
+    """``save_index`` splices in the text each model keeps, with the bytes of encoding its payload whole."""
+
+    def fresh_index(self, pipeline, extractor, mode, with_transe):
+        """An index of new model objects, none of which has been saved."""
+        _, _, transe_model, config = pipeline
+        lexicon = helpers.synth_lexicon()
+        transe = replace(transe_model) if with_transe else None
+        config = replace(config, mode=mode, enrich=with_transe, fuse=with_transe, theta_rel=0.3)
+        corpus = helpers.synth_corpus(lexicon, 6, seed=4)
+        return index_corpus(corpus, lexicon, config, helpers.synth_kb(lexicon), replace(extractor), transe)
+
+    @pytest.mark.parametrize("with_transe", [True, False])
+    @pytest.mark.parametrize("mode", ["kbmatch", "model"])
+    def test_first_and_repeated_saves(self, pipeline, model_index, tmp_path, mode, with_transe):
+        index = self.fresh_index(pipeline, model_index.extractor, mode, with_transe)
+        models = [index.lexicon, index.kb, index.extractor, index.transe]
+        assert (index.kb is None, index.extractor is None, index.transe is None) == (mode == "model", mode == "kbmatch", not with_transe)
+        assert all(obj._encoded is None for obj in models if obj is not None)
+        for path in (tmp_path / "first.idx", tmp_path / "again.idx"):
+            save_index(index, path)
+            assert path.read_bytes() == oracle_bytes(index)
+        assert all(obj._encoded is not None for obj in models if obj is not None)
+        save_index(load_index(path), tmp_path / "loaded.idx")
+        assert (tmp_path / "loaded.idx").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_a_concept_added_between_saves(self, pipeline, model_index, tmp_path, merged):
+        # A new concept, or a new synonym merged into a concept the lexicon holds.
+        cui, name, _, semtype = helpers.synth_lexicon_rows()[0] if merged else ("C9001", "Novel syndrome", [], "T047")
+        row = (cui, name, ["novel synonym"], semtype)
+        index = self.fresh_index(pipeline, model_index.extractor, "kbmatch", True)
+        assert (cui in index.lexicon.concepts) == merged
+        save_index(index, tmp_path / "first.idx")
+        index.lexicon._add(*row)
+        save_index(index, tmp_path / "again.idx")
+        save_index(replace(index, lexicon=build_lexicon([*helpers.synth_lexicon_rows(), row])), tmp_path / "fresh.idx")
+        assert (tmp_path / "again.idx").read_bytes() == (tmp_path / "fresh.idx").read_bytes() == oracle_bytes(index)
+        assert (tmp_path / "again.idx").read_bytes() != (tmp_path / "first.idx").read_bytes()
+
+    def test_a_triple_added_between_saves(self, pipeline, model_index, tmp_path):
+        index = self.fresh_index(pipeline, model_index.extractor, "kbmatch", True)
+        head, tail = sorted(index.kb.entities)[:2]
+        added = Triple(head, "novel_relation", tail)
+        save_index(index, tmp_path / "first.idx")
+        index.kb._add(added)
+        save_index(index, tmp_path / "again.idx")
+        fresh = helpers.synth_kb(index.lexicon)  # the same triples in the same relation order, never saved
+        fresh._add(added)
+        save_index(replace(index, kb=fresh), tmp_path / "fresh.idx")
+        assert (tmp_path / "again.idx").read_bytes() == (tmp_path / "fresh.idx").read_bytes() == oracle_bytes(index)
+        assert (tmp_path / "again.idx").read_bytes() != (tmp_path / "first.idx").read_bytes()
+
+    def test_each_epoch_handed_back_by_training(self, pipeline, model_index, tmp_path):
+        # ``train`` hands back one model object at every epoch end and returns it at the end.
+        index = self.fresh_index(pipeline, model_index.extractor, "kbmatch", True)
+        path, saved = tmp_path / "epoch.idx", []
+
+        def on_epoch(epoch, model):
+            save_index(replace(index, transe=model), path)
+            saved.append(path.read_bytes())
+            assert saved[-1] == oracle_bytes(replace(index, transe=model))
+
+        config = TrainConfig(dim=16, epochs=3, seed=12)
+        trained = train(init_model(index.kb.entities, index.kb.relations, config), index.kb, config, on_epoch)
+        save_index(replace(index, transe=trained), path)
+        assert path.read_bytes() == oracle_bytes(replace(index, transe=trained)) == saved[-1]
+        assert len(set(saved)) == 3
 
 
 class TestExtractionBatches:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 from casegraph.errors import ParseError, ValidationError
 from casegraph.kb import (
     build_triple_store,
+    encode,
     load_corpus,
     load_lexicon,
     load_triples,
     normalize_surface,
     read_lines,
+    save_container,
     triples_from_dict,
     triples_to_dict,
 )
@@ -195,3 +199,27 @@ class TestLoadCorpus:
         path.write_text('{"id": "d1", "title": "", "text": "a"}\n{"id": "d2", "title": "", "text": "\\ud800"}\n', encoding="utf-8")
         with pytest.raises(ParseError, match="line 2: .*surrogates"):
             load_corpus(path)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestSaveContainer:
+    @given(body=st.dictionaries(st.text(max_size=6), json_values, max_size=5), encoded=st.sets(st.text(max_size=6)))
+    def test_encoded_parts_give_the_bytes_of_the_whole_payload(self, tmp_path_factory, body, encoded):
+        path = tmp_path_factory.getbasetemp() / "container.json"
+        save_container(path, "fmt", 3, {key: encode(value) if key in encoded else value for key, value in body.items()})
+        payload = {**body, "format": "fmt", "version": 3}
+        assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_a_part_that_cannot_be_encoded_leaves_the_file(self, tmp_path):
+        path = tmp_path / "container.json"
+        save_container(path, "fmt", 3, {"part": [1, 2]})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_container(path, "fmt", 3, {"part": [1, 2], "unencodable": object()})
+        assert path.read_bytes() == before

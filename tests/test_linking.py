@@ -120,6 +120,13 @@ class TestLink:
     def test_empty_text(self, lexicon):
         assert list(link("", lexicon)) == []
 
+    def test_a_concept_added_after_linking_is_linked(self):
+        # Linking reads the lexicon's prefixes; adding a concept used to leave them stale.
+        lexicon = build_lexicon([("C1", "aspirin", [], "drug")])
+        assert [m.primary_cui for m in link("aspirin treats heart attack", lexicon)] == ["C1"]
+        lexicon._add("C2", "heart attack", [], "disease")
+        assert [m.primary_cui for m in link("aspirin treats heart attack", lexicon)] == ["C1", "C2"]
+
     def test_no_shared_surface(self, lexicon):
         assert list(link("completely unrelated words here", lexicon)) == []
 
