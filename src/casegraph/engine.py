@@ -7,9 +7,8 @@ token, cuis) and its candidate pairs (head and tail mention indices, the
 token bounds between them, their sentence). Extraction (``extract_edges``)
 reads that record's columns, and ``_add_row`` appends the document's
 network to ``network.NetworkRows`` and enriches it there. ``index_corpus``
-adds every document of the corpus as a row in doc id order, fuses all rows
-at once and labels them for the kernel at once
-(``similarity.wl_corpus_labels``); it makes no per-document network object.
+adds every document of the corpus as a row in doc id order and fuses all
+rows at once; it makes no per-document network object.
 Its documents, like those of the ``extract`` command, come from
 ``analyzed_edges``: analysis stays per document, but in mode ``model`` the
 corpus is extracted per batch of ``_EXTRACT_BATCH`` documents, scored at
@@ -23,7 +22,7 @@ The index bundles everything needed to answer queries with the exact
 pipeline the documents went through: the lexicon, the models its
 configuration reads (the triple store in ``kbmatch`` mode, the extractor
 in ``model`` mode, TransE whenever it is given), and the networks. It
-persists as a single versioned JSON container (version 6) whose bytes are
+persists as a single versioned JSON container (version 7) whose bytes are
 reproducible for a fixed corpus, configuration, and seed. Each model is stored as lists of names and typed
 columns: the lexicon and the triple store as ``kb`` describes them, the
 TransE model as its entity and relation names ascending with their vectors
@@ -42,54 +41,51 @@ It stores the sorted doc ids and the networks column-wise, one row per
 document in doc id order (``network.NetworkColumns``):
 node and edge pointers, cui ids into one sorted cui table, span pointers and
 bounds, endpoints as node positions within the document, relation ids into
-one relation table, provenance ids, confidences, and each node's kernel
-labels at iterations 0..h. Those labels are the first-seen labels of
-compressing the networks in doc id order, so the index bytes depend only on
-the set of documents; they are stored because deriving them on load
-(``wl_corpus_labels``) would add about a third to its time. Every numeric
-column is a base64 string of little-endian ``int32`` (confidences
-``float64``) items, which loading reads with ``np.frombuffer``
-(``kb.pack``/``kb.unpack``); the strings stay readable JSON.
+one relation table, provenance ids and confidences, so the index bytes
+depend only on the set of documents. Kernel labels are not stored: they are
+a function of the networks. Every numeric column is a base64 string of
+little-endian ``int32`` (confidences ``float64``) items, which loading reads
+with ``np.frombuffer`` (``kb.pack``/``kb.unpack``); the strings stay
+readable JSON.
 
 Everything else is derived whenever an index is built or loaded, by one
-function (``_derive``) with array operations: the label compressor, each
-label's signature taken from the networks (``similarity.compressor_from_columns``);
-each document's kernel features, its nodes' label counts in ascending label
-order; and what scoring needs (``DocRows``): the label-major transpose of the
-kernel features, i.e. an inverted index from each kernel label to the
-documents holding it, with each document's kernel self-norm, and a matrix of
-document embeddings with their norms, computed for all documents in one pass
-over the node columns. One block scorer (``_score_rows``)
-scores a block of query rows against the documents: one scatter-add of the
-rows' kernel entries into a (rows x documents) matrix and one ``einsum`` of
-the embeddings. A query is a block of one row; the collection graph passes
-the documents themselves in blocks of at most ``_BLOCK_NUMBERS`` postings and
-cells, each against the documents from its first row on, and reads its pairs
-off the strict upper triangle. Every score has the bits of scoring its row
-alone: the kernel dots are integer sums, the norms the same elementwise
-products, and ``einsum`` reduces each (row, document) pair as it does for
-one row, where a BLAS product would not.
+function (``_derive``) with array operations: every node's kernel labels at
+iterations 0..h and the label compressor that holds their signatures, from
+one ``similarity.wl_corpus_labels`` call; each document's kernel features,
+its nodes' label counts in ascending label order; and what scoring needs
+(``DocRows``): the label-major transpose of the kernel features, i.e. an
+inverted index from each kernel label to the documents holding it, with each
+document's kernel self-norm, and a matrix of document embeddings with their
+norms, computed for all documents in one pass over the node columns. One
+block scorer (``_score_rows``) scores a block of query rows against the
+documents: one scatter-add of the rows' kernel entries into a (rows x
+documents) matrix and one ``einsum`` of the embeddings. A query is a block
+of one row; the collection graph passes the documents themselves in blocks
+of at most ``_BLOCK_NUMBERS`` postings and cells, each against the documents
+from its first row on, and reads its pairs off the strict upper triangle.
+Every score has the bits of scoring its row alone: the kernel dots are
+integer sums, the norms the same elementwise products, and ``einsum``
+reduces each (row, document) pair as it does for one row, where a BLAS
+product would not.
 
 Loading checks everything before it returns, with array operations: the
 configuration, the models (``kb.lexicon_from_dict``,
 ``kb.triples_from_dict``, ``transe.model_from_columns``,
-``relations.extractor_from_columns``), the doc ids, that every column is whole base64
-and every pointer starts at 0, never decreases and ends at its column's
-length, that the network columns decode into valid networks
-(``network.check_columns``), and, in deriving the compressor, that there are
-h + 1 labels per node covering 0..next_id - 1, that every node holding a
-label has that label's signature and that no signature holds two labels. It
-builds no network. Every index, built or loaded, holds its networks only as
-those columns (``StoredNetworks``): saving writes the columns as they are,
-and ``Index.networks`` decodes a document's row on first access. An older
-container version is refused with ``FormatError``.
+``relations.extractor_from_columns``), the doc ids, that every column is
+whole base64 and every pointer starts at 0, never decreases and ends at its
+column's length, and that the network columns decode into valid networks
+(``network.check_columns``). It builds no network. Every index, built or
+loaded, holds its networks only as those columns (``StoredNetworks``):
+saving writes the columns as they are, and ``Index.networks`` decodes a
+document's row on first access. An older container version is refused with
+``FormatError``.
 """
 
 from __future__ import annotations
 
 import logging
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -134,14 +130,14 @@ from .relations import (
     generate_candidates,
     kb_match_extract,
 )
-from .similarity import LabelCompressor, combine, compressor_from_columns, doc_embedding, wl_corpus_labels, wl_features
+from .similarity import LabelCompressor, combine, doc_embedding, wl_corpus_labels, wl_features
 from .transe import EmbeddingModel, model_from_columns, model_to_columns, row_norms
 from .trec import one_field
 
 log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "casegraph-index"
-INDEX_VERSION = 6
+INDEX_VERSION = 7
 
 # The most postings, and the most (query x row) cells, that one block of the
 # collection graph joins and scores at once. From 2**13 to 2**16 graphs of
@@ -410,10 +406,9 @@ def index_corpus(
         _add_row(rows, doc.id, analysis, edges, config)
     if config.fuse:
         rows.fuse()
-    columns = rows.columns()
-    columns = replace(columns, node_labels=wl_corpus_labels(columns, config.h))
-    log.info("indexed %d documents (%d kernel labels)", len(corpus), columns.node_labels.max(initial=-1) + 1)
-    return Index(config, lexicon, kb, extractor, transe, *_derive(sorted(seen), columns, config.h, lexicon, transe))
+    index = Index(config, lexicon, kb, extractor, transe, *_derive(sorted(seen), rows.columns(), config.h, lexicon, transe))
+    log.info("indexed %d documents (%d kernel labels)", len(corpus), index.compressor.next_id)
+    return index
 
 
 def _embed_rows(columns: NetworkColumns, transe: EmbeddingModel | None) -> np.ndarray:
@@ -452,17 +447,20 @@ def _derive(
 ) -> tuple[LabelCompressor, StoredNetworks, DocRows]:
     """What an index derives from its networks' columns, built or loaded alike: the compressor, the networks and ``DocRows``.
 
-    A document's kernel features count the labels its nodes hold at
-    iterations 0..h, in ascending label order.
+    One ``wl_corpus_labels`` call labels every node at iterations 0..h and
+    gives the compressor; a document's kernel features count the labels
+    its nodes hold, in ascending label order.
     """
-    compressor = compressor_from_columns(doc_ids, columns, h)
+    node_labels, compressor = wl_corpus_labels(columns, h)
     next_id = max(compressor.next_id, 1)
     items = np.repeat(np.arange(len(doc_ids)), np.diff(columns.node_ptr) * (h + 1))
-    features, counts = np.unique(items * next_id + columns.node_labels, return_counts=True)  # row by row, labels ascending
+    features, counts = np.unique(items * next_id + node_labels, return_counts=True)  # row by row, labels ascending
     rows, labels = np.divmod(features, next_id)
     ptr = np.zeros(len(doc_ids) + 1, np.int64)
     np.cumsum(np.bincount(rows, minlength=len(doc_ids)), out=ptr[1:])
-    order = np.argsort(labels, kind="stable")  # rows stay ascending within a label
+    # Label-major, rows ascending within a label: the keys are distinct, so
+    # the default sort gives the stable order, in about half the time.
+    order = np.argsort(labels * len(doc_ids) + rows)
     label_ptr = np.zeros(compressor.next_id + 1, np.int64)
     np.cumsum(np.bincount(labels, minlength=compressor.next_id), out=label_ptr[1:])
     embeddings = _embed_rows(columns, transe)

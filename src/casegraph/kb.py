@@ -415,7 +415,8 @@ def read_jsonl(path: str | Path, decode: Callable[[object], T], what: str) -> li
 
     A ``KeyError`` or ``TypeError`` from ``decode`` means the line is not
     ``what`` record (e.g. "a mention"); a package error it raises keeps its
-    type and gains the path and line number.
+    type and gains the path and line number. Invalid JSON, nesting too deep
+    for the decoder included, is a ``ParseError``.
     """
     values = []
     for lineno, line in read_lines(path):
@@ -423,6 +424,8 @@ def read_jsonl(path: str | Path, decode: Callable[[object], T], what: str) -> li
             values.append(decode(json.loads(line.strip())))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ParseError(f"{path}: line {lineno}: invalid JSON (nested too deeply)") from None
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: line {lineno}: not {what} record ({exc})") from None
         except CasegraphError as exc:
@@ -503,14 +506,17 @@ def save_container(path: str | Path, fmt: str, version: int, body: dict) -> None
 def load_container(path: str | Path, fmt: str, version: int, decode: Callable[[dict], T]) -> T:
     """Read a container written by ``save_container`` and decode its payload.
 
-    Bad JSON, a wrong format tag or version, missing or ill-typed keys and
-    stored settings out of range all raise ``FormatError`` naming the path.
+    Bad JSON (nested too deeply included), a wrong format tag or version,
+    missing or ill-typed keys and stored settings out of range all raise
+    ``FormatError`` naming the path.
     """
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
         except ValueError as exc:
             raise FormatError(f"{path}: not a JSON {fmt} container ({exc})") from None
+        except RecursionError:
+            raise FormatError(f"{path}: not a JSON {fmt} container (nested too deeply)") from None
     if not isinstance(payload, dict) or payload.get("format") != fmt:
         raise FormatError(f"{path}: not a {fmt} container")
     if payload.get("version") != version:

@@ -286,7 +286,7 @@ class NetworkRows:
             provenances[e] = _FUSED
 
     def columns(self) -> NetworkColumns:
-        """The rows as ``NetworkColumns``, with sorted tables of the cuis and relations they use and no node labels."""
+        """The rows as ``NetworkColumns``, with sorted tables of the cuis and relations they use."""
         cuis = sorted(range(len(self.cuis)), key=self.cuis.__getitem__)
         relations = sorted(set(self.edge_relations), key=self.relations.__getitem__)
         cui_ids = np.zeros(len(self.cuis), np.int64)
@@ -306,7 +306,6 @@ class NetworkRows:
             relation_ids[np.array(self.edge_relations, np.int64)],
             np.array(self.provenances, np.int64),
             np.array(self.confidences, np.float64),
-            np.zeros(0, np.int64),
         )
 
 
@@ -435,9 +434,8 @@ class NetworkColumns:
     and the provenance ``_PROVENANCES[provenances[e]]``. ``cuis`` and
     ``relations`` are sorted and distinct. Node names and weights are not
     kept: a name comes from the lexicon (``node_name``) and a weight is the
-    number of spans. ``node_labels`` holds each node's kernel labels at
-    iterations 0..h, node after node (``similarity.compressor_from_columns``
-    checks them).
+    number of spans. Kernel labels are not kept either: they are a function
+    of these columns (``similarity.wl_corpus_labels``).
     """
 
     cuis: list[str]
@@ -452,7 +450,6 @@ class NetworkColumns:
     edge_relations: np.ndarray
     provenances: np.ndarray
     confidences: np.ndarray
-    node_labels: np.ndarray
 
 
 _TABLES = ("cuis", "relations")  # the string fields of NetworkColumns; the others are numeric columns

@@ -6,26 +6,24 @@ treated as undirected, relation tags kept), then counts labels from all
 iterations. The latent component averages entity embeddings over nodes,
 weighted by mention count. Both are combined convexly.
 
-An index labels its whole corpus at once (``wl_corpus_labels``): one sort
-per iteration classes every node's signature, and a class's label is the
-rank of its first holder, as a compressor going through the corpus would
-assign them. A query, or any single network, is labelled node by node
-through a ``LabelCompressor`` (``wl_label_history``), which
-``compressor_from_columns`` rebuilds from an index's stored labels.
+An index labels its whole corpus at once, built or loaded alike
+(``wl_corpus_labels``): one sort per iteration orders every node's pairs,
+and the keys of one degree at a time go through one dict, which becomes the
+table of the index's ``LabelCompressor``. A query, or any single network, is
+labelled node by node through that compressor (``wl_label_history``).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
+from itertools import chain, count
 from struct import pack
 
 import numpy as np
 
 from .config import check
 from .errors import FormatError
-from .kb import first_true
 from .network import NetworkColumns, NetworkRows, SemanticNetwork
 from .transe import EmbeddingModel
 
@@ -112,148 +110,59 @@ def wl_features(net: SemanticNetwork | NetworkRows, h: int, comp: LabelCompresso
     return dict(Counter(chain.from_iterable(map(dict.values, wl_label_history(net, h, comp)))))
 
 
-def _incidences(columns: NetworkColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each edge from both ends: its owner and other node by position in the columns, and its relation id; and each node's degree."""
-    c = columns
-    edge_rows = np.repeat(np.arange(len(c.edge_ptr) - 1), np.diff(c.edge_ptr))
-    heads, tails = c.node_ptr[edge_rows] + c.heads, c.node_ptr[edge_rows] + c.tails
-    owners = np.concatenate([heads, tails])
-    return owners, np.concatenate([tails, heads]), np.tile(c.edge_relations, 2), np.bincount(owners, minlength=len(c.node_cuis))
+def wl_corpus_labels(columns: NetworkColumns, h: int) -> tuple[np.ndarray, LabelCompressor]:
+    """Each node's kernel labels at iterations 0..h, node after node, and the compressor that holds their signatures.
 
-
-def wl_corpus_labels(columns: NetworkColumns, h: int) -> np.ndarray:
-    """Each node's kernel labels at iterations 0..h, node after node: those of one compressor going through the rows in order.
-
-    Within a row the compressor labels every node at one iteration before
-    the next, nodes in order. So at each iteration the nodes fall into
-    classes, which are the cuis at iteration 0 and after it the distinct
-    (previous class, sorted (relation id, neighbor class) pairs) keys,
-    ranked by one ``np.lexsort`` per band of degrees. A class's label is the
-    rank of its first holder in (row, iteration, node) order.
+    A node's iteration-0 label is its cui's position in ``columns.cuis``.
+    At each later iteration every node's key is its previous label and its
+    (relation id, neighbor label) pairs, sorted, as ``wl_label_history``
+    packs it, and each distinct key gets the next label in the order the
+    nodes of degree 0, 1, 2, ... meet it. A key holds labels of the
+    previous iteration, so no key of an earlier one can equal it. The
+    numbering differs from a compressor going through the rows, but it is
+    a bijection of it, which no kernel value sees. Relation ids are
+    positions in the sorted relation table, so pairs sort by the raw
+    relation string. FormatError if the int64 sort keys would overflow.
     """
     check("h", h)
-    c, width = columns, h + 1
+    c = columns
     nodes = len(c.node_cuis)
-    owners, others, relations, degrees = _incidences(c)
+    # Each edge from both ends: its owner and other node by position in the columns, and its relation id.
+    edge_rows = np.repeat(np.arange(len(c.edge_ptr) - 1), np.diff(c.edge_ptr))
+    heads, tails = c.node_ptr[edge_rows] + c.heads, c.node_ptr[edge_rows] + c.tails
+    owners, others, relations = np.concatenate([heads, tails]), np.concatenate([tails, heads]), np.tile(c.edge_relations, 2)
+    degrees = np.bincount(owners, minlength=nodes)
     starts = np.cumsum(degrees) - degrees
     pair_owners = np.repeat(np.arange(nodes), degrees)
-    # The nodes of degree 0, 1, 2-3, 4-7, ... and where their pairs go in a
-    # band's key matrix, after the previous class. Padded with -1 to the
-    # band's largest degree, the pairs at most double, and keys of two
-    # degrees differ at the smaller one's padding.
-    bands = np.frexp(degrees)[1]
-    layouts = []
-    for band in np.unique(bands).tolist():
-        members = np.flatnonzero(bands == band)
-        local = np.zeros(nodes, np.int64)
-        local[members] = np.arange(len(members))
-        held = np.flatnonzero(bands[pair_owners] == band)
-        cells = (local[pair_owners[held]], 1 + held - starts[pair_owners[held]])
-        layouts.append((members, (len(members), 1 + int(degrees[members].max())), held, cells))
-    classes, count = [c.node_cuis.astype(np.int64)], len(c.cuis)
-    for _ in range(h):
-        previous = classes[-1]
-        span = max(len(c.relations), 1) * max(count, 1)
-        pairs = np.sort(owners * span + relations * count + previous[others]) % span  # node after node, ascending
-        current, count = np.empty(nodes, np.int64), 0
-        for members, shape, held, cells in layouts:
-            keys = np.full(shape, -1, np.int64)
-            keys[:, 0] = previous[members]
-            keys[cells] = pairs[held]
-            order = np.lexsort(keys.T[::-1])
-            ranked = keys[order]
-            new = np.ones(len(order), bool)
-            new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-            current[members[order]] = count + np.cumsum(new) - 1
-            count += int(new.sum())
-        classes.append(current)
-    # A (iteration, class) pair's first holder, in (row, iteration, node) order.
-    offsets = np.cumsum([0] + [int(level.max(initial=-1)) + 1 for level in classes])
-    grid = np.stack(classes, axis=1) + offsets[:-1]
-    rows = np.repeat(np.arange(len(c.node_ptr) - 1), np.diff(c.node_ptr))
-    sizes, firsts = np.diff(c.node_ptr)[rows], c.node_ptr[rows]
-    seen = firsts[:, None] * width + np.arange(width) * sizes[:, None] + (np.arange(nodes) - firsts)[:, None]
-    first = np.full(offsets[-1], nodes * width)
-    np.minimum.at(first, grid.ravel(), seen.ravel())
-    labels = np.empty(offsets[-1], np.int64)
-    labels[np.argsort(first, kind="stable")] = np.arange(offsets[-1])
-    return labels[grid].ravel()
-
-
-def compressor_from_columns(doc_ids: list[str], columns: NetworkColumns, h: int) -> LabelCompressor:
-    """The compressor of the stored ``columns.node_labels``, each label's signature read off the networks.
-
-    ``columns`` passed ``network.check_columns``. Relation ids are positions
-    in the sorted relation table, so pairs sort by the raw relation string.
-    FormatError unless there are h + 1 labels per node, each in [0, number
-    of labels), together covering 0..next_id - 1, every node holding a label
-    has that label's signature, and no signature holds two labels.
-    """
-    c, width = columns, h + 1
-    nodes, labels = len(c.node_cuis), c.node_labels
-    if len(labels) != nodes * width:
-        raise FormatError(f"network node labels must be {width} per node, {nodes * width} in all, got {len(labels)}")
-
-    def refuse(item: int, text: str):
-        node = item // width
-        row = int(np.searchsorted(c.node_ptr, node, "right")) - 1
-        raise FormatError(f"document {doc_ids[row]}: node {c.cuis[c.node_cuis[node]]} {text}")
-
-    i = first_true((labels < 0) | (labels >= len(labels)))
-    if i >= 0:
-        refuse(i, f"has kernel label {labels[i]} outside [0, {len(labels)})")
-    next_id = int(labels.max(initial=-1)) + 1
-    first = np.full(next_id, len(labels))
-    np.minimum.at(first, labels, np.arange(len(labels)))  # each label's first holder, whose signature every other must have
-    i = first_true(first == len(labels))
-    if i >= 0:
-        raise FormatError(f"kernel label {i} is held by no node, below the next label {next_id}")
-    holders, levels = np.divmod(first, width)
-    grid = labels.reshape(nodes, width)
-    bad = levels[grid] != np.arange(width)  # a label held at two iterations
-    bad[:, 0] |= c.node_cuis != c.node_cuis[holders[grid[:, 0]]]
-    # Each edge from both ends, by global node position. A (relation id,
-    # neighbor label) pair is one number below span, so sorting
-    # owner * span + pair sorts each node's pairs, node after node.
-    owners, others, relations, degrees = _incidences(c)
-    starts = np.cumsum(degrees) - degrees
-    pair_owners, positions = np.repeat(np.arange(nodes), degrees), np.arange(len(owners))
-    span = max(len(c.relations), 1) * max(next_id, 1)
-    if nodes * span >= 2**63:
-        raise FormatError(f"{nodes} nodes, {len(c.relations)} relations and {next_id} kernel labels overflow the int64 sort keys")
-    owned = owners * span + relations * next_id
     # Each node's key at one iteration, node after node: its previous label, then its pairs.
     items = np.empty(nodes + 2 * len(owners), "<i4")
-    begins, at = np.arange(nodes) + 2 * starts, pair_owners + 1 + 2 * positions
-    zero = np.flatnonzero(levels == 0)
-    keys: list[str | bytes] = [c.cuis[cui] for cui in c.node_cuis[holders[zero]].tolist()]
-    key_labels = zero.tolist()
-    for level in range(1, width):
-        previous = grid[:, level - 1]
-        pairs = np.sort(owned + previous[others]) % span
-        holder = holders[grid[:, level]]
-        same = (previous == previous[holder]) & (degrees == degrees[holder])
-        shift = np.repeat(np.where(same, starts[holder] - starts, 0), degrees)
-        bad[:, level] |= ~same
-        bad[pair_owners[pairs != pairs[positions + shift]], level] = True
+    begins = np.arange(nodes) + 2 * starts
+    at = pair_owners + 1 + 2 * np.arange(len(owners))
+    groups = []
+    for size in np.flatnonzero(np.bincount(degrees)).tolist():  # one degree at a time: a key's items, viewed as one void scalar, list as its bytes
+        group = np.flatnonzero(degrees == size)
+        groups.append((group, begins[group, None] + np.arange(1 + 2 * size), f"V{4 + 8 * size}"))
+    table: dict[str | bytes, int] = dict(zip(c.cuis, range(len(c.cuis))))
+    history = [c.node_cuis.astype(np.int64)]
+    for _ in range(h):
+        previous, next_id = history[-1], max(len(table), 1)
+        span = max(len(c.relations), 1) * next_id
+        if nodes * span >= 2**63:
+            raise FormatError(f"{nodes} nodes, {len(c.relations)} relations and {next_id} kernel labels overflow the int64 sort keys")
+        # A (relation id, neighbor label) pair is one number below span, so
+        # sorting owner * span + pair sorts each node's pairs, node after node.
+        pairs = np.sort(owners * span + relations * next_id + previous[others]) % span
         items[begins] = previous
         items[at], items[at + 1] = np.divmod(pairs, next_id)
-        here = np.flatnonzero(levels == level)
-        sizes = degrees[holders[here]]
-        for size in np.unique(sizes).tolist():  # one size at a time: a key's items, viewed as one void scalar, list as its bytes
-            group = here[sizes == size]
-            keys += items[begins[holders[group], None] + np.arange(1 + 2 * size)].view(f"V{4 + 8 * size}").ravel().tolist()
-            key_labels += group.tolist()
-    i = first_true(bad.ravel())
-    if i >= 0:
-        refuse(i, f"holds kernel label {labels[i]} at iteration {i % width} under another signature than its other holders")
-    table = dict(zip(keys, key_labels))
-    if len(table) != next_id:
-        key, label = next((key, label) for key, label in zip(keys, key_labels) if table[key] != label)
-        raise FormatError(f"kernel labels {label} and {table[key]} have one signature")
+        current = np.empty(nodes, np.int64)
+        for group, cells, void in groups:
+            keys = items[cells].view(void).ravel().tolist()
+            table.update(zip(dict.fromkeys(keys), count(len(table))))
+            current[group] = np.fromiter(map(table.__getitem__, keys), np.int64, len(keys))
+        history.append(current)
     comp = LabelCompressor()
-    comp.table, comp.next_id, comp.relations = table, next_id, {relation: i for i, relation in enumerate(c.relations)}
-    return comp
+    comp.table, comp.next_id, comp.relations = table, len(table), {relation: i for i, relation in enumerate(c.relations)}
+    return np.stack(history, axis=1).ravel(), comp
 
 
 def doc_embedding(net: SemanticNetwork | NetworkRows, model: EmbeddingModel) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .config import Settings, setting
-from .errors import ConfigError, FormatError, TrainingError, UnknownIdentifierError, UsageError
+from .errors import ConfigError, FormatError, TrainingError, UnknownIdentifierError, UsageError, ValidationError
 from .kb import Triple, TripleStore, first_true, load_container, pack, save_container, strings, unpack
 
 log = logging.getLogger(__name__)
@@ -343,7 +343,7 @@ def evaluate_link_prediction(
     """
     test_list = list(test)
     if not test_list:
-        raise UsageError("test triple set must be non-empty")
+        raise ValidationError("test triple set must be non-empty")
     candidates = sorted(model.entity_vectors)
     if not candidates:
         raise UsageError("candidate set must be non-empty")

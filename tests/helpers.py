@@ -14,7 +14,6 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -312,12 +311,12 @@ def write_pipeline_networks(fixtures: dict, path) -> str:
     return str(path)
 
 
-def oracle_network_columns(nets: list[SemanticNetwork], node_labels) -> NetworkColumns:
-    """The columns of ``nets``, one row per network in the given order, with ``node_labels`` as they are."""
+def oracle_network_columns(nets: list[SemanticNetwork]) -> NetworkColumns:
+    """The columns of ``nets``, one row per network in the given order."""
     rows = NetworkRows()
     for net in nets:
         rows.add_network(net)
-    return replace(rows.columns(), node_labels=np.array(node_labels, np.int64))
+    return rows.columns()
 
 
 def synth_kb(lexicon: Lexicon) -> TripleStore:
@@ -620,6 +619,29 @@ def oracle_wl_label_history(net: SemanticNetwork, h: int, comp: LabelCompressor)
         }
         history.append(labels)
     return history
+
+
+def oracle_corpus_labels(nets: list[SemanticNetwork], h: int) -> tuple[list[int], LabelCompressor]:
+    """Each node's labels at iterations 0..h, node after node, of one oracle compressor going through ``nets`` in order; and that compressor."""
+    oracle, labels = LabelCompressor(), []
+    for net in nets:
+        history = oracle_wl_label_history(net, h, oracle)
+        labels += [label for node in zip(*map(dict.values, history)) for label in node]
+    return labels, oracle
+
+
+def relabelling(got, want) -> dict[int, int]:
+    """The bijection that maps each label of ``got`` to the label of ``want`` at the same position.
+
+    AssertionError unless the two sequences have one length and partition
+    their positions alike: equal labels in one where the other's are equal.
+    """
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    mapping = dict(zip(got, want))
+    assert [mapping[label] for label in got] == want, "one label of got stands for two of want"
+    assert len(set(mapping.values())) == len(mapping), "two labels of got stand for one of want"
+    return mapping
 
 
 def oracle_wl_dot(counts_a: Counter, counts_b: Counter) -> int:

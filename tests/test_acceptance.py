@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import random
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from casegraph.kb import Document
 from casegraph.linking import link
 from casegraph.network import Edge, Node, SemanticNetwork, enrich_network, network_from_dict, network_to_dict
 from casegraph.relations import ExtractorHyperparams, RelationInstance, train_extractor
-from casegraph.similarity import LabelCompressor, wl_corpus_labels, wl_features
+from casegraph.similarity import LabelCompressor, wl_features
 from casegraph.transe import TrainConfig, evaluate_link_prediction, init_model, model_to_columns, train
 from casegraph.trec import Qrels, Run, evaluate_run, read_run, run_lines, write_run
 
@@ -193,9 +192,7 @@ def test_criterion_5_kernel_correctness():
         for pair in range(20):
             net_a, net_b = random_net("a"), random_net("b")
             h = rng.randint(0, 3)
-            columns = helpers.oracle_network_columns([net_a, net_b], [])
-            columns = replace(columns, node_labels=wl_corpus_labels(columns, h))
-            compressor, _, rows = engine._derive(["a", "b"], columns, h, None, None)
+            compressor, _, rows = engine._derive(["a", "b"], helpers.oracle_network_columns([net_a, net_b]), h, None, None)
             oracle = [helpers.oracle_wl_counts(net_a, h), helpers.oracle_wl_counts(net_b, h)]
             gram = [[helpers.oracle_wl_dot(x, y) for y in oracle] for x in oracle]
             kernel = helpers.oracle_kernel(net_a, net_b, h)

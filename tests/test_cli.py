@@ -96,6 +96,37 @@ class TestBadInputsExitTwo:
         self.assert_one_error_line(capsys)
         assert not (tmp_path / "x.idx").exists()
 
+    @pytest.mark.parametrize(
+        "command, text, where",
+        [
+            ("eval-lp", "[" * 3_000, "not a JSON casegraph-transe container"),
+            ("search", "[" * 100_000, "not a JSON casegraph-index container"),
+            ("link", '{"id":' + "[" * 100_000 + "\n", "line 1: invalid JSON"),
+        ],
+        ids=["model file", "index", "corpus line"],
+    )
+    def test_json_nested_too_deeply(self, tmp_path, fixtures, capsys, command, text, where):
+        # Each used to end in json's RecursionError: exit 3 with a traceback.
+        deep = tmp_path / "deep.json"
+        deep.write_text(text, encoding="utf-8")
+        argv = {
+            "eval-lp": ["--transe-model", str(deep), "--triples", fixtures["triples"]],
+            "search": ["--index", str(deep), "--query-file", fixtures["corpus"]],
+            "link": ["--lexicon", fixtures["lexicon"], "--corpus", str(deep)],
+        }[command]
+        assert run_cli(command, *argv) == 2
+        assert self.assert_one_error_line(capsys) == f"error: {deep}: {where} (nested too deeply)\n"
+
+    @pytest.mark.parametrize("text", ["", "# relations: treats\n"], ids=["empty", "relations only"])
+    def test_eval_lp_on_an_empty_test_set(self, tmp_path, fixtures, capsys, text):
+        # Every flag is right, so this is bad data, not a usage error (it used to exit 1).
+        model, test = tmp_path / "transe.json", tmp_path / "test.tsv"
+        assert run_cli("train-transe", "--triples", fixtures["triples"], "--dim", "4", "--epochs", "1", "--out", str(model)) == 0
+        capsys.readouterr()
+        test.write_text(text, encoding="utf-8")
+        assert run_cli("eval-lp", "--transe-model", str(model), "--triples", fixtures["triples"], "--test-triples", str(test)) == 2
+        assert self.assert_one_error_line(capsys) == "error: test triple set must be non-empty\n"
+
     def test_divergent_transe_writes_no_model(self, tmp_path, fixtures, capsys):
         out = tmp_path / "model.json"
         code = run_cli(
@@ -166,23 +197,6 @@ class TestBadInputsExitTwo:
         assert run_cli(*argv, "--mode", "kbmatch", "--triples", fixtures["triples"]) == 2
         # The message used to leave out the document.
         assert self.assert_one_error_line(capsys) == "error: document d: mention at byte 0 ends at byte 3, inside a token\n"
-
-    @pytest.mark.parametrize("edit", ["string count", "label out of range", "negative next_id"])
-    def test_search_on_edited_index(self, tmp_path, fixtures, built_index, capsys, edit):
-        # The ids are those of the cases that damaged the stored kernel
-        # features and compressor, which v5 derives from the node labels.
-        payload = json.loads(built_index.read_text(encoding="utf-8"))
-        size = len(helpers.column(payload["networks"], "node_labels"))
-        if edit == "string count":
-            label = lambda labels: labels.__setitem__(0, str(labels[0]))  # noqa: E731
-        elif edit == "label out of range":
-            label = lambda labels: labels.__setitem__(size - 1, size)  # noqa: E731
-        else:
-            label = lambda labels: labels.__setitem__(0, -1)  # noqa: E731
-        helpers.edit_column(payload["networks"], "node_labels", label)
-        built_index.write_text(json.dumps(payload), encoding="utf-8")
-        assert run_cli("search", "--index", str(built_index), "--query-file", fixtures["corpus"]) == 2
-        assert str(built_index) in self.assert_one_error_line(capsys)
 
     @pytest.mark.parametrize(
         "edit, message",

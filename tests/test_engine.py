@@ -4,7 +4,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
-from itertools import chain
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -493,19 +493,6 @@ class TestLoadConsistency:
         path.write_text(json.dumps(payload), encoding="utf-8")
         return load_index(path)
 
-    def test_document_missing_from_wl(self, small_index, tmp_path):
-        # The kernel labels of the last document's nodes are missing.
-        _, index = small_index
-        ptr = index.networks.columns.node_ptr
-        assert ptr[-1] > ptr[-2]
-        width = index.h + 1
-
-        def edit(payload):
-            helpers.edit_column(payload["networks"], "node_labels", lambda labels: labels.__delitem__(slice(width * ptr[-2], None)))
-
-        with pytest.raises(FormatError, match=f"network node labels must be {width} per node, {width * ptr[-1]} in all"):
-            self.load_edited(index, tmp_path, edit)
-
     def test_document_missing_from_networks(self, small_index, tmp_path):
         _, index = small_index
         with pytest.raises(FormatError, match="different documents"):
@@ -611,11 +598,6 @@ class TestLoadConsistency:
             self.load_edited(index, tmp_path, lambda payload: spoil(payload[part]))
         assert str(refused.value).startswith(f"{tmp_path / 'edited.idx'}: ")
 
-    def test_non_integer_wl_label(self, small_index, tmp_path):
-        _, index = small_index
-        with pytest.raises(FormatError, match="labels must be base64 of little-endian int32 integers"):
-            self.load_edited(index, tmp_path, lambda payload: payload["networks"].update(node_labels="x"))
-
     def test_derived_maps_match_fresh_index(self, small_index, tmp_path):
         _, index = small_index
         loaded = self.load_edited(index, tmp_path, lambda payload: None)
@@ -626,31 +608,6 @@ class TestLoadConsistency:
             fresh, rebuilt = getattr(index.rows, name), getattr(loaded.rows, name)
             assert rebuilt.dtype == fresh.dtype and rebuilt.shape == fresh.shape, name
             assert np.array_equal(rebuilt, fresh), name
-
-    @pytest.mark.parametrize("label, match", [("-1", "outside"), ("next_id", "outside")], ids=["-1-1-outside", "next_id-1-outside"])
-    def test_bad_wl_entry(self, small_index, tmp_path, label, match):
-        # The first kernel label of the first node. The ids are those of the
-        # cases that damaged the stored kernel features; their counts are
-        # no longer stored.
-        _, index = small_index
-        size = len(index.networks.columns.node_labels)
-
-        def edit(payload):
-            helpers.edit_column(payload["networks"], "node_labels", lambda labels: labels.__setitem__(0, size if label == "next_id" else int(label)))
-
-        with pytest.raises(FormatError, match=f"has kernel label {size if label == 'next_id' else label} {match} \\[0, {size}\\)"):
-            self.load_edited(index, tmp_path, edit)
-
-    @pytest.mark.parametrize("label", [True, 1.0, "3", None])
-    def test_label_not_an_integer(self, small_index, tmp_path, label):
-        # Labels as a JSON list, whatever it holds, are refused: np.array([1, True], np.int64) would convert them.
-        _, index = small_index
-        with pytest.raises(FormatError, match="labels must be base64"):
-            self.load_edited(
-                index,
-                tmp_path,
-                lambda payload: helpers.edit_column(payload["networks"], "node_labels", lambda labels: labels.__setitem__(1, label)),
-            )
 
     @pytest.mark.parametrize(
         "edit, match",
@@ -668,59 +625,6 @@ class TestLoadConsistency:
         _, index = small_index
         with pytest.raises(FormatError, match=match):
             self.load_edited(index, tmp_path, lambda payload: helpers.edit_column(payload["networks"], "node_ptr", edit))
-
-    def test_rows_may_start_below_the_previous_row(self, small_index, tmp_path):
-        # Node labels are first-seen labels in doc id order, so a document's nodes may hold labels first seen in an earlier document.
-        _, index = small_index
-        labels, ptr = index.networks.columns.node_labels, index.networks.columns.node_ptr * (index.h + 1)
-        assert any(labels[start] < labels[start - 1] for start in ptr[1:-1].tolist() if 0 < start < len(labels))
-        assert self.load_edited(index, tmp_path, lambda payload: None).rows.doc_ids == index.rows.doc_ids
-
-    @pytest.fixture(scope="class")
-    def two_nodes(self, pipeline):
-        """Indexes of two documents ``a`` and ``b`` of one node each, by cui: one with two cuis, one with the same cui twice.
-
-        With two cuis the node of ``a`` holds labels 0..3 and that of ``b``
-        4..7; with one cui both hold 0..3.
-        """
-        lexicon, kb, transe_model, config = pipeline
-        surfaces = sorted(lexicon.surface_index)
-        indexes = {}
-        for name, texts in (("two cuis", surfaces[:1] + surfaces[-1:]), ("one cui", surfaces[:1] * 2)):
-            corpus = [Document(doc_id, "", f"{text}.") for doc_id, text in zip("ab", texts)]
-            indexes[name] = index = index_corpus(corpus, lexicon, config, kb=kb, transe=transe_model)
-            assert [len(index.networks[doc_id].nodes) for doc_id in "ab"] == [1, 1]
-        assert indexes["two cuis"].networks.columns.node_labels.tolist() == list(range(8))
-        assert indexes["one cui"].networks.columns.node_labels.tolist() == [0, 1, 2, 3] * 2
-        return indexes
-
-    @pytest.mark.parametrize(
-        "cuis, labels, match",
-        [
-            ("two cuis", [0, 1, 2, 3, 4, 5, 7, 7], "kernel label 6 is held by no node, below the next label 8"),
-            ("one cui", [0, 1, 2, 3, 4, 5, 6, 7], "kernel labels 0 and 4 have one signature"),
-            ("two cuis", "list", "node_labels must be base64"),
-            ("two cuis", [0, 1, 2, 3, 4, 5, 6], "network node labels must be 4 per node, 8 in all, got 7"),
-            ("two cuis", [0, 1, 2, 3, 0, 4, 5, 6], "document b: node .* holds kernel label 0 at iteration 0 under another signature"),
-            ("two cuis", [0, 1, 2, 3, 4, 1, 5, 6], "document b: node .* holds kernel label 1 at iteration 1 under another signature"),
-            ("two cuis", [0, 1, 2, 3, 4, 5, 6, 2], "document b: node .* holds kernel label 2 at iteration 3 under another signature"),
-        ],
-        ids=[
-            "next_id too large", "duplicate signature", "list of signatures", "wrong length", "two cuis with one level-0 label",
-            "one label with two signatures", "one label at two iterations",
-        ],
-    )
-    def test_bad_compressor(self, two_nodes, tmp_path, cuis, labels, match):
-        # The compressor is derived from the node labels and the networks, so
-        # each case damages the labels: a gap below the next label, one
-        # signature under two labels, labels stored as a JSON list, a
-        # column of the wrong length, and a label whose holders differ.
-        def edit(payload):
-            stored = helpers.column(payload["networks"], "node_labels")
-            payload["networks"]["node_labels"] = stored if labels == "list" else helpers.pack(labels)
-
-        with pytest.raises(FormatError, match=match):
-            self.load_edited(two_nodes[cuis], tmp_path, edit)
 
     @pytest.mark.parametrize(
         "record, match",
@@ -902,38 +806,47 @@ class TestModelPartsRoundTrip:
 
 
 class TestLabelsMatchTheOracle:
-    """Kernel rows and query labels against the ``json.dumps`` signatures, compressed over the corpus in doc id order."""
+    """Kernel rows and query labels against the ``json.dumps`` signatures, compressed over the corpus in doc id order.
+
+    The index numbers its labels otherwise, so each of its labels is
+    compared through the bijection that takes its node labels to the
+    oracle's (``helpers.relabelling``).
+    """
 
     @staticmethod
-    def oracle(index, corpus):
-        """The oracle's compressor and the kernel rows (ptr, labels, counts) in doc id order."""
-        oracle, features = LabelCompressor(), {}
-        for doc in sorted(corpus, key=lambda doc: doc.id):
-            history = helpers.oracle_wl_label_history(index.networks[doc.id], index.h, oracle)
-            features[doc.id] = sorted(Counter(chain.from_iterable(map(dict.values, history))).items())
-        rows = [features[doc_id] for doc_id in sorted(features)]
-        ptr = np.cumsum([0, *map(len, rows)]).tolist()
-        return oracle, ptr, [label for row in rows for label, _ in row], [count for row in rows for _, count in row]
+    def oracle(index):
+        """The oracle's compressor, its node labels and the kernel rows (ptr, then each row's sorted (label, count) pairs) in doc id order."""
+        nets = [index.networks[doc_id] for doc_id in index.rows.doc_ids]
+        labels, oracle = helpers.oracle_corpus_labels(nets, index.h)
+        rows, width = [], index.h + 1
+        for start, end in pairwise(np.cumsum([0, *(len(net.nodes) for net in nets)]).tolist()):
+            rows.append(sorted(Counter(labels[start * width : end * width]).items()))
+        return oracle, labels, np.cumsum([0, *map(len, rows)]).tolist(), rows
 
     @pytest.mark.parametrize("which", ["kbmatch", "model"])
     def test_built_and_loaded_rows_and_query_labels(self, pipeline, small_index, model_index, tmp_path, which):
         corpus, index = small_index if which == "kbmatch" else (model_corpus(pipeline[0]), model_index)
-        oracle, ptr, labels, counts = self.oracle(index, corpus)
+        oracle, node_labels, ptr, rows = self.oracle(index)
         save_index(index, tmp_path / "oracle.idx")
         loaded = load_index(tmp_path / "oracle.idx")
-        for built in (index, loaded):
-            assert built.compressor.next_id == oracle.next_id
-            assert (built.rows.ptr.tolist(), built.rows.labels.tolist(), built.rows.counts.tolist()) == (ptr, labels, counts)
+        maps = [helpers.relabelling(wl_corpus_labels(built.networks.columns, built.h)[0], node_labels) for built in (index, loaded)]
+        for built, to_oracle in zip((index, loaded), maps):
+            assert built.compressor.next_id == oracle.next_id == len(to_oracle)
+            assert built.rows.ptr.tolist() == ptr
+            bounds = built.rows.ptr.tolist()
+            labels, counts = built.rows.labels.tolist(), built.rows.counts.tolist()
+            for row, start, end in zip(rows, bounds, bounds[1:]):
+                assert sorted((to_oracle[label], count) for label, count in zip(labels[start:end], counts[start:end])) == row
         held = new = 0
         texts = [doc.content() for doc in corpus[:4]] + [" ".join(doc.content() for doc in corpus), UNRELATED]
         for text in texts:
             net = query_network(index, text)
             expected = helpers.oracle_wl_label_history(net, index.h, oracle.overlay())
-            for built in (index, loaded):
+            for built, to_oracle in zip((index, loaded), maps):
                 for got, want in zip(wl_label_history(net, index.h, built.compressor.overlay()), expected):
                     for cui, label in want.items():
                         if label < oracle.next_id:  # a signature the index holds
-                            assert got[cui] == label, (text, cui)
+                            assert to_oracle[got[cui]] == label, (text, cui)
                             held += 1
                         else:
                             assert got[cui] >= built.compressor.next_id, (text, cui)
@@ -986,11 +899,15 @@ def oracle_extractor():
 
 
 class TestIndexColumnsEqualOracles:
-    """Every network column of ``index_corpus`` against the oracles, run document by document in doc id order."""
+    """Every network column of ``index_corpus`` against the oracles, run document by document in doc id order.
+
+    The node labels the index derives match the oracle's through a
+    bijection (``helpers.relabelling``), with as many labels.
+    """
 
     @staticmethod
-    def expected(config, model, extractor) -> dict:
-        comp, nets, labels = LabelCompressor(), {}, {}
+    def expected(config, model, extractor) -> tuple[dict, list[int], LabelCompressor]:
+        nets = {}
         for doc in sorted(ORACLE_CORPUS, key=lambda doc: doc.id):
             analysis = analyze(doc, ORACLE_LEXICON, config.window)
             mentions = analysis.mentions
@@ -1009,8 +926,6 @@ class TestIndexColumnsEqualOracles:
             if config.fuse:
                 net = helpers.oracle_fuse_network(net, model)
             nets[doc.id] = net
-            history = helpers.oracle_wl_label_history(net, config.h, comp)
-            labels[doc.id] = [label for node in zip(*map(dict.values, history)) for label in node]
         rows = [nets[doc_id] for doc_id in sorted(nets)]
         cuis = sorted({cui for net in rows for cui in net.nodes})
         relations = sorted({edge.relation for net in rows for edge in net.edges})
@@ -1030,8 +945,7 @@ class TestIndexColumnsEqualOracles:
                 columns["provenances"].append(["extracted", "predicted", "fused"].index(edge.provenance))
                 columns["confidences"].append(edge.confidence)
             columns["edge_ptr"].append(len(columns["heads"]))
-        node_labels = [label for doc_id in sorted(labels) for label in labels[doc_id]]
-        return columns | {"cuis": cuis, "relations": relations, "node_labels": node_labels}
+        return columns | {"cuis": cuis, "relations": relations}, *helpers.oracle_corpus_labels(rows, config.h)
 
     @pytest.mark.parametrize("mode", ["kbmatch", "model"])
     @pytest.mark.parametrize("h", range(5))
@@ -1041,10 +955,13 @@ class TestIndexColumnsEqualOracles:
         for distance, enrich, fuse in (("l1", True, True), ("l2", True, False), ("l1", False, True)):
             config = PipelineConfig(mode=mode, theta_rel=0.2, enrich=enrich, fuse=fuse, tau_lp=1e-3, m_cap=m_cap, h=h)
             model = oracle_model(distance)
-            columns = index_corpus(ORACLE_CORPUS, ORACLE_LEXICON, config, ORACLE_KB, extractor, model).networks.columns
-            expected = self.expected(config, model, extractor)
+            index = index_corpus(ORACLE_CORPUS, ORACLE_LEXICON, config, ORACLE_KB, extractor, model)
+            columns = index.networks.columns
+            expected, labels, oracle = self.expected(config, model, extractor)
             got = {name: value if name in ("cuis", "relations") else value.tolist() for name, value in vars(columns).items()}
             assert got == expected, (distance, enrich, fuse)
+            to_oracle = helpers.relabelling(wl_corpus_labels(columns, h)[0], labels)
+            assert len(to_oracle) == index.compressor.next_id == oracle.next_id, (distance, enrich, fuse)
 
     def test_the_corpus_has_each_case(self, oracle_extractor):
         config = PipelineConfig(mode="kbmatch", enrich=True, fuse=True, tau_lp=1e-3, m_cap=1, h=2)
@@ -1080,12 +997,13 @@ class TestCorpusOrder:
         assert stored(corpus) == stored(sorted(ORACLE_CORPUS, key=lambda doc: doc.id))
 
     @pytest.mark.parametrize("mode", ["kbmatch", "model"])
-    def test_stored_labels_are_those_of_the_stored_rows(self, oracle_extractor, tmp_path, mode):
+    def test_a_load_derives_the_labels_of_the_build(self, oracle_extractor, tmp_path, mode):
         index = index_corpus(ORACLE_CORPUS, ORACLE_LEXICON, self.config(mode), ORACLE_KB, oracle_extractor, oracle_model("l1"))
         save_index(index, tmp_path / "corpus.idx")
-        for built in (index, load_index(tmp_path / "corpus.idx")):
-            columns = built.networks.columns
-            assert columns.node_labels.tolist() == wl_corpus_labels(columns, built.h).tolist()
+        loaded = load_index(tmp_path / "corpus.idx")
+        assert list(loaded.compressor.table.items()) == list(index.compressor.table.items())
+        assert (loaded.compressor.next_id, loaded.compressor.relations) == (index.compressor.next_id, index.compressor.relations)
+        assert loaded.rows.labels.tolist() == index.rows.labels.tolist()
 
 
 class TestLazyNetworks:
@@ -1210,7 +1128,7 @@ class TestRoundTrip:
         cui = sorted(net.nodes)[0]
         for bound in (2**31 - 1, 2**31):
             nodes = {**net.nodes, cui: Node(cui, net.nodes[cui].name, [(0, bound)])}
-            columns = helpers.oracle_network_columns([replace(net, nodes=nodes)], [])
+            columns = helpers.oracle_network_columns([replace(net, nodes=nodes)])
             if bound < 2**31:
                 stored = columns_from_dict(json.loads(json.dumps(columns_to_dict(columns))))
                 check_columns([net.doc_id], stored)

@@ -99,7 +99,7 @@ class TestTransEDegenerate:
 
     def test_evaluate_empty_test_set(self):
         model = init_model(["a", "b"], ["r"], TrainConfig(dim=2))
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError, match="test triple set must be non-empty"):
             evaluate_link_prediction(model, [], build_triple_store([("a", "r", "b")]))
 
 

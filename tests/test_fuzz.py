@@ -242,11 +242,6 @@ def index_layout(index_pipeline):
 # edit of the decoded list given the layout, text the error line must hold).
 # Every cui and relation of a table is used, so the largest id is the last.
 COLUMN_DAMAGES = {
-    "negative kernel label": ("networks", "node_labels", "int32", lambda c, at: c.__setitem__(at["node"], -1), "kernel label -1 outside"),
-    "kernel label at the column length": (
-        "networks", "node_labels", "int32", lambda c, at: c.__setitem__(at["node"], len(c)), "outside [0, "
-    ),
-    "node labels one short": ("networks", "node_labels", "int32", lambda c, at: c.pop(), "network node labels must be"),
     "decreasing node pointer": ("networks", "node_ptr", "int32", lambda c, at: c.__setitem__(1, c[2] + 1), "must not decrease"),
     "decreasing span pointer": ("networks", "span_ptr", "int32", lambda c, at: c.__setitem__(1, c[2] + 1), "must not decrease"),
     "decreasing edge pointer": ("networks", "edge_ptr", "int32", lambda c, at: c.__setitem__(1, c[2] + 1), "must not decrease"),
@@ -302,7 +297,7 @@ def test_damaged_index_column(index_pipeline, index_layout, damage):
 @pytest.mark.parametrize(
     "part, key",
     [
-        ("networks", "node_labels"), ("networks", "node_cuis"), ("networks", "confidences"), ("lexicon", "surface_concepts"),
+        ("networks", "node_cuis"), ("networks", "confidences"), ("lexicon", "surface_concepts"),
         ("kb", "triples"), ("transe", "entity_vectors"),
     ],
 )

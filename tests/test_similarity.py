@@ -14,7 +14,6 @@ from casegraph.network import Edge, Node, SemanticNetwork
 from casegraph.similarity import (
     LabelCompressor,
     combined_similarity,
-    compressor_from_columns,
     doc_embedding,
     wl_features,
     wl_corpus_labels,
@@ -227,55 +226,60 @@ def hub_networks(draw) -> SemanticNetwork:
     return make_network("d", ["H", *leaves], edges)
 
 
+@st.composite
+def pooled_networks(draw) -> SemanticNetwork:
+    """A network over a pool of six cuis, which other networks of a corpus share: isolated nodes, and pairs joined by several relations."""
+    cuis = draw(st.lists(st.sampled_from("ABCDEF"), max_size=6, unique=True))
+    keys = st.tuples(st.permutations(cuis).map(lambda order: tuple(order[:2])), st.sampled_from(["r1", "r2", "r3"]))
+    edges = draw(st.lists(keys, max_size=12, unique=True)) if len(cuis) > 1 else []
+    return make_network("d", cuis, [(head, tail, relation) for (head, tail), relation in edges])
+
+
+CORPORA = st.lists(awkward_networks() | hub_networks() | st.just(SemanticNetwork("d")), min_size=1, max_size=5) | st.lists(
+    pooled_networks(), min_size=1, max_size=8
+)
+
+
 class TestCorpusLabels:
-    """``wl_corpus_labels`` gives the labels of one compressor going through the networks in order."""
+    """``wl_corpus_labels`` partitions the nodes as one compressor going through the rows does, and its table labels each row alike."""
 
     @settings(max_examples=150)
-    @given(st.lists(awkward_networks() | hub_networks() | st.just(SemanticNetwork("d")), min_size=1, max_size=5), st.integers(0, 4))
+    @given(CORPORA, st.integers(0, 4))
     def test_equal_to_the_oracle_network_by_network(self, nets, h):
-        oracle = LabelCompressor()
-        expected = []
+        labels, comp = wl_corpus_labels(helpers.oracle_network_columns(nets), h)
+        expected, oracle = helpers.oracle_corpus_labels(nets, h)
+        assert len(helpers.relabelling(labels.tolist(), expected)) == comp.next_id == oracle.next_id
+
+    @settings(max_examples=150)
+    @given(CORPORA, st.integers(0, 3))
+    def test_table_relabels_each_row(self, nets, h):
+        labels, comp = wl_corpus_labels(helpers.oracle_network_columns(nets), h)
+        rows = iter(labels.tolist())
         for net in nets:
-            history = helpers.oracle_wl_label_history(net, h, oracle)
-            expected += [label for node in zip(*map(dict.values, history)) for label in node]
-        assert wl_corpus_labels(helpers.oracle_network_columns(nets, []), h).tolist() == expected
+            overlay = comp.overlay()
+            history = wl_label_history(net, h, overlay)
+            row = [next(rows) for _ in range(len(net.nodes) * (h + 1))]
+            assert [label for node in zip(*map(dict.values, history)) for label in node] == row
+            assert overlay.next_id == comp.next_id  # every signature was found
 
     def test_no_networks(self):
-        assert wl_corpus_labels(helpers.oracle_network_columns([], []), 2).tolist() == []
+        labels, comp = wl_corpus_labels(helpers.oracle_network_columns([]), 2)
+        assert (labels.tolist(), comp.next_id) == ([], 0)
 
-    def test_degrees_of_one_band_stay_apart(self):
+    def test_degrees_stay_apart(self):
         # b's pairs at iteration 1 are all (relation id 0, cui id 0): two of
-        # them in one network, three in the other, padded to one width.
+        # them in one network, three in the other.
         nets = [
             make_network("d1", ["a", "b"], [("a", "b", "r"), ("b", "a", "r")]),
             make_network("d2", ["a", "b"], [("a", "b", "r"), ("b", "a", "r"), ("a", "b", "r")]),
         ]
-        assert wl_corpus_labels(helpers.oracle_network_columns(nets, []), 1).tolist() == [0, 2, 1, 3, 0, 4, 1, 5]
-
-
-class TestCompressorFromColumns:
-    """The compressor derived from stored node labels labels every network as the one that assigned them."""
-
-    @settings(max_examples=150)
-    @given(st.lists(awkward_networks(), min_size=1, max_size=4), st.integers(0, 3))
-    def test_derived_compressor_relabels_alike(self, nets, h):
-        nets = [replace(net, doc_id=f"d{i}") for i, net in enumerate(nets)]
-        comp = LabelCompressor()
-        histories = [wl_label_history(net, h, comp) for net in nets]
-        labels = [label for history in histories for node in zip(*map(dict.values, history)) for label in node]
-        derived = compressor_from_columns([net.doc_id for net in nets], helpers.oracle_network_columns(nets, labels), h)
-        assert derived.next_id == comp.next_id == len(derived.table)
-        for net, history in zip(nets, histories):
-            overlay = derived.overlay()
-            assert wl_label_history(net, h, overlay) == history
-            assert overlay.next_id == derived.next_id  # every signature was found
+        assert wl_corpus_labels(helpers.oracle_network_columns(nets), 1)[0].tolist() == [0, 2, 1, 3, 0, 4, 1, 5]
 
     def test_overflowing_sort_keys_refused(self):
-        net = make_network("d", ["A", "B"], [("A", "B", "r")])
-        columns = helpers.oracle_network_columns([net], [label for node in zip(*map(dict.values, wl_label_history(net, 1, LabelCompressor()))) for label in node])
-        assert compressor_from_columns(["d"], columns, 1).next_id == 4
+        columns = helpers.oracle_network_columns([make_network("d", ["A", "B"], [("A", "B", "r")])])
+        assert wl_corpus_labels(columns, 1)[1].next_id == 4
         with pytest.raises(FormatError, match="overflow the int64 sort keys"):
-            compressor_from_columns(["d"], replace(columns, relations=range(2**62)), 1)
+            wl_corpus_labels(replace(columns, relations=range(2**62)), 1)
 
 
 def tiny_model():
