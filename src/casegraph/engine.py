@@ -48,10 +48,12 @@ little-endian ``int32`` (confidences ``float64``) items, which loading reads
 with ``np.frombuffer`` (``kb.pack``/``kb.unpack``); the strings stay
 readable JSON.
 
-Everything else is derived whenever an index is built or loaded, by one
-function (``_derive``) with array operations: every node's kernel labels at
-iterations 0..h and the label compressor that holds their signatures, from
-one ``similarity.wl_corpus_labels`` call; each document's kernel features,
+Everything else is derived on the first read of an index's compressor or
+rows (``Index``), which a load makes before it returns, while building and
+saving derive nothing. One function (``_derive``) derives it with array
+operations: every node's kernel labels at iterations 0..h and the label
+compressor that holds their signatures, from one
+``similarity.wl_corpus_labels`` call; each document's kernel features,
 its nodes' label counts in ascending label order; and what scoring needs
 (``DocRows``): the label-major transpose of the kernel features, i.e. an
 inverted index from each kernel label to the documents holding it, with each
@@ -74,7 +76,8 @@ configuration, the models (``kb.lexicon_from_dict``,
 ``relations.extractor_from_columns``), the doc ids, that every column is
 whole base64 and every pointer starts at 0, never decreases and ends at its
 column's length, and that the network columns decode into valid networks
-(``network.check_columns``). It builds no network. Every index, built or
+(``network.check_columns``), and that their kernel labels fit the
+labeller's int64 keys. It builds no network. Every index, built or
 loaded, holds its networks only as those columns (``StoredNetworks``):
 saving writes the columns as they are, and ``Index.networks`` decodes a
 document's row on first access. An older container version is refused with
@@ -86,6 +89,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -216,18 +220,30 @@ class StoredNetworks(Mapping):
 
 @dataclass
 class Index:
+    """What an index stores; its ``compressor`` and ``rows`` come from one ``_derive`` call on the first read of either."""
+
     config: PipelineConfig
     lexicon: Lexicon
     kb: TripleStore | None
     extractor: ExtractorModel | None
     transe: EmbeddingModel | None
-    compressor: LabelCompressor
     networks: StoredNetworks
-    rows: DocRows
 
     @property
     def h(self) -> int:
         return self.config.h
+
+    @cached_property
+    def _derived(self) -> tuple[LabelCompressor, StoredNetworks, DocRows]:
+        return _derive(list(self.networks), self.networks.columns, self.h, self.lexicon, self.transe)
+
+    @property
+    def compressor(self) -> LabelCompressor:
+        return self._derived[0]
+
+    @property
+    def rows(self) -> DocRows:
+        return self._derived[2]
 
 
 @dataclass
@@ -388,12 +404,12 @@ def index_corpus(
     extractor: ExtractorModel | None = None,
     transe: EmbeddingModel | None = None,
 ) -> Index:
-    """Build the network of every document as a row, then fuse and label all rows at once.
+    """Build the network of every document as a row, then fuse all rows at once.
 
     The rows grow in doc id order, the order the index holds them in, so the
-    kernel labels (``wl_corpus_labels``) and the index bytes depend only on
-    the set of documents, not on their order in the corpus. A doc id must be
-    distinct and one field of a run line (``trec.one_field``).
+    index bytes and the kernel labels derived on first read (``Index``)
+    depend only on the set of documents, not on their order in the corpus.
+    A doc id must be distinct and one field of a run line (``trec.one_field``).
     """
     kb, extractor, transe = require_models(config, kb, extractor, transe)
     rows, seen = NetworkRows(transe), set()
@@ -406,9 +422,9 @@ def index_corpus(
         _add_row(rows, doc.id, analysis, edges, config)
     if config.fuse:
         rows.fuse()
-    index = Index(config, lexicon, kb, extractor, transe, *_derive(sorted(seen), rows.columns(), config.h, lexicon, transe))
-    log.info("indexed %d documents (%d kernel labels)", len(corpus), index.compressor.next_id)
-    return index
+    columns = rows.columns()
+    log.info("indexed %d documents (%d nodes, %d edges)", len(corpus), len(columns.node_cuis), len(columns.heads))
+    return Index(config, lexicon, kb, extractor, transe, StoredNetworks(sorted(seen), columns, lexicon))
 
 
 def _embed_rows(columns: NetworkColumns, transe: EmbeddingModel | None) -> np.ndarray:
@@ -445,11 +461,12 @@ def _embed_rows(columns: NetworkColumns, transe: EmbeddingModel | None) -> np.nd
 def _derive(
     doc_ids: list[str], columns: NetworkColumns, h: int, lexicon: Lexicon, transe: EmbeddingModel | None
 ) -> tuple[LabelCompressor, StoredNetworks, DocRows]:
-    """What an index derives from its networks' columns, built or loaded alike: the compressor, the networks and ``DocRows``.
+    """What an index derives from its networks' columns: the compressor, the networks and ``DocRows``.
 
-    One ``wl_corpus_labels`` call labels every node at iterations 0..h and
-    gives the compressor; a document's kernel features count the labels
-    its nodes hold, in ascending label order.
+    ``Index`` calls it on the first read of its compressor or rows. One
+    ``wl_corpus_labels`` call labels every node at iterations 0..h and gives
+    the compressor; a document's kernel features count the labels its nodes
+    hold, in ascending label order.
     """
     node_labels, compressor = wl_corpus_labels(columns, h)
     next_id = max(compressor.next_id, 1)
@@ -644,7 +661,7 @@ def index_to_dict(index: Index, encoded: bool = False) -> dict:
         "kb": model(index.kb, triples_to_dict),
         "extractor": model(index.extractor, extractor_to_columns),
         "transe": model(index.transe, model_to_columns),
-        "docs": list(index.rows.doc_ids),
+        "docs": list(index.networks),
         "networks": columns_to_dict(index.networks.columns),
     }
 
@@ -670,7 +687,9 @@ def index_from_dict(data: dict) -> Index:
     extractor = extractor_from_columns(data["extractor"]) if data["extractor"] is not None else None
     transe = model_from_columns(data["transe"]) if data["transe"] is not None else None
     kb, extractor, transe = require_models(config, kb, extractor, transe)
-    return Index(config, lexicon, kb, extractor, transe, *_derive(docs, columns, config.h, lexicon, transe))
+    index = Index(config, lexicon, kb, extractor, transe, StoredNetworks(docs, columns, lexicon))
+    index.rows  # derived before the load returns, so loading checks everything
+    return index
 
 
 def save_index(index: Index, path: str | Path) -> None:

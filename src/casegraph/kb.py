@@ -39,7 +39,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -407,7 +407,8 @@ def triples_from_dict(data: dict) -> TripleStore:
             by_pair[pair].add(relation)
         else:
             by_pair[pair] = {relation}
-    return TripleStore(set(map(Triple, head_names, relation_names, tail_names)), by_pair, list(relations), set(entities))
+    triples = set(map(tuple.__new__, repeat(Triple), zip(head_names, relation_names, tail_names)))  # no Python __new__ per fact
+    return TripleStore(triples, by_pair, list(relations), set(entities))
 
 
 def read_jsonl(path: str | Path, decode: Callable[[object], T], what: str) -> list[T]:

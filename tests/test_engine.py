@@ -1006,6 +1006,59 @@ class TestCorpusOrder:
         assert loaded.rows.labels.tolist() == index.rows.labels.tolist()
 
 
+class TestDerivation:
+    """An index derives its compressor and rows from its own fields once, on their first read."""
+
+    @pytest.fixture()
+    def derivations(self, monkeypatch):
+        calls: list[str] = []
+        for name in ("wl_corpus_labels", "_embed_rows"):
+
+            def spy(*args, _name=name, _original=getattr(engine, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(engine, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("first", ["search", "graph"])
+    def test_built_once_on_first_read_and_loaded_before_return(self, pipeline, tmp_path, derivations, first):
+        lexicon, kb, transe_model, config = pipeline
+        corpus = helpers.synth_corpus(lexicon, 6, seed=3)
+        index = index_corpus(corpus, lexicon, config, kb=kb, transe=transe_model)
+        save_index(index, tmp_path / "corpus.idx")
+        assert derivations == []
+        loaded = load_index(tmp_path / "corpus.idx")
+        assert derivations == ["wl_corpus_labels", "_embed_rows"]
+        search(loaded, corpus[0].content(), 3)
+        build_collection_graph(loaded)
+        assert derivations == ["wl_corpus_labels", "_embed_rows"]
+        derivations.clear()
+        if first == "search":
+            search(index, corpus[0].content(), 3)
+        else:
+            build_collection_graph(index)
+        assert derivations == ["wl_corpus_labels", "_embed_rows"]
+        search(index, corpus[1].content(), 3)
+        build_collection_graph(index)
+        assert derivations == ["wl_corpus_labels", "_embed_rows"]
+
+    @pytest.mark.parametrize("field", ["h", "transe"])
+    def test_a_replaced_index_derives_from_its_own_fields(self, pipeline, field):
+        lexicon, kb, transe_model, config = pipeline
+        corpus = helpers.synth_corpus(lexicon, 12, seed=3)
+        index = index_corpus(corpus, lexicon, config, kb=kb, transe=transe_model)
+        search(index, corpus[0].content(), 3)  # derived before the copy is made
+        if field == "h":
+            changed = replace(index, config=replace(config, h=1))
+        else:
+            train_config = TrainConfig(dim=16, epochs=5, seed=12)
+            changed = replace(index, transe=train(init_model(kb.entities, kb.relations, train_config), kb, train_config))
+        fresh = index_corpus(corpus, lexicon, changed.config, kb=kb, transe=changed.transe)
+        for doc in corpus:
+            assert search(changed, doc.content(), len(corpus)) == search(fresh, doc.content(), len(corpus)), doc.id
+
+
 class TestLazyNetworks:
     """A loaded index decodes a network from its columns only when the network is read."""
 

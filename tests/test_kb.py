@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from casegraph.errors import ParseError, ValidationError
 from casegraph.kb import (
+    Triple,
     build_triple_store,
     encode,
     load_corpus,
@@ -153,7 +154,9 @@ class TestLoadTriples:
         path.write_text(text, encoding="utf-8")
         store = load_triples(path)
         assert store.relations == relations
-        assert triples_from_dict(triples_to_dict(store)) == store
+        loaded = triples_from_dict(triples_to_dict(store))
+        assert loaded == store
+        assert all(type(triple) is Triple for triple in loaded.triples)
 
     def test_by_pair_matches_exhaustive_scan(self):
         triples = [

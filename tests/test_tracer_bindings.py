@@ -63,8 +63,8 @@ def test_index_corpus_runs_each_stage_once_per_document(tmp_path, monkeypatch):
 
 def test_corpus_labeller_runs_once_per_index_and_wl_features_once_per_query(tmp_path, monkeypatch):
     # The traced similarity.wl_features span is engine's binding, which search
-    # calls on its query row; index_corpus labels the whole corpus in one call
-    # and leaves the span at 0.
+    # calls on its query row; index_corpus labels nothing, and the built index
+    # labels the whole corpus in one call on its first search.
     fixtures = helpers.write_pipeline_fixtures(tmp_path, num_docs=12, seed=3)
     calls: list[str] = []
     featurize, label = engine.wl_features, engine.wl_corpus_labels
@@ -82,8 +82,7 @@ def test_corpus_labeller_runs_once_per_index_and_wl_features_once_per_query(tmp_
     corpus = load_corpus(fixtures["corpus"])
     lexicon, kb = load_lexicon(fixtures["lexicon"]), load_triples(fixtures["triples"])
     index = engine.index_corpus(corpus, lexicon, PipelineConfig(mode="kbmatch"), kb)
-    assert calls == [f"wl_corpus_labels of {len(corpus)}"]
-    calls.clear()
+    assert calls == []
     for doc in corpus[:3]:
         engine.search(index, doc.content(), 5)
-    assert calls == ["wl_features"] * 3
+    assert calls == [f"wl_corpus_labels of {len(corpus)}"] + ["wl_features"] * 3
