@@ -61,10 +61,12 @@ document's kernel self-norm, and a matrix of document embeddings with their
 norms, computed for all documents in one pass over the node columns. One
 block scorer (``_score_rows``) scores a block of query rows against the
 documents: one scatter-add of the rows' kernel entries into a (rows x
-documents) matrix and one ``einsum`` of the embeddings. A query is a block
-of one row; the collection graph passes the documents themselves in blocks
-of at most ``_BLOCK_NUMBERS`` postings and cells, each against the documents
-from its first row on, and reads its pairs off the strict upper triangle.
+documents) matrix (``_kernel_rows``) and one ``einsum`` of the embeddings
+(``_cosines``). A query is a block of one row. The collection graph computes
+the kernels of the documents themselves in blocks of at most
+``_BLOCK_NUMBERS`` postings and cells, each against the documents from its
+first row on, and the cosines only for the pairs of the strict upper
+triangle whose kernel can still reach ``tau_doc``, one ``einsum`` per pair.
 Every score has the bits of scoring its row alone: the kernel dots are
 integer sums, the norms the same elementwise products, and ``einsum``
 reduces each (row, document) pair as it does for one row, where a BLAS
@@ -91,6 +93,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +151,11 @@ INDEX_VERSION = 7
 # 150-1,000 documents took about the same time; at 2**15 a block's
 # temporaries peak at about 3.5 MB, at 2**19 at 45 MB and 2-3x slower.
 _BLOCK_NUMBERS = 2**15
+
+# A block of the collection graph computes cosines only for its pairs whose
+# kernel can still reach tau_doc, unless they are more than this share of its
+# cells: then one dense einsum is faster (the pair path broke even at 20-23 %).
+_PAIR_SHARE = 1 / 8
 
 # The most documents whose edges one ``extract_batch`` call scores in mode
 # ``model``. Their analyses are held until then: about 1.3 MB for abstracts
@@ -235,7 +243,7 @@ class Index:
 
     @cached_property
     def _derived(self) -> tuple[LabelCompressor, StoredNetworks, DocRows]:
-        return _derive(list(self.networks), self.networks.columns, self.h, self.lexicon, self.transe)
+        return _derive(list(self.networks), self.networks.columns, self.h, self.lexicon, self.transe, self.networks)
 
     @property
     def compressor(self) -> LabelCompressor:
@@ -459,11 +467,13 @@ def _embed_rows(columns: NetworkColumns, transe: EmbeddingModel | None) -> np.nd
 
 
 def _derive(
-    doc_ids: list[str], columns: NetworkColumns, h: int, lexicon: Lexicon, transe: EmbeddingModel | None
+    doc_ids: list[str], columns: NetworkColumns, h: int, lexicon: Lexicon, transe: EmbeddingModel | None,
+    networks: StoredNetworks | None = None,
 ) -> tuple[LabelCompressor, StoredNetworks, DocRows]:
     """What an index derives from its networks' columns: the compressor, the networks and ``DocRows``.
 
-    ``Index`` calls it on the first read of its compressor or rows. One
+    ``Index`` calls it on the first read of its compressor or rows, passing
+    its own ``networks`` (those of ``doc_ids`` and ``columns``). One
     ``wl_corpus_labels`` call labels every node at iterations 0..h and gives
     the compressor; a document's kernel features count the labels its nodes
     hold, in ascending label order.
@@ -481,7 +491,8 @@ def _derive(
     label_ptr = np.zeros(compressor.next_id + 1, np.int64)
     np.cumsum(np.bincount(labels, minlength=compressor.next_id), out=label_ptr[1:])
     embeddings = _embed_rows(columns, transe)
-    return compressor, StoredNetworks(doc_ids, columns, lexicon), DocRows(
+    networks = StoredNetworks(doc_ids, columns, lexicon) if networks is None else networks
+    return compressor, networks, DocRows(
         doc_ids,
         ptr,
         labels,
@@ -493,6 +504,42 @@ def _derive(
         embeddings,
         row_norms(embeddings),
     )
+
+
+def _kernel_rows(
+    rows: DocRows, owners: np.ndarray, labels: np.ndarray, counts: np.ndarray, queries: int, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel half of ``_score_rows``: the (queries x rows) kernel values and integer kernel dots."""
+    width = len(rows.doc_ids) - start
+    shape = (queries, width)
+    # Each query's integer self-dot, exact below 2**53.
+    squares = np.bincount(owners, weights=counts * counts, minlength=queries).astype(np.int64)
+    known = labels < len(rows.label_ptr) - 1  # overlay labels of a query occur in no document
+    owners, labels, counts = owners[known], labels[known], counts[known]
+    starts, ends = rows.label_ptr[labels], rows.label_ptr[labels + 1]
+    lengths = ends - starts
+    # Positions of all postings of those labels: each label's slice laid end to end.
+    postings = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+    # A posting's cell is its row for one query scored from row 0; in a block
+    # it moves to its query's line of the matrix and its column from start.
+    cells = rows.label_rows[postings]
+    weights = rows.label_counts[postings] * np.repeat(counts, lengths)
+    if start or queries > 1:
+        ahead = cells >= start
+        cells = (np.repeat(owners * width - start, lengths) + cells)[ahead]
+        weights = weights[ahead]
+    dots = np.bincount(cells, weights=weights, minlength=shape[0] * width).reshape(shape)  # integers, exact in float64
+    kernel_norms = np.sqrt(squares[:, None] * rows.self_dots[start:])
+    return np.divide(dots, kernel_norms, out=np.zeros(shape), where=kernel_norms > 0), dots
+
+
+def _cosines(rows: DocRows, embeddings: np.ndarray, norms: np.ndarray, start: int) -> np.ndarray:
+    """The cosine half of ``_score_rows``: the (queries x rows) embedding cosines."""
+    cos_norms = norms[:, None] * rows.embedding_norms[start:]
+    # einsum, not BLAS: it reduces every pair alike, row by row as for one
+    # query, so equal rows get equal cosines and exact ties break by doc id.
+    products = np.einsum("ij,kj->ki", rows.embeddings[start:], embeddings)
+    return np.divide(products, cos_norms, out=np.zeros(cos_norms.shape), where=cos_norms != 0)
 
 
 def _score_rows(
@@ -514,33 +561,8 @@ def _score_rows(
     ``similarity.combined_similarity`` computes it; the kernel and the
     cosine are 0 against an empty graph or a zero embedding.
     """
-    width = len(rows.doc_ids) - start
-    shape = (len(embeddings), width)
-    # Each query's integer self-dot, exact below 2**53.
-    squares = np.bincount(owners, weights=counts * counts, minlength=len(embeddings)).astype(np.int64)
-    known = labels < len(rows.label_ptr) - 1  # overlay labels of a query occur in no document
-    owners, labels, counts = owners[known], labels[known], counts[known]
-    starts, ends = rows.label_ptr[labels], rows.label_ptr[labels + 1]
-    lengths = ends - starts
-    # Positions of all postings of those labels: each label's slice laid end to end.
-    postings = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-    # A posting's cell is its row for one query scored from row 0; in a block
-    # it moves to its query's line of the matrix and its column from start.
-    cells = rows.label_rows[postings]
-    weights = rows.label_counts[postings] * np.repeat(counts, lengths)
-    if start or len(embeddings) > 1:
-        ahead = cells >= start
-        cells = (np.repeat(owners * width - start, lengths) + cells)[ahead]
-        weights = weights[ahead]
-    dots = np.bincount(cells, weights=weights, minlength=shape[0] * width).reshape(shape)  # integers, exact in float64
-    kernel_norms = np.sqrt(squares[:, None] * rows.self_dots[start:])
-    kernel = np.divide(dots, kernel_norms, out=np.zeros(shape), where=kernel_norms > 0)
-    # einsum, not BLAS: it reduces every pair alike, row by row as for one
-    # query, so equal rows get equal cosines and exact ties break by doc id.
-    cos_norms = norms[:, None] * rows.embedding_norms[start:]
-    products = np.einsum("ij,kj->ki", rows.embeddings[start:], embeddings)
-    cos = np.divide(products, cos_norms, out=np.zeros(shape), where=cos_norms != 0)
-    return combine(kernel, cos, lam), dots
+    kernel, dots = _kernel_rows(rows, owners, labels, counts, len(embeddings), start)
+    return combine(kernel, _cosines(rows, embeddings, norms, start), lam), dots
 
 
 def _top_rows(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
@@ -593,13 +615,18 @@ def search(
 def build_collection_graph(index: Index, lam: float | None = None, tau_doc: float | None = None) -> CollectionGraph:
     """Score all unordered document pairs and keep those at or above tau_doc, in (doc_a, doc_b) order.
 
-    The rows are scored in blocks, each against the rows from its first one
-    on, and pairs are read off the strict upper triangle of every block.
+    The rows' kernels are computed in blocks, each against the rows from its
+    first one on, and pairs are read off the strict upper triangle of every
+    block. Cosines are computed only for the pairs whose kernel can still
+    reach tau_doc, since the cosine half adds at most ``1 - lam``; a block
+    with more such pairs than ``_PAIR_SHARE`` of its cells scores them all.
+    Either way every score has the bits ``_score_rows`` gives it.
     """
     lam = check("lambda_weight", index.config.lambda_weight if lam is None else lam, "lambda")
     tau_doc = check("tau_doc", index.config.tau_doc if tau_doc is None else tau_doc)
     rows = index.rows
     n = len(rows.doc_ids)
+    ids = np.array(rows.doc_ids, dtype=object)
     # joined[i]: the postings that the kernel entries of rows before i join.
     joined = np.concatenate([[0], np.cumsum(np.diff(rows.label_ptr)[rows.labels])])[rows.ptr]
     edges = []
@@ -609,23 +636,33 @@ def build_collection_graph(index: Index, lam: float | None = None, tau_doc: floa
         end = min(n, max(first + 1, min(by_postings, first + _BLOCK_NUMBERS // (n - first))))
         block, own = slice(first, end), slice(rows.ptr[first], rows.ptr[end])
         owners = np.repeat(np.arange(end - first), np.diff(rows.ptr[first : end + 1]))
-        embeddings, norms = rows.embeddings[block], rows.embedding_norms[block]
-        scores, _ = _score_rows(rows, owners, rows.labels[own], rows.counts[own], embeddings, norms, lam, first)
-        pairs = np.nonzero(np.triu(scores >= tau_doc, 1))
-        edges += [
-            (rows.doc_ids[first + a], rows.doc_ids[first + b], score)
-            for a, b, score in zip(*(axis.tolist() for axis in pairs), scores[pairs].tolist())
-        ]
+        kernel, _ = _kernel_rows(rows, owners, rows.labels[own], rows.counts[own], end - first, first)
+        # The margin covers the rounding of the cosine and of combine's sum.
+        candidates = np.triu(lam * kernel >= tau_doc - (1 - lam) - 1e-9, 1)
+        if np.count_nonzero(candidates) > _PAIR_SHARE * kernel.size:
+            scores = combine(kernel, _cosines(rows, rows.embeddings[block], rows.embedding_norms[block], first), lam)
+            a, b = np.nonzero(np.triu(scores >= tau_doc, 1))
+            scores = scores[a, b]
+        else:
+            a, b = np.nonzero(candidates)
+            # The operands and reduction of the block's einsum, one pair at a time.
+            products = np.einsum("ij,ij->i", rows.embeddings[first + b], rows.embeddings[first + a])
+            cos_norms = rows.embedding_norms[first + a] * rows.embedding_norms[first + b]
+            cos = np.divide(products, cos_norms, out=np.zeros(len(a)), where=cos_norms != 0)
+            scores = combine(kernel[a, b], cos, lam)
+            kept = scores >= tau_doc
+            a, b, scores = a[kept], b[kept], scores[kept]
+        edges += zip(ids[first + a].tolist(), ids[first + b].tolist(), scores.tolist())
         first = end
     return CollectionGraph(edges)
 
 
 def collection_graph_to_dot(graph: CollectionGraph) -> str:
     """Undirected DOT rendering with the similarity as a 3-decimal edge label; ids are quoted, each ``\\`` and ``"`` escaped."""
+    ids = set(map(itemgetter(0), graph.edges)) | set(map(itemgetter(1), graph.edges))
+    quoted = {doc_id: doc_id.replace("\\", "\\\\").replace('"', '\\"') for doc_id in ids}
     lines = ["graph collection {"]
-    for doc_a, doc_b, score in graph.edges:
-        a, b = (doc_id.replace("\\", "\\\\").replace('"', '\\"') for doc_id in (doc_a, doc_b))
-        lines.append(f'  "{a}" -- "{b}" [label={score:.3f}];')
+    lines += [f'  "{quoted[a]}" -- "{quoted[b]}" [label={score:.3f}];' for a, b, score in graph.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

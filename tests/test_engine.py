@@ -335,15 +335,15 @@ class TestBlockedCollectionGraph:
 
     @pytest.fixture()
     def blocks(self, monkeypatch):
-        """The (first row, row count) of every block scored."""
+        """The (first row, row count) of every block whose kernel is computed."""
         seen: list[tuple[int, int]] = []
-        original = engine._score_rows
+        original = engine._kernel_rows
 
-        def recording(rows, owners, labels, counts, embeddings, norms, lam, start=0):
-            seen.append((start, len(embeddings)))
-            return original(rows, owners, labels, counts, embeddings, norms, lam, start)
+        def recording(rows, owners, labels, counts, queries, start=0):
+            seen.append((start, queries))
+            return original(rows, owners, labels, counts, queries, start)
 
-        monkeypatch.setattr(engine, "_score_rows", recording)
+        monkeypatch.setattr(engine, "_kernel_rows", recording)
         return seen
 
     @pytest.mark.parametrize("numbers", [1, 60, 700, 2**15])
@@ -358,6 +358,68 @@ class TestBlockedCollectionGraph:
                 assert [start for start, _ in blocks] == list(np.cumsum([0] + [size for _, size in blocks[:-1]]))
                 assert sum(size for _, size in blocks) == n
                 assert len(blocks) > 1 if numbers < 2**15 else len(blocks) == 1
+
+    @pytest.fixture(params=[0.0, 1.0], ids=["dense", "pairs"])
+    def share(self, request, monkeypatch):
+        """Every block forced onto one cosine path: share 0 takes the dense one, share 1 the pairs."""
+        monkeypatch.setattr(engine, "_PAIR_SHARE", request.param)
+        return request.param
+
+    @pytest.fixture()
+    def dense(self, monkeypatch):
+        """One entry per call of the dense cosine half."""
+        calls: list[int] = []
+        original = engine._cosines
+        monkeypatch.setattr(engine, "_cosines", lambda *args: calls.append(1) or original(*args))
+        return calls
+
+    @pytest.mark.parametrize("numbers", [60, 2**15])
+    def test_each_cosine_path_matches_oracle(self, varied_index, pipeline, monkeypatch, share, dense, numbers):
+        monkeypatch.setattr(engine, "_BLOCK_NUMBERS", numbers)
+        lexicon, kb, _, config = pipeline
+        unembedded = index_corpus(helpers.synth_corpus(lexicon, 20, seed=4), lexicon, config, kb=kb)  # no TransE model
+        for index in (varied_index, unembedded):
+            for lam in (0.0, 0.6, 1.0):
+                scores = sorted({score for _, _, score in helpers.oracle_collection_graph(index, lam, 0.0)})
+                for tau_doc in (0.0, 1.0 - lam, 0.5, scores[len(scores) // 2], 1.0):
+                    edges = build_collection_graph(index, lam, tau_doc).edges
+                    assert edges == helpers.oracle_collection_graph(index, lam, tau_doc), (lam, tau_doc)
+        # Duplicates score 1.0, where at lam 0.6 lam * kernel sits on tau_doc - (1 - lam).
+        kept = {(a, b) for a, b, _ in build_collection_graph(varied_index, 0.6, 1.0).edges}
+        assert {("doc000", "doc000-copy"), ("doc003", "doc003-copy")} <= kept
+        assert bool(dense) == (share == 0.0)
+
+    def test_cut_keeps_every_score_the_graph_holds(self, varied_index, share):
+        # Each kept score as tau_doc: its pair must survive the kernel cut, also where rounding
+        # puts lam * kernel just below tau_doc - (1 - lam), as for pairs of equal embeddings.
+        for lam in (0.3, 0.6, 0.9):
+            for a, b, score in helpers.oracle_collection_graph(varied_index, lam, 0.0):
+                if score >= 1.0 - lam:
+                    assert (a, b, score) in build_collection_graph(varied_index, lam, score).edges, (lam, a, b)
+
+    def test_a_pair_at_the_cut_is_a_candidate(self, varied_index, monkeypatch, dense):
+        # At lam 1 the cut is tau_doc - 1e-9; a tau_doc that puts it exactly on a kernel value
+        # makes its pairs candidates, and one candidate more than _PAIR_SHARE allows is dense.
+        rows, n = varied_index.rows, len(varied_index.rows.doc_ids)
+        kernel, _ = engine._kernel_rows(rows, np.repeat(np.arange(n), np.diff(rows.ptr)), rows.labels, rows.counts, n)
+        upper = kernel[np.triu_indices(n, 1)]
+        cut = np.sort(upper)[-len(upper) // 50]
+        tau_doc = next(float(t) for t in cut + 1e-9 + np.arange(-8, 9) * np.spacing(cut) if t - 1e-9 == cut)
+        monkeypatch.setattr(engine, "_PAIR_SHARE", (np.sum(upper >= cut) - 0.5) / kernel.size)
+        edges = build_collection_graph(varied_index, 1.0, tau_doc).edges
+        assert edges == helpers.oracle_collection_graph(varied_index, 1.0, tau_doc)
+        assert dense
+
+    def test_pair_einsum_has_the_block_bits(self):
+        # The pair path reduces each pair as the block's einsum does, whatever the operand order.
+        rng = np.random.default_rng(7)
+        for dim in range(1, 65):
+            for shape in ((9, dim), (1, dim)):
+                x, y = (rng.normal(size=(9, dim)) * 10.0 ** rng.uniform(-3, 3, size=shape) for _ in range(2))
+                block = np.einsum("ij,kj->ki", x, y)
+                a, b = (axis.ravel() for axis in np.indices(block.shape))
+                for first, second in ((x[b], y[a]), (y[a], x[b])):
+                    assert np.einsum("ij,ij->i", first, second).tolist() == block[a, b].tolist(), dim
 
     def test_duplicates_and_empty_networks(self, varied_index):
         edges = {(a, b): score for a, b, score in build_collection_graph(varied_index, 0.6, 1.0).edges}
@@ -1042,6 +1104,22 @@ class TestDerivation:
         search(index, corpus[1].content(), 3)
         build_collection_graph(index)
         assert derivations == ["wl_corpus_labels", "_embed_rows"]
+
+    def test_one_stored_networks_per_load(self, pipeline, tmp_path, monkeypatch):
+        lexicon, kb, transe_model, config = pipeline
+        corpus = helpers.synth_corpus(lexicon, 6, seed=3)
+        save_index(index_corpus(corpus, lexicon, config, kb=kb, transe=transe_model), tmp_path / "corpus.idx")
+        built: list[engine.StoredNetworks] = []
+
+        class Spy(engine.StoredNetworks):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(engine, "StoredNetworks", Spy)
+        loaded = load_index(tmp_path / "corpus.idx")
+        search(loaded, corpus[0].content(), 3)
+        assert len(built) == 1 and built[0] is loaded.networks
 
     @pytest.mark.parametrize("field", ["h", "transe"])
     def test_a_replaced_index_derives_from_its_own_fields(self, pipeline, field):
