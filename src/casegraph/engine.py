@@ -53,14 +53,16 @@ rows (``Index``), which a load makes before it returns, while building and
 saving derive nothing. One function (``_derive``) derives it with array
 operations: every node's kernel labels at iterations 0..h and the label
 compressor that holds their signatures, from one
-``similarity.wl_corpus_labels`` call; each document's kernel features,
-its nodes' label counts in ascending label order; and what scoring needs
-(``DocRows``): the label-major transpose of the kernel features, i.e. an
-inverted index from each kernel label to the documents holding it, with each
-document's kernel self-norm, and a matrix of document embeddings with their
-norms, computed for all documents in one pass over the node columns. One
-block scorer (``_score_rows``) scores a block of query rows against the
-documents: one scatter-add of the rows' kernel entries into a (rows x
+``similarity.wl_corpus_labels`` call; each document's kernel features, its
+nodes' labels in ascending order, each held once, since a network's nodes
+have distinct cuis; and what scoring needs (``DocRows``): the label-major
+transpose of the kernel features, i.e. an inverted index from each kernel
+label to the documents holding it, with each document's kernel self-dot, its
+number of labels, and a matrix of document embeddings with their norms,
+computed for all documents in one pass over the node columns. The kernel of
+two networks is the number of labels they share over ``sqrt(|A| * |B|)``.
+One block scorer (``_score_rows``) scores a block of query rows against the
+documents: one count of the postings of the rows' labels into a (rows x
 documents) matrix (``_kernel_rows``) and one ``einsum`` of the embeddings
 (``_cosines``). A query is a block of one row. The collection graph computes
 the kernels of the documents themselves in blocks of at most
@@ -179,22 +181,21 @@ class CollectionGraph:
 class DocRows:
     """The documents of an index as rows in sorted-id order, laid out for scoring all of them at once.
 
-    Row ``i`` holds kernel labels ``labels[ptr[i]:ptr[i + 1]]`` (ascending)
-    with ``counts`` of the same slice; this row-major form is what the index
-    stores. ``label_rows[label_ptr[l]:label_ptr[l + 1]]`` are the rows holding
-    label ``l`` (ascending) and ``label_counts`` the matching counts; every
-    row's integer self-dot is in ``self_dots``. ``embeddings`` holds one
-    document embedding per row (no columns without an embedding model), and
+    Row ``i`` holds the kernel labels ``labels[ptr[i]:ptr[i + 1]]``
+    (ascending), each once: a network's nodes have distinct cuis, so no two
+    of them share a label at any iteration, and no label of one iteration
+    equals one of another. ``label_rows[label_ptr[l]:label_ptr[l + 1]]`` are
+    the rows holding label ``l`` (ascending). A row's kernel self-dot, its
+    number of labels, is in ``self_dots``. ``embeddings`` holds one document
+    embedding per row (no columns without an embedding model), and
     ``embedding_norms`` their norms.
     """
 
     doc_ids: list[str]
     ptr: np.ndarray
     labels: np.ndarray
-    counts: np.ndarray
     label_ptr: np.ndarray
     label_rows: np.ndarray
-    label_counts: np.ndarray
     self_dots: np.ndarray
     embeddings: np.ndarray
     embedding_norms: np.ndarray
@@ -475,16 +476,14 @@ def _derive(
     ``Index`` calls it on the first read of its compressor or rows, passing
     its own ``networks`` (those of ``doc_ids`` and ``columns``). One
     ``wl_corpus_labels`` call labels every node at iterations 0..h and gives
-    the compressor; a document's kernel features count the labels its nodes
-    hold, in ascending label order.
+    the compressor; a document's kernel features are the labels its nodes
+    hold, h + 1 distinct ones per node (``DocRows``), in ascending order.
     """
     node_labels, compressor = wl_corpus_labels(columns, h)
     next_id = max(compressor.next_id, 1)
-    items = np.repeat(np.arange(len(doc_ids)), np.diff(columns.node_ptr) * (h + 1))
-    features, counts = np.unique(items * next_id + node_labels, return_counts=True)  # row by row, labels ascending
-    rows, labels = np.divmod(features, next_id)
-    ptr = np.zeros(len(doc_ids) + 1, np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(doc_ids)), out=ptr[1:])
+    rows = np.repeat(np.arange(len(doc_ids)), np.diff(columns.node_ptr) * (h + 1))
+    labels = np.sort(rows * next_id + node_labels) % next_id  # row by row, labels ascending
+    ptr = columns.node_ptr.astype(np.int64) * (h + 1)
     # Label-major, rows ascending within a label: the keys are distinct, so
     # the default sort gives the stable order, in about half the time.
     order = np.argsort(labels * len(doc_ids) + rows)
@@ -496,26 +495,23 @@ def _derive(
         doc_ids,
         ptr,
         labels,
-        counts,
         label_ptr,
         rows[order],
-        counts[order],
-        np.bincount(rows, weights=counts * counts, minlength=len(doc_ids)).astype(np.int64),  # exact below 2**53
+        np.diff(ptr),
         embeddings,
         row_norms(embeddings),
     )
 
 
 def _kernel_rows(
-    rows: DocRows, owners: np.ndarray, labels: np.ndarray, counts: np.ndarray, queries: int, start: int = 0
+    rows: DocRows, owners: np.ndarray, labels: np.ndarray, queries: int, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel half of ``_score_rows``: the (queries x rows) kernel values and integer kernel dots."""
+    """The kernel half of ``_score_rows``: the (queries x rows) kernel values and kernel dots, the labels each pair shares."""
     width = len(rows.doc_ids) - start
     shape = (queries, width)
-    # Each query's integer self-dot, exact below 2**53.
-    squares = np.bincount(owners, weights=counts * counts, minlength=queries).astype(np.int64)
+    sizes = np.bincount(owners, minlength=queries)  # each query's self-dot: its number of labels
     known = labels < len(rows.label_ptr) - 1  # overlay labels of a query occur in no document
-    owners, labels, counts = owners[known], labels[known], counts[known]
+    owners, labels = owners[known], labels[known]
     starts, ends = rows.label_ptr[labels], rows.label_ptr[labels + 1]
     lengths = ends - starts
     # Positions of all postings of those labels: each label's slice laid end to end.
@@ -523,13 +519,10 @@ def _kernel_rows(
     # A posting's cell is its row for one query scored from row 0; in a block
     # it moves to its query's line of the matrix and its column from start.
     cells = rows.label_rows[postings]
-    weights = rows.label_counts[postings] * np.repeat(counts, lengths)
     if start or queries > 1:
-        ahead = cells >= start
-        cells = (np.repeat(owners * width - start, lengths) + cells)[ahead]
-        weights = weights[ahead]
-    dots = np.bincount(cells, weights=weights, minlength=shape[0] * width).reshape(shape)  # integers, exact in float64
-    kernel_norms = np.sqrt(squares[:, None] * rows.self_dots[start:])
+        cells = (np.repeat(owners * width - start, lengths) + cells)[cells >= start]
+    dots = np.bincount(cells, minlength=shape[0] * width).reshape(shape)  # int64, exact in float64 below 2**53
+    kernel_norms = np.sqrt(sizes[:, None] * rows.self_dots[start:])
     return np.divide(dots, kernel_norms, out=np.zeros(shape), where=kernel_norms > 0), dots
 
 
@@ -546,7 +539,6 @@ def _score_rows(
     rows: DocRows,
     owners: np.ndarray,
     labels: np.ndarray,
-    counts: np.ndarray,
     embeddings: np.ndarray,
     norms: np.ndarray,
     lam: float,
@@ -554,14 +546,15 @@ def _score_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``combine`` of a block of queries with the rows from ``start`` on: the (queries x rows) scores and kernel dots.
 
-    Query ``q`` is the kernel entries ``labels``/``counts`` whose ``owners``
-    entry is ``q``, and the embedding ``embeddings[q]`` with its
-    ``np.linalg.norm`` in ``norms[q]``. The kernel is
-    ``dot / sqrt(qq * self_dot)`` on exact integers, as the scalar
-    ``similarity.combined_similarity`` computes it; the kernel and the
-    cosine are 0 against an empty graph or a zero embedding.
+    Query ``q`` is the distinct kernel ``labels`` whose ``owners`` entry is
+    ``q``, and the embedding ``embeddings[q]`` with its ``np.linalg.norm`` in
+    ``norms[q]``. Since a network holds each label once, the kernel is the
+    number of labels a query and a row share over ``sqrt(|q| * |row|)``, on
+    exact integers, as the scalar ``similarity.combined_similarity``
+    computes it; the kernel and the cosine are 0 against an empty graph or a
+    zero embedding.
     """
-    kernel, dots = _kernel_rows(rows, owners, labels, counts, len(embeddings), start)
+    kernel, dots = _kernel_rows(rows, owners, labels, len(embeddings), start)
     return combine(kernel, _cosines(rows, embeddings, norms, start), lam), dots
 
 
@@ -598,11 +591,10 @@ def search(
     rows = NetworkRows(index.transe)
     _add_document(rows, Document("query", "", query_text), index.lexicon, index.config, index.kb, index.extractor)
     features = wl_features(rows, index.h, index.compressor.overlay())
-    labels = np.fromiter(features, np.int64, len(features))
-    counts = np.fromiter(features.values(), np.int64, len(features))
+    labels = np.fromiter(features, np.int64, len(features))  # each count is 1 (DocRows)
     embedding = doc_embedding(rows, index.transe) if index.transe is not None else np.zeros(0)
     owners, norms = np.zeros(len(labels), np.int64), np.linalg.norm(embedding, keepdims=True)
-    scores, dots = _score_rows(index.rows, owners, labels, counts, embedding[None], norms, lam)
+    scores, dots = _score_rows(index.rows, owners, labels, embedding[None], norms, lam)
     scores = scores[0]
     top = _top_rows(scores, np.flatnonzero(dots[0]) if prune else np.arange(len(scores)), k)
     doc_ids = index.rows.doc_ids
@@ -636,7 +628,7 @@ def build_collection_graph(index: Index, lam: float | None = None, tau_doc: floa
         end = min(n, max(first + 1, min(by_postings, first + _BLOCK_NUMBERS // (n - first))))
         block, own = slice(first, end), slice(rows.ptr[first], rows.ptr[end])
         owners = np.repeat(np.arange(end - first), np.diff(rows.ptr[first : end + 1]))
-        kernel, _ = _kernel_rows(rows, owners, rows.labels[own], rows.counts[own], end - first, first)
+        kernel, _ = _kernel_rows(rows, owners, rows.labels[own], end - first, first)
         # The margin covers the rounding of the cosine and of combine's sum.
         candidates = np.triu(lam * kernel >= tau_doc - (1 - lam) - 1e-9, 1)
         if np.count_nonzero(candidates) > _PAIR_SHARE * kernel.size:

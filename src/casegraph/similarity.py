@@ -2,9 +2,11 @@
 
 The explicit component iteratively relabels each node with a compressed
 signature of its own label and its relation-tagged neighborhood (edges
-treated as undirected, relation tags kept), then counts labels from all
-iterations. The latent component averages entity embeddings over nodes,
-weighted by mention count. Both are combined convexly.
+treated as undirected, relation tags kept). A network holds one node per
+concept, so no label of any iteration recurs in it, and the kernel of two
+networks is the number of labels they share over ``sqrt(|A| * |B|)``. The
+latent component averages entity embeddings over nodes, weighted by mention
+count. Both are combined convexly.
 
 An index labels its whole corpus at once, built or loaded alike
 (``wl_corpus_labels``): one sort per iteration orders every node's pairs,
@@ -200,10 +202,11 @@ def combined_similarity(
     """``combine`` of the kernel and the embedding cosine, pair by pair; symmetric, in [0, 1].
 
     The scalar reference for ``engine._score_rows``: the kernel is the
-    integer dot of the label counts over the square root of the self-dots'
-    product, and the cosine is ``np.dot`` over the ``np.linalg.norm``
-    product. Each is 0 against an empty graph or a zero embedding, and the
-    cosine is 0 without an embedding model.
+    integer dot of any label multisets over the square root of the
+    self-dots' product, on networks the shared labels over
+    ``sqrt(|A| * |B|)``, and the cosine is ``np.dot`` over the
+    ``np.linalg.norm`` product. Each is 0 against an empty graph or a zero
+    embedding, and the cosine is 0 without an embedding model.
     """
     check("lambda_weight", lam, "lambda")
 

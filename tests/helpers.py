@@ -47,7 +47,7 @@ from casegraph.network import (
     networks_jsonl,
 )
 from casegraph.relations import CandidatePair, ExtractorModel
-from casegraph.similarity import LabelCompressor, combined_similarity
+from casegraph.similarity import LabelCompressor, combined_similarity, wl_features
 from casegraph.transe import EmbeddingModel, _distance_gradient, distances
 
 FIXTURE_LEXICON_ROWS = [
@@ -719,20 +719,35 @@ def assert_search_ranks_fused_query(index, texts: list[str]) -> None:
 # --- collection graph oracle ---------------------------------------------------
 
 
-def oracle_score_row(rows, labels: np.ndarray, counts: np.ndarray, embedding: np.ndarray, lam: float):
-    """One query (its kernel labels, counts and embedding) against every row of a ``DocRows``: scores and kernel dots.
+def oracle_doc_counts(index) -> np.ndarray:
+    """The (documents x kernel labels) label counts of an index, whatever they are, independent of its ``DocRows``.
 
-    The one-query scorer that search and the collection graph used before
-    rows were scored in blocks; the blocked scorer must keep its bits.
+    Each network is labelled alone through an overlay of the index's
+    compressor (``wl_features``), which gives it the labels of the corpus
+    labeller.
     """
+    counts = np.zeros((len(index.rows.doc_ids), index.compressor.next_id), np.int64)
+    for row, doc_id in enumerate(index.rows.doc_ids):
+        features = wl_features(index.networks[doc_id], index.h, index.compressor.overlay())
+        counts[row, list(features)] = list(features.values())
+    return counts
+
+
+def oracle_score_row(index, doc_counts: np.ndarray, labels: np.ndarray, counts: np.ndarray, embedding: np.ndarray, lam: float):
+    """One query (its kernel labels, counts and embedding) against every document of an index: scores and kernel dots.
+
+    The documents' kernel side is ``doc_counts`` (``oracle_doc_counts``) and
+    their embeddings those of ``index.rows``. The kernel is the integer dot
+    of the label counts over the square root of the self-dots' product, one
+    row at a time; the blocked scorer must keep its bits.
+    """
+    rows = index.rows
     n = len(rows.doc_ids)
-    known = labels < len(rows.label_ptr) - 1
-    starts, ends = rows.label_ptr[labels[known]], rows.label_ptr[labels[known] + 1]
-    lengths = ends - starts
-    postings = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-    weights = rows.label_counts[postings] * np.repeat(counts[known], lengths)
-    dots = np.bincount(rows.label_rows[postings], weights=weights, minlength=n)
-    kernel_norms = np.sqrt(int((counts * counts).sum()) * rows.self_dots)
+    known = labels < doc_counts.shape[1]  # overlay labels of a query occur in no document
+    query = np.zeros(doc_counts.shape[1], np.int64)
+    query[labels[known]] = counts[known]
+    dots = doc_counts @ query  # int64, exact
+    kernel_norms = np.sqrt(int((counts * counts).sum()) * (doc_counts * doc_counts).sum(axis=1))
     kernel = np.divide(dots, kernel_norms, out=np.zeros(n), where=kernel_norms > 0)
     cos_norms = np.linalg.norm(embedding) * rows.embedding_norms
     cos = np.divide(np.einsum("ij,j->i", rows.embeddings, embedding), cos_norms, out=np.zeros(n), where=cos_norms != 0)
@@ -740,13 +755,12 @@ def oracle_score_row(rows, labels: np.ndarray, counts: np.ndarray, embedding: np
 
 
 def oracle_collection_graph(index, lam: float, tau_doc: float) -> list[tuple[str, str, float]]:
-    """Every row scored alone by ``oracle_score_row``, keeping the rows after it at or above ``tau_doc``."""
-    rows = index.rows
-    ptr = rows.ptr.tolist()
+    """Every document scored alone by ``oracle_score_row``, keeping the documents after it at or above ``tau_doc``."""
+    rows, doc_counts = index.rows, oracle_doc_counts(index)
     edges = []
     for i, doc_a in enumerate(rows.doc_ids):
-        own = slice(ptr[i], ptr[i + 1])
-        scores, _ = oracle_score_row(rows, rows.labels[own], rows.counts[own], rows.embeddings[i], lam)
+        labels = np.flatnonzero(doc_counts[i])
+        scores, _ = oracle_score_row(index, doc_counts, labels, doc_counts[i, labels], rows.embeddings[i], lam)
         kept = np.flatnonzero(scores[i + 1 :] >= tau_doc) + i + 1
         edges += [(doc_a, rows.doc_ids[j], float(scores[j])) for j in kept.tolist()]
     return edges

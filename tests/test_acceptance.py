@@ -199,15 +199,14 @@ def test_criterion_5_kernel_correctness():
             no_embeddings = np.zeros((2, 0))
             # Both rows as one block, as the collection graph scores them.
             owners = np.repeat(np.arange(2), np.diff(rows.ptr))
-            scores, dots = engine._score_rows(rows, owners, rows.labels, rows.counts, no_embeddings, np.zeros(2), 1.0)
+            scores, dots = engine._score_rows(rows, owners, rows.labels, no_embeddings, np.zeros(2), 1.0)
             assert dots.tolist() == gram
             assert abs(scores[0, 1] - kernel) <= 1e-12 and abs(scores[1, 0] - kernel) <= 1e-12
             assert np.abs(np.diag(scores) - 1.0).max() <= 1e-12
             # Network a as a query, featurized as search does it.
             features = wl_features(net_a, h, compressor.overlay())
             labels = np.fromiter(features, np.int64, len(features))
-            counts = np.fromiter(features.values(), np.int64, len(features))
-            scores, dots = engine._score_rows(rows, np.zeros(len(labels), np.int64), labels, counts, no_embeddings[:1], np.zeros(1), 1.0)
+            scores, dots = engine._score_rows(rows, np.zeros(len(labels), np.int64), labels, no_embeddings[:1], np.zeros(1), 1.0)
             assert dots.tolist() == gram[:1]
             assert abs(scores[0, 0] - 1.0) <= 1e-12 and abs(scores[0, 1] - kernel) <= 1e-12
 

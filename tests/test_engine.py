@@ -96,17 +96,17 @@ class TestIndexCorpus:
         assert rows.doc_ids == sorted(index.networks) == sorted(d.id for d in corpus)
         assert len(rows.ptr) == len(rows.doc_ids) + 1
         assert len(rows.label_ptr) == index.compressor.next_id + 1
-        postings: dict[str, dict[int, int]] = {doc_id: {} for doc_id in rows.doc_ids}
+        postings: dict[str, Counter] = {doc_id: Counter() for doc_id in rows.doc_ids}
         for label in range(index.compressor.next_id):
             span = slice(rows.label_ptr[label], rows.label_ptr[label + 1])
             assert rows.label_rows[span].tolist() == sorted(rows.label_rows[span].tolist())
-            for row, count in zip(rows.label_rows[span].tolist(), rows.label_counts[span].tolist()):
-                postings[rows.doc_ids[row]][label] = count
+            for row in rows.label_rows[span].tolist():
+                postings[rows.doc_ids[row]][label] += 1
         for row, doc_id in enumerate(rows.doc_ids):
             counts = wl_features(index.networks[doc_id], index.h, index.compressor.overlay())
             own = slice(rows.ptr[row], rows.ptr[row + 1])
-            assert rows.labels[own].tolist() == sorted(counts)
-            assert dict(zip(rows.labels[own].tolist(), rows.counts[own].tolist())) == counts
+            # A row and the inverted index hold the network's label multiset, one entry per occurrence.
+            assert rows.labels[own].tolist() == sorted(Counter(counts).elements())
             assert postings[doc_id] == counts
             assert rows.self_dots[row] == helpers.oracle_wl_dot(counts, counts)
             emb = doc_embedding(index.networks[doc_id], transe_model)
@@ -339,9 +339,9 @@ class TestBlockedCollectionGraph:
         seen: list[tuple[int, int]] = []
         original = engine._kernel_rows
 
-        def recording(rows, owners, labels, counts, queries, start=0):
+        def recording(rows, owners, labels, queries, start=0):
             seen.append((start, queries))
-            return original(rows, owners, labels, counts, queries, start)
+            return original(rows, owners, labels, queries, start)
 
         monkeypatch.setattr(engine, "_kernel_rows", recording)
         return seen
@@ -401,7 +401,7 @@ class TestBlockedCollectionGraph:
         # At lam 1 the cut is tau_doc - 1e-9; a tau_doc that puts it exactly on a kernel value
         # makes its pairs candidates, and one candidate more than _PAIR_SHARE allows is dense.
         rows, n = varied_index.rows, len(varied_index.rows.doc_ids)
-        kernel, _ = engine._kernel_rows(rows, np.repeat(np.arange(n), np.diff(rows.ptr)), rows.labels, rows.counts, n)
+        kernel, _ = engine._kernel_rows(rows, np.repeat(np.arange(n), np.diff(rows.ptr)), rows.labels, n)
         upper = kernel[np.triu_indices(n, 1)]
         cut = np.sort(upper)[-len(upper) // 50]
         tau_doc = next(float(t) for t in cut + 1e-9 + np.arange(-8, 9) * np.spacing(cut) if t - 1e-9 == cut)
@@ -466,7 +466,8 @@ class TestBlockedCollectionGraph:
             net = query_network(index, text)
             counts = wl_features(net, index.h, index.compressor.overlay())
             scores, dots = helpers.oracle_score_row(
-                index.rows,
+                index,
+                helpers.oracle_doc_counts(index),
                 np.fromiter(counts, np.int64, len(counts)),
                 np.fromiter(counts.values(), np.int64, len(counts)),
                 doc_embedding(net, index.transe),
@@ -664,9 +665,7 @@ class TestLoadConsistency:
         _, index = small_index
         loaded = self.load_edited(index, tmp_path, lambda payload: None)
         assert loaded.rows.doc_ids == index.rows.doc_ids
-        for name in (
-            "ptr", "labels", "counts", "label_ptr", "label_rows", "label_counts", "self_dots", "embeddings", "embedding_norms"
-        ):
+        for name in ("ptr", "labels", "label_ptr", "label_rows", "self_dots", "embeddings", "embedding_norms"):
             fresh, rebuilt = getattr(index.rows, name), getattr(loaded.rows, name)
             assert rebuilt.dtype == fresh.dtype and rebuilt.shape == fresh.shape, name
             assert np.array_equal(rebuilt, fresh), name
@@ -896,9 +895,9 @@ class TestLabelsMatchTheOracle:
             assert built.compressor.next_id == oracle.next_id == len(to_oracle)
             assert built.rows.ptr.tolist() == ptr
             bounds = built.rows.ptr.tolist()
-            labels, counts = built.rows.labels.tolist(), built.rows.counts.tolist()
+            labels = built.rows.labels.tolist()
             for row, start, end in zip(rows, bounds, bounds[1:]):
-                assert sorted((to_oracle[label], count) for label, count in zip(labels[start:end], counts[start:end])) == row
+                assert sorted(Counter(to_oracle[label] for label in labels[start:end]).items()) == row
         held = new = 0
         texts = [doc.content() for doc in corpus[:4]] + [" ".join(doc.content() for doc in corpus), UNRELATED]
         for text in texts:

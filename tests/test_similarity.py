@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from casegraph import engine
 from casegraph.errors import FormatError, UsageError
 from casegraph.network import Edge, Node, SemanticNetwork
 from casegraph.similarity import (
@@ -280,6 +281,32 @@ class TestCorpusLabels:
         assert wl_corpus_labels(columns, 1)[1].next_id == 4
         with pytest.raises(FormatError, match="overflow the int64 sort keys"):
             wl_corpus_labels(replace(columns, relations=range(2**62)), 1)
+
+
+class TestEachLabelOnce:
+    """No kernel label recurs within a network, across its nodes and iterations, so the scorer counts shared labels.
+
+    A network's nodes have distinct cuis, and a node's key at iteration i + 1
+    starts with its label at iteration i, so no two nodes share a label at
+    any iteration; a key holds labels of the previous iteration, so no label
+    of one iteration equals one of another.
+    """
+
+    @settings(max_examples=150)
+    @given(CORPORA, st.integers(0, 4))
+    def test_no_label_repeats(self, nets, h):
+        columns = helpers.oracle_network_columns(nets)
+        _, corpus = wl_corpus_labels(columns, h)
+        for net in nets:
+            for comp in (LabelCompressor(), corpus.overlay()):
+                labels = [label for iteration in wl_label_history(net, h, comp) for label in iteration.values()]
+                assert len(set(labels)) == len(labels) == len(net.nodes) * (h + 1)
+            assert set(helpers.oracle_wl_counts(net, h).values()) <= {1}
+        # _derive sorts (row, label) keys without merging equal ones: distinct keys make each row strictly ascend.
+        _, _, rows = engine._derive([f"d{i}" for i in range(len(nets))], columns, h, None, None)
+        assert rows.ptr.tolist() == np.cumsum([0, *(len(net.nodes) * (h + 1) for net in nets)]).tolist()
+        for start, end in zip(rows.ptr[:-1].tolist(), rows.ptr[1:].tolist()):
+            assert (np.diff(rows.labels[start:end]) > 0).all()
 
 
 def tiny_model():
